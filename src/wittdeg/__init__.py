@@ -44,7 +44,6 @@ from .poly import (
     jacobian_det,
     jacobian_matrix,
     parse_poly,
-    substitute,
 )
 from .groebner import (
     GroebnerBasis,

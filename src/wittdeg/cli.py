@@ -106,6 +106,11 @@ def parse_job_file(path: str) -> JobFile:
                     if field is None:
                         raise JobFileError("'field' must precede 'vars'")
                     names = [v.strip() for v in value.split(",")]
+                    if "" in names:
+                        raise JobFileError("empty variable name in 'vars'")
+                    dup = next((v for i, v in enumerate(names) if v in names[:i]), None)
+                    if dup is not None:
+                        raise JobFileError(f"duplicate variable {dup!r} in 'vars'")
                     ring = Ring(tuple(names), field)
                 elif key.startswith("map "):
                     if ring is None:

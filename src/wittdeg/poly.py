@@ -508,11 +508,6 @@ def _det_bareiss(m, ring: Ring, order: MonomialOrder) -> Poly:
     return -d if sign < 0 else d
 
 
-def substitute(p: Poly, images: Sequence[Poly]) -> Poly:
-    """Module-level alias for Poly.substitute."""
-    return p.substitute(images)
-
-
 def jacobian_matrix(images: Sequence[Poly]) -> list[list[Poly]]:
     n = len(images)
     ring = images[0].ring

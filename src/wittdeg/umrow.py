@@ -55,43 +55,34 @@ class UnimodularRow:
         return len(self.entries)
 
 
-_certificate_cache: dict = {}
-
-
 def is_unimodular(
     row: UnimodularRow, order: MonomialOrder = GREVLEX
 ) -> Optional[tuple[Poly, ...]]:
     """Certificate (b_1,...,b_n) with sum(b_i * a_i) == 1 mod relations.
 
     Returns None when 1 is not in the ideal.  Certificates are reduced
-    modulo the relation ideal, re-verified by exact reduction, and cached
-    per row value.
+    modulo the relation ideal and re-verified by exact reduction.
     """
-    key = (row, order)
-    if key in _certificate_cache:
-        return _certificate_cache[key]
     gens = list(row.entries) + list(row.algebra.relations)
     cert = contains_one_with_certificate(gens, order)
-    result = None
-    if cert is not None:
-        entry_cofs = list(cert[: row.n])
-        if row.algebra.relations:
-            relgb = buchberger(list(row.algebra.relations), order)
-            entry_cofs = [normal_form(c, relgb) for c in entry_cofs]
-            total = row.algebra.ring.zero()
-            for b, a in zip(entry_cofs, row.entries):
-                total = total + b * a
-            check = normal_form(total - row.algebra.ring.one(), relgb)
-        else:
-            total = row.algebra.ring.zero()
-            for b, a in zip(entry_cofs, row.entries):
-                total = total + b * a
-            check = total - row.algebra.ring.one()
-        if not check.is_zero:
-            raise AssertionError("certificate failed re-verification")
-        result = tuple(entry_cofs)
-    _certificate_cache[key] = result
-    return result
+    if cert is None:
+        return None
+    entry_cofs = list(cert[: row.n])
+    if row.algebra.relations:
+        relgb = buchberger(list(row.algebra.relations), order)
+        entry_cofs = [normal_form(c, relgb) for c in entry_cofs]
+        total = row.algebra.ring.zero()
+        for b, a in zip(entry_cofs, row.entries):
+            total = total + b * a
+        check = normal_form(total - row.algebra.ring.one(), relgb)
+    else:
+        total = row.algebra.ring.zero()
+        for b, a in zip(entry_cofs, row.entries):
+            total = total + b * a
+        check = total - row.algebra.ring.one()
+    if not check.is_zero:
+        raise AssertionError("certificate failed re-verification")
+    return tuple(entry_cofs)
 
 
 def apply_elementary(

@@ -6,6 +6,13 @@ Conventions (fixed for reproducibility):
   - Hasse symbol at a place v is prod_{i<j} (a_i, a_j)_v;
   - the rank-2m hyperbolic form has Hasse symbol (-1,-1)_v^(m(m-1)/2).
 
+The Hasse symbol is computed as prod_{j>=2} (a_1 ... a_{j-1}, a_j)_v, with
+the prefix products kept as running square classes: r - 1 Hilbert symbols
+per place instead of r(r-1)/2.  Both products agree because the Hilbert
+symbol is bimultiplicative, (xy, z)_v = (x, z)_v (y, z)_v, so that
+(a_1 ... a_{j-1}, a_j)_v = prod_{i<j} (a_i, a_j)_v; and it depends only on
+square classes, so the prefix may be replaced by its class.
+
 Over Q a form is hyperbolic iff rank is even, signature is zero, the signed
 discriminant is trivial and the Hasse symbols match the hyperbolic reference
 at every relevant place (complete by the classification of rational
@@ -14,7 +21,9 @@ quadratic forms).  Over F_p: rank even and trivial signed discriminant.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
+from itertools import accumulate
 from typing import Optional
 
 from .errors import DegenerateForm, RingMismatch
@@ -83,55 +92,90 @@ def diagonalize_with_transform(g: GramForm):
     Symmetric Gaussian elimination; a zero diagonal pivot is repaired by a
     basis swap or, failing that, by adding another basis vector (2a != 0
     since the characteristic is not 2).  Raises DegenerateForm if the form
-    is singular.
+    is singular.  Each pivot updates only the trailing block, and only at
+    the rows and columns where the pivot row is nonzero (see _eliminate);
+    diagonalize runs the same kernel without building P.
     """
-    field = g.field
-    n = len(g.matrix)
-    m = [list(row) for row in g.matrix]
-    p = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-    def add_col(dst, src, c):
-        # basis change e_dst += c * e_src, applied symmetrically
-        for r in range(n):
-            m[r][dst] = field.add(m[r][dst], field.mul(c, m[r][src]))
-        for r in range(n):
-            m[dst][r] = field.add(m[dst][r], field.mul(c, m[src][r]))
-        for r in range(n):
-            p[r][dst] = field.add(p[r][dst], field.mul(c, p[r][src]))
-
-    def swap(i, j):
-        for r in range(n):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        m[i], m[j] = m[j], m[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
-
-    for k in range(n):
-        if not m[k][k]:
-            for t in range(k + 1, n):
-                if m[t][t]:
-                    swap(k, t)
-                    break
-            else:
-                for t in range(k + 1, n):
-                    if m[k][t]:
-                        add_col(k, t, field.one)
-                        break
-                else:
-                    raise DegenerateForm(
-                        "form is degenerate (zero block of positive size)"
-                    )
-        pivot = m[k][k]
-        for r in range(k + 1, n):
-            if m[r][k]:
-                add_col(r, k, field.neg(field.div(m[r][k], pivot)))
-    return [m[i][i] for i in range(n)], p
+    return _eliminate(g, True)
 
 
 def diagonalize(g: GramForm) -> DiagForm:
     """Diagonal form congruent to g, entries canonicalized."""
-    raw, _ = diagonalize_with_transform(g)
+    raw, _ = _eliminate(g, False)
     return diag_form(g.field, raw)
+
+
+def _eliminate(g: GramForm, track_transform: bool):
+    """Kernel of diagonalize_with_transform; P is built only when tracked.
+
+    Pivot k subtracts c_r = m[k][r] / m[k][k] times row and column k from
+    each later index r: on the trailing block this is the Schur complement
+    m[r][s] -= c_r * m[k][s] (r, s > k), while the eliminated row and
+    column k are never read again and so are not written.  Rows r with
+    m[k][r] == 0 are untouched, and within a row only the columns s where
+    m[k][s] != 0 change.  The block stays exactly symmetric: each update
+    is computed once and stored at (r, s) and (s, r).  The inner loop does
+    its arithmetic inline (Fraction over Q, % p over F_p).
+    """
+    field = g.field
+    q = None if field.is_rationals else field.modulus
+    n = len(g.matrix)
+    m = [list(row) for row in g.matrix]
+    # P is kept by columns: a basis change e_dst += c * e_src rewrites column dst
+    cols = None
+    if track_transform:
+        cols = [
+            [field.one if i == j else field.zero for i in range(n)] for j in range(n)
+        ]
+    pivots = []
+    for k in range(n):
+        if not m[k][k]:
+            t = next((t for t in range(k + 1, n) if m[t][t]), None)
+            if t is not None:
+                # swap e_k and e_t
+                m[k], m[t] = m[t], m[k]
+                for row in m:
+                    row[k], row[t] = row[t], row[k]
+                if cols is not None:
+                    cols[k], cols[t] = cols[t], cols[k]
+            else:
+                t = next((t for t in range(k + 1, n) if m[k][t]), None)
+                if t is None:
+                    raise DegenerateForm(
+                        "form is degenerate (zero block of positive size)"
+                    )
+                # e_k += e_t; m[k][k] and m[t][t] are zero, so the new
+                # pivot is 2 m[k][t]
+                row_k, row_t = m[k], m[t]
+                pivot = field.mul(field.from_int(2), row_k[t])
+                for s in range(k + 1, n):
+                    row_k[s] = m[s][k] = field.add(row_k[s], row_t[s])
+                row_k[k] = pivot
+                if cols is not None:
+                    cols[k] = [field.add(a, b) for a, b in zip(cols[k], cols[t])]
+        row_k = m[k]
+        pivot = row_k[k]
+        pivots.append(pivot)
+        support = [s for s in range(k + 1, n) if row_k[s]]
+        if not support:
+            continue
+        inv = field.inv(pivot)
+        for i, r in enumerate(support):
+            c = field.mul(row_k[r], inv)
+            row_r = m[r]
+            if q is None:
+                for s in support[i:]:
+                    row_r[s] = m[s][r] = row_r[s] - c * row_k[s]
+            else:
+                for s in support[i:]:
+                    row_r[s] = m[s][r] = (row_r[s] - c * row_k[s]) % q
+            if cols is not None:
+                cols[r] = [
+                    field.sub(a, field.mul(c, b)) for a, b in zip(cols[r], cols[k])
+                ]
+    if cols is None:
+        return pivots, None
+    return pivots, [list(row) for row in zip(*cols)]
 
 
 @dataclass(frozen=True)
@@ -162,11 +206,14 @@ class WittInvariants:
 def invariants(d: DiagForm) -> WittInvariants:
     field = d.field
     r = d.rank
-    det_class = field.one
-    for e in d.entries:
-        det_class = square_class_mul(field, det_class, e)
+    # prefixes[j] is the square class of a_1 * ... * a_j
+    prefixes = list(
+        accumulate(
+            d.entries, lambda x, y: square_class_mul(field, x, y), initial=field.one
+        )
+    )
     sign_factor = field.from_int(-1 if (r * (r - 1) // 2) % 2 else 1)
-    signed_disc = square_class_mul(field, det_class, sign_factor)
+    signed_disc = square_class_mul(field, prefixes[-1], sign_factor)
     if not field.is_rationals:
         return WittInvariants(
             field=field,
@@ -176,12 +223,13 @@ def invariants(d: DiagForm) -> WittInvariants:
             hasse={},
         )
     signature = sum(1 if e > 0 else -1 for e in d.entries)
+    # prod_{i<j} (a_i, a_j)_v as prod_{j>=2} (a_1...a_{j-1}, a_j)_v: see above
+    pairs = list(zip(prefixes[1:-1], d.entries[1:]))
     hasse = {}
     for v in relevant_places(d.entries):
         s = 1
-        for i in range(r):
-            for j in range(i + 1, r):
-                s *= hilbert_symbol(d.entries[i], d.entries[j], v)
+        for prefix, a in pairs:
+            s *= hilbert_symbol(prefix, a, v)
         hasse[str(v)] = s
     return WittInvariants(
         field=field,
@@ -193,22 +241,32 @@ def invariants(d: DiagForm) -> WittInvariants:
 
 
 def _strip_obvious_pairs(d: DiagForm) -> DiagForm:
-    """Remove <a, b> pairs with a ~ -b; preserves the Witt class."""
+    """Remove <a, b> pairs with a ~ -b; preserves the Witt class.
+
+    One left-to-right pass: each surviving entry cancels against the
+    earliest later surviving entry equal to the class of its negative.
+    Entries are canonical, so class equality is value equality and the
+    later entries of each class wait in an index queue.
+    """
     field = d.field
     minus_one = square_class(field, field.from_int(-1))
-    entries = list(d.entries)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if square_class_mul(field, entries[i], entries[j]) == minus_one:
-                    del entries[j], entries[i]
-                    changed = True
-                    break
-            if changed:
-                break
-    return DiagForm(field=field, entries=tuple(entries))
+    entries = d.entries
+    queues: dict = {}
+    for j, e in enumerate(entries):
+        queues.setdefault(e, deque()).append(j)
+    removed = [False] * len(entries)
+    for i, e in enumerate(entries):
+        if removed[i]:
+            continue
+        queue = queues.get(square_class_mul(field, minus_one, e))
+        while queue and (queue[0] <= i or removed[queue[0]]):
+            queue.popleft()
+        if queue:
+            removed[i] = removed[queue.popleft()] = True
+    return DiagForm(
+        field=field,
+        entries=tuple(e for e, gone in zip(entries, removed) if not gone),
+    )
 
 
 def hyperbolic_reference_hasse(field: FieldSpec, rank: int, place) -> int:

@@ -100,6 +100,26 @@ def test_degree_exit_2_missing_map(tmp_path, capsys):
     assert "missing map" in err
 
 
+def test_degree_exit_2_empty_variable_name(tmp_path, capsys):
+    job = tmp_path / "empty.job"
+    job.write_text("field = Q\nvars = x,\nmap x = x^2\n")
+    code, out, err = run_cli(capsys, "degree", str(job))
+    assert code == 2
+    assert out == ""
+    assert "empty.job:2" in err and "empty variable name" in err
+    assert "Traceback" not in err
+
+
+def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
+    job = tmp_path / "dup.job"
+    job.write_text("field = Q\nvars = x, y, x\nmap x = x^2\nmap y = y\n")
+    code, out, err = run_cli(capsys, "degree", str(job))
+    assert code == 2
+    assert out == ""
+    assert "JobFileError" in err and "dup.job:2" in err
+    assert "duplicate variable 'x'" in err
+
+
 def test_nori_check_counterexample(capsys):
     code, out, _ = run_cli(capsys, "nori-check", "docs/jobs/counterexample.job")
     assert code == 0

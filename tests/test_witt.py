@@ -6,6 +6,9 @@ import pytest
 
 from wittdeg import (
     DegenerateForm,
+    DiagForm,
+    FactorBoundExceeded,
+    FieldSpec,
     diag_form,
     diagonalize,
     diagonalize_with_transform,
@@ -19,6 +22,13 @@ from wittdeg import (
     witt_class_display,
     witt_equal,
 )
+from wittdeg.fields import (
+    hilbert_symbol,
+    relevant_places,
+    square_class,
+    square_class_mul,
+)
+from wittdeg.witt import _strip_obvious_pairs
 
 
 def _mat_mul(a, b):
@@ -50,25 +60,86 @@ def test_diagonalize_identity(Q):
     assert diagonalize(g).entries == (Fraction(1),) * 3
 
 
-def test_diagonalize_transform_audit(Q):
+def _reference_elimination(field, rows):
+    """Full-matrix symmetric elimination, every basis change applied to the
+    whole matrix: (pivots, repairs) or DegenerateForm.  ``repairs`` names
+    the fix-up each zero pivot needed ("swap" or "add")."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    repairs = []
+
+    def add(dst, src, c):
+        for r in range(n):
+            m[r][dst] = field.add(m[r][dst], field.mul(c, m[r][src]))
+        for r in range(n):
+            m[dst][r] = field.add(m[dst][r], field.mul(c, m[src][r]))
+
+    for k in range(n):
+        if not m[k][k]:
+            t = next((t for t in range(k + 1, n) if m[t][t]), None)
+            if t is not None:
+                repairs.append("swap")
+                for r in range(n):
+                    m[r][k], m[r][t] = m[r][t], m[r][k]
+                m[k], m[t] = m[t], m[k]
+            else:
+                t = next((t for t in range(k + 1, n) if m[k][t]), None)
+                if t is None:
+                    raise DegenerateForm("degenerate")
+                repairs.append("add")
+                add(k, t, field.one)
+        for r in range(k + 1, n):
+            if m[r][k]:
+                add(r, k, field.neg(field.div(m[r][k], m[k][k])))
+    return [m[i][i] for i in range(n)], repairs
+
+
+def _random_sparse_symmetric(rng, field, n):
+    m = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.4:
+                m[i][j] = m[j][i] = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return m
+
+
+def test_diagonalize_transform_audit(Q, F7):
+    """P^T G P == diag(raw), and raw equals the full-matrix reference, on
+    sparse forms that need both pivot repairs or are degenerate."""
     rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4))
-        g = make_gram_form(Q, m)
+    for field in (Q, F7):
+        _audit_transform(rng, field)
+
+
+def _audit_transform(rng, field):
+    seen = {"swap": 0, "add": 0, "degenerate": 0}
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        m = _random_sparse_symmetric(rng, field, n)
+        g = make_gram_form(field, m)
         try:
-            raw, p = diagonalize_with_transform(g)
+            ref, repairs = _reference_elimination(field, g.matrix)
         except DegenerateForm:
+            seen["degenerate"] += 1
+            with pytest.raises(DegenerateForm):
+                diagonalize_with_transform(g)
+            with pytest.raises(DegenerateForm):
+                diagonalize(g)
             continue
+        for kind in repairs:
+            seen[kind] += 1
+        raw, p = diagonalize_with_transform(g)
+        assert raw == ref
+        assert diagonalize(g) == diag_form(field, raw)
         ptgp = _mat_mul(_transpose(p), _mat_mul([list(r) for r in g.matrix], p))
+        if not field.is_rationals:
+            ptgp = [[x % field.modulus for x in row] for row in ptgp]
         assert all(
             ptgp[i][j] == (raw[i] if i == j else 0)
             for i in range(n)
             for j in range(n)
         )
+    assert all(seen.values()), seen
 
 
 def test_degenerate_form_rejected(Q):
@@ -101,6 +172,78 @@ def test_invariants_prime_field(F5):
     assert inv.hasse == {}
     # signed disc = -(1*2) = -2 = 3 mod 5, a non-residue
     assert inv.signed_discriminant == 2
+
+
+def _pairwise_hasse(d):
+    """Hasse symbols by definition: prod over all pairs i < j."""
+    hasse = {}
+    for v in relevant_places(d.entries):
+        s = 1
+        for a, b in itertools.combinations(d.entries, 2):
+            s *= hilbert_symbol(a, b, v)
+        hasse[str(v)] = s
+    return hasse
+
+
+def test_invariants_match_pairwise_hasse_definition(Q):
+    rng = random.Random(2024)
+    # 1000003 * 1009 exceeds the trial-division bound
+    primes = [2, 3, 5, 7, 11, 13, 1009, 1000003]
+    raised = 0
+    for _ in range(300):
+        entries = []
+        for _ in range(rng.randint(0, 9)):
+            x = rng.choice([-1, 1])
+            for q in rng.sample(primes, rng.randint(0, 3)):
+                x *= q
+            entries.append(Fraction(x))
+        d = DiagForm(field=Q, entries=tuple(entries))
+        try:
+            expected = _pairwise_hasse(d)
+        except FactorBoundExceeded:
+            raised += 1
+            with pytest.raises(FactorBoundExceeded):
+                invariants(d)
+            continue
+        assert invariants(d).hasse == expected
+    assert 0 < raised < 300
+
+
+def _reference_strip(d):
+    """Delete the first pair (i, j) with a_i a_j ~ -1 and rescan."""
+    field = d.field
+    minus_one = square_class(field, field.from_int(-1))
+    entries = list(d.entries)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                if square_class_mul(field, entries[i], entries[j]) == minus_one:
+                    del entries[j], entries[i]
+                    changed = True
+                    break
+            if changed:
+                break
+    return DiagForm(field=field, entries=tuple(entries))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FieldSpec.rationals(), FieldSpec.prime_field(5), FieldSpec.prime_field(7)],
+)
+def test_strip_obvious_pairs_matches_rescanning_loop(field):
+    rng = random.Random(99)
+    for _ in range(300):
+        r = rng.randint(0, 12)
+        if field.is_rationals:
+            entries = [rng.choice([-6, -3, -2, -1, 1, 2, 3, 6]) for _ in range(r)]
+        else:
+            entries = [rng.randint(1, field.modulus - 1) for _ in range(r)]
+        d = diag_form(field, entries)
+        expected = _reference_strip(d)
+        assert _strip_obvious_pairs(d) == expected
+        assert witt_class_display(d) == (str(expected) if expected.rank else "0")
 
 
 def test_is_witt_zero_examples(Q, F5, F7):
