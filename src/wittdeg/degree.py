@@ -38,9 +38,7 @@ from .witt import (
     WittInvariants,
     diag_form,
     diagonalize,
-    gram_form as make_gram_form,
     invariants,
-    is_witt_zero,
     tensor,
 )
 
@@ -164,19 +162,17 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     nf = normal_form(delta, _combined_basis(qa, ring2))
     index = {m: k for k, m in enumerate(qa.monomials)}
     d = qa.dimension
-    b = [[field.zero for _ in range(d)] for _ in range(d)]
+    zero = field.zero
+    b = [[zero] * d for _ in range(d)]
+    # each normal-form term x^a u^b fills entry (a, b) once; its coefficient
+    # is already canonical, and GramForm checks the symmetry
     for e, c in nf.terms.items():
-        xe, ue = e[:n], e[n:]
-        i, j = index.get(xe), index.get(ue)
+        i, j = index.get(e[:n]), index.get(e[n:])
         if i is None or j is None:
             raise InternalError("reduced Bezoutian off the standard basis")
-        b[i][j] = field.add(b[i][j], c)
-    for i in range(d):
-        for j in range(i):
-            if b[i][j] != b[j][i]:
-                raise InternalError("Bezoutian Gram matrix is not symmetric")
+        b[i][j] = c
     labels = tuple(format_monomial(endo.ring, m) for m in qa.monomials)
-    return make_gram_form(field, b, labels)
+    return GramForm(field=field, matrix=tuple(map(tuple, b)), basis_labels=labels)
 
 
 @dataclass(frozen=True)
@@ -228,7 +224,7 @@ def degree_of(endo: Endo, order: MonomialOrder = GREVLEX) -> DegreeReport:
         gram=gram,
         diag=diag,
         invariants=inv,
-        is_zero=is_witt_zero(diag),
+        is_zero=inv.is_zero,
         divisible_by_n_factorial=d % math.factorial(n) == 0,
         divisible_by_nminus1_factorial=d % math.factorial(max(n - 1, 1)) == 0,
     )

@@ -1,5 +1,11 @@
 """Buchberger's algorithm with reduced bases and optional cofactor tracking.
 
+Normal forms, Buchberger's reductions and the autoreduction of the final
+basis all run one division kernel (`_reduce`; Cox, Little, O'Shea, *Ideals,
+Varieties, and Algorithms*, section 2.3).  It works on one mutable term
+dict, reads each divisor's leading term from a precomputed entry, and keeps
+only the remainder: no caller needs the quotients.
+
 Cofactors express every basis element exactly as a combination of the input
 generators; they are what certificate extraction (1 = sum c_i * g_i) needs.
 Everything is deterministic: normal selection strategy (smallest lcm first,
@@ -10,15 +16,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
+from operator import add, le, sub
 from typing import Optional, Sequence
 
-from .errors import NotFiniteLength, RingMismatch
+from .errors import InternalError, NotFiniteLength, RingMismatch
 from .orders import GREVLEX, MonomialOrder
 from .poly import Poly, Ring
 
 
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _common_ring(polys: Sequence[Poly]) -> Ring:
@@ -29,34 +37,60 @@ def _common_ring(polys: Sequence[Poly]) -> Ring:
     return ring
 
 
-def divide(p: Poly, divisors: Sequence[Poly], order: MonomialOrder = GREVLEX):
-    """Multivariate division: (quotients, remainder).
+def _entry(terms: dict, order: MonomialOrder, cof=None):
+    """A divisor as (leading exponents, leading coefficient, tail, cof).
 
-    p == sum(q_i * divisors_i) + remainder, and no remainder term is
-    divisible by any divisor's leading monomial.  Deterministic: the first
-    applicable divisor (list order) reduces the current leading term.
+    terms is a nonzero term dict, the tail a new dict of its other terms;
+    cof is the divisor's cofactor vector when cofactors are tracked.
     """
-    ring = p.ring
-    field = ring.field
-    leads = [d.leading(order) for d in divisors]
-    quots = [ring.zero() for _ in divisors]
-    rem = ring.zero()
-    cur = p
-    while not cur.is_zero:
-        ce, cc = cur.leading(order)
-        for k, (de, dc) in enumerate(leads):
+    lead = max(terms, key=order.key)
+    tail = dict(terms)
+    return lead, tail.pop(lead), tail, cof
+
+
+def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
+    """dst += c * x^shift * src, in place (q: modulus of F_q, None over Q)."""
+    for e, v in src.items():
+        e = tuple(map(add, e, shift))
+        w = dst.get(e, 0) + c * v
+        if q is not None:
+            w %= q
+        if w:
+            dst[e] = w
+        else:
+            del dst[e]
+
+
+def _reduce(terms: dict, basis, order: MonomialOrder, field, cof=None) -> dict:
+    """Remainder of terms on division by basis; terms is consumed.
+
+    basis is a list of `_entry` tuples.  The first entry in list order whose
+    leading monomial divides the current leading term reduces it; a leading
+    term that no entry divides moves to the remainder.  The leading terms of
+    the working dict strictly decrease, so the remainder is exact and no
+    remainder term is divisible by a leading monomial of the basis.  When cof
+    is given (one term dict per generator), it is updated in place by the
+    same multiples of the entries' cofactor vectors.
+    """
+    q = None if field.is_rationals else field.modulus
+    key = cache(order.key)  # local: each call's terms are keyed once
+    rem = {}
+    while terms:
+        ce = max(terms, key=key)
+        cc = terms.pop(ce)
+        for de, dc, tail, dcof in basis:
             if _divides(de, ce):
-                mono = ring.monomial(
-                    tuple(a - b for a, b in zip(ce, de)), field.div(cc, dc)
-                )
-                quots[k] = quots[k] + mono
-                cur = cur - mono * divisors[k]
                 break
         else:
-            t = ring.monomial(ce, cc)
-            rem = rem + t
-            cur = cur - t
-    return quots, rem
+            rem[ce] = cc
+            continue
+        c = -cc / dc if q is None else -cc * pow(dc, -1, q) % q
+        shift = tuple(map(sub, ce, de))
+        _add_shifted(terms, tail, shift, c, q)
+        if cof is not None:
+            for dst, src in zip(cof, dcof):
+                _add_shifted(dst, src, shift, c, q)
+    return rem
 
 
 @dataclass(frozen=True)
@@ -80,45 +114,6 @@ class GroebnerBasis:
         return normal_form(p, self)
 
 
-class _Tracked:
-    """A working basis element with its generator combination."""
-
-    __slots__ = ("poly", "cof")
-
-    def __init__(self, poly, cof):
-        self.poly = poly
-        self.cof = cof
-
-
-def _vec_sub_scaled(cof, other, mono: Poly):
-    return [a - mono * b for a, b in zip(cof, other)]
-
-
-def _reduce_tracked(p: Poly, cof, work, order, track):
-    """Full normal form against the working basis, carrying the cofactor."""
-    ring = p.ring
-    rem = ring.zero()
-    cur = p
-    while not cur.is_zero:
-        ce, cc = cur.leading(order)
-        for elt in work:
-            de, dc = elt.poly.leading(order)
-            if _divides(de, ce):
-                mono = ring.monomial(
-                    tuple(a - b for a, b in zip(ce, de)),
-                    ring.field.div(cc, dc),
-                )
-                cur = cur - mono * elt.poly
-                if track:
-                    cof = _vec_sub_scaled(cof, elt.cof, mono)
-                break
-        else:
-            t = ring.monomial(ce, cc)
-            rem = rem + t
-            cur = cur - t
-    return rem, cof
-
-
 def buchberger(
     gens: Sequence[Poly],
     order: MonomialOrder = GREVLEX,
@@ -133,85 +128,95 @@ def buchberger(
         raise RingMismatch("need at least one generator")
     ring = _common_ring(gens)
     field = ring.field
+    q = None if field.is_rationals else field.modulus
+    minus_one = field.from_int(-1)
     m = len(gens)
-
-    def unit(k):
-        return [ring.one() if i == k else ring.zero() for i in range(m)]
-
-    work: list[_Tracked] = []
+    # monic working basis as _entry tuples, in order of discovery
+    work: list[tuple] = []
     pairs: list[tuple[int, int]] = []
 
-    def append(poly: Poly, cof) -> None:
-        _, lc = poly.leading(order)
+    def append(terms: dict, cof) -> None:
+        """Reduce terms by the working basis and keep a nonzero remainder."""
+        rem = _reduce(terms, work, order, field, cof)
+        if not rem:
+            return
+        lead, lc, tail, _ = _entry(rem, order)
         inv = field.inv(lc)
-        poly = poly.scale(inv)
-        if track_cofactors:
-            cof = [c.scale(inv) for c in cof]
+        tail = {e: field.mul(v, inv) for e, v in tail.items()}
+        if cof is not None:
+            cof = [{e: field.mul(v, inv) for e, v in c.items()} for c in cof]
         idx = len(work)
-        work.append(_Tracked(poly, cof))
+        work.append((lead, field.one, tail, cof))
         pairs.extend((s, idx) for s in range(idx))
 
     for k, g in enumerate(gens):
         if g.is_zero:
             continue
-        r, cof = _reduce_tracked(g, unit(k), work, order, track_cofactors)
-        if not r.is_zero:
-            append(r, cof)
+        cof = None
+        if track_cofactors:
+            cof = [{} for _ in range(m)]
+            cof[k] = {(0,) * ring.nvars: field.one}
+        append(dict(g.terms), cof)
 
     def pair_key(ij):
         i, j = ij
-        li, _ = work[i].poly.leading(order)
-        lj, _ = work[j].poly.leading(order)
-        lcm = tuple(max(a, b) for a, b in zip(li, lj))
+        lcm = tuple(map(max, work[i][0], work[j][0]))
         return (order.key(lcm), i, j)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.remove((i, j))
-        li, _ = work[i].poly.leading(order)
-        lj, _ = work[j].poly.leading(order)
-        lcm = tuple(max(a, b) for a, b in zip(li, lj))
-        if lcm == tuple(a + b for a, b in zip(li, lj)):
+        li, _, tail_i, cof_i = work[i]
+        lj, _, tail_j, cof_j = work[j]
+        lcm = tuple(map(max, li, lj))
+        if lcm == tuple(map(add, li, lj)):
             continue  # coprime leading monomials: S-polynomial reduces to 0
-        mi = ring.monomial(tuple(a - b for a, b in zip(lcm, li)))
-        mj = ring.monomial(tuple(a - b for a, b in zip(lcm, lj)))
-        s = mi * work[i].poly - mj * work[j].poly
+        si = tuple(map(sub, lcm, li))
+        sj = tuple(map(sub, lcm, lj))
+        # x^si * f_i - x^sj * f_j: both are monic, so the leading terms cancel
+        s = {}
+        _add_shifted(s, tail_i, si, field.one, q)
+        _add_shifted(s, tail_j, sj, minus_one, q)
         cof = None
         if track_cofactors:
-            cof = [mi * a - mj * b for a, b in zip(work[i].cof, work[j].cof)]
-        r, cof = _reduce_tracked(s, cof, work, order, track_cofactors)
-        if not r.is_zero:
-            append(r, cof)
+            cof = [{} for _ in range(m)]
+            for dst, a, b in zip(cof, cof_i, cof_j):
+                _add_shifted(dst, a, si, field.one, q)
+                _add_shifted(dst, b, sj, minus_one, q)
+        append(s, cof)
 
     return _reduce_basis(tuple(gens), work, order, track_cofactors)
 
 
 def _reduce_basis(gens, work, order, track) -> GroebnerBasis:
+    ring = gens[0].ring
     # minimal basis: drop elements whose leading monomial another divides
-    work = sorted(work, key=lambda e: order.key(e.poly.leading(order)[0]))
-    kept: list[_Tracked] = []
-    for elt in work:
-        le = elt.poly.leading(order)[0]
-        if not any(_divides(k.poly.leading(order)[0], le) for k in kept):
-            kept.append(elt)
+    work = sorted(work, key=lambda w: order.key(w[0]))
+    kept: list[tuple] = []
+    for w in work:
+        if not any(_divides(k[0], w[0]) for k in kept):
+            kept.append(w)
     # autoreduce tails until stable
     changed = True
     while changed:
         changed = False
-        for idx, elt in enumerate(kept):
+        for idx, (lead, lc, tail, cof) in enumerate(kept):
+            terms = {lead: lc, **tail}
             others = kept[:idx] + kept[idx + 1 :]
-            r, cof = _reduce_tracked(
-                elt.poly, list(elt.cof) if track else None, others, order, track
-            )
-            if r != elt.poly:
-                kept[idx] = _Tracked(r, cof)
+            # cof changes in place only when a reduction step happens, and
+            # then the remainder differs from terms and replaces the entry
+            rem = _reduce(dict(terms), others, order, ring.field, cof)
+            if rem != terms:
+                kept[idx] = _entry(rem, order, cof)
                 changed = True
-    kept.sort(key=lambda e: order.key(e.poly.leading(order)[0]))
+    kept.sort(key=lambda w: order.key(w[0]))
     return GroebnerBasis(
         generators=gens,
-        basis=tuple(e.poly for e in kept),
+        basis=tuple(Poly(ring, {lead: lc, **tail}) for lead, lc, tail, _ in kept),
         order=order,
-        cofactors=tuple(tuple(e.cof) for e in kept) if track else None,
+        cofactors=(
+            tuple(tuple(Poly(ring, c) for c in w[3]) for w in kept) if track else None
+        ),
     )
 
 
@@ -219,8 +224,8 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of p modulo the basis; supported on standard monomials."""
     if p.ring != gb.ring:
         raise RingMismatch("polynomial not in the basis ring")
-    _, rem = divide(p, gb.basis, gb.order)
-    return rem
+    basis = [_entry(g.terms, gb.order) for g in gb.basis]
+    return Poly(p.ring, _reduce(dict(p.terms), basis, gb.order, p.ring.field))
 
 
 @dataclass(frozen=True)
@@ -312,5 +317,5 @@ def contains_one_with_certificate(
     for c, g in zip(cert, gens):
         total = total + c * g
     if total != gens[0].ring.one():
-        raise AssertionError("cofactor identity failed to expand to 1")
+        raise InternalError("cofactor identity failed to expand to 1")
     return cert

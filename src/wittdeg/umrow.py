@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .degree import DegreeReport, Endo, degree_of
-from .errors import ArityMismatch, EvenN, RingMismatch
+from .errors import ArityMismatch, EvenN, InternalError, RingMismatch
 from .fields import FieldSpec
 from .groebner import buchberger, contains_one_with_certificate, normal_form
 from .orders import GREVLEX, MonomialOrder
@@ -67,21 +67,18 @@ def is_unimodular(
     cert = contains_one_with_certificate(gens, order)
     if cert is None:
         return None
+    ring = row.algebra.ring
     entry_cofs = list(cert[: row.n])
     if row.algebra.relations:
         relgb = buchberger(list(row.algebra.relations), order)
         entry_cofs = [normal_form(c, relgb) for c in entry_cofs]
-        total = row.algebra.ring.zero()
-        for b, a in zip(entry_cofs, row.entries):
-            total = total + b * a
-        check = normal_form(total - row.algebra.ring.one(), relgb)
-    else:
-        total = row.algebra.ring.zero()
-        for b, a in zip(entry_cofs, row.entries):
-            total = total + b * a
-        check = total - row.algebra.ring.one()
+    check = -ring.one()
+    for b, a in zip(entry_cofs, row.entries):
+        check = check + b * a
+    if row.algebra.relations:
+        check = normal_form(check, relgb)
     if not check.is_zero:
-        raise AssertionError("certificate failed re-verification")
+        raise InternalError("certificate failed re-verification")
     return tuple(entry_cofs)
 
 

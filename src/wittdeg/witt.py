@@ -17,6 +17,8 @@ Over Q a form is hyperbolic iff rank is even, signature is zero, the signed
 discriminant is trivial and the Hasse symbols match the hyperbolic reference
 at every relevant place (complete by the classification of rational
 quadratic forms).  Over F_p: rank even and trivial signed discriminant.
+WittInvariants.is_zero decides this from the invariants alone, so the
+verdict of a report comes from the same classification it prints.
 """
 
 from __future__ import annotations
@@ -202,6 +204,27 @@ class WittInvariants:
             self.hasse.get(v, 1) == other.hasse.get(v, 1) for v in places
         )
 
+    @property
+    def is_zero(self) -> bool:
+        """True iff the classified form is hyperbolic (zero in W(k)).
+
+        Rank even and signed discriminant trivial; over Q also signature 0
+        and every Hasse symbol equal to that of the rank-2m hyperbolic form,
+        (-1,-1)_v^(m(m-1)/2).  (-1,-1)_v is -1 exactly at the real place and
+        at 2.  Stripping hyperbolic pairs first would not change the answer
+        (Witt cancellation), so none are stripped.
+        """
+        if self.rank % 2 or self.signed_discriminant != self.field.one:
+            return False
+        if not self.field.is_rationals:
+            return True
+        m = self.rank // 2
+        twisted = (m * (m - 1) // 2) % 2
+        return self.signature == 0 and all(
+            s == (-1 if twisted and v in ("inf", "2") else 1)
+            for v, s in self.hasse.items()
+        )
+
 
 def invariants(d: DiagForm) -> WittInvariants:
     field = d.field
@@ -269,32 +292,9 @@ def _strip_obvious_pairs(d: DiagForm) -> DiagForm:
     )
 
 
-def hyperbolic_reference_hasse(field: FieldSpec, rank: int, place) -> int:
-    """Hasse symbol of the rank-2m hyperbolic form: (-1,-1)_v^(m(m-1)/2)."""
-    m = rank // 2
-    if (m * (m - 1) // 2) % 2 == 0:
-        return 1
-    return hilbert_symbol(-1, -1, place)
-
-
 def is_witt_zero(d: DiagForm) -> bool:
     """True iff the form is hyperbolic (trivial in the Witt group)."""
-    field = d.field
-    d = _strip_obvious_pairs(d)
-    if d.rank % 2:
-        return False
-    inv = invariants(d)
-    if inv.signed_discriminant != field.one:
-        return False
-    if not field.is_rationals:
-        return True
-    if inv.signature != 0:
-        return False
-    for v_str, s in inv.hasse.items():
-        v = "inf" if v_str == "inf" else int(v_str)
-        if s != hyperbolic_reference_hasse(field, d.rank, v):
-            return False
-    return True
+    return invariants(d).is_zero
 
 
 def negate(d: DiagForm) -> DiagForm:

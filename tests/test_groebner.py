@@ -6,6 +6,8 @@ import pytest
 from wittdeg import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
+    InternalError,
     NotFiniteLength,
     Ring,
     buchberger,
@@ -14,7 +16,9 @@ from wittdeg import (
     parse_poly,
     standard_monomials,
     supported_only_at_origin,
+    groebner,
 )
+from wittdeg.groebner import _entry, _reduce
 
 from conftest import random_poly
 
@@ -70,10 +74,10 @@ def test_normal_form_examples(R2, cross_gb):
     assert normal_form(q, cross_gb) == q
 
 
-def test_normal_form_properties_random(Q):
+def test_normal_form_properties_random(Q, F7):
     rng = random.Random(31337)
-    for nvars in (2, 3):
-        ring = Ring(tuple("xyz"[:nvars]), Q)
+    for field, nvars in itertools.product((Q, F7), (2, 3)):
+        ring = Ring(tuple("xyz"[:nvars]), field)
         for _ in range(15):
             gens = [random_poly(rng, ring) for _ in range(2)]
             gens = [g for g in gens if not g.is_zero]
@@ -221,3 +225,146 @@ def test_cofactor_identities_hold(Q):
             for c, g in zip(cof, gens):
                 total = total + c * g
             assert total == basis_elt
+
+
+# -- the division kernel against the two loops it replaced ---------------------
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _reference_divide(p, divisors, order=GREVLEX):
+    """The former public multivariate division, kept verbatim."""
+    ring = p.ring
+    field = ring.field
+    leads = [d.leading(order) for d in divisors]
+    quots = [ring.zero() for _ in divisors]
+    rem = ring.zero()
+    cur = p
+    while not cur.is_zero:
+        ce, cc = cur.leading(order)
+        for k, (de, dc) in enumerate(leads):
+            if _divides(de, ce):
+                mono = ring.monomial(
+                    tuple(a - b for a, b in zip(ce, de)), field.div(cc, dc)
+                )
+                quots[k] = quots[k] + mono
+                cur = cur - mono * divisors[k]
+                break
+        else:
+            t = ring.monomial(ce, cc)
+            rem = rem + t
+            cur = cur - t
+    return quots, rem
+
+
+class _Tracked:
+    __slots__ = ("poly", "cof")
+
+    def __init__(self, poly, cof):
+        self.poly = poly
+        self.cof = cof
+
+
+def _reference_reduce_tracked(p, cof, work, order, track):
+    """The former Buchberger reduction with cofactors, kept verbatim."""
+    ring = p.ring
+    rem = ring.zero()
+    cur = p
+    while not cur.is_zero:
+        ce, cc = cur.leading(order)
+        for elt in work:
+            de, dc = elt.poly.leading(order)
+            if _divides(de, ce):
+                mono = ring.monomial(
+                    tuple(a - b for a, b in zip(ce, de)),
+                    ring.field.div(cc, dc),
+                )
+                cur = cur - mono * elt.poly
+                if track:
+                    cof = [a - mono * b for a, b in zip(cof, elt.cof)]
+                break
+        else:
+            t = ring.monomial(ce, cc)
+            rem = rem + t
+            cur = cur - t
+    return rem, cof
+
+
+def _random_divisors(rng, ring):
+    """Arbitrary divisor lists, not Groebner bases, often with several
+    divisors whose leading monomials divide the same term."""
+    divisors = []
+    for _ in range(rng.randint(1, 4)):
+        d = random_poly(rng, ring, max_degree=2, max_terms=3)
+        if not d.is_zero:
+            divisors.append(d)
+    return divisors
+
+
+def test_reduce_matches_reference_division(Q, F7):
+    rng = random.Random(2718)
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        ring = Ring(("x", "y", "z"), field)
+        for _ in range(60):
+            divisors = _random_divisors(rng, ring)
+            if not divisors:
+                continue
+            p = random_poly(rng, ring, max_degree=5, max_terms=6, coeff_range=5)
+            _, expected = _reference_divide(p, divisors, order)
+            gb = GroebnerBasis(
+                generators=tuple(divisors), basis=tuple(divisors), order=order
+            )
+            assert normal_form(p, gb) == expected
+
+
+def test_reduce_matches_reference_cofactor_tracking(Q, F7):
+    rng = random.Random(1618)
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        ring = Ring(("x", "y", "z"), field)
+        for _ in range(60):
+            divisors = _random_divisors(rng, ring)
+            if not divisors:
+                continue
+            cofs = [
+                [random_poly(rng, ring, max_degree=2) for _ in range(3)]
+                for _ in divisors
+            ]
+            p = random_poly(rng, ring, max_degree=5, max_terms=6, coeff_range=5)
+            start = [random_poly(rng, ring, max_degree=2) for _ in range(3)]
+            work = [_Tracked(d, c) for d, c in zip(divisors, cofs)]
+            rem, cof = _reference_reduce_tracked(p, start, work, order, True)
+            entries = [
+                _entry(d.terms, order, [c.terms for c in cv])
+                for d, cv in zip(divisors, cofs)
+            ]
+            got_cof = [dict(c.terms) for c in start]
+            got = _reduce(dict(p.terms), entries, order, field, got_cof)
+            assert got == rem.terms
+            assert got_cof == [c.terms for c in cof]
+
+
+def test_reduce_uses_first_divisor_in_list_order(Q):
+    ring = Ring(("x", "y"), Q)
+    x, y = ring.gens()
+    for divisors, expected in (([x + y, x - y], -y), ([x - y, x + y], y)):
+        gb = GroebnerBasis(
+            generators=tuple(divisors), basis=tuple(divisors), order=GREVLEX
+        )
+        assert normal_form(x, gb) == expected
+
+
+def test_certificate_reverification_raises_internal_error(Q, monkeypatch):
+    ring = Ring(("x",), Q)
+    x = ring.var(0)
+    gens = [x, ring.one() - x]
+    wrong = GroebnerBasis(
+        generators=tuple(gens),
+        basis=(ring.one(),),
+        order=GREVLEX,
+        cofactors=((ring.one(), ring.zero()),),
+    )
+    monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: wrong)
+    with pytest.raises(InternalError):
+        contains_one_with_certificate(gens)

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from wittdeg import (
@@ -5,6 +7,7 @@ from wittdeg import (
     ArityMismatch,
     Endo,
     EvenN,
+    InternalError,
     Ring,
     UnimodularRow,
     apply_elementary,
@@ -17,6 +20,8 @@ from wittdeg import (
     parse_poly,
     universal_row,
 )
+from wittdeg import umrow
+from wittdeg.cli import run
 
 from conftest import counterexample_endo, make_endo
 
@@ -170,3 +175,23 @@ def test_obstruction_report_requires_odd_arity(Q):
     endo = make_endo(Q, ("x1", "x2"), ("x1", "x2"))
     with pytest.raises(EvenN):
         obstruction_report(endo)
+
+
+def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
+    # a certificate that does not sum to 1 must surface as InternalError
+    # (exit 2 from the CLI), not as a bare assertion
+    ring = Ring(("x",), Q)
+    x = ring.var(0)
+    row = UnimodularRow(
+        algebra=AlgebraPresentation(ring=ring), entries=(x, ring.one() - x)
+    )
+    monkeypatch.setattr(
+        umrow,
+        "contains_one_with_certificate",
+        lambda gens, order: tuple(g.ring.zero() for g in gens),
+    )
+    with pytest.raises(InternalError):
+        is_unimodular(row)
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    assert run(["row", "check", "docs/jobs/taut3.row"]) == 2
+    assert "re-verification" in capsys.readouterr().err

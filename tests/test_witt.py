@@ -251,6 +251,9 @@ def test_is_witt_zero_examples(Q, F5, F7):
     assert not is_witt_zero(diag_form(Q, [1, 1]))
     assert is_witt_zero(diag_form(F5, [1, 1]))
     assert not is_witt_zero(diag_form(F7, [1, 1]))
+    # eight times <1>: trivial signed discriminant and Hasse symbols equal to
+    # the hyperbolic reference, so only the signature rejects it
+    assert not is_witt_zero(diag_form(Q, [1] * 8))
 
 
 def test_is_witt_zero_needs_full_classification(Q):
@@ -263,6 +266,70 @@ def test_is_witt_zero_needs_full_classification(Q):
     assert inv.signed_discriminant == 1
     assert inv.hasse["3"] == -1
     assert not is_witt_zero(d)
+
+
+def _reference_is_witt_zero(d):
+    """The former decision: strip obvious pairs, then classify the rest."""
+    field = d.field
+    d = _strip_obvious_pairs(d)
+    if d.rank % 2:
+        return False
+    inv = invariants(d)
+    if inv.signed_discriminant != field.one:
+        return False
+    if not field.is_rationals:
+        return True
+    if inv.signature != 0:
+        return False
+    m = d.rank // 2
+    for v_str, s in inv.hasse.items():
+        v = "inf" if v_str == "inf" else int(v_str)
+        reference = 1 if (m * (m - 1) // 2) % 2 == 0 else hilbert_symbol(-1, -1, v)
+        if s != reference:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FieldSpec.rationals(), FieldSpec.prime_field(5), FieldSpec.prime_field(7)],
+)
+def test_is_witt_zero_matches_strip_then_classify(field):
+    rng = random.Random(4242)
+    units = [-30, -15, -7, -6, -3, -2, -1, 1, 2, 3, 5, 6, 10, 21, 33]
+    positive = [u for u in units if u > 0]
+    zeros = 0
+    for _ in range(400):
+        if field.is_rationals and rng.random() < 0.5:
+            # <a, b, -c, -abc>: signature 0 and trivial signed discriminant,
+            # so only the Hasse symbols decide
+            a, b, c = (rng.choice(positive) for _ in range(3))
+            entries = [a, b, -c, -square_class(field, a * b * c)]
+        elif field.is_rationals:
+            entries = [rng.choice(units) for _ in range(rng.randint(0, 6))]
+        else:
+            entries = [rng.randint(1, field.modulus - 1) for _ in range(rng.randint(0, 6))]
+        # hyperbolic pairs <a, -a> at random positions
+        for _ in range(rng.randint(0, 3)):
+            a = rng.choice(entries + [1, 2, 3])
+            for e in (a, -a):
+                entries.insert(rng.randint(0, len(entries)), e)
+        d = diag_form(field, entries)
+        expected = _reference_is_witt_zero(d)
+        assert is_witt_zero(d) == expected
+        assert invariants(d).is_zero == expected
+        zeros += expected
+    assert 40 < zeros < 360
+
+
+def test_gram_form_rejects_non_symmetric_and_non_square(Q, F7):
+    for field in (Q, F7):
+        with pytest.raises(DegenerateForm):
+            make_gram_form(field, [[1, 2], [3, 1]])
+        with pytest.raises(DegenerateForm):
+            make_gram_form(field, [[1, 2]])
+        with pytest.raises(DegenerateForm):
+            make_gram_form(field, [[1, 2], [2]])
 
 
 def test_witt_equal_examples(Q):
