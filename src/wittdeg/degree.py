@@ -91,15 +91,13 @@ def validate(endo: Endo, order: MonomialOrder = GREVLEX) -> QuotientAlgebra:
     return qa
 
 
-def dual_ring(ring: Ring) -> tuple[Ring, list[Poly], list[Poly]]:
-    """Ring with dual variables appended; returns (ring2, x_gens, u_gens)."""
+def dual_ring(ring: Ring) -> Ring:
+    """Ring with dual variables u1..un (renamed on a clash) appended."""
     base = "u"
     while any(f"{base}{i + 1}" in ring.variables for i in range(ring.nvars)):
         base += "_"
     names = ring.variables + tuple(f"{base}{i + 1}" for i in range(ring.nvars))
-    ring2 = Ring(names, ring.field)
-    gens = ring2.gens()
-    return ring2, list(gens[: ring.nvars]), list(gens[ring.nvars :])
+    return Ring(names, ring.field)
 
 
 def _lift(p: Poly, ring2: Ring, offset: int) -> Poly:
@@ -116,17 +114,29 @@ def bezoutian(endo: Endo) -> Poly:
     """Determinant of the divided-difference matrix, in doubled variables.
 
     Entry (i, j) is (f_i(u_1..u_{j-1}, x_j..x_n) - f_i(u_1..u_j,
-    x_{j+1}..x_n)) / (x_j - u_j); every division is exact.
+    x_{j+1}..x_n)) / (x_j - u_j).  It is filled in closed form: a term
+    c * x^e of f_i contributes
+
+        c * u_1^e_1 ... u_{j-1}^e_{j-1} * (sum_{k<e_j} x_j^k u_j^(e_j-1-k))
+          * x_{j+1}^e_{j+1} ... x_n^e_n,
+
+    and every (x, u) exponent produced is distinct (it determines e and k),
+    so no coefficients combine.  The identity holds in every characteristic.
     """
     n = endo.n
-    ring2, xs, us = dual_ring(endo.ring)
+    ring2 = dual_ring(endo.ring)
+    zeros = (0,) * n
     rows = []
-    for i in range(n):
+    for f in endo.images:
         row = []
         for j in range(n):
-            upper = endo.images[i].substitute(us[:j] + xs[j:])
-            lower = endo.images[i].substitute(us[: j + 1] + xs[j + 1 :])
-            row.append((upper - lower).exact_div(xs[j] - us[j]))
+            x_head, u_tail = zeros[:j], zeros[j + 1 :]
+            terms = {}
+            for e, c in f.terms.items():
+                for k in range(e[j]):
+                    x = x_head + (k,) + e[j + 1 :]
+                    terms[x + e[:j] + (e[j] - 1 - k,) + u_tail] = c
+            row.append(Poly(ring2, terms))
         rows.append(row)
     return det(rows)
 

@@ -57,7 +57,11 @@ _SCALAR_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
 class FieldSpec:
-    """The coefficient field: the rationals or F_p with p an odd prime."""
+    """The coefficient field: the rationals or F_p with p an odd prime.
+
+    ``modulus`` is p over F_p and ``None`` over Q, so inline kernels branch
+    on ``modulus is None``.
+    """
 
     __slots__ = ("kind", "modulus", "_nonresidue")
 

@@ -1,10 +1,11 @@
 """Buchberger's algorithm with reduced bases and optional cofactor tracking.
 
 Normal forms, Buchberger's reductions and the autoreduction of the final
-basis all run one division kernel (`_reduce`; Cox, Little, O'Shea, *Ideals,
-Varieties, and Algorithms*, section 2.3).  It works on one mutable term
-dict, reads each divisor's leading term from a precomputed entry, and keeps
-only the remainder: no caller needs the quotients.
+basis all run the division kernel of `poly` (`_reduce`, with `_entry` and
+`_add_shifted`).  It works on one mutable term dict, reads each divisor's
+leading term from a precomputed entry, and keeps only the remainder: no
+caller here needs the quotients.  Pending S-pairs wait in a heap keyed by
+the order key of their lcm, computed once when the pair is formed.
 
 Cofactors express every basis element exactly as a combination of the input
 generators; they are what certificate extraction (1 = sum c_i * g_i) needs.
@@ -14,19 +15,15 @@ ties by input index), basis sorted by leading monomial.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from functools import cache
-from operator import add, le, sub
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .errors import InternalError, NotFiniteLength, RingMismatch
 from .orders import GREVLEX, MonomialOrder
-from .poly import Poly, Ring
-
-
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
+from .poly import Poly, Ring, _add_shifted, _divides, _entry, _reduce
 
 
 def _common_ring(polys: Sequence[Poly]) -> Ring:
@@ -35,62 +32,6 @@ def _common_ring(polys: Sequence[Poly]) -> Ring:
         if p.ring != ring:
             raise RingMismatch("generators live in different rings")
     return ring
-
-
-def _entry(terms: dict, order: MonomialOrder, cof=None):
-    """A divisor as (leading exponents, leading coefficient, tail, cof).
-
-    terms is a nonzero term dict, the tail a new dict of its other terms;
-    cof is the divisor's cofactor vector when cofactors are tracked.
-    """
-    lead = max(terms, key=order.key)
-    tail = dict(terms)
-    return lead, tail.pop(lead), tail, cof
-
-
-def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
-    """dst += c * x^shift * src, in place (q: modulus of F_q, None over Q)."""
-    for e, v in src.items():
-        e = tuple(map(add, e, shift))
-        w = dst.get(e, 0) + c * v
-        if q is not None:
-            w %= q
-        if w:
-            dst[e] = w
-        else:
-            del dst[e]
-
-
-def _reduce(terms: dict, basis, order: MonomialOrder, field, cof=None) -> dict:
-    """Remainder of terms on division by basis; terms is consumed.
-
-    basis is a list of `_entry` tuples.  The first entry in list order whose
-    leading monomial divides the current leading term reduces it; a leading
-    term that no entry divides moves to the remainder.  The leading terms of
-    the working dict strictly decrease, so the remainder is exact and no
-    remainder term is divisible by a leading monomial of the basis.  When cof
-    is given (one term dict per generator), it is updated in place by the
-    same multiples of the entries' cofactor vectors.
-    """
-    q = None if field.is_rationals else field.modulus
-    key = cache(order.key)  # local: each call's terms are keyed once
-    rem = {}
-    while terms:
-        ce = max(terms, key=key)
-        cc = terms.pop(ce)
-        for de, dc, tail, dcof in basis:
-            if _divides(de, ce):
-                break
-        else:
-            rem[ce] = cc
-            continue
-        c = -cc / dc if q is None else -cc * pow(dc, -1, q) % q
-        shift = tuple(map(sub, ce, de))
-        _add_shifted(terms, tail, shift, c, q)
-        if cof is not None:
-            for dst, src in zip(cof, dcof):
-                _add_shifted(dst, src, shift, c, q)
-    return rem
 
 
 @dataclass(frozen=True)
@@ -128,12 +69,13 @@ def buchberger(
         raise RingMismatch("need at least one generator")
     ring = _common_ring(gens)
     field = ring.field
-    q = None if field.is_rationals else field.modulus
+    q = field.modulus
     minus_one = field.from_int(-1)
     m = len(gens)
     # monic working basis as _entry tuples, in order of discovery
     work: list[tuple] = []
-    pairs: list[tuple[int, int]] = []
+    # heap of pending pairs (order key of their lcm, i, j): smallest lcm first
+    pairs: list[tuple] = []
 
     def append(terms: dict, cof) -> None:
         """Reduce terms by the working basis and keep a nonzero remainder."""
@@ -145,9 +87,10 @@ def buchberger(
         tail = {e: field.mul(v, inv) for e, v in tail.items()}
         if cof is not None:
             cof = [{e: field.mul(v, inv) for e, v in c.items()} for c in cof]
-        idx = len(work)
+        for i, w in enumerate(work):
+            lcm = tuple(map(max, w[0], lead))
+            heapq.heappush(pairs, (order.key(lcm), i, len(work)))
         work.append((lead, field.one, tail, cof))
-        pairs.extend((s, idx) for s in range(idx))
 
     for k, g in enumerate(gens):
         if g.is_zero:
@@ -158,14 +101,8 @@ def buchberger(
             cof[k] = {(0,) * ring.nvars: field.one}
         append(dict(g.terms), cof)
 
-    def pair_key(ij):
-        i, j = ij
-        lcm = tuple(map(max, work[i][0], work[j][0]))
-        return (order.key(lcm), i, j)
-
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
+        _, i, j = heapq.heappop(pairs)
         li, _, tail_i, cof_i = work[i]
         lj, _, tail_j, cof_j = work[j]
         lcm = tuple(map(max, li, lj))

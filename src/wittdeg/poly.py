@@ -12,12 +12,19 @@ The text grammar (whitespace-insensitive)::
     coeff  := int ("/" posint)?
 
 Unary minus is allowed on the leading term only.
+
+Term dicts are combined by one in-place kernel, `_add_shifted` (dst +=
+c * x^shift * src), and divided by one loop, `_reduce`: sums, differences
+and products of polynomials, exact division, and every Groebner reduction in
+`groebner` run through these two functions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
+from operator import add, le, sub
 from typing import Sequence
 
 from .errors import (
@@ -29,6 +36,70 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .orders import GREVLEX, MonomialOrder
+
+
+# -- the term-dict kernel --------------------------------------------------
+
+
+def _divides(a, b) -> bool:
+    return all(map(le, a, b))
+
+
+def _entry(terms: dict, order: MonomialOrder, cof=None):
+    """A divisor as (leading exponents, leading coefficient, tail, cof).
+
+    terms is a nonzero term dict, the tail a new dict of its other terms;
+    cof is the divisor's cofactor vector when cofactors are tracked.
+    """
+    lead = max(terms, key=order.key)
+    tail = dict(terms)
+    return lead, tail.pop(lead), tail, cof
+
+
+def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
+    """dst += c * x^shift * src, in place (q: modulus of F_q, None over Q)."""
+    for e, v in src.items():
+        e = tuple(map(add, e, shift))
+        w = dst.get(e, 0) + c * v
+        if q is not None:
+            w %= q
+        if w:
+            dst[e] = w
+        else:
+            del dst[e]
+
+
+def _reduce(terms: dict, basis, order: MonomialOrder, field, cof=None) -> dict:
+    """Remainder of terms on division by basis; terms is consumed.
+
+    basis is a list of `_entry` tuples.  The first entry in list order whose
+    leading monomial divides the current leading term reduces it; a leading
+    term that no entry divides moves to the remainder.  The leading terms of
+    the working dict strictly decrease, so the remainder is exact and no
+    remainder term is divisible by a leading monomial of the basis.  When cof
+    is given (one term dict per generator), it is updated in place by the
+    same multiples of the entries' cofactor vectors.  (Cox, Little, O'Shea,
+    *Ideals, Varieties, and Algorithms*, section 2.3.)
+    """
+    q = field.modulus
+    key = cache(order.key)  # local: each call's terms are keyed once
+    rem = {}
+    while terms:
+        ce = max(terms, key=key)
+        cc = terms.pop(ce)
+        for de, dc, tail, dcof in basis:
+            if _divides(de, ce):
+                break
+        else:
+            rem[ce] = cc
+            continue
+        c = -cc / dc if q is None else -cc * pow(dc, -1, q) % q
+        shift = tuple(map(sub, ce, de))
+        _add_shifted(terms, tail, shift, c, q)
+        if cof is not None:
+            for dst, src in zip(cof, dcof):
+                _add_shifted(dst, src, shift, c, q)
+    return rem
 
 
 class Ring:
@@ -102,19 +173,12 @@ class Poly:
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
 
-    def total_degree(self) -> int:
-        """Degree of the zero polynomial is -1 by convention."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def leading(self, order: MonomialOrder = GREVLEX):
         """(exponents, coefficient) of the largest term; errors on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.field.zero)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -127,19 +191,18 @@ class Poly:
             return self.ring.constant(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, c):
+        """self + c * other for c = 1 or -1."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.ring.field
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = field.add(terms.get(e, field.zero), c)
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+        zero = (0,) * self.ring.nvars
+        _add_shifted(terms, other.terms, zero, c, self.ring.field.modulus)
         return Poly(self.ring, terms)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -148,10 +211,7 @@ class Poly:
         return Poly(self.ring, {e: field.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -160,16 +220,10 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.ring.field
+        q = self.ring.field.modulus
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = field.add(terms.get(e, field.zero), field.mul(c1, c2))
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+        for e, c in other.terms.items():
+            _add_shifted(terms, self.terms, e, c, q)
         return Poly(self.ring, terms)
 
     __rmul__ = __mul__
@@ -193,12 +247,6 @@ class Poly:
         if not c:
             return self.ring.zero()
         return Poly(self.ring, {e: field.mul(v, c) for e, v in self.terms.items()})
-
-    def monic(self, order: MonomialOrder = GREVLEX):
-        if self.is_zero:
-            return self
-        _, lc = self.leading(order)
-        return self.scale(self.ring.field.inv(lc))
 
     # -- calculus / composition ----------------------------------------------
 
@@ -249,24 +297,22 @@ class Poly:
         return result
 
     def exact_div(self, divisor: "Poly", order: MonomialOrder = GREVLEX) -> "Poly":
-        """Quotient self/divisor when the division is exact in the ring."""
+        """Quotient self/divisor when the division is exact in the ring.
+
+        One `_reduce` by the divisor alone, whose cofactor is -1: the
+        tracked cofactor then collects exactly the quotient terms.
+        """
         if divisor.ring != self.ring:
             raise RingMismatch("division across rings")
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         field = self.ring.field
-        de, dc = divisor.leading(order)
-        quot = self.ring.zero()
-        rem = self
-        while not rem.is_zero:
-            re_, rc = rem.leading(order)
-            qe = tuple(a - b for a, b in zip(re_, de))
-            if any(x < 0 for x in qe):
-                raise InternalError("inexact polynomial division")
-            q = self.ring.monomial(qe, field.div(rc, dc))
-            quot = quot + q
-            rem = rem - q * divisor
-        return quot
+        one = (0,) * self.ring.nvars
+        entry = _entry(divisor.terms, order, [{one: field.from_int(-1)}])
+        quot = [{}]
+        if _reduce(dict(self.terms), [entry], order, field, quot):
+            raise InternalError("inexact polynomial division")
+        return Poly(self.ring, quot[0])
 
     # -- value semantics -----------------------------------------------------
 

@@ -47,18 +47,12 @@ class GramForm:
     basis_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        n = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != n:
-                raise DegenerateForm("Gram matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise DegenerateForm("Gram matrix is not symmetric")
-
-    @property
-    def rank_bound(self) -> int:
-        return len(self.matrix)
+        m = self.matrix
+        if any(len(row) != len(m) for row in m):
+            raise DegenerateForm("Gram matrix is not square")
+        # tuple equality tests identity first; most entries share one zero
+        if tuple(zip(*m)) != tuple(map(tuple, m)):
+            raise DegenerateForm("Gram matrix is not symmetric")
 
 
 def gram_form(field: FieldSpec, rows, basis_labels=()) -> GramForm:
@@ -120,7 +114,7 @@ def _eliminate(g: GramForm, track_transform: bool):
     its arithmetic inline (Fraction over Q, % p over F_p).
     """
     field = g.field
-    q = None if field.is_rationals else field.modulus
+    q = field.modulus
     n = len(g.matrix)
     m = [list(row) for row in g.matrix]
     # P is kept by columns: a basis change e_dst += c * e_src rewrites column dst

@@ -15,6 +15,7 @@ from wittdeg import (
     SupportNotOrigin,
     bezoutian,
     degree_of,
+    det,
     diag_form,
     diagonal_bezoutian_identity,
     gram_form,
@@ -28,6 +29,8 @@ from wittdeg import (
     validate,
     witt_equal,
 )
+
+from wittdeg.degree import dual_ring
 
 from conftest import counterexample_endo, make_endo, random_poly, random_unit
 
@@ -76,6 +79,41 @@ def test_bezoutian_univariate_cube(Q):
     delta = bezoutian(endo)
     ring2 = delta.ring
     assert delta == parse_poly("x1^2 + x1*u1 + u1^2", ring2)
+
+
+def _reference_bezoutian(endo):
+    """The former substitute / exact_div Bezoutian, kept verbatim."""
+    n = endo.n
+    ring2 = dual_ring(endo.ring)
+    gens = ring2.gens()
+    xs, us = list(gens[:n]), list(gens[n:])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            upper = endo.images[i].substitute(us[:j] + xs[j:])
+            lower = endo.images[i].substitute(us[: j + 1] + xs[j + 1 :])
+            row.append((upper - lower).exact_div(xs[j] - us[j]))
+        rows.append(row)
+    return det(rows)
+
+
+def test_bezoutian_matches_substitute_reference(Q, F7):
+    # n = 5 takes the Bareiss branch of det, and through it exact_div; the
+    # x_i^d_i terms keep most determinants nonzero
+    rng = random.Random(1729)
+    for field in (Q, F7):
+        for n in range(1, 6):
+            ring = Ring(tuple(f"x{i + 1}" for i in range(n)), field)
+            deg = 3 if n < 4 else 2
+            for _ in range(6 if n < 5 else 3):
+                images = tuple(
+                    ring.var(i) ** rng.randint(1, deg)
+                    + random_poly(rng, ring, max_degree=deg, max_terms=3)
+                    for i in range(n)
+                )
+                endo = Endo(ring=ring, images=images)
+                assert bezoutian(endo) == _reference_bezoutian(endo)
 
 
 def test_gram_cross_example(Q):

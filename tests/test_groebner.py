@@ -18,7 +18,7 @@ from wittdeg import (
     supported_only_at_origin,
     groebner,
 )
-from wittdeg.groebner import _entry, _reduce
+from wittdeg.poly import _entry, _reduce
 
 from conftest import random_poly
 
