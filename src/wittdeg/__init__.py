@@ -16,6 +16,7 @@ from .errors import (
     FactorBoundExceeded,
     InternalError,
     JobFileError,
+    NonCanonicalForm,
     NotFiniteLength,
     NotOriginPreserving,
     NotSquareSystem,

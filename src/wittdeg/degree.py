@@ -6,6 +6,14 @@ divided-difference matrix in primal and dual variables); reduce it modulo
 the ideal in both variable blocks; read off the symmetric Gram matrix over
 the standard-monomial basis.  Its Witt class is the degree, normalized so
 the identity endomorphism has class <1>.
+
+The reduction modulo I(x) + I(u) is never run in the doubled ring.  The
+union of the two block bases is a Groebner basis whose leading monomials
+are pure-x or pure-u, so x^m u^m' is standard exactly when x^m and u^m'
+are, and NF(x^a u^b) = NF(x^a) NF(u^b).  By linearity the normal form of
+Delta = sum c_ab x^a u^b is sum_a NF(x^a) (x) (sum_b c_ab NF(u^b)), and
+both factors come from the memoized monomial table of the quotient that
+validate built, so the x_i-power chain of the support test is reused.
 """
 
 from __future__ import annotations
@@ -23,15 +31,13 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .groebner import (
-    GroebnerBasis,
     QuotientAlgebra,
     buchberger,
-    normal_form,
     standard_monomials,
     supported_only_at_origin,
 )
 from .orders import GREVLEX, MonomialOrder
-from .poly import Poly, Ring, det, format_monomial, jacobian_det
+from .poly import Poly, Ring, _add_shifted, det, format_monomial, jacobian_det
 from .witt import (
     DiagForm,
     GramForm,
@@ -100,16 +106,6 @@ def dual_ring(ring: Ring) -> Ring:
     return Ring(names, ring.field)
 
 
-def _lift(p: Poly, ring2: Ring, offset: int) -> Poly:
-    """Reindex a base-ring polynomial into ring2, shifting variables."""
-    n = p.ring.nvars
-    pad = ring2.nvars - n - offset
-    terms = {
-        (0,) * offset + e + (0,) * pad: c for e, c in p.terms.items()
-    }
-    return Poly(ring2, terms)
-
-
 def bezoutian(endo: Endo) -> Poly:
     """Determinant of the divided-difference matrix, in doubled variables.
 
@@ -141,23 +137,6 @@ def bezoutian(endo: Endo) -> Poly:
     return det(rows)
 
 
-def _combined_basis(qa: QuotientAlgebra, ring2: Ring) -> GroebnerBasis:
-    """Groebner basis of I(x) + I(u) in the doubled ring.
-
-    The union of the two block bases is already reduced: the blocks are
-    disjoint and the global order restricts to the block orders.
-    """
-    n = qa.ring.nvars
-    gx = [_lift(g, ring2, 0) for g in qa.gb.basis]
-    gu = [_lift(g, ring2, n) for g in qa.gb.basis]
-    combined = sorted(
-        gx + gu, key=lambda g: qa.gb.order.key(g.leading(qa.gb.order)[0])
-    )
-    return GroebnerBasis(
-        generators=tuple(combined), basis=tuple(combined), order=qa.gb.order
-    )
-
-
 def gram_form(endo: Endo, order: MonomialOrder = GREVLEX) -> GramForm:
     """Symmetric Gram matrix of the residue pairing over the monomial basis."""
     qa = validate(endo, order)
@@ -165,22 +144,38 @@ def gram_form(endo: Endo, order: MonomialOrder = GREVLEX) -> GramForm:
 
 
 def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
+    """Gram matrix from NF(Delta) = sum_a NF(x^a) (x) row_a, where
+    row_a = sum_b c_ab NF(u^b) (see the module docstring)."""
     n = endo.n
     field = endo.field
-    delta = bezoutian(endo)
-    ring2 = delta.ring
-    nf = normal_form(delta, _combined_basis(qa, ring2))
+    q = field.modulus
+    zeros = (0,) * n
+    rows: dict = {}
+    for e, c in bezoutian(endo).terms.items():
+        row = rows.get(e[:n])
+        if row is None:
+            row = rows[e[:n]] = {}
+        _add_shifted(row, qa.monomial_nf(e[n:]), zeros, c, q)
+    nf: dict = {}  # standard x-monomial -> {standard u-monomial: coefficient}
+    for a, row in rows.items():
+        for m, v in qa.monomial_nf(a).items():
+            acc = nf.get(m)
+            if acc is None:
+                acc = nf[m] = {}
+            _add_shifted(acc, row, zeros, v, q)
     index = {m: k for k, m in enumerate(qa.monomials)}
     d = qa.dimension
     zero = field.zero
     b = [[zero] * d for _ in range(d)]
-    # each normal-form term x^a u^b fills entry (a, b) once; its coefficient
-    # is already canonical, and GramForm checks the symmetry
-    for e, c in nf.terms.items():
-        i, j = index.get(e[:n]), index.get(e[n:])
-        if i is None or j is None:
-            raise InternalError("reduced Bezoutian off the standard basis")
-        b[i][j] = c
+    # each normal-form term x^m u^m' fills entry (m, m') once; its
+    # coefficient is already canonical, and GramForm checks the symmetry
+    try:
+        for m, acc in nf.items():
+            bi = b[index[m]]
+            for m2, c in acc.items():
+                bi[index[m2]] = c
+    except KeyError:
+        raise InternalError("reduced Bezoutian off the standard basis") from None
     labels = tuple(format_monomial(endo.ring, m) for m in qa.monomials)
     return GramForm(field=field, matrix=tuple(map(tuple, b)), basis_labels=labels)
 
@@ -202,12 +197,13 @@ class DegreeReport:
 
     def to_json_dict(self) -> dict:
         fmt = self.field.format_scalar
+        z = fmt(self.field.zero)  # most Gram entries are the one shared zero
         return {
             "schema": 1,
             "field": str(self.field),
             "n": self.n,
             "length": self.length,
-            "gram": [[fmt(x) for x in row] for row in self.gram.matrix],
+            "gram": [[fmt(x) if x else z for x in row] for row in self.gram.matrix],
             "diagonal": [fmt(e) for e in self.diag.entries],
             "rank": self.invariants.rank,
             "signature": self.invariants.signature,

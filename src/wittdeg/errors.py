@@ -57,6 +57,10 @@ class DegenerateForm(AlgebraError):
     """A symmetric form that must be nondegenerate has determinant zero."""
 
 
+class NonCanonicalForm(AlgebraError):
+    """A diagonal form entry is not a canonical square-class representative."""
+
+
 class ArityMismatch(AlgebraError):
     """Row length and endomorphism arity disagree."""
 

@@ -7,6 +7,15 @@ leading term from a precomputed entry, and keeps only the remainder: no
 caller here needs the quotients.  Pending S-pairs wait in a heap keyed by
 the order key of their lcm, computed once when the pair is formed.
 
+Each QuotientAlgebra keeps one memoized table of monomial normal forms,
+seeded with the standard monomials (each its own normal form).  A missing
+entry is NF(x^a) = NF(x_i * NF(x^(a - e_i))): one shift by e_i of a
+polynomial with at most `dimension` terms, then one reduction.  The
+origin-support test walks NF(x_i^k) for k = 0, 1, ..., D through this table
+and stops at the first zero power, since every higher power is then zero;
+only a nonzero D-th power, D the length, makes x_i non-nilpotent.  The
+degree pipeline reuses the same table for the Gram matrix.
+
 Cofactors express every basis element exactly as a combination of the input
 generators; they are what certificate extraction (1 = sum c_i * g_i) needs.
 Everything is deterministic: normal selection strategy (smallest lcm first,
@@ -18,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, sub
 from typing import Optional, Sequence
 
@@ -171,7 +181,8 @@ class QuotientAlgebra:
 
     monomials are the exponent tuples outside the leading-term ideal,
     sorted ascending in the basis order; dimension is their count (the
-    length of the quotient).
+    length of the quotient).  monomial_nf memoizes the normal forms of
+    monomials, so every user of one quotient shares a single table.
     """
 
     gb: GroebnerBasis
@@ -184,6 +195,46 @@ class QuotientAlgebra:
 
     def normal_form(self, p: Poly) -> Poly:
         return normal_form(p, self.gb)
+
+    @cached_property
+    def _divisors(self) -> list:
+        return [_entry(g.terms, self.gb.order) for g in self.gb.basis]
+
+    @cached_property
+    def _nf_table(self) -> dict:
+        """NF(x^a) by a, seeded with the standard monomials and NF(1)."""
+        field = self.ring.field
+        table = {m: {m: field.one} for m in self.monomials}
+        one = (0,) * self.ring.nvars
+        if one not in table:  # the unit ideal: NF(1) = 0
+            order = self.gb.order
+            table[one] = _reduce({one: field.one}, self._divisors, order, field)
+        return table
+
+    def monomial_nf(self, a: tuple[int, ...]) -> dict:
+        """Term dict of NF(x^a), memoized; callers must not mutate it.
+
+        A missing entry is built as NF(x_i * NF(x^(a - e_i))), lowering the
+        first nonzero exponent of a until a memoized monomial is reached:
+        each step shifts a polynomial of at most `dimension` standard terms
+        by e_i and reduces the few terms that leave the standard basis.
+        Normal forms are linear and NF(x_i * p) = NF(x_i * NF(p)), so every
+        entry equals the direct normal form of x^a.
+        """
+        table = self._nf_table
+        chain = []
+        while a not in table:
+            i = next(i for i, k in enumerate(a) if k)
+            unit = (0,) * i + (1,) + (0,) * (len(a) - i - 1)
+            chain.append((a, unit))
+            a = tuple(map(sub, a, unit))
+        nf = table[a]
+        field = self.ring.field
+        for a, unit in reversed(chain):
+            terms = {}
+            _add_shifted(terms, nf, unit, field.one, field.modulus)
+            nf = table[a] = _reduce(terms, self._divisors, self.gb.order, field)
+        return nf
 
 
 def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
@@ -227,14 +278,19 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
 
     x_i^D lies in the ideal iff the multiplication operator by x_i is
     nilpotent (its minimal polynomial has degree at most D), so testing the
-    D-th powers is exact.
+    D-th powers is exact.  The powers are walked one multiplication at a
+    time through the quotient's normal-form table, from x_i^0 = 1, and the
+    walk stops at the first power that is zero: every higher power is then
+    zero too.  Only a variable whose D-th power is nonzero is reported.
+    For D = 0 the ideal is the whole ring and NF(1) = 0 already.
     """
-    ring = qa.ring
+    n = qa.ring.nvars
     d = qa.dimension
-    for i in range(ring.nvars):
-        exps = [0] * ring.nvars
-        exps[i] = d
-        if not qa.normal_form(ring.monomial(exps)).is_zero:
+    for i in range(n):
+        for k in range(d + 1):
+            if not qa.monomial_nf((0,) * i + (k,) + (0,) * (n - i - 1)):
+                break
+        else:
             return False
     return True
 

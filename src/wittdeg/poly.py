@@ -60,7 +60,10 @@ def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
     """dst += c * x^shift * src, in place (q: modulus of F_q, None over Q)."""
     for e, v in src.items():
         e = tuple(map(add, e, shift))
-        w = dst.get(e, 0) + c * v
+        w = dst.get(e)
+        # a fresh key takes c * v as is: adding it to an int 0 would send
+        # every new Fraction through its reflected-operator path
+        w = c * v if w is None else w + c * v
         if q is not None:
             w %= q
         if w:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate
 from typing import Optional
 
-from .errors import DegenerateForm, RingMismatch
+from .errors import DegenerateForm, NonCanonicalForm, RingMismatch
 from .fields import (
     FieldSpec,
     hilbert_symbol,
@@ -62,10 +62,29 @@ def gram_form(field: FieldSpec, rows, basis_labels=()) -> GramForm:
 
 @dataclass(frozen=True)
 class DiagForm:
-    """<a_1,...,a_r> with entries canonical square-class representatives."""
+    """<a_1,...,a_r> with entries canonical square-class representatives.
+
+    Over F_p an entry must be 1 or the least non-residue.  Over Q it must be
+    a nonzero integer, and being squarefree is the caller's contract: it is
+    not checked, because that would mean factoring every entry.  diag_form
+    canonicalizes arbitrary nonzero scalars.
+    """
 
     field: FieldSpec
     entries: tuple[object, ...]
+
+    def __post_init__(self):
+        field = self.field
+        if field.is_rationals:
+            bad = [e for e in self.entries if not e or e.denominator != 1]
+        else:
+            canonical = (1, field.least_nonresidue())
+            bad = [e for e in self.entries if e not in canonical]
+        if bad:
+            raise NonCanonicalForm(
+                f"entry {field.format_scalar(bad[0])} is not a canonical "
+                "square-class representative (diag_form canonicalizes)"
+            )
 
     @property
     def rank(self) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -8,21 +9,27 @@ import pytest
 from wittdeg import (
     Endo,
     GREVLEX,
+    GroebnerBasis,
+    InternalError,
     LEX,
     NotFiniteLength,
     NotOriginPreserving,
+    Poly,
     Ring,
     SupportNotOrigin,
     bezoutian,
+    buchberger,
     degree_of,
     det,
     diag_form,
     diagonal_bezoutian_identity,
     gram_form,
     is_witt_zero,
+    normal_form,
     parse_poly,
     power_endo,
     square_class,
+    standard_monomials,
     tensor,
     univariate_power_form,
     univariate_tensor_oracle,
@@ -30,7 +37,12 @@ from wittdeg import (
     witt_equal,
 )
 
-from wittdeg.degree import dual_ring
+from wittdeg import degree
+from wittdeg.degree import _gram_from_quotient, dual_ring
+from wittdeg.groebner import QuotientAlgebra
+from wittdeg.cli import run
+from wittdeg.poly import format_monomial
+from wittdeg.witt import GramForm
 
 from conftest import counterexample_endo, make_endo, random_poly, random_unit
 
@@ -114,6 +126,99 @@ def test_bezoutian_matches_substitute_reference(Q, F7):
                 )
                 endo = Endo(ring=ring, images=images)
                 assert bezoutian(endo) == _reference_bezoutian(endo)
+
+
+def _reference_lift(p, ring2, offset):
+    """Reindex a base-ring polynomial into ring2, shifting variables."""
+    n = p.ring.nvars
+    pad = ring2.nvars - n - offset
+    terms = {
+        (0,) * offset + e + (0,) * pad: c for e, c in p.terms.items()
+    }
+    return Poly(ring2, terms)
+
+
+def _reference_combined_basis(qa, ring2):
+    """Groebner basis of I(x) + I(u) in the doubled ring."""
+    n = qa.ring.nvars
+    gx = [_reference_lift(g, ring2, 0) for g in qa.gb.basis]
+    gu = [_reference_lift(g, ring2, n) for g in qa.gb.basis]
+    combined = sorted(
+        gx + gu, key=lambda g: qa.gb.order.key(g.leading(qa.gb.order)[0])
+    )
+    return GroebnerBasis(
+        generators=tuple(combined), basis=tuple(combined), order=qa.gb.order
+    )
+
+
+def _reference_gram(endo, qa):
+    """The former doubled-ring normal-form Gram build, kept verbatim."""
+    n = endo.n
+    field = endo.field
+    delta = bezoutian(endo)
+    ring2 = delta.ring
+    nf = normal_form(delta, _reference_combined_basis(qa, ring2))
+    index = {m: k for k, m in enumerate(qa.monomials)}
+    d = qa.dimension
+    zero = field.zero
+    b = [[zero] * d for _ in range(d)]
+    for e, c in nf.terms.items():
+        i, j = index.get(e[:n]), index.get(e[n:])
+        if i is None or j is None:
+            raise InternalError("reduced Bezoutian off the standard basis")
+        b[i][j] = c
+    labels = tuple(format_monomial(endo.ring, m) for m in qa.monomials)
+    return GramForm(field=field, matrix=tuple(map(tuple, b)), basis_labels=labels)
+
+
+def test_gram_matches_doubled_ring_reference(Q, F7):
+    # images x_i^m_i plus lower-degree terms: finite quotients, often with
+    # zeros away from the origin; (x1, x1 + 1) is the unit ideal
+    rng = random.Random(1414)
+    sizes = set()
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        unit = make_endo(field, ("x1", "x2"), ("x1", "x1 + 1"))
+        endos = [unit]
+        for n in (1, 2, 3):
+            ring = Ring(tuple(f"x{i + 1}" for i in range(n)), field)
+            for _ in range(12 if n < 3 else 6):
+                images = []
+                for i in range(n):
+                    m = rng.randint(1, 4 if n < 3 else 2)
+                    images.append(
+                        ring.var(i) ** m
+                        + random_poly(rng, ring, max_degree=m - 1, max_terms=3)
+                    )
+                endos.append(Endo(ring=ring, images=tuple(images)))
+        for endo in endos:
+            qa = standard_monomials(buchberger(endo.images, order))
+            got = _gram_from_quotient(endo, qa)
+            assert got == _reference_gram(endo, qa)
+            sizes.add(qa.dimension)
+    assert 0 in sizes and max(sizes) >= 8
+
+
+def test_gram_off_standard_basis_is_internal_error(Q, monkeypatch, capsys):
+    # a quotient that misses a standard monomial leaves a normal-form term
+    # outside the index: InternalError (exit 2), never a bare KeyError
+    endo = counterexample_endo(Q)
+    qa = validate(endo)
+    broken = QuotientAlgebra(
+        gb=qa.gb, monomials=qa.monomials[:-1], dimension=qa.dimension - 1
+    )
+    with pytest.raises(InternalError, match="off the standard basis"):
+        _gram_from_quotient(endo, broken)
+
+    def drop_last(gb):
+        qa = standard_monomials(gb)
+        return QuotientAlgebra(
+            gb=gb, monomials=qa.monomials[:-1], dimension=qa.dimension - 1
+        )
+
+    monkeypatch.setattr(degree, "standard_monomials", drop_last)
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    assert run(["degree", "docs/jobs/counterexample.job"]) == 2
+    assert "off the standard basis" in capsys.readouterr().err
 
 
 def test_gram_cross_example(Q):

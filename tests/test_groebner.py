@@ -368,3 +368,73 @@ def test_certificate_reverification_raises_internal_error(Q, monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: wrong)
     with pytest.raises(InternalError):
         contains_one_with_certificate(gens)
+
+
+def _reference_supported_only_at_origin(qa):
+    """The former direct x_i^D reduction, kept verbatim."""
+    ring = qa.ring
+    d = qa.dimension
+    for i in range(ring.nvars):
+        exps = [0] * ring.nvars
+        exps[i] = d
+        if not qa.normal_form(ring.monomial(exps)).is_zero:
+            return False
+    return True
+
+
+def _random_finite_ideal(rng, ring):
+    """Generators x_i^m_i + tail_i with a finite quotient.  Half the time the
+    tails are x_j * (random linear) for j < i: the system is triangular, and
+    its only zero is the origin.  Otherwise they are random terms of degree
+    below m_i, constants included, so zeros away from the origin and the
+    unit ideal occur."""
+    triangular = rng.random() < 0.5
+    gens = []
+    for i in range(ring.nvars):
+        m = rng.randint(1, 3)
+        exps = [0] * ring.nvars
+        exps[i] = m
+        if triangular:
+            tail = ring.zero()
+            for j in range(i):
+                tail = tail + ring.var(j) * random_poly(rng, ring, max_degree=1)
+        else:
+            tail = random_poly(rng, ring, max_degree=m - 1, max_terms=3)
+        gens.append(ring.monomial(exps) + tail)
+    return gens
+
+
+def test_nilpotency_walk_matches_reference(Q, F7):
+    rng = random.Random(3141)
+    verdicts = {True: 0, False: 0}
+    units = 0
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        rings = [Ring(("x", "y"), field), Ring(("x", "y", "z"), field)]
+        systems = [_random_finite_ideal(rng, rng.choice(rings)) for _ in range(40)]
+        x, y, z = rings[1].gens()
+        # a point away from the origin, two points, the origin alone, the unit ideal
+        systems += [[x + 1, y, z], [x * x - x, y, z], [x**3, y**2 - x, z]]
+        systems.append([x, x + 1, z])
+        for gens in systems:
+            qa = standard_monomials(buchberger(gens, order))
+            got = supported_only_at_origin(qa)
+            assert got == _reference_supported_only_at_origin(qa)
+            verdicts[got] += 1
+            units += qa.dimension == 0
+    assert min(verdicts.values()) >= 20
+    assert units >= 4
+
+
+def test_monomial_table_matches_direct_normal_form(Q, F7):
+    rng = random.Random(2236)
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        ring = Ring(("x", "y", "z"), field)
+        for _ in range(15):
+            gb = buchberger(_random_finite_ideal(rng, ring), order)
+            qa = standard_monomials(gb)
+            for _ in range(8):
+                a = tuple(rng.randint(0, 5) for _ in range(3))
+                expected = normal_form(ring.monomial(a), gb).terms
+                assert qa.monomial_nf(a) == expected
+                # memoized entries are returned unchanged
+                assert qa.monomial_nf(a) == expected

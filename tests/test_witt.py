@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from wittdeg import (
+    AlgebraError,
     DegenerateForm,
     DiagForm,
     FactorBoundExceeded,
     FieldSpec,
+    NonCanonicalForm,
     diag_form,
     diagonalize,
     diagonalize_with_transform,
@@ -330,6 +332,21 @@ def test_gram_form_rejects_non_symmetric_and_non_square(Q, F7):
             make_gram_form(field, [[1, 2]])
         with pytest.raises(DegenerateForm):
             make_gram_form(field, [[1, 2], [2]])
+
+
+def test_diag_form_rejects_non_canonical_entries(Q, F7):
+    # invariants read square classes off canonical entries only: <1/2> once
+    # reported discriminant 1, although diag_form gives <2>
+    assert issubclass(NonCanonicalForm, AlgebraError)
+    assert invariants(diag_form(Q, [Fraction(1, 2)])).signed_discriminant == 2
+    for entries in ((Fraction(1, 2),), (Fraction(3), Fraction(0)), (Fraction(-2, 9),)):
+        with pytest.raises(NonCanonicalForm):
+            DiagForm(field=Q, entries=entries)
+    # over F_7 the canonical classes are 1 and the least non-residue 3
+    assert DiagForm(field=F7, entries=(1, 3, 3)).rank == 3
+    for entries in ((2,), (1, 0), (6,)):
+        with pytest.raises(NonCanonicalForm):
+            DiagForm(field=F7, entries=entries)
 
 
 def test_witt_equal_examples(Q):
