@@ -62,7 +62,6 @@ from .witt import (
     diag_form,
     diagonalize,
     diagonalize_with_transform,
-    gram_form as make_gram_form,
     invariants,
     is_witt_zero,
     negate,

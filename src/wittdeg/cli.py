@@ -55,7 +55,13 @@ from .umrow import (
     is_unimodular,
     obstruction_report,
 )
-from .witt import invariants, is_witt_zero, parse_diag, witt_class_display
+from .witt import (
+    WittInvariants,
+    invariants,
+    is_witt_zero,
+    parse_diag,
+    witt_class_display,
+)
 
 HYPOTHESIS_ERRORS = (NotFiniteLength, SupportNotOrigin, NotOriginPreserving, EvenN)
 
@@ -175,13 +181,17 @@ def _degree_summary(report: DegreeReport) -> str:
 
 
 def _print_degree_verbose(report: DegreeReport) -> None:
-    inv = report.invariants
     print(f"standard monomials: {', '.join(report.gram.basis_labels)}")
     print("gram matrix:")
     fmt = report.field.format_scalar
     for row in report.gram.matrix:
         print("  [" + ", ".join(fmt(x) for x in row) + "]")
     print(f"diagonal form: {report.diag}")
+    _print_invariants(report.invariants, fmt)
+
+
+def _print_invariants(inv: WittInvariants, fmt) -> None:
+    """The rank/signature/discriminant line and, if any, the hasse line."""
     sig = "" if inv.signature is None else f"; signature {inv.signature}"
     print(
         f"rank {inv.rank}{sig}; signed discriminant "
@@ -246,8 +256,8 @@ def _cmd_witt_invariants(args) -> int:
     field = _parse_cli_field(args.field)
     d = parse_diag(field, args.entries)
     inv = invariants(d)
+    fmt = field.format_scalar
     if args.json:
-        fmt = field.format_scalar
         _print_json(
             {
                 "schema": 1,
@@ -260,16 +270,7 @@ def _cmd_witt_invariants(args) -> int:
             }
         )
     else:
-        fmt = field.format_scalar
-        sig = "" if inv.signature is None else f"; signature {inv.signature}"
-        print(
-            f"rank {inv.rank}{sig}; signed discriminant "
-            f"{fmt(inv.signed_discriminant)}"
-        )
-        if inv.hasse:
-            print(
-                "hasse: " + ", ".join(f"{v} {s:+d}" for v, s in inv.hasse.items())
-            )
+        _print_invariants(inv, fmt)
     return 0
 
 

@@ -179,13 +179,17 @@ class FieldSpec:
         return f"FieldSpec({self})"
 
 
-def _squarefree_part(n: int) -> int:
-    """Product of the primes dividing n an odd number of times (n >= 1)."""
+def _odd_primes(n: int) -> list[int]:
+    """Ascending primes dividing n an odd number of times (trial division).
+
+    n >= 0; 0 and 1 have none.  Raises FactorBoundExceeded for n above
+    FACTOR_BOUND before dividing at all.
+    """
     if n > FACTOR_BOUND:
         raise FactorBoundExceeded(
             f"{n} exceeds the trial-division bound {FACTOR_BOUND}"
         )
-    res = 1
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -194,9 +198,11 @@ def _squarefree_part(n: int) -> int:
                 n //= d
                 e += 1
             if e % 2:
-                res *= d
+                out.append(d)
         d += 1 if d == 2 else 2
-    return res * n
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def square_class(field: FieldSpec, a):
@@ -209,11 +215,11 @@ def square_class(field: FieldSpec, a):
     if not a:
         raise ZeroScalar("zero has no square class")
     if field.is_rationals:
+        # a/b and ab lie in one class; num and den are coprime, so the
+        # squarefree part of their product is the product of theirs
         sign = -1 if a < 0 else 1
-        sn = _squarefree_part(abs(a.numerator))
-        sd = _squarefree_part(a.denominator)
-        g = math.gcd(sn, sd)
-        return Fraction(sign * (sn // g) * (sd // g))
+        sn = math.prod(_odd_primes(abs(a.numerator)))
+        return Fraction(sign * sn * math.prod(_odd_primes(a.denominator)))
     p = field.modulus
     return field.one if pow(a, (p - 1) // 2, p) == 1 else field.least_nonresidue()
 
@@ -230,25 +236,6 @@ def square_class_mul(field: FieldSpec, a, b):
         g = math.gcd(aa, bb)
         return Fraction(sign * (aa // g) * (bb // g))
     return square_class(field, field.mul(a, b))
-
-
-def factor_squarefree(n: int) -> list[int]:
-    """Prime factors of a squarefree integer |n| (trial division)."""
-    n = abs(n)
-    if n > FACTOR_BOUND:
-        raise FactorBoundExceeded(
-            f"{n} exceeds the trial-division bound {FACTOR_BOUND}"
-        )
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def legendre(a, p: int) -> int:
@@ -319,6 +306,6 @@ def relevant_places(values) -> list:
     for x in values:
         x = Fraction(x)
         for n in (abs(x.numerator), x.denominator):
-            primes.update(factor_squarefree(_squarefree_part(n)))
+            primes.update(_odd_primes(n))
     odd = sorted(q for q in primes if q % 2)
     return ["inf", 2] + odd

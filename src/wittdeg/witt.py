@@ -55,11 +55,6 @@ class GramForm:
             raise DegenerateForm("Gram matrix is not symmetric")
 
 
-def gram_form(field: FieldSpec, rows, basis_labels=()) -> GramForm:
-    matrix = tuple(tuple(field.canon(x) for x in row) for row in rows)
-    return GramForm(field=field, matrix=matrix, basis_labels=tuple(basis_labels))
-
-
 @dataclass(frozen=True)
 class DiagForm:
     """<a_1,...,a_r> with entries canonical square-class representatives.

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import Endo, FieldSpec, Ring, parse_poly
+from wittdeg import Endo, FieldSpec, GramForm, InternalError, Poly, Ring, parse_poly
+from wittdeg.degree import dual_ring
+from wittdeg.orders import GREVLEX
 
 
 @pytest.fixture
@@ -54,3 +56,75 @@ def random_unit(rng, field, bound=20):
         den = rng.randint(1, bound)
         return Fraction(num, den)
     return rng.randint(1, field.modulus - 1)
+
+
+def canonical_gram(field, rows, basis_labels=()):
+    """GramForm of a matrix of ints/Fractions, entries made canonical."""
+    matrix = tuple(tuple(field.canon(x) for x in row) for row in rows)
+    return GramForm(field=field, matrix=matrix, basis_labels=tuple(basis_labels))
+
+
+# -- references for removed or rewritten kernels --------------------------------
+
+
+def _reference_add(p, other):
+    """The former Poly.__add__ loop, kept verbatim."""
+    field = p.ring.field
+    terms = dict(p.terms)
+    for e, c in other.terms.items():
+        s = field.add(terms.get(e, field.zero), c)
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return Poly(p.ring, terms)
+
+
+def _reference_mul(p, other):
+    """The former Poly.__mul__ loop, kept verbatim."""
+    field = p.ring.field
+    terms: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in other.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = field.add(terms.get(e, field.zero), field.mul(c1, c2))
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return Poly(p.ring, terms)
+
+
+def _reference_exact_div(p, divisor, order=GREVLEX):
+    """The former Poly.exact_div loop, kept verbatim."""
+    field = p.ring.field
+    de, dc = divisor.leading(order)
+    quot = p.ring.zero()
+    rem = p
+    while not rem.is_zero:
+        re_, rc = rem.leading(order)
+        qe = tuple(a - b for a, b in zip(re_, de))
+        if any(x < 0 for x in qe):
+            raise InternalError("inexact polynomial division")
+        q = p.ring.monomial(qe, field.div(rc, dc))
+        quot = _reference_add(quot, q)
+        rem = _reference_add(rem, -_reference_mul(q, divisor))
+    return quot
+
+
+def divided_differences(endo):
+    """The Bezoutian's divided-difference matrix in the doubled ring, built
+    the former way: two substitutions and an exact division per entry."""
+    n = endo.n
+    ring2 = dual_ring(endo.ring)
+    gens = ring2.gens()
+    xs, us = list(gens[:n]), list(gens[n:])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            upper = endo.images[i].substitute(us[:j] + xs[j:])
+            lower = endo.images[i].substitute(us[: j + 1] + xs[j + 1 :])
+            row.append(_reference_exact_div(upper - lower, xs[j] - us[j]))
+        rows.append(row)
+    return rows

@@ -24,7 +24,6 @@ from wittdeg import (
     invariants,
     is_unimodular,
     is_witt_zero,
-    make_gram_form,
     negate,
     normal_form,
     orthogonal_sum,
@@ -37,7 +36,13 @@ from wittdeg import (
 )
 from wittdeg.umrow import compose_with_endo
 
-from conftest import counterexample_endo, make_endo, random_poly, random_unit
+from conftest import (
+    canonical_gram,
+    counterexample_endo,
+    make_endo,
+    random_poly,
+    random_unit,
+)
 
 Q = FieldSpec.rationals()
 
@@ -185,8 +190,8 @@ def test_criterion_7_witt_decision_soundness():
             for i in range(n)
         ]
         conj = mat_mul(transpose(p), mat_mul(g, p))
-        inv1 = invariants(diagonalize(make_gram_form(Q, g)))
-        inv2 = invariants(diagonalize(make_gram_form(Q, conj)))
+        inv1 = invariants(diagonalize(canonical_gram(Q, g)))
+        inv2 = invariants(diagonalize(canonical_gram(Q, conj)))
         assert inv1.equivalent(inv2)
 
     for _ in range(200):

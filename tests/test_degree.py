@@ -38,13 +38,19 @@ from wittdeg import (
 )
 
 from wittdeg import degree
-from wittdeg.degree import _gram_from_quotient, dual_ring
+from wittdeg.degree import _gram_from_quotient
 from wittdeg.groebner import QuotientAlgebra
 from wittdeg.cli import run
 from wittdeg.poly import format_monomial
 from wittdeg.witt import GramForm
 
-from conftest import counterexample_endo, make_endo, random_poly, random_unit
+from conftest import (
+    counterexample_endo,
+    divided_differences,
+    make_endo,
+    random_poly,
+    random_unit,
+)
 
 
 def test_validate_counterexample(Q):
@@ -94,25 +100,12 @@ def test_bezoutian_univariate_cube(Q):
 
 
 def _reference_bezoutian(endo):
-    """The former substitute / exact_div Bezoutian, kept verbatim."""
-    n = endo.n
-    ring2 = dual_ring(endo.ring)
-    gens = ring2.gens()
-    xs, us = list(gens[:n]), list(gens[n:])
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            upper = endo.images[i].substitute(us[:j] + xs[j:])
-            lower = endo.images[i].substitute(us[: j + 1] + xs[j + 1 :])
-            row.append((upper - lower).exact_div(xs[j] - us[j]))
-        rows.append(row)
-    return det(rows)
+    """The former substitute / exact_div Bezoutian."""
+    return det(divided_differences(endo))
 
 
 def test_bezoutian_matches_substitute_reference(Q, F7):
-    # n = 5 takes the Bareiss branch of det, and through it exact_div; the
-    # x_i^d_i terms keep most determinants nonzero
+    # the x_i^d_i terms keep most determinants nonzero
     rng = random.Random(1729)
     for field in (Q, F7):
         for n in range(1, 6):

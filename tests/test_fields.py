@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from wittdeg import (
     square_class,
     square_class_mul,
 )
+from wittdeg.fields import _odd_primes
 
 
 def test_fieldspec_rejects_char_2():
@@ -82,6 +84,88 @@ def test_square_class_factor_bound(Q):
     assert big > FACTOR_BOUND
     with pytest.raises(FactorBoundExceeded):
         square_class(Q, big)
+
+
+def _reference_squarefree_part(n: int) -> int:
+    """The former fields._squarefree_part, kept verbatim."""
+    if n > FACTOR_BOUND:
+        raise FactorBoundExceeded(
+            f"{n} exceeds the trial-division bound {FACTOR_BOUND}"
+        )
+    res = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e % 2:
+                res *= d
+        d += 1 if d == 2 else 2
+    return res * n
+
+
+def _reference_factor_squarefree(n: int) -> list[int]:
+    """The former fields.factor_squarefree, kept verbatim."""
+    n = abs(n)
+    if n > FACTOR_BOUND:
+        raise FactorBoundExceeded(
+            f"{n} exceeds the trial-division bound {FACTOR_BOUND}"
+        )
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _reference_odd_primes(n: int) -> list[int]:
+    return _reference_factor_squarefree(_reference_squarefree_part(n))
+
+
+def test_odd_primes_matches_reference(Q):
+    rng = random.Random(9091)
+    primes = [2, 3, 5, 7, 31, 101, 9973, 31607]
+    cases = [0, 1, FACTOR_BOUND, FACTOR_BOUND - 1, FACTOR_BOUND + 1, 10**40]
+    cases += [rng.randint(2, FACTOR_BOUND) for _ in range(40)]
+    cases += [rng.randint(1, 31622) ** 2 for _ in range(20)]
+    cases += [p**e for p in primes for e in range(1, 8) if p**e <= 2 * FACTOR_BOUND]
+    cases += [rng.choice(primes) ** 2 * rng.randint(1, 10**4) for _ in range(20)]
+    for n in cases:
+        try:
+            expected = _reference_odd_primes(n)
+        except FactorBoundExceeded:
+            with pytest.raises(FactorBoundExceeded):
+                _odd_primes(n)
+            continue
+        assert _odd_primes(n) == expected
+        if n:
+            assert math.prod(expected) == _reference_squarefree_part(n)
+    assert _odd_primes(0) == _odd_primes(1) == []
+    assert _odd_primes(FACTOR_BOUND) == [2, 5]
+    # square_class through the old pair: the product over the gcd
+    for _ in range(60):
+        a = Fraction(rng.randint(-(10**6), 10**6) or 1, rng.randint(1, 10**6))
+        sn = _reference_squarefree_part(abs(a.numerator))
+        sd = _reference_squarefree_part(a.denominator)
+        g = math.gcd(sn, sd)
+        sign = -1 if a < 0 else 1
+        assert square_class(Q, a) == Fraction(sign * (sn // g) * (sd // g))
+    values = [
+        Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+        for _ in range(20)
+    ]
+    ref: set[int] = set()
+    for x in values:
+        for n in (abs(x.numerator), x.denominator):
+            ref.update(_reference_odd_primes(n))
+    assert relevant_places(values) == ["inf", 2] + sorted(q for q in ref if q % 2)
 
 
 def test_square_class_idempotent_and_multiplicative(Q, F7):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittdeg import (
-    InternalError,
     NotSquareSystem,
     ParseError,
     Ring,
@@ -18,10 +17,16 @@ from wittdeg import (
     jacobian_det,
     parse_poly,
 )
-from wittdeg.orders import GREVLEX, LEX
-from wittdeg.poly import _det_bareiss, _det_cofactor
+from wittdeg.degree import Endo, diagonal_bezoutian_identity
+from wittdeg.orders import GREVLEX
 
-from conftest import random_poly
+from conftest import (
+    _reference_add,
+    _reference_exact_div,
+    _reference_mul,
+    divided_differences,
+    random_poly,
+)
 
 
 @pytest.fixture
@@ -131,33 +136,11 @@ def test_jacobian_requires_square_system(R3):
         jacobian_det([R3.var(0), R3.var(1)])
 
 
-def test_exact_div(R2):
-    x1, x2 = R2.gens()
-    assert (x1**2 - x2**2).exact_div(x1 - x2) == x1 + x2
-    assert (x1**3 * x2 + x1 * x2).exact_div(x1 * x2) == x1**2 + 1
-    with pytest.raises(InternalError):
-        (x1**2 + x2).exact_div(x1 - x2)
-
-
 def test_det_small(R2):
     x1, x2 = R2.gens()
     m = [[x1, x2], [x2, x1]]
     assert det(m) == x1**2 - x2**2
     assert det([[R2.one()]]) == R2.one()
-
-
-def test_det_bareiss_matches_cofactor(Q):
-    rng = random.Random(515)
-    ring = Ring(("x", "y"), Q)
-    for _ in range(10):
-        n = 5
-        m = [
-            [random_poly(rng, ring, max_degree=1, max_terms=2) for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert _det_bareiss([row[:] for row in m], ring, GREVLEX) == _det_cofactor(
-            m, ring
-        )
 
 
 def test_det_singular_matrix(R2):
@@ -167,51 +150,6 @@ def test_det_singular_matrix(R2):
 
 
 # -- the term-dict kernel against the loops it replaced ------------------------
-
-
-def _reference_add(p, other):
-    """The former Poly.__add__ loop, kept verbatim."""
-    field = p.ring.field
-    terms = dict(p.terms)
-    for e, c in other.terms.items():
-        s = field.add(terms.get(e, field.zero), c)
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
-    return Poly(p.ring, terms)
-
-
-def _reference_mul(p, other):
-    """The former Poly.__mul__ loop, kept verbatim."""
-    field = p.ring.field
-    terms: dict = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in other.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = field.add(terms.get(e, field.zero), field.mul(c1, c2))
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-    return Poly(p.ring, terms)
-
-
-def _reference_exact_div(p, divisor, order=GREVLEX):
-    """The former Poly.exact_div loop, kept verbatim."""
-    field = p.ring.field
-    de, dc = divisor.leading(order)
-    quot = p.ring.zero()
-    rem = p
-    while not rem.is_zero:
-        re_, rc = rem.leading(order)
-        qe = tuple(a - b for a, b in zip(re_, de))
-        if any(x < 0 for x in qe):
-            raise InternalError("inexact polynomial division")
-        q = p.ring.monomial(qe, field.div(rc, dc))
-        quot = _reference_add(quot, q)
-        rem = _reference_add(rem, -_reference_mul(q, divisor))
-    return quot
 
 
 def _assert_same_poly(got, expected):
@@ -234,30 +172,6 @@ def test_kernel_arithmetic_matches_reference(Q, F7):
             _assert_same_poly(p - p, ring.zero())
             _assert_same_poly(p * q, _reference_mul(p, q))
             _assert_same_poly(p * (q - q), ring.zero())
-
-
-def test_exact_div_matches_reference(Q, F7):
-    rng = random.Random(2236)
-    for field in (Q, F7):
-        ring = Ring(("x", "y", "z"), field)
-        for order in (GREVLEX, LEX):
-            for _ in range(80):
-                p = random_poly(rng, ring, max_terms=5)
-                q = random_poly(rng, ring, max_degree=2, max_terms=3)
-                if q.is_zero:
-                    continue
-                pq = p * q
-                got = pq.exact_div(q, order)
-                _assert_same_poly(got, _reference_exact_div(pq, q, order))
-                _assert_same_poly(got, p)
-                r = pq + random_poly(rng, ring, max_terms=2)
-                try:
-                    expected = _reference_exact_div(r, q, order)
-                except InternalError:
-                    with pytest.raises(InternalError):
-                        r.exact_div(q, order)
-                else:
-                    _assert_same_poly(r.exact_div(q, order), expected)
 
 
 _FIELDS = (FieldSpec.rationals(), FieldSpec.prime_field(7))
@@ -289,5 +203,103 @@ def test_poly_round_trip_and_inverse_operations(pair):
     ring = p.ring
     assert parse_poly(format_poly(p), ring) == p
     assert (p + q) - q == p
-    if not q.is_zero:
-        assert (p * q).exact_div(q) == p
+
+
+# -- the shared-minor determinant against the algorithms it replaced -----------
+
+
+def _det_cofactor(m, ring: Ring) -> Poly:
+    """The former cofactor path of det (n <= 4), kept verbatim."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = ring.zero()
+    for j in range(n):
+        if m[0][j].is_zero:
+            continue
+        minor = [[m[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        sub = _det_cofactor(minor, ring)
+        term = m[0][j] * sub
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def _det_bareiss(m, ring: Ring, order) -> Poly:
+    """The former Bareiss path of det (n > 4), kept verbatim but for the
+    exact division, which now comes from the reference loop."""
+    n = len(m)
+    sign = 1
+    prev = ring.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            for r in range(k + 1, n):
+                if not m[r][k].is_zero:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return ring.zero()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = _reference_exact_div(num, prev, order)
+            m[i][k] = ring.zero()
+        prev = m[k][k]
+    d = m[n - 1][n - 1]
+    return -d if sign < 0 else d
+
+
+def _random_map(rng, ring, terms):
+    return Endo(
+        ring=ring,
+        images=tuple(
+            ring.var(i) ** 2 + random_poly(rng, ring, max_degree=2, max_terms=terms)
+            for i in range(ring.nvars)
+        ),
+    )
+
+
+def _random_matrix(rng, ring, n):
+    # about a third of the entries are zero
+    return [
+        [
+            random_poly(rng, ring, max_degree=2, max_terms=2)
+            if rng.random() < 0.7
+            else ring.zero()
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
+def test_det_matches_reference(Q, F7):
+    rng = random.Random(6606)
+    for field in (Q, F7):
+        ring = Ring(("x", "y"), field)
+        for n in range(1, 6):
+            cases = [_random_matrix(rng, ring, n) for _ in range(6)]
+            m = cases[0]
+            singular = [m[:-1] + [[ring.zero()] * n]]  # a zero row
+            if n > 1:
+                singular.append([m[1]] + m[1:])  # two equal rows
+            for m in cases + singular:
+                expected = _det_cofactor(m, ring)
+                _assert_same_poly(det(m), expected)
+                got = _det_bareiss([row[:] for row in m], ring, GREVLEX)
+                _assert_same_poly(got, expected)
+            for m in singular:
+                assert det(m).is_zero
+        for n in (4, 5):
+            vring = Ring(tuple(f"x{i + 1}" for i in range(n)), field)
+            for _ in range(3):
+                m = divided_differences(_random_map(rng, vring, 3))
+                _assert_same_poly(det(m), _det_cofactor(m, m[0][0].ring))
+
+
+def test_det_large_bezoutians_satisfy_diagonal_identity(Q, F7):
+    # sizes beyond the reference comparison, checked by Delta(x, x) = det J
+    rng = random.Random(6607)
+    for field in (Q, F7):
+        for n in (6, 7):
+            ring = Ring(tuple(f"x{i + 1}" for i in range(n)), field)
+            assert diagonal_bezoutian_identity(_random_map(rng, ring, 4))

@@ -16,7 +16,6 @@ from wittdeg import (
     diagonalize_with_transform,
     invariants,
     is_witt_zero,
-    make_gram_form,
     negate,
     orthogonal_sum,
     parse_diag,
@@ -32,6 +31,8 @@ from wittdeg.fields import (
 )
 from wittdeg.witt import _strip_obvious_pairs
 
+from conftest import canonical_gram
+
 
 def _mat_mul(a, b):
     return [
@@ -45,12 +46,12 @@ def _transpose(a):
 
 
 def test_diagonalize_hyperbolic_plane(Q):
-    g = make_gram_form(Q, [[0, 1], [1, 0]])
+    g = canonical_gram(Q, [[0, 1], [1, 0]])
     assert diagonalize(g).entries == (Fraction(2), Fraction(-2))
 
 
 def test_diagonalize_counterexample_gram(Q):
-    g = make_gram_form(
+    g = canonical_gram(
         Q, [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
     )
     d = diagonalize(g)
@@ -58,7 +59,7 @@ def test_diagonalize_counterexample_gram(Q):
 
 
 def test_diagonalize_identity(Q):
-    g = make_gram_form(Q, [[1 if i == j else 0 for j in range(3)] for i in range(3)])
+    g = canonical_gram(Q, [[1 if i == j else 0 for j in range(3)] for i in range(3)])
     assert diagonalize(g).entries == (Fraction(1),) * 3
 
 
@@ -118,7 +119,7 @@ def _audit_transform(rng, field):
     for _ in range(150):
         n = rng.randint(1, 9)
         m = _random_sparse_symmetric(rng, field, n)
-        g = make_gram_form(field, m)
+        g = canonical_gram(field, m)
         try:
             ref, repairs = _reference_elimination(field, g.matrix)
         except DegenerateForm:
@@ -146,9 +147,9 @@ def _audit_transform(rng, field):
 
 def test_degenerate_form_rejected(Q):
     with pytest.raises(DegenerateForm):
-        diagonalize(make_gram_form(Q, [[1, 1], [1, 1]]))
+        diagonalize(canonical_gram(Q, [[1, 1], [1, 1]]))
     with pytest.raises(DegenerateForm):
-        diagonalize(make_gram_form(Q, [[0, 0], [0, 0]]))
+        diagonalize(canonical_gram(Q, [[0, 0], [0, 0]]))
 
 
 def test_invariants_examples(Q):
@@ -327,11 +328,11 @@ def test_is_witt_zero_matches_strip_then_classify(field):
 def test_gram_form_rejects_non_symmetric_and_non_square(Q, F7):
     for field in (Q, F7):
         with pytest.raises(DegenerateForm):
-            make_gram_form(field, [[1, 2], [3, 1]])
+            canonical_gram(field, [[1, 2], [3, 1]])
         with pytest.raises(DegenerateForm):
-            make_gram_form(field, [[1, 2]])
+            canonical_gram(field, [[1, 2]])
         with pytest.raises(DegenerateForm):
-            make_gram_form(field, [[1, 2], [2]])
+            canonical_gram(field, [[1, 2], [2]])
 
 
 def test_diag_form_rejects_non_canonical_entries(Q, F7):
@@ -397,8 +398,8 @@ def test_congruence_invariance(Q):
             for i in range(n)
         ]
         conjugated = _mat_mul(_transpose(upper), _mat_mul(g, upper))
-        inv1 = invariants(diagonalize(make_gram_form(Q, g)))
-        inv2 = invariants(diagonalize(make_gram_form(Q, conjugated)))
+        inv1 = invariants(diagonalize(canonical_gram(Q, g)))
+        inv2 = invariants(diagonalize(canonical_gram(Q, conjugated)))
         assert inv1.equivalent(inv2)
 
 
