@@ -15,7 +15,9 @@ Job files::
     map x3 = x3
 
 Row files use the same header plus optional ``rel = <poly>`` lines and one
-``row = <poly>, <poly>, ...`` line.
+``row = <poly>, <poly>, ...`` line.  ``field``, ``vars`` and ``row`` may each
+appear once.  Every error in a line, including a bad field or scalar, is
+reported as a JobFileError carrying ``path:line``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .errors import (
     JobFileError,
     NotFiniteLength,
     NotOriginPreserving,
-    ParseError,
     SupportNotOrigin,
 )
 from .fields import FieldSpec
@@ -107,10 +108,14 @@ def parse_job_file(path: str) -> JobFile:
                 if not _ or not value:
                     raise JobFileError("expected 'key = value'")
                 if key == "field":
+                    if field is not None:
+                        raise JobFileError("duplicate 'field' line")
                     field = _parse_field(value)
                 elif key == "vars":
                     if field is None:
                         raise JobFileError("'field' must precede 'vars'")
+                    if ring is not None:
+                        raise JobFileError("duplicate 'vars' line")
                     names = [v.strip() for v in value.split(",")]
                     if "" in names:
                         raise JobFileError("empty variable name in 'vars'")
@@ -141,7 +146,7 @@ def parse_job_file(path: str) -> JobFile:
                     )
                 else:
                     raise JobFileError(f"unknown key {key!r}")
-            except (JobFileError, ParseError) as exc:
+            except AlgebraError as exc:
                 raise JobFileError(f"{path}:{lineno}: {exc}") from None
     if field is None or ring is None:
         raise JobFileError(f"{path}: missing 'field' or 'vars'")
@@ -347,13 +352,13 @@ def _describe_row(row: UnimodularRow) -> list[str]:
     return lines
 
 
-def _report_row(row: UnimodularRow, args, label: str = "row") -> int:
+def _report_row(row: UnimodularRow, args) -> int:
     cert = is_unimodular(row, by_name(args.order))
     if args.json:
         data = {
             "schema": 1,
             "field": str(row.algebra.ring.field),
-            label: [str(p) for p in row.entries],
+            "row": [str(p) for p in row.entries],
             "relations": [str(r) for r in row.algebra.relations],
             "unimodular": cert is not None,
         }
@@ -385,7 +390,7 @@ def _cmd_row_compose(args) -> int:
     if endo.field != row.algebra.ring.field:
         raise AlgebraError("row and endomorphism use different fields")
     composed = compose_with_endo(row, endo)
-    return _report_row(composed, args, label="row")
+    return _report_row(composed, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,13 +48,6 @@ from .witt import (
     tensor,
 )
 
-GENERATOR_NOTE = (
-    "class measured against the Koszul-complex generator of the Witt group "
-    "with supports at the origin; normalized so the identity endomorphism "
-    "has class <1>"
-)
-
-
 @dataclass(frozen=True)
 class Endo:
     """An endomorphism of the polynomial ring: variable i maps to images[i]."""
@@ -193,7 +186,6 @@ class DegreeReport:
     is_zero: bool
     divisible_by_n_factorial: bool
     divisible_by_nminus1_factorial: bool
-    generator_note: str = GENERATOR_NOTE
 
     def to_json_dict(self) -> dict:
         fmt = self.field.format_scalar

@@ -61,9 +61,6 @@ class GroebnerBasis:
     def ring(self) -> Ring:
         return self.generators[0].ring
 
-    def normal_form(self, p: Poly) -> Poly:
-        return normal_form(p, self)
-
 
 def buchberger(
     gens: Sequence[Poly],
@@ -192,9 +189,6 @@ class QuotientAlgebra:
     @property
     def ring(self) -> Ring:
         return self.gb.ring
-
-    def normal_form(self, p: Poly) -> Poly:
-        return normal_form(p, self.gb)
 
     @cached_property
     def _divisors(self) -> list:

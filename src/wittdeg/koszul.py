@@ -122,18 +122,6 @@ def _mat_scale(a, sign: int):
     return [[-x for x in row] for row in a]
 
 
-def _mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
-
-
 def _mat_is_zero(a) -> bool:
     return all(x.is_zero for row in a for x in row)
 
@@ -148,14 +136,12 @@ class DualityData:
 
     wedge_maps[i] and signed_maps[i] are matrices Lambda^i -> the dual of
     Lambda^{n-i} (rows indexed by (n-i)-subsets, columns by i-subsets);
-    entries are constants of the ring.  dual_sign_convention records the
-    frozen exponent family for the shifted-dual differentials.
+    entries are constants of the ring.
     """
 
     complex: KoszulComplex
     wedge_maps: tuple
     signed_maps: tuple
-    dual_sign_convention: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -184,9 +170,6 @@ def build_duality(kc: KoszulComplex) -> DualityData:
         complex=kc,
         wedge_maps=tuple(wedge),
         signed_maps=tuple(signed),
-        dual_sign_convention=tuple(
-            dual_differential_sign(i, n) for i in range(1, n + 1)
-        ),
     )
 
 
@@ -205,9 +188,9 @@ def resolve_dual_signs(dd: DualityData, maps=None) -> list[Optional[int]]:
     for i in range(1, n + 1):
         lhs = _mat_mul(maps[i - 1], kc.d(i), ring)
         rhs = _mat_mul(_mat_transpose(kc.d(n - i + 1)), maps[i], ring)
-        if _mat_eq(lhs, rhs):
+        if lhs == rhs:
             out.append(0)
-        elif _mat_eq(lhs, _mat_scale(rhs, -1)):
+        elif lhs == _mat_scale(rhs, -1):
             out.append(1)
         else:
             out.append(None)
@@ -237,7 +220,7 @@ def verify_symmetry(dd: DualityData, maps=None) -> bool:
     for i in range(n + 1):
         lhs = _mat_transpose(pairing_matrix(dd, n - i, maps))
         rhs = _mat_scale(pairing_matrix(dd, i, maps), sigma)
-        if not _mat_eq(lhs, rhs):
+        if lhs != rhs:
             return False
     return True
 

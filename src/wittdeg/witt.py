@@ -6,6 +6,10 @@ Conventions (fixed for reproducibility):
   - Hasse symbol at a place v is prod_{i<j} (a_i, a_j)_v;
   - the rank-2m hyperbolic form has Hasse symbol (-1,-1)_v^(m(m-1)/2).
 
+A Gram matrix is diagonalized by one symmetric elimination, _eliminate,
+which returns the raw pivots and nothing else: no caller needs the
+congruence transform P, so it is never built.
+
 The Hasse symbol is computed as prod_{j>=2} (a_1 ... a_{j-1}, a_j)_v, with
 the prefix products kept as running square classes: r - 1 Hilbert symbols
 per place instead of r(r-1)/2.  Both products agree because the Hilbert
@@ -96,27 +100,18 @@ def diag_form(field: FieldSpec, entries) -> DiagForm:
     )
 
 
-def diagonalize_with_transform(g: GramForm):
-    """(raw diagonal entries, P) with P^T * G * P diagonal.
+def diagonalize(g: GramForm) -> DiagForm:
+    """Diagonal form congruent to g, entries canonicalized."""
+    return diag_form(g.field, _eliminate(g))
+
+
+def _eliminate(g: GramForm) -> list:
+    """Raw diagonal entries of a form congruent to g.
 
     Symmetric Gaussian elimination; a zero diagonal pivot is repaired by a
     basis swap or, failing that, by adding another basis vector (2a != 0
     since the characteristic is not 2).  Raises DegenerateForm if the form
-    is singular.  Each pivot updates only the trailing block, and only at
-    the rows and columns where the pivot row is nonzero (see _eliminate);
-    diagonalize runs the same kernel without building P.
-    """
-    return _eliminate(g, True)
-
-
-def diagonalize(g: GramForm) -> DiagForm:
-    """Diagonal form congruent to g, entries canonicalized."""
-    raw, _ = _eliminate(g, False)
-    return diag_form(g.field, raw)
-
-
-def _eliminate(g: GramForm, track_transform: bool):
-    """Kernel of diagonalize_with_transform; P is built only when tracked.
+    is singular.
 
     Pivot k subtracts c_r = m[k][r] / m[k][k] times row and column k from
     each later index r: on the trailing block this is the Schur complement
@@ -131,12 +126,6 @@ def _eliminate(g: GramForm, track_transform: bool):
     q = field.modulus
     n = len(g.matrix)
     m = [list(row) for row in g.matrix]
-    # P is kept by columns: a basis change e_dst += c * e_src rewrites column dst
-    cols = None
-    if track_transform:
-        cols = [
-            [field.one if i == j else field.zero for i in range(n)] for j in range(n)
-        ]
     pivots = []
     for k in range(n):
         if not m[k][k]:
@@ -146,8 +135,6 @@ def _eliminate(g: GramForm, track_transform: bool):
                 m[k], m[t] = m[t], m[k]
                 for row in m:
                     row[k], row[t] = row[t], row[k]
-                if cols is not None:
-                    cols[k], cols[t] = cols[t], cols[k]
             else:
                 t = next((t for t in range(k + 1, n) if m[k][t]), None)
                 if t is None:
@@ -155,14 +142,13 @@ def _eliminate(g: GramForm, track_transform: bool):
                         "form is degenerate (zero block of positive size)"
                     )
                 # e_k += e_t; m[k][k] and m[t][t] are zero, so the new
-                # pivot is 2 m[k][t]
+                # pivot is 2 m[k][t].  Only row k is rewritten: column k
+                # below the diagonal is never read again.
                 row_k, row_t = m[k], m[t]
                 pivot = field.mul(field.from_int(2), row_k[t])
                 for s in range(k + 1, n):
-                    row_k[s] = m[s][k] = field.add(row_k[s], row_t[s])
+                    row_k[s] = field.add(row_k[s], row_t[s])
                 row_k[k] = pivot
-                if cols is not None:
-                    cols[k] = [field.add(a, b) for a, b in zip(cols[k], cols[t])]
         row_k = m[k]
         pivot = row_k[k]
         pivots.append(pivot)
@@ -179,13 +165,7 @@ def _eliminate(g: GramForm, track_transform: bool):
             else:
                 for s in support[i:]:
                     row_r[s] = m[s][r] = (row_r[s] - c * row_k[s]) % q
-            if cols is not None:
-                cols[r] = [
-                    field.sub(a, field.mul(c, b)) for a, b in zip(cols[r], cols[k])
-                ]
-    if cols is None:
-        return pivots, None
-    return pivots, [list(row) for row in zip(*cols)]
+    return pivots
 
 
 @dataclass(frozen=True)

@@ -18,23 +18,22 @@ from wittdeg import (
     buchberger,
     degree_of,
     diag_form,
-    diagonal_bezoutian_identity,
     diagonalize,
     hilbert_symbol,
     invariants,
     is_unimodular,
     is_witt_zero,
-    negate,
     normal_form,
-    orthogonal_sum,
-    power_endo,
     relevant_places,
     square_class,
-    universal_row,
-    univariate_tensor_oracle,
-    witt_equal,
 )
-from wittdeg.umrow import compose_with_endo
+from wittdeg.degree import (
+    diagonal_bezoutian_identity,
+    power_endo,
+    univariate_tensor_oracle,
+)
+from wittdeg.umrow import compose_with_endo, universal_row
+from wittdeg.witt import negate, orthogonal_sum, witt_equal
 
 from conftest import (
     canonical_gram,

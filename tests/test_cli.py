@@ -120,6 +120,32 @@ def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
     assert "duplicate variable 'x'" in err
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # neither may win silently: a later field would not be the one the
+        # maps were parsed over, and a later ring would not hold them
+        ("field = Q\nvars = x\nmap x = x^2\nfield = F7\n", 4, "duplicate 'field' line"),
+        ("field = Q\nvars = x\nmap x = x^2\nvars = x, y\n", 4, "duplicate 'vars' line"),
+        # field and scalar errors are located like every other line error
+        ("field = F2\nvars = x\nmap x = x^2\n", 1, "characteristic 2"),
+        ("field = F9\nvars = x\nmap x = x^2\n", 1, "modulus 9 is not prime"),
+        ("field = F7\nvars = x\nmap x = 1/7*x^2\n", 3, "denominator divisible by 7"),
+    ],
+    ids=["field-twice", "vars-twice", "F2", "F9", "1/7-over-F7"],
+)
+def test_degree_exit_2_line_error_carries_location(
+    tmp_path, capsys, text, line, message
+):
+    job = tmp_path / "bad.job"
+    job.write_text(text)
+    code, out, err = run_cli(capsys, "degree", str(job))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: JobFileError: {job}:{line}: {message}")
+    assert "Traceback" not in err
+
+
 def test_nori_check_counterexample(capsys):
     code, out, _ = run_cli(capsys, "nori-check", "docs/jobs/counterexample.job")
     assert code == 0

@@ -9,40 +9,40 @@ import pytest
 from wittdeg import (
     Endo,
     GREVLEX,
-    GroebnerBasis,
     InternalError,
-    LEX,
     NotFiniteLength,
     NotOriginPreserving,
     Poly,
     Ring,
     SupportNotOrigin,
-    bezoutian,
     buchberger,
     degree_of,
     det,
     diag_form,
-    diagonal_bezoutian_identity,
-    gram_form,
     is_witt_zero,
     normal_form,
     parse_poly,
-    power_endo,
     square_class,
     standard_monomials,
     tensor,
-    univariate_power_form,
-    univariate_tensor_oracle,
-    validate,
-    witt_equal,
 )
 
 from wittdeg import degree
-from wittdeg.degree import _gram_from_quotient
-from wittdeg.groebner import QuotientAlgebra
+from wittdeg.degree import (
+    _gram_from_quotient,
+    bezoutian,
+    diagonal_bezoutian_identity,
+    gram_form,
+    power_endo,
+    univariate_power_form,
+    univariate_tensor_oracle,
+    validate,
+)
+from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
 from wittdeg.cli import run
+from wittdeg.orders import LEX
 from wittdeg.poly import format_monomial
-from wittdeg.witt import GramForm
+from wittdeg.witt import GramForm, witt_equal
 
 from conftest import (
     counterexample_endo,

@@ -7,17 +7,15 @@ import pytest
 from wittdeg import (
     AlgebraError,
     EvenModulus,
-    FACTOR_BOUND,
     FactorBoundExceeded,
     FieldSpec,
     ZeroScalar,
     hilbert_symbol,
-    legendre,
     relevant_places,
     square_class,
     square_class_mul,
 )
-from wittdeg.fields import _odd_primes
+from wittdeg.fields import FACTOR_BOUND, _odd_primes, legendre
 
 
 def test_fieldspec_rejects_char_2():

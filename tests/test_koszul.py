@@ -5,18 +5,23 @@ import pytest
 from wittdeg import (
     Ring,
     RingMismatch,
-    build_koszul,
     dual_differential_sign,
     generic_duality,
-    negated_level,
-    pairing_matrix,
     resolve_dual_signs,
     symmetry_sign,
     verify_chain_map,
     verify_symmetry,
+)
+from wittdeg.koszul import (
+    _mat_is_zero,
+    _mat_mul,
+    _mat_transpose,
+    build_koszul,
+    negated_level,
+    pairing_matrix,
+    rho_sign_exponent,
     wedge_basis,
 )
-from wittdeg.koszul import _mat_mul, _mat_is_zero, _mat_transpose, rho_sign_exponent
 
 from conftest import random_poly
 
@@ -88,6 +93,16 @@ def test_resolved_convention_is_frozen_family(Q):
         resolved = resolve_dual_signs(dd)
         assert resolved == [dual_differential_sign(i, n) for i in range(1, n + 1)]
         assert all(s == n % 2 for s in resolved)
+
+
+def test_resolve_dual_signs_all_three_outcomes(Q):
+    dd = generic_duality(Q, 2)
+    # negating level 0 flips the sign of square 1 only
+    assert resolve_dual_signs(dd, negated_level(dd.signed_maps, 0)) == [1, 0]
+    # a doubled level 1 matches neither sign in either square it enters
+    doubled = list(dd.signed_maps)
+    doubled[1] = tuple(tuple(x + x for x in row) for row in doubled[1])
+    assert resolve_dual_signs(dd, tuple(doubled)) == [None, None]
 
 
 def test_chain_map_signed_family(Q):

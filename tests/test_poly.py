@@ -13,12 +13,12 @@ from wittdeg import (
     FieldSpec,
     Poly,
     det,
-    format_poly,
     jacobian_det,
     parse_poly,
 )
 from wittdeg.degree import Endo, diagonal_bezoutian_identity
 from wittdeg.orders import GREVLEX
+from wittdeg.poly import format_poly
 
 from conftest import (
     _reference_add,

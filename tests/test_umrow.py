@@ -10,17 +10,15 @@ from wittdeg import (
     InternalError,
     Ring,
     UnimodularRow,
-    apply_elementary,
     buchberger,
-    build_section,
     compose_with_endo,
     is_unimodular,
     normal_form,
     obstruction_report,
     parse_poly,
-    universal_row,
 )
 from wittdeg import umrow
+from wittdeg.umrow import apply_elementary, build_section, universal_row
 from wittdeg.cli import run
 
 from conftest import counterexample_endo, make_endo

@@ -13,15 +13,11 @@ from wittdeg import (
     NonCanonicalForm,
     diag_form,
     diagonalize,
-    diagonalize_with_transform,
     invariants,
     is_witt_zero,
-    negate,
-    orthogonal_sum,
     parse_diag,
     tensor,
     witt_class_display,
-    witt_equal,
 )
 from wittdeg.fields import (
     hilbert_symbol,
@@ -29,7 +25,13 @@ from wittdeg.fields import (
     square_class,
     square_class_mul,
 )
-from wittdeg.witt import _strip_obvious_pairs
+from wittdeg.witt import (
+    _eliminate,
+    _strip_obvious_pairs,
+    negate,
+    orthogonal_sum,
+    witt_equal,
+)
 
 from conftest import canonical_gram
 
@@ -65,15 +67,19 @@ def test_diagonalize_identity(Q):
 
 def _reference_elimination(field, rows):
     """Full-matrix symmetric elimination, every basis change applied to the
-    whole matrix: (pivots, repairs) or DegenerateForm.  ``repairs`` names
-    the fix-up each zero pivot needed ("swap" or "add")."""
+    whole matrix and to the transform P: (pivots, repairs, P) with
+    P^T G P == diag(pivots), or DegenerateForm.  ``repairs`` names the
+    fix-up each zero pivot needed ("swap" or "add")."""
     n = len(rows)
     m = [list(r) for r in rows]
+    p = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
     repairs = []
 
     def add(dst, src, c):
+        # e_dst += c * e_src: column and row operation on m, column on P
         for r in range(n):
             m[r][dst] = field.add(m[r][dst], field.mul(c, m[r][src]))
+            p[r][dst] = field.add(p[r][dst], field.mul(c, p[r][src]))
         for r in range(n):
             m[dst][r] = field.add(m[dst][r], field.mul(c, m[src][r]))
 
@@ -84,6 +90,7 @@ def _reference_elimination(field, rows):
                 repairs.append("swap")
                 for r in range(n):
                     m[r][k], m[r][t] = m[r][t], m[r][k]
+                    p[r][k], p[r][t] = p[r][t], p[r][k]
                 m[k], m[t] = m[t], m[k]
             else:
                 t = next((t for t in range(k + 1, n) if m[k][t]), None)
@@ -94,7 +101,7 @@ def _reference_elimination(field, rows):
         for r in range(k + 1, n):
             if m[r][k]:
                 add(r, k, field.neg(field.div(m[r][k], m[k][k])))
-    return [m[i][i] for i in range(n)], repairs
+    return [m[i][i] for i in range(n)], repairs, p
 
 
 def _random_sparse_symmetric(rng, field, n):
@@ -107,8 +114,9 @@ def _random_sparse_symmetric(rng, field, n):
 
 
 def test_diagonalize_transform_audit(Q, F7):
-    """P^T G P == diag(raw), and raw equals the full-matrix reference, on
-    sparse forms that need both pivot repairs or are degenerate."""
+    """The reference transform P satisfies P^T G P == diag(reference
+    pivots), and the production pivots equal the reference pivots exactly,
+    on sparse forms that need both pivot repairs or are degenerate."""
     rng = random.Random(11)
     for field in (Q, F7):
         _audit_transform(rng, field)
@@ -121,27 +129,26 @@ def _audit_transform(rng, field):
         m = _random_sparse_symmetric(rng, field, n)
         g = canonical_gram(field, m)
         try:
-            ref, repairs = _reference_elimination(field, g.matrix)
+            ref, repairs, p = _reference_elimination(field, g.matrix)
         except DegenerateForm:
             seen["degenerate"] += 1
             with pytest.raises(DegenerateForm):
-                diagonalize_with_transform(g)
+                _eliminate(g)
             with pytest.raises(DegenerateForm):
                 diagonalize(g)
             continue
         for kind in repairs:
             seen[kind] += 1
-        raw, p = diagonalize_with_transform(g)
-        assert raw == ref
-        assert diagonalize(g) == diag_form(field, raw)
         ptgp = _mat_mul(_transpose(p), _mat_mul([list(r) for r in g.matrix], p))
         if not field.is_rationals:
             ptgp = [[x % field.modulus for x in row] for row in ptgp]
         assert all(
-            ptgp[i][j] == (raw[i] if i == j else 0)
+            ptgp[i][j] == (ref[i] if i == j else 0)
             for i in range(n)
             for j in range(n)
         )
+        assert _eliminate(g) == ref
+        assert diagonalize(g) == diag_form(field, ref)
     assert all(seen.values()), seen
 
 
