@@ -23,6 +23,7 @@ reported as a JobFileError carrying ``path:line``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -453,9 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `run` call and reused by later ones;
+    parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except HYPOTHESIS_ERRORS as exc:

@@ -18,6 +18,16 @@ degree pipeline reuses the same table for the Gram matrix.
 
 Cofactors express every basis element exactly as a combination of the input
 generators; they are what certificate extraction (1 = sum c_i * g_i) needs.
+They are built lazily.  While Buchberger runs, a working entry carries only
+a recipe: its discovery index, its origin (a generator index, or the S-pair
+parents and their shifts), the step log of its reduction and the inverse
+that made it monic.  A remainder that reduces to zero, as most S-polynomials
+do, keeps nothing.  Once the minimal basis is chosen, only its entries and
+their ancestors are replayed, in discovery order, with the same
+`_add_shifted` calls in the same order as eager tracking would make, so the
+cofactors are identical term for term.  Autoreduction then replays its own
+step logs into the kept vectors.
+
 Everything is deterministic: normal selection strategy (smallest lcm first,
 ties by input index), basis sorted by leading monomial.
 """
@@ -49,7 +59,9 @@ class GroebnerBasis:
     """A reduced Groebner basis, optionally with generator cofactors.
 
     When cofactors are present, basis[k] == sum(cofactors[k][m] *
-    generators[m]) holds exactly.
+    generators[m]) holds exactly.  They are replayed from recipes for the
+    returned basis only (see the module docstring), and equal what tracking
+    every intermediate vector would give.
     """
 
     generators: tuple[Poly, ...]
@@ -78,40 +90,35 @@ def buchberger(
     field = ring.field
     q = field.modulus
     minus_one = field.from_int(-1)
-    m = len(gens)
-    # monic working basis as _entry tuples, in order of discovery
+    # monic working basis as _entry tuples, in order of discovery; the fourth
+    # slot is the entry's cofactor recipe, or None when cofactors are off
     work: list[tuple] = []
     # heap of pending pairs (order key of their lcm, i, j): smallest lcm first
     pairs: list[tuple] = []
 
-    def append(terms: dict, cof) -> None:
+    def append(terms: dict, origin) -> None:
         """Reduce terms by the working basis and keep a nonzero remainder."""
-        rem = _reduce(terms, work, order, field, cof)
+        log = None if origin is None else []
+        rem = _reduce(terms, work, order, field, log)
         if not rem:
             return
         lead, lc, tail, _ = _entry(rem, order)
         inv = field.inv(lc)
         tail = {e: field.mul(v, inv) for e, v in tail.items()}
-        if cof is not None:
-            cof = [{e: field.mul(v, inv) for e, v in c.items()} for c in cof]
         for i, w in enumerate(work):
             lcm = tuple(map(max, w[0], lead))
             heapq.heappush(pairs, (order.key(lcm), i, len(work)))
-        work.append((lead, field.one, tail, cof))
+        recipe = None if origin is None else (len(work), origin, log, inv)
+        work.append((lead, field.one, tail, recipe))
 
     for k, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        cof = None
-        if track_cofactors:
-            cof = [{} for _ in range(m)]
-            cof[k] = {(0,) * ring.nvars: field.one}
-        append(dict(g.terms), cof)
+        if not g.is_zero:
+            append(dict(g.terms), k if track_cofactors else None)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        li, _, tail_i, cof_i = work[i]
-        lj, _, tail_j, cof_j = work[j]
+        li, _, tail_i, _ = work[i]
+        lj, _, tail_j, _ = work[j]
         lcm = tuple(map(max, li, lj))
         if lcm == tuple(map(add, li, lj)):
             continue  # coprime leading monomials: S-polynomial reduces to 0
@@ -121,37 +128,84 @@ def buchberger(
         s = {}
         _add_shifted(s, tail_i, si, field.one, q)
         _add_shifted(s, tail_j, sj, minus_one, q)
-        cof = None
-        if track_cofactors:
-            cof = [{} for _ in range(m)]
-            for dst, a, b in zip(cof, cof_i, cof_j):
-                _add_shifted(dst, a, si, field.one, q)
-                _add_shifted(dst, b, sj, minus_one, q)
-        append(s, cof)
+        append(s, (i, j, si, sj) if track_cofactors else None)
 
     return _reduce_basis(tuple(gens), work, order, track_cofactors)
 
 
+def _replay(cof: list, log: list, cofs: list, q) -> None:
+    """cof += the steps of a `_reduce` log, tags being recipes into cofs."""
+    for tag, shift, c in log:
+        for dst, src in zip(cof, cofs[tag[0]]):
+            _add_shifted(dst, src, shift, c, q)
+
+
+def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
+    """Cofactor vectors, by discovery index, of kept and its ancestors.
+
+    An entry's ancestors are its S-pair parents and the divisors in its step
+    log, all discovered before it.  One descending pass marks them; one
+    ascending pass replays each marked recipe exactly as it was built: the
+    unit vector or the shifted parent vectors, the logged steps, then the
+    normalising inverse.  Every other entry gets None.
+    """
+    field = ring.field
+    q = field.modulus
+    minus_one = field.from_int(-1)
+    needed = [False] * len(work)
+    for w in kept:
+        needed[w[3][0]] = True
+    for idx in range(len(work) - 1, -1, -1):
+        if needed[idx]:
+            _, origin, log, _ = work[idx][3]
+            if not isinstance(origin, int):
+                needed[origin[0]] = needed[origin[1]] = True
+            for tag, _, _ in log:
+                needed[tag[0]] = True
+    cofs: list = [None] * len(work)
+    for idx, w in enumerate(work):
+        if not needed[idx]:
+            continue
+        _, origin, log, inv = w[3]
+        cof = [{} for _ in range(m)]
+        if isinstance(origin, int):
+            cof[origin] = {(0,) * ring.nvars: field.one}
+        else:
+            i, j, si, sj = origin
+            for dst, a, b in zip(cof, cofs[i], cofs[j]):
+                _add_shifted(dst, a, si, field.one, q)
+                _add_shifted(dst, b, sj, minus_one, q)
+        _replay(cof, log, cofs, q)
+        cofs[idx] = [{e: field.mul(v, inv) for e, v in c.items()} for c in cof]
+    return cofs
+
+
 def _reduce_basis(gens, work, order, track) -> GroebnerBasis:
     ring = gens[0].ring
+    field = ring.field
     # minimal basis: drop elements whose leading monomial another divides
-    work = sorted(work, key=lambda w: order.key(w[0]))
     kept: list[tuple] = []
-    for w in work:
+    for w in sorted(work, key=lambda w: order.key(w[0])):
         if not any(_divides(k[0], w[0]) for k in kept):
             kept.append(w)
-    # autoreduce tails until stable
+    log = None
+    if track:
+        cofs = _cofactors(work, kept, len(gens), ring)
+        log = []
+    # autoreduce tails until stable; the kept entries keep their recipes as
+    # tags, and a step log is replayed into the reduced entry's vector
     changed = True
     while changed:
         changed = False
-        for idx, (lead, lc, tail, cof) in enumerate(kept):
+        for idx, (lead, lc, tail, recipe) in enumerate(kept):
             terms = {lead: lc, **tail}
             others = kept[:idx] + kept[idx + 1 :]
-            # cof changes in place only when a reduction step happens, and
-            # then the remainder differs from terms and replaces the entry
-            rem = _reduce(dict(terms), others, order, ring.field, cof)
+            rem = _reduce(dict(terms), others, order, field, log)
             if rem != terms:
-                kept[idx] = _entry(rem, order, cof)
+                if track:
+                    _replay(cofs[recipe[0]], log, cofs, field.modulus)
+                    log.clear()
+                kept[idx] = _entry(rem, order, recipe)
                 changed = True
     kept.sort(key=lambda w: order.key(w[0]))
     return GroebnerBasis(
@@ -159,7 +213,9 @@ def _reduce_basis(gens, work, order, track) -> GroebnerBasis:
         basis=tuple(Poly(ring, {lead: lc, **tail}) for lead, lc, tail, _ in kept),
         order=order,
         cofactors=(
-            tuple(tuple(Poly(ring, c) for c in w[3]) for w in kept) if track else None
+            tuple(tuple(Poly(ring, c) for c in cofs[w[3][0]]) for w in kept)
+            if track
+            else None
         ),
     )
 

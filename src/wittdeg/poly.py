@@ -45,15 +45,16 @@ def _divides(a, b) -> bool:
     return all(map(le, a, b))
 
 
-def _entry(terms: dict, order: MonomialOrder, cof=None):
-    """A divisor as (leading exponents, leading coefficient, tail, cof).
+def _entry(terms: dict, order: MonomialOrder, tag=None):
+    """A divisor as (leading exponents, leading coefficient, tail, tag).
 
     terms is a nonzero term dict, the tail a new dict of its other terms;
-    cof is the divisor's cofactor vector when cofactors are tracked.
+    tag is an opaque label that `_reduce` logs with every step by this
+    divisor; Buchberger puts the entry's cofactor recipe there.
     """
     lead = max(terms, key=order.key)
     tail = dict(terms)
-    return lead, tail.pop(lead), tail, cof
+    return lead, tail.pop(lead), tail, tag
 
 
 def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
@@ -72,16 +73,19 @@ def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
             del dst[e]
 
 
-def _reduce(terms: dict, basis, order: MonomialOrder, field, cof=None) -> dict:
+def _reduce(terms: dict, basis, order: MonomialOrder, field, log=None) -> dict:
     """Remainder of terms on division by basis; terms is consumed.
 
     basis is a list of `_entry` tuples.  The first entry in list order whose
     leading monomial divides the current leading term reduces it; a leading
     term that no entry divides moves to the remainder.  The leading terms of
     the working dict strictly decrease, so the remainder is exact and no
-    remainder term is divisible by a leading monomial of the basis.  When cof
-    is given (one term dict per generator), it is updated in place by the
-    same multiples of the entries' cofactor vectors.  (Cox, Little, O'Shea,
+    remainder term is divisible by a leading monomial of the basis.  When log
+    is a list, each step appends (tag, shift, c): terms += c * x^shift *
+    divisor, tag being the divisor entry's fourth slot.  Starting from the
+    cofactor vector of terms, replaying the log through `_add_shifted` with
+    the divisors' vectors gives the remainder's vector, so a caller pays for
+    cofactors only when it keeps the remainder.  (Cox, Little, O'Shea,
     *Ideals, Varieties, and Algorithms*, section 2.3.)
     """
     q = field.modulus
@@ -90,7 +94,7 @@ def _reduce(terms: dict, basis, order: MonomialOrder, field, cof=None) -> dict:
     while terms:
         ce = max(terms, key=key)
         cc = terms.pop(ce)
-        for de, dc, tail, dcof in basis:
+        for de, dc, tail, tag in basis:
             if _divides(de, ce):
                 break
         else:
@@ -99,9 +103,8 @@ def _reduce(terms: dict, basis, order: MonomialOrder, field, cof=None) -> dict:
         c = -cc / dc if q is None else -cc * pow(dc, -1, q) % q
         shift = tuple(map(sub, ce, de))
         _add_shifted(terms, tail, shift, c, q)
-        if cof is not None:
-            for dst, src in zip(cof, dcof):
-                _add_shifted(dst, src, shift, c, q)
+        if log is not None:
+            log.append((tag, shift, c))
     return rem
 
 

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from wittdeg import cli
 from wittdeg.cli import run
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -247,3 +248,32 @@ def test_row_compose_arity_mismatch(tmp_path, capsys):
     )
     assert code == 2
     assert "ArityMismatch" in err
+
+
+def test_reused_parser_matches_fresh_calls(capsys):
+    job = "docs/jobs/counterexample.job"
+    calls = (
+        ["degree"],  # usage error: the job file is missing
+        ["degree", job],
+        ["--json", "row", "compose", "docs/jobs/taut3.row", job],
+        ["witt", "invariants", "1,1,-2"],
+    )
+
+    def call(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = f"SystemExit {exc.code}"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert fresh[0][0] == "SystemExit 2"
+    assert "usage: wittdeg degree" in fresh[0][2]
+    assert [code for code, _, _ in fresh[1:]] == [0, 0, 0]
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1

@@ -1,5 +1,8 @@
+import functools
+import heapq
 import itertools
 import random
+from operator import add, sub
 
 import pytest
 
@@ -16,9 +19,11 @@ from wittdeg import (
     supported_only_at_origin,
     groebner,
 )
+from wittdeg.degree import Endo
 from wittdeg.groebner import GroebnerBasis
 from wittdeg.orders import LEX
-from wittdeg.poly import _entry, _reduce
+from wittdeg.poly import Poly, _add_shifted, _entry, _reduce
+from wittdeg.umrow import compose_with_endo, universal_row
 
 from conftest import random_poly
 
@@ -339,10 +344,215 @@ def test_reduce_matches_reference_cofactor_tracking(Q, F7):
                 _entry(d.terms, order, [c.terms for c in cv])
                 for d, cv in zip(divisors, cofs)
             ]
-            got_cof = [dict(c.terms) for c in start]
-            got = _reduce(dict(p.terms), entries, order, field, got_cof)
+            log = []
+            got = _reduce(dict(p.terms), entries, order, field, log)
             assert got == rem.terms
+            # the log replays into the cofactors the old in-place loop built
+            got_cof = [dict(c.terms) for c in start]
+            for vec, shift, c in log:
+                for dst, src in zip(got_cof, vec):
+                    _add_shifted(dst, src, shift, c, field.modulus)
             assert got_cof == [c.terms for c in cof]
+
+
+# -- lazy cofactors against the eager Buchberger they replaced -----------------
+
+
+def _eager_reduce(terms, basis, order, field, cof=None):
+    """The former division kernel with in-place cofactors, kept verbatim."""
+    q = field.modulus
+    key = functools.cache(order.key)  # local: each call's terms are keyed once
+    rem = {}
+    while terms:
+        ce = max(terms, key=key)
+        cc = terms.pop(ce)
+        for de, dc, tail, dcof in basis:
+            if _divides(de, ce):
+                break
+        else:
+            rem[ce] = cc
+            continue
+        c = -cc / dc if q is None else -cc * pow(dc, -1, q) % q
+        shift = tuple(map(sub, ce, de))
+        _add_shifted(terms, tail, shift, c, q)
+        if cof is not None:
+            for dst, src in zip(cof, dcof):
+                _add_shifted(dst, src, shift, c, q)
+    return rem
+
+
+def _eager_buchberger(gens, order=GREVLEX, track_cofactors=False):
+    """The former eager cofactor-tracking Buchberger, kept verbatim but for
+    the kernel it calls."""
+    ring = gens[0].ring
+    field = ring.field
+    q = field.modulus
+    minus_one = field.from_int(-1)
+    m = len(gens)
+    # monic working basis as _entry tuples, in order of discovery
+    work = []
+    # heap of pending pairs (order key of their lcm, i, j): smallest lcm first
+    pairs = []
+
+    def append(terms, cof):
+        """Reduce terms by the working basis and keep a nonzero remainder."""
+        rem = _eager_reduce(terms, work, order, field, cof)
+        if not rem:
+            return
+        lead, lc, tail, _ = _entry(rem, order)
+        inv = field.inv(lc)
+        tail = {e: field.mul(v, inv) for e, v in tail.items()}
+        if cof is not None:
+            cof = [{e: field.mul(v, inv) for e, v in c.items()} for c in cof]
+        for i, w in enumerate(work):
+            lcm = tuple(map(max, w[0], lead))
+            heapq.heappush(pairs, (order.key(lcm), i, len(work)))
+        work.append((lead, field.one, tail, cof))
+
+    for k, g in enumerate(gens):
+        if g.is_zero:
+            continue
+        cof = None
+        if track_cofactors:
+            cof = [{} for _ in range(m)]
+            cof[k] = {(0,) * ring.nvars: field.one}
+        append(dict(g.terms), cof)
+
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        li, _, tail_i, cof_i = work[i]
+        lj, _, tail_j, cof_j = work[j]
+        lcm = tuple(map(max, li, lj))
+        if lcm == tuple(map(add, li, lj)):
+            continue  # coprime leading monomials: S-polynomial reduces to 0
+        si = tuple(map(sub, lcm, li))
+        sj = tuple(map(sub, lcm, lj))
+        # x^si * f_i - x^sj * f_j: both are monic, so the leading terms cancel
+        s = {}
+        _add_shifted(s, tail_i, si, field.one, q)
+        _add_shifted(s, tail_j, sj, minus_one, q)
+        cof = None
+        if track_cofactors:
+            cof = [{} for _ in range(m)]
+            for dst, a, b in zip(cof, cof_i, cof_j):
+                _add_shifted(dst, a, si, field.one, q)
+                _add_shifted(dst, b, sj, minus_one, q)
+        append(s, cof)
+
+    return _eager_reduce_basis(tuple(gens), work, order, track_cofactors)
+
+
+def _eager_reduce_basis(gens, work, order, track):
+    ring = gens[0].ring
+    # minimal basis: drop elements whose leading monomial another divides
+    work = sorted(work, key=lambda w: order.key(w[0]))
+    kept = []
+    for w in work:
+        if not any(_divides(k[0], w[0]) for k in kept):
+            kept.append(w)
+    # autoreduce tails until stable
+    changed = True
+    while changed:
+        changed = False
+        for idx, (lead, lc, tail, cof) in enumerate(kept):
+            terms = {lead: lc, **tail}
+            others = kept[:idx] + kept[idx + 1 :]
+            # cof changes in place only when a reduction step happens, and
+            # then the remainder differs from terms and replaces the entry
+            rem = _eager_reduce(dict(terms), others, order, ring.field, cof)
+            if rem != terms:
+                kept[idx] = _entry(rem, order, cof)
+                changed = True
+    kept.sort(key=lambda w: order.key(w[0]))
+    return GroebnerBasis(
+        generators=gens,
+        basis=tuple(Poly(ring, {lead: lc, **tail}) for lead, lc, tail, _ in kept),
+        order=order,
+        cofactors=(
+            tuple(tuple(Poly(ring, c) for c in w[3]) for w in kept) if track else None
+        ),
+    )
+
+
+def _triangular_endo(rng, field, ms):
+    """x_i -> c * x_i^{m_i} + sum_{j<i} x_j * g_ij with two-term g_ij of
+    degree at most 1: the shape of the endomorphisms in the rows benchmark."""
+    ring = Ring(("x1", "x2", "x3"), field)
+    c = rng.choice((1, -1, 2, -2, 3))
+    images = []
+    for i, m in enumerate(ms):
+        exps = [0] * 3
+        exps[i] = m
+        p = ring.monomial(exps, c)
+        for j in range(i):
+            tail = random_poly(rng, ring, max_degree=1, max_terms=2)
+            p = p + ring.var(j) * tail
+        images.append(p)
+    return Endo(ring=ring, images=tuple(images))
+
+
+def _chain_ideal(rng, ring):
+    """x_i^m_i plus terms in the later variables only: the leading monomials
+    are coprime, and autoreduction reduces each element by the later ones."""
+    gens = []
+    for i in range(ring.nvars):
+        exps = [0] * ring.nvars
+        exps[i] = rng.randint(1, 3)
+        tail = random_poly(rng, ring, max_degree=3, max_terms=3).terms
+        tail = {e: c for e, c in tail.items() if not any(e[: i + 1])}
+        gens.append(ring.monomial(exps) + Poly(ring, tail))
+    return gens
+
+
+def _lazy_equals_eager(gens, order):
+    expected = _eager_buchberger(gens, order, track_cofactors=True)
+    assert buchberger(gens, order, track_cofactors=True) == expected
+    return expected
+
+
+def test_buchberger_cofactors_match_eager_reference(Q, F7):
+    rng = random.Random(1729)
+    seen = {"unit": 0, "zero": 0, "duplicate": 0, "several": 0}
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        for _ in range(25):
+            ring = Ring(tuple("xyz"[: rng.randint(2, 3)]), field)
+            gens = [
+                random_poly(rng, ring, max_degree=2, max_terms=3)
+                for _ in range(rng.randint(1, 3))
+            ]
+            roll = rng.random()
+            if roll < 0.25:
+                gens.insert(rng.randint(0, len(gens)), ring.zero())
+                seen["zero"] += 1
+            elif roll < 0.5:
+                gens.append(rng.choice(gens))
+                seen["duplicate"] += 1
+            gb = _lazy_equals_eager(gens, order)
+            seen["unit"] += gb.basis == (ring.one(),)
+        # finite quotients with bases of several elements; three variables
+        # only under GREVLEX, because under LEX one such basis over Q took
+        # 84 s even without cofactors (only the coprime criterion prunes
+        # pairs)
+        for _ in range(10):
+            nvars = rng.randint(2, 3) if order is GREVLEX else 2
+            ring = Ring(tuple("xyz"[:nvars]), field)
+            gb = _lazy_equals_eager(_random_finite_ideal(rng, ring), order)
+            seen["several"] += len(gb.basis) > 2
+    assert min(seen.values()) >= 10
+    rng = random.Random(4104)
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        for _ in range(10):
+            _lazy_equals_eager(_chain_ideal(rng, Ring(("x", "y", "z"), field)), order)
+        # the tautological row over S_3 composed with rows-benchmark shapes;
+        # one draw per shape under LEX, where one such basis over Q took 3 s,
+        # and 100 s with eager cofactors
+        row = universal_row(field, 3)
+        draws = 3 if order is GREVLEX else 1
+        for ms in draws * ((1, 1, 2), (1, 2, 2), (2, 1, 2), (1, 2, 1)):
+            composed = compose_with_endo(row, _triangular_endo(rng, field, ms))
+            gens = list(composed.entries) + list(row.algebra.relations)
+            gb = _lazy_equals_eager(gens, order)
+            assert gb.basis == (row.algebra.ring.one(),)
 
 
 def test_reduce_uses_first_divisor_in_list_order(Q):
