@@ -190,8 +190,8 @@ def _print_degree_verbose(report: DegreeReport) -> None:
     print(f"standard monomials: {', '.join(report.gram.basis_labels)}")
     print("gram matrix:")
     fmt = report.field.format_scalar
-    for row in report.gram.matrix:
-        print("  [" + ", ".join(fmt(x) for x in row) + "]")
+    for row in report.gram.dense(fmt):
+        print("  [" + ", ".join(row) + "]")
     print(f"diagonal form: {report.diag}")
     _print_invariants(report.invariants, fmt)
 

@@ -3,9 +3,10 @@
 Pipeline: validate that the image ideal has a finite-length quotient
 supported only at the origin; form the Bezoutian (the determinant of the
 divided-difference matrix in primal and dual variables); reduce it modulo
-the ideal in both variable blocks; read off the symmetric Gram matrix over
-the standard-monomial basis.  Its Witt class is the degree, normalized so
-the identity endomorphism has class <1>.
+the ideal in both variable blocks; read off the symmetric Gram form over
+the standard-monomial basis, row by row and on its nonzeros only.  Its
+Witt class is the degree, normalized so the identity endomorphism has
+class <1>.
 
 The reduction modulo I(x) + I(u) is never run in the doubled ring.  The
 union of the two block bases is a Groebner basis whose leading monomials
@@ -131,14 +132,19 @@ def bezoutian(endo: Endo) -> Poly:
 
 
 def gram_form(endo: Endo, order: MonomialOrder = GREVLEX) -> GramForm:
-    """Symmetric Gram matrix of the residue pairing over the monomial basis."""
+    """Symmetric Gram form of the residue pairing over the monomial basis."""
     qa = validate(endo, order)
     return _gram_from_quotient(endo, qa)
 
 
 def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
-    """Gram matrix from NF(Delta) = sum_a NF(x^a) (x) row_a, where
-    row_a = sum_b c_ab NF(u^b) (see the module docstring)."""
+    """Sparse Gram rows from NF(Delta) = sum_a NF(x^a) (x) row_a, where
+    row_a = sum_b c_ab NF(u^b) (see the module docstring).
+
+    nf maps each standard x-monomial to {standard u-monomial: coefficient},
+    nonzeros only, so row i of the form is nf of the i-th standard monomial
+    with its keys replaced by their basis indices: no d x d matrix is built.
+    """
     n = endo.n
     field = endo.field
     q = field.modulus
@@ -157,20 +163,16 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
                 acc = nf[m] = {}
             _add_shifted(acc, row, zeros, v, q)
     index = {m: k for k, m in enumerate(qa.monomials)}
-    d = qa.dimension
-    zero = field.zero
-    b = [[zero] * d for _ in range(d)]
-    # each normal-form term x^m u^m' fills entry (m, m') once; its
-    # coefficient is already canonical, and GramForm checks the symmetry
+    b = [{} for _ in qa.monomials]
+    # each normal-form term x^m u^m' is entry (m, m'); its coefficient is
+    # already canonical and nonzero, and GramForm checks the symmetry
     try:
         for m, acc in nf.items():
-            bi = b[index[m]]
-            for m2, c in acc.items():
-                bi[index[m2]] = c
+            b[index[m]] = {index[m2]: c for m2, c in acc.items()}
     except KeyError:
         raise InternalError("reduced Bezoutian off the standard basis") from None
     labels = tuple(format_monomial(endo.ring, m) for m in qa.monomials)
-    return GramForm(field=field, matrix=tuple(map(tuple, b)), basis_labels=labels)
+    return GramForm(field=field, rows=tuple(b), basis_labels=labels)
 
 
 @dataclass(frozen=True)
@@ -189,13 +191,12 @@ class DegreeReport:
 
     def to_json_dict(self) -> dict:
         fmt = self.field.format_scalar
-        z = fmt(self.field.zero)  # most Gram entries are the one shared zero
         return {
             "schema": 1,
             "field": str(self.field),
             "n": self.n,
             "length": self.length,
-            "gram": [[fmt(x) if x else z for x in row] for row in self.gram.matrix],
+            "gram": self.gram.dense(fmt),
             "diagonal": [fmt(e) for e in self.diag.entries],
             "rank": self.invariants.rank,
             "signature": self.invariants.signature,

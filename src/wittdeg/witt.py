@@ -6,9 +6,16 @@ Conventions (fixed for reproducibility):
   - Hasse symbol at a place v is prod_{i<j} (a_i, a_j)_v;
   - the rank-2m hyperbolic form has Hasse symbol (-1,-1)_v^(m(m-1)/2).
 
-A Gram matrix is diagonalized by one symmetric elimination, _eliminate,
-which returns the raw pivots and nothing else: no caller needs the
-congruence transform P, so it is never built.
+A Gram form is stored as symmetric sparse rows, one {column: entry} dict
+per basis vector with no zero stored: the residue-pairing forms of graded
+and near-monomial maps have about one nonzero per row.  It is diagonalized
+by one symmetric elimination, _eliminate, which works on those rows: swaps
+relabel two positions in the rows of their neighbours only, a heap of
+positions with nonzero diagonal answers "first later nonzero diagonal",
+and each Schur update runs over the support of the pivot row.  It returns
+the raw pivots and nothing else: no caller needs the congruence transform
+P, so it is never built.  The dense matrix exists only as a view for
+output (GramForm.dense).
 
 The Hasse symbol is computed as prod_{j>=2} (a_1 ... a_{j-1}, a_j)_v, with
 the prefix products kept as running square classes: r - 1 Hilbert symbols
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Optional
 
@@ -44,19 +52,41 @@ from .fields import (
 
 @dataclass(frozen=True)
 class GramForm:
-    """A symmetric matrix over the field, with labelled basis."""
+    """A symmetric form over the field, with labelled basis, stored sparse.
+
+    rows[i] maps a column j to the nonzero entry (i, j); a zero is never
+    stored, and the mirror entry rows[j][i] holds the same value.  The
+    dense d x d matrix is not kept: `dense` derives it for output.
+    """
 
     field: FieldSpec
-    matrix: tuple[tuple[object, ...], ...]
+    rows: tuple[dict[int, object], ...]
     basis_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = self.matrix
-        if any(len(row) != len(m) for row in m):
-            raise DegenerateForm("Gram matrix is not square")
-        # tuple equality tests identity first; most entries share one zero
-        if tuple(zip(*m)) != tuple(map(tuple, m)):
-            raise DegenerateForm("Gram matrix is not symmetric")
+        rows = self.rows
+        d = len(rows)
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if not 0 <= j < d:
+                    raise DegenerateForm(f"Gram column {j} is out of range")
+                if not x:
+                    raise DegenerateForm("Gram form stores an explicit zero")
+                if rows[j].get(i) != x:
+                    raise DegenerateForm("Gram matrix is not symmetric")
+
+    def dense(self, fmt=lambda x: x) -> list[list]:
+        """The d x d matrix, each entry passed through fmt; zero is
+        formatted once and shared by every empty position."""
+        d = len(self.rows)
+        zero = fmt(self.field.zero)
+        out = []
+        for row in self.rows:
+            line = [zero] * d
+            for j, x in row.items():
+                line[j] = fmt(x)
+            out.append(line)
+        return out
 
 
 @dataclass(frozen=True)
@@ -108,64 +138,105 @@ def diagonalize(g: GramForm) -> DiagForm:
 def _eliminate(g: GramForm) -> list:
     """Raw diagonal entries of a form congruent to g.
 
-    Symmetric Gaussian elimination; a zero diagonal pivot is repaired by a
-    basis swap or, failing that, by adding another basis vector (2a != 0
-    since the characteristic is not 2).  Raises DegenerateForm if the form
-    is singular.
+    Symmetric Gaussian elimination on the sparse rows of g; a zero diagonal
+    pivot is repaired by a basis swap or, failing that, by adding another
+    basis vector (2a != 0 since the characteristic is not 2).  Raises
+    DegenerateForm if the form is singular.
+
+    At pivot k the rows of positions >= k hold exactly the nonzeros of the
+    trailing block, symmetrically.  A zero pivot swaps e_k with the first
+    later e_t of nonzero diagonal: a heap holds the positions whose
+    diagonal is (or was) nonzero, and entries gone stale are dropped when
+    they reach the top.  The swap relabels k and t in their own rows and in
+    the rows of their neighbours, the only rows that hold column k or t.
+    With no such t, e_k += e_t for the first column t of row k; the
+    diagonals of k and t are zero, so the new pivot is 2 m[k][t], and only
+    row k is rewritten, since column k is never read again.
 
     Pivot k subtracts c_r = m[k][r] / m[k][k] times row and column k from
     each later index r: on the trailing block this is the Schur complement
-    m[r][s] -= c_r * m[k][s] (r, s > k), while the eliminated row and
-    column k are never read again and so are not written.  Rows r with
-    m[k][r] == 0 are untouched, and within a row only the columns s where
-    m[k][s] != 0 change.  The block stays exactly symmetric: each update
-    is computed once and stored at (r, s) and (s, r).  The inner loop does
-    its arithmetic inline (Fraction over Q, % p over F_p).
+    m[r][s] -= c_r * m[k][s], run over r, s in the support of row k.  Each
+    update is computed once and stored at (r, s) and (s, r); an entry that
+    cancels is deleted from both rows.  Column k is first removed from the
+    rows of its neighbours, so no row keeps an eliminated position.  The
+    inner loop does its arithmetic inline (Fraction over Q, % p over F_p).
     """
     field = g.field
     q = field.modulus
-    n = len(g.matrix)
-    m = [list(row) for row in g.matrix]
+    n = len(g.rows)
+    rows = [dict(row) for row in g.rows]
+    nonzero_diag = [k for k in range(n) if k in rows[k]]  # sorted: a heap
     pivots = []
     for k in range(n):
-        if not m[k][k]:
-            t = next((t for t in range(k + 1, n) if m[t][t]), None)
-            if t is not None:
-                # swap e_k and e_t
-                m[k], m[t] = m[t], m[k]
-                for row in m:
-                    row[k], row[t] = row[t], row[k]
-            else:
-                t = next((t for t in range(k + 1, n) if m[k][t]), None)
-                if t is None:
-                    raise DegenerateForm(
-                        "form is degenerate (zero block of positive size)"
-                    )
-                # e_k += e_t; m[k][k] and m[t][t] are zero, so the new
-                # pivot is 2 m[k][t].  Only row k is rewritten: column k
-                # below the diagonal is never read again.
-                row_k, row_t = m[k], m[t]
-                pivot = field.mul(field.from_int(2), row_k[t])
-                for s in range(k + 1, n):
-                    row_k[s] = field.add(row_k[s], row_t[s])
-                row_k[k] = pivot
-        row_k = m[k]
-        pivot = row_k[k]
+        row_k = rows[k]
+        if k not in row_k:
+            while nonzero_diag:
+                t = nonzero_diag[0]
+                if t > k and t in rows[t]:
+                    _swap(rows, k, t)
+                    row_k = rows[k]
+                    break
+                heappop(nonzero_diag)
+        rows[k] = None
+        pivot = row_k.pop(k, None)
+        for s in row_k:
+            del rows[s][k]
+        if pivot is None:
+            if not row_k:
+                raise DegenerateForm(
+                    "form is degenerate (zero block of positive size)"
+                )
+            t = min(row_k)
+            # e_k += e_t: row_k[s] += m[t][s] for s > k (row t no longer
+            # holds column k), and the zero diagonals give pivot 2 m[k][t]
+            pivot = field.mul(field.from_int(2), row_k[t])
+            for s, v in rows[t].items():
+                w = row_k.get(s)
+                w = v if w is None else field.add(w, v)
+                if w:
+                    row_k[s] = w
+                else:
+                    del row_k[s]
         pivots.append(pivot)
-        support = [s for s in range(k + 1, n) if row_k[s]]
-        if not support:
+        if not row_k:
             continue
+        support = list(row_k)
         inv = field.inv(pivot)
         for i, r in enumerate(support):
             c = field.mul(row_k[r], inv)
-            row_r = m[r]
-            if q is None:
-                for s in support[i:]:
-                    row_r[s] = m[s][r] = row_r[s] - c * row_k[s]
-            else:
-                for s in support[i:]:
-                    row_r[s] = m[s][r] = (row_r[s] - c * row_k[s]) % q
+            row_r = rows[r]
+            for s in support[i:]:
+                w = row_r.get(s)
+                v = c * row_k[s]
+                if w is None:
+                    w = -v if q is None else -v % q
+                    if r == s:
+                        heappush(nonzero_diag, r)
+                else:
+                    w = w - v if q is None else (w - v) % q
+                    if not w:
+                        del row_r[s]
+                        if r != s:
+                            del rows[s][r]
+                        continue
+                row_r[s] = rows[s][r] = w
     return pivots
+
+
+def _swap(rows: list, k: int, t: int) -> None:
+    """Relabel positions k and t of the symmetric sparse rows in place."""
+    row_k, row_t = rows[k], rows[t]
+    for j in row_k.keys() | row_t.keys():
+        if j != k and j != t:
+            row = rows[j]
+            x, y = row.pop(k, None), row.pop(t, None)
+            if x is not None:
+                row[t] = x
+            if y is not None:
+                row[k] = y
+    label = {k: t, t: k}
+    rows[k] = {label.get(j, j): v for j, v in row_t.items()}
+    rows[t] = {label.get(j, j): v for j, v in row_k.items()}
 
 
 @dataclass(frozen=True)

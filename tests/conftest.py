@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import Endo, FieldSpec, GramForm, InternalError, Poly, Ring, parse_poly
+from wittdeg import (
+    DegenerateForm,
+    Endo,
+    FieldSpec,
+    GramForm,
+    InternalError,
+    Poly,
+    Ring,
+    parse_poly,
+)
 from wittdeg.degree import dual_ring
 from wittdeg.orders import GREVLEX
 
@@ -59,9 +68,16 @@ def random_unit(rng, field, bound=20):
 
 
 def canonical_gram(field, rows, basis_labels=()):
-    """GramForm of a matrix of ints/Fractions, entries made canonical."""
-    matrix = tuple(tuple(field.canon(x) for x in row) for row in rows)
-    return GramForm(field=field, matrix=matrix, basis_labels=tuple(basis_labels))
+    """Sparse GramForm of a dense matrix of ints/Fractions, entries made
+    canonical and zeros left out.  A short row is rejected here, since
+    sparse rows cannot tell it from trailing zeros; a long row reaches
+    GramForm as an out-of-range column."""
+    if any(len(row) < len(rows) for row in rows):
+        raise DegenerateForm("Gram matrix is not square")
+    sparse = tuple(
+        {j: c for j, c in enumerate(map(field.canon, row)) if c} for row in rows
+    )
+    return GramForm(field=field, rows=sparse, basis_labels=tuple(basis_labels))
 
 
 # -- references for removed or rewritten kernels --------------------------------

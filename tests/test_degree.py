@@ -42,9 +42,10 @@ from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
 from wittdeg.cli import run
 from wittdeg.orders import LEX
 from wittdeg.poly import format_monomial
-from wittdeg.witt import GramForm, witt_equal
+from wittdeg.witt import witt_equal
 
 from conftest import (
+    canonical_gram,
     counterexample_endo,
     divided_differences,
     make_endo,
@@ -145,7 +146,8 @@ def _reference_combined_basis(qa, ring2):
 
 
 def _reference_gram(endo, qa):
-    """The former doubled-ring normal-form Gram build, kept verbatim."""
+    """The former doubled-ring normal-form Gram build, kept verbatim but
+    for the last step, which hands the dense matrix to canonical_gram."""
     n = endo.n
     field = endo.field
     delta = bezoutian(endo)
@@ -161,7 +163,7 @@ def _reference_gram(endo, qa):
             raise InternalError("reduced Bezoutian off the standard basis")
         b[i][j] = c
     labels = tuple(format_monomial(endo.ring, m) for m in qa.monomials)
-    return GramForm(field=field, matrix=tuple(map(tuple, b)), basis_labels=labels)
+    return canonical_gram(field, b, labels)
 
 
 def test_gram_matches_doubled_ring_reference(Q, F7):
@@ -224,20 +226,20 @@ def test_gram_cross_example(Q):
         (0, 0, 1, 0),
         (1, 0, 0, 0),
     )
-    assert g.matrix == tuple(tuple(Fraction(x) for x in row) for row in expected)
+    assert g.dense() == [[Fraction(x) for x in row] for row in expected]
 
 
 def test_gram_identity(Q):
     ring = Ring(("x1",), Q)
     g = gram_form(Endo(ring=ring, images=(ring.var(0),)))
-    assert g.matrix == ((Fraction(1),),)
+    assert g.dense() == [[Fraction(1)]]
 
 
 def test_gram_cube_antidiagonal(Q):
     g = gram_form(power_endo(Q, (3,)))
     assert g.basis_labels == ("1", "x1", "x1^2")
     expected = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert g.matrix == tuple(tuple(Fraction(x) for x in row) for row in expected)
+    assert g.dense() == [[Fraction(x) for x in row] for row in expected]
 
 
 def test_degree_counterexample(Q):
@@ -298,7 +300,7 @@ def test_rank_equals_length(Q, F7):
     for endo in cases:
         rep = degree_of(endo)
         assert rep.invariants.rank == rep.length
-        assert len(rep.gram.matrix) == rep.length
+        assert len(rep.gram.rows) == rep.length
 
 
 def test_monomial_order_independence(Q):

@@ -25,7 +25,10 @@ from wittdeg.fields import (
     square_class,
     square_class_mul,
 )
+from wittdeg import witt
+from wittdeg.degree import gram_form
 from wittdeg.witt import (
+    GramForm,
     _eliminate,
     _strip_obvious_pairs,
     negate,
@@ -33,7 +36,7 @@ from wittdeg.witt import (
     witt_equal,
 )
 
-from conftest import canonical_gram
+from conftest import canonical_gram, make_endo
 
 
 def _mat_mul(a, b):
@@ -129,7 +132,7 @@ def _audit_transform(rng, field):
         m = _random_sparse_symmetric(rng, field, n)
         g = canonical_gram(field, m)
         try:
-            ref, repairs, p = _reference_elimination(field, g.matrix)
+            ref, repairs, p = _reference_elimination(field, g.dense())
         except DegenerateForm:
             seen["degenerate"] += 1
             with pytest.raises(DegenerateForm):
@@ -139,7 +142,7 @@ def _audit_transform(rng, field):
             continue
         for kind in repairs:
             seen[kind] += 1
-        ptgp = _mat_mul(_transpose(p), _mat_mul([list(r) for r in g.matrix], p))
+        ptgp = _mat_mul(_transpose(p), _mat_mul(g.dense(), p))
         if not field.is_rationals:
             ptgp = [[x % field.modulus for x in row] for row in ptgp]
         assert all(
@@ -150,6 +153,173 @@ def _audit_transform(rng, field):
         assert _eliminate(g) == ref
         assert diagonalize(g) == diag_form(field, ref)
     assert all(seen.values()), seen
+
+
+def _dense_eliminate(g):
+    """The former dense elimination, kept verbatim as the reference for the
+    sparse kernel; only its input is the dense view of g."""
+    field = g.field
+    q = field.modulus
+    matrix = g.dense()
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    pivots = []
+    for k in range(n):
+        if not m[k][k]:
+            t = next((t for t in range(k + 1, n) if m[t][t]), None)
+            if t is not None:
+                # swap e_k and e_t
+                m[k], m[t] = m[t], m[k]
+                for row in m:
+                    row[k], row[t] = row[t], row[k]
+            else:
+                t = next((t for t in range(k + 1, n) if m[k][t]), None)
+                if t is None:
+                    raise DegenerateForm(
+                        "form is degenerate (zero block of positive size)"
+                    )
+                # e_k += e_t; m[k][k] and m[t][t] are zero, so the new
+                # pivot is 2 m[k][t].  Only row k is rewritten: column k
+                # below the diagonal is never read again.
+                row_k, row_t = m[k], m[t]
+                pivot = field.mul(field.from_int(2), row_k[t])
+                for s in range(k + 1, n):
+                    row_k[s] = field.add(row_k[s], row_t[s])
+                row_k[k] = pivot
+        row_k = m[k]
+        pivot = row_k[k]
+        pivots.append(pivot)
+        support = [s for s in range(k + 1, n) if row_k[s]]
+        if not support:
+            continue
+        inv = field.inv(pivot)
+        for i, r in enumerate(support):
+            c = field.mul(row_k[r], inv)
+            row_r = m[r]
+            if q is None:
+                for s in support[i:]:
+                    row_r[s] = m[s][r] = row_r[s] - c * row_k[s]
+            else:
+                for s in support[i:]:
+                    row_r[s] = m[s][r] = (row_r[s] - c * row_k[s]) % q
+    return pivots
+
+
+def _nonzero(rng, field):
+    return field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+
+
+def _involution_form(rng, field, d):
+    """Staircase-like: basis vector i pairs with sigma(i) for a random
+    involution sigma with few fixed points, plus a sprinkling of extra
+    symmetric entries, so most diagonals are zero."""
+    m = [[field.zero] * d for _ in range(d)]
+    free = list(range(d))
+    rng.shuffle(free)
+    while free:
+        i = free.pop()
+        j = free.pop() if free and rng.random() < 0.9 else i
+        m[i][j] = m[j][i] = _nonzero(rng, field)
+    for _ in range(rng.randint(0, d // 4)):
+        i, j = rng.randrange(d), rng.randrange(d)
+        m[i][j] = m[j][i] = _nonzero(rng, field)
+    return m
+
+
+def _antidiagonal_form(rng, field, d):
+    """The antidiagonal, with a few entries on the next antidiagonal."""
+    m = [[field.zero] * d for _ in range(d)]
+    for i in range(d):
+        m[i][d - 1 - i] = m[d - 1 - i][i] = _nonzero(rng, field)
+    for i in range(d - 1):
+        if rng.random() < 0.1:
+            m[i][d - 2 - i] = m[d - 2 - i][i] = _nonzero(rng, field)
+    return m
+
+
+def _zero_diagonal_blocks(rng, field, d):
+    """An all-zero diagonal: blocks [[0, a], [a, 0]] and 3 x 3 blocks with
+    every off-diagonal entry nonzero (determinant -a^2 or 2abc, never zero
+    in odd characteristic), plus a few entries coupling the blocks.  With
+    no diagonal entry to swap in, pivot 0 needs an add repair."""
+    m = [[field.zero] * d for _ in range(d)]
+    start = 0
+    while start < d:
+        rest = d - start
+        size = 3 if rest == 3 or (rest > 4 and rng.random() < 0.5) else 2
+        for i in range(start, start + size):
+            for j in range(i + 1, start + size):
+                m[i][j] = m[j][i] = _nonzero(rng, field)
+        start += size
+    for _ in range(rng.randint(0, d // 10)):
+        i, j = rng.sample(range(d), 2)
+        m[i][j] = m[j][i] = _nonzero(rng, field)
+    return m
+
+
+def _degenerate_tail(rng, field, d):
+    """A staircase-like form followed by a zero row or a copy of an earlier
+    basis vector: singular by construction."""
+    m = _involution_form(rng, field, d - 1)
+    for row in m:
+        row.append(field.zero)
+    m.append([field.zero] * d)
+    if rng.random() < 0.5:
+        src = rng.randrange(d - 1)
+        for i in range(d - 1):
+            m[i][d - 1] = m[d - 1][i] = m[i][src]
+        m[d - 1][d - 1] = m[src][src]
+    return m
+
+
+def test_sparse_eliminate_matches_dense_reference_at_scale(Q, F7, monkeypatch):
+    """witt._eliminate returns exactly the pivots of the dense reference, or
+    raises DegenerateForm alike, on d = 30-200 forms with mostly zero
+    diagonals: staircase-like and antidiagonal shapes, zero-diagonal blocks
+    that force add repairs, and degenerate tails.  The audit sees swaps,
+    regular forms and degenerate ones."""
+    swaps = []
+    real_swap = witt._swap
+    monkeypatch.setattr(
+        witt, "_swap", lambda rows, k, t: swaps.append(k) or real_swap(rows, k, t)
+    )
+    rng = random.Random(909)
+    shapes = (
+        _involution_form,
+        _antidiagonal_form,
+        _zero_diagonal_blocks,
+        _degenerate_tail,
+    )
+    for field in (Q, F7):
+        regular = dict.fromkeys(shapes, 0)
+        for shape in shapes:
+            for _ in range(6):
+                g = canonical_gram(field, shape(rng, field, rng.randint(30, 200)))
+                if shape is _zero_diagonal_blocks:
+                    # no nonzero diagonal to swap in: pivot 0 is an add repair
+                    assert not any(k in row for k, row in enumerate(g.rows))
+                try:
+                    ref = _dense_eliminate(g)
+                except DegenerateForm:
+                    with pytest.raises(DegenerateForm):
+                        _eliminate(g)
+                    continue
+                assert _eliminate(g) == ref
+                regular[shape] += 1
+        assert regular.pop(_degenerate_tail) == 0
+        assert all(regular.values()), regular
+    assert swaps
+
+
+def test_staircase3_repairs(Q):
+    """The d = 15 staircase of docs/jobs/staircase3.job has 20 nonzeros
+    and needs 7 swaps and 6 add repairs; all three eliminations agree."""
+    texts = ("x*y", "y*z + x^3", "x*z + y^3 + z^3")
+    g = gram_form(make_endo(Q, ("x", "y", "z"), texts))
+    assert (len(g.rows), sum(map(len, g.rows))) == (15, 20)
+    ref, repairs, _ = _reference_elimination(Q, g.dense())
+    assert (repairs.count("swap"), repairs.count("add")) == (7, 6)
+    assert _eliminate(g) == _dense_eliminate(g) == ref
 
 
 def test_degenerate_form_rejected(Q):
@@ -340,6 +510,37 @@ def test_gram_form_rejects_non_symmetric_and_non_square(Q, F7):
             canonical_gram(field, [[1, 2]])
         with pytest.raises(DegenerateForm):
             canonical_gram(field, [[1, 2], [2]])
+
+
+def test_gram_form_rejects_bad_sparse_rows(Q, F7):
+    for field in (Q, F7):
+        one, two, three = (field.from_int(c) for c in (1, 2, 3))
+        bad = {
+            "not symmetric": ({0: one, 1: two}, {0: three, 1: one}),
+            "missing mirror": ({0: one, 1: two}, {1: one}),
+            "out of range": ({0: one, 2: two}, {1: one}),
+            "negative column": ({-1: one}, {1: one}),
+            "explicit zero": ({0: one, 1: field.zero}, {0: field.zero, 1: one}),
+            "zero diagonal": ({0: field.zero},),
+        }
+        for rows in bad.values():
+            with pytest.raises(DegenerateForm):
+                GramForm(field=field, rows=rows)
+        GramForm(field=field, rows=({1: two}, {0: two}))
+
+
+def test_gram_form_dense_view_round_trips(Q, F7):
+    rng = random.Random(77)
+    for field in (Q, F7):
+        for n in (0, 1, 2, 5, 12):
+            m = _random_sparse_symmetric(rng, field, n)
+            g = canonical_gram(field, m)
+            assert g.dense() == m
+            assert all(all(row.values()) for row in g.rows)
+            assert sum(map(len, g.rows)) == sum(1 for row in m for x in row if x)
+            assert g.dense(field.format_scalar) == [
+                [field.format_scalar(x) for x in row] for row in m
+            ]
 
 
 def test_diag_form_rejects_non_canonical_entries(Q, F7):
