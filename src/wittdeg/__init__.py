@@ -31,9 +31,9 @@ from .errors import (
 from .fields import (
     FieldSpec,
     hilbert_symbol,
-    relevant_places,
     square_class,
     square_class_mul,
+    square_classes,
 )
 from .orders import GREVLEX, MonomialOrder, by_name as order_by_name
 from .poly import (

@@ -6,7 +6,9 @@ polynomials and matrices stay agnostic of the coefficient representation.
 
 Square classes are canonicalized as follows: over Q the representative is a
 signed squarefree integer (as an integer-valued Fraction); over F_p it is 1
-for squares and the smallest positive non-residue otherwise.
+for squares and the smallest positive non-residue otherwise.  Only
+square_classes factors integers: it classifies many values against one
+shared prime set, and returns the primes that the Hasse symbols need.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ZeroScalar,
 )
 
-#: Largest integer that square-class computations will factor by trial division.
+#: Largest unfactored part of a number that square_classes will trial-divide.
 FACTOR_BOUND = 10**9
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -120,9 +122,6 @@ class FieldSpec:
     def add(self, a, b):
         return a + b if self.is_rationals else (a + b) % self.modulus
 
-    def sub(self, a, b):
-        return a - b if self.is_rationals else (a - b) % self.modulus
-
     def mul(self, a, b):
         return a * b if self.is_rationals else (a * b) % self.modulus
 
@@ -179,30 +178,46 @@ class FieldSpec:
         return f"FieldSpec({self})"
 
 
-def _odd_primes(n: int) -> list[int]:
-    """Ascending primes dividing n an odd number of times (trial division).
+def square_classes(field: FieldSpec, values) -> tuple[list, tuple]:
+    """The square classes of values (see square_class), and the ascending
+    primes dividing some class.  Over Q all numerators and denominators are
+    factored in ascending order against one prime set: each is divided by
+    the primes found so far, and only the part left, which FACTOR_BOUND
+    bounds, is trial-divided.  Over F_p there are no primes."""
+    values = [field.canon(a) for a in values]
+    if not all(values):
+        raise ZeroScalar("zero has no square class")
+    if not field.is_rationals:
+        p, r = field.modulus, field.least_nonresidue()
+        return [1 if pow(a, (p - 1) // 2, p) == 1 else r for a in values], ()
+    shared, part = [], {}  # part: n -> its primes of odd exponent
+    for n in sorted({abs(x) for a in values for x in a.as_integer_ratio()}):
+        m = n
+        for p in shared:  # divide out the primes found so far
+            m = _valuation(m, p)[1]
+        if m > FACTOR_BOUND:
+            raise FactorBoundExceeded(
+                f"{m} exceeds the trial-division bound {FACTOR_BOUND}"
+            )
+        d = 2
+        while m > 1:  # trial-divide the part left
+            if d * d > m:
+                d = m  # what is left is prime
+            if m % d == 0:
+                shared.append(d)
+                m = _valuation(m, d)[1]
+            d += 1 if d == 2 else 2
+        part[n] = [p for p in shared if _valuation(n, p)[0] % 2]
+    # a/b and ab lie in one class, and a, b are coprime
+    return [
+        Fraction((1 if n > 0 else -1) * math.prod(part[abs(n)] + part[d]))
+        for n, d in (a.as_integer_ratio() for a in values)
+    ], tuple(sorted({p for odd in part.values() for p in odd}))
 
-    n >= 0; 0 and 1 have none.  Raises FactorBoundExceeded for n above
-    FACTOR_BOUND before dividing at all.
-    """
-    if n > FACTOR_BOUND:
-        raise FactorBoundExceeded(
-            f"{n} exceeds the trial-division bound {FACTOR_BOUND}"
-        )
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out.append(d)
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+
+def hasse_places(primes) -> list:
+    """The places where a Hasse symbol of entries with these primes can be -1."""
+    return ["inf", 2] + [p for p in primes if p != 2]
 
 
 def square_class(field: FieldSpec, a):
@@ -211,17 +226,7 @@ def square_class(field: FieldSpec, a):
     Q: signed squarefree integer (returned as a Fraction).  F_p: 1 or the
     smallest positive non-residue.  Idempotent on its own output.
     """
-    a = field.canon(a)
-    if not a:
-        raise ZeroScalar("zero has no square class")
-    if field.is_rationals:
-        # a/b and ab lie in one class; num and den are coprime, so the
-        # squarefree part of their product is the product of theirs
-        sign = -1 if a < 0 else 1
-        sn = math.prod(_odd_primes(abs(a.numerator)))
-        return Fraction(sign * sn * math.prod(_odd_primes(a.denominator)))
-    p = field.modulus
-    return field.one if pow(a, (p - 1) // 2, p) == 1 else field.least_nonresidue()
+    return square_classes(field, (a,))[0][0]
 
 
 def square_class_mul(field: FieldSpec, a, b):
@@ -293,19 +298,3 @@ def hilbert_symbol(a, b, place) -> int:
     if va % 2:
         s *= legendre(v, p)
     return s
-
-
-def relevant_places(values) -> list:
-    """"inf", 2, and the odd primes with odd valuation in some value.
-
-    Every Hilbert symbol formed from the given nonzero rationals is +1 away
-    from the returned places (only valuation parities and unit residues
-    enter the odd-place formula).
-    """
-    primes: set[int] = set()
-    for x in values:
-        x = Fraction(x)
-        for n in (abs(x.numerator), x.denominator):
-            primes.update(_odd_primes(n))
-    odd = sorted(q for q in primes if q % 2)
-    return ["inf", 2] + odd

@@ -73,6 +73,11 @@ class GroebnerBasis:
     def ring(self) -> Ring:
         return self.generators[0].ring
 
+    @cached_property
+    def _divisors(self) -> list:
+        """The basis as `_entry` tuples: the divisors of every reduction."""
+        return [_entry(g.terms, self.order) for g in self.basis]
+
 
 def buchberger(
     gens: Sequence[Poly],
@@ -192,21 +197,18 @@ def _reduce_basis(gens, work, order, track) -> GroebnerBasis:
     if track:
         cofs = _cofactors(work, kept, len(gens), ring)
         log = []
-    # autoreduce tails until stable; the kept entries keep their recipes as
+    # autoreduce the tails in one pass: leads never change, so an entry stays
+    # reduced when later ones are.  The kept entries keep their recipes as
     # tags, and a step log is replayed into the reduced entry's vector
-    changed = True
-    while changed:
-        changed = False
-        for idx, (lead, lc, tail, recipe) in enumerate(kept):
-            terms = {lead: lc, **tail}
-            others = kept[:idx] + kept[idx + 1 :]
-            rem = _reduce(dict(terms), others, order, field, log)
-            if rem != terms:
-                if track:
-                    _replay(cofs[recipe[0]], log, cofs, field.modulus)
-                    log.clear()
-                kept[idx] = _entry(rem, order, recipe)
-                changed = True
+    for idx, (lead, lc, tail, recipe) in enumerate(kept):
+        terms = {lead: lc, **tail}
+        others = kept[:idx] + kept[idx + 1 :]
+        rem = _reduce(dict(terms), others, order, field, log)
+        if rem != terms:
+            if track:
+                _replay(cofs[recipe[0]], log, cofs, field.modulus)
+                log.clear()
+            kept[idx] = _entry(rem, order, recipe)
     kept.sort(key=lambda w: order.key(w[0]))
     return GroebnerBasis(
         generators=gens,
@@ -224,8 +226,7 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of p modulo the basis; supported on standard monomials."""
     if p.ring != gb.ring:
         raise RingMismatch("polynomial not in the basis ring")
-    basis = [_entry(g.terms, gb.order) for g in gb.basis]
-    return Poly(p.ring, _reduce(dict(p.terms), basis, gb.order, p.ring.field))
+    return Poly(p.ring, _reduce(dict(p.terms), gb._divisors, gb.order, p.ring.field))
 
 
 @dataclass(frozen=True)
@@ -247,10 +248,6 @@ class QuotientAlgebra:
         return self.gb.ring
 
     @cached_property
-    def _divisors(self) -> list:
-        return [_entry(g.terms, self.gb.order) for g in self.gb.basis]
-
-    @cached_property
     def _nf_table(self) -> dict:
         """NF(x^a) by a, seeded with the standard monomials and NF(1)."""
         field = self.ring.field
@@ -258,7 +255,7 @@ class QuotientAlgebra:
         one = (0,) * self.ring.nvars
         if one not in table:  # the unit ideal: NF(1) = 0
             order = self.gb.order
-            table[one] = _reduce({one: field.one}, self._divisors, order, field)
+            table[one] = _reduce({one: field.one}, self.gb._divisors, order, field)
         return table
 
     def monomial_nf(self, a: tuple[int, ...]) -> dict:
@@ -283,7 +280,7 @@ class QuotientAlgebra:
         for a, unit in reversed(chain):
             terms = {}
             _add_shifted(terms, nf, unit, field.one, field.modulus)
-            nf = table[a] = _reduce(terms, self._divisors, self.gb.order, field)
+            nf = table[a] = _reduce(terms, self.gb._divisors, self.gb.order, field)
         return nf
 
 

@@ -34,6 +34,7 @@ verdict of a report comes from the same classification it prints.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from heapq import heappop, heappush
@@ -43,10 +44,12 @@ from typing import Optional
 from .errors import DegenerateForm, NonCanonicalForm, RingMismatch
 from .fields import (
     FieldSpec,
+    hasse_places,
     hilbert_symbol,
-    relevant_places,
+    is_prime,
     square_class,
     square_class_mul,
+    square_classes,
 )
 
 
@@ -93,19 +96,32 @@ class GramForm:
 class DiagForm:
     """<a_1,...,a_r> with entries canonical square-class representatives.
 
-    Over F_p an entry must be 1 or the least non-residue.  Over Q it must be
-    a nonzero integer, and being squarefree is the caller's contract: it is
-    not checked, because that would mean factoring every entry.  diag_form
-    canonicalizes arbitrary nonzero scalars.
+    Over F_p an entry must be 1 or the least non-residue; over Q a nonzero
+    squarefree integer.  After init, primes is always the ascending tuple of
+    primes dividing some entry.  Given primes are checked by integer division
+    only (non-primes, and primes dividing no entry, are dropped); without
+    them the entries are factored once.  diag_form canonicalizes nonzero scalars.
     """
 
     field: FieldSpec
     entries: tuple[object, ...]
+    primes: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        field = self.field
+        field, used, given = self.field, set(), self.primes is not None
         if field.is_rationals:
             bad = [e for e in self.entries if not e or e.denominator != 1]
+            primes = {p for p in self.primes or () if is_prime(p)}
+            if not given and not bad:
+                primes = square_classes(field, self.entries)[1]
+            for a in () if bad else {e.numerator for e in self.entries}:
+                mine = [p for p in primes if a % p == 0]
+                used.update(mine)
+                n = abs(a) // math.prod(mine)  # 1 iff a product of distinct primes
+                if n != 1 and given and all(n % p for p in primes):
+                    raise NonCanonicalForm(f"primes {self.primes} do not cover {a}")
+                if n != 1:
+                    bad.append(a)
         else:
             canonical = (1, field.least_nonresidue())
             bad = [e for e in self.entries if e not in canonical]
@@ -114,6 +130,7 @@ class DiagForm:
                 f"entry {field.format_scalar(bad[0])} is not a canonical "
                 "square-class representative (diag_form canonicalizes)"
             )
+        object.__setattr__(self, "primes", tuple(sorted(used)))
 
     @property
     def rank(self) -> int:
@@ -125,9 +142,8 @@ class DiagForm:
 
 def diag_form(field: FieldSpec, entries) -> DiagForm:
     """Canonicalize the entries to square-class representatives."""
-    return DiagForm(
-        field=field, entries=tuple(square_class(field, e) for e in entries)
-    )
+    classes, primes = square_classes(field, entries)
+    return DiagForm(field=field, entries=tuple(classes), primes=primes)
 
 
 def diagonalize(g: GramForm) -> DiagForm:
@@ -308,7 +324,7 @@ def invariants(d: DiagForm) -> WittInvariants:
     # prod_{i<j} (a_i, a_j)_v as prod_{j>=2} (a_1...a_{j-1}, a_j)_v: see above
     pairs = list(zip(prefixes[1:-1], d.entries[1:]))
     hasse = {}
-    for v in relevant_places(d.entries):
+    for v in hasse_places(d.primes):
         s = 1
         for prefix, a in pairs:
             s *= hilbert_symbol(prefix, a, v)
@@ -345,10 +361,8 @@ def _strip_obvious_pairs(d: DiagForm) -> DiagForm:
             queue.popleft()
         if queue:
             removed[i] = removed[queue.popleft()] = True
-    return DiagForm(
-        field=field,
-        entries=tuple(e for e, gone in zip(entries, removed) if not gone),
-    )
+    kept = tuple(e for e, gone in zip(entries, removed) if not gone)
+    return DiagForm(field=field, entries=kept, primes=d.primes)
 
 
 def is_witt_zero(d: DiagForm) -> bool:
@@ -357,13 +371,13 @@ def is_witt_zero(d: DiagForm) -> bool:
 
 
 def negate(d: DiagForm) -> DiagForm:
-    return diag_form(d.field, tuple(d.field.neg(e) for e in d.entries))
+    return tensor(d, diag_form(d.field, [-1]))
 
 
 def orthogonal_sum(d1: DiagForm, d2: DiagForm) -> DiagForm:
     if d1.field != d2.field:
         raise RingMismatch("forms over different fields")
-    return DiagForm(field=d1.field, entries=d1.entries + d2.entries)
+    return DiagForm(d1.field, d1.entries + d2.entries, d1.primes + d2.primes)
 
 
 def tensor(d1: DiagForm, d2: DiagForm) -> DiagForm:
@@ -372,7 +386,7 @@ def tensor(d1: DiagForm, d2: DiagForm) -> DiagForm:
     entries = tuple(
         square_class_mul(d1.field, a, b) for a in d1.entries for b in d2.entries
     )
-    return DiagForm(field=d1.field, entries=entries)
+    return DiagForm(field=d1.field, entries=entries, primes=d1.primes + d2.primes)
 
 
 def witt_equal(d1: DiagForm, d2: DiagForm) -> bool:

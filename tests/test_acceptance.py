@@ -24,14 +24,15 @@ from wittdeg import (
     is_unimodular,
     is_witt_zero,
     normal_form,
-    relevant_places,
     square_class,
+    square_classes,
 )
 from wittdeg.degree import (
     diagonal_bezoutian_identity,
     power_endo,
     univariate_tensor_oracle,
 )
+from wittdeg.fields import hasse_places
 from wittdeg.umrow import compose_with_endo, universal_row
 from wittdeg.witt import negate, orthogonal_sum, witt_equal
 
@@ -199,7 +200,7 @@ def test_criterion_7_witt_decision_soundness():
         b = Fraction(rng.choice([k for k in range(-999, 1000) if k]),
                      rng.randint(1, 999))
         prod = 1
-        for v in relevant_places([a, b]):
+        for v in hasse_places(square_classes(Q, [a, b])[1]):
             prod *= hilbert_symbol(a, b, v)
         assert prod == 1
 

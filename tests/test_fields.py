@@ -11,11 +11,11 @@ from wittdeg import (
     FieldSpec,
     ZeroScalar,
     hilbert_symbol,
-    relevant_places,
     square_class,
     square_class_mul,
+    square_classes,
 )
-from wittdeg.fields import FACTOR_BOUND, _odd_primes, legendre
+from wittdeg.fields import FACTOR_BOUND, hasse_places, legendre
 
 
 def test_fieldspec_rejects_char_2():
@@ -128,6 +128,7 @@ def _reference_odd_primes(n: int) -> list[int]:
 
 
 def test_odd_primes_matches_reference(Q):
+    # square_classes of one integer: its class and the primes dividing it
     rng = random.Random(9091)
     primes = [2, 3, 5, 7, 31, 101, 9973, 31607]
     cases = [0, 1, FACTOR_BOUND, FACTOR_BOUND - 1, FACTOR_BOUND + 1, 10**40]
@@ -136,17 +137,20 @@ def test_odd_primes_matches_reference(Q):
     cases += [p**e for p in primes for e in range(1, 8) if p**e <= 2 * FACTOR_BOUND]
     cases += [rng.choice(primes) ** 2 * rng.randint(1, 10**4) for _ in range(20)]
     for n in cases:
+        if n == 0:
+            with pytest.raises(ZeroScalar):
+                square_classes(Q, [n])
+            continue
         try:
             expected = _reference_odd_primes(n)
         except FactorBoundExceeded:
             with pytest.raises(FactorBoundExceeded):
-                _odd_primes(n)
+                square_classes(Q, [n])
             continue
-        assert _odd_primes(n) == expected
-        if n:
-            assert math.prod(expected) == _reference_squarefree_part(n)
-    assert _odd_primes(0) == _odd_primes(1) == []
-    assert _odd_primes(FACTOR_BOUND) == [2, 5]
+        assert square_classes(Q, [n]) == ([math.prod(expected)], tuple(expected))
+        assert math.prod(expected) == _reference_squarefree_part(n)
+    assert square_classes(Q, [1]) == ([1], ())
+    assert square_classes(Q, [FACTOR_BOUND]) == ([10], (2, 5))
     # square_class through the old pair: the product over the gcd
     for _ in range(60):
         a = Fraction(rng.randint(-(10**6), 10**6) or 1, rng.randint(1, 10**6))
@@ -156,14 +160,34 @@ def test_odd_primes_matches_reference(Q):
         sign = -1 if a < 0 else 1
         assert square_class(Q, a) == Fraction(sign * (sn // g) * (sd // g))
     values = [
-        Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+        Fraction(rng.randint(-(10**6), 10**6) or 1, rng.randint(1, 10**6))
         for _ in range(20)
     ]
     ref: set[int] = set()
     for x in values:
         for n in (abs(x.numerator), x.denominator):
             ref.update(_reference_odd_primes(n))
-    assert relevant_places(values) == ["inf", 2] + sorted(q for q in ref if q % 2)
+    classes, found = square_classes(Q, values)
+    assert classes == [square_class(Q, x) for x in values]
+    assert found == tuple(sorted(ref))
+
+
+def test_square_classes_share_one_prime_set(Q, F7):
+    p, q = 1009, 1000003
+    assert p * q > FACTOR_BOUND
+    # the smaller numbers are factored first; their primes divide the larger
+    classes, primes = square_classes(Q, [7 * p * q, Fraction(q, p), -p])
+    assert classes == [7 * p * q, p * q, -p]
+    assert primes == (7, p, q)
+    # a prime of even exponent divides no class but still joins the set
+    assert square_classes(Q, [9, 3 * p * q, q]) == ([1, 3 * p * q, q], (3, p, q))
+    # with no smaller number holding its primes, a part over the bound raises
+    for values in ([p * q], [7, p * q], [7 * p * q, 7]):
+        with pytest.raises(FactorBoundExceeded):
+            square_classes(Q, values)
+    assert square_classes(F7, [1, 2, 3, 6]) == ([1, 1, 3, 3], ())
+    with pytest.raises(ZeroScalar):
+        square_classes(Q, [1, 0])
 
 
 def test_square_class_idempotent_and_multiplicative(Q, F7):
@@ -228,7 +252,7 @@ def test_hilbert_symmetry_and_bimultiplicativity():
             ) * hilbert_symbol(c, b, v)
 
 
-def test_hilbert_product_formula():
+def test_hilbert_product_formula(Q):
     rng = random.Random(2026)
     for _ in range(200):
         a = Fraction(rng.choice([k for k in range(-999, 1000) if k]),
@@ -236,7 +260,7 @@ def test_hilbert_product_formula():
         b = Fraction(rng.choice([k for k in range(-999, 1000) if k]),
                      rng.randint(1, 999))
         prod = 1
-        for v in relevant_places([a, b]):
+        for v in hasse_places(square_classes(Q, [a, b])[1]):
             prod *= hilbert_symbol(a, b, v)
         assert prod == 1
 

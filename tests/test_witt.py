@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,8 +21,9 @@ from wittdeg import (
     witt_class_display,
 )
 from wittdeg.fields import (
+    FACTOR_BOUND,
+    hasse_places,
     hilbert_symbol,
-    relevant_places,
     square_class,
     square_class_mul,
 )
@@ -354,10 +356,11 @@ def test_invariants_prime_field(F5):
     assert inv.signed_discriminant == 2
 
 
-def _pairwise_hasse(d):
-    """Hasse symbols by definition: prod over all pairs i < j."""
+def _pairwise_hasse(d, primes):
+    """Hasse symbols by definition: prod over all pairs i < j, at "inf", 2
+    and the given odd primes."""
     hasse = {}
-    for v in relevant_places(d.entries):
+    for v in hasse_places(sorted(primes)):
         s = 1
         for a, b in itertools.combinations(d.entries, 2):
             s *= hilbert_symbol(a, b, v)
@@ -372,20 +375,28 @@ def test_invariants_match_pairwise_hasse_definition(Q):
     raised = 0
     for _ in range(300):
         entries = []
+        built = []  # the primes each entry was built from
         for _ in range(rng.randint(0, 9)):
             x = rng.choice([-1, 1])
-            for q in rng.sample(primes, rng.randint(0, 3)):
+            qs = rng.sample(primes, rng.randint(0, 3))
+            for q in qs:
                 x *= q
             entries.append(Fraction(x))
-        d = DiagForm(field=Q, entries=tuple(entries))
-        try:
-            expected = _pairwise_hasse(d)
-        except FactorBoundExceeded:
+            built.append(qs)
+        # the entries are factored in ascending size, each after dividing
+        # out the primes of the smaller ones: what is left must be in bound
+        known: set[int] = set()
+        over = False
+        for x, qs in sorted(zip(entries, built), key=lambda t: abs(t[0])):
+            over |= math.prod(q for q in qs if q not in known) > FACTOR_BOUND
+            known.update(qs)
+        if over:
             raised += 1
             with pytest.raises(FactorBoundExceeded):
-                invariants(d)
+                DiagForm(field=Q, entries=tuple(entries))
             continue
-        assert invariants(d).hasse == expected
+        d = DiagForm(field=Q, entries=tuple(entries))
+        assert invariants(d).hasse == _pairwise_hasse(d, known)
     assert 0 < raised < 300
 
 
@@ -551,6 +562,18 @@ def test_diag_form_rejects_non_canonical_entries(Q, F7):
     for entries in ((Fraction(1, 2),), (Fraction(3), Fraction(0)), (Fraction(-2, 9),)):
         with pytest.raises(NonCanonicalForm):
             DiagForm(field=Q, entries=entries)
+    # squarefreeness is checked too: <4> once reported discriminant 4
+    for entries in ((Fraction(4),), (Fraction(12),), (Fraction(5), Fraction(-18))):
+        with pytest.raises(NonCanonicalForm):
+            DiagForm(field=Q, entries=entries)
+    # given primes: the message names the cause, checked by division only
+    assert DiagForm(field=Q, entries=(Fraction(15),), primes=(3, 5, 7)).primes == (3, 5)
+    for primes in ((3,), (15,), ()):  # a non-prime is dropped
+        with pytest.raises(NonCanonicalForm, match=r"primes .* do not cover 15"):
+            DiagForm(field=Q, entries=(Fraction(15),), primes=primes)
+    for entries, primes in (((Fraction(12),), (2, 3)), ((Fraction(-18),), (2, 3))):
+        with pytest.raises(NonCanonicalForm, match="not a canonical"):
+            DiagForm(field=Q, entries=entries, primes=primes)
     # over F_7 the canonical classes are 1 and the least non-residue 3
     assert DiagForm(field=F7, entries=(1, 3, 3)).rank == 3
     for entries in ((2,), (1, 0), (6,)):
@@ -663,3 +686,22 @@ def test_display_and_parse(Q):
     assert witt_class_display(diag_form(Q, [1, 1, 2, -2])) == "<1,1>"
     assert witt_class_display(diag_form(Q, [2, -2])) == "0"
     assert str(diag_form(Q, [1, -1])) == "<1,-1>"
+
+
+def test_invariants_take_their_places_from_the_shared_factorization(Q):
+    p, q = 1009, 1000003
+    # the class p*q exceeds the trial-division bound, its factors do not
+    inv = invariants(diag_form(Q, [Fraction(q, p)]))
+    assert list(inv.hasse) == ["inf", "2", str(p), str(q)]
+    assert (inv.rank, inv.signature, inv.signed_discriminant) == (1, 1, p * q)
+    d = diag_form(Q, [p, q, 7 * p * q])
+    assert d.entries == (p, q, 7 * p * q) and d.primes == (7, p, q)
+    hasse = invariants(d).hasse
+    assert hasse == _pairwise_hasse(d, {7, p, q})
+    assert list(hasse) == ["inf", "2", "7", str(p), str(q)]
+    # the form operations pass the primes on, exact to their entries
+    assert orthogonal_sum(d, diag_form(Q, [3])).primes == (3, 7, p, q)
+    assert tensor(d, diag_form(Q, [p])).primes == (7, p, q)
+    assert tensor(diag_form(Q, [p]), diag_form(Q, [p])).primes == ()
+    assert negate(d) == DiagForm(field=Q, entries=(-p, -q, -7 * p * q))
+    assert _strip_obvious_pairs(orthogonal_sum(d, negate(d))).primes == ()
