@@ -30,7 +30,6 @@ from .errors import (
 )
 from .fields import (
     FieldSpec,
-    hilbert_symbol,
     square_class,
     square_class_mul,
     square_classes,

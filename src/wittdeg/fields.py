@@ -243,20 +243,6 @@ def square_class_mul(field: FieldSpec, a, b):
     return square_class(field, field.mul(a, b))
 
 
-def legendre(a, p: int) -> int:
-    """Legendre symbol (a|p) in {+1, -1, 0} for an odd prime p."""
-    if p == 2:
-        raise EvenModulus("Legendre symbol needs an odd prime")
-    if not is_prime(p):
-        raise AlgebraError(f"{p} is not prime")
-    if isinstance(a, Fraction):
-        if a.denominator % p == 0:
-            raise ZeroScalar(f"denominator divisible by {p}")
-        a = a.numerator * pow(a.denominator, -1, p)
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 def _valuation(n: int, p: int) -> tuple[int, int]:
     """(v, u) with n = p^v * u and p not dividing u."""
     v = 0
@@ -270,31 +256,37 @@ def hilbert_symbol(a, b, place) -> int:
     """Local Hilbert symbol (a, b) at a rational place.
 
     ``place`` is the string "inf" for the real place or a prime integer.
-    Standard formulas: at infinity -1 iff both arguments are negative; at odd
-    p via valuations and Legendre symbols; at 2 via the (u-1)/2 and
-    (u^2-1)/8 exponents.
+    Checks its arguments, then calls the kernel _hilbert.
     """
     a, b = Fraction(a), Fraction(b)
     if not a or not b:
         raise ZeroScalar("Hilbert symbol of zero")
-    A = a.numerator * a.denominator
-    B = b.numerator * b.denominator
+    if place != "inf" and not (isinstance(place, int) and is_prime(place)):
+        raise AlgebraError(f"place must be a prime or 'inf', got {place!r}")
+    return _hilbert(a.numerator * a.denominator, b.numerator * b.denominator, place)
+
+
+def _hilbert(A: int, B: int, place) -> int:
+    """(A, B) at place, for nonzero ints A, B and a place that is trusted to
+    be "inf" or a prime.
+
+    Standard formulas: at infinity -1 iff both arguments are negative; at odd
+    p via valuations and Euler's criterion, (u|p) = u^((p-1)/2) mod p; at 2
+    via the (u-1)/2 and (u^2-1)/8 exponents.
+    """
     if place == "inf":
         return -1 if (A < 0 and B < 0) else 1
     p = place
-    if not isinstance(p, int) or not is_prime(p):
-        raise AlgebraError(f"place must be a prime or 'inf', got {place!r}")
     va, u = _valuation(A, p)
     vb, v = _valuation(B, p)
     if p == 2:
         e = ((u - 1) // 2) * ((v - 1) // 2)
         e += va * ((v * v - 1) // 8) + vb * ((u * u - 1) // 8)
         return -1 if e % 2 else 1
-    s = 1
-    if (va * vb) % 2 and (p - 1) // 2 % 2:
+    h = (p - 1) // 2
+    s = -1 if va * vb * h % 2 else 1
+    if vb % 2 and pow(u, h, p) != 1:
         s = -s
-    if vb % 2:
-        s *= legendre(u, p)
-    if va % 2:
-        s *= legendre(v, p)
+    if va % 2 and pow(v, h, p) != 1:
+        s = -s
     return s

@@ -17,8 +17,12 @@ only a nonzero D-th power, D the length, makes x_i non-nilpotent.  The
 degree pipeline reuses the same table for the Gram matrix.
 
 Cofactors express every basis element exactly as a combination of the input
-generators; they are what certificate extraction (1 = sum c_i * g_i) needs.
-They are built lazily.  While Buchberger runs, a working entry carries only
+generators.  The cofactors of the unit basis {1} are the certificate
+1 = sum c_i * g_i: contains_one_with_certificate returns them unchecked, and
+umrow.is_unimodular, which owns the certificate, checks them once, modulo
+the relations.  Buchberger stops as soon as 1 enters the working basis: 1
+divides every later remainder, so the pending pairs are dropped.  Cofactors
+are built lazily.  While Buchberger runs, a working entry carries only
 a recipe: its discovery index, its origin (a generator index, or the S-pair
 parents and their shifts), the step log of its reduction and the inverse
 that made it monic.  A remainder that reduces to zero, as most S-polynomials
@@ -41,7 +45,7 @@ from functools import cached_property
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .errors import InternalError, NotFiniteLength, RingMismatch
+from .errors import NotFiniteLength, RingMismatch
 from .orders import GREVLEX, MonomialOrder
 from .poly import Poly, Ring, _add_shifted, _divides, _entry, _reduce
 
@@ -115,6 +119,8 @@ def buchberger(
             heapq.heappush(pairs, (order.key(lcm), i, len(work)))
         recipe = None if origin is None else (len(work), origin, log, inv)
         work.append((lead, field.one, tail, recipe))
+        if not any(lead):
+            pairs.clear()  # 1 is in the ideal: every pending pair reduces to 0
 
     for k, g in enumerate(gens):
         if not g.is_zero:
@@ -347,15 +353,11 @@ def contains_one_with_certificate(
 ):
     """Cofactors (c_1, ..., c_m) with sum(c_i * gens_i) == 1, or None.
 
-    The identity is re-verified by exact expansion before returning.
+    Buchberger with cofactors: the cofactors of the unit basis, unchecked
+    here (umrow.is_unimodular checks each certificate once), or None when
+    the basis is not {1}.
     """
     gb = buchberger(gens, order, track_cofactors=True)
     if len(gb.basis) != 1 or gb.basis[0] != gens[0].ring.one():
         return None
-    cert = gb.cofactors[0]
-    total = gens[0].ring.zero()
-    for c, g in zip(cert, gens):
-        total = total + c * g
-    if total != gens[0].ring.one():
-        raise InternalError("cofactor identity failed to expand to 1")
-    return cert
+    return gb.cofactors[0]

@@ -1,8 +1,10 @@
 """Unimodular rows over finitely presented algebras.
 
 A row is unimodular when its entries generate the unit ideal modulo the
-presentation relations; certificates (cofactors summing to 1) are produced
-by Groebner cofactor tracking and re-verified by exact reduction.
+presentation relations.  A certificate (cofactors b_i with sum b_i * a_i
+== 1) comes from the cofactors of Buchberger's unit basis, which groebner
+returns unchecked; is_unimodular reduces it modulo the relations and checks
+once, by exact expansion, that it gives 1 there.
 
 The obstruction report ties a validated endomorphism to the completability
 of the induced row over S_n = k[x_1..x_n, y_1..y_n]/(sum x_i y_i - 1): a
@@ -60,8 +62,10 @@ def is_unimodular(
 ) -> Optional[tuple[Poly, ...]]:
     """Certificate (b_1,...,b_n) with sum(b_i * a_i) == 1 mod relations.
 
-    Returns None when 1 is not in the ideal.  Certificates are reduced
-    modulo the relation ideal and re-verified by exact reduction.
+    Returns None when 1 is not in the ideal.  The entry cofactors of
+    Buchberger's unit basis are reduced modulo the relation ideal, and
+    sum(b_i * a_i) - 1 must then reduce to 0 there.  This is the only check
+    of a certificate; a failure raises InternalError.
     """
     gens = list(row.entries) + list(row.algebra.relations)
     cert = contains_one_with_certificate(gens, order)

@@ -44,8 +44,8 @@ from typing import Optional
 from .errors import DegenerateForm, NonCanonicalForm, RingMismatch
 from .fields import (
     FieldSpec,
+    _hilbert,
     hasse_places,
-    hilbert_symbol,
     is_prime,
     square_class,
     square_class_mul,
@@ -321,13 +321,15 @@ def invariants(d: DiagForm) -> WittInvariants:
             hasse={},
         )
     signature = sum(1 if e > 0 else -1 for e in d.entries)
-    # prod_{i<j} (a_i, a_j)_v as prod_{j>=2} (a_1...a_{j-1}, a_j)_v: see above
-    pairs = list(zip(prefixes[1:-1], d.entries[1:]))
+    # prod_{i<j} (a_i, a_j)_v as prod_{j>=2} (a_1...a_{j-1}, a_j)_v: see
+    # above.  Classes and entries are squarefree integers, and the places
+    # come from the primes that DiagForm checked, so the kernel runs as is
+    pairs = [(x.numerator, a.numerator) for x, a in zip(prefixes[1:-1], d.entries[1:])]
     hasse = {}
     for v in hasse_places(d.primes):
         s = 1
         for prefix, a in pairs:
-            s *= hilbert_symbol(prefix, a, v)
+            s *= _hilbert(prefix, a, v)
         hasse[str(v)] = s
     return WittInvariants(
         field=field,

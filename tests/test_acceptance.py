@@ -19,7 +19,6 @@ from wittdeg import (
     degree_of,
     diag_form,
     diagonalize,
-    hilbert_symbol,
     invariants,
     is_unimodular,
     is_witt_zero,
@@ -32,7 +31,7 @@ from wittdeg.degree import (
     power_endo,
     univariate_tensor_oracle,
 )
-from wittdeg.fields import hasse_places
+from wittdeg.fields import hasse_places, hilbert_symbol
 from wittdeg.umrow import compose_with_endo, universal_row
 from wittdeg.witt import negate, orthogonal_sum, witt_equal
 

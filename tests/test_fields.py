@@ -10,12 +10,11 @@ from wittdeg import (
     FactorBoundExceeded,
     FieldSpec,
     ZeroScalar,
-    hilbert_symbol,
     square_class,
     square_class_mul,
     square_classes,
 )
-from wittdeg.fields import FACTOR_BOUND, hasse_places, legendre
+from wittdeg.fields import FACTOR_BOUND, hasse_places, hilbert_symbol
 
 
 def test_fieldspec_rejects_char_2():
@@ -209,20 +208,13 @@ def test_square_class_idempotent_and_multiplicative(Q, F7):
             )
 
 
-def test_legendre_brute_force_oracle():
+def test_hilbert_legendre_brute_force_oracle():
+    # (p, a)_p is the Legendre symbol (a|p) for a unit a mod p
     for p in (3, 5, 7, 11, 13):
         residues = {x * x % p for x in range(1, p)}
-        for a in range(p):
-            expected = 0 if a == 0 else (1 if a in residues else -1)
-            assert legendre(a, p) == expected
-
-
-def test_legendre_examples():
-    assert legendre(2, 5) == -1
-    assert legendre(1, 7) == 1
-    assert legendre(-1, 7) == -1
-    with pytest.raises(EvenModulus):
-        legendre(3, 2)
+        for a in range(1, p):
+            expected = 1 if a in residues else -1
+            assert hilbert_symbol(p, a, p) == expected
 
 
 def test_hilbert_examples():
@@ -233,6 +225,8 @@ def test_hilbert_examples():
             assert hilbert_symbol(1, b, p) == 1
     with pytest.raises(ZeroScalar):
         hilbert_symbol(0, 3, 5)
+    with pytest.raises(AlgebraError):
+        hilbert_symbol(2, 3, 9)
 
 
 def test_hilbert_symmetry_and_bimultiplicativity():

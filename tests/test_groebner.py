@@ -8,7 +8,6 @@ import pytest
 
 from wittdeg import (
     GREVLEX,
-    InternalError,
     NotFiniteLength,
     Ring,
     buchberger,
@@ -25,7 +24,7 @@ from wittdeg.orders import LEX
 from wittdeg.poly import Poly, _add_shifted, _entry, _reduce
 from wittdeg.umrow import compose_with_endo, universal_row
 
-from conftest import random_poly
+from conftest import counterexample_endo, random_poly
 
 
 @pytest.fixture
@@ -565,19 +564,40 @@ def test_reduce_uses_first_divisor_in_list_order(Q):
         assert normal_form(x, gb) == expected
 
 
-def test_certificate_reverification_raises_internal_error(Q, monkeypatch):
-    ring = Ring(("x",), Q)
-    x = ring.var(0)
-    gens = [x, ring.one() - x]
-    wrong = GroebnerBasis(
-        generators=tuple(gens),
-        basis=(ring.one(),),
-        order=GREVLEX,
-        cofactors=((ring.one(), ring.zero()),),
-    )
-    monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: wrong)
-    with pytest.raises(InternalError):
-        contains_one_with_certificate(gens)
+def test_buchberger_stops_at_the_unit(Q, monkeypatch):
+    # once 1 is in the working basis every pending pair reduces to zero, so
+    # no reduction may run until the basis is autoreduced
+    events = []
+
+    def reduce(terms, basis, *args):
+        rem = _reduce(terms, basis, *args)
+        # the largest exponent is zero only for a constant remainder
+        events.append("unit" if rem and not any(max(rem)) else "reduce")
+        return rem
+
+    def reduce_basis(*args):
+        events.append("basis")
+        return reduce_basis_orig(*args)
+
+    reduce_basis_orig = groebner._reduce_basis
+    monkeypatch.setattr(groebner, "_reduce", reduce)
+    monkeypatch.setattr(groebner, "_reduce_basis", reduce_basis)
+    R2 = Ring(("x", "y"), Q)
+    row = universal_row(Q, 3)
+    rng = random.Random(11)
+    cases = [[parse_poly(s, R2) for s in ("x^2", "x*y + 1", "y^2")]] + [
+        list(compose_with_endo(row, endo).entries) + list(row.algebra.relations)
+        for endo in (
+            counterexample_endo(Q),
+            _triangular_endo(rng, Q, (1, 2, 2)),
+            _triangular_endo(rng, Q, (2, 1, 2)),
+        )
+    ]
+    for gens, track in itertools.product(cases, (False, True)):
+        events.clear()
+        gb = buchberger(gens, track_cofactors=track)
+        assert gb.basis == (gens[0].ring.one(),)
+        assert events[events.index("unit") + 1] == "basis", events
 
 
 def _reference_supported_only_at_origin(qa):

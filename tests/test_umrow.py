@@ -17,7 +17,9 @@ from wittdeg import (
     obstruction_report,
     parse_poly,
 )
-from wittdeg import umrow
+from wittdeg import groebner, umrow
+from wittdeg.groebner import GroebnerBasis
+from wittdeg.orders import GREVLEX
 from wittdeg.umrow import apply_elementary, build_section, universal_row
 from wittdeg.cli import run
 
@@ -177,16 +179,31 @@ def test_obstruction_report_requires_odd_arity(Q):
 
 def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     # a certificate that does not sum to 1 must surface as InternalError
-    # (exit 2 from the CLI), not as a bare assertion
-    ring = Ring(("x",), Q)
-    x = ring.var(0)
-    row = UnimodularRow(
-        algebra=AlgebraPresentation(ring=ring), entries=(x, ring.one() - x)
+    # (exit 2 from the CLI), not as a bare assertion.  First a unit basis
+    # with wrong cofactors, on a row with a relation: groebner returns the
+    # cofactors unchecked, and the one check, modulo the relation, fails
+    row = universal_row(Q, 1)
+    ring = row.algebra.ring
+    wrong = GroebnerBasis(
+        generators=row.entries + row.algebra.relations,
+        basis=(ring.one(),),
+        order=GREVLEX,
+        cofactors=((ring.var(1) + ring.one(), ring.zero()),),
     )
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "buchberger", lambda *a, **k: wrong)
+        with pytest.raises(InternalError, match="re-verification"):
+            is_unimodular(row)
+    # then zero cofactors, on a row without relations and from the CLI
     monkeypatch.setattr(
         umrow,
         "contains_one_with_certificate",
         lambda gens, order: tuple(g.ring.zero() for g in gens),
+    )
+    ring = Ring(("x",), Q)
+    x = ring.var(0)
+    row = UnimodularRow(
+        algebra=AlgebraPresentation(ring=ring), entries=(x, ring.one() - x)
     )
     with pytest.raises(InternalError):
         is_unimodular(row)

@@ -24,10 +24,11 @@ from wittdeg.fields import (
     FACTOR_BOUND,
     hasse_places,
     hilbert_symbol,
+    is_prime,
     square_class,
     square_class_mul,
 )
-from wittdeg import witt
+from wittdeg import fields, witt
 from wittdeg.degree import gram_form
 from wittdeg.witt import (
     GramForm,
@@ -705,3 +706,19 @@ def test_invariants_take_their_places_from_the_shared_factorization(Q):
     assert tensor(diag_form(Q, [p]), diag_form(Q, [p])).primes == ()
     assert negate(d) == DiagForm(field=Q, entries=(-p, -q, -7 * p * q))
     assert _strip_obvious_pairs(orthogonal_sum(d, negate(d))).primes == ()
+
+
+def test_invariants_trust_the_primes_of_the_form(Q, monkeypatch):
+    # DiagForm checks its primes once; invariants must not test them again
+    d = diag_form(Q, [3, -5, 7 * 11, -13, 3 * 5 * 7, 1009])
+    expected = _pairwise_hasse(d, set(d.primes))
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(fields, "is_prime", counting)
+    monkeypatch.setattr(witt, "is_prime", counting)
+    assert invariants(d).hasse == expected
+    assert calls == []
