@@ -1,12 +1,17 @@
 """Exact scalar arithmetic over Q and over odd prime fields F_p.
 
-Scalars are plain Python values: ``fractions.Fraction`` over Q, ints reduced
-to ``[0, p)`` over F_p.  A :class:`FieldSpec` carries the arithmetic so that
-polynomials and matrices stay agnostic of the coefficient representation.
+Scalars are plain Python values, never floats.  Over Q a scalar is an
+``int`` when it is integral and a ``fractions.Fraction`` with denominator
+> 1 otherwise; over F_p it is an int reduced to ``[0, p)``.  Integral data
+dominate in practice, and int arithmetic is many times cheaper than
+Fraction arithmetic.  A :class:`FieldSpec` carries the arithmetic so that
+polynomials and matrices stay agnostic of the coefficient representation;
+kernels that compute inline keep the same rule where they store a value,
+and no Q division uses ``/`` on two scalars, since ``int / int`` is a float.
 
 Square classes are canonicalized as follows: over Q the representative is a
-signed squarefree integer (as an integer-valued Fraction); over F_p it is 1
-for squares and the smallest positive non-residue otherwise.  Only
+signed squarefree integer; over F_p it is 1 for squares and the smallest
+positive non-residue otherwise.  Only
 square_classes factors integers: it classifies many values against one
 shared prime set, and returns the primes that the Hasse symbols need.
 """
@@ -55,6 +60,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x):
+    """The canonical Q scalar equal to the int or Fraction x."""
+    return x.numerator if x.denominator == 1 else x
+
+
 _SCALAR_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
@@ -96,21 +106,19 @@ class FieldSpec:
 
     # -- canonical values ------------------------------------------------
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.is_rationals else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.is_rationals else 1
+    zero = 0
+    one = 1
 
     def from_int(self, n: int):
-        return Fraction(n) if self.is_rationals else n % self.modulus
+        return n if self.is_rationals else n % self.modulus
 
     def canon(self, x):
-        """Coerce ints/Fractions into the canonical scalar representation."""
+        """Coerce ints/Fractions into the canonical scalar representation;
+        anything else, a float included, raises AlgebraError."""
+        if not isinstance(x, (int, Fraction)):
+            raise AlgebraError(f"scalar {x!r} is not an int or a Fraction")
         if self.is_rationals:
-            return Fraction(x)
+            return _rational(x)
         if isinstance(x, Fraction):
             if x.denominator % self.modulus == 0:
                 raise ZeroScalar(f"denominator divisible by {self.modulus}")
@@ -120,18 +128,20 @@ class FieldSpec:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a, b):
-        return a + b if self.is_rationals else (a + b) % self.modulus
+        return _rational(a + b) if self.is_rationals else (a + b) % self.modulus
 
     def mul(self, a, b):
-        return a * b if self.is_rationals else (a * b) % self.modulus
+        return _rational(a * b) if self.is_rationals else (a * b) % self.modulus
 
     def neg(self, a):
-        return -a if self.is_rationals else (-a) % self.modulus
+        return _rational(-a) if self.is_rationals else (-a) % self.modulus
 
     def inv(self, a):
         if not a:
             raise ZeroScalar("inverse of zero")
-        return 1 / a if self.is_rationals else pow(a, -1, self.modulus)
+        if self.is_rationals:
+            return _rational(Fraction(a.denominator, a.numerator))
+        return pow(a, -1, self.modulus)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -210,7 +220,7 @@ def square_classes(field: FieldSpec, values) -> tuple[list, tuple]:
         part[n] = [p for p in shared if _valuation(n, p)[0] % 2]
     # a/b and ab lie in one class, and a, b are coprime
     return [
-        Fraction((1 if n > 0 else -1) * math.prod(part[abs(n)] + part[d]))
+        (1 if n > 0 else -1) * math.prod(part[abs(n)] + part[d])
         for n, d in (a.as_integer_ratio() for a in values)
     ], tuple(sorted({p for odd in part.values() for p in odd}))
 
@@ -223,7 +233,7 @@ def hasse_places(primes) -> list:
 def square_class(field: FieldSpec, a):
     """Canonical representative of a modulo nonzero squares.
 
-    Q: signed squarefree integer (returned as a Fraction).  F_p: 1 or the
+    Q: signed squarefree integer (an int).  F_p: 1 or the
     smallest positive non-residue.  Idempotent on its own output.
     """
     return square_classes(field, (a,))[0][0]
@@ -239,7 +249,7 @@ def square_class_mul(field: FieldSpec, a, b):
         sign = -1 if (a < 0) != (b < 0) else 1
         aa, bb = abs(a.numerator), abs(b.numerator)
         g = math.gcd(aa, bb)
-        return Fraction(sign * (aa // g) * (bb // g))
+        return sign * (aa // g) * (bb // g)
     return square_class(field, field.mul(a, b))
 
 

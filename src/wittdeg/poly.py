@@ -62,11 +62,13 @@ def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
     for e, v in src.items():
         e = tuple(map(add, e, shift))
         w = dst.get(e)
-        # a fresh key takes c * v as is: adding it to an int 0 would send
-        # every new Fraction through its reflected-operator path
+        # a fresh key takes c * v as is: adding it to 0 would cost one more
+        # addition per new term, a reflected-operator call for a Fraction
         w = c * v if w is None else w + c * v
         if q is not None:
             w %= q
+        elif type(w) is Fraction and w.denominator == 1:
+            w = w.numerator  # canonical over Q: an integral value is an int
         if w:
             dst[e] = w
         else:
@@ -100,7 +102,10 @@ def _reduce(terms: dict, basis, order: MonomialOrder, field, log=None) -> dict:
         else:
             rem[ce] = cc
             continue
-        c = -cc / dc if q is None else -cc * pow(dc, -1, q) % q
+        if q is not None:
+            c = -cc * pow(dc, -1, q) % q
+        else:  # divisors are monic in practice; else divide exactly
+            c = -cc if dc == 1 else field.div(-cc, dc)
         shift = tuple(map(sub, ce, de))
         _add_shifted(terms, tail, shift, c, q)
         if log is not None:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Optional
@@ -175,7 +176,8 @@ def _eliminate(g: GramForm) -> list:
     update is computed once and stored at (r, s) and (s, r); an entry that
     cancels is deleted from both rows.  Column k is first removed from the
     rows of its neighbours, so no row keeps an eliminated position.  The
-    inner loop does its arithmetic inline (Fraction over Q, % p over F_p).
+    inner loop does its arithmetic inline: over Q on ints and Fractions,
+    storing an integral result as an int, and % p over F_p.
     """
     field = g.field
     q = field.modulus
@@ -235,6 +237,8 @@ def _eliminate(g: GramForm) -> list:
                         if r != s:
                             del rows[s][r]
                         continue
+                if type(w) is Fraction and w.denominator == 1:
+                    w = w.numerator
                 row_r[s] = rows[s][r] = w
     return pivots
 

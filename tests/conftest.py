@@ -67,6 +67,14 @@ def random_unit(rng, field, bound=20):
     return rng.randint(1, field.modulus - 1)
 
 
+def is_canonical_scalar(field, x) -> bool:
+    """The one scalar representation: over Q an int, or a Fraction with
+    denominator > 1; over F_p an int in [0, p).  Never a float or a bool."""
+    if field.is_rationals:
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+    return type(x) is int and 0 <= x < field.modulus
+
+
 def canonical_gram(field, rows, basis_labels=()):
     """Sparse GramForm of a dense matrix of ints/Fractions, entries made
     canonical and zeros left out.  A short row is rejected here, since

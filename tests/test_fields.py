@@ -9,12 +9,15 @@ from wittdeg import (
     EvenModulus,
     FactorBoundExceeded,
     FieldSpec,
+    Ring,
     ZeroScalar,
     square_class,
     square_class_mul,
     square_classes,
 )
 from wittdeg.fields import FACTOR_BOUND, hasse_places, hilbert_symbol
+
+from conftest import is_canonical_scalar
 
 
 def test_fieldspec_rejects_char_2():
@@ -46,6 +49,10 @@ def test_field_axioms_randomized(Q, F7):
                 )
             else:
                 a, b, c = (rng.randrange(7) for _ in range(3))
+            out = [field.add(a, b), field.mul(a, b), field.neg(a)]
+            if b:
+                out += [field.inv(b), field.div(a, b)]
+            assert all(is_canonical_scalar(field, x) for x in out), out
             assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
             assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
             assert field.mul(a, field.add(b, c)) == field.add(
@@ -53,6 +60,30 @@ def test_field_axioms_randomized(Q, F7):
             )
             if a:
                 assert field.mul(a, field.inv(a)) == field.one
+
+
+def test_integral_rationals_are_ints(Q):
+    half = Fraction(1, 2)
+    assert type(Q.add(half, half)) is int
+    assert type(Q.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    assert type(Q.inv(-1)) is int and Q.inv(2) == half
+    assert type(Q.div(6, 3)) is int and Q.div(1, 2) == half
+    assert type(Q.canon(Fraction(4, 2))) is int
+    assert type(Q.parse_scalar("4/2")) is int
+    for x in (Q.zero, Q.one, Q.from_int(-3), square_class(Q, Fraction(9, 8))):
+        assert type(x) is int
+    assert type(square_class_mul(Q, 2, -6)) is int
+
+
+def test_canon_rejects_non_scalars(Q, F7):
+    for field in (Q, F7):
+        for x in (0.5, 1.0, "1", None, 1j):
+            with pytest.raises(AlgebraError):
+                field.canon(x)
+        with pytest.raises(AlgebraError):
+            Ring(("x",), field).constant(0.5)
+    assert F7.canon(Fraction(1, 2)) == 4
+    assert Q.canon(True) == 1 and type(Q.canon(True)) is int
 
 
 def test_square_class_examples(Q, F5):

@@ -24,7 +24,7 @@ from wittdeg.orders import LEX
 from wittdeg.poly import Poly, _add_shifted, _entry, _reduce
 from wittdeg.umrow import compose_with_endo, universal_row
 
-from conftest import counterexample_endo, random_poly
+from conftest import counterexample_endo, is_canonical_scalar, random_poly, random_unit
 
 
 @pytest.fixture
@@ -309,6 +309,7 @@ def _random_divisors(rng, ring):
 
 def test_reduce_matches_reference_division(Q, F7):
     rng = random.Random(2718)
+    units = random.Random(2719)  # its own stream: rng draws the same cases
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
         ring = Ring(("x", "y", "z"), field)
         for _ in range(60):
@@ -316,11 +317,16 @@ def test_reduce_matches_reference_division(Q, F7):
             if not divisors:
                 continue
             p = random_poly(rng, ring, max_degree=5, max_terms=6, coeff_range=5)
-            _, expected = _reference_divide(p, divisors, order)
-            gb = GroebnerBasis(
-                generators=tuple(divisors), basis=tuple(divisors), order=order
-            )
-            assert normal_form(p, gb) == expected
+            # the same case with every input scaled by a unit: over Q the
+            # divisors lead with non-integral rationals
+            scaled = [d.scale(random_unit(units, field)) for d in divisors]
+            sp = p.scale(random_unit(units, field))
+            for x, ds in ((p, divisors), (sp, scaled)):
+                _, expected = _reference_divide(x, ds, order)
+                gb = GroebnerBasis(generators=tuple(ds), basis=tuple(ds), order=order)
+                got = normal_form(x, gb)
+                assert got == expected
+                assert all(is_canonical_scalar(field, c) for c in got.terms.values())
 
 
 def test_reduce_matches_reference_cofactor_tracking(Q, F7):
@@ -371,7 +377,7 @@ def _eager_reduce(terms, basis, order, field, cof=None):
         else:
             rem[ce] = cc
             continue
-        c = -cc / dc if q is None else -cc * pow(dc, -1, q) % q
+        c = field.div(-cc, dc) if q is None else -cc * pow(dc, -1, q) % q
         shift = tuple(map(sub, ce, de))
         _add_shifted(terms, tail, shift, c, q)
         if cof is not None:

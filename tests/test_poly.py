@@ -25,7 +25,9 @@ from conftest import (
     _reference_exact_div,
     _reference_mul,
     divided_differences,
+    is_canonical_scalar,
     random_poly,
+    random_unit,
 )
 
 
@@ -154,24 +156,33 @@ def test_det_singular_matrix(R2):
 
 def _assert_same_poly(got, expected):
     assert got == expected
-    # canonical scalars: Fractions over Q, ints in [0, p) over F_p
-    for c in got.terms.values():
-        assert type(c) is type(expected.ring.field.one)
-        assert c == expected.ring.field.canon(c)
+    field = expected.ring.field
+    bad = [c for c in got.terms.values() if not is_canonical_scalar(field, c)]
+    assert not bad, bad
 
 
 def test_kernel_arithmetic_matches_reference(Q, F7):
     rng = random.Random(3141)
+    units = random.Random(3142)  # its own stream: rng draws the same cases
+    half = Fraction(1, 2)
     for field in (Q, F7):
         ring = Ring(("x", "y", "z"), field)
         for _ in range(150):
             p = random_poly(rng, ring, max_terms=6)
             q = random_poly(rng, ring, max_terms=6)
-            _assert_same_poly(p + q, _reference_add(p, q))
-            _assert_same_poly(p - q, _reference_add(p, -q))
-            _assert_same_poly(p - p, ring.zero())
-            _assert_same_poly(p * q, _reference_mul(p, q))
-            _assert_same_poly(p * (q - q), ring.zero())
+            # the same pair scaled by units: non-integral over Q, and sums
+            # whose rational parts cancel to integers
+            sp = p.scale(random_unit(units, field))
+            sq = q.scale(random_unit(units, field))
+            for a, b in ((p, q), (sp, sq), (sp, q), (p, sq)):
+                _assert_same_poly(a + b, _reference_add(a, b))
+                _assert_same_poly(a - b, _reference_add(a, -b))
+                _assert_same_poly(a - a, ring.zero())
+                _assert_same_poly(a * b, _reference_mul(a, b))
+                _assert_same_poly(a * (b - b), ring.zero())
+            _assert_same_poly(p.scale(half) + p.scale(half), p)
+            _assert_same_poly(sp.scale(half) * q + q * sp.scale(half), sp * q)
+            _assert_same_poly(sp + sp.scale(-1), ring.zero())
 
 
 _FIELDS = (FieldSpec.rationals(), FieldSpec.prime_field(7))
