@@ -175,7 +175,50 @@ def _row_from_job(job: JobFile, path: str) -> UnimodularRow:
 
 
 def _print_json(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+    """Write the bytes of print(json.dumps(data, indent=2)) to the current
+    sys.stdout, streamed a line or a list of strings at a time."""
+    write = sys.stdout.write
+    _write_json(data, write)
+    write("\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, write, level: int = 0) -> None:
+    """Pass json.dumps(value, indent=2) to write in pieces.  Dicts and mixed
+    lists go item by item; a list of strings (a Gram row) is one piece, quoted
+    by one join when no entry needs escaping.  Dict keys must be strings."""
+    if isinstance(value, str):
+        write(_encode_str(value))
+        return
+    if not value or not isinstance(value, (dict, list)):
+        write(json.dumps(value))
+        return
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
+        sep = "{" + pad
+        for key, item in value.items():
+            write(sep + _encode_str(key) + ": ")
+            _write_json(item, write, level + 1)
+            sep = "," + pad
+        write(pad[:-2] + "}")
+        return
+    try:
+        flat = "".join(value)
+    except TypeError:
+        sep = "[" + pad
+        for item in value:
+            write(sep)
+            _write_json(item, write, level + 1)
+            sep = "," + pad
+    else:
+        if len(_encode_str(flat)) == len(flat) + 2:
+            body = '"' + ('",' + pad + '"').join(value) + '"'
+        else:
+            body = ("," + pad).join(map(_encode_str, value))
+        write("[" + pad + body)
+    write(pad[:-2] + "]")
 
 
 def _degree_summary(report: DegreeReport) -> str:

@@ -110,6 +110,10 @@ class FieldSpec:
     one = 1
 
     def from_int(self, n: int):
+        """The field element n * 1; anything but an int, a float or a bool
+        included, raises AlgebraError."""
+        if type(n) is not int:
+            raise AlgebraError(f"scalar {n!r} is not an int")
         return n if self.is_rationals else n % self.modulus
 
     def canon(self, x):

@@ -59,8 +59,9 @@ class GramForm:
     """A symmetric form over the field, with labelled basis, stored sparse.
 
     rows[i] maps a column j to the nonzero entry (i, j); a zero is never
-    stored, and the mirror entry rows[j][i] holds the same value.  The
-    dense d x d matrix is not kept: `dense` derives it for output.
+    stored, and the mirror entry rows[j][i] holds the same value.  Over Q an
+    integral entry must be an int.  The dense d x d matrix is not kept:
+    `dense` derives it for output.
     """
 
     field: FieldSpec
@@ -70,12 +71,15 @@ class GramForm:
     def __post_init__(self):
         rows = self.rows
         d = len(rows)
+        over_q = self.field.is_rationals
         for i, row in enumerate(rows):
             for j, x in row.items():
                 if not 0 <= j < d:
                     raise DegenerateForm(f"Gram column {j} is out of range")
                 if not x:
                     raise DegenerateForm("Gram form stores an explicit zero")
+                if over_q and type(x) is Fraction and x.denominator == 1:
+                    raise DegenerateForm(f"Gram entry {x!r} over Q is not an int")
                 if rows[j].get(i) != x:
                     raise DegenerateForm("Gram matrix is not symmetric")
 
@@ -98,10 +102,11 @@ class DiagForm:
     """<a_1,...,a_r> with entries canonical square-class representatives.
 
     Over F_p an entry must be 1 or the least non-residue; over Q a nonzero
-    squarefree integer.  After init, primes is always the ascending tuple of
-    primes dividing some entry.  Given primes are checked by integer division
-    only (non-primes, and primes dividing no entry, are dropped); without
-    them the entries are factored once.  diag_form canonicalizes nonzero scalars.
+    squarefree integer, stored as an int.  After init, primes is always the
+    ascending tuple of primes dividing some entry.  Given primes are checked
+    by integer division only (non-primes, and primes dividing no entry, are
+    dropped); without them the entries are factored once.  diag_form
+    canonicalizes nonzero scalars.
     """
 
     field: FieldSpec
@@ -112,10 +117,13 @@ class DiagForm:
         field, used, given = self.field, set(), self.primes is not None
         if field.is_rationals:
             bad = [e for e in self.entries if not e or e.denominator != 1]
+            if not bad:  # an integral Fraction is stored as its int
+                entries = tuple(e.numerator for e in self.entries)
+                object.__setattr__(self, "entries", entries)
             primes = {p for p in self.primes or () if is_prime(p)}
             if not given and not bad:
                 primes = square_classes(field, self.entries)[1]
-            for a in () if bad else {e.numerator for e in self.entries}:
+            for a in () if bad else set(self.entries):
                 mine = [p for p in primes if a % p == 0]
                 used.update(mine)
                 n = abs(a) // math.prod(mine)  # 1 iff a product of distinct primes

@@ -6,10 +6,14 @@ with monotonic clocks.
 """
 
 import itertools
+import json
 import math
 import random
+import textwrap
 import time
 from fractions import Fraction
+
+import pytest
 
 from wittdeg import (
     Endo,
@@ -26,6 +30,7 @@ from wittdeg import (
     square_class,
     square_classes,
 )
+from wittdeg.cli import _write_json
 from wittdeg.degree import (
     diagonal_bezoutian_identity,
     power_endo,
@@ -246,21 +251,43 @@ def test_criterion_9_row_certificates():
     )
 
 
-def test_scale_staircase_k40():
-    """The k = 40 staircase (xy, yz + x^40, xz + y^40 + z^40) has d = 1,680
-    and a Gram form with about one nonzero per row: the sparse pipeline
-    runs it in well under 2 s per field.  The Q signed discriminant,
-    reduced mod 10007, is the F_10007 one (the benchmark's twin oracle)."""
+@pytest.fixture(scope="module")
+def staircase_k40():
+    """The k = 40 staircase (xy, yz + x^40, xz + y^40 + z^40) over Q and
+    F_10007: each field's report and the seconds its degree_of took."""
     texts = ("x*y", "y*z + x^40", "x*z + y^40 + z^40")
-    fp = FieldSpec.prime_field(10007)
-    reports = {}
-    for field in (Q, fp):
+    runs = {}
+    for field in (Q, FieldSpec.prime_field(10007)):
         start = time.monotonic()
         report = degree_of(make_endo(field, ("x", "y", "z"), texts))
-        elapsed = time.monotonic() - start
+        runs[field] = report, time.monotonic() - start
+    return runs
+
+
+def test_scale_staircase_k40(staircase_k40):
+    """The k = 40 staircase has d = 1,680 and a Gram form with about one
+    nonzero per row: the sparse pipeline runs it in well under 2 s per
+    field.  The Q signed discriminant, reduced mod 10007, is the F_10007
+    one (the benchmark's twin oracle)."""
+    fp = FieldSpec.prime_field(10007)
+    reports = {}
+    for field, (report, elapsed) in staircase_k40.items():
         assert report.length == report.invariants.rank == 1680
         assert elapsed < 2.0, (field, elapsed)
         reports[field] = report
     q_disc = fp.canon(reports[Q].invariants.signed_discriminant)
     assert square_class(fp, q_disc) == reports[fp].invariants.signed_discriminant
     print("PASS scale: k = 40 staircase, rank 1680 over Q and F10007")
+
+
+def test_json_k40_streams_by_gram_row(staircase_k40):
+    """The --json writer passes the k = 40 Q report (31 MB under schema 1)
+    on in pieces no longer than one indented Gram row, and the pieces
+    parse back to the report."""
+    data = staircase_k40[Q][0].to_json_dict()
+    pieces = []
+    _write_json(data, pieces.append)
+    assert json.loads("".join(pieces)) == data
+    widest = max(data["gram"], key=lambda row: len("".join(row)))
+    row_text = textwrap.indent(json.dumps(widest, indent=2), "    ")
+    assert max(map(len, pieces)) <= len(row_text)

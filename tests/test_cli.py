@@ -1,7 +1,9 @@
 import json
 import pathlib
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittdeg import cli
 from wittdeg.cli import run
@@ -277,3 +279,43 @@ def test_reused_parser_matches_fresh_calls(capsys):
     cli._parser.cache_clear()
     assert [call(argv) for argv in calls] == fresh
     assert cli._parser.cache_info().misses == 1
+
+
+# Strings over the first alphabet take the writer's one-join path; the
+# second holds a quote, a backslash, control characters and non-ASCII text.
+_PLAIN = string.ascii_letters + string.digits + " -^*/"
+_ESCAPED = 'a"\\\x00\n\x1f\x7f\xe9\u20ac\U0001f600'
+_json_strings = st.text(_PLAIN, max_size=5) | st.text(_ESCAPED, max_size=5)
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | _json_strings | st.lists(_json_strings),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_json_trees)
+def test_write_json_matches_stdlib(value):
+    pieces = []
+    cli._write_json(value, pieces.append)
+    assert "".join(pieces) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degree", "docs/jobs/counterexample.job"],
+        ["nori-check", "docs/jobs/counterexample.job"],
+        ["witt", "invariants", "3,5,7"],
+        ["witt", "is-zero", "1,1", "--field", "F5"],
+        ["koszul", "verify", "--n", "3"],
+        ["row", "check", "docs/jobs/taut3.row"],
+        ["row", "compose", "docs/jobs/taut3.row", "docs/jobs/counterexample.job"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_json_output_is_stdlib_indent2(capsys, argv):
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

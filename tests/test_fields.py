@@ -86,6 +86,15 @@ def test_canon_rejects_non_scalars(Q, F7):
     assert Q.canon(True) == 1 and type(Q.canon(True)) is int
 
 
+def test_from_int_rejects_non_ints(Q, F7):
+    for field in (Q, F7):
+        for x in (0.5, 1.0, Fraction(1, 2), Fraction(3), "1", None, True):
+            with pytest.raises(AlgebraError):
+                field.from_int(x)
+        assert is_canonical_scalar(field, field.from_int(-3))
+    assert F7.from_int(-3) == 4
+
+
 def test_square_class_examples(Q, F5):
     # 18 = 2 * 3^2
     assert square_class(Q, 18) == 2

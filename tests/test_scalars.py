@@ -10,14 +10,15 @@ the certificate of a composed unimodular row.
 
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from wittdeg import Endo, FieldSpec, Ring
+from wittdeg import DegenerateForm, Endo, FieldSpec, GramForm, Ring
 from wittdeg.cli import _endo_from_job, _row_from_job, parse_job_file
 from wittdeg.degree import _gram_from_quotient, validate
 from wittdeg.umrow import compose_with_endo, is_unimodular
-from wittdeg.witt import _eliminate, diag_form, invariants
+from wittdeg.witt import DiagForm, _eliminate, diag_form, invariants
 
 from conftest import is_canonical_scalar, random_poly, random_unit
 
@@ -149,3 +150,16 @@ def test_row_compose_certificate_is_canonical():
             assert cert is not None
             terms = (("certificate", c) for b in cert for c in b.terms.values())
             _assert_canonical(Q, terms)
+
+
+def test_hand_built_forms_hold_canonical_scalars():
+    """DiagForm stores an integral Fraction as its int; GramForm, which
+    stores its nonzeros as given, rejects one."""
+    d = DiagForm(field=Q, entries=(Fraction(15), -2, Fraction(-1)))
+    assert d.entries == (15, -2, -1) and d.primes == (2, 3, 5)
+    _assert_canonical(Q, (("diagonal", e) for e in d.entries))
+    half, two = Fraction(1, 2), Fraction(2)
+    g = GramForm(field=Q, rows=({1: half}, {0: half, 1: 2}))
+    _assert_canonical(Q, (("gram", c) for row in g.rows for c in row.values()))
+    with pytest.raises(DegenerateForm, match="not an int"):
+        GramForm(field=Q, rows=({1: half}, {0: half, 1: two}))
