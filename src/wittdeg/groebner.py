@@ -7,6 +7,22 @@ leading term from a precomputed entry, and keeps only the remainder: no
 caller here needs the quotients.  Pending S-pairs wait in a heap keyed by
 the order key of their lcm, computed once when the pair is formed.
 
+When an element t joins the working basis, its new pairs (i, t) pass the
+Gebauer-Moeller criteria (Gebauer & Moeller, JSC 6, 1988), which refine
+Buchberger's second criterion (EUROSAM 1979).  The pairs are grouped by
+lcm and each group keeps its first i (F); a group goes if any member has
+coprime leading monomials (the product criterion), or if the lcm of
+another new pair, coprime ones included, properly divides its lcm (M).
+Every dropped S-polynomial reduces to zero, so the reduced basis is
+unchanged; on the generic benchmark (seed 1, 42 jobs) the criteria cut
+the reductions from 1,236 to 678, and a 3-variable LEX ideal over Q from
+365 to 58.  Two refinements are left out.  The chain criterion B_k on
+pending pairs saves no reduction there: it drops no pair on generic, and
+on rows only pairs that stopping at the unit drops anyway.  Pruning
+basis elements whose leading monomial the new one divides changes the
+reducers, and with it goldens 11 and 23 changed and the row certificates
+of 42 jobs grew from 44.6 KB to 54.7 KB.
+
 Each QuotientAlgebra keeps one memoized table of monomial normal forms,
 seeded with the standard monomials (each its own normal form).  A missing
 entry is NF(x^a) = NF(x_i * NF(x^(a - e_i))): one shift by e_i of a
@@ -42,7 +58,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
+from operator import le, sub
 from typing import Optional, Sequence
 
 from .errors import NotFiniteLength, RingMismatch
@@ -102,6 +118,7 @@ def buchberger(
     # monic working basis as _entry tuples, in order of discovery; the fourth
     # slot is the entry's cofactor recipe, or None when cofactors are off
     work: list[tuple] = []
+    degs: list[int] = []  # total degree of each working leading monomial
     # heap of pending pairs (order key of their lcm, i, j): smallest lcm first
     pairs: list[tuple] = []
 
@@ -114,12 +131,32 @@ def buchberger(
         lead, lc, tail, _ = _entry(rem, order)
         inv = field.inv(lc)
         tail = {e: field.mul(v, inv) for e, v in tail.items()}
+        t = len(work)
+        deg = sum(lead)
+        # the new pairs (i, t) by lcm: the first i of each group, and whether
+        # any member has coprime leading monomials (F and the product
+        # criterion)
+        groups: dict = {}
         for i, w in enumerate(work):
             lcm = tuple(map(max, w[0], lead))
-            heapq.heappush(pairs, (order.key(lcm), i, len(work)))
-        recipe = None if origin is None else (len(work), origin, log, inv)
+            coprime = sum(lcm) == degs[i] + deg
+            group = groups.get(lcm)
+            if group is None:
+                groups[lcm] = [i, coprime]
+            elif coprime:
+                group[1] = True
+        # M: a proper divisor has a smaller total degree, so it comes first
+        minimal: list = []
+        for lcm in sorted(groups, key=sum):
+            if not any(all(map(le, m, lcm)) for m in minimal):
+                minimal.append(lcm)
+                i, coprime = groups[lcm]
+                if not coprime:
+                    heapq.heappush(pairs, (order.key(lcm), i, t))
+        recipe = None if origin is None else (t, origin, log, inv)
         work.append((lead, field.one, tail, recipe))
-        if not any(lead):
+        degs.append(deg)
+        if not deg:
             pairs.clear()  # 1 is in the ideal: every pending pair reduces to 0
 
     for k, g in enumerate(gens):
@@ -131,8 +168,6 @@ def buchberger(
         li, _, tail_i, _ = work[i]
         lj, _, tail_j, _ = work[j]
         lcm = tuple(map(max, li, lj))
-        if lcm == tuple(map(add, li, lj)):
-            continue  # coprime leading monomials: S-polynomial reduces to 0
         si = tuple(map(sub, lcm, li))
         sj = tuple(map(sub, lcm, lj))
         # x^si * f_i - x^sj * f_j: both are monic, so the leading terms cancel

@@ -7,6 +7,8 @@ monomial, and the constant monomial is minimal (well-foundedness).
 
 from __future__ import annotations
 
+from operator import neg
+
 from .errors import AlgebraError
 
 
@@ -32,7 +34,7 @@ class MonomialOrder:
 def _grevlex_key(exps):
     # total degree, ties broken by the reversed negated tuple: the monomial
     # whose rightmost differing exponent is smaller wins
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 GREVLEX = MonomialOrder("grevlex", _grevlex_key)

@@ -59,9 +59,10 @@ class GramForm:
     """A symmetric form over the field, with labelled basis, stored sparse.
 
     rows[i] maps a column j to the nonzero entry (i, j); a zero is never
-    stored, and the mirror entry rows[j][i] holds the same value.  Over Q an
-    integral entry must be an int.  The dense d x d matrix is not kept:
-    `dense` derives it for output.
+    stored, and the mirror entry rows[j][i] holds the same value.  An entry
+    is an int, or over Q a non-integral Fraction; anything else, such as a
+    float or an integral Fraction, raises DegenerateForm.  The dense d x d
+    matrix is not kept: `dense` derives it for output.
     """
 
     field: FieldSpec
@@ -78,8 +79,13 @@ class GramForm:
                     raise DegenerateForm(f"Gram column {j} is out of range")
                 if not x:
                     raise DegenerateForm("Gram form stores an explicit zero")
-                if over_q and type(x) is Fraction and x.denominator == 1:
-                    raise DegenerateForm(f"Gram entry {x!r} over Q is not an int")
+                if type(x) is not int and (
+                    not over_q or type(x) is not Fraction or x.denominator == 1
+                ):
+                    raise DegenerateForm(
+                        f"Gram entry {x!r} is not an int or, over Q, a "
+                        "non-integral Fraction"
+                    )
                 if rows[j].get(i) != x:
                     raise DegenerateForm("Gram matrix is not symmetric")
 
@@ -101,12 +107,14 @@ class GramForm:
 class DiagForm:
     """<a_1,...,a_r> with entries canonical square-class representatives.
 
-    Over F_p an entry must be 1 or the least non-residue; over Q a nonzero
-    squarefree integer, stored as an int.  After init, primes is always the
-    ascending tuple of primes dividing some entry.  Given primes are checked
-    by integer division only (non-primes, and primes dividing no entry, are
-    dropped); without them the entries are factored once.  diag_form
-    canonicalizes nonzero scalars.
+    Over F_p an entry must be the int 1 or the least non-residue; over Q a
+    nonzero squarefree integer, given as an int or an integral Fraction and
+    stored as an int.  Any other scalar, a float included, raises
+    NonCanonicalForm.  After init, primes is always the ascending tuple of
+    primes dividing some entry.  Given primes are checked by integer
+    division only (non-primes, and primes dividing no entry, are dropped);
+    without them the entries are factored once.  diag_form canonicalizes
+    nonzero scalars.
     """
 
     field: FieldSpec
@@ -116,7 +124,11 @@ class DiagForm:
     def __post_init__(self):
         field, used, given = self.field, set(), self.primes is not None
         if field.is_rationals:
-            bad = [e for e in self.entries if not e or e.denominator != 1]
+            bad = [
+                e
+                for e in self.entries
+                if type(e) not in (int, Fraction) or not e or e.denominator != 1
+            ]
             if not bad:  # an integral Fraction is stored as its int
                 entries = tuple(e.numerator for e in self.entries)
                 object.__setattr__(self, "entries", entries)
@@ -133,7 +145,7 @@ class DiagForm:
                     bad.append(a)
         else:
             canonical = (1, field.least_nonresidue())
-            bad = [e for e in self.entries if e not in canonical]
+            bad = [e for e in self.entries if type(e) is not int or e not in canonical]
         if bad:
             raise NonCanonicalForm(
                 f"entry {field.format_scalar(bad[0])} is not a canonical "

@@ -189,14 +189,10 @@ def test_monomial_order_axioms():
                 assert order.key(ac) < order.key(bc)
 
 
-def test_basis_is_autoreduced_and_spolys_vanish(Q):
-    ring = Ring(("x", "y", "z"), Q)
-    gens = [
-        parse_poly("x^2 - y*z", ring),
-        parse_poly("x*y - z", ring),
-        parse_poly("y^2 + x*z", ring),
-    ]
-    gb = buchberger(gens)
+def _assert_reduced_basis(gb):
+    """No term of a basis element is divisible by another element's leading
+    monomial, and every S-polynomial of the basis has normal form 0."""
+    ring = gb.ring
     leads = [g.leading(gb.order)[0] for g in gb.basis]
     for i, g in enumerate(gb.basis):
         for e in g.terms:
@@ -213,6 +209,16 @@ def test_basis_is_autoreduced_and_spolys_vanish(Q):
             mj = ring.monomial(tuple(a - b for a, b in zip(lcm, lj)))
             s = mi * gb.basis[i] - mj * gb.basis[j]
             assert normal_form(s, gb).is_zero
+
+
+def test_basis_is_autoreduced_and_spolys_vanish(Q):
+    ring = Ring(("x", "y", "z"), Q)
+    gens = [
+        parse_poly("x^2 - y*z", ring),
+        parse_poly("x*y - z", ring),
+        parse_poly("y^2 + x*z", ring),
+    ]
+    _assert_reduced_basis(buchberger(gens))
 
 
 def test_cofactor_identities_hold(Q):
@@ -535,9 +541,10 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
             gb = _lazy_equals_eager(gens, order)
             seen["unit"] += gb.basis == (ring.one(),)
         # finite quotients with bases of several elements; three variables
-        # only under GREVLEX, because under LEX one such basis over Q took
-        # 84 s even without cofactors (only the coprime criterion prunes
-        # pairs)
+        # only under GREVLEX, because under LEX the reference, which prunes
+        # pairs by the coprime criterion only, takes 84 s on one such basis
+        # over Q even without cofactors; test_lex_bases_of_random_ideals
+        # checks such bases without the reference
         for _ in range(10):
             nvars = rng.randint(2, 3) if order is GREVLEX else 2
             ring = Ring(tuple("xyz"[:nvars]), field)
@@ -604,6 +611,50 @@ def test_buchberger_stops_at_the_unit(Q, monkeypatch):
         gb = buchberger(gens, track_cofactors=track)
         assert gb.basis == (gens[0].ring.one(),)
         assert events[events.index("unit") + 1] == "basis", events
+
+
+def test_pair_criteria_tame_the_lex_swell(Q, monkeypatch):
+    # without the Gebauer-Moeller criteria this LEX basis took 365
+    # reductions, most of them to zero, for a basis of 3 elements
+    calls = []
+
+    def reduce(*args):
+        calls.append(None)
+        return _reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", reduce)
+    ring = Ring(("x", "y", "z"), Q)
+    gens = [
+        parse_poly(s, ring)
+        for s in ("x^2", "y^3 + x", "-2*x^2 - 2*y^2 - 2*x*z + z^2 + 3*x + y")
+    ]
+    gb = buchberger(gens, LEX)
+    assert [str(g) for g in gb.basis] == [
+        "z^12",
+        "-204*z^11 + 503*z^10 + 20*z^9 - 70*z^8 - 2*z^7 + 11*z^6 - 2*z^4"
+        " + z^2 + y",
+        "6*z^11 - 45*z^10 + 6*z^8 - z^6 + x",
+    ]
+    assert len(calls) <= 60
+
+
+def test_lex_bases_of_random_ideals(Q):
+    # the ideals that the criteria-free eager reference is too slow for:
+    # each basis is reduced, lies in the ideal (cofactors) and contains it
+    # (every generator reduces to 0)
+    rng = random.Random(2718)
+    ring = Ring(("x", "y", "z"), Q)
+    sizes = set()
+    for _ in range(20):
+        gens = _random_finite_ideal(rng, ring)
+        gb = buchberger(gens, LEX, track_cofactors=True)
+        _assert_reduced_basis(gb)
+        for g, cof in zip(gb.basis, gb.cofactors):
+            assert g.leading(LEX)[1] == 1
+            assert sum((c * f for c, f in zip(cof, gens)), ring.zero()) == g
+        assert all(normal_form(f, gb).is_zero for f in gens)
+        sizes.add(len(gb.basis))
+    assert max(sizes) >= 3
 
 
 def _reference_supported_only_at_origin(qa):

@@ -14,7 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import DegenerateForm, Endo, FieldSpec, GramForm, Ring
+from wittdeg import (
+    DegenerateForm,
+    Endo,
+    FieldSpec,
+    GramForm,
+    NonCanonicalForm,
+    Ring,
+)
 from wittdeg.cli import _endo_from_job, _row_from_job, parse_job_file
 from wittdeg.degree import _gram_from_quotient, validate
 from wittdeg.umrow import compose_with_endo, is_unimodular
@@ -163,3 +170,20 @@ def test_hand_built_forms_hold_canonical_scalars():
     _assert_canonical(Q, (("gram", c) for row in g.rows for c in row.values()))
     with pytest.raises(DegenerateForm, match="not an int"):
         GramForm(field=Q, rows=({1: half}, {0: half, 1: two}))
+
+
+def test_hand_built_forms_reject_floats():
+    """A float is never a scalar of a form: GramForm raises DegenerateForm
+    and DiagForm NonCanonicalForm, over Q and over F_p alike, instead of
+    storing it or failing with a bare AttributeError."""
+    F7 = FieldSpec.prime_field(7)
+    with pytest.raises(DegenerateForm, match="0.5 is not an int"):
+        GramForm(field=Q, rows=({0: 0.5},))
+    with pytest.raises(DegenerateForm, match="2.0 is not an int"):
+        GramForm(field=F7, rows=({0: 2.0},))
+    with pytest.raises(NonCanonicalForm, match="entry 1.0 "):
+        DiagForm(field=F7, entries=(1.0,))
+    with pytest.raises(NonCanonicalForm, match="entry 0.5 "):
+        DiagForm(field=Q, entries=(0.5,))
+    with pytest.raises(NonCanonicalForm, match="entry 3.0 "):
+        DiagForm(field=Q, entries=(1, 3.0))
