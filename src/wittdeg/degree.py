@@ -15,6 +15,8 @@ are, and NF(x^a u^b) = NF(x^a) NF(u^b).  By linearity the normal form of
 Delta = sum c_ab x^a u^b is sum_a NF(x^a) (x) (sum_b c_ab NF(u^b)), and
 both factors come from the memoized monomial table of the quotient that
 validate built, so the x_i-power chain of the support test is reused.
+The table divides nothing: each entry is a linear combination of entries
+for smaller monomials, seeded by the reduced basis (see `groebner`).
 """
 
 from __future__ import annotations

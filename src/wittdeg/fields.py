@@ -30,14 +30,23 @@ from .errors import (
     ZeroScalar,
 )
 
-#: Largest unfactored part of a number that square_classes will trial-divide.
+#: Largest part of a number, left once every prime below SMALL_PRIME_BOUND
+#: is divided out, that square_classes will trial-divide; a part that is a
+#: prime or a prime square passes at any size.
 FACTOR_BOUND = 10**9
+
+#: square_classes trial-divides every number by the primes below this first.
+SMALL_PRIME_BOUND = 1000
+
+#: is_prime is proven correct below this (the first twelve primes as
+#: Miller-Rabin witnesses; Sorenson & Webster, Math. Comp. 86, 2017).
+MR_PROVEN_BOUND = 318665857834031151167461
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the factor bound."""
+    """Deterministic Miller-Rabin, proven below MR_PROVEN_BOUND."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -196,8 +205,10 @@ def square_classes(field: FieldSpec, values) -> tuple[list, tuple]:
     """The square classes of values (see square_class), and the ascending
     primes dividing some class.  Over Q all numerators and denominators are
     factored in ascending order against one prime set: each is divided by
-    the primes found so far, and only the part left, which FACTOR_BOUND
-    bounds, is trial-divided.  Over F_p there are no primes."""
+    the primes found so far, and only the part left is trial-divided.  Once
+    no prime below SMALL_PRIME_BOUND is left in it, that part is tested
+    once: a prime or a prime square is done at any size, and anything else
+    must not exceed FACTOR_BOUND.  Over F_p there are no primes."""
     values = [field.canon(a) for a in values]
     if not all(values):
         raise ZeroScalar("zero has no square class")
@@ -209,14 +220,24 @@ def square_classes(field: FieldSpec, values) -> tuple[list, tuple]:
         m = n
         for p in shared:  # divide out the primes found so far
             m = _valuation(m, p)[1]
-        if m > FACTOR_BOUND:
-            raise FactorBoundExceeded(
-                f"{m} exceeds the trial-division bound {FACTOR_BOUND}"
-            )
-        d = 2
+        d, tested = 2, False
         while m > 1:  # trial-divide the part left
             if d * d > m:
                 d = m  # what is left is prime
+            elif d > SMALL_PRIME_BOUND and not tested:
+                # the part left has no prime below the bound: test it once
+                tested, r = True, math.isqrt(m)
+                if m < MR_PROVEN_BOUND and is_prime(m):
+                    d = m
+                elif r * r == m and r < MR_PROVEN_BOUND and is_prime(r):
+                    d = r
+                elif m > FACTOR_BOUND:
+                    raise FactorBoundExceeded(
+                        f"{m}, the part of {n} left after the primes below"
+                        f" {SMALL_PRIME_BOUND}, is no proven prime or prime"
+                        f" square and exceeds the trial-division bound"
+                        f" {FACTOR_BOUND}"
+                    )
             if m % d == 0:
                 shared.append(d)
                 m = _valuation(m, d)[1]

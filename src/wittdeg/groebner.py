@@ -24,13 +24,20 @@ reducers, and with it goldens 11 and 23 changed and the row certificates
 of 42 jobs grew from 44.6 KB to 54.7 KB.
 
 Each QuotientAlgebra keeps one memoized table of monomial normal forms,
-seeded with the standard monomials (each its own normal form).  A missing
-entry is NF(x^a) = NF(x_i * NF(x^(a - e_i))): one shift by e_i of a
-polynomial with at most `dimension` terms, then one reduction.  The
-origin-support test walks NF(x_i^k) for k = 0, 1, ..., D through this table
-and stops at the first zero power, since every higher power is then zero;
-only a nonzero D-th power, D the length, makes x_i non-nilpotent.  The
-degree pipeline reuses the same table for the Gram matrix.
+built from the reduced basis by linear combination alone, with no
+division, as in the multiplication tables of FGLM (Faugere, Gianni,
+Lazard & Mora, JSC 16, 1993).  It is seeded with the standard monomials, each its own normal
+form, and with the leading monomial of each basis element, whose normal
+form is minus that element's tail: the basis is monic and its tails are
+standard.  A missing x^a has a non-standard x^(a - e_i), and
+NF(x^a) = sum_s c_s NF(x^(s + e_i)) over the terms c_s x^s of
+NF(x^(a - e_i)).  Every x^(s + e_i) is smaller than x^a, so the fill is
+well founded; it runs on an explicit stack.  A normal form is unique, so
+each entry equals what division would give.  The origin-support test
+walks NF(x_i^k) for k = 0, 1, ..., D through this table and stops at the
+first zero power, since every higher power is then zero; only a nonzero
+D-th power, D the length, makes x_i non-nilpotent.  The degree pipeline
+reuses the same table for the Gram matrix.
 
 Cofactors express every basis element exactly as a combination of the input
 generators.  The cofactors of the unit basis {1} are the certificate
@@ -61,7 +68,7 @@ from functools import cached_property
 from operator import le, sub
 from typing import Optional, Sequence
 
-from .errors import NotFiniteLength, RingMismatch
+from .errors import InternalError, NotFiniteLength, RingMismatch
 from .orders import GREVLEX, MonomialOrder
 from .poly import Poly, Ring, _add_shifted, _divides, _entry, _reduce
 
@@ -277,7 +284,9 @@ class QuotientAlgebra:
     monomials are the exponent tuples outside the leading-term ideal,
     sorted ascending in the basis order; dimension is their count (the
     length of the quotient).  monomial_nf memoizes the normal forms of
-    monomials, so every user of one quotient shares a single table.
+    monomials, so every user of one quotient shares a single table; it is
+    seeded from the reduced basis and filled without division (see the
+    module docstring).
     """
 
     gb: GroebnerBasis
@@ -289,40 +298,84 @@ class QuotientAlgebra:
         return self.gb.ring
 
     @cached_property
+    def _standard(self) -> frozenset:
+        """The standard monomials as a set, for monomial_nf's fill."""
+        return frozenset(self.monomials)
+
+    @cached_property
     def _nf_table(self) -> dict:
-        """NF(x^a) by a, seeded with the standard monomials and NF(1)."""
+        """NF(x^a) by a, seeded with the standard monomials and the leads.
+
+        A standard monomial is its own normal form.  The basis is reduced:
+        each element is monic with a standard tail, so the normal form of
+        its leading monomial is minus its tail (for the unit ideal, NF(1)
+        is 0).
+        """
         field = self.ring.field
         table = {m: {m: field.one} for m in self.monomials}
-        one = (0,) * self.ring.nvars
-        if one not in table:  # the unit ideal: NF(1) = 0
-            order = self.gb.order
-            table[one] = _reduce({one: field.one}, self.gb._divisors, order, field)
+        for lead, _, tail, _ in self.gb._divisors:
+            table[lead] = {e: field.neg(v) for e, v in tail.items()}
         return table
 
     def monomial_nf(self, a: tuple[int, ...]) -> dict:
         """Term dict of NF(x^a), memoized; callers must not mutate it.
 
-        A missing entry is built as NF(x_i * NF(x^(a - e_i))), lowering the
-        first nonzero exponent of a until a memoized monomial is reached:
-        each step shifts a polynomial of at most `dimension` standard terms
-        by e_i and reduces the few terms that leave the standard basis.
-        Normal forms are linear and NF(x_i * p) = NF(x_i * NF(p)), so every
-        entry equals the direct normal form of x^a.
+        A missing x^a is neither standard nor a leading monomial of the
+        basis, so it is a proper multiple of some lead: some x^(a - e_i) is
+        non-standard.  With NF(x^(a - e_i)) = sum_s c_s x^s,
+
+            NF(x^a) = sum_s c_s NF(x^(s + e_i)),
+
+        a linear combination of table entries and no division.  Each s is
+        standard and smaller than the non-standard x^(a - e_i), so every
+        x^(s + e_i) is smaller than x^a: the fill is well founded, and runs
+        on an explicit stack of the entries still missing.  The i taken is
+        one whose x^(a - e_i) is already in the table, if there is one.  A
+        normal form is unique, so every entry equals the direct normal form
+        of x^a.  If monomials are not the standard basis, a missing x^a can
+        have only standard predecessors: that raises InternalError.
         """
         table = self._nf_table
-        chain = []
-        while a not in table:
-            i = next(i for i, k in enumerate(a) if k)
-            unit = (0,) * i + (1,) + (0,) * (len(a) - i - 1)
-            chain.append((a, unit))
-            a = tuple(map(sub, a, unit))
-        nf = table[a]
-        field = self.ring.field
-        for a, unit in reversed(chain):
-            terms = {}
-            _add_shifted(terms, nf, unit, field.one, field.modulus)
-            nf = table[a] = _reduce(terms, self.gb._divisors, self.gb.order, field)
-        return nf
+        nf = table.get(a)
+        if nf is not None:
+            return nf
+        standard = self._standard
+        q = self.ring.field.modulus
+        zeros = (0,) * len(a)
+        stack = [a]
+        while stack:
+            m = stack[-1]
+            if m in table:  # filled since it was pushed
+                stack.pop()
+                continue
+            # a non-standard predecessor, one already in the table if any
+            i = pred = prev = None
+            for j, k in enumerate(m):
+                if k:
+                    b = m[:j] + (k - 1,) + m[j + 1 :]
+                    if b not in standard:
+                        i, pred, prev = j, b, table.get(b)
+                        if prev is not None:
+                            break
+            if pred is None:
+                raise InternalError(
+                    f"monomial {m} is off the standard basis, leads no basis"
+                    " element and has only standard predecessors"
+                )
+            if prev is None:
+                stack.append(pred)
+                continue
+            shifted = [(s[:i] + (s[i] + 1,) + s[i + 1 :], c) for s, c in prev.items()]
+            missing = [t for t, _ in shifted if t not in table]
+            if missing:
+                stack.extend(missing)
+                continue
+            terms: dict = {}
+            for t, c in shifted:
+                _add_shifted(terms, table[t], zeros, c, q)
+            table[m] = terms
+            stack.pop()
+        return table[a]
 
 
 def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:

@@ -15,7 +15,13 @@ from wittdeg import (
     square_class_mul,
     square_classes,
 )
-from wittdeg.fields import FACTOR_BOUND, hasse_places, hilbert_symbol
+from wittdeg.fields import (
+    FACTOR_BOUND,
+    MR_PROVEN_BOUND,
+    hasse_places,
+    hilbert_symbol,
+    is_prime,
+)
 
 from conftest import is_canonical_scalar
 
@@ -117,10 +123,36 @@ def test_square_class_zero_rejected(Q, F5):
 
 
 def test_square_class_factor_bound(Q):
-    big = 10**10 + 19  # beyond the documented trial-division bound
+    # composite, with no prime below 1,000, beyond the trial-division bound
+    big = 100003 * 100019
     assert big > FACTOR_BOUND
-    with pytest.raises(FactorBoundExceeded):
+    with pytest.raises(FactorBoundExceeded, match="10002200057"):
         square_class(Q, big)
+    # a prime beyond the bound is classified: it is tested before the bound
+    p = 10**10 + 19
+    assert square_classes(Q, [p]) == ([p], (p,))
+
+
+def test_square_classes_small_primes_first(Q):
+    # the primes below 1,000 go before the bound: 2^40 and 2 * 10^9 split
+    # into them, and the parts left (1, 5^9, then 1 and a prime) are done
+    assert square_classes(Q, [2**40]) == ([1], ())
+    assert square_classes(Q, [2 * 10**9]) == ([5], (5,))
+    p = 10**9 + 7
+    assert square_classes(Q, [p]) == ([p], (p,))
+    classes = square_classes(Q, [-7 * p, Fraction(1, 2 * p)])
+    assert classes == ([-7 * p, 2 * p], (2, 7, p))
+    # a prime square left over is tested through its root; it joins no class
+    q = 10**10 + 19
+    assert square_classes(Q, [3 * q**2]) == ([3], (3,))
+    assert square_classes(Q, [Fraction(q**2, 11 * p)]) == ([11 * p], (11, p))
+    # a part is trusted as prime only where Miller-Rabin is proven
+    mersenne = 2**89 - 1  # prime, beyond the proven range
+    assert mersenne > MR_PROVEN_BOUND and is_prime(mersenne)
+    with pytest.raises(FactorBoundExceeded):
+        square_classes(Q, [mersenne])
+    # a composite part within the bound is still trial-divided
+    assert square_classes(Q, [1009 * 1013 * 7**2]) == ([1009 * 1013], (1009, 1013))
 
 
 def _reference_squarefree_part(n: int) -> int:
@@ -166,6 +198,21 @@ def _reference_odd_primes(n: int) -> list[int]:
     return _reference_factor_squarefree(_reference_squarefree_part(n))
 
 
+def _odd_primes_unbounded(n: int) -> list[int]:
+    """The primes of odd exponent in n, by trial division with no bound."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            out.append(d)
+        d += 1 if d == 2 else 2
+    return out + [n] if n > 1 else out
+
+
 def test_odd_primes_matches_reference(Q):
     # square_classes of one integer: its class and the primes dividing it
     rng = random.Random(9091)
@@ -182,12 +229,12 @@ def test_odd_primes_matches_reference(Q):
             continue
         try:
             expected = _reference_odd_primes(n)
+            assert math.prod(expected) == _reference_squarefree_part(n)
         except FactorBoundExceeded:
-            with pytest.raises(FactorBoundExceeded):
-                square_classes(Q, [n])
-            continue
+            # beyond the former bound: each such case splits into primes
+            # below 1,000 and at most one larger prime, so it is classified
+            expected = _odd_primes_unbounded(n)
         assert square_classes(Q, [n]) == ([math.prod(expected)], tuple(expected))
-        assert math.prod(expected) == _reference_squarefree_part(n)
     assert square_classes(Q, [1]) == ([1], ())
     assert square_classes(Q, [FACTOR_BOUND]) == ([10], (2, 5))
     # square_class through the old pair: the product over the gcd

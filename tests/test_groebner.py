@@ -8,6 +8,7 @@ import pytest
 
 from wittdeg import (
     GREVLEX,
+    InternalError,
     NotFiniteLength,
     Ring,
     buchberger,
@@ -19,7 +20,7 @@ from wittdeg import (
     groebner,
 )
 from wittdeg.degree import Endo
-from wittdeg.groebner import GroebnerBasis
+from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
 from wittdeg.orders import LEX
 from wittdeg.poly import Poly, _add_shifted, _entry, _reduce
 from wittdeg.umrow import compose_with_endo, universal_row
@@ -713,15 +714,86 @@ def test_nilpotency_walk_matches_reference(Q, F7):
 
 
 def test_monomial_table_matches_direct_normal_form(Q, F7):
+    # the division of normal_form is the oracle for every table entry:
+    # warm tables queried at random, cold ones in descending degree, so
+    # that each query fills a long chain, in 3 and 4 variables (4 under
+    # GREVLEX only: a random 4-variable LEX basis over Q can take a minute)
     rng = random.Random(2236)
-    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
-        ring = Ring(("x", "y", "z"), field)
-        for _ in range(15):
-            gb = buchberger(_random_finite_ideal(rng, ring), order)
+    cases = [(f, o, "xyz") for f, o in itertools.product((Q, F7), (GREVLEX, LEX))]
+    cases += [(f, GREVLEX, "wxyz") for f in (Q, F7)]
+    units = 0
+    for field, order, names in cases:
+        ring = Ring(tuple(names), field)
+        x = ring.gens()
+        systems = [_random_finite_ideal(rng, ring) for _ in range(10)]
+        systems.append([x[0], x[0] + 1] + list(x[2:]))  # the unit ideal
+        for gens in systems:
+            gb = buchberger(gens, order)
             qa = standard_monomials(gb)
-            for _ in range(8):
-                a = tuple(rng.randint(0, 5) for _ in range(3))
+            units += qa.dimension == 0
+            exps = [tuple(rng.randint(0, 5) for _ in names) for _ in range(8)]
+            for a in exps:
                 expected = normal_form(ring.monomial(a), gb).terms
                 assert qa.monomial_nf(a) == expected
                 # memoized entries are returned unchanged
                 assert qa.monomial_nf(a) == expected
+            cold = standard_monomials(gb)
+            for a in sorted(exps, key=sum, reverse=True):
+                assert cold.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
+            for a, nf in cold._nf_table.items():
+                assert nf == normal_form(ring.monomial(a), gb).terms
+    assert units >= len(cases)
+
+
+def test_monomial_table_never_divides(Q, monkeypatch):
+    # the table is seeded from the reduced basis and filled by linear
+    # combination: no division runs after Buchberger
+    rng = random.Random(4471)
+    ring = Ring(("x", "y", "z"), Q)
+    bases = [buchberger(_random_finite_ideal(rng, ring)) for _ in range(10)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _reduce(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_reduce", counted)
+    filled = 0
+    for gb in bases:
+        qa = standard_monomials(gb)
+        supported_only_at_origin(qa)
+        for _ in range(6):
+            qa.monomial_nf(tuple(rng.randint(0, 6) for _ in range(3)))
+        filled += len(qa._nf_table) - qa.dimension - len(gb.basis)
+    assert calls == []
+    assert filled > 50
+
+
+def test_monomial_table_deep_chain(Q):
+    # a cold query of degree 2,000 fills its chain on an explicit stack:
+    # no RecursionError, and the entry is still the direct normal form
+    ring = Ring(("x", "y"), Q)
+    x, y = ring.gens()
+    gb = buchberger([x * x - 1, y**3 - x])
+    qa = standard_monomials(gb)
+    a = (1000, 1000)
+    assert qa.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
+    deep = standard_monomials(buchberger([x * x, y * y]))
+    assert deep.monomial_nf((1999, 1)) == {}
+
+
+def test_monomial_table_off_standard_basis_is_internal_error(Q):
+    # xy is standard for (x^2, y^2); a quotient that omits it cannot fill xy
+    # (its predecessors x and y are standard): InternalError, not a loop
+    ring = Ring(("x", "y"), Q)
+    x, y = ring.gens()
+    gb = buchberger([x * x, y * y])
+    qa = standard_monomials(gb)
+    assert (1, 1) in qa.monomials
+    broken = QuotientAlgebra(
+        gb=gb,
+        monomials=tuple(m for m in qa.monomials if m != (1, 1)),
+        dimension=qa.dimension - 1,
+    )
+    with pytest.raises(InternalError, match="off the standard basis"):
+        broken.monomial_nf((1, 1))
