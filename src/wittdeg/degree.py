@@ -17,6 +17,11 @@ both factors come from the memoized monomial table of the quotient that
 validate built, so the x_i-power chain of the support test is reused.
 The table divides nothing: each entry is a linear combination of entries
 for smaller monomials, seeded by the reduced basis (see `groebner`).
+
+Over Q the table entries are ints over a positive denominator, and the
+Gram build keeps that form: the Bezoutian is cleared of denominators, the
+rows are summed as ints over one common denominator, and each Gram entry
+becomes a canonical scalar once, when the `GramForm` rows are built.
 """
 
 from __future__ import annotations
@@ -40,7 +45,18 @@ from .groebner import (
     supported_only_at_origin,
 )
 from .orders import GREVLEX, MonomialOrder
-from .poly import Poly, Ring, _add_shifted, det, format_monomial, jacobian_det
+from .poly import (
+    Poly,
+    Ring,
+    _add_shifted,
+    _clear,
+    _ratios,
+    _rescale,
+    _to_lcm,
+    det,
+    format_monomial,
+    jacobian_det,
+)
 from .witt import (
     DiagForm,
     GramForm,
@@ -143,38 +159,59 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     """Sparse Gram rows from NF(Delta) = sum_a NF(x^a) (x) row_a, where
     row_a = sum_b c_ab NF(u^b) (see the module docstring).
 
-    nf maps each standard x-monomial to {standard u-monomial: coefficient},
-    nonzeros only, so row i of the form is nf of the i-th standard monomial
+    acc maps each standard x-monomial to {standard u-monomial: coefficient},
+    nonzeros only, so row i of the form is acc of the i-th standard monomial
     with its keys replaced by their basis indices: no d x d matrix is built.
+    Over Q every sum runs on the integer table entries, over a common
+    denominator, and each Gram entry becomes a canonical scalar once, here.
     """
     n = endo.n
-    field = endo.field
-    q = field.modulus
+    q = endo.field.modulus
     zeros = (0,) * n
-    rows: dict = {}
-    for e, c in bezoutian(endo).terms.items():
+    delta, den = _clear(bezoutian(endo).terms)  # Delta = delta / den
+    # the rows, then the coefficients of NF(Delta), are summed over one
+    # common denominator each, raised to the lcm when an entry needs it (1
+    # over F_p)
+    nf = qa._nf_table  # a lookup fills a missing entry
+    rows: dict = {}  # x-monomial a -> du * row_a
+    du = 1
+    for e, c in delta.items():
         row = rows.get(e[:n])
         if row is None:
             row = rows[e[:n]] = {}
-        _add_shifted(row, qa.monomial_nf(e[n:]), zeros, c, q)
-    nf: dict = {}  # standard x-monomial -> {standard u-monomial: coefficient}
+        nums, d = nf[e[n:]]
+        if d != du:
+            if du % d:
+                du = _to_lcm(du, d, rows.values())
+            c *= du // d
+        _add_shifted(row, nums, zeros, c, q)
+    del delta  # the rows hold what the rest needs: keep the peak memory low
+    acc: dict = {}  # standard x-monomial m -> dx * du * den * NF(Delta)_m
+    dx = 1
     for a, row in rows.items():
-        for m, v in qa.monomial_nf(a).items():
-            acc = nf.get(m)
-            if acc is None:
-                acc = nf[m] = {}
-            _add_shifted(acc, row, zeros, v, q)
+        nums, d = nf[a]
+        if d != dx:
+            if dx % d:
+                dx = _to_lcm(dx, d, acc.values())
+            _rescale(row, dx // d)
+        for m, v in nums.items():
+            dst = acc.get(m)
+            if dst is None:
+                dst = acc[m] = {}
+            _add_shifted(dst, row, zeros, v, q)
+    den *= dx * du
     index = {m: k for k, m in enumerate(qa.monomials)}
     b = [{} for _ in qa.monomials]
     # each normal-form term x^m u^m' is entry (m, m'); its coefficient is
-    # already canonical and nonzero, and GramForm checks the symmetry
+    # nonzero and becomes a canonical scalar here, and GramForm checks the
+    # symmetry
     try:
-        for m, acc in nf.items():
-            b[index[m]] = {index[m2]: c for m2, c in acc.items()}
+        for m, dst in acc.items():
+            b[index[m]] = {index[m2]: c for m2, c in _ratios(dst, den).items()}
     except KeyError:
         raise InternalError("reduced Bezoutian off the standard basis") from None
     labels = tuple(format_monomial(endo.ring, m) for m in qa.monomials)
-    return GramForm(field=field, rows=tuple(b), basis_labels=labels)
+    return GramForm(field=endo.field, rows=tuple(b), basis_labels=labels)
 
 
 @dataclass(frozen=True)

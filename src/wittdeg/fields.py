@@ -9,6 +9,14 @@ polynomials and matrices stay agnostic of the coefficient representation;
 kernels that compute inline keep the same rule where they store a value,
 and no Q division uses ``/`` on two scalars, since ``int / int`` is a float.
 
+The Groebner side (Buchberger, normal forms, the quotient's normal-form
+table and the Gram build) stores no Q scalars while it works: it keeps
+int term dicts over one positive denominator (`poly`).  It makes a
+``Fraction`` only at its boundary, by :func:`ratio` (n / d for ints) or
+by FieldSpec arithmetic: the monic reduced basis, a normal form's
+remainder, the Gram entries, and the per-step multipliers that cofactor
+recipes keep (`groebner`).
+
 Square classes are canonicalized as follows: over Q the representative is a
 signed squarefree integer; over F_p it is 1 for squares and the smallest
 positive non-residue otherwise.  Only
@@ -72,6 +80,11 @@ def is_prime(n: int) -> bool:
 def _rational(x):
     """The canonical Q scalar equal to the int or Fraction x."""
     return x.numerator if x.denominator == 1 else x
+
+
+def ratio(n: int, d: int):
+    """The canonical Q scalar n / d, for ints n and d != 0."""
+    return n if d == 1 else _rational(Fraction(n, d))
 
 
 _SCALAR_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")

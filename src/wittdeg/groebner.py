@@ -1,11 +1,29 @@
 """Buchberger's algorithm with reduced bases and optional cofactor tracking.
 
 Normal forms, Buchberger's reductions and the autoreduction of the final
-basis all run the division kernel of `poly` (`_reduce`, with `_entry` and
-`_add_shifted`).  It works on one mutable term dict, reads each divisor's
-leading term from a precomputed entry, and keeps only the remainder: no
-caller here needs the quotients.  Pending S-pairs wait in a heap keyed by
-the order key of their lcm, computed once when the pair is formed.
+basis all run the division kernel of `poly` (`_reduce`, with `_divisor`
+and `_add_shifted`).  It works on one mutable term dict, reads each
+divisor's leading term from a precomputed entry, and keeps only the
+remainder: no caller here needs the quotients.  Pending S-pairs wait in a
+heap keyed by the order key of their lcm, computed once when the pair is
+formed.
+
+Over Q the Groebner side runs on ints: primitive pseudo-reduction, as in
+Buchberger's algorithm over Z (Gebauer & Moeller, JSC 6, 1988; Cox,
+Little & O'Shea, section 2.7).  A working entry is the primitive integer
+multiple f = c * x^lead + tail of its monic polynomial, with c > 0
+(`poly._divisor`); over F_p it is monic, c = 1.  A reduction step is a
+pseudo-division (`poly._reduce`), and the S-polynomial of f_i and f_j is
+(c_j/g) x^s_i f_i - (c_i/g) x^s_j f_j with g = gcd(c_i, c_j), which is
+c_i c_j / g times the S-polynomial of the monic pair.  Scaling by a
+positive number changes no zero pattern, so the divisor of every step,
+the pairs and the criteria are those of Buchberger over the field, and
+the remainders are the same up to a positive factor.  Canonical Q
+scalars, and with them `Fraction`, appear only at the boundary: the
+returned basis is made monic once; a step log, kept only for cofactors,
+holds the multiplier of the monic algorithm, one scalar per step;
+normal_form converts its remainder; and the Gram build converts the
+quotient table's integer entries (see below).
 
 When an element t joins the working basis, its new pairs (i, t) pass the
 Gebauer-Moeller criteria (Gebauer & Moeller, JSC 6, 1988), which refine
@@ -26,18 +44,21 @@ of 42 jobs grew from 44.6 KB to 54.7 KB.
 Each QuotientAlgebra keeps one memoized table of monomial normal forms,
 built from the reduced basis by linear combination alone, with no
 division, as in the multiplication tables of FGLM (Faugere, Gianni,
-Lazard & Mora, JSC 16, 1993).  It is seeded with the standard monomials, each its own normal
-form, and with the leading monomial of each basis element, whose normal
-form is minus that element's tail: the basis is monic and its tails are
+Lazard & Mora, JSC 16, 1993).  Each entry is an int term dict over one
+positive denominator coprime to its content (over F_p the denominator is
+1).  It is seeded with the standard monomials, each its own normal form,
+and with the leading monomial of each basis element c * x^lead + tail,
+whose normal form is -tail / c: the tails of a reduced basis are
 standard.  A missing x^a has a non-standard x^(a - e_i), and
 NF(x^a) = sum_s c_s NF(x^(s + e_i)) over the terms c_s x^s of
-NF(x^(a - e_i)).  Every x^(s + e_i) is smaller than x^a, so the fill is
-well founded; it runs on an explicit stack.  A normal form is unique, so
-each entry equals what division would give.  The origin-support test
-walks NF(x_i^k) for k = 0, 1, ..., D through this table and stops at the
-first zero power, since every higher power is then zero; only a nonzero
-D-th power, D the length, makes x_i non-nilpotent.  The degree pipeline
-reuses the same table for the Gram matrix.
+NF(x^(a - e_i)), summed over the lcm of the entries' denominators.  Every
+x^(s + e_i) is smaller than x^a, so the fill is well founded; it runs on
+an explicit stack.  A normal form is unique, so each entry equals what
+division would give; monomial_nf is its canonical view.  The
+origin-support test walks NF(x_i^k) for k = 0, 1, ..., D through this
+table and stops at the first zero power, since every higher power is then
+zero; only a nonzero D-th power, D the length, makes x_i non-nilpotent.
+The degree pipeline reuses the same integer entries for the Gram matrix.
 
 Cofactors express every basis element exactly as a combination of the input
 generators.  The cofactors of the unit basis {1} are the certificate
@@ -48,12 +69,16 @@ divides every later remainder, so the pending pairs are dropped.  Cofactors
 are built lazily.  While Buchberger runs, a working entry carries only
 a recipe: its discovery index, its origin (a generator index, or the S-pair
 parents and their shifts), the step log of its reduction and the inverse
-that made it monic.  A remainder that reduces to zero, as most S-polynomials
-do, keeps nothing.  Once the minimal basis is chosen, only its entries and
-their ancestors are replayed, in discovery order, with the same
-`_add_shifted` calls in the same order as eager tracking would make, so the
-cofactors are identical term for term.  Autoreduction then replays its own
-step logs into the kept vectors.
+that made it monic.  Recipes keep the monic convention: the vector of an
+entry is that of its monic polynomial, a logged step is relative to the
+monic divisor, and over Q the inverse is scale / c for the integer
+remainder rem / scale with leading coefficient c.  A remainder that
+reduces to zero, as most S-polynomials do, keeps nothing.  Once the
+minimal basis is chosen, only its entries and their ancestors are
+replayed, in discovery order, with the same `_add_shifted` calls in the
+same order as eager tracking would make, so the cofactors are identical
+term for term.  Autoreduction then replays its own step logs into the
+kept vectors.
 
 Everything is deterministic: normal selection strategy (smallest lcm first,
 ties by input index), basis sorted by leading monomial.
@@ -65,12 +90,23 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from operator import le, sub
 from typing import Optional, Sequence
 
 from .errors import InternalError, NotFiniteLength, RingMismatch
 from .orders import GREVLEX, MonomialOrder
-from .poly import Poly, Ring, _add_shifted, _divides, _entry, _reduce
+from .poly import (
+    Poly,
+    Ring,
+    _add_shifted,
+    _clear,
+    _divides,
+    _divisor,
+    _ratios,
+    _reduce,
+    _to_lcm,
+)
 
 
 def _common_ring(polys: Sequence[Poly]) -> Ring:
@@ -102,8 +138,9 @@ class GroebnerBasis:
 
     @cached_property
     def _divisors(self) -> list:
-        """The basis as `_entry` tuples: the divisors of every reduction."""
-        return [_entry(g.terms, self.order) for g in self.basis]
+        """The basis as `_divisor` entries: the divisors of every reduction."""
+        q = self.ring.field.modulus
+        return [_divisor(_clear(g.terms)[0], self.order, q) for g in self.basis]
 
 
 def buchberger(
@@ -121,23 +158,21 @@ def buchberger(
     ring = _common_ring(gens)
     field = ring.field
     q = field.modulus
-    minus_one = field.from_int(-1)
-    # monic working basis as _entry tuples, in order of discovery; the fourth
+    # working basis as _divisor entries, in order of discovery; the fourth
     # slot is the entry's cofactor recipe, or None when cofactors are off
     work: list[tuple] = []
     degs: list[int] = []  # total degree of each working leading monomial
     # heap of pending pairs (order key of their lcm, i, j): smallest lcm first
     pairs: list[tuple] = []
 
-    def append(terms: dict, origin) -> None:
-        """Reduce terms by the working basis and keep a nonzero remainder."""
+    def append(terms: dict, origin, scale) -> None:
+        """Reduce terms / scale by the working basis and keep a nonzero
+        remainder."""
         log = None if origin is None else []
-        rem = _reduce(terms, work, order, field, log)
+        rem, scale = _reduce(terms, work, order, field, log, scale)
         if not rem:
             return
-        lead, lc, tail, _ = _entry(rem, order)
-        inv = field.inv(lc)
-        tail = {e: field.mul(v, inv) for e, v in tail.items()}
+        lead, lc, tail, _ = _divisor(rem, order, q)
         t = len(work)
         deg = sum(lead)
         # the new pairs (i, t) by lcm: the first i of each group, and whether
@@ -160,28 +195,35 @@ def buchberger(
                 i, coprime = groups[lcm]
                 if not coprime:
                     heapq.heappush(pairs, (order.key(lcm), i, t))
-        recipe = None if origin is None else (t, origin, log, inv)
-        work.append((lead, field.one, tail, recipe))
+        recipe = None
+        if origin is not None:
+            # the remainder is rem / scale: this inverse makes it monic
+            recipe = (t, origin, log, field.div(scale, rem[lead]))
+        work.append((lead, lc, tail, recipe))
         degs.append(deg)
         if not deg:
             pairs.clear()  # 1 is in the ideal: every pending pair reduces to 0
 
     for k, g in enumerate(gens):
         if not g.is_zero:
-            append(dict(g.terms), k if track_cofactors else None)
+            terms, den = _clear(g.terms)
+            append(dict(terms), k if track_cofactors else None, den)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        li, _, tail_i, _ = work[i]
-        lj, _, tail_j, _ = work[j]
+        li, ci, tail_i, _ = work[i]
+        lj, cj, tail_j, _ = work[j]
         lcm = tuple(map(max, li, lj))
         si = tuple(map(sub, lcm, li))
         sj = tuple(map(sub, lcm, lj))
-        # x^si * f_i - x^sj * f_j: both are monic, so the leading terms cancel
+        # (cj/g) x^si f_i - (ci/g) x^sj f_j with g = gcd(ci, cj): the leading
+        # terms cancel, and it is ci cj / g times the S-polynomial of the
+        # monic f_i and f_j
+        g = gcd(ci, cj)
         s = {}
-        _add_shifted(s, tail_i, si, field.one, q)
-        _add_shifted(s, tail_j, sj, minus_one, q)
-        append(s, (i, j, si, sj) if track_cofactors else None)
+        _add_shifted(s, tail_i, si, cj // g, q)
+        _add_shifted(s, tail_j, sj, -(ci // g), q)
+        append(s, (i, j, si, sj) if track_cofactors else None, ci // g * cj)
 
     return _reduce_basis(tuple(gens), work, order, track_cofactors)
 
@@ -236,6 +278,7 @@ def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
 def _reduce_basis(gens, work, order, track) -> GroebnerBasis:
     ring = gens[0].ring
     field = ring.field
+    q = field.modulus
     # minimal basis: drop elements whose leading monomial another divides
     kept: list[tuple] = []
     for w in sorted(work, key=lambda w: order.key(w[0])):
@@ -246,21 +289,26 @@ def _reduce_basis(gens, work, order, track) -> GroebnerBasis:
         cofs = _cofactors(work, kept, len(gens), ring)
         log = []
     # autoreduce the tails in one pass: leads never change, so an entry stays
-    # reduced when later ones are.  The kept entries keep their recipes as
-    # tags, and a step log is replayed into the reduced entry's vector
+    # reduced when later ones are.  Each entry is reduced as the monic
+    # terms / lc.  The kept entries keep their recipes as tags, and a step
+    # log is replayed into the reduced entry's vector
     for idx, (lead, lc, tail, recipe) in enumerate(kept):
         terms = {lead: lc, **tail}
         others = kept[:idx] + kept[idx + 1 :]
-        rem = _reduce(dict(terms), others, order, field, log)
+        rem, _ = _reduce(dict(terms), others, order, field, log, lc)
         if rem != terms:
             if track:
-                _replay(cofs[recipe[0]], log, cofs, field.modulus)
+                _replay(cofs[recipe[0]], log, cofs, q)
                 log.clear()
-            kept[idx] = _entry(rem, order, recipe)
+            kept[idx] = _divisor(rem, order, q, recipe)
     kept.sort(key=lambda w: order.key(w[0]))
+    # the boundary: the monic basis with canonical scalars
     return GroebnerBasis(
         generators=gens,
-        basis=tuple(Poly(ring, {lead: lc, **tail}) for lead, lc, tail, _ in kept),
+        basis=tuple(
+            Poly(ring, {lead: field.one, **_ratios(tail, lc)})
+            for lead, lc, tail, _ in kept
+        ),
         order=order,
         cofactors=(
             tuple(tuple(Poly(ring, c) for c in cofs[w[3][0]]) for w in kept)
@@ -274,7 +322,95 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of p modulo the basis; supported on standard monomials."""
     if p.ring != gb.ring:
         raise RingMismatch("polynomial not in the basis ring")
-    return Poly(p.ring, _reduce(dict(p.terms), gb._divisors, gb.order, p.ring.field))
+    terms, den = _clear(p.terms)
+    rem, den = _reduce(dict(terms), gb._divisors, gb.order, p.ring.field, scale=den)
+    return Poly(p.ring, _ratios(rem, den))
+
+
+def _lowest(nums: dict, den: int) -> tuple[dict, int]:
+    """nums / den with den coprime to the content of nums (0 is ({}, 1))."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {e: v // g for e, v in nums.items()}, den // g
+
+
+class _NFTable(dict):
+    """NF(x^a) by a as (nums, den), NF(x^a) = nums / den: nums an int term
+    dict, den a positive int coprime to the content of nums (over F_p, 1).
+    Looking up a missing x^a fills it; callers must not mutate an entry.
+
+    A missing x^a is neither standard nor a leading monomial of the basis,
+    so it is a proper multiple of some lead: some x^(a - e_i) is
+    non-standard.  With NF(x^(a - e_i)) = sum_s c_s x^s,
+
+        NF(x^a) = sum_s c_s NF(x^(s + e_i)),
+
+    a linear combination of table entries and no division: over Q the
+    integer entries are summed over the lcm of their denominators.  Each s
+    is standard and smaller than the non-standard x^(a - e_i), so every
+    x^(s + e_i) is smaller than x^a: the fill is well founded, and runs on
+    an explicit stack of the entries still missing.  The i taken is one
+    whose x^(a - e_i) is already in the table, if there is one.  A normal
+    form is unique, so every entry equals the direct normal form of x^a.
+    If the standard set is not the standard basis, a missing x^a can have
+    only standard predecessors: that raises InternalError.
+    """
+
+    __slots__ = ("standard", "q")
+
+    def __init__(self, seeds: dict, standard: frozenset, q):
+        super().__init__(seeds)
+        self.standard = standard
+        self.q = q  # the modulus of F_q, None over Q
+
+    def __missing__(self, a: tuple[int, ...]) -> tuple[dict, int]:
+        standard, q = self.standard, self.q
+        zeros = (0,) * len(a)
+        stack = [a]
+        while stack:
+            m = stack[-1]
+            if m in self:  # filled since it was pushed
+                stack.pop()
+                continue
+            # a non-standard predecessor, one already in the table if any
+            i = pred = prev = None
+            for j, k in enumerate(m):
+                if k:
+                    b = m[:j] + (k - 1,) + m[j + 1 :]
+                    if b not in standard:
+                        i, pred, prev = j, b, self.get(b)
+                        if prev is not None:
+                            break
+            if pred is None:
+                raise InternalError(
+                    f"monomial {m} is off the standard basis, leads no basis"
+                    " element and has only standard predecessors"
+                )
+            if prev is None:
+                stack.append(pred)
+                continue
+            nums, den = prev
+            shifted = [s[:i] + (s[i] + 1,) + s[i + 1 :] for s in nums]
+            missing = [t for t in shifted if t not in self]
+            if missing:
+                stack.extend(missing)
+                continue
+            # NF(x^m) = terms / (den * d), over the lcm d of the entries'
+            # denominators (1 over F_p)
+            terms: dict = {}
+            d = 1
+            for t, c in zip(shifted, nums.values()):
+                tn, td = self[t]
+                if td != d:
+                    if d % td:
+                        d = _to_lcm(d, td, (terms,))
+                    c *= d // td
+                _add_shifted(terms, tn, zeros, c, q)
+            den *= d
+            self[m] = (terms, 1) if den == 1 else _lowest(terms, den)
+            stack.pop()
+        return self[a]
 
 
 @dataclass(frozen=True)
@@ -283,10 +419,11 @@ class QuotientAlgebra:
 
     monomials are the exponent tuples outside the leading-term ideal,
     sorted ascending in the basis order; dimension is their count (the
-    length of the quotient).  monomial_nf memoizes the normal forms of
-    monomials, so every user of one quotient shares a single table; it is
-    seeded from the reduced basis and filled without division (see the
-    module docstring).
+    length of the quotient).  One memoized table, _nf_table, holds the
+    normal forms of monomials, so every user of one quotient shares it; it
+    is seeded from the reduced basis and filled without division (see the
+    module docstring and _NFTable).  Its entries are in the integer working
+    form, (nums, den); monomial_nf is the canonical view of one entry.
     """
 
     gb: GroebnerBasis
@@ -298,84 +435,25 @@ class QuotientAlgebra:
         return self.gb.ring
 
     @cached_property
-    def _standard(self) -> frozenset:
-        """The standard monomials as a set, for monomial_nf's fill."""
-        return frozenset(self.monomials)
-
-    @cached_property
-    def _nf_table(self) -> dict:
-        """NF(x^a) by a, seeded with the standard monomials and the leads.
+    def _nf_table(self) -> _NFTable:
+        """The normal-form table, seeded with the standard monomials and the
+        leads.
 
         A standard monomial is its own normal form.  The basis is reduced:
-        each element is monic with a standard tail, so the normal form of
-        its leading monomial is minus its tail (for the unit ideal, NF(1)
-        is 0).
+        each divisor entry is lc * x^lead + tail with a standard tail, so
+        the normal form of its leading monomial is -tail / lc (for the unit
+        ideal, NF(1) is 0).
         """
         field = self.ring.field
-        table = {m: {m: field.one} for m in self.monomials}
-        for lead, _, tail, _ in self.gb._divisors:
-            table[lead] = {e: field.neg(v) for e, v in tail.items()}
-        return table
+        seeds = {m: ({m: 1}, 1) for m in self.monomials}
+        for lead, lc, tail, _ in self.gb._divisors:
+            seeds[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
+        return _NFTable(seeds, frozenset(self.monomials), field.modulus)
 
     def monomial_nf(self, a: tuple[int, ...]) -> dict:
-        """Term dict of NF(x^a), memoized; callers must not mutate it.
-
-        A missing x^a is neither standard nor a leading monomial of the
-        basis, so it is a proper multiple of some lead: some x^(a - e_i) is
-        non-standard.  With NF(x^(a - e_i)) = sum_s c_s x^s,
-
-            NF(x^a) = sum_s c_s NF(x^(s + e_i)),
-
-        a linear combination of table entries and no division.  Each s is
-        standard and smaller than the non-standard x^(a - e_i), so every
-        x^(s + e_i) is smaller than x^a: the fill is well founded, and runs
-        on an explicit stack of the entries still missing.  The i taken is
-        one whose x^(a - e_i) is already in the table, if there is one.  A
-        normal form is unique, so every entry equals the direct normal form
-        of x^a.  If monomials are not the standard basis, a missing x^a can
-        have only standard predecessors: that raises InternalError.
-        """
-        table = self._nf_table
-        nf = table.get(a)
-        if nf is not None:
-            return nf
-        standard = self._standard
-        q = self.ring.field.modulus
-        zeros = (0,) * len(a)
-        stack = [a]
-        while stack:
-            m = stack[-1]
-            if m in table:  # filled since it was pushed
-                stack.pop()
-                continue
-            # a non-standard predecessor, one already in the table if any
-            i = pred = prev = None
-            for j, k in enumerate(m):
-                if k:
-                    b = m[:j] + (k - 1,) + m[j + 1 :]
-                    if b not in standard:
-                        i, pred, prev = j, b, table.get(b)
-                        if prev is not None:
-                            break
-            if pred is None:
-                raise InternalError(
-                    f"monomial {m} is off the standard basis, leads no basis"
-                    " element and has only standard predecessors"
-                )
-            if prev is None:
-                stack.append(pred)
-                continue
-            shifted = [(s[:i] + (s[i] + 1,) + s[i + 1 :], c) for s, c in prev.items()]
-            missing = [t for t, _ in shifted if t not in table]
-            if missing:
-                stack.extend(missing)
-                continue
-            terms: dict = {}
-            for t, c in shifted:
-                _add_shifted(terms, table[t], zeros, c, q)
-            table[m] = terms
-            stack.pop()
-        return table[a]
+        """Term dict of NF(x^a) with canonical scalars, a view of the table
+        entry; callers must not mutate it."""
+        return _ratios(*self._nf_table[a])
 
 
 def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
@@ -427,9 +505,10 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
     """
     n = qa.ring.nvars
     d = qa.dimension
+    table = qa._nf_table
     for i in range(n):
         for k in range(d + 1):
-            if not qa.monomial_nf((0,) * i + (k,) + (0,) * (n - i - 1)):
+            if not table[(0,) * i + (k,) + (0,) * (n - i - 1)][0]:
                 break
         else:
             return False

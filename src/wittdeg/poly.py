@@ -17,6 +17,15 @@ Term dicts are combined by one in-place kernel, `_add_shifted` (dst +=
 c * x^shift * src), and divided by one loop, `_reduce`: sums, differences
 and products of polynomials and determinants run through the first, and
 every Groebner reduction in `groebner` through both.
+
+A `Poly` holds canonical scalars (see `fields`).  The Groebner side works
+on an integer form instead: over Q, `_clear` writes a term dict as an int
+dict over one positive denominator, `_divisor` makes each divisor the
+primitive integer multiple of its monic polynomial, and `_reduce`
+pseudo-divides ints, returning its remainder over a scale.  `_ratios`
+turns an int dict over a denominator back into canonical scalars; it and
+the step log of `_reduce` are where the integer form makes a `Fraction`.
+Over F_p the integer form is the canonical one, with denominator 1.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from operator import add, le, sub
+from math import gcd, lcm
+from operator import add, attrgetter, le, sub
 from typing import Sequence
 
 from .errors import (
@@ -34,7 +44,7 @@ from .errors import (
     RingMismatch,
     UnknownVariable,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, ratio
 from .orders import GREVLEX, MonomialOrder
 
 
@@ -43,6 +53,27 @@ from .orders import GREVLEX, MonomialOrder
 
 def _divides(a, b) -> bool:
     return all(map(le, a, b))
+
+
+_denominator = attrgetter("denominator")
+
+
+def _clear(terms: dict) -> tuple[dict, int]:
+    """(nums, den) with terms == nums / den over Q: nums an int term dict,
+    den the least positive common denominator.  For an int dict, so over
+    F_p always, the pair is (terms, 1): callers copy before they mutate."""
+    den = lcm(*map(_denominator, terms.values()))
+    if den == 1:
+        return terms, 1
+    return {e: v.numerator * (den // v.denominator) for e, v in terms.items()}, den
+
+
+def _ratios(nums: dict, den: int) -> dict:
+    """The canonical term dict nums / den, for an int term dict nums and an
+    int den > 0: nums itself when den is 1, so over F_p always."""
+    if den == 1:
+        return nums
+    return {e: ratio(v, den) for e, v in nums.items()}
 
 
 def _entry(terms: dict, order: MonomialOrder, tag=None):
@@ -55,6 +86,28 @@ def _entry(terms: dict, order: MonomialOrder, tag=None):
     lead = max(terms, key=order.key)
     tail = dict(terms)
     return lead, tail.pop(lead), tail, tag
+
+
+def _divisor(terms: dict, order: MonomialOrder, q, tag=None):
+    """The `_entry` of the monic polynomial terms / lc(terms), terms being a
+    nonzero int term dict (q: modulus of F_q, None over Q).
+
+    Over F_q lc is 1 and the tail is monic.  Over Q the entry is the
+    primitive integer multiple of the monic polynomial: lc is a positive
+    int and gcd(lc, tail) is 1.  This is the working form of every
+    Groebner-side divisor.
+    """
+    lead, lc, tail, tag = _entry(terms, order, tag)  # tail is a new dict
+    if q is not None:
+        inv = pow(lc, -1, q)
+        return lead, 1, {e: v * inv % q for e, v in tail.items()}, tag
+    g = gcd(lc, *tail.values())
+    if lc < 0:
+        g = -g
+    if g != 1:
+        lc //= g
+        tail = {e: v // g for e, v in tail.items()}
+    return lead, lc, tail, tag
 
 
 def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
@@ -75,24 +128,56 @@ def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
             del dst[e]
 
 
-def _reduce(terms: dict, basis, order: MonomialOrder, field, log=None) -> dict:
-    """Remainder of terms on division by basis; terms is consumed.
+def _rescale(terms: dict, m: int) -> None:
+    """terms *= m, in place (no key is added or removed)."""
+    for e, v in terms.items():
+        terms[e] = v * m
 
-    basis is a list of `_entry` tuples.  The first entry in list order whose
-    leading monomial divides the current leading term reduces it; a leading
-    term that no entry divides moves to the remainder.  The leading terms of
-    the working dict strictly decrease, so the remainder is exact and no
-    remainder term is divisible by a leading monomial of the basis.  When log
-    is a list, each step appends (tag, shift, c): terms += c * x^shift *
-    divisor, tag being the divisor entry's fourth slot.  Starting from the
-    cofactor vector of terms, replaying the log through `_add_shifted` with
-    the divisors' vectors gives the remainder's vector, so a caller pays for
-    cofactors only when it keeps the remainder.  (Cox, Little, O'Shea,
-    *Ideals, Varieties, and Algorithms*, section 2.3.)
+
+def _to_lcm(den: int, d: int, dicts) -> int:
+    """lcm(den, d) for positive ints, with each int term dict in dicts, which
+    are over den, rescaled in place to be over it: the step that keeps a sum
+    of int dicts over different denominators on one common denominator."""
+    m = d // gcd(den, d)
+    for terms in dicts:
+        _rescale(terms, m)
+    return den * m
+
+
+def _reduce(
+    terms: dict, basis, order: MonomialOrder, field, log=None, scale=1
+) -> tuple[dict, int]:
+    """(rem, scale'), the remainder of terms / scale on division by basis
+    being rem / scale'; terms is consumed.
+
+    Over Q, terms holds ints and scale is a positive int; over F_p scale is
+    1 and stays 1.  basis is a list of `_entry` tuples.  The first entry in
+    list order whose leading monomial divides the current leading term
+    reduces it; a leading term that no entry divides moves to the
+    remainder.  The leading terms of the working dict strictly decrease, so
+    the remainder is exact and no remainder term is divisible by a leading
+    monomial of the basis.
+
+    Over Q each step is a pseudo-division, as in Buchberger's algorithm
+    over Z (Cox, Little, O'Shea, *Ideals, Varieties, and Algorithms*,
+    section 2.7): with cc the current leading coefficient, dc the divisor's
+    and g = gcd(cc, dc), terms becomes (dc/g) * terms - (cc/g) * x^shift *
+    tail.  The multiplier dc/g > 0 also multiplies scale, and the remainder
+    terms already split off, lazily at the end.  Scaling changes no zero
+    pattern, so the steps are those of division by the monic divisors.
+
+    When log is a list, each step appends (tag, shift, c): the polynomial
+    terms / scale gains c * x^shift * (divisor / lc), tag being the divisor
+    entry's fourth slot.  c = -cc / scale is the multiplier that division
+    over the field by the monic divisor takes, one canonical scalar per
+    step.  Starting from the cofactor vector of terms / scale, replaying the
+    log through `_add_shifted` with the monic divisors' vectors gives the
+    remainder's vector, so a caller pays for cofactors only when it keeps
+    the remainder.  (Cox, Little, O'Shea, section 2.3.)
     """
     q = field.modulus
     key = cache(order.key)  # local: each call's terms are keyed once
-    rem = {}
+    rem = []  # (exponent, coefficient, scale when split off)
     while terms:
         ce = max(terms, key=key)
         cc = terms.pop(ce)
@@ -100,17 +185,25 @@ def _reduce(terms: dict, basis, order: MonomialOrder, field, log=None) -> dict:
             if _divides(de, ce):
                 break
         else:
-            rem[ce] = cc
+            rem.append((ce, cc, scale))
             continue
-        if q is not None:
-            c = -cc * pow(dc, -1, q) % q
-        else:  # divisors are monic in practice; else divide exactly
-            c = -cc if dc == 1 else field.div(-cc, dc)
         shift = tuple(map(sub, ce, de))
-        _add_shifted(terms, tail, shift, c, q)
+        # terms += k * x^shift * tail, after terms *= dc / g over Q
+        if q is not None:
+            c = -cc % q
+            k = c if dc == 1 else c * pow(dc, -1, q) % q
+        else:
+            if log is not None:
+                c = ratio(-cc, scale)
+            g = gcd(cc, dc) if dc > 0 else -gcd(cc, dc)
+            if g != dc:
+                _rescale(terms, dc // g)
+                scale *= dc // g
+            k = -cc // g
+        _add_shifted(terms, tail, shift, k, q)
         if log is not None:
             log.append((tag, shift, c))
-    return rem
+    return {e: c * (scale // s) for e, c, s in rem}, scale
 
 
 class Ring:

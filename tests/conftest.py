@@ -136,6 +136,33 @@ def _reference_exact_div(p, divisor, order=GREVLEX):
     return quot
 
 
+def reference_divide(p, divisors, order=GREVLEX):
+    """The former public multivariate division, kept verbatim but for the
+    inlined divisibility test.  It runs on Poly arithmetic alone, so it
+    shares no code with the division kernel `poly._reduce`."""
+    ring = p.ring
+    field = ring.field
+    leads = [d.leading(order) for d in divisors]
+    quots = [ring.zero() for _ in divisors]
+    rem = ring.zero()
+    cur = p
+    while not cur.is_zero:
+        ce, cc = cur.leading(order)
+        for k, (de, dc) in enumerate(leads):
+            if all(a <= b for a, b in zip(de, ce)):
+                mono = ring.monomial(
+                    tuple(a - b for a, b in zip(ce, de)), field.div(cc, dc)
+                )
+                quots[k] = quots[k] + mono
+                cur = cur - mono * divisors[k]
+                break
+        else:
+            t = ring.monomial(ce, cc)
+            rem = rem + t
+            cur = cur - t
+    return quots, rem
+
+
 def divided_differences(endo):
     """The Bezoutian's divided-difference matrix in the doubled ring, built
     the former way: two substitutions and an exact division per entry."""

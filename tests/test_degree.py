@@ -51,6 +51,7 @@ from conftest import (
     make_endo,
     random_poly,
     random_unit,
+    reference_divide,
 )
 
 
@@ -191,6 +192,52 @@ def test_gram_matches_doubled_ring_reference(Q, F7):
             assert got == _reference_gram(endo, qa)
             sizes.add(qa.dimension)
     assert 0 in sizes and max(sizes) >= 8
+
+
+def test_integer_table_and_gram_match_reference_division(Q):
+    # maps with non-integral coefficients: their quotient tables and Gram
+    # rows run on ints over a common denominator and become canonical
+    # scalars at the end; the oracle is reference_divide, which shares no
+    # code with the division kernel, in the base ring for every table entry
+    # and in the doubled ring for the Gram
+    rng = random.Random(2023)
+    fractions = {"table": 0, "gram": 0}
+    sizes = set()
+    for order in (GREVLEX, LEX):
+        for n in (1, 2, 3):
+            ring = Ring(tuple(f"x{i + 1}" for i in range(n)), Q)
+            for _ in range(6 if n < 3 else 3):
+                images = []
+                for i in range(n):
+                    m = rng.randint(1, 3 if n < 3 else 2)
+                    tail = random_poly(rng, ring, max_degree=m - 1, max_terms=3)
+                    f = ring.var(i) ** m + tail.scale(random_unit(rng, Q, bound=6))
+                    images.append(f.scale(random_unit(rng, Q, bound=6)))
+                endo = Endo(ring=ring, images=tuple(images))
+                qa = standard_monomials(buchberger(endo.images, order))
+                gram = _gram_from_quotient(endo, qa)  # fills the table
+                sizes.add(qa.dimension)
+                # deeper entries too, whose fills mix more denominators
+                for _ in range(4):
+                    qa._nf_table[tuple(rng.randint(0, 5) for _ in range(n))]
+                for a in list(qa._nf_table):
+                    _, expected = reference_divide(ring.monomial(a), qa.gb.basis, order)
+                    got = qa.monomial_nf(a)
+                    assert got == expected.terms
+                    fractions["table"] += any(type(c) is Fraction for c in got.values())
+                delta = bezoutian(endo)
+                combined = _reference_combined_basis(qa, delta.ring).basis
+                _, nf = reference_divide(delta, combined, order)
+                index = {m: k for k, m in enumerate(qa.monomials)}
+                rows = [{} for _ in qa.monomials]
+                for e, c in nf.terms.items():
+                    rows[index[e[:n]]][index[e[n:]]] = c
+                assert list(gram.rows) == rows
+                fractions["gram"] += any(
+                    type(c) is Fraction for row in rows for c in row.values()
+                )
+    assert min(fractions.values()) >= 10, fractions
+    assert max(sizes) >= 8
 
 
 def test_gram_off_standard_basis_is_internal_error(Q, monkeypatch, capsys):

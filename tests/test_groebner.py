@@ -25,7 +25,13 @@ from wittdeg.orders import LEX
 from wittdeg.poly import Poly, _add_shifted, _entry, _reduce
 from wittdeg.umrow import compose_with_endo, universal_row
 
-from conftest import counterexample_endo, is_canonical_scalar, random_poly, random_unit
+from conftest import (
+    counterexample_endo,
+    is_canonical_scalar,
+    random_poly,
+    random_unit,
+    reference_divide,
+)
 
 
 @pytest.fixture
@@ -245,31 +251,6 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _reference_divide(p, divisors, order=GREVLEX):
-    """The former public multivariate division, kept verbatim."""
-    ring = p.ring
-    field = ring.field
-    leads = [d.leading(order) for d in divisors]
-    quots = [ring.zero() for _ in divisors]
-    rem = ring.zero()
-    cur = p
-    while not cur.is_zero:
-        ce, cc = cur.leading(order)
-        for k, (de, dc) in enumerate(leads):
-            if _divides(de, ce):
-                mono = ring.monomial(
-                    tuple(a - b for a, b in zip(ce, de)), field.div(cc, dc)
-                )
-                quots[k] = quots[k] + mono
-                cur = cur - mono * divisors[k]
-                break
-        else:
-            t = ring.monomial(ce, cc)
-            rem = rem + t
-            cur = cur - t
-    return quots, rem
-
-
 class _Tracked:
     __slots__ = ("poly", "cof")
 
@@ -329,7 +310,7 @@ def test_reduce_matches_reference_division(Q, F7):
             scaled = [d.scale(random_unit(units, field)) for d in divisors]
             sp = p.scale(random_unit(units, field))
             for x, ds in ((p, divisors), (sp, scaled)):
-                _, expected = _reference_divide(x, ds, order)
+                _, expected = reference_divide(x, ds, order)
                 gb = GroebnerBasis(generators=tuple(ds), basis=tuple(ds), order=order)
                 got = normal_form(x, gb)
                 assert got == expected
@@ -352,13 +333,19 @@ def test_reduce_matches_reference_cofactor_tracking(Q, F7):
             start = [random_poly(rng, ring, max_degree=2) for _ in range(3)]
             work = [_Tracked(d, c) for d, c in zip(divisors, cofs)]
             rem, cof = _reference_reduce_tracked(p, start, work, order, True)
+            # a logged step is relative to the monic divisor d / lc(d), so
+            # each tag is the vector of the monic divisor
             entries = [
-                _entry(d.terms, order, [c.terms for c in cv])
+                _entry(
+                    d.terms,
+                    order,
+                    [c.scale(field.inv(d.leading(order)[1])).terms for c in cv],
+                )
                 for d, cv in zip(divisors, cofs)
             ]
             log = []
-            got = _reduce(dict(p.terms), entries, order, field, log)
-            assert got == rem.terms
+            got, scale = _reduce(dict(p.terms), entries, order, field, log)
+            assert {e: field.div(v, scale) for e, v in got.items()} == rem.terms
             # the log replays into the cofactors the old in-place loop built
             got_cof = [dict(c.terms) for c in start]
             for vec, shift, c in log:
@@ -516,14 +503,24 @@ def _chain_ideal(rng, ring):
     return gens
 
 
-def _lazy_equals_eager(gens, order):
+def _lazy_equals_eager(gens, order, units=None):
+    """The lazy basis and cofactors equal the eager reference's; with a
+    units stream, so do those of the generators scaled by random units, which
+    over Q lead with non-integral rationals."""
     expected = _eager_buchberger(gens, order, track_cofactors=True)
     assert buchberger(gens, order, track_cofactors=True) == expected
+    if units is not None:
+        field = gens[0].ring.field
+        scaled = [g.scale(random_unit(units, field)) for g in gens]
+        reference = _eager_buchberger(scaled, order, track_cofactors=True)
+        assert buchberger(scaled, order, track_cofactors=True) == reference
+        assert reference.basis == expected.basis
     return expected
 
 
 def test_buchberger_cofactors_match_eager_reference(Q, F7):
     rng = random.Random(1729)
+    units = random.Random(1730)  # its own stream: rng draws the same cases
     seen = {"unit": 0, "zero": 0, "duplicate": 0, "several": 0}
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
         for _ in range(25):
@@ -539,7 +536,7 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
             elif roll < 0.5:
                 gens.append(rng.choice(gens))
                 seen["duplicate"] += 1
-            gb = _lazy_equals_eager(gens, order)
+            gb = _lazy_equals_eager(gens, order, units)
             seen["unit"] += gb.basis == (ring.one(),)
         # finite quotients with bases of several elements; three variables
         # only under GREVLEX, because under LEX the reference, which prunes
@@ -549,13 +546,14 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
         for _ in range(10):
             nvars = rng.randint(2, 3) if order is GREVLEX else 2
             ring = Ring(tuple("xyz"[:nvars]), field)
-            gb = _lazy_equals_eager(_random_finite_ideal(rng, ring), order)
+            gb = _lazy_equals_eager(_random_finite_ideal(rng, ring), order, units)
             seen["several"] += len(gb.basis) > 2
     assert min(seen.values()) >= 10
     rng = random.Random(4104)
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
         for _ in range(10):
-            _lazy_equals_eager(_chain_ideal(rng, Ring(("x", "y", "z"), field)), order)
+            ideal = _chain_ideal(rng, Ring(("x", "y", "z"), field))
+            _lazy_equals_eager(ideal, order, units)
         # the tautological row over S_3 composed with rows-benchmark shapes;
         # one draw per shape under LEX, where one such basis over Q took 3 s,
         # and 100 s with eager cofactors
@@ -564,7 +562,7 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
         for ms in draws * ((1, 1, 2), (1, 2, 2), (2, 1, 2), (1, 2, 1)):
             composed = compose_with_endo(row, _triangular_endo(rng, field, ms))
             gens = list(composed.entries) + list(row.algebra.relations)
-            gb = _lazy_equals_eager(gens, order)
+            gb = _lazy_equals_eager(gens, order, units)
             assert gb.basis == (row.algebra.ring.one(),)
 
 
@@ -584,10 +582,10 @@ def test_buchberger_stops_at_the_unit(Q, monkeypatch):
     events = []
 
     def reduce(terms, basis, *args):
-        rem = _reduce(terms, basis, *args)
+        rem, scale = _reduce(terms, basis, *args)
         # the largest exponent is zero only for a constant remainder
         events.append("unit" if rem and not any(max(rem)) else "reduce")
-        return rem
+        return rem, scale
 
     def reduce_basis(*args):
         events.append("basis")
@@ -740,8 +738,8 @@ def test_monomial_table_matches_direct_normal_form(Q, F7):
             cold = standard_monomials(gb)
             for a in sorted(exps, key=sum, reverse=True):
                 assert cold.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
-            for a, nf in cold._nf_table.items():
-                assert nf == normal_form(ring.monomial(a), gb).terms
+            for a in cold._nf_table:
+                assert cold.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
     assert units >= len(cases)
 
 

@@ -8,6 +8,7 @@ raw pivots of the elimination, the diagonal, the signed discriminant and
 the certificate of a composed unimodular row.
 """
 
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -42,13 +43,24 @@ def _stored_scalars(endo):
     diag = diag_form(endo.field, pivots)
     for p in qa.gb.basis:
         yield from (("basis", c) for c in p.terms.values())
-    for nf in qa._nf_table.values():
-        yield from (("normal form", c) for c in nf.values())
+    _assert_integer_table(qa)
+    for a in qa._nf_table:
+        yield from (("normal form", c) for c in qa.monomial_nf(a).values())
     for row in gram.rows:
         yield from (("gram", c) for c in row.values())
     yield from (("pivot", c) for c in pivots)
     yield from (("diagonal", c) for c in diag.entries)
     yield "signed discriminant", invariants(diag).signed_discriminant
+
+
+def _assert_integer_table(qa):
+    """Each entry of the normal-form table is (nums, den): an int term dict
+    without zeros and an int den > 0 coprime to its content (1 over F_p)."""
+    for nums, den in qa._nf_table.values():
+        assert type(den) is int and den > 0
+        assert all(type(v) is int and v for v in nums.values())
+        assert math.gcd(den, *nums.values()) == 1
+        assert qa.ring.field.is_rationals or den == 1
 
 
 def _assert_canonical(field, pairs):
