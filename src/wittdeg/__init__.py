@@ -15,6 +15,7 @@ from .errors import (
     DegenerateForm,
     EvenModulus,
     EvenN,
+    ExponentBoundExceeded,
     FactorBoundExceeded,
     InternalError,
     JobFileError,

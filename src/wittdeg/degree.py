@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -44,7 +45,7 @@ from .groebner import (
     standard_monomials,
     supported_only_at_origin,
 )
-from .orders import GREVLEX, MonomialOrder
+from .orders import GREVLEX, MonomialOrder, Relayout
 from .poly import (
     Poly,
     Ring,
@@ -130,21 +131,26 @@ def bezoutian(endo: Endo) -> Poly:
 
     and every (x, u) exponent produced is distinct (it determines e and k),
     so no coefficients combine.  The identity holds in every characteristic.
+    Each term is made as its packed key in the doubled ring, 1 plus the
+    offsets of its variables.
     """
     n = endo.n
     ring2 = dual_ring(endo.ring)
-    zeros = (0,) * n
+    one, var = ring2.packing.one, ring2.packing.var
+    xs, us = var[:n], var[n:]
     rows = []
     for f in endo.images:
         row = []
         for j in range(n):
-            x_head, u_tail = zeros[:j], zeros[j + 1 :]
+            x_j, u_j = xs[j], us[j]
             terms = {}
             for e, c in f.terms.items():
+                # u_1^e_1 ... u_{j-1}^e_{j-1} * x_{j+1}^e_{j+1} ... x_n^e_n
+                key = sum(map(mul, e[:j], us), one)
+                key += sum(map(mul, e[j + 1 :], xs[j + 1 :]))
                 for k in range(e[j]):
-                    x = x_head + (k,) + e[j + 1 :]
-                    terms[x + e[:j] + (e[j] - 1 - k,) + u_tail] = c
-            row.append(Poly(ring2, terms))
+                    terms[key + k * x_j + (e[j] - 1 - k) * u_j] = c
+            row.append(Poly._from_packed(ring2, terms))
         rows.append(row)
     return det(rows)
 
@@ -164,32 +170,40 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     with its keys replaced by their basis indices: no d x d matrix is built.
     Over Q every sum runs on the integer table entries, over a common
     denominator, and each Gram entry becomes a canonical scalar once, here.
+
+    The Bezoutian's keys are LEX keys in the doubled ring: a shift and a
+    mask split each into the LEX keys of its x- and u-part, which
+    `relayout` turns into keys of the quotient's packing, once per
+    distinct part.
     """
     n = endo.n
     q = endo.field.modulus
-    zeros = (0,) * n
-    delta, den = _clear(bezoutian(endo).terms)  # Delta = delta / den
+    delta = bezoutian(endo)
+    shift, mask = delta.ring.packing.split(n)
+    relayout = Relayout(endo.ring.packing, qa.gb._packing)
+    delta, den = _clear(delta.packed)  # Delta = delta / den
     # the rows, then the coefficients of NF(Delta), are summed over one
     # common denominator each, raised to the lcm when an entry needs it (1
     # over F_p)
     nf = qa._nf_table  # a lookup fills a missing entry
-    rows: dict = {}  # x-monomial a -> du * row_a
+    rows: dict = {}  # LEX key of an x-monomial a -> du * row_a
     du = 1
     for e, c in delta.items():
-        row = rows.get(e[:n])
+        a = e >> shift
+        row = rows.get(a)
         if row is None:
-            row = rows[e[:n]] = {}
-        nums, d = nf[e[n:]]
+            row = rows[a] = {}
+        nums, d = nf[relayout[e & mask]]
         if d != du:
             if du % d:
                 du = _to_lcm(du, d, rows.values())
             c *= du // d
-        _add_shifted(row, nums, zeros, c, q)
+        _add_shifted(row, nums, 0, c, q)
     del delta  # the rows hold what the rest needs: keep the peak memory low
     acc: dict = {}  # standard x-monomial m -> dx * du * den * NF(Delta)_m
     dx = 1
     for a, row in rows.items():
-        nums, d = nf[a]
+        nums, d = nf[relayout[a]]
         if d != dx:
             if dx % d:
                 dx = _to_lcm(dx, d, acc.values())
@@ -198,9 +212,9 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
             dst = acc.get(m)
             if dst is None:
                 dst = acc[m] = {}
-            _add_shifted(dst, row, zeros, v, q)
+            _add_shifted(dst, row, 0, v, q)
     den *= dx * du
-    index = {m: k for k, m in enumerate(qa.monomials)}
+    index = {m: k for k, m in enumerate(qa._keys)}
     b = [{} for _ in qa.monomials]
     # each normal-form term x^m u^m' is entry (m, m'); its coefficient is
     # nonzero and becomes a canonical scalar here, and GramForm checks the

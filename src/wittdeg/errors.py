@@ -75,3 +75,8 @@ class InternalError(AlgebraError):
 
 class JobFileError(AlgebraError):
     """Malformed job or row file."""
+
+
+class ExponentBoundExceeded(AlgebraError):
+    """A monomial exceeded the exponent bound of the packed kernel
+    (orders.BOUND, and under GREVLEX the total degree as well)."""

@@ -5,8 +5,20 @@ basis all run the division kernel of `poly` (`_reduce`, with `_divisor`
 and `_add_shifted`).  It works on one mutable term dict, reads each
 divisor's leading term from a precomputed entry, and keeps only the
 remainder: no caller here needs the quotients.  Pending S-pairs wait in a
-heap keyed by the order key of their lcm, computed once when the pair is
-formed.
+heap keyed by their lcm, computed once when the pair is formed.
+
+Inside this module a monomial is its packed key in the order's `Packing`
+(see `orders`), never an exponent tuple: the leading term is the largest
+key, a shift adds an offset, divisibility is one mask test and the lcm of
+two leads is a parallel field maximum.  Keys are packed once, when the
+generators or the polynomial to reduce come in, and unpacked once, at the
+boundary: the returned basis and cofactors, normal forms,
+`QuotientAlgebra.monomials` and `monomial_nf`.  A monomial made on the way
+that passes the exponent bound (orders.BOUND, and under GREVLEX the total
+degree too) raises ExponentBoundExceeded: `_reduce` checks each leading
+key, the lcm of a pair is checked when the pair is queued, and a cofactor
+vector before it is shifted again.  (The lcm of a coprime pair, which is
+never queued, may pass the GREVLEX degree bound.)
 
 Over Q the Groebner side runs on ints: primitive pseudo-reduction, as in
 Buchberger's algorithm over Z (Gebauer & Moeller, JSC 6, 1988; Cox,
@@ -81,32 +93,34 @@ term for term.  Autoreduction then replays its own step logs into the
 kept vectors.
 
 Everything is deterministic: normal selection strategy (smallest lcm first,
-ties by input index), basis sorted by leading monomial.
+ties by input index), basis sorted by leading monomial.  Keys compare as
+the order does, so the packed kernel makes the same choices, in the same
+sequence, as a kernel on exponent tuples would.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from math import gcd
-from operator import le, sub
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InternalError, NotFiniteLength, RingMismatch
-from .orders import GREVLEX, MonomialOrder
+from .orders import GREVLEX, MonomialOrder, Packing
 from .poly import (
     Poly,
     Ring,
     _add_shifted,
     _clear,
-    _divides,
     _divisor,
     _ratios,
     _reduce,
     _to_lcm,
 )
+
+_lead = itemgetter(0)
 
 
 def _common_ring(polys: Sequence[Poly]) -> Ring:
@@ -137,10 +151,17 @@ class GroebnerBasis:
         return self.generators[0].ring
 
     @cached_property
+    def _packing(self) -> Packing:
+        """The layout of the kernel's keys: the order's, in the ring's
+        variables."""
+        return self.order.packing(self.ring.nvars)
+
+    @cached_property
     def _divisors(self) -> list:
         """The basis as `_divisor` entries: the divisors of every reduction."""
         q = self.ring.field.modulus
-        return [_divisor(_clear(g.terms)[0], self.order, q) for g in self.basis]
+        pack = self._packing.pack_terms
+        return [_divisor(_clear(pack(g.terms))[0], q) for g in self.basis]
 
 
 def buchberger(
@@ -158,64 +179,66 @@ def buchberger(
     ring = _common_ring(gens)
     field = ring.field
     q = field.modulus
+    packing = order.packing(ring.nvars)
+    one, pad, guard, target = packing.one, packing.pad, packing.guard, packing.target
+    lcm = packing.lcm
     # working basis as _divisor entries, in order of discovery; the fourth
     # slot is the entry's cofactor recipe, or None when cofactors are off
     work: list[tuple] = []
-    degs: list[int] = []  # total degree of each working leading monomial
-    # heap of pending pairs (order key of their lcm, i, j): smallest lcm first
+    # heap of pending pairs (key of their lcm, i, j): smallest lcm first
     pairs: list[tuple] = []
 
     def append(terms: dict, origin, scale) -> None:
         """Reduce terms / scale by the working basis and keep a nonzero
         remainder."""
         log = None if origin is None else []
-        rem, scale = _reduce(terms, work, order, field, log, scale)
+        rem, scale = _reduce(terms, work, packing, field, log, scale)
         if not rem:
             return
-        lead, lc, tail, _ = _divisor(rem, order, q)
+        lead, lc, tail, _ = _divisor(rem, q)
         t = len(work)
-        deg = sum(lead)
         # the new pairs (i, t) by lcm: the first i of each group, and whether
-        # any member has coprime leading monomials (F and the product
-        # criterion)
+        # any member has coprime leading monomials, whose lcm is their
+        # product (F and the product criterion)
         groups: dict = {}
         for i, w in enumerate(work):
-            lcm = tuple(map(max, w[0], lead))
-            coprime = sum(lcm) == degs[i] + deg
-            group = groups.get(lcm)
+            m = lcm(w[0], lead)
+            coprime = m == w[0] + lead - one
+            group = groups.get(m)
             if group is None:
-                groups[lcm] = [i, coprime]
+                groups[m] = [i, coprime]
             elif coprime:
                 group[1] = True
-        # M: a proper divisor has a smaller total degree, so it comes first
+        # M: a proper divisor is smaller in the order, so it comes first
         minimal: list = []
-        for lcm in sorted(groups, key=sum):
-            if not any(all(map(le, m, lcm)) for m in minimal):
-                minimal.append(lcm)
-                i, coprime = groups[lcm]
+        for m in sorted(groups):
+            s = m + pad
+            if not any((s - d) & guard == target for d in minimal):
+                minimal.append(m)
+                i, coprime = groups[m]
                 if not coprime:
-                    heapq.heappush(pairs, (order.key(lcm), i, t))
+                    if m & guard:  # its S-polynomial would pass the bound
+                        packing.overflow()
+                    heapq.heappush(pairs, (m, i, t))
         recipe = None
         if origin is not None:
             # the remainder is rem / scale: this inverse makes it monic
             recipe = (t, origin, log, field.div(scale, rem[lead]))
         work.append((lead, lc, tail, recipe))
-        degs.append(deg)
-        if not deg:
+        if lead == one:
             pairs.clear()  # 1 is in the ideal: every pending pair reduces to 0
 
     for k, g in enumerate(gens):
         if not g.is_zero:
-            terms, den = _clear(g.terms)
+            terms, den = _clear(packing.pack_terms(g.terms))
             append(dict(terms), k if track_cofactors else None, den)
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        m, i, j = heapq.heappop(pairs)
         li, ci, tail_i, _ = work[i]
         lj, cj, tail_j, _ = work[j]
-        lcm = tuple(map(max, li, lj))
-        si = tuple(map(sub, lcm, li))
-        sj = tuple(map(sub, lcm, lj))
+        si = m - li  # the offsets of lcm / lead
+        sj = m - lj
         # (cj/g) x^si f_i - (ci/g) x^sj f_j with g = gcd(ci, cj): the leading
         # terms cancel, and it is ci cj / g times the S-polynomial of the
         # monic f_i and f_j
@@ -225,7 +248,7 @@ def buchberger(
         _add_shifted(s, tail_j, sj, -(ci // g), q)
         append(s, (i, j, si, sj) if track_cofactors else None, ci // g * cj)
 
-    return _reduce_basis(tuple(gens), work, order, track_cofactors)
+    return _reduce_basis(tuple(gens), work, packing, track_cofactors)
 
 
 def _replay(cof: list, log: list, cofs: list, q) -> None:
@@ -235,14 +258,15 @@ def _replay(cof: list, log: list, cofs: list, q) -> None:
             _add_shifted(dst, src, shift, c, q)
 
 
-def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
+def _cofactors(work: list, kept: list, m: int, ring: Ring, packing: Packing) -> list:
     """Cofactor vectors, by discovery index, of kept and its ancestors.
 
     An entry's ancestors are its S-pair parents and the divisors in its step
     log, all discovered before it.  One descending pass marks them; one
     ascending pass replays each marked recipe exactly as it was built: the
     unit vector or the shifted parent vectors, the logged steps, then the
-    normalising inverse.  Every other entry gets None.
+    normalising inverse.  Every other entry gets None.  A vector is checked
+    against the exponent bound before later recipes shift it.
     """
     field = ring.field
     q = field.modulus
@@ -264,7 +288,7 @@ def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
         _, origin, log, inv = w[3]
         cof = [{} for _ in range(m)]
         if isinstance(origin, int):
-            cof[origin] = {(0,) * ring.nvars: field.one}
+            cof[origin] = {packing.one: field.one}
         else:
             i, j, si, sj = origin
             for dst, a, b in zip(cof, cofs[i], cofs[j]):
@@ -272,21 +296,26 @@ def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
                 _add_shifted(dst, b, sj, minus_one, q)
         _replay(cof, log, cofs, q)
         cofs[idx] = [{e: field.mul(v, inv) for e, v in c.items()} for c in cof]
+        for c in cofs[idx]:
+            packing.check(c)
     return cofs
 
 
-def _reduce_basis(gens, work, order, track) -> GroebnerBasis:
+def _reduce_basis(gens, work, packing, track) -> GroebnerBasis:
     ring = gens[0].ring
     field = ring.field
     q = field.modulus
-    # minimal basis: drop elements whose leading monomial another divides
+    pad, guard, target = packing.pad, packing.guard, packing.target
+    # minimal basis: drop elements whose leading monomial another divides;
+    # the leads of the working basis are distinct
     kept: list[tuple] = []
-    for w in sorted(work, key=lambda w: order.key(w[0])):
-        if not any(_divides(k[0], w[0]) for k in kept):
+    for w in sorted(work, key=_lead):
+        s = w[0] + pad
+        if not any((s - k[0]) & guard == target for k in kept):
             kept.append(w)
     log = None
     if track:
-        cofs = _cofactors(work, kept, len(gens), ring)
+        cofs = _cofactors(work, kept, len(gens), ring, packing)
         log = []
     # autoreduce the tails in one pass: leads never change, so an entry stays
     # reduced when later ones are.  Each entry is reduced as the monic
@@ -295,23 +324,29 @@ def _reduce_basis(gens, work, order, track) -> GroebnerBasis:
     for idx, (lead, lc, tail, recipe) in enumerate(kept):
         terms = {lead: lc, **tail}
         others = kept[:idx] + kept[idx + 1 :]
-        rem, _ = _reduce(dict(terms), others, order, field, log, lc)
+        rem, _ = _reduce(dict(terms), others, packing, field, log, lc)
         if rem != terms:
             if track:
-                _replay(cofs[recipe[0]], log, cofs, q)
+                vector = cofs[recipe[0]]
+                _replay(vector, log, cofs, q)
                 log.clear()
-            kept[idx] = _divisor(rem, order, q, recipe)
-    kept.sort(key=lambda w: order.key(w[0]))
-    # the boundary: the monic basis with canonical scalars
+                for c in vector:
+                    packing.check(c)
+            kept[idx] = _divisor(rem, q, recipe)
+    kept.sort(key=_lead)
+    # the boundary: the monic basis with canonical scalars, on exponent tuples
+    unpack = packing.unpack_terms
     return GroebnerBasis(
         generators=gens,
         basis=tuple(
-            Poly(ring, {lead: field.one, **_ratios(tail, lc)})
+            Poly(ring, unpack({lead: field.one, **_ratios(tail, lc)}))
             for lead, lc, tail, _ in kept
         ),
-        order=order,
+        order=packing.order,
         cofactors=(
-            tuple(tuple(Poly(ring, c) for c in cofs[w[3][0]]) for w in kept)
+            tuple(
+                tuple(Poly(ring, unpack(c)) for c in cofs[w[3][0]]) for w in kept
+            )
             if track
             else None
         ),
@@ -322,9 +357,10 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of p modulo the basis; supported on standard monomials."""
     if p.ring != gb.ring:
         raise RingMismatch("polynomial not in the basis ring")
-    terms, den = _clear(p.terms)
-    rem, den = _reduce(dict(terms), gb._divisors, gb.order, p.ring.field, scale=den)
-    return Poly(p.ring, _ratios(rem, den))
+    packing = gb._packing
+    terms, den = _clear(packing.pack_terms(p.terms))
+    rem, den = _reduce(dict(terms), gb._divisors, packing, p.ring.field, scale=den)
+    return Poly(p.ring, packing.unpack_terms(_ratios(rem, den)))
 
 
 def _lowest(nums: dict, den: int) -> tuple[dict, int]:
@@ -336,9 +372,10 @@ def _lowest(nums: dict, den: int) -> tuple[dict, int]:
 
 
 class _NFTable(dict):
-    """NF(x^a) by a as (nums, den), NF(x^a) = nums / den: nums an int term
-    dict, den a positive int coprime to the content of nums (over F_p, 1).
-    Looking up a missing x^a fills it; callers must not mutate an entry.
+    """NF(x^a) by the key of a as (nums, den), NF(x^a) = nums / den: nums a
+    packed int term dict, den a positive int coprime to the content of nums
+    (over F_p, 1).  Looking up a missing key fills it; callers must not
+    mutate an entry.
 
     A missing x^a is neither standard nor a leading monomial of the basis,
     so it is a proper multiple of some lead: some x^(a - e_i) is
@@ -350,23 +387,30 @@ class _NFTable(dict):
     integer entries are summed over the lcm of their denominators.  Each s
     is standard and smaller than the non-standard x^(a - e_i), so every
     x^(s + e_i) is smaller than x^a: the fill is well founded, and runs on
-    an explicit stack of the entries still missing.  The i taken is one
-    whose x^(a - e_i) is already in the table, if there is one.  A normal
-    form is unique, so every entry equals the direct normal form of x^a.
-    If the standard set is not the standard basis, a missing x^a can have
-    only standard predecessors: that raises InternalError.
+    an explicit stack of the entries still missing.  The i taken is the
+    first whose x^(a - e_i) is non-standard and already in the table, if
+    there is one, else the first non-standard one.  A normal form is unique,
+    so every entry equals the direct normal form of x^a.  If the standard
+    set is not the standard basis, a missing x^a can have only standard
+    predecessors: that raises InternalError.
     """
 
-    __slots__ = ("standard", "q")
+    __slots__ = ("standard", "q", "packing")
 
-    def __init__(self, seeds: dict, standard: frozenset, q):
+    def __init__(self, seeds: dict, standard: frozenset, q, packing: Packing):
         super().__init__(seeds)
         self.standard = standard
         self.q = q  # the modulus of F_q, None over Q
+        self.packing = packing
 
-    def __missing__(self, a: tuple[int, ...]) -> tuple[dict, int]:
-        standard, q = self.standard, self.q
-        zeros = (0,) * len(a)
+    def __missing__(self, a: int) -> tuple[dict, int]:
+        standard, q, packing = self.standard, self.q, self.packing
+        guard, target = packing.guard, packing.target
+        if a & guard:
+            packing.overflow()
+        # x_i divides x^m iff (m + step) & guard == target, step = pad - key
+        # of x_i; x^m / x_i has the key m - var[i]
+        steps = [packing.pad - packing.one - v for v in packing.var]
         stack = [a]
         while stack:
             m = stack[-1]
@@ -374,24 +418,25 @@ class _NFTable(dict):
                 stack.pop()
                 continue
             # a non-standard predecessor, one already in the table if any
-            i = pred = prev = None
-            for j, k in enumerate(m):
-                if k:
-                    b = m[:j] + (k - 1,) + m[j + 1 :]
+            pred = prev = None
+            for v, step in zip(packing.var, steps):
+                if (m + step) & guard == target:
+                    b = m - v
                     if b not in standard:
-                        i, pred, prev = j, b, self.get(b)
+                        off, pred, prev = v, b, self.get(b)
                         if prev is not None:
                             break
             if pred is None:
                 raise InternalError(
-                    f"monomial {m} is off the standard basis, leads no basis"
-                    " element and has only standard predecessors"
+                    f"monomial {packing.unpack(m)} is off the standard basis,"
+                    " leads no basis element and has only standard"
+                    " predecessors"
                 )
             if prev is None:
                 stack.append(pred)
                 continue
             nums, den = prev
-            shifted = [s[:i] + (s[i] + 1,) + s[i + 1 :] for s in nums]
+            shifted = [s + off for s in nums]
             missing = [t for t in shifted if t not in self]
             if missing:
                 stack.extend(missing)
@@ -406,7 +451,7 @@ class _NFTable(dict):
                     if d % td:
                         d = _to_lcm(d, td, (terms,))
                     c *= d // td
-                _add_shifted(terms, tn, zeros, c, q)
+                _add_shifted(terms, tn, 0, c, q)
             den *= d
             self[m] = (terms, 1) if den == 1 else _lowest(terms, den)
             stack.pop()
@@ -420,19 +465,29 @@ class QuotientAlgebra:
     monomials are the exponent tuples outside the leading-term ideal,
     sorted ascending in the basis order; dimension is their count (the
     length of the quotient).  One memoized table, _nf_table, holds the
-    normal forms of monomials, so every user of one quotient shares it; it
-    is seeded from the reduced basis and filled without division (see the
-    module docstring and _NFTable).  Its entries are in the integer working
-    form, (nums, den); monomial_nf is the canonical view of one entry.
+    normal forms of monomials by their keys in the basis's packing, so
+    every user of one quotient shares it; it is seeded from the reduced
+    basis and filled without division (see the module docstring and
+    _NFTable).  Its entries are in the integer working form, (nums, den);
+    monomial_nf is the canonical view of one entry.
     """
 
     gb: GroebnerBasis
     monomials: tuple[tuple[int, ...], ...]
     dimension: int
+    # the keys of monomials in the basis's packing, in the same order
+    _keys: Optional[tuple[int, ...]] = dataclass_field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def ring(self) -> Ring:
         return self.gb.ring
+
+    def __post_init__(self):
+        if self._keys is None:
+            keys = tuple(map(self.gb._packing.pack, self.monomials))
+            object.__setattr__(self, "_keys", keys)
 
     @cached_property
     def _nf_table(self) -> _NFTable:
@@ -445,15 +500,17 @@ class QuotientAlgebra:
         ideal, NF(1) is 0).
         """
         field = self.ring.field
-        seeds = {m: ({m: 1}, 1) for m in self.monomials}
+        seeds = {m: ({m: 1}, 1) for m in self._keys}
         for lead, lc, tail, _ in self.gb._divisors:
             seeds[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
-        return _NFTable(seeds, frozenset(self.monomials), field.modulus)
+        return _NFTable(
+            seeds, frozenset(self._keys), field.modulus, self.gb._packing
+        )
 
     def monomial_nf(self, a: tuple[int, ...]) -> dict:
-        """Term dict of NF(x^a) with canonical scalars, a view of the table
-        entry; callers must not mutate it."""
-        return _ratios(*self._nf_table[a])
+        """Term dict of NF(x^a), on exponent tuples with canonical scalars."""
+        packing = self.gb._packing
+        return packing.unpack_terms(_ratios(*self._nf_table[packing.pack(a)]))
 
 
 def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
@@ -465,12 +522,13 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
     """
     ring = gb.ring
     n = ring.nvars
-    leads = [g.leading(gb.order)[0] for g in gb.basis]
-    if any(sum(e) == 0 for e in leads):
+    packing = gb._packing
+    leads = [d[0] for d in gb._divisors]
+    if packing.one in leads:
         # the ideal is the whole ring; the quotient is the zero ring
         return QuotientAlgebra(gb=gb, monomials=(), dimension=0)
     box = [None] * n
-    for e in leads:
+    for e in map(packing.unpack, leads):
         nz = [i for i, x in enumerate(e) if x]
         if len(nz) == 1:
             i = nz[0]
@@ -483,13 +541,24 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
             + ", ".join(missing)
             + " among the leading monomials"
         )
-    std = [
-        exps
-        for exps in itertools.product(*(range(b) for b in box))
-        if not any(_divides(le, exps) for le in leads)
-    ]
-    std.sort(key=gb.order.key)
-    return QuotientAlgebra(gb=gb, monomials=tuple(std), dimension=len(std))
+    # the keys of the box, from 1 by adding variable offsets; its corner,
+    # the largest of them, is checked against the exponent bound first
+    packing.pack([b - 1 for b in box])
+    box_keys = [packing.one]
+    for var, b in zip(packing.var, box):
+        box_keys = [key + k * var for key in box_keys for k in range(b)]
+    pad, guard, target = packing.pad, packing.guard, packing.target
+    std = sorted(
+        key
+        for key in box_keys
+        if not any((key + pad - d) & guard == target for d in leads)
+    )
+    return QuotientAlgebra(
+        gb=gb,
+        monomials=tuple(map(packing.unpack, std)),
+        dimension=len(std),
+        _keys=tuple(std),
+    )
 
 
 def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
@@ -503,13 +572,15 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
     zero too.  Only a variable whose D-th power is nonzero is reported.
     For D = 0 the ideal is the whole ring and NF(1) = 0 already.
     """
-    n = qa.ring.nvars
     d = qa.dimension
     table = qa._nf_table
-    for i in range(n):
-        for k in range(d + 1):
-            if not table[(0,) * i + (k,) + (0,) * (n - i - 1)][0]:
+    one = qa.gb._packing.one
+    for var in qa.gb._packing.var:
+        key = one
+        for _ in range(d + 1):
+            if not table[key][0]:
                 break
+            key += var
         else:
             return False
     return True

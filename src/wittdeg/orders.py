@@ -1,25 +1,64 @@
-"""Monomial orders on exponent tuples.
+"""Monomial orders on exponent tuples, and the packed form of a monomial.
 
 Variable precedence is declaration order (earlier variables are larger).
 A key function maps an exponent tuple to a sort key; larger key = larger
 monomial, and the constant monomial is minimal (well-foundedness).
+
+Inside the polynomial kernel a monomial is not a tuple but one int, its
+key in a `Packing`, laid out so that comparing two ints compares the two
+monomials (Bachmann & Schoenemann, "Monomial representations for Groebner
+bases computations", ISSAC 1998; Monagan & Pearce, JSC 46, 2011).  The
+int is a row of BITS-bit fields, most significant first, and the top bit
+of each field is a guard bit, so a field holds at most BOUND = 2^15 - 1:
+
+    LEX      [e_1 | ... | e_n]
+    GREVLEX  [e_1 + ... + e_n | C - e_n | ... | C - e_1]    (C = BOUND)
+
+With one, the key of the constant monomial (0 under LEX), and guard, the
+mask of the guard bits:
+
+- the leading term of a term dict is max(terms), with no key function;
+- the product x^a x^b has the key a + b - one, so multiplying by x^s adds
+  the offset s - one to a key;
+- with s = b + pad - a, x^a divides x^b exactly when s & guard == target,
+  and x^b / x^a then has the offset s - pad.  GREVLEX has pad = one and
+  target = 0; LEX has pad = target = guard.
+
+Every exponent is at most BOUND, and under GREVLEX so is the total degree.
+A product or quotient of two keys within the bound has fields below
+2 * BOUND, so a field past the bound sets its guard bit (under GREVLEX the
+first field that runs below zero does) and the key still names its
+monomial uniquely.  The kernel checks the keys it makes at the points
+where they are reused, and `overflow` raises ExponentBoundExceeded instead
+of letting a key wrap into another monomial.
 """
 
 from __future__ import annotations
 
-from operator import neg
+import struct
+from functools import cache
+from operator import mul, neg
 
-from .errors import AlgebraError
+from .errors import AlgebraError, ExponentBoundExceeded
+
+BITS = 16  # the width of one field, guard bit included
+BOUND = (1 << BITS - 1) - 1  # the largest exponent: C = 2^15 - 1
 
 
 class MonomialOrder:
     """A named total, multiplicative, well-founded order on monomials."""
 
-    __slots__ = ("name", "key")
+    __slots__ = ("name", "key", "_grevlex")
 
-    def __init__(self, name, key):
+    def __init__(self, name, key, grevlex):
         self.name = name
         self.key = key
+        self._grevlex = grevlex
+
+    @cache
+    def packing(self, n: int) -> "Packing":
+        """The packed layout of monomials in n variables under this order."""
+        return Packing(self, n)
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.name == other.name
@@ -37,8 +76,8 @@ def _grevlex_key(exps):
     return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
-GREVLEX = MonomialOrder("grevlex", _grevlex_key)
-LEX = MonomialOrder("lex", tuple)
+GREVLEX = MonomialOrder("grevlex", _grevlex_key, True)
+LEX = MonomialOrder("lex", tuple, False)
 
 _BY_NAME = {"grevlex": GREVLEX, "lex": LEX}
 
@@ -48,3 +87,126 @@ def by_name(name: str) -> MonomialOrder:
         return _BY_NAME[name]
     except KeyError:
         raise AlgebraError(f"unknown monomial order {name!r}") from None
+
+
+def _fields(count: int, value: int) -> int:
+    """value repeated in each of the count lowest fields."""
+    return sum(value << BITS * i for i in range(count))
+
+
+class Packing:
+    """Keys of the monomials in n variables under one order (see above).
+
+    pack and unpack convert between exponent tuples and keys; var[i] is the
+    offset of x_i.  The attributes one, guard, pad and target are read
+    directly by the kernel loops.
+    """
+
+    __slots__ = (
+        "order", "n", "one", "guard", "pad", "target", "var",
+        "_low", "_values", "_format", "_width",
+    )
+
+    def __init__(self, order: MonomialOrder, n: int):
+        self.order = order
+        self.n = n
+        grevlex = order._grevlex
+        top = BITS * n
+        # the fields below the GREVLEX degree field, or all LEX fields
+        self._low = (1 << top) - 1
+        self._values = _fields(n, BOUND)
+        if grevlex:
+            self.one = self._values
+            self.guard = _fields(n + 1, 1 << BITS - 1)
+            self.pad, self.target = self.one, 0
+            # x_i raises the degree field and lowers the field C - e_i
+            self.var = tuple((1 << top) - (1 << BITS * i) for i in range(n))
+            self._format = struct.Struct(f"<{n}H")
+            self._width = 2 * (n + 1)
+        else:
+            self.one = 0
+            self.guard = _fields(n, 1 << BITS - 1)
+            self.pad = self.target = self.guard
+            self.var = tuple(1 << BITS * (n - 1 - i) for i in range(n))
+            self._format = struct.Struct(f">{n}H")
+            self._width = 2 * n
+
+    def overflow(self):
+        bound = "a total degree" if self.order._grevlex else "an exponent"
+        raise ExponentBoundExceeded(
+            f"{bound} above {BOUND} in {self.n} variables under {self.order}"
+        )
+
+    def pack(self, exps) -> int:
+        if self.order._grevlex:
+            if sum(exps) > BOUND:
+                self.overflow()
+        elif exps and max(exps) > BOUND:
+            self.overflow()
+        return sum(map(mul, exps, self.var), self.one)
+
+    def unpack(self, key: int) -> tuple:
+        if self.order._grevlex:
+            fields = self._format.unpack_from(key.to_bytes(self._width, "little"))
+            return tuple(map(BOUND.__sub__, fields))
+        return self._format.unpack(key.to_bytes(self._width, "big"))
+
+    def pack_terms(self, terms: dict) -> dict:
+        """{key: c} for a term dict {exponent tuple: c}, in its order."""
+        pack = self.pack
+        return {pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, keys: dict) -> dict:
+        """{exponent tuple: c} for a dict {key: c}, in its order."""
+        unpack = self.unpack
+        return {unpack(k): c for k, c in keys.items()}
+
+    def check(self, keys) -> None:
+        """Raise ExponentBoundExceeded if a key has a guard bit set."""
+        if any(map(self.guard.__and__, keys)):
+            self.overflow()
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of lcm(x^a, x^b), field by field in parallel: with the
+        guard bits set on a, a field of (a | guard) - b keeps its guard bit
+        exactly where a's field is at least b's, and no field borrows.
+
+        Under GREVLEX the total degree of the lcm can pass the bound; its
+        field then holds it with the guard bit set, and the key still
+        compares and names the lcm correctly.  A caller that shifts by it
+        checks the guard bits first."""
+        low = self._low
+        guard = self.guard & low
+        la, lb = a & low, b & low
+        ge = ((la | guard) - lb) & guard
+        ge -= ge >> BITS - 1  # the value bits of the fields where a >= b
+        if not self.order._grevlex:
+            return la & ge | lb & (self._values ^ ge)
+        # the fields are C - e: the larger exponent is the smaller field; the
+        # degree field is the sum of the exponents, which is below 2^16 - 1,
+        # and a sum of fields is that number modulo 2^16 - 1
+        keys = lb & ge | la & (self._values ^ ge)
+        degree = (self.one - keys) % ((1 << BITS) - 1)
+        return degree << BITS * self.n | keys
+
+    def split(self, m: int) -> tuple[int, int]:
+        """(shift, mask) for a LEX key: key >> shift is the LEX key of its
+        first m exponents, and key & mask that of the others."""
+        shift = BITS * (self.n - m)
+        return shift, (1 << shift) - 1
+
+
+class Relayout(dict):
+    """The key in dst of a monomial given by its key in src, memoized: a
+    missing key is converted once, through its exponent tuple."""
+
+    __slots__ = ("src", "dst")
+
+    def __init__(self, src: Packing, dst: Packing):
+        super().__init__()
+        self.src = src
+        self.dst = dst
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.dst.pack(self.src.unpack(key))
+        return value

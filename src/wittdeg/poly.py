@@ -1,6 +1,6 @@
 """Sparse multivariate polynomials over an exact field.
 
-A polynomial is a map from exponent tuples to nonzero scalars; the ring
+A polynomial is a map from monomials to nonzero scalars; the ring
 records the variable names and the field.  All values are immutable after
 construction and all operations are pure.
 
@@ -11,12 +11,30 @@ The text grammar (whitespace-insensitive)::
     factor := var ("^" nat)?
     coeff  := int ("/" posint)?
 
-Unary minus is allowed on the leading term only.
+Unary minus is allowed on the leading term only.  The parser builds each
+term's exponents and coefficient directly and adds it to one term dict
+for the whole text; an exponent above orders.BOUND (32767) is rejected
+there with ExponentBoundExceeded, naming the variable and its position.
+
+Exponent tuples are the boundary form of a monomial: `Poly.terms`, the
+parser and formatter.  Inside the kernel a monomial is its packed key
+(see `orders`): an int whose comparison is the monomial order, whose
+product with x^s adds the offset of x^s, and whose divisibility is one
+mask test.  A `Poly` also holds its terms keyed by the ring's LEX packing,
+`Poly.packed`; each view is made from the other on first use and kept.
+Arithmetic (`+`, `-`, `*`, `**`, `substitute`, `det`) reads and makes
+packed dicts only, so a chain of operations packs its inputs once and its
+result is unpacked only if someone reads `terms`.  A product checks its
+keys against the exponent bound before they are used again (see
+`orders`), so a monomial past the bound raises ExponentBoundExceeded
+instead of wrapping into another.
 
 Term dicts are combined by one in-place kernel, `_add_shifted` (dst +=
-c * x^shift * src), and divided by one loop, `_reduce`: sums, differences
-and products of polynomials and determinants run through the first, and
-every Groebner reduction in `groebner` through both.
+c * x^shift * src, shift an offset added to each key), and divided by one
+loop, `_reduce`, whose leading term is `max(terms)`: sums, differences and
+products of polynomials and determinants run through the first, and every
+Groebner reduction in `groebner` through both, on the keys of the order's
+packing.
 
 A `Poly` holds canonical scalars (see `fields`).  The Groebner side works
 on an integer form instead: over Q, `_clear` writes a term dict as an int
@@ -33,26 +51,22 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
-from operator import add, attrgetter, le, sub
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import (
+    ExponentBoundExceeded,
     NotSquareSystem,
     ParseError,
     RingMismatch,
     UnknownVariable,
 )
 from .fields import FieldSpec, ratio
-from .orders import GREVLEX, MonomialOrder
+from .orders import BOUND, GREVLEX, LEX, MonomialOrder, Packing
 
 
 # -- the term-dict kernel --------------------------------------------------
-
-
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
 
 
 _denominator = attrgetter("denominator")
@@ -76,28 +90,28 @@ def _ratios(nums: dict, den: int) -> dict:
     return {e: ratio(v, den) for e, v in nums.items()}
 
 
-def _entry(terms: dict, order: MonomialOrder, tag=None):
-    """A divisor as (leading exponents, leading coefficient, tail, tag).
+def _entry(terms: dict, tag=None):
+    """A divisor as (leading key, leading coefficient, tail, tag).
 
-    terms is a nonzero term dict, the tail a new dict of its other terms;
-    tag is an opaque label that `_reduce` logs with every step by this
-    divisor; Buchberger puts the entry's cofactor recipe there.
+    terms is a nonzero packed term dict, the tail a new dict of its other
+    terms; tag is an opaque label that `_reduce` logs with every step by
+    this divisor; Buchberger puts the entry's cofactor recipe there.
     """
-    lead = max(terms, key=order.key)
+    lead = max(terms)
     tail = dict(terms)
     return lead, tail.pop(lead), tail, tag
 
 
-def _divisor(terms: dict, order: MonomialOrder, q, tag=None):
+def _divisor(terms: dict, q, tag=None):
     """The `_entry` of the monic polynomial terms / lc(terms), terms being a
-    nonzero int term dict (q: modulus of F_q, None over Q).
+    nonzero packed int term dict (q: modulus of F_q, None over Q).
 
     Over F_q lc is 1 and the tail is monic.  Over Q the entry is the
     primitive integer multiple of the monic polynomial: lc is a positive
     int and gcd(lc, tail) is 1.  This is the working form of every
     Groebner-side divisor.
     """
-    lead, lc, tail, tag = _entry(terms, order, tag)  # tail is a new dict
+    lead, lc, tail, tag = _entry(terms, tag)  # tail is a new dict
     if q is not None:
         inv = pow(lc, -1, q)
         return lead, 1, {e: v * inv % q for e, v in tail.items()}, tag
@@ -110,10 +124,11 @@ def _divisor(terms: dict, order: MonomialOrder, q, tag=None):
     return lead, lc, tail, tag
 
 
-def _add_shifted(dst: dict, src: dict, shift, c, q) -> None:
-    """dst += c * x^shift * src, in place (q: modulus of F_q, None over Q)."""
+def _add_shifted(dst: dict, src: dict, shift: int, c, q) -> None:
+    """dst += c * x^s * src, in place, for packed term dicts: shift is the
+    offset of x^s, added to each key (q: modulus of F_q, None over Q)."""
     for e, v in src.items():
-        e = tuple(map(add, e, shift))
+        e += shift
         w = dst.get(e)
         # a fresh key takes c * v as is: adding it to 0 would cost one more
         # addition per new term, a reflected-operator call for a Fraction
@@ -145,18 +160,20 @@ def _to_lcm(den: int, d: int, dicts) -> int:
 
 
 def _reduce(
-    terms: dict, basis, order: MonomialOrder, field, log=None, scale=1
+    terms: dict, basis, packing: Packing, field, log=None, scale=1
 ) -> tuple[dict, int]:
     """(rem, scale'), the remainder of terms / scale on division by basis
     being rem / scale'; terms is consumed.
 
-    Over Q, terms holds ints and scale is a positive int; over F_p scale is
-    1 and stays 1.  basis is a list of `_entry` tuples.  The first entry in
-    list order whose leading monomial divides the current leading term
-    reduces it; a leading term that no entry divides moves to the
-    remainder.  The leading terms of the working dict strictly decrease, so
-    the remainder is exact and no remainder term is divisible by a leading
-    monomial of the basis.
+    terms and the divisors are packed in packing, whose order is the
+    monomial order of the division.  Over Q, terms holds ints and scale is
+    a positive int; over F_p scale is 1 and stays 1.  basis is a list of
+    `_entry` tuples.  The first entry in list order whose leading monomial
+    divides the current leading term reduces it; a leading term that no
+    entry divides moves to the remainder.  The leading terms of the working
+    dict strictly decrease, so the remainder is exact and no remainder term
+    is divisible by a leading monomial of the basis.  Every key is checked
+    against the exponent bound when it leads.
 
     Over Q each step is a pseudo-division, as in Buchberger's algorithm
     over Z (Cox, Little, O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -167,27 +184,30 @@ def _reduce(
     pattern, so the steps are those of division by the monic divisors.
 
     When log is a list, each step appends (tag, shift, c): the polynomial
-    terms / scale gains c * x^shift * (divisor / lc), tag being the divisor
-    entry's fourth slot.  c = -cc / scale is the multiplier that division
-    over the field by the monic divisor takes, one canonical scalar per
-    step.  Starting from the cofactor vector of terms / scale, replaying the
-    log through `_add_shifted` with the monic divisors' vectors gives the
-    remainder's vector, so a caller pays for cofactors only when it keeps
-    the remainder.  (Cox, Little, O'Shea, section 2.3.)
+    terms / scale gains c * x^shift * (divisor / lc), shift being an offset
+    and tag the divisor entry's fourth slot.  c = -cc / scale is the
+    multiplier that division over the field by the monic divisor takes, one
+    canonical scalar per step.  Starting from the cofactor vector of terms /
+    scale, replaying the log through `_add_shifted` with the monic divisors'
+    vectors gives the remainder's vector, so a caller pays for cofactors
+    only when it keeps the remainder.  (Cox, Little, O'Shea, section 2.3.)
     """
     q = field.modulus
-    key = cache(order.key)  # local: each call's terms are keyed once
-    rem = []  # (exponent, coefficient, scale when split off)
+    pad, guard, target = packing.pad, packing.guard, packing.target
+    rem = []  # (key, coefficient, scale when split off)
     while terms:
-        ce = max(terms, key=key)
+        ce = max(terms)
         cc = terms.pop(ce)
+        if ce & guard:
+            packing.overflow()
+        s = ce + pad
         for de, dc, tail, tag in basis:
-            if _divides(de, ce):
+            if (s - de) & guard == target:
                 break
         else:
             rem.append((ce, cc, scale))
             continue
-        shift = tuple(map(sub, ce, de))
+        shift = ce - de
         # terms += k * x^shift * tail, after terms *= dc / g over Q
         if q is not None:
             c = -cc % q
@@ -206,16 +226,32 @@ def _reduce(
     return {e: c * (scale // s) for e, c, s in rem}, scale
 
 
-class Ring:
-    """A polynomial ring: ordered variable names over a FieldSpec."""
+def _product(a: dict, b: dict, packing: Packing, q) -> dict:
+    """The packed term dict a * b (keys a + b - one), checked against the
+    exponent bound."""
+    one = packing.one
+    terms: dict = {}
+    for e, c in b.items():
+        _add_shifted(terms, a, e - one, c, q)
+    packing.check(terms)
+    return terms
 
-    __slots__ = ("variables", "field", "_index")
+
+class Ring:
+    """A polynomial ring: ordered variable names over a FieldSpec.
+
+    packing is the LEX layout of its monomials, the one `Poly` arithmetic
+    runs on.
+    """
+
+    __slots__ = ("variables", "field", "packing", "_index")
 
     def __init__(self, variables: Sequence[str], field: FieldSpec):
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise RingMismatch("duplicate variable names")
         self.field = field
+        self.packing = LEX.packing(len(self.variables))
         self._index = {v: i for i, v in enumerate(self.variables)}
 
     @property
@@ -259,27 +295,60 @@ class Ring:
 
 
 class Poly:
-    """Immutable sparse polynomial; equality is term-map equality."""
+    """Immutable sparse polynomial; equality is term-map equality.
 
-    __slots__ = ("ring", "terms")
+    It has two views of one term map, each made from the other on first
+    use and then kept: terms, keyed by exponent tuples, and packed, keyed
+    by the ring's packing.  Arithmetic reads and makes packed dicts only,
+    so a chain of operations packs its inputs once and leaves the tuples
+    of its result to whoever reads terms.
+    """
+
+    __slots__ = ("ring", "_terms", "_packed")
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
-        self.terms = terms
+        self._terms = terms
+        self._packed = None
+
+    @classmethod
+    def _from_packed(cls, ring: Ring, packed: dict) -> "Poly":
+        p = cls.__new__(cls)
+        p.ring = ring
+        p._terms = None
+        p._packed = packed
+        return p
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: nonzero scalar}; callers must not mutate it."""
+        if self._terms is None:
+            self._terms = self.ring.packing.unpack_terms(self._packed)
+        return self._terms
+
+    @property
+    def packed(self) -> dict:
+        """{key in ring.packing: nonzero scalar}; callers must not mutate it."""
+        if self._packed is None:
+            self._packed = self.ring.packing.pack_terms(self._terms)
+        return self._packed
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._packed if self._terms is None else self._terms)
 
     @property
     def constant_term(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
+        zero = self.ring.field.zero
+        if self._terms is None:
+            return self._packed.get(self.ring.packing.one, zero)
+        return self._terms.get((0,) * self.ring.nvars, zero)
 
     def leading(self, order: MonomialOrder = GREVLEX):
         """(exponents, coefficient) of the largest term; errors on zero."""
-        if not self.terms:
+        if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
@@ -300,10 +369,9 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        zero = (0,) * self.ring.nvars
-        _add_shifted(terms, other.terms, zero, c, self.ring.field.modulus)
-        return Poly(self.ring, terms)
+        terms = dict(self.packed)
+        _add_shifted(terms, other.packed, 0, c, self.ring.field.modulus)
+        return Poly._from_packed(self.ring, terms)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -311,8 +379,10 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        field = self.ring.field
-        return Poly(self.ring, {e: field.neg(c) for e, c in self.terms.items()})
+        neg = self.ring.field.neg
+        return Poly._from_packed(
+            self.ring, {e: neg(c) for e, c in self.packed.items()}
+        )
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -324,25 +394,28 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        q = self.ring.field.modulus
-        terms: dict = {}
-        for e, c in other.terms.items():
-            _add_shifted(terms, self.terms, e, c, q)
-        return Poly(self.ring, terms)
+        ring = self.ring
+        return Poly._from_packed(
+            ring,
+            _product(self.packed, other.packed, ring.packing, ring.field.modulus),
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
+        ring = self.ring
+        packing, q = ring.packing, ring.field.modulus
+        result = ring.one().packed
+        base = self.packed
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = _product(result, base, packing, q)
+            if n > 1:
+                base = _product(base, base, packing, q)
             n >>= 1
-        return result
+        return Poly._from_packed(ring, result)
 
     def scale(self, c):
         """Multiply by a scalar."""
@@ -350,7 +423,9 @@ class Poly:
         c = field.canon(c)
         if not c:
             return self.ring.zero()
-        return Poly(self.ring, {e: field.mul(v, c) for e, v in self.terms.items()})
+        return Poly._from_packed(
+            self.ring, {e: field.mul(v, c) for e, v in self.packed.items()}
+        )
 
     # -- calculus / composition ----------------------------------------------
 
@@ -380,34 +455,40 @@ class Poly:
                 f"expected {self.ring.nvars} images, got {len(images)}"
             )
         target = images[0].ring
-        for q in images:
-            if q.ring != target:
+        for p in images:
+            if p.ring != target:
                 raise RingMismatch("images live in different rings")
-        powers: list[list[Poly]] = [[target.one(), q] for q in images]
+        packing, q = target.packing, target.field.modulus
+        one = target.one().packed
+        powers: list[list[dict]] = [[one, p.packed] for p in images]
 
-        def power(i: int, k: int) -> Poly:
+        def power(i: int, k: int) -> dict:
             cache = powers[i]
             while len(cache) <= k:
-                cache.append(cache[-1] * cache[1])
+                cache.append(_product(cache[-1], cache[1], packing, q))
             return cache[k]
 
-        result = target.zero()
+        canon = target.field.canon
+        result: dict = {}
         for e, c in self.terms.items():
-            term = target.constant(c)
+            c = canon(c)
+            if not c:
+                continue
+            term = {packing.one: c}
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
-            result = result + term
-        return result
+                    term = _product(term, power(i, k), packing, q)
+            _add_shifted(result, term, 0, 1, q)
+        return Poly._from_packed(target, result)
 
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        if not (isinstance(other, Poly) and self.ring == other.ring):
+            return False
+        if self._terms is not None and other._terms is not None:
+            return self._terms == other._terms
+        return self.packed == other.packed
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -455,40 +536,51 @@ class _Parser:
         return tok
 
     def expr(self) -> Poly:
-        negate = False
+        """The whole text as one term dict: each term is added as it is
+        read, and a sum that cancels drops out."""
+        field = self.ring.field
+        terms: dict = {}
         kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            negate = True
-        p = self.term()
+        negate = kind == "op" and val == "-"
         if negate:
-            p = -p
+            self.advance()
         while True:
+            exps, c = self.term()
+            if negate:
+                c = field.neg(c)
+            old = terms.get(exps)
+            c = c if old is None else field.add(old, c)
+            if c:
+                terms[exps] = c
+            elif old is not None:
+                del terms[exps]
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                t = self.term()
-                p = p + t if val == "+" else p - t
+                negate = val == "-"
             elif kind == "end":
-                return p
+                return Poly(self.ring, terms)
             else:
                 raise ParseError(f"expected '+' or '-', got {val!r}", pos)
 
-    def term(self) -> Poly:
+    def term(self) -> tuple[tuple[int, ...], object]:
+        """(exponents, coefficient) of one term; the coefficient may be 0."""
+        exps = [0] * self.ring.nvars
         kind, val, pos = self.peek()
         if kind == "int":
-            p = self.ring.constant(self.coeff())
+            c = self.coeff()
         elif kind == "ident":
-            p = self.factor()
+            c = self.ring.field.one
+            self.factor(exps)
         else:
             raise ParseError(f"expected coefficient or variable, got {val!r}", pos)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                p = p * self.factor()
+                self.factor(exps)
             else:
-                return p
+                return tuple(exps), c
 
     def coeff(self):
         kind, val, pos = self.advance()
@@ -505,13 +597,15 @@ class _Parser:
             return self.ring.field.canon(Fraction(num, den))
         return self.ring.field.from_int(num)
 
-    def factor(self) -> Poly:
+    def factor(self, exps: list) -> None:
+        """Multiply exps by one factor var^nat."""
         kind, val, pos = self.advance()
         if kind != "ident":
             raise ParseError(f"expected variable, got {val!r}", pos)
         idx = self.ring._index.get(val)
         if idx is None:
             raise UnknownVariable(val, pos)
+        name = val
         exp = 1
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -520,9 +614,12 @@ class _Parser:
             if kind != "int":
                 raise ParseError(f"expected exponent, got {val!r}", pos2)
             exp = int(val)
-        exps = [0] * self.ring.nvars
-        exps[idx] = exp
-        return self.ring.monomial(exps)
+        exps[idx] += exp
+        if exps[idx] > BOUND:
+            raise ExponentBoundExceeded(
+                f"exponent {exps[idx]} of {name} is above {BOUND}"
+                f" (at position {pos})"
+            )
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:
@@ -610,14 +707,20 @@ def det(matrix: Sequence[Sequence[Poly]]) -> Poly:
             if x.ring != ring:
                 raise RingMismatch("matrix entries in different rings")
     q = ring.field.modulus
-    minors = {(): {(0,) * ring.nvars: ring.field.one}}  # the empty minor is 1
+    packing = ring.packing
+    one = packing.one
+    minors = {(): {one: ring.field.one}}  # the empty minor is 1
     for row in reversed(matrix):
-        # the entries of this row with both signs: (-1)^i for the i-th
-        # column of the new minor
+        # the entries of this row with both signs, (-1)^i for the i-th
+        # column of the new minor, and each term's key as an offset
         entries = [
-            (j, x.terms.items(), [(e, -c) for e, c in x.terms.items()])
+            (
+                j,
+                [(e - one, c) for e, c in x.packed.items()],
+                [(e - one, -c) for e, c in x.packed.items()],
+            )
             for j, x in enumerate(row)
-            if x.terms
+            if not x.is_zero
         ]
         grown: dict = {}
         for cols, minor in minors.items():
@@ -632,7 +735,9 @@ def det(matrix: Sequence[Sequence[Poly]]) -> Poly:
                 for e, c in minus if i & 1 else plus:
                     _add_shifted(dst, minor, e, c, q)
         minors = {cols: m for cols, m in grown.items() if m}
-    return Poly(ring, minors.get(tuple(range(n)), {}))
+        for m in minors.values():
+            packing.check(m)  # the next row shifts only keys within the bound
+    return Poly._from_packed(ring, minors.get(tuple(range(n)), {}))
 
 
 def jacobian_matrix(images: Sequence[Poly]) -> list[list[Poly]]:

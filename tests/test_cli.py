@@ -95,6 +95,18 @@ def test_degree_exit_2_bad_poly(tmp_path, capsys):
     assert "bad.job:3" in err
 
 
+def test_degree_exit_2_exponent_bound(tmp_path, capsys):
+    job = tmp_path / "big.job"
+    job.write_text("field = Q\nvars = x1, x2\nmap x1 = x1^32768\nmap x2 = x2\n")
+    code, out, err = run_cli(capsys, "degree", str(job))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: JobFileError: {job}:3: exponent 32768 of x1 is above 32767"
+        " (at position 0)\n"
+    )
+
+
 def test_degree_exit_2_missing_map(tmp_path, capsys):
     job = tmp_path / "partial.job"
     job.write_text("field = Q\nvars = x1, x2\nmap x1 = x1\n")

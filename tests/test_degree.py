@@ -218,9 +218,11 @@ def test_integer_table_and_gram_match_reference_division(Q):
                 gram = _gram_from_quotient(endo, qa)  # fills the table
                 sizes.add(qa.dimension)
                 # deeper entries too, whose fills mix more denominators
+                packing = qa.gb._packing
                 for _ in range(4):
-                    qa._nf_table[tuple(rng.randint(0, 5) for _ in range(n))]
-                for a in list(qa._nf_table):
+                    a = tuple(rng.randint(0, 5) for _ in range(n))
+                    qa._nf_table[packing.pack(a)]
+                for a in map(packing.unpack, list(qa._nf_table)):
                     _, expected = reference_divide(ring.monomial(a), qa.gb.basis, order)
                     got = qa.monomial_nf(a)
                     assert got == expected.terms

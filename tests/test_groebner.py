@@ -8,6 +8,7 @@ import pytest
 
 from wittdeg import (
     GREVLEX,
+    ExponentBoundExceeded,
     InternalError,
     NotFiniteLength,
     Ring,
@@ -333,46 +334,61 @@ def test_reduce_matches_reference_cofactor_tracking(Q, F7):
             start = [random_poly(rng, ring, max_degree=2) for _ in range(3)]
             work = [_Tracked(d, c) for d, c in zip(divisors, cofs)]
             rem, cof = _reference_reduce_tracked(p, start, work, order, True)
-            # a logged step is relative to the monic divisor d / lc(d), so
-            # each tag is the vector of the monic divisor
+            # the kernel runs on keys: pack at the call, unpack what it
+            # returns; a logged step is relative to the monic divisor
+            # d / lc(d), so each tag is the vector of the monic divisor
+            packing = order.packing(ring.nvars)
+            pack, unpack = packing.pack_terms, packing.unpack_terms
             entries = [
                 _entry(
-                    d.terms,
-                    order,
-                    [c.scale(field.inv(d.leading(order)[1])).terms for c in cv],
+                    pack(d.terms),
+                    [pack(c.scale(field.inv(d.leading(order)[1])).terms) for c in cv],
                 )
                 for d, cv in zip(divisors, cofs)
             ]
             log = []
-            got, scale = _reduce(dict(p.terms), entries, order, field, log)
-            assert {e: field.div(v, scale) for e, v in got.items()} == rem.terms
+            got, scale = _reduce(pack(p.terms), entries, packing, field, log)
+            assert {e: field.div(v, scale) for e, v in unpack(got).items()} == rem.terms
             # the log replays into the cofactors the old in-place loop built
-            got_cof = [dict(c.terms) for c in start]
+            got_cof = [pack(c.terms) for c in start]
             for vec, shift, c in log:
                 for dst, src in zip(got_cof, vec):
                     _add_shifted(dst, src, shift, c, field.modulus)
-            assert got_cof == [c.terms for c in cof]
+            assert [unpack(c) for c in got_cof] == [c.terms for c in cof]
 
 
 # -- lazy cofactors against the eager Buchberger they replaced -----------------
 
 
-def _eager_reduce(terms, basis, order, field, cof=None):
-    """The former division kernel with in-place cofactors, kept verbatim."""
+def _eager_entry(terms, packing, tag=None):
+    """A monic-basis entry (lead, lc, tail, tag): the lead on exponents, the
+    tail packed for the kernel."""
+    exps = packing.unpack
+    lead = max(terms, key=lambda k: packing.order.key(exps(k)))
+    tail = dict(terms)
+    return exps(lead), tail.pop(lead), tail, tag
+
+
+def _eager_reduce(terms, basis, packing, field, cof=None):
+    """The former division kernel with in-place cofactors, kept verbatim but
+    for the keys: terms, tails and cofactors are packed for the kernel's
+    `_add_shifted`, while the order, the leads and the shifts stay on
+    exponent tuples."""
     q = field.modulus
-    key = functools.cache(order.key)  # local: each call's terms are keyed once
+    exps = functools.cache(packing.unpack)  # local: each call's terms once
+    key = functools.cache(lambda k: packing.order.key(exps(k)))
     rem = {}
     while terms:
         ce = max(terms, key=key)
         cc = terms.pop(ce)
         for de, dc, tail, dcof in basis:
-            if _divides(de, ce):
+            if _divides(de, exps(ce)):
                 break
         else:
             rem[ce] = cc
             continue
         c = field.div(-cc, dc) if q is None else -cc * pow(dc, -1, q) % q
-        shift = tuple(map(sub, ce, de))
+        shift = packing.pack(tuple(map(sub, exps(ce), de))) - packing.one
         _add_shifted(terms, tail, shift, c, q)
         if cof is not None:
             for dst, src in zip(cof, dcof):
@@ -382,23 +398,24 @@ def _eager_reduce(terms, basis, order, field, cof=None):
 
 def _eager_buchberger(gens, order=GREVLEX, track_cofactors=False):
     """The former eager cofactor-tracking Buchberger, kept verbatim but for
-    the kernel it calls."""
+    the kernel it calls, on packed term dicts."""
     ring = gens[0].ring
     field = ring.field
     q = field.modulus
     minus_one = field.from_int(-1)
+    packing = order.packing(ring.nvars)
     m = len(gens)
-    # monic working basis as _entry tuples, in order of discovery
+    # monic working basis as _eager_entry tuples, in order of discovery
     work = []
     # heap of pending pairs (order key of their lcm, i, j): smallest lcm first
     pairs = []
 
     def append(terms, cof):
         """Reduce terms by the working basis and keep a nonzero remainder."""
-        rem = _eager_reduce(terms, work, order, field, cof)
+        rem = _eager_reduce(terms, work, packing, field, cof)
         if not rem:
             return
-        lead, lc, tail, _ = _entry(rem, order)
+        lead, lc, tail, _ = _eager_entry(rem, packing)
         inv = field.inv(lc)
         tail = {e: field.mul(v, inv) for e, v in tail.items()}
         if cof is not None:
@@ -414,8 +431,8 @@ def _eager_buchberger(gens, order=GREVLEX, track_cofactors=False):
         cof = None
         if track_cofactors:
             cof = [{} for _ in range(m)]
-            cof[k] = {(0,) * ring.nvars: field.one}
-        append(dict(g.terms), cof)
+            cof[k] = {packing.one: field.one}
+        append(packing.pack_terms(g.terms), cof)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -424,8 +441,8 @@ def _eager_buchberger(gens, order=GREVLEX, track_cofactors=False):
         lcm = tuple(map(max, li, lj))
         if lcm == tuple(map(add, li, lj)):
             continue  # coprime leading monomials: S-polynomial reduces to 0
-        si = tuple(map(sub, lcm, li))
-        sj = tuple(map(sub, lcm, lj))
+        si = packing.pack(tuple(map(sub, lcm, li))) - packing.one
+        sj = packing.pack(tuple(map(sub, lcm, lj))) - packing.one
         # x^si * f_i - x^sj * f_j: both are monic, so the leading terms cancel
         s = {}
         _add_shifted(s, tail_i, si, field.one, q)
@@ -438,11 +455,12 @@ def _eager_buchberger(gens, order=GREVLEX, track_cofactors=False):
                 _add_shifted(dst, b, sj, minus_one, q)
         append(s, cof)
 
-    return _eager_reduce_basis(tuple(gens), work, order, track_cofactors)
+    return _eager_reduce_basis(tuple(gens), work, packing, track_cofactors)
 
 
-def _eager_reduce_basis(gens, work, order, track):
+def _eager_reduce_basis(gens, work, packing, track):
     ring = gens[0].ring
+    order = packing.order
     # minimal basis: drop elements whose leading monomial another divides
     work = sorted(work, key=lambda w: order.key(w[0]))
     kept = []
@@ -454,21 +472,27 @@ def _eager_reduce_basis(gens, work, order, track):
     while changed:
         changed = False
         for idx, (lead, lc, tail, cof) in enumerate(kept):
-            terms = {lead: lc, **tail}
+            terms = {packing.pack(lead): lc, **tail}
             others = kept[:idx] + kept[idx + 1 :]
             # cof changes in place only when a reduction step happens, and
             # then the remainder differs from terms and replaces the entry
-            rem = _eager_reduce(dict(terms), others, order, ring.field, cof)
+            rem = _eager_reduce(dict(terms), others, packing, ring.field, cof)
             if rem != terms:
-                kept[idx] = _entry(rem, order, cof)
+                kept[idx] = _eager_entry(rem, packing, cof)
                 changed = True
     kept.sort(key=lambda w: order.key(w[0]))
+    unpack = packing.unpack_terms
     return GroebnerBasis(
         generators=gens,
-        basis=tuple(Poly(ring, {lead: lc, **tail}) for lead, lc, tail, _ in kept),
+        basis=tuple(
+            Poly(ring, unpack({packing.pack(lead): lc, **tail}))
+            for lead, lc, tail, _ in kept
+        ),
         order=order,
         cofactors=(
-            tuple(tuple(Poly(ring, c) for c in w[3]) for w in kept) if track else None
+            tuple(tuple(Poly(ring, unpack(c)) for c in w[3]) for w in kept)
+            if track
+            else None
         ),
     )
 
@@ -583,8 +607,10 @@ def test_buchberger_stops_at_the_unit(Q, monkeypatch):
 
     def reduce(terms, basis, *args):
         rem, scale = _reduce(terms, basis, *args)
-        # the largest exponent is zero only for a constant remainder
-        events.append("unit" if rem and not any(max(rem)) else "reduce")
+        # the leading monomial, unpacked from the packing args[0], is 1 only
+        # for a constant remainder
+        unit = rem and not any(args[0].unpack(max(rem)))
+        events.append("unit" if unit else "reduce")
         return rem, scale
 
     def reduce_basis(*args):
@@ -738,7 +764,8 @@ def test_monomial_table_matches_direct_normal_form(Q, F7):
             cold = standard_monomials(gb)
             for a in sorted(exps, key=sum, reverse=True):
                 assert cold.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
-            for a in cold._nf_table:
+            for key in cold._nf_table:
+                a = gb._packing.unpack(key)
                 assert cold.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
     assert units >= len(cases)
 
@@ -795,3 +822,25 @@ def test_monomial_table_off_standard_basis_is_internal_error(Q):
     )
     with pytest.raises(InternalError, match="off the standard basis"):
         broken.monomial_nf((1, 1))
+
+
+def test_buchberger_past_the_bound_raises(Q, F7):
+    # every input is within the bound and a monomial made on the way is not:
+    # the typed error, never a key that wrapped into another monomial
+    for field in (Q, F7):
+        ring = Ring(("x", "y"), field)
+        x, y = ring.gens()
+        # LEX: reducing x*y by x - y^32767 makes y^32768
+        with pytest.raises(ExponentBoundExceeded):
+            buchberger([x - y**32767, x * y], LEX)
+        # GREVLEX bounds the total degree: the lcm x^20000*y^20000
+        with pytest.raises(ExponentBoundExceeded):
+            buchberger([x**20000 * y, x * y**20000])
+        with pytest.raises(ExponentBoundExceeded):
+            buchberger([x**20000 * y, x * y**20000], track_cofactors=True)
+        # at the bound itself nothing is raised, nor for a coprime pair,
+        # which is never reduced, whose product passes the GREVLEX bound
+        gb = buchberger([x - y**32767, y * y], LEX)
+        assert gb.basis == (y * y, x)
+        big = [x**20000, y**20000]
+        assert buchberger(big, track_cofactors=True).basis == tuple(big[::-1])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittdeg import (
+    ExponentBoundExceeded,
     NotSquareSystem,
     ParseError,
     Ring,
@@ -71,6 +72,31 @@ def test_parse_errors_carry_position(R2):
         parse_poly("x1 & x2", R2)
     with pytest.raises(ParseError):
         parse_poly("1/0", R2)
+
+
+def test_parse_rejects_exponents_past_the_bound(R2):
+    assert parse_poly("x1^32767", R2) == R2.monomial((32767, 0))
+    with pytest.raises(ExponentBoundExceeded, match=r"32768 of x1 .*position 4"):
+        parse_poly("3 + x1^32768", R2)
+    # the factors of one term multiply: the second x1 passes the bound
+    with pytest.raises(ExponentBoundExceeded, match=r"40000 of x1 .*position 12"):
+        parse_poly("x2*x1^20000*x1^20000", R2)
+
+
+def test_products_past_the_bound_raise(R2):
+    x1, x2 = R2.gens()
+    big = x1**20000
+    with pytest.raises(ExponentBoundExceeded):
+        big * big
+    with pytest.raises(ExponentBoundExceeded):
+        (big + x2) ** 2
+    with pytest.raises(ExponentBoundExceeded):
+        det([[big, x2], [x2, big]])
+    with pytest.raises(ExponentBoundExceeded):
+        x1.substitute([big * x2, x2]).substitute([x1 * x1, x2])
+    # a product within the bound is exact, and a sum of such is too
+    assert (x1**16000) * (x1**16767) == R2.monomial((32767, 0))
+    assert (big * x2 - big * x2).is_zero
 
 
 def test_format_round_trip_examples(R2):

@@ -44,7 +44,7 @@ def _stored_scalars(endo):
     for p in qa.gb.basis:
         yield from (("basis", c) for c in p.terms.values())
     _assert_integer_table(qa)
-    for a in qa._nf_table:
+    for a in map(qa.gb._packing.unpack, qa._nf_table):
         yield from (("normal form", c) for c in qa.monomial_nf(a).values())
     for row in gram.rows:
         yield from (("gram", c) for c in row.values())
