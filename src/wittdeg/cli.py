@@ -17,7 +17,9 @@ Job files::
 Row files use the same header plus optional ``rel = <poly>`` lines and one
 ``row = <poly>, <poly>, ...`` line.  ``field``, ``vars`` and ``row`` may each
 appear once.  Every error in a line, including a bad field or scalar, is
-reported as a JobFileError carrying ``path:line``.
+reported as a JobFileError carrying ``path:line``; so is a file that is not
+UTF-8 text.  ``--order`` is the monomial order each file's ring is declared
+in, and with it the order of every Groebner computation.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .koszul import (
     verify_chain_map,
     verify_symmetry,
 )
-from .orders import by_name
+from .orders import GREVLEX, MonomialOrder, by_name
 from .poly import Poly, Ring, parse_poly
 from .umrow import (
     AlgebraPresentation,
@@ -91,14 +93,20 @@ def _parse_field(text: str) -> FieldSpec:
     raise JobFileError(f"bad field {text!r} (expected Q or F<p>)")
 
 
-def parse_job_file(path: str) -> JobFile:
+def parse_job_file(path: str, order: MonomialOrder = GREVLEX) -> JobFile:
+    """The job or row file at path, its ring in the given monomial order."""
     field = None
     ring = None
     maps: dict[str, Poly] = {}
     relations: list[Poly] = []
     row = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            raise JobFileError(f"{path}:{lineno}: not UTF-8 text") from None
+        for lineno, raw in enumerate(text.split("\n"), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -123,7 +131,7 @@ def parse_job_file(path: str) -> JobFile:
                     dup = next((v for i, v in enumerate(names) if v in names[:i]), None)
                     if dup is not None:
                         raise JobFileError(f"duplicate variable {dup!r} in 'vars'")
-                    ring = Ring(tuple(names), field)
+                    ring = Ring(tuple(names), field, order)
                 elif key.startswith("map "):
                     if ring is None:
                         raise JobFileError("'vars' must precede 'map'")
@@ -266,9 +274,9 @@ def _nori_lines(report: DegreeReport) -> list[str]:
 
 
 def _cmd_degree(args) -> int:
-    job = parse_job_file(args.file)
+    job = parse_job_file(args.file, by_name(args.order))
     endo = _endo_from_job(job, args.file)
-    report = degree_of(endo, by_name(args.order))
+    report = degree_of(endo)
     if args.json:
         _print_json(report.to_json_dict())
     else:
@@ -279,9 +287,9 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_nori_check(args) -> int:
-    job = parse_job_file(args.file)
+    job = parse_job_file(args.file, by_name(args.order))
     endo = _endo_from_job(job, args.file)
-    report, verdict = obstruction_report(endo, by_name(args.order))
+    report, verdict = obstruction_report(endo)
     if args.json:
         data = report.to_json_dict()
         data["verdict"] = verdict
@@ -397,7 +405,7 @@ def _describe_row(row: UnimodularRow) -> list[str]:
 
 
 def _report_row(row: UnimodularRow, args) -> int:
-    cert = is_unimodular(row, by_name(args.order))
+    cert = is_unimodular(row)
     if args.json:
         data = {
             "schema": 1,
@@ -421,15 +429,16 @@ def _report_row(row: UnimodularRow, args) -> int:
 
 
 def _cmd_row_check(args) -> int:
-    job = parse_job_file(args.file)
+    job = parse_job_file(args.file, by_name(args.order))
     row = _row_from_job(job, args.file)
     return _report_row(row, args)
 
 
 def _cmd_row_compose(args) -> int:
-    rowjob = parse_job_file(args.rowfile)
+    order = by_name(args.order)
+    rowjob = parse_job_file(args.rowfile, order)
     row = _row_from_job(rowjob, args.rowfile)
-    endojob = parse_job_file(args.endofile)
+    endojob = parse_job_file(args.endofile, order)
     endo = _endo_from_job(endojob, args.endofile)
     if endo.field != row.algebra.ring.field:
         raise AlgebraError("row and endomorphism use different fields")

@@ -18,6 +18,12 @@ validate built, so the x_i-power chain of the support test is reused.
 The table divides nothing: each entry is a linear combination of entries
 for smaller monomials, seeded by the reduced basis (see `groebner`).
 
+The monomial order is the endomorphism's ring's: the quotient's basis is
+reduced in it, and the doubled ring of the Bezoutian keeps it, so each
+Bezoutian key splits by a shift and a mask into the exponent fields of
+its x- and u-part, in the layout of the quotient's keys, and no key
+changes layout on the way.
+
 Over Q the table entries are ints over a positive denominator, and the
 Gram build keeps that form: the Bezoutian is cleared of denominators, the
 rows are summed as ints over one common denominator, and each Gram entry
@@ -45,7 +51,6 @@ from .groebner import (
     standard_monomials,
     supported_only_at_origin,
 )
-from .orders import GREVLEX, MonomialOrder, Relayout
 from .poly import (
     Poly,
     Ring,
@@ -93,8 +98,9 @@ class Endo:
         return self.ring.field
 
 
-def validate(endo: Endo, order: MonomialOrder = GREVLEX) -> QuotientAlgebra:
-    """Finite-length, origin-supported quotient by the image ideal.
+def validate(endo: Endo) -> QuotientAlgebra:
+    """Finite-length, origin-supported quotient by the image ideal, in the
+    order of the endomorphism's ring.
 
     Raises NotOriginPreserving, NotFiniteLength or SupportNotOrigin.
     """
@@ -103,7 +109,7 @@ def validate(endo: Endo, order: MonomialOrder = GREVLEX) -> QuotientAlgebra:
             raise NotOriginPreserving(
                 f"image of {name} has nonzero constant term"
             )
-    gb = buchberger(endo.images, order)
+    gb = buchberger(endo.images)
     qa = standard_monomials(gb)
     if not supported_only_at_origin(qa):
         raise SupportNotOrigin("the zero set contains a point besides the origin")
@@ -111,12 +117,13 @@ def validate(endo: Endo, order: MonomialOrder = GREVLEX) -> QuotientAlgebra:
 
 
 def dual_ring(ring: Ring) -> Ring:
-    """Ring with dual variables u1..un (renamed on a clash) appended."""
+    """Ring with dual variables u1..un (renamed on a clash) appended, over
+    the same field and in the same order."""
     base = "u"
     while any(f"{base}{i + 1}" in ring.variables for i in range(ring.nvars)):
         base += "_"
     names = ring.variables + tuple(f"{base}{i + 1}" for i in range(ring.nvars))
-    return Ring(names, ring.field)
+    return Ring(names, ring.field, ring.order)
 
 
 def bezoutian(endo: Endo) -> Poly:
@@ -140,11 +147,12 @@ def bezoutian(endo: Endo) -> Poly:
     xs, us = var[:n], var[n:]
     rows = []
     for f in endo.images:
+        items = f.terms.items()  # on exponent tuples, unpacked once
         row = []
         for j in range(n):
             x_j, u_j = xs[j], us[j]
             terms = {}
-            for e, c in f.terms.items():
+            for e, c in items:
                 # u_1^e_1 ... u_{j-1}^e_{j-1} * x_{j+1}^e_{j+1} ... x_n^e_n
                 key = sum(map(mul, e[:j], us), one)
                 key += sum(map(mul, e[j + 1 :], xs[j + 1 :]))
@@ -155,10 +163,27 @@ def bezoutian(endo: Endo) -> Poly:
     return det(rows)
 
 
-def gram_form(endo: Endo, order: MonomialOrder = GREVLEX) -> GramForm:
+def gram_form(endo: Endo) -> GramForm:
     """Symmetric Gram form of the residue pairing over the monomial basis."""
-    qa = validate(endo, order)
+    qa = validate(endo)
     return _gram_from_quotient(endo, qa)
+
+
+class _PartNF(dict):
+    """The quotient's normal-form table entry of a monomial, by its exponent
+    fields (see `Packing.complete`), memoized: a lookup that hits runs no
+    Python code."""
+
+    __slots__ = ("qa",)
+
+    def __init__(self, qa: QuotientAlgebra):
+        super().__init__()
+        self.qa = qa
+
+    def __missing__(self, fields: int) -> tuple[dict, int]:
+        qa = self.qa
+        value = self[fields] = qa._nf_table[qa.ring.packing.complete(fields)]
+        return value
 
 
 def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
@@ -171,29 +196,28 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     Over Q every sum runs on the integer table entries, over a common
     denominator, and each Gram entry becomes a canonical scalar once, here.
 
-    The Bezoutian's keys are LEX keys in the doubled ring: a shift and a
-    mask split each into the LEX keys of its x- and u-part, which
-    `relayout` turns into keys of the quotient's packing, once per
+    The doubled ring has the order of the endomorphism's ring.  A shift
+    and a mask split each Bezoutian key into the exponent fields of its
+    x- and u-part (`Packing.halves`), and `_PartNF` completes a part to its
+    key in the quotient's packing and looks up its normal form, once per
     distinct part.
     """
-    n = endo.n
     q = endo.field.modulus
     delta = bezoutian(endo)
-    shift, mask = delta.ring.packing.split(n)
-    relayout = Relayout(endo.ring.packing, qa.gb._packing)
+    xshift, ushift, mask = delta.ring.packing.halves()
+    nf_of = _PartNF(qa)
     delta, den = _clear(delta.packed)  # Delta = delta / den
     # the rows, then the coefficients of NF(Delta), are summed over one
     # common denominator each, raised to the lcm when an entry needs it (1
     # over F_p)
-    nf = qa._nf_table  # a lookup fills a missing entry
-    rows: dict = {}  # LEX key of an x-monomial a -> du * row_a
+    rows: dict = {}  # the fields of an x-monomial a -> du * row_a
     du = 1
     for e, c in delta.items():
-        a = e >> shift
+        a = e >> xshift & mask
         row = rows.get(a)
         if row is None:
             row = rows[a] = {}
-        nums, d = nf[relayout[e & mask]]
+        nums, d = nf_of[e >> ushift & mask]
         if d != du:
             if du % d:
                 du = _to_lcm(du, d, rows.values())
@@ -203,7 +227,7 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     acc: dict = {}  # standard x-monomial m -> dx * du * den * NF(Delta)_m
     dx = 1
     for a, row in rows.items():
-        nums, d = nf[relayout[a]]
+        nums, d = nf_of[a]
         if d != dx:
             if dx % d:
                 dx = _to_lcm(dx, d, acc.values())
@@ -261,9 +285,9 @@ class DegreeReport:
         }
 
 
-def degree_of(endo: Endo, order: MonomialOrder = GREVLEX) -> DegreeReport:
+def degree_of(endo: Endo) -> DegreeReport:
     """Full degree computation; raises as validate does."""
-    qa = validate(endo, order)
+    qa = validate(endo)
     gram = _gram_from_quotient(endo, qa)
     diag = diagonalize(gram)
     inv = invariants(diag)

@@ -7,12 +7,13 @@ divisor's leading term from a precomputed entry, and keeps only the
 remainder: no caller here needs the quotients.  Pending S-pairs wait in a
 heap keyed by their lcm, computed once when the pair is formed.
 
-Inside this module a monomial is its packed key in the order's `Packing`
-(see `orders`), never an exponent tuple: the leading term is the largest
-key, a shift adds an offset, divisibility is one mask test and the lcm of
-two leads is a parallel field maximum.  Keys are packed once, when the
-generators or the polynomial to reduce come in, and unpacked once, at the
-boundary: the returned basis and cofactors, normal forms,
+A monomial is its key in the ring's `Packing` (see `orders`), the one
+the polynomials already hold: the leading term is the largest key, a
+shift adds an offset, divisibility is one mask test and the lcm of two
+leads is a parallel field maximum.  The order of every computation here
+is the ring's.  Generators and polynomials to reduce come in as their
+term maps, and the basis, cofactors and normal forms go out as term maps
+on the same keys; exponent tuples appear only in
 `QuotientAlgebra.monomials` and `monomial_nf`.  A monomial made on the way
 that passes the exponent bound (orders.BOUND, and under GREVLEX the total
 degree too) raises ExponentBoundExceeded: `_reduce` checks each leading
@@ -108,7 +109,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InternalError, NotFiniteLength, RingMismatch
-from .orders import GREVLEX, MonomialOrder, Packing
+from .orders import Packing
 from .poly import (
     Poly,
     Ring,
@@ -143,33 +144,25 @@ class GroebnerBasis:
 
     generators: tuple[Poly, ...]
     basis: tuple[Poly, ...]
-    order: MonomialOrder
     cofactors: Optional[tuple[tuple[Poly, ...], ...]] = None
 
     @property
     def ring(self) -> Ring:
+        """The ring of the generators, whose order the basis is reduced in."""
         return self.generators[0].ring
-
-    @cached_property
-    def _packing(self) -> Packing:
-        """The layout of the kernel's keys: the order's, in the ring's
-        variables."""
-        return self.order.packing(self.ring.nvars)
 
     @cached_property
     def _divisors(self) -> list:
         """The basis as `_divisor` entries: the divisors of every reduction."""
         q = self.ring.field.modulus
-        pack = self._packing.pack_terms
-        return [_divisor(_clear(pack(g.terms))[0], q) for g in self.basis]
+        return [_divisor(_clear(g.packed)[0], q) for g in self.basis]
 
 
 def buchberger(
-    gens: Sequence[Poly],
-    order: MonomialOrder = GREVLEX,
-    track_cofactors: bool = False,
+    gens: Sequence[Poly], track_cofactors: bool = False
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by gens, in the order of
+    their ring.
 
     Output is independent of generator order and duplication (uniqueness of
     the reduced basis); cofactors are relative to the given generator list.
@@ -179,7 +172,7 @@ def buchberger(
     ring = _common_ring(gens)
     field = ring.field
     q = field.modulus
-    packing = order.packing(ring.nvars)
+    packing = ring.packing
     one, pad, guard, target = packing.one, packing.pad, packing.guard, packing.target
     lcm = packing.lcm
     # working basis as _divisor entries, in order of discovery; the fourth
@@ -230,7 +223,7 @@ def buchberger(
 
     for k, g in enumerate(gens):
         if not g.is_zero:
-            terms, den = _clear(packing.pack_terms(g.terms))
+            terms, den = _clear(g.packed)
             append(dict(terms), k if track_cofactors else None, den)
 
     while pairs:
@@ -248,7 +241,7 @@ def buchberger(
         _add_shifted(s, tail_j, sj, -(ci // g), q)
         append(s, (i, j, si, sj) if track_cofactors else None, ci // g * cj)
 
-    return _reduce_basis(tuple(gens), work, packing, track_cofactors)
+    return _reduce_basis(tuple(gens), work, track_cofactors)
 
 
 def _replay(cof: list, log: list, cofs: list, q) -> None:
@@ -258,7 +251,7 @@ def _replay(cof: list, log: list, cofs: list, q) -> None:
             _add_shifted(dst, src, shift, c, q)
 
 
-def _cofactors(work: list, kept: list, m: int, ring: Ring, packing: Packing) -> list:
+def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
     """Cofactor vectors, by discovery index, of kept and its ancestors.
 
     An entry's ancestors are its S-pair parents and the divisors in its step
@@ -270,6 +263,7 @@ def _cofactors(work: list, kept: list, m: int, ring: Ring, packing: Packing) -> 
     """
     field = ring.field
     q = field.modulus
+    packing = ring.packing
     minus_one = field.from_int(-1)
     needed = [False] * len(work)
     for w in kept:
@@ -301,8 +295,9 @@ def _cofactors(work: list, kept: list, m: int, ring: Ring, packing: Packing) -> 
     return cofs
 
 
-def _reduce_basis(gens, work, packing, track) -> GroebnerBasis:
+def _reduce_basis(gens, work, track) -> GroebnerBasis:
     ring = gens[0].ring
+    packing = ring.packing
     field = ring.field
     q = field.modulus
     pad, guard, target = packing.pad, packing.guard, packing.target
@@ -315,7 +310,7 @@ def _reduce_basis(gens, work, packing, track) -> GroebnerBasis:
             kept.append(w)
     log = None
     if track:
-        cofs = _cofactors(work, kept, len(gens), ring, packing)
+        cofs = _cofactors(work, kept, len(gens), ring)
         log = []
     # autoreduce the tails in one pass: leads never change, so an entry stays
     # reduced when later ones are.  Each entry is reduced as the monic
@@ -334,18 +329,17 @@ def _reduce_basis(gens, work, packing, track) -> GroebnerBasis:
                     packing.check(c)
             kept[idx] = _divisor(rem, q, recipe)
     kept.sort(key=_lead)
-    # the boundary: the monic basis with canonical scalars, on exponent tuples
-    unpack = packing.unpack_terms
+    # the monic basis with canonical scalars
     return GroebnerBasis(
         generators=gens,
         basis=tuple(
-            Poly(ring, unpack({lead: field.one, **_ratios(tail, lc)}))
+            Poly._from_packed(ring, {lead: field.one, **_ratios(tail, lc)})
             for lead, lc, tail, _ in kept
         ),
-        order=packing.order,
         cofactors=(
             tuple(
-                tuple(Poly(ring, unpack(c)) for c in cofs[w[3][0]]) for w in kept
+                tuple(Poly._from_packed(ring, c) for c in cofs[w[3][0]])
+                for w in kept
             )
             if track
             else None
@@ -357,10 +351,10 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of p modulo the basis; supported on standard monomials."""
     if p.ring != gb.ring:
         raise RingMismatch("polynomial not in the basis ring")
-    packing = gb._packing
-    terms, den = _clear(packing.pack_terms(p.terms))
-    rem, den = _reduce(dict(terms), gb._divisors, packing, p.ring.field, scale=den)
-    return Poly(p.ring, packing.unpack_terms(_ratios(rem, den)))
+    terms, den = _clear(p.packed)
+    ring = p.ring
+    rem, den = _reduce(dict(terms), gb._divisors, ring.packing, ring.field, scale=den)
+    return Poly._from_packed(ring, _ratios(rem, den))
 
 
 def _lowest(nums: dict, den: int) -> tuple[dict, int]:
@@ -463,9 +457,9 @@ class QuotientAlgebra:
     """k[x]/I with a finite standard-monomial basis.
 
     monomials are the exponent tuples outside the leading-term ideal,
-    sorted ascending in the basis order; dimension is their count (the
+    sorted ascending in the ring's order; dimension is their count (the
     length of the quotient).  One memoized table, _nf_table, holds the
-    normal forms of monomials by their keys in the basis's packing, so
+    normal forms of monomials by their keys in the ring's packing, so
     every user of one quotient shares it; it is seeded from the reduced
     basis and filled without division (see the module docstring and
     _NFTable).  Its entries are in the integer working form, (nums, den);
@@ -475,7 +469,7 @@ class QuotientAlgebra:
     gb: GroebnerBasis
     monomials: tuple[tuple[int, ...], ...]
     dimension: int
-    # the keys of monomials in the basis's packing, in the same order
+    # the keys of monomials in the ring's packing, in the same order
     _keys: Optional[tuple[int, ...]] = dataclass_field(
         default=None, compare=False, repr=False
     )
@@ -486,7 +480,7 @@ class QuotientAlgebra:
 
     def __post_init__(self):
         if self._keys is None:
-            keys = tuple(map(self.gb._packing.pack, self.monomials))
+            keys = tuple(map(self.ring.packing.pack, self.monomials))
             object.__setattr__(self, "_keys", keys)
 
     @cached_property
@@ -504,12 +498,12 @@ class QuotientAlgebra:
         for lead, lc, tail, _ in self.gb._divisors:
             seeds[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
         return _NFTable(
-            seeds, frozenset(self._keys), field.modulus, self.gb._packing
+            seeds, frozenset(self._keys), field.modulus, self.ring.packing
         )
 
     def monomial_nf(self, a: tuple[int, ...]) -> dict:
         """Term dict of NF(x^a), on exponent tuples with canonical scalars."""
-        packing = self.gb._packing
+        packing = self.ring.packing
         return packing.unpack_terms(_ratios(*self._nf_table[packing.pack(a)]))
 
 
@@ -522,7 +516,7 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
     """
     ring = gb.ring
     n = ring.nvars
-    packing = gb._packing
+    packing = ring.packing
     leads = [d[0] for d in gb._divisors]
     if packing.one in leads:
         # the ideal is the whole ring; the quotient is the zero ring
@@ -574,9 +568,9 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
     """
     d = qa.dimension
     table = qa._nf_table
-    one = qa.gb._packing.one
-    for var in qa.gb._packing.var:
-        key = one
+    packing = qa.ring.packing
+    for var in packing.var:
+        key = packing.one
         for _ in range(d + 1):
             if not table[key][0]:
                 break
@@ -586,16 +580,14 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
     return True
 
 
-def contains_one_with_certificate(
-    gens: Sequence[Poly], order: MonomialOrder = GREVLEX
-):
+def contains_one_with_certificate(gens: Sequence[Poly]):
     """Cofactors (c_1, ..., c_m) with sum(c_i * gens_i) == 1, or None.
 
     Buchberger with cofactors: the cofactors of the unit basis, unchecked
     here (umrow.is_unimodular checks each certificate once), or None when
     the basis is not {1}.
     """
-    gb = buchberger(gens, order, track_cofactors=True)
+    gb = buchberger(gens, track_cofactors=True)
     if len(gb.basis) != 1 or gb.basis[0] != gens[0].ring.one():
         return None
     return gb.cofactors[0]

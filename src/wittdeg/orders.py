@@ -4,12 +4,14 @@ Variable precedence is declaration order (earlier variables are larger).
 A key function maps an exponent tuple to a sort key; larger key = larger
 monomial, and the constant monomial is minimal (well-foundedness).
 
-Inside the polynomial kernel a monomial is not a tuple but one int, its
-key in a `Packing`, laid out so that comparing two ints compares the two
-monomials (Bachmann & Schoenemann, "Monomial representations for Groebner
-bases computations", ISSAC 1998; Monagan & Pearce, JSC 46, 2011).  The
-int is a row of BITS-bit fields, most significant first, and the top bit
-of each field is a guard bit, so a field holds at most BOUND = 2^15 - 1:
+A ring is declared with its order (`poly.Ring`, as in Singular), and a
+monomial of the ring is one int from the parser to the text output: its
+key in the order's `Packing` for the ring's variable count, laid out so
+that comparing two ints compares the two monomials (Bachmann &
+Schoenemann, "Monomial representations for Groebner bases computations",
+ISSAC 1998; Monagan & Pearce, JSC 46, 2011).  The int is a row of
+BITS-bit fields, most significant first, and the top bit of each field is
+a guard bit, so a field holds at most BOUND = 2^15 - 1:
 
     LEX      [e_1 | ... | e_n]
     GREVLEX  [e_1 + ... + e_n | C - e_n | ... | C - e_1]    (C = BOUND)
@@ -97,9 +99,10 @@ def _fields(count: int, value: int) -> int:
 class Packing:
     """Keys of the monomials in n variables under one order (see above).
 
-    pack and unpack convert between exponent tuples and keys; var[i] is the
-    offset of x_i.  The attributes one, guard, pad and target are read
-    directly by the kernel loops.
+    pack and unpack convert between exponent tuples and keys, for the text
+    boundary and for code that reads exponents; var[i] is the offset of
+    x_i.  The attributes one, guard, pad and target are read directly by
+    the kernel loops.
     """
 
     __slots__ = (
@@ -182,31 +185,26 @@ class Packing:
         ge -= ge >> BITS - 1  # the value bits of the fields where a >= b
         if not self.order._grevlex:
             return la & ge | lb & (self._values ^ ge)
-        # the fields are C - e: the larger exponent is the smaller field; the
-        # degree field is the sum of the exponents, which is below 2^16 - 1,
-        # and a sum of fields is that number modulo 2^16 - 1
-        keys = lb & ge | la & (self._values ^ ge)
-        degree = (self.one - keys) % ((1 << BITS) - 1)
-        return degree << BITS * self.n | keys
+        # the fields are C - e: the larger exponent is the smaller field
+        return self.complete(lb & ge | la & (self._values ^ ge))
 
-    def split(self, m: int) -> tuple[int, int]:
-        """(shift, mask) for a LEX key: key >> shift is the LEX key of its
-        first m exponents, and key & mask that of the others."""
-        shift = BITS * (self.n - m)
-        return shift, (1 << shift) - 1
+    def complete(self, fields: int) -> int:
+        """The key whose n exponent fields are fields: under GREVLEX with its
+        degree field put on top.  The fields are C - e; the degree, the sum
+        of the exponents, is below 2^16 - 1 (at most 2C, as in an lcm), and
+        a sum of fields is that number modulo 2^16 - 1."""
+        if not self.order._grevlex:
+            return fields
+        degree = (self.one - fields) % ((1 << BITS) - 1)
+        return degree << BITS * self.n | fields
 
-
-class Relayout(dict):
-    """The key in dst of a monomial given by its key in src, memoized: a
-    missing key is converted once, through its exponent tuple."""
-
-    __slots__ = ("src", "dst")
-
-    def __init__(self, src: Packing, dst: Packing):
-        super().__init__()
-        self.src = src
-        self.dst = dst
-
-    def __missing__(self, key: int) -> int:
-        value = self[key] = self.dst.pack(self.src.unpack(key))
-        return value
+    def halves(self) -> tuple[int, int, int]:
+        """(xshift, ushift, mask) for keys in n = 2m variables: (key >>
+        xshift) & mask are the exponent fields of its first m variables,
+        and (key >> ushift) & mask those of the others, each as `complete`
+        in the packing of m variables takes them."""
+        m = self.n // 2
+        width = BITS * m
+        if self.order._grevlex:  # the fields of x_1 are the lowest
+            return 0, width, (1 << width) - 1
+        return width, 0, (1 << width) - 1

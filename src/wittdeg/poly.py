@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over an exact field.
 
 A polynomial is a map from monomials to nonzero scalars; the ring
-records the variable names and the field.  All values are immutable after
-construction and all operations are pure.
+records the variable names, the field and the monomial order.  All values
+are immutable after construction and all operations are pure.
 
 The text grammar (whitespace-insensitive)::
 
@@ -12,28 +12,27 @@ The text grammar (whitespace-insensitive)::
     coeff  := int ("/" posint)?
 
 Unary minus is allowed on the leading term only.  The parser builds each
-term's exponents and coefficient directly and adds it to one term dict
-for the whole text; an exponent above orders.BOUND (32767) is rejected
-there with ExponentBoundExceeded, naming the variable and its position.
+term's exponents and coefficient directly and adds it, as its key, to one
+packed term dict for the whole text; an exponent above orders.BOUND
+(32767) is rejected there with ExponentBoundExceeded, naming the variable
+and its position, and so is a term of total degree above it in a GREVLEX
+ring.
 
-Exponent tuples are the boundary form of a monomial: `Poly.terms`, the
-parser and formatter.  Inside the kernel a monomial is its packed key
-(see `orders`): an int whose comparison is the monomial order, whose
-product with x^s adds the offset of x^s, and whose divisibility is one
-mask test.  A `Poly` also holds its terms keyed by the ring's LEX packing,
-`Poly.packed`; each view is made from the other on first use and kept.
-Arithmetic (`+`, `-`, `*`, `**`, `substitute`, `det`) reads and makes
-packed dicts only, so a chain of operations packs its inputs once and its
-result is unpacked only if someone reads `terms`.  A product checks its
-keys against the exponent bound before they are used again (see
-`orders`), so a monomial past the bound raises ExponentBoundExceeded
-instead of wrapping into another.
+A ring carries its monomial order, and a monomial of the ring is one key
+in the order's packing (see `orders`): an int whose comparison is the
+monomial order, whose product with x^s adds the offset of x^s, and whose
+divisibility is one mask test.  A `Poly` holds one term map on those keys,
+`Poly.packed`, from the parser through arithmetic, Groebner bases and
+normal forms to the formatter; `Poly.terms` unpacks it to exponent tuples
+on each read.  A product checks its keys against the exponent bound
+before they are used again (see `orders`), so a monomial past the bound
+raises ExponentBoundExceeded instead of wrapping into another.
 
 Term dicts are combined by one in-place kernel, `_add_shifted` (dst +=
 c * x^shift * src, shift an offset added to each key), and divided by one
 loop, `_reduce`, whose leading term is `max(terms)`: sums, differences and
 products of polynomials and determinants run through the first, and every
-Groebner reduction in `groebner` through both, on the keys of the order's
+Groebner reduction in `groebner` through both, on the keys of the ring's
 packing.
 
 A `Poly` holds canonical scalars (see `fields`).  The Groebner side works
@@ -63,7 +62,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import FieldSpec, ratio
-from .orders import BOUND, GREVLEX, LEX, MonomialOrder, Packing
+from .orders import BOUND, GREVLEX, MonomialOrder, Packing
 
 
 # -- the term-dict kernel --------------------------------------------------
@@ -238,20 +237,28 @@ def _product(a: dict, b: dict, packing: Packing, q) -> dict:
 
 
 class Ring:
-    """A polynomial ring: ordered variable names over a FieldSpec.
+    """A polynomial ring: ordered variable names over a FieldSpec, with a
+    monomial order.
 
-    packing is the LEX layout of its monomials, the one `Poly` arithmetic
-    runs on.
+    packing is the order's layout of its monomials: every `Poly` of the
+    ring, and every Groebner computation on its polynomials, keys terms by
+    it.  Two rings are equal when their variables, fields and orders are.
     """
 
-    __slots__ = ("variables", "field", "packing", "_index")
+    __slots__ = ("variables", "field", "order", "packing", "_index")
 
-    def __init__(self, variables: Sequence[str], field: FieldSpec):
+    def __init__(
+        self,
+        variables: Sequence[str],
+        field: FieldSpec,
+        order: MonomialOrder = GREVLEX,
+    ):
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise RingMismatch("duplicate variable names")
         self.field = field
-        self.packing = LEX.packing(len(self.variables))
+        self.order = order
+        self.packing = order.packing(len(self.variables))
         self._index = {v: i for i, v in enumerate(self.variables)}
 
     @property
@@ -259,99 +266,77 @@ class Ring:
         return len(self.variables)
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly._from_packed(self, {})
 
     def one(self) -> "Poly":
         return self.constant(self.field.one)
 
     def constant(self, c) -> "Poly":
         c = self.field.canon(c)
-        return Poly(self, {(0,) * self.nvars: c} if c else {})
+        return Poly._from_packed(self, {self.packing.one: c} if c else {})
 
     def var(self, i: int) -> "Poly":
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Poly(self, {tuple(exps): self.field.one})
+        key = self.packing.one + self.packing.var[i]
+        return Poly._from_packed(self, {key: self.field.one})
 
     def gens(self) -> tuple["Poly", ...]:
         return tuple(self.var(i) for i in range(self.nvars))
 
     def monomial(self, exps: Sequence[int], c=1) -> "Poly":
         c = self.field.canon(c)
-        return Poly(self, {tuple(exps): c} if c else {})
+        return Poly._from_packed(self, {self.packing.pack(exps): c} if c else {})
 
     def __eq__(self, other):
         return (
             isinstance(other, Ring)
             and self.variables == other.variables
             and self.field == other.field
+            and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.variables, self.field))
+        return hash((self.variables, self.field, self.order))
 
     def __repr__(self):
-        return f"Ring({', '.join(self.variables)}; {self.field})"
+        return f"Ring({', '.join(self.variables)}; {self.field}; {self.order})"
 
 
 class Poly:
     """Immutable sparse polynomial; equality is term-map equality.
 
-    It has two views of one term map, each made from the other on first
-    use and then kept: terms, keyed by exponent tuples, and packed, keyed
-    by the ring's packing.  Arithmetic reads and makes packed dicts only,
-    so a chain of operations packs its inputs once and leaves the tuples
-    of its result to whoever reads terms.
+    packed is its one term map, {key in ring.packing: nonzero scalar};
+    callers must not mutate it.  terms is the same map on exponent tuples,
+    made on each read, for output and for code that reads exponents.
     """
 
-    __slots__ = ("ring", "_terms", "_packed")
+    __slots__ = ("ring", "packed")
 
     def __init__(self, ring: Ring, terms: dict):
+        """The polynomial with terms {exponent tuple: nonzero scalar}."""
         self.ring = ring
-        self._terms = terms
-        self._packed = None
+        self.packed = ring.packing.pack_terms(terms)
 
     @classmethod
     def _from_packed(cls, ring: Ring, packed: dict) -> "Poly":
         p = cls.__new__(cls)
         p.ring = ring
-        p._terms = None
-        p._packed = packed
+        p.packed = packed
         return p
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: nonzero scalar}; callers must not mutate it."""
-        if self._terms is None:
-            self._terms = self.ring.packing.unpack_terms(self._packed)
-        return self._terms
-
-    @property
-    def packed(self) -> dict:
-        """{key in ring.packing: nonzero scalar}; callers must not mutate it."""
-        if self._packed is None:
-            self._packed = self.ring.packing.pack_terms(self._terms)
-        return self._packed
+        """{exponent tuple: nonzero scalar}, a new dict in term-map order."""
+        return self.ring.packing.unpack_terms(self.packed)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not (self._packed if self._terms is None else self._terms)
+        return not self.packed
 
     @property
     def constant_term(self):
-        zero = self.ring.field.zero
-        if self._terms is None:
-            return self._packed.get(self.ring.packing.one, zero)
-        return self._terms.get((0,) * self.ring.nvars, zero)
-
-    def leading(self, order: MonomialOrder = GREVLEX):
-        """(exponents, coefficient) of the largest term; errors on zero."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+        return self.packed.get(self.ring.packing.one, self.ring.field.zero)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -432,17 +417,16 @@ class Poly:
     def deriv(self, i: int) -> "Poly":
         """Partial derivative with respect to variable i."""
         field = self.ring.field
+        packing = self.ring.packing
+        step = packing.var[i]
         terms: dict = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            coeff = field.mul(c, field.from_int(e[i]))
-            if not coeff:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            terms[tuple(ne)] = coeff
-        return Poly(self.ring, terms)
+        for key, c in self.packed.items():
+            k = packing.unpack(key)[i]
+            if k:
+                coeff = field.mul(c, field.from_int(k))
+                if coeff:
+                    terms[key - step] = coeff
+        return Poly._from_packed(self.ring, terms)
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Exact composition: replace variable i by images[i].
@@ -484,14 +468,14 @@ class Poly:
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other):
-        if not (isinstance(other, Poly) and self.ring == other.ring):
-            return False
-        if self._terms is not None and other._terms is not None:
-            return self._terms == other._terms
-        return self.packed == other.packed
+        return (
+            isinstance(other, Poly)
+            and self.ring == other.ring
+            and self.packed == other.packed
+        )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.packed.items())))
 
     def __str__(self):
         return format_poly(self)
@@ -536,9 +520,10 @@ class _Parser:
         return tok
 
     def expr(self) -> Poly:
-        """The whole text as one term dict: each term is added as it is
-        read, and a sum that cancels drops out."""
+        """The whole text as one packed term dict: each term is added as it
+        is read, and a sum that cancels drops out."""
         field = self.ring.field
+        pack = self.ring.packing.pack
         terms: dict = {}
         kind, val, _ = self.peek()
         negate = kind == "op" and val == "-"
@@ -546,20 +531,21 @@ class _Parser:
             self.advance()
         while True:
             exps, c = self.term()
+            key = pack(exps)
             if negate:
                 c = field.neg(c)
-            old = terms.get(exps)
+            old = terms.get(key)
             c = c if old is None else field.add(old, c)
             if c:
-                terms[exps] = c
+                terms[key] = c
             elif old is not None:
-                del terms[exps]
+                del terms[key]
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
                 negate = val == "-"
             elif kind == "end":
-                return Poly(self.ring, terms)
+                return Poly._from_packed(self.ring, terms)
             else:
                 raise ParseError(f"expected '+' or '-', got {val!r}", pos)
 

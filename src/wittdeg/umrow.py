@@ -22,7 +22,6 @@ from .degree import DegreeReport, Endo, degree_of
 from .errors import ArityMismatch, EvenN, InternalError, RingMismatch
 from .fields import FieldSpec
 from .groebner import buchberger, contains_one_with_certificate, normal_form
-from .orders import GREVLEX, MonomialOrder
 from .poly import Poly, Ring
 from .witt import witt_class_display
 
@@ -57,9 +56,7 @@ class UnimodularRow:
         return len(self.entries)
 
 
-def is_unimodular(
-    row: UnimodularRow, order: MonomialOrder = GREVLEX
-) -> Optional[tuple[Poly, ...]]:
+def is_unimodular(row: UnimodularRow) -> Optional[tuple[Poly, ...]]:
     """Certificate (b_1,...,b_n) with sum(b_i * a_i) == 1 mod relations.
 
     Returns None when 1 is not in the ideal.  The entry cofactors of
@@ -68,13 +65,13 @@ def is_unimodular(
     of a certificate; a failure raises InternalError.
     """
     gens = list(row.entries) + list(row.algebra.relations)
-    cert = contains_one_with_certificate(gens, order)
+    cert = contains_one_with_certificate(gens)
     if cert is None:
         return None
     ring = row.algebra.ring
     entry_cofs = list(cert[: row.n])
     if row.algebra.relations:
-        relgb = buchberger(list(row.algebra.relations), order)
+        relgb = buchberger(list(row.algebra.relations))
         entry_cofs = [normal_form(c, relgb) for c in entry_cofs]
     check = -ring.one()
     for b, a in zip(entry_cofs, row.entries):
@@ -144,9 +141,7 @@ def universal_row(field: FieldSpec, n: int) -> UnimodularRow:
     return UnimodularRow(algebra=alg, entries=tuple(xs))
 
 
-def obstruction_report(
-    endo: Endo, order: MonomialOrder = GREVLEX
-) -> tuple[DegreeReport, str]:
+def obstruction_report(endo: Endo) -> tuple[DegreeReport, str]:
     """Degree report plus a completability verdict for the induced row.
 
     Only defined for odd arity (the row-level symbol does not factor
@@ -157,7 +152,7 @@ def obstruction_report(
     n = endo.n
     if n % 2 == 0:
         raise EvenN("the row-level obstruction needs odd arity")
-    report = degree_of(endo, order)
+    report = degree_of(endo)
     cls = witt_class_display(report.diag)
     row_str = ", ".join(str(p) for p in endo.images)
     field = report.field

@@ -146,8 +146,14 @@ def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
         ("field = F2\nvars = x\nmap x = x^2\n", 1, "characteristic 2"),
         ("field = F9\nvars = x\nmap x = x^2\n", 1, "modulus 9 is not prime"),
         ("field = F7\nvars = x\nmap x = 1/7*x^2\n", 3, "denominator divisible by 7"),
+        # a GREVLEX ring bounds the total degree of a term where it is parsed
+        (
+            "field = Q\nvars = x, y\nmap x = x^20000*y^20000\nmap y = y\n",
+            3,
+            "a total degree above 32767 in 2 variables under grevlex",
+        ),
     ],
-    ids=["field-twice", "vars-twice", "F2", "F9", "1/7-over-F7"],
+    ids=["field-twice", "vars-twice", "F2", "F9", "1/7-over-F7", "total-degree"],
 )
 def test_degree_exit_2_line_error_carries_location(
     tmp_path, capsys, text, line, message
@@ -159,6 +165,48 @@ def test_degree_exit_2_line_error_carries_location(
     assert out == ""
     assert err.startswith(f"error: JobFileError: {job}:{line}: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["degree"], b"field = Q\nvars = x\nmap x = x\xff^2\n"),
+        (["row", "check"], b"field = Q\nvars = x, y\nrow = x, \xffy\n"),
+    ],
+    ids=["degree", "row-check"],
+)
+def test_exit_2_job_file_not_utf8(tmp_path, capsys, argv, text):
+    job = tmp_path / "latin1.job"
+    job.write_bytes(text)
+    code, out, err = run_cli(capsys, *argv, str(job))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: JobFileError: {job}:3: not UTF-8 text\n"
+
+
+def test_order_option_reaches_the_ring(capsys):
+    # every documented job that has a degree has the same invariants under
+    # both orders; the quotient bases, and with them the Gram matrices,
+    # differ for some, so the option is not dropped on the way.  A Hasse
+    # map lists the places of its diagonal's primes, which depend on the
+    # basis: places missing from one map have the symbol +1 there
+    jobs = sorted(p.relative_to(REPO_ROOT) for p in REPO_ROOT.glob("docs/jobs/*.job"))
+    keys = ("length", "rank", "signature", "signed_discriminant")
+    compared = grams_differ = 0
+    for job in map(str, jobs):
+        code, out, _ = run_cli(capsys, "--json", "degree", job)
+        if code != 0:
+            continue
+        code, lex_out, _ = run_cli(capsys, "--order", "lex", "--json", "degree", job)
+        assert code == 0, job
+        default, lex = json.loads(out), json.loads(lex_out)
+        assert {k: default[k] for k in keys} == {k: lex[k] for k in keys}, job
+        places = set(default["hasse"]) | set(lex["hasse"])
+        for v in places:
+            assert default["hasse"].get(v, 1) == lex["hasse"].get(v, 1), (job, v)
+        compared += 1
+        grams_differ += default["gram"] != lex["gram"]
+    assert compared >= 7 and grams_differ >= 3
 
 
 def test_nori_check_counterexample(capsys):

@@ -28,7 +28,9 @@ from wittdeg.umrow import compose_with_endo, universal_row
 
 from conftest import (
     counterexample_endo,
+    in_order,
     is_canonical_scalar,
+    leading,
     random_poly,
     random_unit,
     reference_divide,
@@ -134,11 +136,14 @@ def test_dimension_order_independent(Q):
         ("x^2 + y", "y^3 - x"),
         ("x + y", "y^4"),
     ]
-    ring = Ring(("x", "y"), Q)
+    rings = [Ring(("x", "y"), Q, order) for order in (GREVLEX, LEX)]
     for texts in systems:
-        gens = [parse_poly(t, ring) for t in texts]
-        d1 = standard_monomials(buchberger(gens, GREVLEX)).dimension
-        d2 = standard_monomials(buchberger(gens, LEX)).dimension
+        d1, d2 = (
+            standard_monomials(
+                buchberger([parse_poly(t, ring) for t in texts])
+            ).dimension
+            for ring in rings
+        )
         assert d1 == d2
 
 
@@ -201,7 +206,7 @@ def _assert_reduced_basis(gb):
     """No term of a basis element is divisible by another element's leading
     monomial, and every S-polynomial of the basis has normal form 0."""
     ring = gb.ring
-    leads = [g.leading(gb.order)[0] for g in gb.basis]
+    leads = [leading(g)[0] for g in gb.basis]
     for i, g in enumerate(gb.basis):
         for e in g.terms:
             assert not any(
@@ -260,15 +265,15 @@ class _Tracked:
         self.cof = cof
 
 
-def _reference_reduce_tracked(p, cof, work, order, track):
+def _reference_reduce_tracked(p, cof, work, track):
     """The former Buchberger reduction with cofactors, kept verbatim."""
     ring = p.ring
     rem = ring.zero()
     cur = p
     while not cur.is_zero:
-        ce, cc = cur.leading(order)
+        ce, cc = leading(cur)
         for elt in work:
-            de, dc = elt.poly.leading(order)
+            de, dc = leading(elt.poly)
             if _divides(de, ce):
                 mono = ring.monomial(
                     tuple(a - b for a, b in zip(ce, de)),
@@ -300,7 +305,7 @@ def test_reduce_matches_reference_division(Q, F7):
     rng = random.Random(2718)
     units = random.Random(2719)  # its own stream: rng draws the same cases
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
-        ring = Ring(("x", "y", "z"), field)
+        ring = Ring(("x", "y", "z"), field, order)
         for _ in range(60):
             divisors = _random_divisors(rng, ring)
             if not divisors:
@@ -311,8 +316,8 @@ def test_reduce_matches_reference_division(Q, F7):
             scaled = [d.scale(random_unit(units, field)) for d in divisors]
             sp = p.scale(random_unit(units, field))
             for x, ds in ((p, divisors), (sp, scaled)):
-                _, expected = reference_divide(x, ds, order)
-                gb = GroebnerBasis(generators=tuple(ds), basis=tuple(ds), order=order)
+                _, expected = reference_divide(x, ds)
+                gb = GroebnerBasis(generators=tuple(ds), basis=tuple(ds))
                 got = normal_form(x, gb)
                 assert got == expected
                 assert all(is_canonical_scalar(field, c) for c in got.terms.values())
@@ -321,7 +326,7 @@ def test_reduce_matches_reference_division(Q, F7):
 def test_reduce_matches_reference_cofactor_tracking(Q, F7):
     rng = random.Random(1618)
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
-        ring = Ring(("x", "y", "z"), field)
+        ring = Ring(("x", "y", "z"), field, order)
         for _ in range(60):
             divisors = _random_divisors(rng, ring)
             if not divisors:
@@ -333,28 +338,27 @@ def test_reduce_matches_reference_cofactor_tracking(Q, F7):
             p = random_poly(rng, ring, max_degree=5, max_terms=6, coeff_range=5)
             start = [random_poly(rng, ring, max_degree=2) for _ in range(3)]
             work = [_Tracked(d, c) for d, c in zip(divisors, cofs)]
-            rem, cof = _reference_reduce_tracked(p, start, work, order, True)
-            # the kernel runs on keys: pack at the call, unpack what it
-            # returns; a logged step is relative to the monic divisor
-            # d / lc(d), so each tag is the vector of the monic divisor
-            packing = order.packing(ring.nvars)
-            pack, unpack = packing.pack_terms, packing.unpack_terms
+            rem, cof = _reference_reduce_tracked(p, start, work, True)
+            # the kernel runs on the term maps of the ring's packing, and
+            # consumes the dict it reduces; a logged step is relative to the
+            # monic divisor d / lc(d), so each tag is the vector of the
+            # monic divisor
             entries = [
                 _entry(
-                    pack(d.terms),
-                    [pack(c.scale(field.inv(d.leading(order)[1])).terms) for c in cv],
+                    d.packed,
+                    [c.scale(field.inv(leading(d)[1])).packed for c in cv],
                 )
                 for d, cv in zip(divisors, cofs)
             ]
             log = []
-            got, scale = _reduce(pack(p.terms), entries, packing, field, log)
-            assert {e: field.div(v, scale) for e, v in unpack(got).items()} == rem.terms
+            got, scale = _reduce(dict(p.packed), entries, ring.packing, field, log)
+            assert {e: field.div(v, scale) for e, v in got.items()} == rem.packed
             # the log replays into the cofactors the old in-place loop built
-            got_cof = [pack(c.terms) for c in start]
+            got_cof = [dict(c.packed) for c in start]
             for vec, shift, c in log:
                 for dst, src in zip(got_cof, vec):
                     _add_shifted(dst, src, shift, c, field.modulus)
-            assert [unpack(c) for c in got_cof] == [c.terms for c in cof]
+            assert got_cof == [c.packed for c in cof]
 
 
 # -- lazy cofactors against the eager Buchberger they replaced -----------------
@@ -396,14 +400,15 @@ def _eager_reduce(terms, basis, packing, field, cof=None):
     return rem
 
 
-def _eager_buchberger(gens, order=GREVLEX, track_cofactors=False):
+def _eager_buchberger(gens, track_cofactors=False):
     """The former eager cofactor-tracking Buchberger, kept verbatim but for
     the kernel it calls, on packed term dicts."""
     ring = gens[0].ring
     field = ring.field
     q = field.modulus
     minus_one = field.from_int(-1)
-    packing = order.packing(ring.nvars)
+    order = ring.order
+    packing = ring.packing
     m = len(gens)
     # monic working basis as _eager_entry tuples, in order of discovery
     work = []
@@ -432,7 +437,7 @@ def _eager_buchberger(gens, order=GREVLEX, track_cofactors=False):
         if track_cofactors:
             cof = [{} for _ in range(m)]
             cof[k] = {packing.one: field.one}
-        append(packing.pack_terms(g.terms), cof)
+        append(dict(g.packed), cof)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -481,16 +486,14 @@ def _eager_reduce_basis(gens, work, packing, track):
                 kept[idx] = _eager_entry(rem, packing, cof)
                 changed = True
     kept.sort(key=lambda w: order.key(w[0]))
-    unpack = packing.unpack_terms
     return GroebnerBasis(
         generators=gens,
         basis=tuple(
-            Poly(ring, unpack({packing.pack(lead): lc, **tail}))
+            Poly._from_packed(ring, {packing.pack(lead): lc, **tail})
             for lead, lc, tail, _ in kept
         ),
-        order=order,
         cofactors=(
-            tuple(tuple(Poly(ring, unpack(c)) for c in w[3]) for w in kept)
+            tuple(tuple(Poly._from_packed(ring, c) for c in w[3]) for w in kept)
             if track
             else None
         ),
@@ -527,17 +530,17 @@ def _chain_ideal(rng, ring):
     return gens
 
 
-def _lazy_equals_eager(gens, order, units=None):
+def _lazy_equals_eager(gens, units=None):
     """The lazy basis and cofactors equal the eager reference's; with a
     units stream, so do those of the generators scaled by random units, which
     over Q lead with non-integral rationals."""
-    expected = _eager_buchberger(gens, order, track_cofactors=True)
-    assert buchberger(gens, order, track_cofactors=True) == expected
+    expected = _eager_buchberger(gens, track_cofactors=True)
+    assert buchberger(gens, track_cofactors=True) == expected
     if units is not None:
         field = gens[0].ring.field
         scaled = [g.scale(random_unit(units, field)) for g in gens]
-        reference = _eager_buchberger(scaled, order, track_cofactors=True)
-        assert buchberger(scaled, order, track_cofactors=True) == reference
+        reference = _eager_buchberger(scaled, track_cofactors=True)
+        assert buchberger(scaled, track_cofactors=True) == reference
         assert reference.basis == expected.basis
     return expected
 
@@ -548,7 +551,7 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
     seen = {"unit": 0, "zero": 0, "duplicate": 0, "several": 0}
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
         for _ in range(25):
-            ring = Ring(tuple("xyz"[: rng.randint(2, 3)]), field)
+            ring = Ring(tuple("xyz"[: rng.randint(2, 3)]), field, order)
             gens = [
                 random_poly(rng, ring, max_degree=2, max_terms=3)
                 for _ in range(rng.randint(1, 3))
@@ -560,7 +563,7 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
             elif roll < 0.5:
                 gens.append(rng.choice(gens))
                 seen["duplicate"] += 1
-            gb = _lazy_equals_eager(gens, order, units)
+            gb = _lazy_equals_eager(gens, units)
             seen["unit"] += gb.basis == (ring.one(),)
         # finite quotients with bases of several elements; three variables
         # only under GREVLEX, because under LEX the reference, which prunes
@@ -569,15 +572,15 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
         # checks such bases without the reference
         for _ in range(10):
             nvars = rng.randint(2, 3) if order is GREVLEX else 2
-            ring = Ring(tuple("xyz"[:nvars]), field)
-            gb = _lazy_equals_eager(_random_finite_ideal(rng, ring), order, units)
+            ring = Ring(tuple("xyz"[:nvars]), field, order)
+            gb = _lazy_equals_eager(_random_finite_ideal(rng, ring), units)
             seen["several"] += len(gb.basis) > 2
     assert min(seen.values()) >= 10
     rng = random.Random(4104)
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
         for _ in range(10):
-            ideal = _chain_ideal(rng, Ring(("x", "y", "z"), field))
-            _lazy_equals_eager(ideal, order, units)
+            ideal = _chain_ideal(rng, Ring(("x", "y", "z"), field, order))
+            _lazy_equals_eager(ideal, units)
         # the tautological row over S_3 composed with rows-benchmark shapes;
         # one draw per shape under LEX, where one such basis over Q took 3 s,
         # and 100 s with eager cofactors
@@ -586,17 +589,16 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
         for ms in draws * ((1, 1, 2), (1, 2, 2), (2, 1, 2), (1, 2, 1)):
             composed = compose_with_endo(row, _triangular_endo(rng, field, ms))
             gens = list(composed.entries) + list(row.algebra.relations)
-            gb = _lazy_equals_eager(gens, order, units)
-            assert gb.basis == (row.algebra.ring.one(),)
+            gens = in_order(gens, order)
+            gb = _lazy_equals_eager(gens, units)
+            assert gb.basis == (gens[0].ring.one(),)
 
 
 def test_reduce_uses_first_divisor_in_list_order(Q):
     ring = Ring(("x", "y"), Q)
     x, y = ring.gens()
     for divisors, expected in (([x + y, x - y], -y), ([x - y, x + y], y)):
-        gb = GroebnerBasis(
-            generators=tuple(divisors), basis=tuple(divisors), order=GREVLEX
-        )
+        gb = GroebnerBasis(generators=tuple(divisors), basis=tuple(divisors))
         assert normal_form(x, gb) == expected
 
 
@@ -648,12 +650,12 @@ def test_pair_criteria_tame_the_lex_swell(Q, monkeypatch):
         return _reduce(*args)
 
     monkeypatch.setattr(groebner, "_reduce", reduce)
-    ring = Ring(("x", "y", "z"), Q)
+    ring = Ring(("x", "y", "z"), Q, LEX)
     gens = [
         parse_poly(s, ring)
         for s in ("x^2", "y^3 + x", "-2*x^2 - 2*y^2 - 2*x*z + z^2 + 3*x + y")
     ]
-    gb = buchberger(gens, LEX)
+    gb = buchberger(gens)
     assert [str(g) for g in gb.basis] == [
         "z^12",
         "-204*z^11 + 503*z^10 + 20*z^9 - 70*z^8 - 2*z^7 + 11*z^6 - 2*z^4"
@@ -668,14 +670,14 @@ def test_lex_bases_of_random_ideals(Q):
     # each basis is reduced, lies in the ideal (cofactors) and contains it
     # (every generator reduces to 0)
     rng = random.Random(2718)
-    ring = Ring(("x", "y", "z"), Q)
+    ring = Ring(("x", "y", "z"), Q, LEX)
     sizes = set()
     for _ in range(20):
         gens = _random_finite_ideal(rng, ring)
-        gb = buchberger(gens, LEX, track_cofactors=True)
+        gb = buchberger(gens, track_cofactors=True)
         _assert_reduced_basis(gb)
         for g, cof in zip(gb.basis, gb.cofactors):
-            assert g.leading(LEX)[1] == 1
+            assert leading(g)[1] == 1
             assert sum((c * f for c, f in zip(cof, gens)), ring.zero()) == g
         assert all(normal_form(f, gb).is_zero for f in gens)
         sizes.add(len(gb.basis))
@@ -721,14 +723,14 @@ def test_nilpotency_walk_matches_reference(Q, F7):
     verdicts = {True: 0, False: 0}
     units = 0
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
-        rings = [Ring(("x", "y"), field), Ring(("x", "y", "z"), field)]
+        rings = [Ring(("x", "y"), field, order), Ring(("x", "y", "z"), field, order)]
         systems = [_random_finite_ideal(rng, rng.choice(rings)) for _ in range(40)]
         x, y, z = rings[1].gens()
         # a point away from the origin, two points, the origin alone, the unit ideal
         systems += [[x + 1, y, z], [x * x - x, y, z], [x**3, y**2 - x, z]]
         systems.append([x, x + 1, z])
         for gens in systems:
-            qa = standard_monomials(buchberger(gens, order))
+            qa = standard_monomials(buchberger(gens))
             got = supported_only_at_origin(qa)
             assert got == _reference_supported_only_at_origin(qa)
             verdicts[got] += 1
@@ -747,12 +749,12 @@ def test_monomial_table_matches_direct_normal_form(Q, F7):
     cases += [(f, GREVLEX, "wxyz") for f in (Q, F7)]
     units = 0
     for field, order, names in cases:
-        ring = Ring(tuple(names), field)
+        ring = Ring(tuple(names), field, order)
         x = ring.gens()
         systems = [_random_finite_ideal(rng, ring) for _ in range(10)]
         systems.append([x[0], x[0] + 1] + list(x[2:]))  # the unit ideal
         for gens in systems:
-            gb = buchberger(gens, order)
+            gb = buchberger(gens)
             qa = standard_monomials(gb)
             units += qa.dimension == 0
             exps = [tuple(rng.randint(0, 5) for _ in names) for _ in range(8)]
@@ -765,7 +767,7 @@ def test_monomial_table_matches_direct_normal_form(Q, F7):
             for a in sorted(exps, key=sum, reverse=True):
                 assert cold.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
             for key in cold._nf_table:
-                a = gb._packing.unpack(key)
+                a = ring.packing.unpack(key)
                 assert cold.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
     assert units >= len(cases)
 
@@ -830,9 +832,10 @@ def test_buchberger_past_the_bound_raises(Q, F7):
     for field in (Q, F7):
         ring = Ring(("x", "y"), field)
         x, y = ring.gens()
+        lx, ly = Ring(("x", "y"), field, LEX).gens()
         # LEX: reducing x*y by x - y^32767 makes y^32768
         with pytest.raises(ExponentBoundExceeded):
-            buchberger([x - y**32767, x * y], LEX)
+            buchberger([lx - ly**32767, lx * ly])
         # GREVLEX bounds the total degree: the lcm x^20000*y^20000
         with pytest.raises(ExponentBoundExceeded):
             buchberger([x**20000 * y, x * y**20000])
@@ -840,7 +843,7 @@ def test_buchberger_past_the_bound_raises(Q, F7):
             buchberger([x**20000 * y, x * y**20000], track_cofactors=True)
         # at the bound itself nothing is raised, nor for a coprime pair,
         # which is never reduced, whose product passes the GREVLEX bound
-        gb = buchberger([x - y**32767, y * y], LEX)
-        assert gb.basis == (y * y, x)
+        gb = buchberger([lx - ly**32767, ly * ly])
+        assert gb.basis == (ly * ly, lx)
         big = [x**20000, y**20000]
         assert buchberger(big, track_cofactors=True).basis == tuple(big[::-1])

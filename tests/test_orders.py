@@ -67,6 +67,13 @@ def test_layout_matches_tuple_arithmetic(case):
         assert packing.lcm(ka, kb) == packing.pack(lcm)
     else:
         assert order is GREVLEX and packing.lcm(ka, kb) & guard
+    # the key of x^a u^b in 2n variables splits into the fields of a and b,
+    # which complete to their keys in n variables
+    if _within(order, a + b):
+        xshift, ushift, mask = order.packing(2 * len(a)).halves()
+        kab = order.packing(2 * len(a)).pack(a + b)
+        assert packing.complete(kab >> xshift & mask) == ka
+        assert packing.complete(kab >> ushift & mask) == kb
 
 
 def test_variable_offsets_and_one():

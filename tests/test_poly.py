@@ -18,7 +18,7 @@ from wittdeg import (
     parse_poly,
 )
 from wittdeg.degree import Endo, diagonal_bezoutian_identity
-from wittdeg.orders import GREVLEX
+from wittdeg.orders import LEX
 from wittdeg.poly import format_poly
 
 from conftest import (
@@ -124,9 +124,15 @@ def test_arithmetic_and_equality(R2):
     assert hash(x1 + x2) == hash(x2 + x1)
 
 
-def test_ring_mismatch(R2, R3):
+def test_ring_mismatch(R2, R3, Q):
     with pytest.raises(RingMismatch):
         R2.var(0) + R3.var(0)
+    # the order is part of the ring: rings that differ only in it do not mix
+    lex = Ring(("x",), Q, LEX)
+    with pytest.raises(RingMismatch):
+        lex.var(0) + Ring(("x",), Q).var(0)
+    assert lex != Ring(("x",), Q) and lex == Ring(("x",), Q, LEX)
+    assert hash(lex) == hash(Ring(("x",), Q, LEX))
 
 
 def test_char_p_derivative(F5):
@@ -261,7 +267,7 @@ def _det_cofactor(m, ring: Ring) -> Poly:
     return total
 
 
-def _det_bareiss(m, ring: Ring, order) -> Poly:
+def _det_bareiss(m, ring: Ring) -> Poly:
     """The former Bareiss path of det (n > 4), kept verbatim but for the
     exact division, which now comes from the reference loop."""
     n = len(m)
@@ -279,7 +285,7 @@ def _det_bareiss(m, ring: Ring, order) -> Poly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = _reference_exact_div(num, prev, order)
+                m[i][j] = _reference_exact_div(num, prev)
             m[i][k] = ring.zero()
         prev = m[k][k]
     d = m[n - 1][n - 1]
@@ -322,7 +328,7 @@ def test_det_matches_reference(Q, F7):
             for m in cases + singular:
                 expected = _det_cofactor(m, ring)
                 _assert_same_poly(det(m), expected)
-                got = _det_bareiss([row[:] for row in m], ring, GREVLEX)
+                got = _det_bareiss([row[:] for row in m], ring)
                 _assert_same_poly(got, expected)
             for m in singular:
                 assert det(m).is_zero

@@ -19,7 +19,6 @@ from wittdeg import (
 )
 from wittdeg import groebner, umrow
 from wittdeg.groebner import GroebnerBasis
-from wittdeg.orders import GREVLEX
 from wittdeg.umrow import apply_elementary, build_section, universal_row
 from wittdeg.cli import run
 
@@ -187,7 +186,6 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     wrong = GroebnerBasis(
         generators=row.entries + row.algebra.relations,
         basis=(ring.one(),),
-        order=GREVLEX,
         cofactors=((ring.var(1) + ring.one(), ring.zero()),),
     )
     with monkeypatch.context() as m:
@@ -198,7 +196,7 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     monkeypatch.setattr(
         umrow,
         "contains_one_with_certificate",
-        lambda gens, order: tuple(g.ring.zero() for g in gens),
+        lambda gens: tuple(g.ring.zero() for g in gens),
     )
     ring = Ring(("x",), Q)
     x = ring.var(0)
