@@ -35,7 +35,7 @@ from .fields import (
     square_class_mul,
     square_classes,
 )
-from .orders import GREVLEX, MonomialOrder, by_name as order_by_name
+from .orders import GREVLEX, MonomialOrder
 from .poly import (
     Poly,
     Ring,

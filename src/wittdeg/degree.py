@@ -28,6 +28,11 @@ Over Q the table entries are ints over a positive denominator, and the
 Gram build keeps that form: the Bezoutian is cleared of denominators, the
 rows are summed as ints over one common denominator, and each Gram entry
 becomes a canonical scalar once, when the `GramForm` rows are built.
+
+A `DegreeReport` stores what the four stages computed: the quotient, the
+Gram form, its diagonal form and the invariants.  Everything else is read
+off them when asked for, the basis labels that only `--verbose` prints
+included.
 """
 
 from __future__ import annotations
@@ -238,8 +243,8 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
                 dst = acc[m] = {}
             _add_shifted(dst, row, 0, v, q)
     den *= dx * du
-    index = {m: k for k, m in enumerate(qa._keys)}
-    b = [{} for _ in qa.monomials]
+    index = {m: k for k, m in enumerate(qa.keys)}
+    b = [{} for _ in qa.keys]
     # each normal-form term x^m u^m' is entry (m, m'); its coefficient is
     # nonzero and becomes a canonical scalar here, and GramForm checks the
     # symmetry
@@ -248,37 +253,64 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
             b[index[m]] = {index[m2]: c for m2, c in _ratios(dst, den).items()}
     except KeyError:
         raise InternalError("reduced Bezoutian off the standard basis") from None
-    labels = tuple(format_monomial(endo.ring, m) for m in qa.monomials)
-    return GramForm(field=endo.field, rows=tuple(b), basis_labels=labels)
+    return GramForm(endo.field, tuple(b))
 
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """deg(g) in the Witt group, with divisibility verdicts."""
+    """deg(g) in the Witt group, as the four stages computed it: the
+    quotient, the Gram form of its residue pairing, a diagonal form and its
+    invariants.  The field, n, the length, the verdicts and the basis
+    labels are read off them."""
 
-    field: FieldSpec
-    n: int
-    length: int
+    quotient: QuotientAlgebra
     gram: GramForm
     diag: DiagForm
     invariants: WittInvariants
-    is_zero: bool
-    divisible_by_n_factorial: bool
-    divisible_by_nminus1_factorial: bool
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.quotient.ring.field
+
+    @property
+    def n(self) -> int:
+        return self.quotient.ring.nvars
+
+    @property
+    def length(self) -> int:
+        return self.quotient.dimension
+
+    @property
+    def is_zero(self) -> bool:
+        return self.invariants.is_zero
+
+    @property
+    def divisible_by_n_factorial(self) -> bool:
+        return self.length % math.factorial(self.n) == 0
+
+    @property
+    def divisible_by_nminus1_factorial(self) -> bool:
+        return self.length % math.factorial(max(self.n - 1, 1)) == 0
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The standard monomials as text, in basis order."""
+        ring = self.quotient.ring
+        return tuple(format_monomial(ring, m) for m in self.quotient.monomials)
 
     def to_json_dict(self) -> dict:
-        fmt = self.field.format_scalar
+        inv = self.invariants
         return {
             "schema": 1,
             "field": str(self.field),
             "n": self.n,
             "length": self.length,
-            "gram": self.gram.dense(fmt),
-            "diagonal": [fmt(e) for e in self.diag.entries],
-            "rank": self.invariants.rank,
-            "signature": self.invariants.signature,
-            "signed_discriminant": fmt(self.invariants.signed_discriminant),
-            "hasse": dict(self.invariants.hasse),
+            "gram": self.gram.dense(str),
+            "diagonal": [str(e) for e in self.diag.entries],
+            "rank": inv.rank,
+            "signature": inv.signature,
+            "signed_discriminant": str(inv.signed_discriminant),
+            "hasse": dict(inv.hasse),
             "is_zero": self.is_zero,
             "nori_n_factorial": self.divisible_by_n_factorial,
             "nori_nminus1_factorial": self.divisible_by_nminus1_factorial,
@@ -290,20 +322,7 @@ def degree_of(endo: Endo) -> DegreeReport:
     qa = validate(endo)
     gram = _gram_from_quotient(endo, qa)
     diag = diagonalize(gram)
-    inv = invariants(diag)
-    n = endo.n
-    d = qa.dimension
-    return DegreeReport(
-        field=endo.field,
-        n=n,
-        length=d,
-        gram=gram,
-        diag=diag,
-        invariants=inv,
-        is_zero=inv.is_zero,
-        divisible_by_n_factorial=d % math.factorial(n) == 0,
-        divisible_by_nminus1_factorial=d % math.factorial(max(n - 1, 1)) == 0,
-    )
+    return DegreeReport(qa, gram, diag, invariants(diag))
 
 
 def univariate_power_form(field: FieldSpec, m: int) -> DiagForm:

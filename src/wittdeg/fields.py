@@ -93,38 +93,34 @@ _SCALAR_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 class FieldSpec:
     """The coefficient field: the rationals or F_p with p an odd prime.
 
-    ``modulus`` is p over F_p and ``None`` over Q, so inline kernels branch
-    on ``modulus is None``.
+    A field is its modulus: p over F_p and ``None`` over Q, so inline
+    kernels branch on ``modulus is None``.  ``is_rationals`` is that test,
+    made once here.  Build a field with :meth:`rationals` or
+    :meth:`prime_field`.
     """
 
-    __slots__ = ("kind", "modulus", "_nonresidue")
+    __slots__ = ("modulus", "is_rationals", "_nonresidue")
 
-    def __init__(self, kind: str, modulus: int | None = None):
-        if kind == "Q":
-            if modulus is not None:
-                raise AlgebraError("rationals take no modulus")
-        elif kind == "Fp":
+    def __init__(self, modulus: int | None = None):
+        if modulus is not None:
             if modulus == 2:
                 raise EvenModulus("characteristic 2 is not supported")
-            if modulus is None or not is_prime(modulus):
+            if type(modulus) is not int or not is_prime(modulus):
                 raise AlgebraError(f"modulus {modulus!r} is not prime")
-        else:
-            raise AlgebraError(f"unknown field kind {kind!r}")
-        self.kind = kind
         self.modulus = modulus
+        self.is_rationals = modulus is None
         self._nonresidue = None
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
-        return cls("Q")
+        return cls()
 
     @classmethod
     def prime_field(cls, p: int) -> "FieldSpec":
-        return cls("Fp", p)
-
-    @property
-    def is_rationals(self) -> bool:
-        return self.kind == "Q"
+        """F_p; raises unless p is an odd prime."""
+        if p is None:
+            raise AlgebraError("modulus None is not prime")
+        return cls(p)
 
     # -- canonical values ------------------------------------------------
 
@@ -184,9 +180,6 @@ class FieldSpec:
             raise ParseError("zero denominator", 0)
         return self.canon(Fraction(num, den))
 
-    def format_scalar(self, x) -> str:
-        return str(x)
-
     def least_nonresidue(self) -> int:
         """Smallest positive quadratic non-residue mod p (cached)."""
         if self._nonresidue is None:
@@ -198,14 +191,10 @@ class FieldSpec:
         return self._nonresidue
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FieldSpec) and self.modulus == other.modulus
 
     def __hash__(self):
-        return hash((self.kind, self.modulus))
+        return hash(self.modulus)
 
     def __str__(self):
         return "Q" if self.is_rationals else f"F{self.modulus}"

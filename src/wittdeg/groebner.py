@@ -13,8 +13,9 @@ shift adds an offset, divisibility is one mask test and the lcm of two
 leads is a parallel field maximum.  The order of every computation here
 is the ring's.  Generators and polynomials to reduce come in as their
 term maps, and the basis, cofactors and normal forms go out as term maps
-on the same keys; exponent tuples appear only in
-`QuotientAlgebra.monomials` and `monomial_nf`.  A monomial made on the way
+on the same keys.  A quotient is its standard monomials' keys, and
+exponent tuples appear only in the views `QuotientAlgebra.monomials` and
+`monomial_nf`, made on each read.  A monomial made on the way
 that passes the exponent bound (orders.BOUND, and under GREVLEX the total
 degree too) raises ExponentBoundExceeded: `_reduce` checks each leading
 key, the lcm of a pair is checked when the pair is queued, and a cofactor
@@ -88,10 +89,12 @@ monic divisor, and over Q the inverse is scale / c for the integer
 remainder rem / scale with leading coefficient c.  A remainder that
 reduces to zero, as most S-polynomials do, keeps nothing.  Once the
 minimal basis is chosen, only its entries and their ancestors are
-replayed, in discovery order, with the same `_add_shifted` calls in the
-same order as eager tracking would make, so the cofactors are identical
-term for term.  Autoreduction then replays its own step logs into the
-kept vectors.
+replayed, in discovery order, with the `_add_shifted` calls of eager
+tracking in the same order.  Eager tracking makes an entry's vector and
+then multiplies each of its terms by the normalising inverse; the replay
+folds the inverse into the seed and into each step's multiplier instead,
+one scalar product per step, so the cofactors are equal as exact values.
+Autoreduction then replays its own step logs into the kept vectors.
 
 Everything is deterministic: normal selection strategy (smallest lcm first,
 ties by input index), basis sorted by leading monomial.  Keys compare as
@@ -102,7 +105,7 @@ sequence, as a kernel on exponent tuples would.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
@@ -244,9 +247,12 @@ def buchberger(
     return _reduce_basis(tuple(gens), work, track_cofactors)
 
 
-def _replay(cof: list, log: list, cofs: list, q) -> None:
-    """cof += the steps of a `_reduce` log, tags being recipes into cofs."""
+def _replay(cof: list, log: list, cofs: list, field, scale=1) -> None:
+    """cof += scale * the steps of a `_reduce` log, tags being recipes into
+    cofs; each multiplier is scaled once, canonically."""
+    q = field.modulus
     for tag, shift, c in log:
+        c = field.mul(c, scale)
         for dst, src in zip(cof, cofs[tag[0]]):
             _add_shifted(dst, src, shift, c, q)
 
@@ -256,15 +262,16 @@ def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
 
     An entry's ancestors are its S-pair parents and the divisors in its step
     log, all discovered before it.  One descending pass marks them; one
-    ascending pass replays each marked recipe exactly as it was built: the
-    unit vector or the shifted parent vectors, the logged steps, then the
-    normalising inverse.  Every other entry gets None.  A vector is checked
+    ascending pass replays each marked recipe, with the normalising inverse
+    applied once per step rather than once per term: the unit vector
+    scaled by it, or the parent vectors shifted and scaled by it and its
+    negative, then the logged steps, each multiplier scaled by it.  Every
+    other entry gets None.  A vector is checked
     against the exponent bound before later recipes shift it.
     """
     field = ring.field
     q = field.modulus
     packing = ring.packing
-    minus_one = field.from_int(-1)
     needed = [False] * len(work)
     for w in kept:
         needed[w[3][0]] = True
@@ -282,16 +289,17 @@ def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
         _, origin, log, inv = w[3]
         cof = [{} for _ in range(m)]
         if isinstance(origin, int):
-            cof[origin] = {packing.one: field.one}
+            cof[origin] = {packing.one: inv}
         else:
             i, j, si, sj = origin
+            minus_inv = field.neg(inv)
             for dst, a, b in zip(cof, cofs[i], cofs[j]):
-                _add_shifted(dst, a, si, field.one, q)
-                _add_shifted(dst, b, sj, minus_one, q)
-        _replay(cof, log, cofs, q)
-        cofs[idx] = [{e: field.mul(v, inv) for e, v in c.items()} for c in cof]
-        for c in cofs[idx]:
+                _add_shifted(dst, a, si, inv, q)
+                _add_shifted(dst, b, sj, minus_inv, q)
+        _replay(cof, log, cofs, field, inv)
+        for c in cof:
             packing.check(c)
+        cofs[idx] = cof
     return cofs
 
 
@@ -323,7 +331,7 @@ def _reduce_basis(gens, work, track) -> GroebnerBasis:
         if rem != terms:
             if track:
                 vector = cofs[recipe[0]]
-                _replay(vector, log, cofs, q)
+                _replay(vector, log, cofs, field)
                 log.clear()
                 for c in vector:
                     packing.check(c)
@@ -456,32 +464,31 @@ class _NFTable(dict):
 class QuotientAlgebra:
     """k[x]/I with a finite standard-monomial basis.
 
-    monomials are the exponent tuples outside the leading-term ideal,
-    sorted ascending in the ring's order; dimension is their count (the
-    length of the quotient).  One memoized table, _nf_table, holds the
-    normal forms of monomials by their keys in the ring's packing, so
-    every user of one quotient shares it; it is seeded from the reduced
-    basis and filled without division (see the module docstring and
-    _NFTable).  Its entries are in the integer working form, (nums, den);
-    monomial_nf is the canonical view of one entry.
+    keys are the standard monomials, those outside the leading-term ideal,
+    as ascending keys in the ring's packing; the rest is read off them:
+    dimension is their count (the length of the quotient), and monomials
+    their exponent tuples, unpacked on each read.  One memoized table,
+    _nf_table, holds the normal forms of monomials by their keys, so every
+    user of one quotient shares it; it is seeded from the reduced basis and
+    filled without division (see the module docstring and _NFTable).  Its
+    entries are in the integer working form, (nums, den); monomial_nf is
+    the canonical view of one entry.
     """
 
     gb: GroebnerBasis
-    monomials: tuple[tuple[int, ...], ...]
-    dimension: int
-    # the keys of monomials in the ring's packing, in the same order
-    _keys: Optional[tuple[int, ...]] = dataclass_field(
-        default=None, compare=False, repr=False
-    )
+    keys: tuple[int, ...]
 
     @property
     def ring(self) -> Ring:
         return self.gb.ring
 
-    def __post_init__(self):
-        if self._keys is None:
-            keys = tuple(map(self.ring.packing.pack, self.monomials))
-            object.__setattr__(self, "_keys", keys)
+    @property
+    def dimension(self) -> int:
+        return len(self.keys)
+
+    @property
+    def monomials(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.ring.packing.unpack, self.keys))
 
     @cached_property
     def _nf_table(self) -> _NFTable:
@@ -494,12 +501,10 @@ class QuotientAlgebra:
         ideal, NF(1) is 0).
         """
         field = self.ring.field
-        seeds = {m: ({m: 1}, 1) for m in self._keys}
+        seeds = {m: ({m: 1}, 1) for m in self.keys}
         for lead, lc, tail, _ in self.gb._divisors:
             seeds[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
-        return _NFTable(
-            seeds, frozenset(self._keys), field.modulus, self.ring.packing
-        )
+        return _NFTable(seeds, frozenset(self.keys), field.modulus, self.ring.packing)
 
     def monomial_nf(self, a: tuple[int, ...]) -> dict:
         """Term dict of NF(x^a), on exponent tuples with canonical scalars."""
@@ -520,7 +525,7 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
     leads = [d[0] for d in gb._divisors]
     if packing.one in leads:
         # the ideal is the whole ring; the quotient is the zero ring
-        return QuotientAlgebra(gb=gb, monomials=(), dimension=0)
+        return QuotientAlgebra(gb, ())
     box = [None] * n
     for e in map(packing.unpack, leads):
         nz = [i for i, x in enumerate(e) if x]
@@ -547,12 +552,7 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
         for key in box_keys
         if not any((key + pad - d) & guard == target for d in leads)
     )
-    return QuotientAlgebra(
-        gb=gb,
-        monomials=tuple(map(packing.unpack, std)),
-        dimension=len(std),
-        _keys=tuple(std),
-    )
+    return QuotientAlgebra(gb, tuple(std))
 
 
 def supported_only_at_origin(qa: QuotientAlgebra) -> bool:

@@ -626,27 +626,18 @@ def format_poly(p: Poly) -> str:
     """Canonical text form; round-trips through parse_poly."""
     if p.is_zero:
         return "0"
-    field = p.ring.field
     items = sorted(p.terms.items(), key=lambda kv: GREVLEX.key(kv[0]), reverse=True)
     pieces = []
     for e, c in items:
         mono = format_monomial(p.ring, e)
-        if field.is_rationals:
-            negative = c < 0
-            mag = -c if negative else c
-            if mono == "1":
-                body = field.format_scalar(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{field.format_scalar(mag)}*{mono}"
+        negative = c < 0  # over F_p never: a scalar there lies in [0, p)
+        mag = -c if negative else c
+        if mono == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = mono
         else:
-            negative = False
-            body = (
-                field.format_scalar(c)
-                if mono == "1"
-                else (mono if c == 1 else f"{field.format_scalar(c)}*{mono}")
-            )
+            body = f"{mag}*{mono}"
         pieces.append(("-" if negative else "+", body))
     sign, body = pieces[0]
     out = body if sign == "+" else f"-{body}"

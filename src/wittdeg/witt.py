@@ -56,7 +56,7 @@ from .fields import (
 
 @dataclass(frozen=True)
 class GramForm:
-    """A symmetric form over the field, with labelled basis, stored sparse.
+    """A symmetric form over the field, stored sparse.
 
     rows[i] maps a column j to the nonzero entry (i, j); a zero is never
     stored, and the mirror entry rows[j][i] holds the same value.  An entry
@@ -67,7 +67,6 @@ class GramForm:
 
     field: FieldSpec
     rows: tuple[dict[int, object], ...]
-    basis_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         rows = self.rows
@@ -148,7 +147,7 @@ class DiagForm:
             bad = [e for e in self.entries if type(e) is not int or e not in canonical]
         if bad:
             raise NonCanonicalForm(
-                f"entry {field.format_scalar(bad[0])} is not a canonical "
+                f"entry {bad[0]} is not a canonical "
                 "square-class representative (diag_form canonicalizes)"
             )
         object.__setattr__(self, "primes", tuple(sorted(used)))
@@ -158,7 +157,7 @@ class DiagForm:
         return len(self.entries)
 
     def __str__(self):
-        return "<" + ",".join(self.field.format_scalar(e) for e in self.entries) + ">"
+        return "<" + ",".join(map(str, self.entries)) + ">"
 
 
 def diag_form(field: FieldSpec, entries) -> DiagForm:

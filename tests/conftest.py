@@ -88,7 +88,7 @@ def is_canonical_scalar(field, x) -> bool:
     return type(x) is int and 0 <= x < field.modulus
 
 
-def canonical_gram(field, rows, basis_labels=()):
+def canonical_gram(field, rows):
     """Sparse GramForm of a dense matrix of ints/Fractions, entries made
     canonical and zeros left out.  A short row is rejected here, since
     sparse rows cannot tell it from trailing zeros; a long row reaches
@@ -98,7 +98,7 @@ def canonical_gram(field, rows, basis_labels=()):
     sparse = tuple(
         {j: c for j, c in enumerate(map(field.canon, row)) if c} for row in rows
     )
-    return GramForm(field=field, rows=sparse, basis_labels=tuple(basis_labels))
+    return GramForm(field=field, rows=sparse)
 
 
 # -- references for removed or rewritten kernels --------------------------------

@@ -152,8 +152,36 @@ def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
             3,
             "a total degree above 32767 in 2 variables under grevlex",
         ),
+        # each header check of the parser, in the line that breaks it
+        ("field = Q\nvars x\n", 2, "expected 'key = value'"),
+        ("vars = x\nfield = Q\n", 1, "'field' must precede 'vars'"),
+        ("field = Q\nmap x = x\n", 2, "'vars' must precede 'map'"),
+        ("field = Q\nrel = x\n", 2, "'vars' must precede 'rel'"),
+        ("field = Q\nrow = x\n", 2, "'vars' must precede 'row'"),
+        ("field = Q\nvars = x\nmap y = y\n", 3, "map for undeclared variable 'y'"),
+        ("field = Q\nvars = x\nmap x = x\nmap x = x^2\n", 4, "duplicate map for 'x'"),
+        ("field = Q\nvars = x\nrow = x\nrow = x\n", 4, "duplicate 'row' line"),
+        ("field = Q\nvars = x\nfoo = x\n", 3, "unknown key 'foo'"),
+        ("field = Fx\nvars = x\n", 1, "bad field 'Fx' (expected Q or F<p>)"),
     ],
-    ids=["field-twice", "vars-twice", "F2", "F9", "1/7-over-F7", "total-degree"],
+    ids=[
+        "field-twice",
+        "vars-twice",
+        "F2",
+        "F9",
+        "1/7-over-F7",
+        "total-degree",
+        "no-equals",
+        "vars-before-field",
+        "map-before-vars",
+        "rel-before-vars",
+        "row-before-vars",
+        "undeclared-map",
+        "map-twice",
+        "row-twice",
+        "unknown-key",
+        "Fx",
+    ],
 )
 def test_degree_exit_2_line_error_carries_location(
     tmp_path, capsys, text, line, message
@@ -165,6 +193,50 @@ def test_degree_exit_2_line_error_carries_location(
     assert out == ""
     assert err.startswith(f"error: JobFileError: {job}:{line}: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["degree"], "field = Q\n", "missing 'field' or 'vars'"),
+        (["row", "check"], "field = Q\nvars = x\n", "missing 'row' line"),
+    ],
+    ids=["no-vars", "no-row"],
+)
+def test_exit_2_whole_file_error_carries_path(
+    tmp_path, capsys, argv, text, message
+):
+    job = tmp_path / "short.job"
+    job.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(job))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: JobFileError: {job}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["row", "compose", "{dir}/taut3-f7.row", "docs/jobs/counterexample.job"],
+            "AlgebraError: row and endomorphism use different fields",
+        ),
+        (["koszul", "verify", "--n", "0"], "AlgebraError: --n must be at least 1"),
+        (
+            ["witt", "invariants", "--field", "Fx", "1"],
+            "AlgebraError: bad field 'Fx' (expected Q or F<p>)",
+        ),
+    ],
+    ids=["compose-F7-row-with-Q-map", "koszul-n-0", "witt-field-Fx"],
+)
+def test_exit_2_argument_errors(tmp_path, capsys, argv, message):
+    taut = (REPO_ROOT / "docs/jobs/taut3.row").read_text()
+    (tmp_path / "taut3-f7.row").write_text(taut.replace("field = Q", "field = F7"))
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -9,6 +10,8 @@ import pytest
 from wittdeg import (
     Endo,
     GREVLEX,
+    DegreeReport,
+    GramForm,
     InternalError,
     NotFiniteLength,
     NotOriginPreserving,
@@ -20,6 +23,7 @@ from wittdeg import (
     det,
     diag_form,
     is_witt_zero,
+    jacobian_det,
     normal_form,
     parse_poly,
     square_class,
@@ -42,7 +46,6 @@ from wittdeg.degree import (
 from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
 from wittdeg.cli import run
 from wittdeg.orders import LEX
-from wittdeg.poly import format_monomial
 from wittdeg.witt import witt_equal
 
 from conftest import (
@@ -168,8 +171,7 @@ def _reference_gram(endo, qa):
         if i is None or j is None:
             raise InternalError("reduced Bezoutian off the standard basis")
         b[i][j] = c
-    labels = tuple(format_monomial(endo.ring, m) for m in qa.monomials)
-    return canonical_gram(field, b, labels)
+    return canonical_gram(field, b)
 
 
 def test_gram_matches_doubled_ring_reference(Q, F7):
@@ -252,17 +254,13 @@ def test_gram_off_standard_basis_is_internal_error(Q, monkeypatch, capsys):
     # outside the index: InternalError (exit 2), never a bare KeyError
     endo = counterexample_endo(Q)
     qa = validate(endo)
-    broken = QuotientAlgebra(
-        gb=qa.gb, monomials=qa.monomials[:-1], dimension=qa.dimension - 1
-    )
+    broken = QuotientAlgebra(gb=qa.gb, keys=qa.keys[:-1])
     with pytest.raises(InternalError, match="off the standard basis"):
         _gram_from_quotient(endo, broken)
 
     def drop_last(gb):
         qa = standard_monomials(gb)
-        return QuotientAlgebra(
-            gb=gb, monomials=qa.monomials[:-1], dimension=qa.dimension - 1
-        )
+        return QuotientAlgebra(gb=gb, keys=qa.keys[:-1])
 
     monkeypatch.setattr(degree, "standard_monomials", drop_last)
     monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
@@ -273,7 +271,7 @@ def test_gram_off_standard_basis_is_internal_error(Q, monkeypatch, capsys):
 def test_gram_cross_example(Q):
     endo = make_endo(Q, ("x1", "x2"), ("x1^2 - x2^2", "x1*x2"))
     g = gram_form(endo)
-    assert g.basis_labels == ("1", "x2", "x1", "x2^2")
+    assert degree_of(endo).labels == ("1", "x2", "x1", "x2^2")
     expected = (
         (0, 0, 0, 1),
         (0, 1, 0, 0),
@@ -291,7 +289,7 @@ def test_gram_identity(Q):
 
 def test_gram_cube_antidiagonal(Q):
     g = gram_form(power_endo(Q, (3,)))
-    assert g.basis_labels == ("1", "x1", "x1^2")
+    assert degree_of(power_endo(Q, (3,))).labels == ("1", "x1", "x1^2")
     expected = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert g.dense() == [[Fraction(x) for x in row] for row in expected]
 
@@ -303,6 +301,29 @@ def test_degree_counterexample(Q):
     assert not rep.is_zero
     assert rep.divisible_by_nminus1_factorial  # 2 | 4
     assert not rep.divisible_by_n_factorial  # 6 does not divide 4
+
+
+def test_report_is_its_four_stage_results(Q, F7):
+    # each result stores what its stage computed and derives the rest on
+    # read; the report keeps the quotient, so its table still serves after
+    # the degree: NF of the Jacobian determinant there is the length times
+    # the socle monomial x2^2 (Eisenbud-Levine; Scheja-Storch)
+    assert [f.name for f in dataclasses.fields(QuotientAlgebra)] == ["gb", "keys"]
+    assert [f.name for f in dataclasses.fields(GramForm)] == ["field", "rows"]
+    assert [f.name for f in dataclasses.fields(DegreeReport)] == [
+        "quotient",
+        "gram",
+        "diag",
+        "invariants",
+    ]
+    for field in (Q, F7):
+        endo = counterexample_endo(field)
+        rep = degree_of(endo)
+        assert rep.quotient == validate(endo)
+        assert (rep.field, rep.n, rep.length, len(rep.gram.rows)) == (field, 3, 4, 4)
+        assert rep.labels == ("1", "x2", "x1", "x2^2")
+        jac = normal_form(jacobian_det(list(endo.images)), rep.quotient.gb)
+        assert jac == parse_poly("4*x2^2", endo.ring)
 
 
 def test_degree_identity(Q):

@@ -36,6 +36,20 @@ def test_fieldspec_rejects_composite():
         FieldSpec.prime_field(15)
 
 
+def test_prime_field_takes_odd_primes_only():
+    # a field is its modulus: every p that is not an odd prime is refused
+    for p in (None, 7.0, True, -7, -1, 0, 1, 4, 9, 15, 91, 561):
+        with pytest.raises(AlgebraError, match="is not prime"):
+            FieldSpec.prime_field(p)
+    with pytest.raises(EvenModulus, match="characteristic 2 is not supported"):
+        FieldSpec.prime_field(2)
+    for p in (3, 5, 10007):
+        field = FieldSpec.prime_field(p)
+        assert field.modulus == p and not field.is_rationals
+    assert FieldSpec.rationals().modulus is None
+    assert FieldSpec.rationals().is_rationals
+
+
 def test_fieldspec_equality_and_str(Q, F5):
     assert Q == FieldSpec.rationals()
     assert F5 == FieldSpec.prime_field(5)
@@ -354,6 +368,6 @@ def test_least_nonresidue(F5, F7):
 def test_parse_and_format_scalar(Q, F5):
     assert Q.parse_scalar("3/4") == Fraction(3, 4)
     assert Q.parse_scalar("-2") == -2
-    assert Q.format_scalar(Fraction(-3, 2)) == "-3/2"
+    assert str(Q.parse_scalar("-3/2")) == "-3/2"
     assert F5.parse_scalar("7") == 2
     assert F5.parse_scalar("1/2") == 3  # 2 * 3 = 6 = 1 mod 5

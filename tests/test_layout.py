@@ -1,7 +1,7 @@
 """Static checks on the package layout, read with ``ast`` only.
 
-The package namespace re-exports a name only if the layers share it, and no
-module keeps an import it does not use.
+The package namespace re-exports a name only if the layers share it, under
+its own name, and no module keeps an import it does not use.
 """
 
 import ast
@@ -41,6 +41,15 @@ def test_reexports_are_shared_between_modules():
         name for _, name, _ in _imported(modules["__init__"]) if name not in shared
     ]
     assert not unshared, f"re-exported but imported by no module: {unshared}"
+
+
+def test_reexports_keep_their_names():
+    renamed = [
+        f"{name} as {bound}"
+        for bound, name, _ in _imported(_modules()["__init__"])
+        if bound != name
+    ]
+    assert not renamed, f"re-exported under another name: {renamed}"
 
 
 def test_no_module_imports_an_unused_name():
