@@ -74,7 +74,6 @@ HYPOTHESIS_ERRORS = (NotFiniteLength, SupportNotOrigin, NotOriginPreserving, Eve
 class JobFile:
     """Parsed job or row file."""
 
-    field: FieldSpec
     ring: Ring
     maps: dict[str, Poly]
     relations: tuple[Poly, ...]
@@ -90,7 +89,7 @@ def _parse_field(text: str) -> FieldSpec:
             return FieldSpec.prime_field(int(text[1:]))
         except ValueError:
             pass
-    raise JobFileError(f"bad field {text!r} (expected Q or F<p>)")
+    raise AlgebraError(f"bad field {text!r} (expected Q or F<p>)")
 
 
 def parse_job_file(path: str, order: MonomialOrder = GREVLEX) -> JobFile:
@@ -159,9 +158,7 @@ def parse_job_file(path: str, order: MonomialOrder = GREVLEX) -> JobFile:
                 raise JobFileError(f"{path}:{lineno}: {exc}") from None
     if field is None or ring is None:
         raise JobFileError(f"{path}: missing 'field' or 'vars'")
-    return JobFile(
-        field=field, ring=ring, maps=maps, relations=tuple(relations), row=row
-    )
+    return JobFile(ring=ring, maps=maps, relations=tuple(relations), row=row)
 
 
 def _endo_from_job(job: JobFile, path: str) -> Endo:
@@ -298,15 +295,8 @@ def _cmd_nori_check(args) -> int:
     return 0
 
 
-def _parse_cli_field(text: str) -> FieldSpec:
-    try:
-        return _parse_field(text)
-    except JobFileError as exc:
-        raise AlgebraError(str(exc)) from None
-
-
 def _cmd_witt_invariants(args) -> int:
-    field = _parse_cli_field(args.field)
+    field = _parse_field(args.field)
     d = parse_diag(field, args.entries)
     inv = invariants(d)
     if args.json:
@@ -327,7 +317,7 @@ def _cmd_witt_invariants(args) -> int:
 
 
 def _cmd_witt_is_zero(args) -> int:
-    field = _parse_cli_field(args.field)
+    field = _parse_field(args.field)
     d = parse_diag(field, args.entries)
     zero = is_witt_zero(d)
     if args.json:

@@ -1,4 +1,4 @@
-"""Buchberger's algorithm with reduced bases and optional cofactor tracking.
+"""Buchberger's algorithm with reduced bases and optional unit certificates.
 
 Normal forms, Buchberger's reductions and the autoreduction of the final
 basis all run the division kernel of `poly` (`_reduce`, with `_divisor`
@@ -12,15 +12,16 @@ the polynomials already hold: the leading term is the largest key, a
 shift adds an offset, divisibility is one mask test and the lcm of two
 leads is a parallel field maximum.  The order of every computation here
 is the ring's.  Generators and polynomials to reduce come in as their
-term maps, and the basis, cofactors and normal forms go out as term maps
-on the same keys.  A quotient is its standard monomials' keys, and
-exponent tuples appear only in the views `QuotientAlgebra.monomials` and
-`monomial_nf`, made on each read.  A monomial made on the way
-that passes the exponent bound (orders.BOUND, and under GREVLEX the total
-degree too) raises ExponentBoundExceeded: `_reduce` checks each leading
-key, the lcm of a pair is checked when the pair is queued, and a cofactor
-vector before it is shifted again.  (The lcm of a coprime pair, which is
-never queued, may pass the GREVLEX degree bound.)
+term maps, and the basis entries, the certificate and normal forms go out
+as term maps on the same keys.  A quotient is its standard monomials'
+keys, and exponent tuples appear only in the views
+`QuotientAlgebra.monomials` and `monomial_nf`, made on each read.  A
+monomial made on the way that passes the exponent bound (orders.BOUND,
+and under GREVLEX the total degree too) raises ExponentBoundExceeded:
+`_reduce` checks each leading key, the lcm of a pair is checked when the
+pair is queued, and a cofactor vector of the certificate before it is
+shifted again.  (The lcm of a coprime pair, which is never queued, may
+pass the GREVLEX degree bound.)
 
 Over Q the Groebner side runs on ints: primitive pseudo-reduction, as in
 Buchberger's algorithm over Z (Gebauer & Moeller, JSC 6, 1988; Cox,
@@ -34,7 +35,8 @@ positive number changes no zero pattern, so the divisor of every step,
 the pairs and the criteria are those of Buchberger over the field, and
 the remainders are the same up to a positive factor.  Canonical Q
 scalars, and with them `Fraction`, appear only at the boundary: the
-returned basis is made monic once; a step log, kept only for cofactors,
+reduced basis is kept as its integer entries, and `GroebnerBasis.basis`
+makes them monic on each read; a step log, kept only for a certificate,
 holds the multiplier of the monic algorithm, one scalar per step;
 normal_form converts its remainder; and the Gram build converts the
 quotient table's integer entries (see below).
@@ -74,27 +76,29 @@ table and stops at the first zero power, since every higher power is then
 zero; only a nonzero D-th power, D the length, makes x_i non-nilpotent.
 The degree pipeline reuses the same integer entries for the Gram matrix.
 
-Cofactors express every basis element exactly as a combination of the input
-generators.  The cofactors of the unit basis {1} are the certificate
-1 = sum c_i * g_i: contains_one_with_certificate returns them unchecked, and
-umrow.is_unimodular, which owns the certificate, checks them once, modulo
-the relations.  Buchberger stops as soon as 1 enters the working basis: 1
-divides every later remainder, so the pending pairs are dropped.  Cofactors
-are built lazily.  While Buchberger runs, a working entry carries only
-a recipe: its discovery index, its origin (a generator index, or the S-pair
-parents and their shifts), the step log of its reduction and the inverse
-that made it monic.  Recipes keep the monic convention: the vector of an
-entry is that of its monic polynomial, a logged step is relative to the
-monic divisor, and over Q the inverse is scale / c for the integer
-remainder rem / scale with leading coefficient c.  A remainder that
-reduces to zero, as most S-polynomials do, keeps nothing.  Once the
-minimal basis is chosen, only its entries and their ancestors are
-replayed, in discovery order, with the `_add_shifted` calls of eager
-tracking in the same order.  Eager tracking makes an entry's vector and
-then multiplies each of its terms by the normalising inverse; the replay
-folds the inverse into the seed and into each step's multiplier instead,
-one scalar product per step, so the cofactors are equal as exact values.
-Autoreduction then replays its own step logs into the kept vectors.
+The certificate of a unit ideal is 1 = sum c_i * g_i, the cofactors of
+the unit basis {1} over the generators: buchberger(gens, certify=True)
+returns them unchecked as its certificate, and umrow.is_unimodular, which
+owns the certificate, checks them once, modulo the relations.  Buchberger
+stops as soon as 1 enters the working basis: 1 divides every later
+remainder, so the pending pairs are dropped and 1 is the last working
+entry.  A proper ideal has no certificate, and none of its cofactors is
+ever built.  The certificate is built lazily.  While a certifying
+Buchberger runs, a working entry carries only a recipe: its discovery
+index, its origin (a generator index, or the S-pair parents and their
+shifts), the step log of its reduction and the inverse that made it
+monic.  Recipes keep the monic convention: the vector of an entry is that
+of its monic polynomial, a logged step is relative to the monic divisor,
+and over Q the inverse is scale / c for the integer remainder rem / scale
+with leading coefficient c.  A remainder that reduces to zero, as most
+S-polynomials do, keeps nothing.  When 1 has entered, only it and its
+ancestors are replayed, in discovery order, with the `_add_shifted` calls
+of eager tracking in the same order.  Eager tracking makes an entry's
+vector and then multiplies each of its terms by the normalising inverse;
+the replay folds the inverse into the seed and into each step's
+multiplier instead, one scalar product per step, so the cofactors are
+equal as exact values.  The reduced basis {1} is the unit entry itself,
+so autoreduction changes nothing the certificate depends on.
 
 Everything is deterministic: normal selection strategy (smallest lcm first,
 ties by input index), basis sorted by leading monomial.  Keys compare as
@@ -137,38 +141,45 @@ def _common_ring(polys: Sequence[Poly]) -> Ring:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis, optionally with generator cofactors.
+    """A reduced Groebner basis, with the unit certificate when one was asked
+    for.
 
-    When cofactors are present, basis[k] == sum(cofactors[k][m] *
-    generators[m]) holds exactly.  They are replayed from recipes for the
-    returned basis only (see the module docstring), and equal what tracking
-    every intermediate vector would give.
+    entries is the reduced basis as the `_divisor` entries of the working
+    basis (tags None), sorted by leading monomial: every reader divides by
+    them or reads their leads and tails.  basis is their monic view.  When
+    buchberger certified and the basis is {1}, certificate holds cofactors
+    with sum(certificate[m] * generators[m]) == 1 exactly; otherwise it is
+    None.
     """
 
     generators: tuple[Poly, ...]
-    basis: tuple[Poly, ...]
-    cofactors: Optional[tuple[tuple[Poly, ...], ...]] = None
+    entries: tuple[tuple, ...]
+    certificate: Optional[tuple[Poly, ...]] = None
 
     @property
     def ring(self) -> Ring:
         """The ring of the generators, whose order the basis is reduced in."""
         return self.generators[0].ring
 
-    @cached_property
-    def _divisors(self) -> list:
-        """The basis as `_divisor` entries: the divisors of every reduction."""
-        q = self.ring.field.modulus
-        return [_divisor(_clear(g.packed)[0], q) for g in self.basis]
+    @property
+    def basis(self) -> tuple[Poly, ...]:
+        """The basis as monic polynomials with canonical scalars, made on each
+        read."""
+        ring = self.ring
+        one = ring.field.one
+        return tuple(
+            Poly._from_packed(ring, {lead: one, **_ratios(tail, lc)})
+            for lead, lc, tail, _ in self.entries
+        )
 
 
-def buchberger(
-    gens: Sequence[Poly], track_cofactors: bool = False
-) -> GroebnerBasis:
+def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens, in the order of
     their ring.
 
     Output is independent of generator order and duplication (uniqueness of
-    the reduced basis); cofactors are relative to the given generator list.
+    the reduced basis).  With certify, a unit basis comes with its
+    certificate, relative to the given generator list.
     """
     if not gens:
         raise RingMismatch("need at least one generator")
@@ -179,7 +190,7 @@ def buchberger(
     one, pad, guard, target = packing.one, packing.pad, packing.guard, packing.target
     lcm = packing.lcm
     # working basis as _divisor entries, in order of discovery; the fourth
-    # slot is the entry's cofactor recipe, or None when cofactors are off
+    # slot is the entry's cofactor recipe, or None when not certifying
     work: list[tuple] = []
     # heap of pending pairs (key of their lcm, i, j): smallest lcm first
     pairs: list[tuple] = []
@@ -227,7 +238,7 @@ def buchberger(
     for k, g in enumerate(gens):
         if not g.is_zero:
             terms, den = _clear(g.packed)
-            append(dict(terms), k if track_cofactors else None, den)
+            append(dict(terms), k if certify else None, den)
 
     while pairs:
         m, i, j = heapq.heappop(pairs)
@@ -242,39 +253,32 @@ def buchberger(
         s = {}
         _add_shifted(s, tail_i, si, cj // g, q)
         _add_shifted(s, tail_j, sj, -(ci // g), q)
-        append(s, (i, j, si, sj) if track_cofactors else None, ci // g * cj)
+        append(s, (i, j, si, sj) if certify else None, ci // g * cj)
 
-    return _reduce_basis(tuple(gens), work, track_cofactors)
-
-
-def _replay(cof: list, log: list, cofs: list, field, scale=1) -> None:
-    """cof += scale * the steps of a `_reduce` log, tags being recipes into
-    cofs; each multiplier is scaled once, canonically."""
-    q = field.modulus
-    for tag, shift, c in log:
-        c = field.mul(c, scale)
-        for dst, src in zip(cof, cofs[tag[0]]):
-            _add_shifted(dst, src, shift, c, q)
+    certificate = None
+    # 1 ends the working basis when it enters: no pair is left to add more
+    if certify and work and work[-1][0] == one:
+        certificate = _certificate(work, len(gens), ring)
+    return GroebnerBasis(tuple(gens), _reduce_basis(work, ring), certificate)
 
 
-def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
-    """Cofactor vectors, by discovery index, of kept and its ancestors.
+def _certificate(work: list, m: int, ring: Ring) -> tuple[Poly, ...]:
+    """The cofactors of 1, the last working entry, over the m generators.
 
     An entry's ancestors are its S-pair parents and the divisors in its step
-    log, all discovered before it.  One descending pass marks them; one
-    ascending pass replays each marked recipe, with the normalising inverse
-    applied once per step rather than once per term: the unit vector
-    scaled by it, or the parent vectors shifted and scaled by it and its
-    negative, then the logged steps, each multiplier scaled by it.  Every
-    other entry gets None.  A vector is checked
-    against the exponent bound before later recipes shift it.
+    log, all discovered before it.  One descending pass marks the unit's
+    ancestors; one ascending pass replays each marked recipe, with the
+    normalising inverse applied once per step rather than once per term:
+    the unit vector scaled by it, or the parent vectors shifted and scaled
+    by it and its negative, then the logged steps, each multiplier scaled
+    by it.  A vector is checked against the exponent bound before later
+    recipes shift it.
     """
     field = ring.field
     q = field.modulus
     packing = ring.packing
     needed = [False] * len(work)
-    for w in kept:
-        needed[w[3][0]] = True
+    needed[-1] = True
     for idx in range(len(work) - 1, -1, -1):
         if needed[idx]:
             _, origin, log, _ = work[idx][3]
@@ -296,15 +300,18 @@ def _cofactors(work: list, kept: list, m: int, ring: Ring) -> list:
             for dst, a, b in zip(cof, cofs[i], cofs[j]):
                 _add_shifted(dst, a, si, inv, q)
                 _add_shifted(dst, b, sj, minus_inv, q)
-        _replay(cof, log, cofs, field, inv)
+        for tag, shift, c in log:
+            c = field.mul(c, inv)
+            for dst, src in zip(cof, cofs[tag[0]]):
+                _add_shifted(dst, src, shift, c, q)
         for c in cof:
             packing.check(c)
         cofs[idx] = cof
-    return cofs
+    return tuple(Poly._from_packed(ring, c) for c in cofs[-1])
 
 
-def _reduce_basis(gens, work, track) -> GroebnerBasis:
-    ring = gens[0].ring
+def _reduce_basis(work: list, ring: Ring) -> tuple[tuple, ...]:
+    """The reduced basis of the working basis, as entries sorted by lead."""
     packing = ring.packing
     field = ring.field
     q = field.modulus
@@ -312,47 +319,21 @@ def _reduce_basis(gens, work, track) -> GroebnerBasis:
     # minimal basis: drop elements whose leading monomial another divides;
     # the leads of the working basis are distinct
     kept: list[tuple] = []
-    for w in sorted(work, key=_lead):
-        s = w[0] + pad
+    for lead, lc, tail, _ in sorted(work, key=_lead):
+        s = lead + pad
         if not any((s - k[0]) & guard == target for k in kept):
-            kept.append(w)
-    log = None
-    if track:
-        cofs = _cofactors(work, kept, len(gens), ring)
-        log = []
+            kept.append((lead, lc, tail, None))
     # autoreduce the tails in one pass: leads never change, so an entry stays
     # reduced when later ones are.  Each entry is reduced as the monic
-    # terms / lc.  The kept entries keep their recipes as tags, and a step
-    # log is replayed into the reduced entry's vector
-    for idx, (lead, lc, tail, recipe) in enumerate(kept):
+    # terms / lc
+    for idx, (lead, lc, tail, _) in enumerate(kept):
         terms = {lead: lc, **tail}
         others = kept[:idx] + kept[idx + 1 :]
-        rem, _ = _reduce(dict(terms), others, packing, field, log, lc)
+        rem, _ = _reduce(dict(terms), others, packing, field, None, lc)
         if rem != terms:
-            if track:
-                vector = cofs[recipe[0]]
-                _replay(vector, log, cofs, field)
-                log.clear()
-                for c in vector:
-                    packing.check(c)
-            kept[idx] = _divisor(rem, q, recipe)
+            kept[idx] = _divisor(rem, q)
     kept.sort(key=_lead)
-    # the monic basis with canonical scalars
-    return GroebnerBasis(
-        generators=gens,
-        basis=tuple(
-            Poly._from_packed(ring, {lead: field.one, **_ratios(tail, lc)})
-            for lead, lc, tail, _ in kept
-        ),
-        cofactors=(
-            tuple(
-                tuple(Poly._from_packed(ring, c) for c in cofs[w[3][0]])
-                for w in kept
-            )
-            if track
-            else None
-        ),
-    )
+    return tuple(kept)
 
 
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
@@ -361,7 +342,7 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
         raise RingMismatch("polynomial not in the basis ring")
     terms, den = _clear(p.packed)
     ring = p.ring
-    rem, den = _reduce(dict(terms), gb._divisors, ring.packing, ring.field, scale=den)
+    rem, den = _reduce(dict(terms), gb.entries, ring.packing, ring.field, scale=den)
     return Poly._from_packed(ring, _ratios(rem, den))
 
 
@@ -502,7 +483,7 @@ class QuotientAlgebra:
         """
         field = self.ring.field
         seeds = {m: ({m: 1}, 1) for m in self.keys}
-        for lead, lc, tail, _ in self.gb._divisors:
+        for lead, lc, tail, _ in self.gb.entries:
             seeds[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
         return _NFTable(seeds, frozenset(self.keys), field.modulus, self.ring.packing)
 
@@ -522,7 +503,7 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
     ring = gb.ring
     n = ring.nvars
     packing = ring.packing
-    leads = [d[0] for d in gb._divisors]
+    leads = [d[0] for d in gb.entries]
     if packing.one in leads:
         # the ideal is the whole ring; the quotient is the zero ring
         return QuotientAlgebra(gb, ())
@@ -583,11 +564,8 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
 def contains_one_with_certificate(gens: Sequence[Poly]):
     """Cofactors (c_1, ..., c_m) with sum(c_i * gens_i) == 1, or None.
 
-    Buchberger with cofactors: the cofactors of the unit basis, unchecked
-    here (umrow.is_unimodular checks each certificate once), or None when
-    the basis is not {1}.
+    The certificate of Buchberger's unit basis, unchecked here
+    (umrow.is_unimodular checks each certificate once), or None when the
+    basis is not {1}.
     """
-    gb = buchberger(gens, track_cofactors=True)
-    if len(gb.basis) != 1 or gb.basis[0] != gens[0].ring.one():
-        return None
-    return gb.cofactors[0]
+    return buchberger(gens, certify=True).certificate

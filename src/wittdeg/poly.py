@@ -94,7 +94,8 @@ def _entry(terms: dict, tag=None):
 
     terms is a nonzero packed term dict, the tail a new dict of its other
     terms; tag is an opaque label that `_reduce` logs with every step by
-    this divisor; Buchberger puts the entry's cofactor recipe there.
+    this divisor; a certifying Buchberger puts the entry's cofactor
+    recipe there.
     """
     lead = max(terms)
     tail = dict(terms)

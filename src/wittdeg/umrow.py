@@ -2,9 +2,10 @@
 
 A row is unimodular when its entries generate the unit ideal modulo the
 presentation relations.  A certificate (cofactors b_i with sum b_i * a_i
-== 1) comes from the cofactors of Buchberger's unit basis, which groebner
-returns unchecked; is_unimodular reduces it modulo the relations and checks
-once, by exact expansion, that it gives 1 there.
+== 1) is the certificate of a certifying Buchberger, which groebner builds
+only for the unit ideal and returns unchecked; is_unimodular reduces it
+modulo the relations and checks once, by exact expansion, that it gives 1
+there.
 
 The obstruction report ties a validated endomorphism to the completability
 of the induced row over S_n = k[x_1..x_n, y_1..y_n]/(sum x_i y_i - 1): a

@@ -14,6 +14,8 @@ from wittdeg import (
     parse_poly,
 )
 from wittdeg.degree import dual_ring
+from wittdeg.groebner import GroebnerBasis
+from wittdeg.poly import _clear, _divisor
 
 
 @pytest.fixture
@@ -86,6 +88,15 @@ def is_canonical_scalar(field, x) -> bool:
     if field.is_rationals:
         return type(x) is int or (type(x) is Fraction and x.denominator > 1)
     return type(x) is int and 0 <= x < field.modulus
+
+
+def basis_of(polys):
+    """A GroebnerBasis whose entries are the given nonzero polynomials, in
+    list order: an arbitrary divisor list for normal_form, not necessarily
+    a Groebner basis."""
+    q = polys[0].ring.field.modulus
+    entries = tuple(_divisor(_clear(p.packed)[0], q) for p in polys)
+    return GroebnerBasis(generators=tuple(polys), entries=entries)
 
 
 def canonical_gram(field, rows):

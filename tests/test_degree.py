@@ -9,6 +9,7 @@ import pytest
 
 from wittdeg import (
     Endo,
+    FieldSpec,
     GREVLEX,
     DegreeReport,
     GramForm,
@@ -43,12 +44,13 @@ from wittdeg.degree import (
     univariate_tensor_oracle,
     validate,
 )
-from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
-from wittdeg.cli import run
+from wittdeg.groebner import QuotientAlgebra
+from wittdeg.cli import HYPOTHESIS_ERRORS, _endo_from_job, parse_job_file, run
 from wittdeg.orders import LEX
 from wittdeg.witt import witt_equal
 
 from conftest import (
+    basis_of,
     canonical_gram,
     counterexample_endo,
     divided_differences,
@@ -151,7 +153,7 @@ def _reference_combined_basis(qa, ring2):
     gx = [_reference_lift(g, ring2, 0) for g in qa.gb.basis]
     gu = [_reference_lift(g, ring2, n) for g in qa.gb.basis]
     combined = sorted(gx + gu, key=lambda g: ring2.order.key(leading(g)[0]))
-    return GroebnerBasis(generators=tuple(combined), basis=tuple(combined))
+    return basis_of(combined)
 
 
 def _reference_gram(endo, qa):
@@ -482,3 +484,69 @@ def test_report_json_shape(Q):
 def test_prime_field_counterexample(F5, F7):
     assert degree_of(counterexample_endo(F5)).is_zero
     assert not degree_of(counterexample_endo(F7)).is_zero
+
+
+def _twin(endo, field):
+    """endo with every coefficient reduced into field, in the same order."""
+    ring = Ring(endo.ring.variables, field, endo.ring.order)
+    images = []
+    for f in endo.images:
+        terms = {e: field.canon(c) for e, c in f.terms.items()}
+        images.append(Poly(ring, {e: c for e, c in terms.items() if c}))
+    return Endo(ring=ring, images=tuple(images))
+
+
+def _integer_triangular_endo(rng, field):
+    """x_i -> c_i * x_i^m_i + sum_{j<i} x_j * g_ij with integer coefficients:
+    the only zero is the origin."""
+    ring = Ring(("x1", "x2", "x3"), field)
+    images = []
+    for i in range(3):
+        exps = [0] * 3
+        exps[i] = rng.randint(1, 3)
+        p = ring.monomial(exps, rng.choice((1, -1, 2, -3, 5)))
+        for j in range(i):
+            tail = random_poly(rng, ring, max_degree=2, max_terms=3, coeff_range=9)
+            p = p + ring.var(j) * tail
+        images.append(p)
+    return Endo(ring=ring, images=tuple(images))
+
+
+def test_q_gram_reduces_to_its_f_p_twin(Q):
+    # reduction mod p commutes with the whole pipeline wherever the twin
+    # over F_p has the same standard monomials and p divides no denominator
+    # of the Q basis or of the Q Gram
+    fp = FieldSpec.prime_field(10007)
+    p = fp.modulus
+    endos = []
+    jobs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "jobs"
+    for path in sorted(jobs.glob("*.job")):
+        job = parse_job_file(str(path))
+        if job.ring.field == Q:
+            endos.append(_endo_from_job(job, str(path)))
+    rng = random.Random(10007)
+    endos += [_integer_triangular_endo(rng, Q) for _ in range(8)]
+    compared = 0
+    for endo in endos:
+        try:
+            rep = degree_of(endo)
+        except HYPOTHESIS_ERRORS:
+            continue  # the job exits 3
+        twin = _twin(endo, fp)
+        if standard_monomials(buchberger(twin.images)).keys != rep.quotient.keys:
+            continue
+        scalars = [c for g in rep.quotient.gb.basis for c in g.terms.values()]
+        scalars += [x for row in rep.gram.rows for x in row.values()]
+        if any(Fraction(x).denominator % p == 0 for x in scalars):
+            continue
+        twin_rep = degree_of(twin)
+        reduced = tuple(
+            {j: fp.canon(x) for j, x in row.items() if fp.canon(x)}
+            for row in rep.gram.rows
+        )
+        assert reduced == twin_rep.gram.rows
+        assert rep.invariants.rank == twin_rep.invariants.rank
+        disc = fp.canon(rep.invariants.signed_discriminant)
+        assert square_class(fp, disc) == twin_rep.invariants.signed_discriminant
+        compared += 1
+    assert compared >= 5

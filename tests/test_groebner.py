@@ -21,12 +21,13 @@ from wittdeg import (
     groebner,
 )
 from wittdeg.degree import Endo
-from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
+from wittdeg.groebner import QuotientAlgebra
 from wittdeg.orders import LEX
 from wittdeg.poly import Poly, _add_shifted, _entry, _reduce
 from wittdeg.umrow import compose_with_endo, universal_row
 
 from conftest import (
+    basis_of,
     counterexample_endo,
     in_order,
     is_canonical_scalar,
@@ -237,17 +238,22 @@ def test_basis_is_autoreduced_and_spolys_vanish(Q):
 def test_cofactor_identities_hold(Q):
     rng = random.Random(606)
     ring = Ring(("x", "y"), Q)
+    units = 0
     for _ in range(10):
         gens = [random_poly(rng, ring, max_degree=2) for _ in range(2)]
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        gb = buchberger(gens, track_cofactors=True)
-        for basis_elt, cof in zip(gb.basis, gb.cofactors):
-            total = ring.zero()
-            for c, g in zip(cof, gens):
-                total = total + c * g
-            assert total == basis_elt
+        gb = buchberger(gens, certify=True)
+        if gb.basis != (ring.one(),):
+            assert gb.certificate is None
+            continue
+        units += 1
+        total = ring.zero()
+        for c, g in zip(gb.certificate, gens):
+            total = total + c * g
+        assert total == ring.one()
+    assert units > 0
 
 
 # -- the division kernel against the two loops it replaced ---------------------
@@ -317,8 +323,7 @@ def test_reduce_matches_reference_division(Q, F7):
             sp = p.scale(random_unit(units, field))
             for x, ds in ((p, divisors), (sp, scaled)):
                 _, expected = reference_divide(x, ds)
-                gb = GroebnerBasis(generators=tuple(ds), basis=tuple(ds))
-                got = normal_form(x, gb)
+                got = normal_form(x, basis_of(ds))
                 assert got == expected
                 assert all(is_canonical_scalar(field, c) for c in got.terms.values())
 
@@ -486,18 +491,16 @@ def _eager_reduce_basis(gens, work, packing, track):
                 kept[idx] = _eager_entry(rem, packing, cof)
                 changed = True
     kept.sort(key=lambda w: order.key(w[0]))
-    return GroebnerBasis(
-        generators=gens,
-        basis=tuple(
-            Poly._from_packed(ring, {packing.pack(lead): lc, **tail})
-            for lead, lc, tail, _ in kept
-        ),
-        cofactors=(
-            tuple(tuple(Poly._from_packed(ring, c) for c in w[3]) for w in kept)
-            if track
-            else None
-        ),
+    basis = tuple(
+        Poly._from_packed(ring, {packing.pack(lead): lc, **tail})
+        for lead, lc, tail, _ in kept
     )
+    cofactors = (
+        tuple(tuple(Poly._from_packed(ring, c) for c in w[3]) for w in kept)
+        if track
+        else None
+    )
+    return basis, cofactors
 
 
 def _triangular_endo(rng, field, ms):
@@ -530,19 +533,28 @@ def _chain_ideal(rng, ring):
     return gens
 
 
+def _certified_like_eager(gens):
+    """buchberger(gens, certify=True), checked against the eager reference:
+    the same basis, and as certificate the eager cofactors of the unit
+    basis, or None when the basis is not {1}."""
+    basis, cofactors = _eager_buchberger(gens, track_cofactors=True)
+    gb = buchberger(gens, certify=True)
+    assert gb.basis == basis
+    unit = basis == (gens[0].ring.one(),)
+    assert gb.certificate == (cofactors[0] if unit else None)
+    return gb
+
+
 def _lazy_equals_eager(gens, units=None):
-    """The lazy basis and cofactors equal the eager reference's; with a
+    """The lazy basis and certificate equal the eager reference's; with a
     units stream, so do those of the generators scaled by random units, which
     over Q lead with non-integral rationals."""
-    expected = _eager_buchberger(gens, track_cofactors=True)
-    assert buchberger(gens, track_cofactors=True) == expected
+    gb = _certified_like_eager(gens)
     if units is not None:
         field = gens[0].ring.field
         scaled = [g.scale(random_unit(units, field)) for g in gens]
-        reference = _eager_buchberger(scaled, track_cofactors=True)
-        assert buchberger(scaled, track_cofactors=True) == reference
-        assert reference.basis == expected.basis
-    return expected
+        assert _certified_like_eager(scaled).basis == gb.basis
+    return gb
 
 
 def test_buchberger_cofactors_match_eager_reference(Q, F7):
@@ -598,8 +610,7 @@ def test_reduce_uses_first_divisor_in_list_order(Q):
     ring = Ring(("x", "y"), Q)
     x, y = ring.gens()
     for divisors, expected in (([x + y, x - y], -y), ([x - y, x + y], y)):
-        gb = GroebnerBasis(generators=tuple(divisors), basis=tuple(divisors))
-        assert normal_form(x, gb) == expected
+        assert normal_form(x, basis_of(divisors)) == expected
 
 
 def test_buchberger_stops_at_the_unit(Q, monkeypatch):
@@ -633,9 +644,9 @@ def test_buchberger_stops_at_the_unit(Q, monkeypatch):
             _triangular_endo(rng, Q, (2, 1, 2)),
         )
     ]
-    for gens, track in itertools.product(cases, (False, True)):
+    for gens, certify in itertools.product(cases, (False, True)):
         events.clear()
-        gb = buchberger(gens, track_cofactors=track)
+        gb = buchberger(gens, certify=certify)
         assert gb.basis == (gens[0].ring.one(),)
         assert events[events.index("unit") + 1] == "basis", events
 
@@ -667,18 +678,20 @@ def test_pair_criteria_tame_the_lex_swell(Q, monkeypatch):
 
 def test_lex_bases_of_random_ideals(Q):
     # the ideals that the criteria-free eager reference is too slow for:
-    # each basis is reduced, lies in the ideal (cofactors) and contains it
+    # each basis is reduced, lies in the ideal (each element reduces to 0
+    # modulo the GREVLEX basis of the same generators) and contains it
     # (every generator reduces to 0)
     rng = random.Random(2718)
     ring = Ring(("x", "y", "z"), Q, LEX)
     sizes = set()
     for _ in range(20):
         gens = _random_finite_ideal(rng, ring)
-        gb = buchberger(gens, track_cofactors=True)
+        gb = buchberger(gens)
         _assert_reduced_basis(gb)
-        for g, cof in zip(gb.basis, gb.cofactors):
+        grevlex = buchberger(in_order(gens, GREVLEX))
+        for g in gb.basis:
             assert leading(g)[1] == 1
-            assert sum((c * f for c, f in zip(cof, gens)), ring.zero()) == g
+            assert normal_form(in_order([g], GREVLEX)[0], grevlex).is_zero
         assert all(normal_form(f, gb).is_zero for f in gens)
         sizes.add(len(gb.basis))
     assert max(sizes) >= 3
@@ -837,10 +850,10 @@ def test_buchberger_past_the_bound_raises(Q, F7):
         with pytest.raises(ExponentBoundExceeded):
             buchberger([x**20000 * y, x * y**20000])
         with pytest.raises(ExponentBoundExceeded):
-            buchberger([x**20000 * y, x * y**20000], track_cofactors=True)
+            buchberger([x**20000 * y, x * y**20000], certify=True)
         # at the bound itself nothing is raised, nor for a coprime pair,
         # which is never reduced, whose product passes the GREVLEX bound
         gb = buchberger([lx - ly**32767, ly * ly])
         assert gb.basis == (ly * ly, lx)
         big = [x**20000, y**20000]
-        assert buchberger(big, track_cofactors=True).basis == tuple(big[::-1])
+        assert buchberger(big, certify=True).basis == tuple(big[::-1])

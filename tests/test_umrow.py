@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import pytest
@@ -18,11 +19,10 @@ from wittdeg import (
     parse_poly,
 )
 from wittdeg import groebner, umrow
-from wittdeg.groebner import GroebnerBasis
 from wittdeg.umrow import apply_elementary, build_section, universal_row
 from wittdeg.cli import run
 
-from conftest import counterexample_endo, make_endo
+from conftest import basis_of, counterexample_endo, make_endo
 
 
 def _verify_certificate(row, cert):
@@ -179,14 +179,14 @@ def test_obstruction_report_requires_odd_arity(Q):
 def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     # a certificate that does not sum to 1 must surface as InternalError
     # (exit 2 from the CLI), not as a bare assertion.  First a unit basis
-    # with wrong cofactors, on a row with a relation: groebner returns the
-    # cofactors unchecked, and the one check, modulo the relation, fails
+    # with a wrong certificate, on a row with a relation: groebner returns
+    # the certificate unchecked, and the one check, modulo the relation,
+    # fails
     row = universal_row(Q, 1)
     ring = row.algebra.ring
-    wrong = GroebnerBasis(
-        generators=row.entries + row.algebra.relations,
-        basis=(ring.one(),),
-        cofactors=((ring.var(1) + ring.one(), ring.zero()),),
+    wrong = dataclasses.replace(
+        basis_of([ring.one()]),
+        certificate=(ring.var(1) + ring.one(), ring.zero()),
     )
     with monkeypatch.context() as m:
         m.setattr(groebner, "buchberger", lambda *a, **k: wrong)
@@ -208,3 +208,29 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
     assert run(["row", "check", "docs/jobs/taut3.row"]) == 2
     assert "re-verification" in capsys.readouterr().err
+
+
+def test_non_unimodular_rows_replay_nothing(Q, tmp_path, monkeypatch, capsys):
+    # a certificate is replayed only for the unit ideal: a row that is not
+    # unimodular is answered without building any cofactor vector
+    calls = []
+    certificate = groebner._certificate
+
+    def counted(*args):
+        calls.append(args)
+        return certificate(*args)
+
+    monkeypatch.setattr(groebner, "_certificate", counted)
+    proper = tmp_path / "proper.row"
+    proper.write_text("field = Q\nvars = x, y\nrel = x*y\nrow = x, y^2\n")
+    assert run(["row", "check", str(proper)]) == 0
+    assert capsys.readouterr().out.endswith("unimodular: no\n")
+    assert calls == []
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    assert run(["row", "check", "docs/jobs/taut3.row"]) == 0
+    assert "unimodular: yes" in capsys.readouterr().out
+    assert len(calls) == 1
+    ring = Ring(("x", "y"), Q)
+    x, y = ring.gens()
+    assert buchberger([x, y * y, x * y], certify=True).certificate is None
+    assert len(calls) == 1
