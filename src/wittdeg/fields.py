@@ -10,12 +10,13 @@ kernels that compute inline keep the same rule where they store a value,
 and no Q division uses ``/`` on two scalars, since ``int / int`` is a float.
 
 The Groebner side (Buchberger, normal forms, the quotient's normal-form
-table and the Gram build) stores no Q scalars while it works: it keeps
-int term dicts over one positive denominator (`poly`).  It makes a
-``Fraction`` only at its boundary, by :func:`ratio` (n / d for ints) or
-by FieldSpec arithmetic: the monic reduced basis, a normal form's
-remainder, the Gram entries, and the per-step multipliers that cofactor
-recipes keep (`groebner`).
+table and the Gram build) and the elimination of a Gram form store no Q
+scalars while they work: they keep int dicts over positive denominators
+(`poly`, `witt`).  They make a ``Fraction`` only at their boundary, by
+:func:`ratio` (n / d for ints) or by FieldSpec arithmetic: the monic
+reduced basis, a normal form's remainder, the Gram entries, the
+per-step multipliers that cofactor recipes keep (`groebner`), and the
+pivots of the elimination (`witt._eliminate`).
 
 Square classes are canonicalized as follows: over Q the representative is a
 signed squarefree integer; over F_p it is 1 for squares and the smallest

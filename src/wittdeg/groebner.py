@@ -498,7 +498,8 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
 
     Finiteness test: every variable must have a pure power among the leading
     monomials.  Standard monomials then live in the box bounded by those
-    pure powers.
+    pure powers, and they are grown from 1 (`_order_ideal`), not found in
+    the box.
     """
     ring = gb.ring
     n = ring.nvars
@@ -521,19 +522,52 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
             + ", ".join(missing)
             + " among the leading monomials"
         )
-    # the keys of the box, from 1 by adding variable offsets; its corner,
-    # the largest of them, is checked against the exponent bound first
+    # the corner of the box, the largest standard monomial that can be, is
+    # checked against the exponent bound first
     packing.pack([b - 1 for b in box])
-    box_keys = [packing.one]
-    for var, b in zip(packing.var, box):
-        box_keys = [key + k * var for key in box_keys for k in range(b)]
-    pad, guard, target = packing.pad, packing.guard, packing.target
-    std = sorted(
-        key
-        for key in box_keys
-        if not any((key + pad - d) & guard == target for d in leads)
-    )
-    return QuotientAlgebra(gb, tuple(std))
+    seen = _order_ideal(packing, set(leads))
+    return QuotientAlgebra(gb, tuple(sorted(k for k, std in seen.items() if std)))
+
+
+def _order_ideal(packing, leads: set) -> dict:
+    """{key: whether it is standard} for every key the growth examines.
+
+    The standard monomials form an order ideal, grown here degree by
+    degree from 1: a product m * x_i of a standard m is examined once, and
+    it is standard iff it is no lead and every quotient of it by a variable
+    dividing it is standard.  (A lead that divides it properly divides one
+    of those quotients.)  So the keys examined are the standard monomials
+    and some of their border, the non-standard products m * x_i.  x_j
+    divides the key c iff c - var[j] has no guard bit set, and then
+    c - var[j] is the key of c / x_j.  The caller has checked the corner
+    of the box against the exponent bound, so a product of a standard key
+    with a variable still names its monomial.
+    """
+    one, var, guard = packing.one, packing.var, packing.guard
+    # each offset with the others: c / x_i for the x_i that c came by is m
+    others = [(v, [u for u in var if u != v]) for v in var]
+    seen = {one: True}
+    get = seen.get
+    layer = [one]
+    while layer:
+        grown = []
+        for m in layer:
+            for v, rest in others:
+                c = m + v
+                if c in seen:
+                    continue
+                std = c not in leads
+                if std:
+                    for u in rest:
+                        d = c - u
+                        if not get(d) and not d & guard:
+                            std = False
+                            break
+                seen[c] = std
+                if std:
+                    grown.append(c)
+        layer = grown
+    return seen
 
 
 def supported_only_at_origin(qa: QuotientAlgebra) -> bool:

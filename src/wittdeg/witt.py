@@ -12,10 +12,17 @@ and near-monomial maps have about one nonzero per row.  It is diagonalized
 by one symmetric elimination, _eliminate, which works on those rows: swaps
 relabel two positions in the rows of their neighbours only, a heap of
 positions with nonzero diagonal answers "first later nonzero diagonal",
-and each Schur update runs over the support of the pivot row.  It returns
-the raw pivots and nothing else: no caller needs the congruence transform
-P, so it is never built.  The dense matrix exists only as a view for
-output (GramForm.dense).
+and each Schur update runs over the support of the pivot row.  Every row
+is an int dict over its own positive denominator (1 over F_p), the
+integer working form of the Groebner side (`poly`); rescaling a row
+changes no zero pattern, so each decision is that of the rational
+elimination, and only a pivot becomes a canonical scalar, once.  This is
+Bareiss's integer-preserving elimination (Math. Comp. 22, 1968) applied
+one row at a time: only the rows in the pivot row's support are touched,
+not the whole trailing block.  The kernel returns the raw pivots and
+nothing else: no caller needs the congruence transform P, so it is never
+built.  The dense matrix exists only as a view for output
+(GramForm.dense).
 
 The Hasse symbol is computed as prod_{j>=2} (a_1 ... a_{j-1}, a_j)_v, with
 the prefix products kept as running square classes: r - 1 Hilbert symbols
@@ -40,6 +47,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import DegenerateForm, NonCanonicalForm, RingMismatch
@@ -48,10 +56,12 @@ from .fields import (
     _hilbert,
     hasse_places,
     is_prime,
+    ratio,
     square_class,
     square_class_mul,
     square_classes,
 )
+from .poly import _clear
 
 
 @dataclass(frozen=True)
@@ -179,29 +189,43 @@ def _eliminate(g: GramForm) -> list:
     basis vector (2a != 0 since the characteristic is not 2).  Raises
     DegenerateForm if the form is singular.
 
+    Row i is kept as an int dict nums_i over its own positive denominator
+    dens[i], so that row i of the matrix is nums_i / dens[i]; each input row
+    is cleared once over the lcm of its denominators, and over F_p every
+    denominator is 1.  The zero pattern is that of the matrix, so every
+    decision below is the one exact rational arithmetic makes, and each
+    pivot becomes a canonical scalar once, by `fields.ratio`.
+
     At pivot k the rows of positions >= k hold exactly the nonzeros of the
     trailing block, symmetrically.  A zero pivot swaps e_k with the first
     later e_t of nonzero diagonal: a heap holds the positions whose
     diagonal is (or was) nonzero, and entries gone stale are dropped when
     they reach the top.  The swap relabels k and t in their own rows and in
-    the rows of their neighbours, the only rows that hold column k or t.
-    With no such t, e_k += e_t for the first column t of row k; the
-    diagonals of k and t are zero, so the new pivot is 2 m[k][t], and only
-    row k is rewritten, since column k is never read again.
+    the rows of their neighbours, the only rows that hold column k or t,
+    and exchanges their denominators.  With no such t, e_k += e_t for the
+    first column t of row k: rows k and t are added over the lcm of their
+    denominators; the diagonals of k and t are zero, so the new pivot is
+    2 m[k][t], and only row k is rewritten, since column k is never read
+    again.
 
-    Pivot k subtracts c_r = m[k][r] / m[k][k] times row and column k from
-    each later index r: on the trailing block this is the Schur complement
-    m[r][s] -= c_r * m[k][s], run over r, s in the support of row k.  Each
-    update is computed once and stored at (r, s) and (s, r); an entry that
-    cancels is deleted from both rows.  Column k is first removed from the
-    rows of its neighbours, so no row keeps an eliminated position.  The
-    inner loop does its arithmetic inline: over Q on ints and Fractions,
-    storing an integral result as an int, and % p over F_p.
+    Pivot k, a / dens[k], subtracts c_r = m[k][r] / m[k][k] times row k
+    from each later row r in the support of row k: the Schur complement
+    m[r][s] -= c_r * m[k][s], run over r, s in that support, each row
+    updated on its own so that the rows share no denominator.  With
+    base = dens[k] * |a| and L = lcm(dens[r], base), row r becomes
+    (L / dens[r]) nums_r - sign(a) (L / base) nums_k[r] nums_k over L, and
+    the row and L are then divided by their gcd; over F_p the multiplier
+    is nums_k[r] / a mod p.  Column k is first removed from the rows of its
+    neighbours, so no row keeps an eliminated position, and an entry that
+    cancels is deleted.
     """
-    field = g.field
-    q = field.modulus
+    q = g.field.modulus
     n = len(g.rows)
-    rows = [dict(row) for row in g.rows]
+    rows, dens = [], []
+    for row in g.rows:
+        nums, den = _clear(row) if q is None else (row, 1)
+        rows.append(dict(nums) if den == 1 else nums)
+        dens.append(den)
     nonzero_diag = [k for k in range(n) if k in rows[k]]  # sorted: a heap
     pivots = []
     for k in range(n):
@@ -211,54 +235,75 @@ def _eliminate(g: GramForm) -> list:
                 t = nonzero_diag[0]
                 if t > k and t in rows[t]:
                     _swap(rows, k, t)
+                    dens[k], dens[t] = dens[t], dens[k]
                     row_k = rows[k]
                     break
                 heappop(nonzero_diag)
         rows[k] = None
-        pivot = row_k.pop(k, None)
+        den_k = dens[k]
+        a = row_k.pop(k, None)
         for s in row_k:
             del rows[s][k]
-        if pivot is None:
+        if a is None:
             if not row_k:
                 raise DegenerateForm(
                     "form is degenerate (zero block of positive size)"
                 )
             t = min(row_k)
-            # e_k += e_t: row_k[s] += m[t][s] for s > k (row t no longer
+            # e_k += e_t over the lcm of the denominators (row t no longer
             # holds column k), and the zero diagonals give pivot 2 m[k][t]
-            pivot = field.mul(field.from_int(2), row_k[t])
+            den = lcm(den_k, dens[t])
+            fk, ft = den // den_k, den // dens[t]
+            if fk != 1:
+                row_k = {s: v * fk for s, v in row_k.items()}
+            a = 2 * row_k[t] if q is None else 2 * row_k[t] % q
             for s, v in rows[t].items():
-                w = row_k.get(s)
-                w = v if w is None else field.add(w, v)
+                w = row_k.get(s, 0) + v * ft
+                if q is not None:
+                    w %= q
                 if w:
                     row_k[s] = w
                 else:
                     del row_k[s]
-        pivots.append(pivot)
+            den_k = den
+        pivots.append(a if den_k == 1 else ratio(a, den_k))
         if not row_k:
             continue
         support = list(row_k)
-        inv = field.inv(pivot)
-        for i, r in enumerate(support):
-            c = field.mul(row_k[r], inv)
+        if q is None:
+            sign, base = (1, den_k * a) if a > 0 else (-1, -den_k * a)
+        else:
+            inv = pow(a, -1, q)
+        for r in support:
             row_r = rows[r]
-            for s in support[i:]:
+            if q is None:
+                den_r = dens[r]
+                d = gcd(den_r, base)
+                fr = base // d
+                c = sign * (den_r // d) * row_k[r]
+                if fr != 1:
+                    row_r = rows[r] = {s: v * fr for s, v in row_r.items()}
+            else:
+                c = row_k[r] * inv % q
+            for s in support:
                 w = row_r.get(s)
                 v = c * row_k[s]
                 if w is None:
-                    w = -v if q is None else -v % q
+                    row_r[s] = -v if q is None else -v % q
                     if r == s:
                         heappush(nonzero_diag, r)
+                    continue
+                w = w - v if q is None else (w - v) % q
+                if w:
+                    row_r[s] = w
                 else:
-                    w = w - v if q is None else (w - v) % q
-                    if not w:
-                        del row_r[s]
-                        if r != s:
-                            del rows[s][r]
-                        continue
-                if type(w) is Fraction and w.denominator == 1:
-                    w = w.numerator
-                row_r[s] = rows[s][r] = w
+                    del row_r[s]
+            if q is None:
+                den_r *= fr
+                d = gcd(den_r, *row_r.values())
+                if d != 1:
+                    rows[r] = {s: v // d for s, v in row_r.items()}
+                dens[r] = den_r // d
     return pivots
 
 

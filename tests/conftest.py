@@ -9,6 +9,7 @@ from wittdeg import (
     FieldSpec,
     GramForm,
     InternalError,
+    NotFiniteLength,
     Poly,
     Ring,
     parse_poly,
@@ -212,3 +213,42 @@ def divided_differences(endo):
             row.append(_reference_exact_div(upper - lower, xs[j] - us[j]))
         rows.append(row)
     return rows
+
+
+def box_standard_keys(gb):
+    """The former standard_monomials, kept verbatim but for its return
+    value: every key of the box under the pure-power leads, each tested
+    against every lead.  The ascending standard keys, or the error the
+    box construction raises."""
+    ring = gb.ring
+    n = ring.nvars
+    packing = ring.packing
+    leads = [d[0] for d in gb.entries]
+    if packing.one in leads:
+        return ()
+    box = [None] * n
+    for e in map(packing.unpack, leads):
+        nz = [i for i, x in enumerate(e) if x]
+        if len(nz) == 1:
+            i = nz[0]
+            if box[i] is None or e[i] < box[i]:
+                box[i] = e[i]
+    missing = [ring.variables[i] for i in range(n) if box[i] is None]
+    if missing:
+        raise NotFiniteLength(
+            "no pure power of "
+            + ", ".join(missing)
+            + " among the leading monomials"
+        )
+    packing.pack([b - 1 for b in box])
+    box_keys = [packing.one]
+    for var, b in zip(packing.var, box):
+        box_keys = [key + k * var for key in box_keys for k in range(b)]
+    pad, guard, target = packing.pad, packing.guard, packing.target
+    return tuple(
+        sorted(
+            key
+            for key in box_keys
+            if not any((key + pad - d) & guard == target for d in leads)
+        )
+    )

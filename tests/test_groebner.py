@@ -28,6 +28,7 @@ from wittdeg.umrow import compose_with_endo, universal_row
 
 from conftest import (
     basis_of,
+    box_standard_keys,
     counterexample_endo,
     in_order,
     is_canonical_scalar,
@@ -128,6 +129,63 @@ def test_standard_monomials_infinite(R2):
     gb = buchberger([R2.var(0)])
     with pytest.raises(NotFiniteLength):
         standard_monomials(gb)
+
+
+def _random_monomial_ideal(rng, ring):
+    """A pure power of each variable, or of all but one (an infinite
+    quotient), and a few random mixed monomials: a Groebner basis as it
+    stands, whose standard set is an order ideal of any shape."""
+    n = ring.nvars
+    gens = []
+    skip = rng.randrange(n) if rng.random() < 0.1 else None
+    for i in range(n):
+        if i != skip:
+            exps = [0] * n
+            exps[i] = rng.randint(1, 7)
+            gens.append(ring.monomial(exps))
+    for _ in range(rng.randint(0, 2 * n)):
+        gens.append(ring.monomial([rng.randint(0, 4) for _ in range(n)]))
+    return gens
+
+
+def test_standard_set_grows_to_the_box_reference(Q, F7):
+    """standard_monomials returns the keys of the box enumeration (or
+    raises as it does) on random bases in 1-4 variables under both orders,
+    and the growth examines only standard and border monomials: the
+    products m * x_i of a standard m that are not standard."""
+    rng = random.Random(5077)
+    kinds = {"finite": 0, "infinite": 0, "unit": 0, "grown": 0}
+    for field, order, n in itertools.product((Q, F7), (GREVLEX, LEX), range(1, 5)):
+        ring = Ring(tuple(f"x{i}" for i in range(n)), field, order)
+        packing = ring.packing
+        systems = [_random_monomial_ideal(rng, ring) for _ in range(12)]
+        if n < 4 or (order is GREVLEX and field is F7):
+            systems += [_random_finite_ideal(rng, ring) for _ in range(6)]
+        for gens in systems:
+            gb = buchberger(gens)
+            try:
+                ref = box_standard_keys(gb)
+            except NotFiniteLength:
+                with pytest.raises(NotFiniteLength):
+                    standard_monomials(gb)
+                kinds["infinite"] += 1
+                continue
+            assert standard_monomials(gb).keys == ref
+            if not ref:
+                kinds["unit"] += 1
+                continue
+            kinds["finite"] += 1
+            std = set(map(packing.unpack, ref))
+            border = {
+                e[:i] + (e[i] + 1,) + e[i + 1 :] for e in std for i in range(n)
+            } - std
+            seen = groebner._order_ideal(packing, {d[0] for d in gb.entries})
+            examined = set(map(packing.unpack, seen))
+            assert {k for k, ok in seen.items() if ok} == set(ref)
+            assert examined <= std | border
+            assert len(seen) <= len(std) + len(border)
+            kinds["grown"] += len(std) > n + 1
+    assert all(kinds.values()), kinds
 
 
 def test_dimension_order_independent(Q):

@@ -212,35 +212,36 @@ def _nonzero(rng, field):
     return field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
 
 
-def _involution_form(rng, field, d):
+def _involution_form(rng, field, d, entry=_nonzero):
     """Staircase-like: basis vector i pairs with sigma(i) for a random
     involution sigma with few fixed points, plus a sprinkling of extra
-    symmetric entries, so most diagonals are zero."""
+    symmetric entries, so most diagonals are zero.  Each shape draws its
+    nonzero entries with entry(rng, field)."""
     m = [[field.zero] * d for _ in range(d)]
     free = list(range(d))
     rng.shuffle(free)
     while free:
         i = free.pop()
         j = free.pop() if free and rng.random() < 0.9 else i
-        m[i][j] = m[j][i] = _nonzero(rng, field)
+        m[i][j] = m[j][i] = entry(rng, field)
     for _ in range(rng.randint(0, d // 4)):
         i, j = rng.randrange(d), rng.randrange(d)
-        m[i][j] = m[j][i] = _nonzero(rng, field)
+        m[i][j] = m[j][i] = entry(rng, field)
     return m
 
 
-def _antidiagonal_form(rng, field, d):
+def _antidiagonal_form(rng, field, d, entry=_nonzero):
     """The antidiagonal, with a few entries on the next antidiagonal."""
     m = [[field.zero] * d for _ in range(d)]
     for i in range(d):
-        m[i][d - 1 - i] = m[d - 1 - i][i] = _nonzero(rng, field)
+        m[i][d - 1 - i] = m[d - 1 - i][i] = entry(rng, field)
     for i in range(d - 1):
         if rng.random() < 0.1:
-            m[i][d - 2 - i] = m[d - 2 - i][i] = _nonzero(rng, field)
+            m[i][d - 2 - i] = m[d - 2 - i][i] = entry(rng, field)
     return m
 
 
-def _zero_diagonal_blocks(rng, field, d):
+def _zero_diagonal_blocks(rng, field, d, entry=_nonzero):
     """An all-zero diagonal: blocks [[0, a], [a, 0]] and 3 x 3 blocks with
     every off-diagonal entry nonzero (determinant -a^2 or 2abc, never zero
     in odd characteristic), plus a few entries coupling the blocks.  With
@@ -252,18 +253,18 @@ def _zero_diagonal_blocks(rng, field, d):
         size = 3 if rest == 3 or (rest > 4 and rng.random() < 0.5) else 2
         for i in range(start, start + size):
             for j in range(i + 1, start + size):
-                m[i][j] = m[j][i] = _nonzero(rng, field)
+                m[i][j] = m[j][i] = entry(rng, field)
         start += size
     for _ in range(rng.randint(0, d // 10)):
         i, j = rng.sample(range(d), 2)
-        m[i][j] = m[j][i] = _nonzero(rng, field)
+        m[i][j] = m[j][i] = entry(rng, field)
     return m
 
 
-def _degenerate_tail(rng, field, d):
+def _degenerate_tail(rng, field, d, entry=_nonzero):
     """A staircase-like form followed by a zero row or a copy of an earlier
     basis vector: singular by construction."""
-    m = _involution_form(rng, field, d - 1)
+    m = _involution_form(rng, field, d - 1, entry)
     for row in m:
         row.append(field.zero)
     m.append([field.zero] * d)
@@ -312,6 +313,88 @@ def test_sparse_eliminate_matches_dense_reference_at_scale(Q, F7, monkeypatch):
         assert regular.pop(_degenerate_tail) == 0
         assert all(regular.values()), regular
     assert swaps
+
+
+_DENOMINATORS = (1, 2, 3, 5, 7, 12, 35)
+
+
+def _fraction(rng, field):
+    """A nonzero n/m, m drawn from _DENOMINATORS: integral or not."""
+    num = rng.choice([k for k in range(-9, 10) if k])
+    return field.canon(Fraction(num, rng.choice(_DENOMINATORS)))
+
+
+def _random_fraction_form(rng, field, d):
+    """Random symmetric entries n/m, about three per row, and a diagonal
+    that is mostly zero, so that swaps and add repairs occur."""
+    m = [[field.zero] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            if rng.random() < min(0.4, 3 / d) * (0.3 if i == j else 1):
+                m[i][j] = m[j][i] = _fraction(rng, field)
+    return m
+
+
+def test_eliminate_on_non_integral_forms(Q, monkeypatch):
+    """Over Q with entries n/m (m from 1 to 35) and d = 1-40, _eliminate
+    returns the dense reference's pivots in value and in canonical type, or
+    both raise DegenerateForm; one call constructs at most one Fraction per
+    pivot.  The forms need swaps and add repairs, and some are singular."""
+    swaps = []
+    real_swap = witt._swap
+    monkeypatch.setattr(
+        witt, "_swap", lambda rows, k, t: swaps.append(k) or real_swap(rows, k, t)
+    )
+    made = []
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(cls)
+        return real_new(cls, *args, **kwargs)
+
+    rng = random.Random(2137)
+    shapes = (
+        _random_fraction_form,
+        _involution_form,
+        _antidiagonal_form,
+        _zero_diagonal_blocks,
+        _degenerate_tail,
+    )
+    seen = {"regular": 0, "degenerate": 0, "add": 0, "fraction": 0}
+    for _ in range(40):
+        for shape in shapes:
+            low = 2 if shape in (_zero_diagonal_blocks, _degenerate_tail) else 1
+            d = rng.randint(low, 40)
+            if shape is _random_fraction_form:
+                m = shape(rng, Q, d)
+            else:
+                m = shape(rng, Q, d, entry=_fraction)
+            g = canonical_gram(Q, m)
+            if shape is _zero_diagonal_blocks:
+                # no nonzero diagonal to swap in: pivot 0 is an add repair
+                assert not any(k in row for k, row in enumerate(g.rows))
+            try:
+                ref = _dense_eliminate(g)
+            except DegenerateForm:
+                with pytest.raises(DegenerateForm):
+                    _eliminate(g)
+                seen["degenerate"] += 1
+                continue
+            before = len(made)
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", counted_new)
+                got = _eliminate(g)
+            # the reference keeps integral Fractions: canonical, a pivot is
+            # an int when integral and a Fraction otherwise
+            ref = list(map(Q.canon, ref))
+            assert [(type(x), x) for x in got] == [(type(x), x) for x in ref]
+            assert len(made) - before <= len(got)
+            seen["regular"] += 1
+            seen["add"] += shape is _zero_diagonal_blocks
+            seen["fraction"] += any(type(x) is Fraction for x in got)
+    assert swaps
+    assert all(seen.values()), seen
+    assert len(made) >= seen["fraction"]  # the counter sees the pivots made
 
 
 def test_staircase3_repairs(Q):
