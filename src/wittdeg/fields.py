@@ -15,8 +15,8 @@ scalars while they work: they keep int dicts over positive denominators
 (`poly`, `witt`).  They make a ``Fraction`` only at their boundary, by
 :func:`ratio` (n / d for ints) or by FieldSpec arithmetic: the monic
 reduced basis, a normal form's remainder, the Gram entries, the
-per-step multipliers that cofactor recipes keep (`groebner`), and the
-pivots of the elimination (`witt._eliminate`).
+cofactors of a unit certificate (`groebner`), and the pivots of the
+elimination (`witt._eliminate`).
 
 Square classes are canonicalized as follows: over Q the representative is a
 signed squarefree integer; over F_p it is 1 for squares and the smallest

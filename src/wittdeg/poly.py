@@ -16,7 +16,8 @@ term's exponents and coefficient directly and adds it, as its key, to one
 packed term dict for the whole text; an exponent above orders.BOUND
 (32767) is rejected there with ExponentBoundExceeded, naming the variable
 and its position, and so is a term of total degree above it in a GREVLEX
-ring.
+ring.  A number with more digits than the interpreter converts to an int
+(4,300 since CPython 3.11) is a ParseError.
 
 A ring carries its monomial order, and a monomial of the ring is one key
 in the order's packing (see `orders`): an int whose comparison is the
@@ -40,9 +41,10 @@ on an integer form instead: over Q, `_clear` writes a term dict as an int
 dict over one positive denominator, `_divisor` makes each divisor the
 primitive integer multiple of its monic polynomial, and `_reduce`
 pseudo-divides ints, returning its remainder over a scale.  `_ratios`
-turns an int dict over a denominator back into canonical scalars; it and
-the step log of `_reduce` are where the integer form makes a `Fraction`.
-Over F_p the integer form is the canonical one, with denominator 1.
+turns an int dict over a denominator back into canonical scalars, and is
+where the integer form makes a `Fraction`; the step log of `_reduce` keeps
+each multiplier as a numerator and a denominator.  Over F_p the integer
+form is the canonical one, with denominator 1.
 """
 
 from __future__ import annotations
@@ -183,14 +185,16 @@ def _reduce(
     terms already split off, lazily at the end.  Scaling changes no zero
     pattern, so the steps are those of division by the monic divisors.
 
-    When log is a list, each step appends (tag, shift, c): the polynomial
-    terms / scale gains c * x^shift * (divisor / lc), shift being an offset
-    and tag the divisor entry's fourth slot.  c = -cc / scale is the
-    multiplier that division over the field by the monic divisor takes, one
-    canonical scalar per step.  Starting from the cofactor vector of terms /
-    scale, replaying the log through `_add_shifted` with the monic divisors'
-    vectors gives the remainder's vector, so a caller pays for cofactors
-    only when it keeps the remainder.  (Cox, Little, O'Shea, section 2.3.)
+    When log is a list, each step appends (tag, shift, c, den): the
+    polynomial terms / scale gains (c / den) * x^shift * (divisor / lc),
+    shift being an offset and tag the divisor entry's fourth slot.  c / den
+    is the multiplier that division over the field by the monic divisor
+    takes, kept as two ints and never made a scalar: over Q c = -cc and
+    den = scale, unreduced; over F_p c is the field element and den is 1.
+    Starting from the cofactor vector of terms / scale, replaying the log
+    with the monic divisors' vectors gives the remainder's vector, so a
+    caller pays for cofactors only when it keeps the remainder.  (Cox,
+    Little, O'Shea, section 2.3.)
     """
     q = field.modulus
     pad, guard, target = packing.pad, packing.guard, packing.target
@@ -208,21 +212,21 @@ def _reduce(
             rem.append((ce, cc, scale))
             continue
         shift = ce - de
-        # terms += k * x^shift * tail, after terms *= dc / g over Q
+        # terms += k * x^shift * tail, after terms *= dc / g over Q; the
+        # multiplier of the monic divisor is c / den
         if q is not None:
-            c = -cc % q
+            c, den = -cc % q, 1
             k = c if dc == 1 else c * pow(dc, -1, q) % q
         else:
-            if log is not None:
-                c = ratio(-cc, scale)
+            c, den = -cc, scale
             g = gcd(cc, dc) if dc > 0 else -gcd(cc, dc)
             if g != dc:
                 _rescale(terms, dc // g)
                 scale *= dc // g
-            k = -cc // g
+            k = c // g
         _add_shifted(terms, tail, shift, k, q)
         if log is not None:
-            log.append((tag, shift, c))
+            log.append((tag, shift, c, den))
     return {e: c * (scale // s) for e, c, s in rem}, scale
 
 
@@ -506,6 +510,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"number of {len(text)} digits", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str, ring: Ring):
         self.tokens = _tokenize(text)
@@ -571,14 +582,14 @@ class _Parser:
 
     def coeff(self):
         kind, val, pos = self.advance()
-        num = int(val)
+        num = _int(val, pos)
         kind, val, _ = self.peek()
         if kind == "op" and val == "/":
             self.advance()
             kind, val, pos2 = self.advance()
             if kind != "int":
                 raise ParseError(f"expected denominator, got {val!r}", pos2)
-            den = int(val)
+            den = _int(val, pos2)
             if den == 0:
                 raise ParseError("zero denominator", pos2)
             return self.ring.field.canon(Fraction(num, den))
@@ -600,7 +611,7 @@ class _Parser:
             kind, val, pos2 = self.advance()
             if kind != "int":
                 raise ParseError(f"expected exponent, got {val!r}", pos2)
-            exp = int(val)
+            exp = _int(val, pos2)
         exps[idx] += exp
         if exps[idx] > BOUND:
             raise ExponentBoundExceeded(
@@ -624,13 +635,22 @@ def format_monomial(ring: Ring, exps) -> str:
 
 
 def format_poly(p: Poly) -> str:
-    """Canonical text form; round-trips through parse_poly."""
+    """Canonical text form, terms in descending GREVLEX order whatever the
+    ring's order; round-trips through parse_poly.
+
+    In a GREVLEX ring the descending keys are that order, so only the
+    printed monomials are unpacked; in another ring each key is unpacked
+    for the GREVLEX sort key.
+    """
     if p.is_zero:
         return "0"
-    items = sorted(p.terms.items(), key=lambda kv: GREVLEX.key(kv[0]), reverse=True)
+    packing = p.ring.packing
+    unpack = packing.unpack
+    key = None if packing.order is GREVLEX else lambda k: GREVLEX.key(unpack(k))
     pieces = []
-    for e, c in items:
-        mono = format_monomial(p.ring, e)
+    for k in sorted(p.packed, key=key, reverse=True):
+        c = p.packed[k]
+        mono = format_monomial(p.ring, unpack(k))
         negative = c < 0  # over F_p never: a scalar there lies in [0, p)
         mag = -c if negative else c
         if mono == "1":

@@ -15,8 +15,9 @@ from wittdeg import (
     parse_poly,
 )
 from wittdeg.degree import dual_ring
+from wittdeg.orders import GREVLEX
 from wittdeg.groebner import GroebnerBasis
-from wittdeg.poly import _clear, _divisor
+from wittdeg.poly import _clear, _divisor, format_monomial
 
 
 @pytest.fixture
@@ -252,3 +253,28 @@ def box_standard_keys(gb):
             if not any((key + pad - d) & guard == target for d in leads)
         )
     )
+
+
+def format_poly_reference(p):
+    """The former format_poly, kept verbatim: every term sorted by the
+    GREVLEX key of its exponent tuple, whatever the ring's order."""
+    if p.is_zero:
+        return "0"
+    items = sorted(p.terms.items(), key=lambda kv: GREVLEX.key(kv[0]), reverse=True)
+    pieces = []
+    for e, c in items:
+        mono = format_monomial(p.ring, e)
+        negative = c < 0  # over F_p never: a scalar there lies in [0, p)
+        mag = -c if negative else c
+        if mono == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        pieces.append(("-" if negative else "+", body))
+    sign, body = pieces[0]
+    out = body if sign == "+" else f"-{body}"
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out

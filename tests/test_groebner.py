@@ -2,6 +2,7 @@ import functools
 import heapq
 import itertools
 import random
+from fractions import Fraction
 from operator import add, sub
 
 import pytest
@@ -416,9 +417,14 @@ def test_reduce_matches_reference_cofactor_tracking(Q, F7):
             log = []
             got, scale = _reduce(dict(p.packed), entries, ring.packing, field, log)
             assert {e: field.div(v, scale) for e, v in got.items()} == rem.packed
-            # the log replays into the cofactors the old in-place loop built
+            # the log replays into the cofactors the old in-place loop built;
+            # a step's multiplier is two ints, c / den, never a scalar, and
+            # its denominator is 1 over F_p
             got_cof = [dict(c.packed) for c in start]
-            for vec, shift, c in log:
+            for vec, shift, c, den in log:
+                assert type(c) is int and type(den) is int and den > 0
+                assert den == 1 or field.is_rationals
+                c = field.div(c, den)
                 for dst, src in zip(got_cof, vec):
                     _add_shifted(dst, src, shift, c, field.modulus)
             assert got_cof == [c.packed for c in cof]
@@ -662,6 +668,109 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
             gens = in_order(gens, order)
             gb = _lazy_equals_eager(gens, units)
             assert gb.basis == (gens[0].ring.one(),)
+
+
+def _proper_ancestors(work):
+    """The working entries the unit, the last one, descends from: the S-pair
+    parents and the logged divisors of each, marked backwards."""
+    needed = {len(work) - 1}
+    for idx in range(len(work) - 1, -1, -1):
+        if idx in needed:
+            _, origin, log, _ = work[idx][3]
+            if not isinstance(origin, int):
+                needed.update(origin[:2])
+            needed.update(step[0][0] for step in log)
+    return needed - {len(work) - 1}
+
+
+def test_integer_replay_equals_eager_reference(Q, F7, monkeypatch):
+    # the second generator p*h + w is reduced by the first as it enters, and
+    # four random polynomials p, w, a, b in three variables with constant
+    # terms mostly generate the unit ideal: its unit often descends from a
+    # generator whose recipe logged steps, which the replay must not skip,
+    # and from S-pairs
+    works = []
+    replay = groebner._certificate
+
+    def spy(work, m, ring):
+        works.append(work)
+        return replay(work, m, ring)
+
+    monkeypatch.setattr(groebner, "_certificate", spy)
+    rng = random.Random(3141)
+    units = random.Random(3142)  # its own stream: rng draws the same cases
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        ring = Ring(("x", "y", "z"), field, order)
+        x = ring.gens()
+        logged = pairs = 0
+        for _ in range(15):
+            p = random_poly(rng, ring, max_degree=2, max_terms=3) + rng.choice(x)
+            h = random_poly(rng, ring, max_degree=2, max_terms=2) + rng.choice(x)
+            w, a, b = (
+                random_poly(rng, ring, max_degree=2, max_terms=2)
+                + rng.choice(x)
+                + rng.choice((1, -2, 3))
+                for _ in range(3)
+            )
+            del works[:]
+            _lazy_equals_eager([p, p * h + w, a, b], units)
+            for work in works:
+                ancestors = _proper_ancestors(work)
+                logged += any(
+                    isinstance(work[i][3][1], int) and work[i][3][2]
+                    for i in ancestors
+                )
+                pairs += any(
+                    not isinstance(work[i][3][1], int)
+                    for i in ancestors | {len(work) - 1}
+                )
+        assert logged >= 10 and pairs >= 10, (field, order, logged, pairs)
+
+
+def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
+    # over Q the step log and the replay hold ints: the only Fractions a
+    # certifying Buchberger makes are the certificate's scalars, made by
+    # _ratios when the replay is done, at most one per term
+    rng = random.Random(2236)
+    units = random.Random(2237)
+    row = universal_row(Q, 3)
+    cases = []
+    for ms in ((1, 1, 2), (1, 2, 2), (2, 1, 2), (1, 2, 1)):
+        composed = compose_with_endo(row, _triangular_endo(rng, Q, ms))
+        entries = [g.scale(random_unit(units, Q)) for g in composed.entries]
+        cases.append(entries + list(row.algebra.relations))
+    made = 0
+    at_boundary = []
+    fraction_new = Fraction.__new__
+    ratios = groebner._ratios
+
+    def counted_new(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    def boundary(nums, den):
+        if not at_boundary:
+            at_boundary.append(made)
+        return ratios(nums, den)
+
+    results = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        patch.setattr(groebner, "_ratios", boundary)
+        for gens in cases:
+            made = 0
+            del at_boundary[:]
+            cert = buchberger(gens, certify=True).certificate
+            results.append((gens, cert, made, list(at_boundary)))
+    for gens, cert, made, at_boundary in results:
+        terms = sum(len(c.packed) for c in cert)
+        assert at_boundary == [0]
+        assert 0 < made <= terms
+        total = gens[0].ring.zero()
+        for c, g in zip(cert, gens):
+            total = total + c * g
+        assert total == gens[0].ring.one()
 
 
 def test_reduce_uses_first_divisor_in_list_order(Q):

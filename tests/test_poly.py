@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wittdeg import (
+    AlgebraError,
     ExponentBoundExceeded,
     NotSquareSystem,
     ParseError,
@@ -18,7 +19,8 @@ from wittdeg import (
     parse_poly,
 )
 from wittdeg.degree import Endo, diagonal_bezoutian_identity
-from wittdeg.orders import LEX
+from wittdeg.cli import HYPOTHESIS_ERRORS, parse_job_file
+from wittdeg.orders import GREVLEX, LEX
 from wittdeg.poly import format_poly
 
 from conftest import (
@@ -26,6 +28,7 @@ from conftest import (
     _reference_exact_div,
     _reference_mul,
     divided_differences,
+    format_poly_reference,
     is_canonical_scalar,
     random_poly,
     random_unit,
@@ -113,6 +116,85 @@ def test_format_round_trip_random(Q, F7):
             for _ in range(50):
                 p = random_poly(rng, ring)
                 assert parse_poly(format_poly(p), ring) == p
+
+
+def test_format_matches_reference_sort(Q, F7):
+    # a GREVLEX ring prints in descending key order, any other ring sorts
+    # by the GREVLEX key of the exponents: both give the former bytes
+    rng = random.Random(5150)
+    units = random.Random(5151)  # its own stream: rng draws the same cases
+    seen = {"negative": 0, "fraction": 0}
+    for field, order in ((Q, GREVLEX), (Q, LEX), (F7, GREVLEX), (F7, LEX)):
+        for nvars in (1, 2, 3, 4):
+            ring = Ring(tuple(f"x{i + 1}" for i in range(nvars)), field, order)
+            polys = [ring.zero(), ring.constant(random_unit(units, field))]
+            polys.append(ring.monomial([2] * nvars, random_unit(units, field)))
+            for _ in range(40):
+                p = random_poly(rng, ring, max_degree=4, max_terms=8, coeff_range=9)
+                polys.append(p.scale(random_unit(units, field)))
+            for p in polys:
+                text = format_poly(p)
+                assert text == format_poly_reference(p)
+                assert parse_poly(text, ring) == p
+                seen["negative"] += any(c < 0 for c in p.packed.values())
+                seen["fraction"] += any(
+                    type(c) is Fraction for c in p.packed.values()
+                )
+    assert min(seen.values()) >= 20
+    ring = Ring(("x", "y"), Q)
+    assert format_poly(ring.zero()) == "0"
+    assert format_poly(ring.constant(Fraction(-3, 4))) == "-3/4"
+    assert format_poly(ring.monomial((0, 2), -1)) == "-y^2"
+
+
+# -- the parser on arbitrary text ------------------------------------------------
+
+# digits, variable names, the grammar's operators, whitespace and characters
+# outside the grammar
+_POLY_TOKENS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=6),
+    st.sampled_from(
+        ("x", "y", "z", "x1", "_", "+", "-", "*", "/", "^", " ", "\t", "(", ".",
+         "=", ",", "#", "0", "1/0", "^-", "\u00e9")
+    ),
+)
+_JOB_TOKENS = st.one_of(
+    _POLY_TOKENS,
+    st.sampled_from(
+        ("field", "vars", "map ", "rel", "row", " = ", "Q", "F7", "F4", "F-3",
+         ", ", "\n", "\n", "field = Q\nvars = x, y\n")
+    ),
+)
+
+
+def _parses_or_algebra_error(parse, *args):
+    """parse(*args), which may only raise an AlgebraError that the CLI maps
+    to exit 2."""
+    try:
+        parse(*args)
+    except AlgebraError as exc:
+        assert not isinstance(exc, HYPOTHESIS_ERRORS), exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_POLY_TOKENS, max_size=24).map("".join))
+@example("1" * 5000)
+@example("x^" + "9" * 5000)
+@example("x*3/" + "7" * 5000)
+def test_parse_poly_raises_only_algebra_errors(text):
+    for field in _FIELDS:
+        _parses_or_algebra_error(parse_poly, text, Ring(("x", "y"), field))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_JOB_TOKENS, max_size=30).map("".join))
+@example("field = Q\nvars = x\nmap x = " + "2" * 5000 + "*x\n")
+@example("field = F" + "1" * 5000 + "\nvars = x\n")
+def test_parse_job_file_raises_only_algebra_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.job"
+    path.write_text(text, encoding="utf-8")
+    for order in (GREVLEX, LEX):
+        _parses_or_algebra_error(parse_job_file, str(path), order)
 
 
 def test_arithmetic_and_equality(R2):
