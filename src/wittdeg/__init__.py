@@ -41,7 +41,6 @@ from .poly import (
     Ring,
     det,
     format_monomial,
-    jacobian_det,
     parse_poly,
 )
 from .groebner import (

@@ -2,8 +2,10 @@
 
 Subcommands: degree, nori-check, witt invariants, witt is-zero,
 koszul verify, row check, row compose.  Output is deterministic; --json
-emits the versioned report schema.  Exit codes: 0 success, 2 parse or
-validation error, 3 mathematical hypothesis failure (NotFiniteLength,
+emits the versioned report schema.  Exit codes: 0 success, 1 a check of
+koszul verify failed (text output; --json reports each check and exits 0),
+2 parse or validation error, or a number too long to print
+(DigitLimitExceeded), 3 mathematical hypothesis failure (NotFiniteLength,
 SupportNotOrigin, NotOriginPreserving, EvenN).
 
 Job files::
@@ -35,6 +37,7 @@ from typing import Optional
 from .degree import DegreeReport, Endo, degree_of
 from .errors import (
     AlgebraError,
+    DigitLimitExceeded,
     EvenN,
     JobFileError,
     NotFiniteLength,
@@ -504,6 +507,15 @@ def run(argv) -> int:
     except HYPOTHESIS_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # CPython's limit on converting a long int to text; any other
+        # ValueError is a fault of the program and keeps its traceback
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        exc = DigitLimitExceeded(f"a number in the output has more than {limit} digits")
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (AlgebraError, OSError) as exc:
         name = type(exc).__name__ if isinstance(exc, AlgebraError) else "IOError"
         print(f"error: {name}: {exc}", file=sys.stderr)

@@ -66,7 +66,6 @@ from .poly import (
     _to_lcm,
     det,
     format_monomial,
-    jacobian_det,
 )
 from .witt import (
     DiagForm,
@@ -166,12 +165,6 @@ def bezoutian(endo: Endo) -> Poly:
             row.append(Poly._from_packed(ring2, terms))
         rows.append(row)
     return det(rows)
-
-
-def gram_form(endo: Endo) -> GramForm:
-    """Symmetric Gram form of the residue pairing over the monomial basis."""
-    qa = validate(endo)
-    return _gram_from_quotient(endo, qa)
 
 
 class _PartNF(dict):
@@ -350,19 +343,3 @@ def univariate_tensor_oracle(field: FieldSpec, ms: Sequence[int]) -> DiagForm:
         result = tensor(result, univariate_power_form(field, m))
     return result
 
-
-def power_endo(field: FieldSpec, ms: Sequence[int]) -> Endo:
-    """The separated-variable endomorphism x_i -> x_i^{m_i}."""
-    ring = Ring(tuple(f"x{i + 1}" for i in range(len(ms))), field)
-    images = tuple(
-        ring.monomial(tuple(m if j == i else 0 for j in range(len(ms))))
-        for i, m in enumerate(ms)
-    )
-    return Endo(ring=ring, images=images)
-
-
-def diagonal_bezoutian_identity(endo: Endo) -> bool:
-    """Check Delta(x, x) == det(Jacobian) exactly."""
-    delta = bezoutian(endo)
-    xs = list(endo.ring.gens())
-    return delta.substitute(xs + xs) == jacobian_det(list(endo.images))

@@ -80,3 +80,8 @@ class JobFileError(AlgebraError):
 class ExponentBoundExceeded(AlgebraError):
     """A monomial exceeded the exponent bound of the packed kernel
     (orders.BOUND, and under GREVLEX the total degree as well)."""
+
+
+class DigitLimitExceeded(AlgebraError):
+    """A number to print has more digits than the interpreter converts to
+    text (CPython's int-to-str limit, ``sys.get_int_max_str_digits()``)."""

@@ -290,20 +290,6 @@ def _valuation(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def hilbert_symbol(a, b, place) -> int:
-    """Local Hilbert symbol (a, b) at a rational place.
-
-    ``place`` is the string "inf" for the real place or a prime integer.
-    Checks its arguments, then calls the kernel _hilbert.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if not a or not b:
-        raise ZeroScalar("Hilbert symbol of zero")
-    if place != "inf" and not (isinstance(place, int) and is_prime(place)):
-        raise AlgebraError(f"place must be a prime or 'inf', got {place!r}")
-    return _hilbert(a.numerator * a.denominator, b.numerator * b.denominator, place)
-
-
 def _hilbert(A: int, B: int, place) -> int:
     """(A, B) at place, for nonzero ints A, B and a place that is trusted to
     be "inf" or a prime.

@@ -132,6 +132,7 @@ from .poly import (
     _add_shifted,
     _clear,
     _divisor,
+    _lowest,
     _ratios,
     _reduce,
     _to_lcm,
@@ -372,14 +373,6 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     ring = p.ring
     rem, den = _reduce(dict(terms), gb.entries, ring.packing, ring.field, scale=den)
     return Poly._from_packed(ring, _ratios(rem, den))
-
-
-def _lowest(nums: dict, den: int) -> tuple[dict, int]:
-    """nums / den with den coprime to the content of nums (0 is ({}, 1))."""
-    g = gcd(den, *nums.values())
-    if g == 1:
-        return nums, den
-    return {e: v // g for e, v in nums.items()}, den // g
 
 
 class _NFTable(dict):

@@ -225,13 +225,6 @@ def verify_symmetry(dd: DualityData, maps=None) -> bool:
     return True
 
 
-def negated_level(maps, i: int):
-    """The family with level i negated (for falsification tests)."""
-    out = list(maps)
-    out[i] = tuple(tuple(-x for x in row) for row in maps[i])
-    return tuple(out)
-
-
 def generic_duality(field, n: int) -> DualityData:
     """Duality data for the fully symbolic sequence (a_1,...,a_n)."""
     ring = Ring(tuple(f"a{i + 1}" for i in range(n)), field)

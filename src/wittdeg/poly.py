@@ -161,6 +161,14 @@ def _to_lcm(den: int, d: int, dicts) -> int:
     return den * m
 
 
+def _lowest(nums: dict, den: int) -> tuple[dict, int]:
+    """nums / den with den coprime to the content of nums (0 is ({}, 1))."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {e: v // g for e, v in nums.items()}, den // g
+
+
 def _reduce(
     terms: dict, basis, packing: Packing, field, log=None, scale=1
 ) -> tuple[dict, int]:
@@ -417,21 +425,7 @@ class Poly:
             self.ring, {e: field.mul(v, c) for e, v in self.packed.items()}
         )
 
-    # -- calculus / composition ----------------------------------------------
-
-    def deriv(self, i: int) -> "Poly":
-        """Partial derivative with respect to variable i."""
-        field = self.ring.field
-        packing = self.ring.packing
-        step = packing.var[i]
-        terms: dict = {}
-        for key, c in self.packed.items():
-            k = packing.unpack(key)[i]
-            if k:
-                coeff = field.mul(c, field.from_int(k))
-                if coeff:
-                    terms[key - step] = coeff
-        return Poly._from_packed(self.ring, terms)
+    # -- composition ---------------------------------------------------------
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Exact composition: replace variable i by images[i].
@@ -737,15 +731,3 @@ def det(matrix: Sequence[Sequence[Poly]]) -> Poly:
             packing.check(m)  # the next row shifts only keys within the bound
     return Poly._from_packed(ring, minors.get(tuple(range(n)), {}))
 
-
-def jacobian_matrix(images: Sequence[Poly]) -> list[list[Poly]]:
-    n = len(images)
-    ring = images[0].ring
-    if ring.nvars != n:
-        raise NotSquareSystem(f"{n} polynomials in {ring.nvars} variables")
-    return [[images[i].deriv(j) for j in range(n)] for i in range(n)]
-
-
-def jacobian_det(images: Sequence[Poly]) -> Poly:
-    """Determinant of the matrix of partial derivatives."""
-    return det(jacobian_matrix(images))

@@ -17,11 +17,10 @@ injective), and the verdict strings keep that asymmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .degree import DegreeReport, Endo, degree_of
 from .errors import ArityMismatch, EvenN, InternalError, RingMismatch
-from .fields import FieldSpec
 from .groebner import buchberger, contains_one_with_certificate, normal_form
 from .poly import Poly, Ring
 from .witt import witt_class_display
@@ -84,19 +83,6 @@ def is_unimodular(row: UnimodularRow) -> Optional[tuple[Poly, ...]]:
     return tuple(entry_cofs)
 
 
-def apply_elementary(
-    row: UnimodularRow, i: int, j: int, lam: Poly
-) -> UnimodularRow:
-    """Add lam times entry i to entry j (an elementary column operation)."""
-    if i == j:
-        raise IndexError("elementary operation needs distinct indices")
-    if not (0 <= i < row.n and 0 <= j < row.n):
-        raise IndexError("row index out of range")
-    entries = list(row.entries)
-    entries[j] = entries[j] + lam * entries[i]
-    return UnimodularRow(algebra=row.algebra, entries=tuple(entries))
-
-
 def compose_with_endo(row: UnimodularRow, endo: Endo) -> UnimodularRow:
     """Entry j of the result is endo.images[j] evaluated on the row."""
     if endo.n != row.n:
@@ -105,41 +91,6 @@ def compose_with_endo(row: UnimodularRow, endo: Endo) -> UnimodularRow:
         )
     entries = tuple(img.substitute(list(row.entries)) for img in endo.images)
     return UnimodularRow(algebra=row.algebra, entries=entries)
-
-
-def build_section(entries: Sequence[Poly]) -> tuple[Poly, ...]:
-    """The alternating section: pairs (a_{2k-1}, a_{2k}) -> (-a_{2k},
-    a_{2k-1}), trailing 0 when the length is odd.  Dotted with the row it
-    gives 0 as an exact identity."""
-    n = len(entries)
-    if n < 2:
-        raise ArityMismatch("section needs a row of length at least 2")
-    ring = entries[0].ring
-    out: list[Poly] = []
-    for k in range(n // 2):
-        out.append(-entries[2 * k + 1])
-        out.append(entries[2 * k])
-    if n % 2:
-        out.append(ring.zero())
-    return tuple(out)
-
-
-def universal_row(field: FieldSpec, n: int) -> UnimodularRow:
-    """The tautological row (x_1,...,x_n) over
-    k[x_1..x_n, y_1..y_n]/(sum x_i y_i - 1), through which every unimodular
-    row of length n factors."""
-    names = tuple(f"x{i + 1}" for i in range(n)) + tuple(
-        f"y{i + 1}" for i in range(n)
-    )
-    ring = Ring(names, field)
-    gens = ring.gens()
-    xs, ys = gens[:n], gens[n:]
-    rel = ring.zero()
-    for x, y in zip(xs, ys):
-        rel = rel + x * y
-    rel = rel - ring.one()
-    alg = AlgebraPresentation(ring=ring, relations=(rel,))
-    return UnimodularRow(algebra=alg, entries=tuple(xs))
 
 
 def obstruction_report(endo: Endo) -> tuple[DegreeReport, str]:

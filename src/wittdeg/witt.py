@@ -61,7 +61,7 @@ from .fields import (
     square_class_mul,
     square_classes,
 )
-from .poly import _clear
+from .poly import _clear, _lowest, _rescale
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def _eliminate(g: GramForm) -> list:
             den = lcm(den_k, dens[t])
             fk, ft = den // den_k, den // dens[t]
             if fk != 1:
-                row_k = {s: v * fk for s, v in row_k.items()}
+                _rescale(row_k, fk)
             a = 2 * row_k[t] if q is None else 2 * row_k[t] % q
             for s, v in rows[t].items():
                 w = row_k.get(s, 0) + v * ft
@@ -282,7 +282,7 @@ def _eliminate(g: GramForm) -> list:
                 fr = base // d
                 c = sign * (den_r // d) * row_k[r]
                 if fr != 1:
-                    row_r = rows[r] = {s: v * fr for s, v in row_r.items()}
+                    _rescale(row_r, fr)
             else:
                 c = row_k[r] * inv % q
             for s in support:
@@ -299,11 +299,7 @@ def _eliminate(g: GramForm) -> list:
                 else:
                     del row_r[s]
             if q is None:
-                den_r *= fr
-                d = gcd(den_r, *row_r.values())
-                if d != 1:
-                    rows[r] = {s: v // d for s, v in row_r.items()}
-                dens[r] = den_r // d
+                rows[r], dens[r] = _lowest(row_r, den_r * fr)
     return pivots
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wittdeg import (
+    AlgebraPresentation,
     DegenerateForm,
     Endo,
     FieldSpec,
@@ -12,9 +13,12 @@ from wittdeg import (
     NotFiniteLength,
     Poly,
     Ring,
+    UnimodularRow,
+    det,
     parse_poly,
 )
-from wittdeg.degree import dual_ring
+from wittdeg.degree import bezoutian, dual_ring
+from wittdeg.fields import _hilbert
 from wittdeg.orders import GREVLEX
 from wittdeg.groebner import GroebnerBasis
 from wittdeg.poly import _clear, _divisor, format_monomial
@@ -61,6 +65,66 @@ def reordered(endo, order):
 def counterexample_endo(field):
     """x1 -> x1^2 - x2^2, x2 -> x1*x2, x3 -> x3."""
     return make_endo(field, ("x1", "x2", "x3"), ("x1^2 - x2^2", "x1*x2", "x3"))
+
+
+def power_endo(field, ms):
+    """The separated-variable endomorphism x_i -> x_i^{m_i}."""
+    ring = Ring(tuple(f"x{i + 1}" for i in range(len(ms))), field)
+    images = tuple(
+        ring.monomial(tuple(m if j == i else 0 for j in range(len(ms))))
+        for i, m in enumerate(ms)
+    )
+    return Endo(ring=ring, images=images)
+
+
+def universal_row(field, n):
+    """The tautological row (x_1,...,x_n) over
+    k[x_1..x_n, y_1..y_n]/(sum x_i y_i - 1), through which every unimodular
+    row of length n factors."""
+    names = tuple(f"x{i + 1}" for i in range(n)) + tuple(
+        f"y{i + 1}" for i in range(n)
+    )
+    ring = Ring(names, field)
+    gens = ring.gens()
+    xs, ys = gens[:n], gens[n:]
+    rel = ring.zero()
+    for x, y in zip(xs, ys):
+        rel = rel + x * y
+    rel = rel - ring.one()
+    alg = AlgebraPresentation(ring=ring, relations=(rel,))
+    return UnimodularRow(algebra=alg, entries=tuple(xs))
+
+
+def deriv(p, i):
+    """The partial derivative of p by the i-th variable of its ring."""
+    field = p.ring.field
+    terms = {}
+    for e, c in p.terms.items():
+        c = field.mul(c, field.from_int(e[i]))
+        if c:
+            terms[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c
+    return Poly(p.ring, terms)
+
+
+def jacobian_det(images):
+    """The determinant of the Jacobian matrix (d images[i] / d x_j); a
+    system that is not square raises det's NotSquareSystem."""
+    nvars = images[0].ring.nvars
+    return det([[deriv(p, j) for j in range(nvars)] for p in images])
+
+
+def diagonal_bezoutian_identity(endo):
+    """The oracle of `bezoutian`: Delta(x, x) == det(Jacobian) exactly."""
+    delta = bezoutian(endo)
+    xs = list(endo.ring.gens())
+    return delta.substitute(xs + xs) == jacobian_det(list(endo.images))
+
+
+def hilbert(a, b, place):
+    """The Hilbert symbol (a, b) at place, for nonzero rationals a, b:
+    fields._hilbert on a * den(a)^2 and b * den(b)^2, their integer square
+    classes."""
+    return _hilbert(a.numerator * a.denominator, b.numerator * b.denominator, place)
 
 
 def random_poly(rng, ring, max_degree=3, max_terms=4, coeff_range=3):

@@ -31,21 +31,21 @@ from wittdeg import (
     square_classes,
 )
 from wittdeg.cli import _write_json
-from wittdeg.degree import (
-    diagonal_bezoutian_identity,
-    power_endo,
-    univariate_tensor_oracle,
-)
-from wittdeg.fields import hasse_places, hilbert_symbol
-from wittdeg.umrow import compose_with_endo, universal_row
+from wittdeg.degree import univariate_tensor_oracle
+from wittdeg.fields import hasse_places
+from wittdeg.umrow import compose_with_endo
 from wittdeg.witt import negate, orthogonal_sum, witt_equal
 
 from conftest import (
     canonical_gram,
     counterexample_endo,
+    diagonal_bezoutian_identity,
+    hilbert,
     make_endo,
+    power_endo,
     random_poly,
     random_unit,
+    universal_row,
 )
 
 Q = FieldSpec.rationals()
@@ -205,7 +205,7 @@ def test_criterion_7_witt_decision_soundness():
                      rng.randint(1, 999))
         prod = 1
         for v in hasse_places(square_classes(Q, [a, b])[1]):
-            prod *= hilbert_symbol(a, b, v)
+            prod *= hilbert(a, b, v)
         assert prod == 1
 
     for _ in range(50):

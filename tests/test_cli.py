@@ -1,6 +1,7 @@
 import json
 import pathlib
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,6 +383,35 @@ def test_row_compose_arity_mismatch(tmp_path, capsys):
     )
     assert code == 2
     assert "ArityMismatch" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_row_compose_number_past_digit_limit(tmp_path, capsys, flags):
+    # c has 1,500 digits, and the certificate's numbers pass 4,300
+    c = "7" * 1500
+    endo = tmp_path / "wide.job"
+    endo.write_text(
+        "field = Q\nvars = x1, x2, x3\n"
+        f"map x1 = {c}*x1\nmap x2 = {c}*x2 + x1^2\nmap x3 = {c}*x3 + x2^2\n"
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        code, out, err = run_cli(
+            capsys, *flags, "row", "compose", "docs/jobs/taut3.row", str(endo)
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert err == (
+        "error: DigitLimitExceeded: a number in the output has more than"
+        " 4300 digits\n"
+    )
+    if flags:
+        assert out == ""
 
 
 def test_reused_parser_matches_fresh_calls(capsys):

@@ -24,7 +24,6 @@ from wittdeg import (
     det,
     diag_form,
     is_witt_zero,
-    jacobian_det,
     normal_form,
     parse_poly,
     square_class,
@@ -36,10 +35,7 @@ from wittdeg import degree
 from wittdeg.degree import (
     _gram_from_quotient,
     bezoutian,
-    diagonal_bezoutian_identity,
     dual_ring,
-    gram_form,
-    power_endo,
     univariate_power_form,
     univariate_tensor_oracle,
     validate,
@@ -53,9 +49,12 @@ from conftest import (
     basis_of,
     canonical_gram,
     counterexample_endo,
+    diagonal_bezoutian_identity,
     divided_differences,
+    jacobian_det,
     leading,
     make_endo,
+    power_endo,
     random_poly,
     random_unit,
     reference_divide,
@@ -272,8 +271,9 @@ def test_gram_off_standard_basis_is_internal_error(Q, monkeypatch, capsys):
 
 def test_gram_cross_example(Q):
     endo = make_endo(Q, ("x1", "x2"), ("x1^2 - x2^2", "x1*x2"))
-    g = gram_form(endo)
-    assert degree_of(endo).labels == ("1", "x2", "x1", "x2^2")
+    rep = degree_of(endo)
+    g = rep.gram
+    assert rep.labels == ("1", "x2", "x1", "x2^2")
     expected = (
         (0, 0, 0, 1),
         (0, 1, 0, 0),
@@ -285,13 +285,14 @@ def test_gram_cross_example(Q):
 
 def test_gram_identity(Q):
     ring = Ring(("x1",), Q)
-    g = gram_form(Endo(ring=ring, images=(ring.var(0),)))
+    g = degree_of(Endo(ring=ring, images=(ring.var(0),))).gram
     assert g.dense() == [[Fraction(1)]]
 
 
 def test_gram_cube_antidiagonal(Q):
-    g = gram_form(power_endo(Q, (3,)))
-    assert degree_of(power_endo(Q, (3,))).labels == ("1", "x1", "x1^2")
+    rep = degree_of(power_endo(Q, (3,)))
+    g = rep.gram
+    assert rep.labels == ("1", "x1", "x1^2")
     expected = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert g.dense() == [[Fraction(x) for x in row] for row in expected]
 

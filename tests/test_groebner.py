@@ -25,7 +25,7 @@ from wittdeg.degree import Endo
 from wittdeg.groebner import QuotientAlgebra
 from wittdeg.orders import LEX
 from wittdeg.poly import Poly, _add_shifted, _entry, _reduce
-from wittdeg.umrow import compose_with_endo, universal_row
+from wittdeg.umrow import compose_with_endo
 
 from conftest import (
     basis_of,
@@ -37,6 +37,7 @@ from conftest import (
     random_poly,
     random_unit,
     reference_divide,
+    universal_row,
 )
 
 

@@ -17,13 +17,19 @@ from wittdeg.koszul import (
     _mat_mul,
     _mat_transpose,
     build_koszul,
-    negated_level,
     pairing_matrix,
     rho_sign_exponent,
     wedge_basis,
 )
 
 from conftest import random_poly
+
+
+def negated_level(maps, i):
+    """The family with level i negated."""
+    out = list(maps)
+    out[i] = tuple(tuple(-x for x in row) for row in maps[i])
+    return tuple(out)
 
 
 def _sign_of(exponent):

@@ -1,13 +1,16 @@
 """Static checks on the package layout, read with ``ast`` only.
 
 The package namespace re-exports a name only if the layers share it, under
-its own name, and no module keeps an import it does not use.
+its own name, no module keeps an import it does not use, and every public
+function is reached by a command, a pipeline stage or the benchmark.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wittdeg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "wittdeg"
 
 
 def _modules() -> dict:
@@ -68,3 +71,47 @@ def test_no_module_imports_an_unused_name():
             if bound not in loaded
         )
     assert not unused, unused
+
+
+def _names_used(node) -> set:
+    """Every name, attribute, imported name and string constant in node."""
+    used = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            used.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            used.add(child.attr)
+        elif isinstance(child, ast.alias):
+            used.add(child.name.split(".")[-1])
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            used.add(child.value)
+    return used
+
+
+def _console_script_targets() -> set:
+    """The functions named in pyproject.toml's [project.scripts]."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    return set(re.findall(r":(\w+)\"", section.group(1)))
+
+
+def test_every_public_function_is_reached():
+    """A public module-level function of the package is named somewhere
+    other than in its own body: by another statement of the package (not an
+    import, so a re-export alone does not count), by the benchmark's
+    scripts, or as a console-script entry point.  What only tests call
+    belongs in tests."""
+    reached = _console_script_targets()
+    for path in (ROOT / "bench").glob("*.py"):
+        reached |= _names_used(ast.parse(path.read_text()))
+    defined = []
+    for stem, tree in _modules().items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            reached |= _names_used(stmt) - {own}
+            if own is not None and not own.startswith("_"):
+                defined.append((stem, own))
+    unreached = [f"{stem}.{name}" for stem, name in defined if name not in reached]
+    assert not unreached, f"public functions that nothing reaches: {unreached}"

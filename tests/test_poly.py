@@ -15,10 +15,9 @@ from wittdeg import (
     FieldSpec,
     Poly,
     det,
-    jacobian_det,
     parse_poly,
 )
-from wittdeg.degree import Endo, diagonal_bezoutian_identity
+from wittdeg.degree import Endo
 from wittdeg.cli import HYPOTHESIS_ERRORS, parse_job_file
 from wittdeg.orders import GREVLEX, LEX
 from wittdeg.poly import format_poly
@@ -27,9 +26,12 @@ from conftest import (
     _reference_add,
     _reference_exact_div,
     _reference_mul,
+    deriv,
+    diagonal_bezoutian_identity,
     divided_differences,
     format_poly_reference,
     is_canonical_scalar,
+    jacobian_det,
     random_poly,
     random_unit,
 )
@@ -220,8 +222,8 @@ def test_ring_mismatch(R2, R3, Q):
 def test_char_p_derivative(F5):
     ring = Ring(("x",), F5)
     x = ring.var(0)
-    assert (x**5).deriv(0).is_zero  # 5 == 0 in F5
-    assert (x**3).deriv(0) == 3 * x**2
+    assert deriv(x**5, 0).is_zero  # 5 == 0 in F5
+    assert deriv(x**3, 0) == 3 * x**2
 
 
 def test_substitute_examples(R2):

@@ -19,10 +19,9 @@ from wittdeg import (
     parse_poly,
 )
 from wittdeg import groebner, umrow
-from wittdeg.umrow import apply_elementary, build_section, universal_row
 from wittdeg.cli import run
 
-from conftest import basis_of, counterexample_endo, make_endo
+from conftest import basis_of, counterexample_endo, make_endo, universal_row
 
 
 def _verify_certificate(row, cert):
@@ -61,23 +60,11 @@ def test_tautological_row_certificate(Q):
     _verify_certificate(row, cert)
 
 
-def test_apply_elementary(Q):
-    ring = Ring(("x",), Q)
-    alg = AlgebraPresentation(ring=ring)
-    row = UnimodularRow(algebra=alg, entries=(ring.var(0), ring.one() - ring.var(0)))
-    moved = apply_elementary(row, 0, 1, ring.one())
-    assert moved.entries == (ring.var(0), ring.one())
-    unchanged = apply_elementary(row, 0, 1, ring.zero())
-    assert unchanged.entries == row.entries
-    with pytest.raises(IndexError):
-        apply_elementary(row, 1, 1, ring.one())
-
-
 def test_apply_elementary_preserves_certificate(Q):
+    # the elementary column move x3 -> x3 + x1 * x1
     row = universal_row(Q, 3)
-    ring = row.algebra.ring
-    x1 = ring.var(0)
-    moved = apply_elementary(row, 0, 2, x1)
+    x1, x2, x3 = row.entries
+    moved = UnimodularRow(algebra=row.algebra, entries=(x1, x2, x3 + x1 * x1))
     cert = is_unimodular(moved)
     assert cert is not None
     _verify_certificate(moved, cert)
@@ -122,26 +109,6 @@ def test_composed_rows_stay_certifiable(Q):
         cert = is_unimodular(comp)
         assert cert is not None
         _verify_certificate(comp, cert)
-
-
-def test_build_section(Q):
-    for n in (2, 3, 5):
-        ring = Ring(tuple(f"a{i+1}" for i in range(n)), Q)
-        entries = ring.gens()
-        section = build_section(entries)
-        dot = ring.zero()
-        for s, a in zip(section, entries):
-            dot = dot + s * a
-        assert dot.is_zero
-    ring3 = Ring(("a1", "a2", "a3"), Q)
-    a1, a2, a3 = ring3.gens()
-    assert build_section((a1, a2, a3)) == (-a2, a1, ring3.zero())
-    ring2 = Ring(("a1", "a2"), Q)
-    b1, b2 = ring2.gens()
-    assert build_section((b1, b2)) == (-b2, b1)
-    ring5 = Ring(tuple(f"a{i+1}" for i in range(5)), Q)
-    c = ring5.gens()
-    assert build_section(c) == (-c[1], c[0], -c[3], c[2], ring5.zero())
 
 
 def test_obstruction_report_counterexample(Q):

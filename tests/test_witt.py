@@ -12,6 +12,7 @@ from wittdeg import (
     FactorBoundExceeded,
     FieldSpec,
     NonCanonicalForm,
+    degree_of,
     diag_form,
     diagonalize,
     invariants,
@@ -22,14 +23,13 @@ from wittdeg import (
 )
 from wittdeg.fields import (
     FACTOR_BOUND,
+    _hilbert,
     hasse_places,
-    hilbert_symbol,
     is_prime,
     square_class,
     square_class_mul,
 )
 from wittdeg import fields, witt
-from wittdeg.degree import gram_form
 from wittdeg.witt import (
     GramForm,
     _eliminate,
@@ -39,7 +39,7 @@ from wittdeg.witt import (
     witt_equal,
 )
 
-from conftest import canonical_gram, make_endo
+from conftest import canonical_gram, hilbert, make_endo
 
 
 def _mat_mul(a, b):
@@ -401,7 +401,7 @@ def test_staircase3_repairs(Q):
     """The d = 15 staircase of docs/jobs/staircase3.job has 20 nonzeros
     and needs 7 swaps and 6 add repairs; all three eliminations agree."""
     texts = ("x*y", "y*z + x^3", "x*z + y^3 + z^3")
-    g = gram_form(make_endo(Q, ("x", "y", "z"), texts))
+    g = degree_of(make_endo(Q, ("x", "y", "z"), texts)).gram
     assert (len(g.rows), sum(map(len, g.rows))) == (15, 20)
     ref, repairs, _ = _reference_elimination(Q, g.dense())
     assert (repairs.count("swap"), repairs.count("add")) == (7, 6)
@@ -447,7 +447,7 @@ def _pairwise_hasse(d, primes):
     for v in hasse_places(sorted(primes)):
         s = 1
         for a, b in itertools.combinations(d.entries, 2):
-            s *= hilbert_symbol(a, b, v)
+            s *= hilbert(a, b, v)
         hasse[str(v)] = s
     return hasse
 
@@ -559,7 +559,7 @@ def _reference_is_witt_zero(d):
     m = d.rank // 2
     for v_str, s in inv.hasse.items():
         v = "inf" if v_str == "inf" else int(v_str)
-        reference = 1 if (m * (m - 1) // 2) % 2 == 0 else hilbert_symbol(-1, -1, v)
+        reference = 1 if (m * (m - 1) // 2) % 2 == 0 else _hilbert(-1, -1, v)
         if s != reference:
             return False
     return True
