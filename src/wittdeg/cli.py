@@ -3,8 +3,8 @@
 Subcommands: degree, nori-check, witt invariants, witt is-zero,
 koszul verify, row check, row compose.  Output is deterministic; --json
 emits the versioned report schema.  Exit codes: 0 success, 1 a check of
-koszul verify failed (text output; --json reports each check and exits 0),
-2 parse or validation error, or a number too long to print
+koszul verify failed (in text and --json output alike), 2 parse or
+validation error, or a number too long to print
 (DigitLimitExceeded), 3 mathematical hypothesis failure (NotFiniteLength,
 SupportNotOrigin, NotOriginPreserving, EvenN).
 
@@ -352,6 +352,7 @@ def _cmd_koszul_verify(args) -> int:
     unsigned_ok = verify_chain_map(dd, dd.wedge_maps)
     dsign = -1 if dual_differential_sign(1, n) else 1
     ssign = symmetry_sign(n)
+    status = 0 if chain_ok and sym_ok and not unsigned_ok else 1
     if args.json:
         _print_json(
             {
@@ -365,7 +366,7 @@ def _cmd_koszul_verify(args) -> int:
                 "unsigned_family_chain_map": unsigned_ok,
             }
         )
-        return 0
+        return status
     print(
         f"n = {n}; resolved convention: dual differential = "
         f"{dsign:+d} * transpose(d_(n-i+1)); "
@@ -378,7 +379,7 @@ def _cmd_koszul_verify(args) -> int:
         "unsigned family chain map: "
         + ("unexpectedly passes" if unsigned_ok else "fails (expected)")
     )
-    return 0 if chain_ok and sym_ok and not unsigned_ok else 1
+    return status
 
 
 def _describe_row(row: UnimodularRow) -> list[str]:
@@ -392,6 +393,8 @@ def _describe_row(row: UnimodularRow) -> list[str]:
 
 
 def _report_row(row: UnimodularRow, args) -> int:
+    """Print the row and its certificate, every line formatted before the
+    first is printed: an error while formatting leaves stdout empty."""
     cert = is_unimodular(row)
     if args.json:
         data = {
@@ -405,13 +408,13 @@ def _report_row(row: UnimodularRow, args) -> int:
             data["certificate"] = [str(c) for c in cert]
         _print_json(data)
         return 0
-    for line in _describe_row(row):
-        print(line)
+    lines = _describe_row(row)
     if cert is None:
-        print("unimodular: no")
+        lines.append("unimodular: no")
     else:
-        print("unimodular: yes")
-        print(f"certificate: ({', '.join(str(c) for c in cert)})")
+        lines.append("unimodular: yes")
+        lines.append(f"certificate: ({', '.join(str(c) for c in cert)})")
+    print("\n".join(lines))
     return 0
 
 

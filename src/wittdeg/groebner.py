@@ -5,7 +5,8 @@ basis all run the division kernel of `poly` (`_reduce`, with `_divisor`
 and `_add_shifted`).  It works on one mutable term dict, reads each
 divisor's leading term from a precomputed entry, and keeps only the
 remainder: no caller here needs the quotients.  Pending S-pairs wait in a
-heap keyed by their lcm, computed once when the pair is formed.
+heap keyed by their sugar and their lcm, computed once when the pair is
+formed (see the selection strategy below).
 
 A monomial is its key in the ring's `Packing` (see `orders`), the one
 the polynomials already hold: the leading term is the largest key, a
@@ -47,15 +48,45 @@ Buchberger's second criterion (EUROSAM 1979).  The pairs are grouped by
 lcm and each group keeps its first i (F); a group goes if any member has
 coprime leading monomials (the product criterion), or if the lcm of
 another new pair, coprime ones included, properly divides its lcm (M).
-Every dropped S-polynomial reduces to zero, so the reduced basis is
+Every dropped S-polynomial has a standard representation by the pairs
+kept, whatever order they are reduced in, so the reduced basis is
 unchanged; on the generic benchmark (seed 1, 42 jobs) the criteria cut
 the reductions from 1,236 to 678, and a 3-variable LEX ideal over Q from
-365 to 58.  Two refinements are left out.  The chain criterion B_k on
-pending pairs saves no reduction there: it drops no pair on generic, and
-on rows only pairs that stopping at the unit drops anyway.  Pruning
-basis elements whose leading monomial the new one divides changes the
-reducers, and with it goldens 11 and 23 changed and the row certificates
-of 42 jobs grew from 44.6 KB to 54.7 KB.
+365 to 58 (with the lcm-first selection below; 32 with sugar).  Two
+refinements are left out.  The chain criterion B_k on pending pairs saves
+no reduction there: it drops no pair on generic, and on rows only pairs
+that stopping at the unit drops anyway.  Pruning basis elements whose
+leading monomial the new one divides changes the reducers: with lcm-first
+selection, goldens 11 and 23 changed with it and the row certificates of
+42 jobs grew from 44.6 KB to 54.7 KB.
+
+Pairs are selected by sugar (Giovini, Mora, Niesi, Robbiano & Traverso,
+"One sugar cube, please", ISSAC 1991): the pending pair of least sugar
+goes first, then the one of smallest lcm, then by the indices of its
+entries.  The sugar of an entry from an input generator is its total
+degree as it enters, after its reduction by the earlier entries.  The
+pair (i, j) with lcm m has sugar max(sug_i + deg m - deg lead_i, sug_j +
+deg m - deg lead_j), the sugar of the larger of the two multiples that
+make its S-polynomial, and its remainder keeps it; each entry stores
+sug - deg lead.  deg is Packing.degree: the top field of a GREVLEX key,
+the sum of the exponents under LEX.  Under GREVLEX an S-polynomial of
+lcm m has degree at most deg m, so sugar follows the lcm degree, except
+that an entry reduced down from a higher degree keeps its higher sugar
+and its pairs wait; under LEX, whose lcm order ignores degree, sugar
+orders the pairs by degree.  The criteria hold for any selection, but a
+pair they drop need not reduce to zero at the point where it would have
+been picked, so a run without them can find another, equally valid,
+certificate.  On the 84 rows-benchmark jobs of seed 1, against
+smallest-lcm-first selection, sugar cut the term operations of
+`_add_shifted` from 51,842 to 36,391 and the certificate text from
+65,285 to 46,367 bytes; the reductions of the certifying runs went from
+1,408 to 1,259, the nonzero ones from 1,117 to 887.  The LEX row of
+golden 28 took more than a minute, and now its certifying Buchberger
+takes 0.006 s.  The first 84 structured-q and generic jobs of seeds 1
+and 2 kept their output bytes and their `_add_shifted` counts; under
+--order lex the first 42 of seed 1 kept their output bytes, and their
+counts fell from 195,443 to 113,780 (structured-q) and from 325,983 to
+122,016 (generic).  So only row certificates changed.
 
 Each QuotientAlgebra keeps one memoized table of monomial normal forms,
 built from the reduced basis by linear combination alone, with no
@@ -104,15 +135,16 @@ a generator's too), adds each part once over the lcm of their
 denominators and divides by the gcd of that lcm and the content, so the
 cofactors are equal as exact values.  Canonical scalars are made once,
 for the unit's vector.  On the 84 rows-benchmark jobs of seed 1 (CPython
-3.11, x86-64) this cut the Fractions made from 16,897 to 7,019, at most
-one per certificate term, and the replay from 0.038 to 0.027 s.  The
+3.11, x86-64, lcm-first selection) this cut the Fractions made from
+16,897 to 7,019, at most one per certificate term, and the replay from
+0.038 to 0.027 s.  The
 reduced basis {1} is the unit entry itself, so autoreduction changes
 nothing the certificate depends on.
 
-Everything is deterministic: normal selection strategy (smallest lcm first,
-ties by input index), basis sorted by leading monomial.  Keys compare as
-the order does, so the packed kernel makes the same choices, in the same
-sequence, as a kernel on exponent tuples would.
+Everything is deterministic: sugar selection (least sugar first, ties by
+smallest lcm, then by the entries' indices), basis sorted by leading
+monomial.  Keys compare as the order does, so the packed kernel makes the
+same choices, in the same sequence, as a kernel on exponent tuples would.
 """
 
 from __future__ import annotations
@@ -198,22 +230,29 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
     q = field.modulus
     packing = ring.packing
     one, pad, guard, target = packing.one, packing.pad, packing.guard, packing.target
-    lcm = packing.lcm
+    lcm, degree = packing.lcm, packing.degree
     # working basis as _divisor entries, in order of discovery; the fourth
     # slot is the entry's cofactor recipe, or None when not certifying
     work: list[tuple] = []
-    # heap of pending pairs (key of their lcm, i, j): smallest lcm first
+    # the sugar of each working entry less the degree of its lead
+    excess: list[int] = []
+    # heap of pending pairs (sugar, key of their lcm, i, j): least sugar
+    # first, then smallest lcm
     pairs: list[tuple] = []
 
-    def append(terms: dict, origin, scale) -> None:
+    def append(terms: dict, origin, scale, sugar) -> None:
         """Reduce terms / scale by the working basis and keep a nonzero
-        remainder."""
+        remainder, which keeps the sugar of terms; for a generator, sugar is
+        None, and the remainder's total degree is its sugar."""
         log = None if origin is None else []
         rem, scale = _reduce(terms, work, packing, field, log, scale)
         if not rem:
             return
         lead, lc, tail, _ = _divisor(rem, q)
         t = len(work)
+        if sugar is None:
+            sugar = max(map(degree, rem))
+        ex = sugar - degree(lead)
         # the new pairs (i, t) by lcm: the first i of each group, and whether
         # any member has coprime leading monomials, whose lcm is their
         # product (F and the product criterion)
@@ -236,7 +275,8 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
                 if not coprime:
                     if m & guard:  # its S-polynomial would pass the bound
                         packing.overflow()
-                    heapq.heappush(pairs, (m, i, t))
+                    sug = degree(m) + max(excess[i], ex)
+                    heapq.heappush(pairs, (sug, m, i, t))
         recipe = None
         if origin is not None:
             # the remainder is rem / scale: the inverse a / b, b > 0, makes
@@ -248,16 +288,17 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
                 inv = (scale, c) if c > 0 else (-scale, -c)
             recipe = (t, origin, log, inv)
         work.append((lead, lc, tail, recipe))
+        excess.append(ex)
         if lead == one:
             pairs.clear()  # 1 is in the ideal: every pending pair reduces to 0
 
     for k, g in enumerate(gens):
         if not g.is_zero:
             terms, den = _clear(g.packed)
-            append(dict(terms), k if certify else None, den)
+            append(dict(terms), k if certify else None, den, None)
 
     while pairs:
-        m, i, j = heapq.heappop(pairs)
+        sugar, m, i, j = heapq.heappop(pairs)
         li, ci, tail_i, _ = work[i]
         lj, cj, tail_j, _ = work[j]
         si = m - li  # the offsets of lcm / lead
@@ -269,7 +310,7 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
         s = {}
         _add_shifted(s, tail_i, si, cj // g, q)
         _add_shifted(s, tail_j, sj, -(ci // g), q)
-        append(s, (i, j, si, sj) if certify else None, ci // g * cj)
+        append(s, (i, j, si, sj) if certify else None, ci // g * cj, sugar)
 
     certificate = None
     # 1 ends the working basis when it enters: no pair is left to add more

@@ -164,6 +164,14 @@ class Packing:
         unpack = self.unpack
         return {unpack(k): c for k, c in keys.items()}
 
+    def degree(self, key: int) -> int:
+        """The total degree of the monomial of key: under GREVLEX its top
+        field, read by one shift (an lcm's degree up to 2C included), under
+        LEX the sum of its exponents."""
+        if self.order._grevlex:
+            return key >> BITS * self.n
+        return sum(self.unpack(key))
+
     def check(self, keys) -> None:
         """Raise ExponentBoundExceeded if a key has a guard bit set."""
         if any(map(self.guard.__and__, keys)):

@@ -338,6 +338,17 @@ def test_koszul_verify(capsys):
         assert "fails (expected)" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_koszul_verify_failed_check_exits_1(capsys, monkeypatch, flags):
+    monkeypatch.setattr(cli, "verify_symmetry", lambda dd: False)
+    code, out, _ = run_cli(capsys, *flags, "koszul", "verify", "--n", "2")
+    assert code == 1
+    if flags:
+        assert json.loads(out)["symmetry"] is False
+    else:
+        assert "symmetry: FAIL" in out
+
+
 def test_row_check(capsys):
     code, out, _ = run_cli(capsys, "row", "check", "docs/jobs/taut3.row")
     assert code == 0
@@ -390,7 +401,9 @@ def test_row_compose_arity_mismatch(tmp_path, capsys):
 )
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_row_compose_number_past_digit_limit(tmp_path, capsys, flags):
-    # c has 1,500 digits, and the certificate's numbers pass 4,300
+    # c has 1,500 digits, and the certificate's numbers pass 4,300; every
+    # line is formatted before the first is printed, so the row line is not
+    # printed either
     c = "7" * 1500
     endo = tmp_path / "wide.job"
     endo.write_text(
@@ -410,8 +423,7 @@ def test_row_compose_number_past_digit_limit(tmp_path, capsys, flags):
         "error: DigitLimitExceeded: a number in the output has more than"
         " 4300 digits\n"
     )
-    if flags:
-        assert out == ""
+    assert out == ""
 
 
 def test_reused_parser_matches_fresh_calls(capsys):

@@ -61,12 +61,15 @@ def test_layout_matches_tuple_arithmetic(case):
     if divides:
         quotient = tuple(y - x for x, y in zip(a, b))
         assert s - packing.pad == packing.pack(quotient) - one
-    # lcm, field by field; only a GREVLEX degree can pass the bound
+    # lcm, field by field; only a GREVLEX degree can pass the bound, and
+    # the lcm's degree is read off its key either way
     lcm = tuple(map(max, a, b))
     if _within(order, lcm):
         assert packing.lcm(ka, kb) == packing.pack(lcm)
     else:
         assert order is GREVLEX and packing.lcm(ka, kb) & guard
+    assert packing.degree(ka) == sum(a)
+    assert packing.degree(packing.lcm(ka, kb)) == sum(lcm)
     # the key of x^a u^b in 2n variables splits into the fields of a and b,
     # which complete to their keys in n variables
     if _within(order, a + b):
