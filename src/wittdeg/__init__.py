@@ -47,7 +47,6 @@ from .groebner import (
     QuotientAlgebra,
     buchberger,
     contains_one_with_certificate,
-    normal_form,
     standard_monomials,
     supported_only_at_origin,
 )

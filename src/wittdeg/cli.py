@@ -10,7 +10,7 @@ SupportNotOrigin, NotOriginPreserving, EvenN).
 
 Job files::
 
-    field = Q            # or F<p> with p an odd prime
+    field = Q            # or F<p>, p an odd prime in ASCII digits
     vars = x1, x2, x3
     map x1 = x1^2 - x2^2 # degree jobs: one map line per variable
     map x2 = x1*x2
@@ -30,6 +30,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -83,14 +84,19 @@ class JobFile:
     row: Optional[tuple[Poly, ...]]
 
 
+_FIELD_RE = re.compile(r"F([1-9][0-9]*)")
+
+
 def _parse_field(text: str) -> FieldSpec:
+    """Q, or F<p> with p in ASCII digits and no leading zero."""
     text = text.strip()
     if text == "Q":
         return FieldSpec.rationals()
-    if text.startswith("F"):
+    m = _FIELD_RE.fullmatch(text)
+    if m:
         try:
-            return FieldSpec.prime_field(int(text[1:]))
-        except ValueError:
+            return FieldSpec.prime_field(int(m.group(1)))
+        except ValueError:  # more digits than the interpreter converts
             pass
     raise AlgebraError(f"bad field {text!r} (expected Q or F<p>)")
 

@@ -15,8 +15,8 @@ scalars while they work: they keep int dicts over positive denominators
 (`poly`, `witt`).  They make a ``Fraction`` only at their boundary, by
 :func:`ratio` (n / d for ints) or by FieldSpec arithmetic: the monic
 reduced basis, a normal form's remainder, the Gram entries, the
-cofactors of a unit certificate (`groebner`), and the pivots of the
-elimination (`witt._eliminate`).
+printed entry cofactors of a unit certificate (`umrow`), and the pivots
+of the elimination (`witt._eliminate`).
 
 Square classes are canonicalized as follows: over Q the representative is a
 signed squarefree integer; over F_p it is 1 for squares and the smallest
@@ -88,7 +88,7 @@ def ratio(n: int, d: int):
     return n if d == 1 else _rational(Fraction(n, d))
 
 
-_SCALAR_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
+_SCALAR_RE = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?\Z")
 
 
 class FieldSpec:
@@ -172,11 +172,21 @@ class FieldSpec:
     # -- text ------------------------------------------------------------
 
     def parse_scalar(self, text: str):
+        """The scalar of text in the grammar (whitespace-insensitive)::
+
+            scalar := ["+"|"-"] int ("/" int)?
+
+        an int being ASCII digits 0-9; anything else is a ParseError, and so
+        is an int of more digits than the interpreter converts."""
         m = _SCALAR_RE.match(text)
         if not m:
             raise ParseError(f"bad scalar {text!r}", 0)
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        try:
+            num = int(m.group(1))
+            den = int(m.group(2)) if m.group(2) else 1
+        except ValueError:
+            digits = max(len(g.lstrip("+-")) for g in m.groups() if g)
+            raise ParseError(f"number of {digits} digits", 0) from None
         if den == 0:
             raise ParseError("zero denominator", 0)
         return self.canon(Fraction(num, den))

@@ -38,9 +38,10 @@ the remainders are the same up to a positive factor.  Canonical Q
 scalars, and with them `Fraction`, appear only at the boundary: the
 reduced basis is kept as its integer entries, and `GroebnerBasis.basis`
 makes them monic on each read; a certificate is replayed on ints and
-converted once, when its cofactors are built; normal_form converts its
-remainder; and the Gram build converts the quotient table's integer
-entries (see below).
+kept in that form, `GroebnerBasis.certificate` converts it on each read,
+and umrow.is_unimodular converts only the entry cofactors it prints;
+normal_form converts its remainder; and the Gram build converts the
+quotient table's integer entries (see below).
 
 When an element t joins the working basis, its new pairs (i, t) pass the
 Gebauer-Moeller criteria (Gebauer & Moeller, JSC 6, 1988), which refine
@@ -109,15 +110,16 @@ The degree pipeline reuses the same integer entries for the Gram matrix.
 
 The certificate of a unit ideal is 1 = sum c_i * g_i, the cofactors of
 the unit basis {1} over the generators: buchberger(gens, certify=True)
-returns them unchecked as its certificate, and umrow.is_unimodular, which
-owns the certificate, checks them once, modulo the relations.  Buchberger
-stops as soon as 1 enters the working basis: 1 divides every later
-remainder, so the pending pairs are dropped and 1 is the last working
-entry.  A proper ideal has no certificate, and none of its cofactors is
-ever built.  The certificate is built lazily.  While a certifying
-Buchberger runs, a working entry carries only a recipe: its discovery
-index, its origin (a generator index, or the S-pair parents and their
-shifts), the step log of its reduction and the inverse that made it
+returns them unchecked, in the integer form (nums, den) with one int term
+dict per generator (`GroebnerBasis.cofactors`), and umrow.is_unimodular,
+which owns the certificate, checks them once, modulo the relations, on
+ints.  Buchberger stops as soon as 1 enters the working basis: 1 divides
+every later remainder, so the pending pairs are dropped and 1 is the last
+working entry.  A proper ideal has no certificate, and none of its
+cofactors is ever built.  The certificate is built lazily.  While a
+certifying Buchberger runs, a working entry carries only a recipe: its
+discovery index, its origin (a generator index, or the S-pair parents and
+their shifts), the step log of its reduction and the inverse that made it
 monic.  Recipes keep the monic convention: the vector of an entry is that
 of its monic polynomial, and a logged step is relative to the monic
 divisor.  They hold ints only: a step's multiplier is a numerator and a
@@ -126,20 +128,26 @@ scale / c for the integer remainder rem / scale with leading coefficient
 c, over F_p 1 / c with b = 1.  A remainder that reduces to zero, as most
 S-polynomials do, keeps nothing.  When 1 has entered, only it and its
 ancestors are replayed, in discovery order, in the integer form of the
-normal-form table below: a vector is m int term dicts over one positive
-denominator, 1 over F_p, so one loop serves both fields.  Eager tracking
-makes an entry's vector and then multiplies each of its terms by the
-normalising inverse; the replay folds the inverse into the multiplier of
-each part instead (the seed or the two parents, and every logged step,
-a generator's too), adds each part once over the lcm of their
-denominators and divides by the gcd of that lcm and the content, so the
-cofactors are equal as exact values.  Canonical scalars are made once,
-for the unit's vector.  On the 84 rows-benchmark jobs of seed 1 (CPython
-3.11, x86-64, lcm-first selection) this cut the Fractions made from
-16,897 to 7,019, at most one per certificate term, and the replay from
-0.038 to 0.027 s.  The
-reduced basis {1} is the unit entry itself, so autoreduction changes
-nothing the certificate depends on.
+normal-form table above: a vector is one int term dict over one positive
+denominator, 1 over F_p, so one loop serves both fields.  It is laid out
+position over term, as Singular lays out module elements (Bachmann &
+Schoenemann, ISSAC 1998): the keys of generator g's component are raised
+by g * 2^(BITS * (n + 1)), above every field and guard bit of a key, so a
+shift moves every component at once and the guard mask still tests each
+key against the bound.  Eager tracking makes an entry's vector and then
+multiplies each of its terms by the normalising inverse; the replay folds
+the inverse into the multiplier of each part instead (the seed or the two
+parents, and every logged step, a generator's too), adds each part once,
+in one `_add_shifted`, over the lcm of their denominators and divides by
+the gcd of that lcm and the content, so the cofactors are equal as exact
+values.  The unit's vector is split into its m components once, by
+divmod, and no scalar is made here.  On the 84 rows-benchmark jobs of
+seed 1 (CPython 3.11, x86-64, lcm-first selection) the folded inverse cut
+the Fractions made from 16,897 to 7,019 and the replay from 0.038 to
+0.027 s; with sugar selection, one dict per vector cut the replay's
+`_add_shifted` calls from 9,076, 3,646 of them on an empty component, to
+2,269.  The reduced basis {1} is the unit entry itself, so autoreduction
+changes nothing the certificate depends on.
 
 Everything is deterministic: sugar selection (least sugar first, ties by
 smallest lcm, then by the entries' indices), basis sorted by leading
@@ -157,7 +165,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InternalError, NotFiniteLength, RingMismatch
-from .orders import Packing
+from .orders import BITS, Packing
 from .poly import (
     Poly,
     Ring,
@@ -189,19 +197,31 @@ class GroebnerBasis:
     entries is the reduced basis as the `_divisor` entries of the working
     basis (tags None), sorted by leading monomial: every reader divides by
     them or reads their leads and tails.  basis is their monic view.  When
-    buchberger certified and the basis is {1}, certificate holds cofactors
-    with sum(certificate[m] * generators[m]) == 1 exactly; otherwise it is
-    None.
+    buchberger certified and the basis is {1}, cofactors is the unit's
+    vector in the integer working form, (nums, den): nums holds one int term
+    dict per generator, over the one positive denominator den (1 over F_p),
+    and sum(nums[m] * generators[m]) == den exactly; otherwise it is None.
+    certificate is its view with canonical scalars.
     """
 
     generators: tuple[Poly, ...]
     entries: tuple[tuple, ...]
-    certificate: Optional[tuple[Poly, ...]] = None
+    cofactors: Optional[tuple[tuple[dict, ...], int]] = None
 
     @property
     def ring(self) -> Ring:
         """The ring of the generators, whose order the basis is reduced in."""
         return self.generators[0].ring
+
+    @property
+    def certificate(self) -> Optional[tuple[Poly, ...]]:
+        """The certificate as polynomials with canonical scalars, made on each
+        read, or None."""
+        if self.cofactors is None:
+            return None
+        nums, den = self.cofactors
+        ring = self.ring
+        return tuple(Poly._from_packed(ring, _ratios(c, den)) for c in nums)
 
     @property
     def basis(self) -> tuple[Poly, ...]:
@@ -312,33 +332,39 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
         _add_shifted(s, tail_j, sj, -(ci // g), q)
         append(s, (i, j, si, sj) if certify else None, ci // g * cj, sugar)
 
-    certificate = None
+    cofactors = None
     # 1 ends the working basis when it enters: no pair is left to add more
     if certify and work and work[-1][0] == one:
-        certificate = _certificate(work, len(gens), ring)
-    return GroebnerBasis(tuple(gens), _reduce_basis(work, ring), certificate)
+        cofactors = _certificate(work, len(gens), ring)
+    return GroebnerBasis(tuple(gens), _reduce_basis(work, ring), cofactors)
 
 
-def _certificate(work: list, m: int, ring: Ring) -> tuple[Poly, ...]:
-    """The cofactors of 1, the last working entry, over the m generators.
+def _certificate(work: list, m: int, ring: Ring) -> tuple[tuple[dict, ...], int]:
+    """The cofactors of 1, the last working entry, over the m generators, as
+    (nums, den): one int term dict per generator over one positive
+    denominator coprime to their content (1 over F_p).
 
     An entry's ancestors are its S-pair parents and the divisors in its step
     log, all discovered before it.  One descending pass marks the unit's
     ancestors; one ascending pass replays each marked recipe on ints.  The
-    vector of an entry is m int term dicts over one positive denominator
-    coprime to their content (1 over F_p).  Its parts are the unit vector
-    of a generator origin, scaled by the normalising inverse a / b, or the
-    two parents' vectors, shifted and scaled by a / b and -a / b; then the
-    divisor's vector of every logged step, shifted and scaled by the step's
-    multiplier times a / b.  The parts are summed over L, the lcm of the
-    products of each multiplier's denominator and its vector's, one
-    `_add_shifted` per part and generator, and the sum is divided by the
+    vector of an entry is one int term dict over one positive denominator,
+    coprime to its content: generator g's keys are raised by g * 2^w, w =
+    BITS * (n + 1), above every field and guard bit of the packing, so a
+    shift moves all components at once and each part of a recipe is one
+    `_add_shifted`.  Its parts are the unit vector of a generator origin,
+    scaled by the normalising inverse a / b, or the two parents' vectors,
+    shifted and scaled by a / b and -a / b; then the divisor's vector of
+    every logged step, shifted and scaled by the step's multiplier times
+    a / b.  The parts are summed over L, the lcm of the products of each
+    multiplier's denominator and its vector's, and the sum is divided by the
     gcd of L and its content.  A vector is checked against the exponent
-    bound before later recipes shift it.  Canonical scalars are made once,
-    for the unit's vector.
+    bound before later recipes shift it.  The unit's vector is split into
+    its generators' dicts once, by divmod.
     """
     q = ring.field.modulus
     packing = ring.packing
+    # generator g's component starts at key g * stride
+    stride = 1 << BITS * (packing.n + 1)
     needed = [False] * len(work)
     needed[-1] = True
     for idx in range(len(work) - 1, -1, -1):
@@ -355,29 +381,26 @@ def _certificate(work: list, m: int, ring: Ring) -> tuple[Poly, ...]:
         _, origin, log, (a, b) = w[3]
         # (multiplier numerator, its denominator, source, shift)
         if isinstance(origin, int):
-            unit = [{}] * m
-            unit[origin] = {packing.one: 1}
+            unit = {origin * stride + packing.one: 1}
             parts = [(a, b, (unit, 1), 0)]
         else:
             i, j, si, sj = origin
             parts = [(a, b, cofs[i], si), (-a, b, cofs[j], sj)]
         parts += [(c * a, d * b, cofs[tag[0]], s) for tag, s, c, d in log]
         den = lcm(*[d * src[1] for _, d, src, _ in parts])
-        cof = [{} for _ in range(m)]
+        cof: dict = {}
         for c, d, (vec, vd), shift in parts:
-            c *= den // (d * vd)
-            for dst, src in zip(cof, vec):
-                _add_shifted(dst, src, shift, c, q)
+            _add_shifted(cof, vec, shift, c * (den // (d * vd)), q)
         if den > 1:
-            g = gcd(den, *[v for c in cof for v in c.values()])
-            if g > 1:
-                den //= g
-                cof = [{e: v // g for e, v in c.items()} for c in cof]
-        for c in cof:
-            packing.check(c)
+            cof, den = _lowest(cof, den)
+        packing.check(cof)
         cofs[idx] = cof, den
     cof, den = cofs[-1]
-    return tuple(Poly._from_packed(ring, _ratios(c, den)) for c in cof)
+    nums: tuple[dict, ...] = tuple({} for _ in range(m))
+    for key, v in cof.items():
+        g, e = divmod(key, stride)
+        nums[g][e] = v
+    return nums, den
 
 
 def _reduce_basis(work: list, ring: Ring) -> tuple[tuple, ...]:
@@ -658,10 +681,11 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
 
 
 def contains_one_with_certificate(gens: Sequence[Poly]):
-    """Cofactors (c_1, ..., c_m) with sum(c_i * gens_i) == 1, or None.
+    """Cofactors ((c_1, ..., c_m), d) with sum(c_i * gens_i) == d, or None.
 
-    The certificate of Buchberger's unit basis, unchecked here
-    (umrow.is_unimodular checks each certificate once), or None when the
-    basis is not {1}.
+    The certificate of Buchberger's unit basis in the integer working form
+    of `GroebnerBasis.cofactors`: int term dicts over one positive
+    denominator d.  It is unchecked here (umrow.is_unimodular checks each
+    certificate once), and None when the basis is not {1}.
     """
-    return buchberger(gens, certify=True).certificate
+    return buchberger(gens, certify=True).cofactors

@@ -11,6 +11,7 @@ The text grammar (whitespace-insensitive)::
     factor := var ("^" nat)?
     coeff  := int ("/" posint)?
 
+int, posint and nat are ASCII digits 0-9; any other digit is a ParseError.
 Unary minus is allowed on the leading term only.  The parser builds each
 term's exponents and coefficient directly and adds it, as its key, to one
 packed term dict for the whole text; an exponent above orders.BOUND
@@ -485,7 +486,7 @@ class Poly:
 
 # -- parsing -------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^])|(\S)")
+_TOKEN_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^])|(\S)")
 
 
 def _tokenize(text: str):
@@ -638,27 +639,33 @@ def format_poly(p: Poly) -> str:
     """
     if p.is_zero:
         return "0"
-    packing = p.ring.packing
+    ring = p.ring
+    names = ring.variables
+    packing = ring.packing
     unpack = packing.unpack
     key = None if packing.order is GREVLEX else lambda k: GREVLEX.key(unpack(k))
+    packed = p.packed
     pieces = []
-    for k in sorted(p.packed, key=key, reverse=True):
-        c = p.packed[k]
-        mono = format_monomial(p.ring, unpack(k))
-        negative = c < 0  # over F_p never: a scalar there lies in [0, p)
-        mag = -c if negative else c
-        if mono == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = mono
+    for k in sorted(packed, key=key, reverse=True):
+        # the sign is read off the text of the scalar, so no Fraction is
+        # compared or negated (over F_p a scalar lies in [0, p): never "-")
+        c = str(packed[k])
+        if c[0] == "-":
+            pieces.append(" - ")
+            c = c[1:]
         else:
-            body = f"{mag}*{mono}"
-        pieces.append(("-" if negative else "+", body))
-    sign, body = pieces[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+            pieces.append(" + ")
+        mono = "*".join(
+            [v if e == 1 else f"{v}^{e}" for v, e in zip(names, unpack(k)) if e]
+        )
+        if not mono:
+            pieces.append(c)
+        elif c == "1":
+            pieces.append(mono)
+        else:
+            pieces.append(f"{c}*{mono}")
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 # -- matrices and determinants ---------------------------------------------

@@ -26,13 +26,13 @@ from wittdeg import (
     invariants,
     is_unimodular,
     is_witt_zero,
-    normal_form,
     square_class,
     square_classes,
 )
 from wittdeg.cli import _write_json
 from wittdeg.degree import univariate_tensor_oracle
 from wittdeg.fields import hasse_places
+from wittdeg.groebner import normal_form
 from wittdeg.umrow import compose_with_endo
 from wittdeg.witt import negate, orthogonal_sum, witt_equal
 

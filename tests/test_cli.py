@@ -164,6 +164,22 @@ def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
         ("field = Q\nvars = x\nrow = x\nrow = x\n", 4, "duplicate 'row' line"),
         ("field = Q\nvars = x\nfoo = x\n", 3, "unknown key 'foo'"),
         ("field = Fx\nvars = x\n", 1, "bad field 'Fx' (expected Q or F<p>)"),
+        # F and ASCII digits without a leading zero, nothing else: int()
+        # would read each of these as a number
+        ("field = F7_1\nvars = x\n", 1, "bad field 'F7_1' (expected Q or F<p>)"),
+        ("field = F+7\nvars = x\n", 1, "bad field 'F+7' (expected Q or F<p>)"),
+        ("field = F 7\nvars = x\n", 1, "bad field 'F 7' (expected Q or F<p>)"),
+        ("field = F07\nvars = x\n", 1, "bad field 'F07' (expected Q or F<p>)"),
+        (
+            "field = F\u0661\u0663\nvars = x\n",
+            1,
+            "bad field 'F\u0661\u0663' (expected Q or F<p>)",
+        ),
+        (
+            "field = Q\nvars = x\nmap x = x^\u0661\u0663 + \u0663*x^\u0662\n",
+            3,
+            "unexpected character '\u0661' (at position 2)",
+        ),
     ],
     ids=[
         "field-twice",
@@ -182,6 +198,12 @@ def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
         "row-twice",
         "unknown-key",
         "Fx",
+        "F7_1",
+        "F+7",
+        "F-space-7",
+        "F07",
+        "F-arabic-indic-13",
+        "arabic-indic-exponent",
     ],
 )
 def test_degree_exit_2_line_error_carries_location(
@@ -227,8 +249,47 @@ def test_exit_2_whole_file_error_carries_path(
             ["witt", "invariants", "--field", "Fx", "1"],
             "AlgebraError: bad field 'Fx' (expected Q or F<p>)",
         ),
+        (
+            ["witt", "invariants", "--field", "F7_1", "1"],
+            "AlgebraError: bad field 'F7_1' (expected Q or F<p>)",
+        ),
+        (
+            ["witt", "is-zero", "--field", "F+7", "1"],
+            "AlgebraError: bad field 'F+7' (expected Q or F<p>)",
+        ),
+        (
+            ["witt", "invariants", "--field", "F 7", "1"],
+            "AlgebraError: bad field 'F 7' (expected Q or F<p>)",
+        ),
+        (
+            ["witt", "is-zero", "--field", "F07", "1"],
+            "AlgebraError: bad field 'F07' (expected Q or F<p>)",
+        ),
+        (
+            ["witt", "invariants", "--field", "F\u0661\u0663", "1"],
+            "AlgebraError: bad field 'F\u0661\u0663' (expected Q or F<p>)",
+        ),
+        (
+            ["witt", "invariants", "1,\u0661"],
+            "ParseError: bad scalar '\u0661' (at position 0)",
+        ),
+        (
+            ["witt", "invariants", "1," + "3" * 5000],
+            "ParseError: number of 5000 digits (at position 0)",
+        ),
     ],
-    ids=["compose-F7-row-with-Q-map", "koszul-n-0", "witt-field-Fx"],
+    ids=[
+        "compose-F7-row-with-Q-map",
+        "koszul-n-0",
+        "witt-field-Fx",
+        "witt-field-F7_1",
+        "witt-field-F+7",
+        "witt-field-F-space-7",
+        "witt-field-F07",
+        "witt-field-arabic-indic-13",
+        "witt-arabic-indic-entry",
+        "witt-entry-past-digit-limit",
+    ],
 )
 def test_exit_2_argument_errors(tmp_path, capsys, argv, message):
     taut = (REPO_ROOT / "docs/jobs/taut3.row").read_text()

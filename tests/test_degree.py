@@ -24,7 +24,6 @@ from wittdeg import (
     det,
     diag_form,
     is_witt_zero,
-    normal_form,
     parse_poly,
     square_class,
     standard_monomials,
@@ -40,7 +39,7 @@ from wittdeg.degree import (
     univariate_tensor_oracle,
     validate,
 )
-from wittdeg.groebner import QuotientAlgebra
+from wittdeg.groebner import QuotientAlgebra, normal_form
 from wittdeg.cli import HYPOTHESIS_ERRORS, _endo_from_job, parse_job_file, run
 from wittdeg.orders import LEX
 from wittdeg.witt import witt_equal

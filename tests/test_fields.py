@@ -9,6 +9,7 @@ from wittdeg import (
     EvenModulus,
     FactorBoundExceeded,
     FieldSpec,
+    ParseError,
     Ring,
     ZeroScalar,
     square_class,
@@ -365,3 +366,16 @@ def test_parse_and_format_scalar(Q, F5):
     assert str(Q.parse_scalar("-3/2")) == "-3/2"
     assert F5.parse_scalar("7") == 2
     assert F5.parse_scalar("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
+
+
+def test_parse_scalar_reads_only_ascii_digits(Q, F5):
+    assert Q.parse_scalar(" -3 / 2 ") == Fraction(-3, 2)
+    for text in ("\u0661", "1/\u0663", "\uff11", "1\u0660"):
+        for field in (Q, F5):
+            with pytest.raises(ParseError, match="bad scalar"):
+                field.parse_scalar(text)
+    # an input number past the interpreter's int conversion limit is a
+    # ParseError, not a number too long to print
+    for text in ("1" * 5000, "1/" + "7" * 5000):
+        with pytest.raises(ParseError, match="number of 5000 digits"):
+            Q.parse_scalar(text)

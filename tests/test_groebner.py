@@ -15,17 +15,17 @@ from wittdeg import (
     Ring,
     buchberger,
     contains_one_with_certificate,
-    normal_form,
     parse_poly,
     standard_monomials,
     supported_only_at_origin,
     groebner,
+    umrow,
 )
 from wittdeg.degree import Endo
-from wittdeg.groebner import QuotientAlgebra
+from wittdeg.groebner import QuotientAlgebra, normal_form
 from wittdeg.orders import LEX
 from wittdeg.poly import Poly, _add_shifted, _entry, _reduce
-from wittdeg.umrow import compose_with_endo
+from wittdeg.umrow import UnimodularRow, compose_with_endo, is_unimodular
 
 from conftest import (
     basis_of,
@@ -220,7 +220,7 @@ def test_supported_only_at_origin(R2, cross_gb, Q):
 def test_contains_one_trivial_cases(R2, Q):
     x, y = R2.gens()
     cert = contains_one_with_certificate([x, R2.one() - x])
-    assert cert == (R2.one(), R2.one())
+    assert cert == ((R2.one().packed, R2.one().packed), 1)
     ring = Ring(("x1", "x2", "x3"), Q)
     assert contains_one_with_certificate(list(ring.gens())) is None
 
@@ -233,12 +233,13 @@ def test_contains_one_with_relation(Q):
         parse_poly("x3", ring),
         parse_poly("x1*y1 + x2*y2 + x3*y3 - 1", ring),
     ]
-    cert = contains_one_with_certificate(gens)
-    assert cert is not None
+    # the integer working form: int term dicts over one denominator
+    nums, den = contains_one_with_certificate(gens)
+    assert den > 0 and all(type(v) is int for c in nums for v in c.values())
     total = ring.zero()
-    for c, g in zip(cert, gens):
-        total = total + c * g
-    assert total == ring.one()
+    for c, g in zip(nums, gens):
+        total = total + Poly._from_packed(ring, c) * g
+    assert total == ring.constant(den)
 
 
 def test_monomial_order_axioms():
@@ -744,7 +745,10 @@ def test_integer_replay_equals_eager_reference(Q, F7, monkeypatch):
 def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
     # over Q the step log and the replay hold ints: the only Fractions a
     # certifying Buchberger makes are the certificate's scalars, made by
-    # _ratios when the replay is done, at most one per term
+    # _ratios when the certificate is read, at most one per term.
+    # is_unimodular keeps the int form through its reduction and its check:
+    # it makes Fractions only for the n entry cofactors it returns, at most
+    # one per printed term, and never converts the relation's cofactor
     rng = random.Random(2236)
     units = random.Random(2237)
     row = universal_row(Q, 3)
@@ -755,28 +759,41 @@ def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
         cases.append(entries + list(row.algebra.relations))
     made = 0
     at_boundary = []
+    converted = []  # the module of each _ratios call
     fraction_new = Fraction.__new__
-    ratios = groebner._ratios
 
     def counted_new(cls, *args, **kwargs):
         nonlocal made
         made += 1
         return fraction_new(cls, *args, **kwargs)
 
-    def boundary(nums, den):
-        if not at_boundary:
-            at_boundary.append(made)
-        return ratios(nums, den)
+    def boundary(module):
+        ratios = module._ratios
+
+        def spy(nums, den):
+            if not at_boundary:
+                at_boundary.append(made)
+            converted.append(module.__name__)
+            return ratios(nums, den)
+
+        return spy
 
     results = []
+    checked = []
     with monkeypatch.context() as patch:
         patch.setattr(Fraction, "__new__", staticmethod(counted_new))
-        patch.setattr(groebner, "_ratios", boundary)
+        for module in (groebner, umrow):
+            patch.setattr(module, "_ratios", boundary(module))
         for gens in cases:
             made = 0
             del at_boundary[:]
             cert = buchberger(gens, certify=True).certificate
             results.append((gens, cert, made, list(at_boundary)))
+            made = 0
+            del at_boundary[:], converted[:]
+            composed = UnimodularRow(algebra=row.algebra, entries=tuple(gens[:3]))
+            cert = is_unimodular(composed)
+            checked.append((composed, cert, made, list(at_boundary), list(converted)))
     for gens, cert, made, at_boundary in results:
         terms = sum(len(c.packed) for c in cert)
         assert at_boundary == [0]
@@ -785,6 +802,17 @@ def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
         for c, g in zip(cert, gens):
             total = total + c * g
         assert total == gens[0].ring.one()
+    for composed, cert, made, at_boundary, converted in checked:
+        assert at_boundary == [0]
+        assert converted == ["wittdeg.umrow"] * 3
+        # the entries are scaled by random units, so some cofactor term is
+        # not integral
+        assert 0 < made <= sum(len(b.packed) for b in cert)
+        residue = composed.algebra.ring.zero() - 1
+        for b, a in zip(cert, composed.entries):
+            residue = residue + b * a
+        relgb = buchberger(list(composed.algebra.relations))
+        assert normal_form(residue, relgb).is_zero
 
 
 def test_reduce_uses_first_divisor_in_list_order(Q):

@@ -79,6 +79,23 @@ def test_parse_errors_carry_position(R2):
         parse_poly("1/0", R2)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x1^\u0661\u0663 + \u0663*x1^\u0662", "\u0663*x1", "x1^\uff12", "1/\u0663"],
+    ids=[
+        "arabic-indic-exponents",
+        "arabic-indic-coefficient",
+        "fullwidth",
+        "denominator",
+    ],
+)
+def test_parse_reads_only_ascii_digits(R2, text):
+    # \d would read x^\u0661\u0663 as x^13: a decimal digit other than 0-9
+    # is an unexpected character
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_poly(text, R2)
+
+
 def test_parse_rejects_exponents_past_the_bound(R2):
     assert parse_poly("x1^32767", R2) == R2.monomial((32767, 0))
     with pytest.raises(ExponentBoundExceeded, match=r"32768 of x1 .*position 4"):

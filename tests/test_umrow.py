@@ -1,5 +1,6 @@
 import dataclasses
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -9,17 +10,18 @@ from wittdeg import (
     Endo,
     EvenN,
     InternalError,
+    Poly,
     Ring,
     UnimodularRow,
     buchberger,
     compose_with_endo,
     is_unimodular,
-    normal_form,
     obstruction_report,
     parse_poly,
 )
 from wittdeg import groebner, umrow
 from wittdeg.cli import run
+from wittdeg.groebner import normal_form
 
 from conftest import basis_of, counterexample_endo, make_endo, universal_row
 
@@ -153,7 +155,7 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     ring = row.algebra.ring
     wrong = dataclasses.replace(
         basis_of([ring.one()]),
-        certificate=(ring.var(1) + ring.one(), ring.zero()),
+        cofactors=(((ring.var(1) + ring.one()).packed, {}), 1),
     )
     with monkeypatch.context() as m:
         m.setattr(groebner, "buchberger", lambda *a, **k: wrong)
@@ -163,7 +165,7 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     monkeypatch.setattr(
         umrow,
         "contains_one_with_certificate",
-        lambda gens: tuple(g.ring.zero() for g in gens),
+        lambda gens: (tuple({} for _ in gens), 1),
     )
     ring = Ring(("x",), Q)
     x = ring.var(0)
@@ -175,6 +177,46 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
     assert run(["row", "check", "docs/jobs/taut3.row"]) == 2
     assert "re-verification" in capsys.readouterr().err
+
+
+def test_check_reduces_cofactors_modulo_the_relations(Q, F7, monkeypatch):
+    # the one check works modulo the relations: an entry cofactor moved by a
+    # multiple of the relation still passes and prints the same reduced
+    # certificate, and one moved by a unit fails.  The row's entries are
+    # scaled by 2/3 over Q, so the certificate has a denominator
+    certify = groebner.contains_one_with_certificate
+    for field in (Q, F7):
+        row = universal_row(field, 3)
+        ring = row.algebra.ring
+        (rel,) = row.algebra.relations
+        x1, x2, _, y1, _, y3 = ring.gens()
+        scaled = UnimodularRow(
+            algebra=row.algebra,
+            entries=tuple(a.scale(Fraction(2, 3)) for a in row.entries),
+        )
+        expected = is_unimodular(scaled)
+        nums, den = certify(list(scaled.entries) + [rel])
+        assert den > 1 or field is F7
+        for index, move, passes in (
+            (0, (x2 * y3 - 5) * rel, True),
+            (2, y1 * y1 * rel, True),
+            (1, ring.one(), False),
+            (0, -x1 * y1, False),
+        ):
+            moved = list(nums)
+            b = Poly._from_packed(ring, moved[index]) + move.scale(den)
+            moved[index] = b.packed
+            monkeypatch.setattr(
+                umrow,
+                "contains_one_with_certificate",
+                lambda gens: (tuple(moved), den),
+            )
+            if passes:
+                assert is_unimodular(scaled) == expected
+            else:
+                with pytest.raises(InternalError, match="re-verification"):
+                    is_unimodular(scaled)
+            monkeypatch.undo()
 
 
 def test_non_unimodular_rows_replay_nothing(Q, tmp_path, monkeypatch, capsys):
