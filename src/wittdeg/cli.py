@@ -64,6 +64,7 @@ from .umrow import (
     obstruction_report,
 )
 from .witt import (
+    GramForm,
     WittInvariants,
     invariants,
     is_witt_zero,
@@ -190,7 +191,7 @@ def _row_from_job(job: JobFile, path: str) -> UnimodularRow:
 
 def _print_json(data: dict) -> None:
     """Write the bytes of print(json.dumps(data, indent=2)) to the current
-    sys.stdout, streamed a line or a list of strings at a time."""
+    sys.stdout, streamed a line, a list of strings or a Gram row at a time."""
     write = sys.stdout.write
     _write_json(data, write)
     write("\n")
@@ -199,20 +200,70 @@ def _print_json(data: dict) -> None:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class _GramText:
+    """The dense matrix of a GramForm as text, kept as its nonzero cells:
+    cells[i] holds the (column, text) pairs of row i in column order, and
+    every other entry is "0".  Each nonzero entry is made text here, once;
+    a "0" is never a Python object of its own."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, gram: GramForm):
+        self.cells = [sorted((j, str(x)) for j, x in row.items()) for row in gram.rows]
+
+    def lines(self, head: str, sep: str, tail: str):
+        """Each row as head + its d entries joined by sep + tail: the row's
+        cells spliced by slicing into one template, the row of zeros."""
+        template = head + sep.join("0" * len(self.cells)) + tail
+        base, stride = len(head), len(sep) + 1
+        for row in self.cells:
+            pieces = []
+            start = 0
+            for j, text in row:
+                at = base + j * stride
+                pieces.append(template[start:at])
+                pieces.append(text)
+                start = at + 1
+            pieces.append(template[start:])
+            yield "".join(pieces)
+
+
 def _write_json(value, write, level: int = 0) -> None:
-    """Pass json.dumps(value, indent=2) to write in pieces.  Dicts and mixed
-    lists go item by item; a list of strings (a Gram row) is one piece, quoted
-    by one join when no entry needs escaping.  Dict keys must be strings."""
+    """Pass json.dumps(value, indent=2) to write in pieces, a GramForm being
+    its dense d x d matrix of entry strings.  Dicts and mixed lists go item
+    by item; a list of strings is one piece, quoted by one join when no entry
+    needs escaping; a Gram matrix goes one row at a time.  Dict keys must be
+    strings."""
     if isinstance(value, str):
         write(_encode_str(value))
+        return
+    if isinstance(value, _GramText):
+        if not value.cells:
+            write("[]")
+            return
+        pad = "\n" + "  " * (level + 1)
+        cell = pad + "  "
+        sep = "[" + pad
+        for line in value.lines("[" + cell + '"', '",' + cell + '"', '"' + pad + "]"):
+            write(sep)
+            write(line)
+            sep = "," + pad
+        write(pad[:-2] + "]")
         return
     if not value or not isinstance(value, (dict, list)):
         write(json.dumps(value))
         return
     pad = "\n" + "  " * (level + 1)
     if isinstance(value, dict):
+        # a Gram form's entries are made text before the first piece, as the
+        # other numbers of a report already are: a number too long to print
+        # raises before anything is written
+        items = [
+            (key, _GramText(item) if isinstance(item, GramForm) else item)
+            for key, item in value.items()
+        ]
         sep = "{" + pad
-        for key, item in value.items():
+        for key, item in items:
             write(sep + _encode_str(key) + ": ")
             _write_json(item, write, level + 1)
             sep = "," + pad
@@ -246,8 +297,8 @@ def _degree_summary(report: DegreeReport) -> str:
 def _print_degree_verbose(report: DegreeReport) -> None:
     print(f"standard monomials: {', '.join(report.labels)}")
     print("gram matrix:")
-    for row in report.gram.dense(str):
-        print("  [" + ", ".join(row) + "]")
+    for line in _GramText(report.gram).lines("  [", ", ", "]"):
+        print(line)
     print(f"diagonal form: {report.diag}")
     _print_invariants(report.invariants)
 

@@ -292,13 +292,17 @@ class DegreeReport:
         return tuple(format_monomial(ring, m) for m in self.quotient.monomials)
 
     def to_json_dict(self) -> dict:
+        """The report in JSON schema 1, every value but "gram" ready for
+        json.dumps.  "gram" is the sparse GramForm itself: the CLI's JSON
+        writer prints it as the dense d x d matrix of entry strings that
+        schema 1 holds, one row at a time, so that matrix is never built."""
         inv = self.invariants
         return {
             "schema": 1,
             "field": str(self.field),
             "n": self.n,
             "length": self.length,
-            "gram": self.gram.dense(str),
+            "gram": self.gram,
             "diagonal": [str(e) for e in self.diag.entries],
             "rank": inv.rank,
             "signature": inv.signature,

@@ -53,6 +53,10 @@ MR_PROVEN_BOUND = 318665857834031151167461
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+#: Below this the witnesses 2, 3, 5 and 7 are enough: it is the least strong
+#: pseudoprime to all four (Jaeschke, Math. Comp. 61, 1993).
+MR_FOUR_WITNESS_BOUND = 3215031751
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, proven below MR_PROVEN_BOUND."""
@@ -65,7 +69,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    witnesses = _MR_WITNESSES[:4] if n < MR_FOUR_WITNESS_BOUND else _MR_WITNESSES
+    for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

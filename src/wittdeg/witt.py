@@ -21,13 +21,14 @@ Bareiss's integer-preserving elimination (Math. Comp. 22, 1968) applied
 one row at a time: only the rows in the pivot row's support are touched,
 not the whole trailing block.  The kernel returns the raw pivots and
 nothing else: no caller needs the congruence transform P, so it is never
-built.  The dense matrix exists only as a view for output
-(GramForm.dense).
+built.  The dense matrix is only a derived view for output, which the CLI
+writes from the sparse rows.
 
 The Hasse symbol is computed as prod_{j>=2} (a_1 ... a_{j-1}, a_j)_v, with
-the prefix products kept as running square classes: r - 1 Hilbert symbols
-per place instead of r(r-1)/2.  Both products agree because the Hilbert
-symbol is bimultiplicative, (xy, z)_v = (x, z)_v (y, z)_v, so that
+the prefix products kept as running square classes: at most r - 1 Hilbert
+symbols per place instead of r(r-1)/2, one per distinct (prefix, entry)
+pair that occurs an odd number of times.  Both products agree because the
+Hilbert symbol is bimultiplicative, (xy, z)_v = (x, z)_v (y, z)_v, so that
 (a_1 ... a_{j-1}, a_j)_v = prod_{i<j} (a_i, a_j)_v; and it depends only on
 square classes, so the prefix may be replaced by its class.
 
@@ -42,7 +43,7 @@ verdict of a report comes from the same classification it prints.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -72,7 +73,8 @@ class GramForm:
     stored, and the mirror entry rows[j][i] holds the same value.  An entry
     is an int, or over Q a non-integral Fraction; anything else, such as a
     float or an integral Fraction, raises DegenerateForm.  The dense d x d
-    matrix is not kept: `dense` derives it for output.
+    matrix is only a derived view for output: the CLI writes it row by row
+    from these rows and never builds it.
     """
 
     field: FieldSpec
@@ -97,19 +99,6 @@ class GramForm:
                     )
                 if rows[j].get(i) != x:
                     raise DegenerateForm("Gram matrix is not symmetric")
-
-    def dense(self, fmt=lambda x: x) -> list[list]:
-        """The d x d matrix, each entry passed through fmt; zero is
-        formatted once and shared by every empty position."""
-        d = len(self.rows)
-        zero = fmt(self.field.zero)
-        out = []
-        for row in self.rows:
-            line = [zero] * d
-            for j, x in row.items():
-                line[j] = fmt(x)
-            out.append(line)
-        return out
 
 
 @dataclass(frozen=True)
@@ -386,13 +375,18 @@ def invariants(d: DiagForm) -> WittInvariants:
         )
     signature = sum(1 if e > 0 else -1 for e in d.entries)
     # prod_{i<j} (a_i, a_j)_v as prod_{j>=2} (a_1...a_{j-1}, a_j)_v: see
-    # above.  Classes and entries are squarefree integers, and the places
-    # come from the primes that DiagForm checked, so the kernel runs as is
-    pairs = [(x.numerator, a.numerator) for x, a in zip(prefixes[1:-1], d.entries[1:])]
+    # above.  A symbol is +-1, so a pair that occurs an even number of times
+    # drops out and one that occurs an odd number counts once.  Classes and
+    # entries are squarefree integers, and the places come from the primes
+    # that DiagForm checked, so the kernel runs as is
+    pairs = Counter(
+        (x.numerator, a.numerator) for x, a in zip(prefixes[1:-1], d.entries[1:])
+    )
+    odd = [pair for pair, k in pairs.items() if k % 2]
     hasse = {}
     for v in hasse_places(d.primes):
         s = 1
-        for prefix, a in pairs:
+        for prefix, a in odd:
             s *= _hilbert(prefix, a, v)
         hasse[str(v)] = s
     return WittInvariants(

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,19 +8,22 @@ from wittdeg import (
     AlgebraPresentation,
     DegenerateForm,
     Endo,
+    ExponentBoundExceeded,
     FieldSpec,
     GramForm,
     InternalError,
     NotFiniteLength,
+    ParseError,
     Poly,
     Ring,
     UnimodularRow,
+    UnknownVariable,
     det,
     parse_poly,
 )
 from wittdeg.degree import bezoutian, dual_ring
 from wittdeg.fields import _hilbert
-from wittdeg.orders import GREVLEX
+from wittdeg.orders import BOUND, GREVLEX
 from wittdeg.groebner import GroebnerBasis
 from wittdeg.poly import _clear, _divisor, format_monomial
 
@@ -163,6 +167,20 @@ def basis_of(polys):
     q = polys[0].ring.field.modulus
     entries = tuple(_divisor(_clear(p.packed)[0], q) for p in polys)
     return GroebnerBasis(generators=tuple(polys), entries=entries)
+
+
+def dense(g, fmt=lambda x: x):
+    """The d x d matrix of the GramForm g, each entry passed through fmt;
+    zero is formatted once and shared by every empty position."""
+    d = len(g.rows)
+    zero = fmt(g.field.zero)
+    out = []
+    for row in g.rows:
+        line = [zero] * d
+        for j, x in row.items():
+            line[j] = fmt(x)
+        out.append(line)
+    return out
 
 
 def canonical_gram(field, rows):
@@ -342,3 +360,138 @@ def format_poly_reference(p):
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"
     return out
+
+
+_TOKEN_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^])|(\S)")
+
+
+def _tokenize(text: str):
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        pos = m.start()
+        if m.group(1):
+            tokens.append(("int", m.group(1), pos))
+        elif m.group(2):
+            tokens.append(("ident", m.group(2), pos))
+        elif m.group(3):
+            tokens.append(("op", m.group(3), pos))
+        else:
+            raise ParseError(f"unexpected character {m.group(4)!r}", pos)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"number of {len(text)} digits", pos) from None
+
+
+class _Parser:
+    def __init__(self, text: str, ring: Ring):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.ring = ring
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expr(self) -> Poly:
+        """The whole text as one packed term dict: each term is added as it
+        is read, and a sum that cancels drops out."""
+        field = self.ring.field
+        pack = self.ring.packing.pack
+        terms: dict = {}
+        kind, val, _ = self.peek()
+        negate = kind == "op" and val == "-"
+        if negate:
+            self.advance()
+        while True:
+            exps, c = self.term()
+            key = pack(exps)
+            if negate:
+                c = field.neg(c)
+            old = terms.get(key)
+            c = c if old is None else field.add(old, c)
+            if c:
+                terms[key] = c
+            elif old is not None:
+                del terms[key]
+            kind, val, pos = self.peek()
+            if kind == "op" and val in "+-":
+                self.advance()
+                negate = val == "-"
+            elif kind == "end":
+                return Poly._from_packed(self.ring, terms)
+            else:
+                raise ParseError(f"expected '+' or '-', got {val!r}", pos)
+
+    def term(self) -> tuple[tuple[int, ...], object]:
+        """(exponents, coefficient) of one term; the coefficient may be 0."""
+        exps = [0] * self.ring.nvars
+        kind, val, pos = self.peek()
+        if kind == "int":
+            c = self.coeff()
+        elif kind == "ident":
+            c = self.ring.field.one
+            self.factor(exps)
+        else:
+            raise ParseError(f"expected coefficient or variable, got {val!r}", pos)
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "*":
+                self.advance()
+                self.factor(exps)
+            else:
+                return tuple(exps), c
+
+    def coeff(self):
+        kind, val, pos = self.advance()
+        num = _int(val, pos)
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "/":
+            self.advance()
+            kind, val, pos2 = self.advance()
+            if kind != "int":
+                raise ParseError(f"expected denominator, got {val!r}", pos2)
+            den = _int(val, pos2)
+            if den == 0:
+                raise ParseError("zero denominator", pos2)
+            return self.ring.field.canon(Fraction(num, den))
+        return self.ring.field.from_int(num)
+
+    def factor(self, exps: list) -> None:
+        """Multiply exps by one factor var^nat."""
+        kind, val, pos = self.advance()
+        if kind != "ident":
+            raise ParseError(f"expected variable, got {val!r}", pos)
+        idx = self.ring._index.get(val)
+        if idx is None:
+            raise UnknownVariable(val, pos)
+        name = val
+        exp = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.advance()
+            kind, val, pos2 = self.advance()
+            if kind != "int":
+                raise ParseError(f"expected exponent, got {val!r}", pos2)
+            exp = _int(val, pos2)
+        exps[idx] += exp
+        if exps[idx] > BOUND:
+            raise ExponentBoundExceeded(
+                f"exponent {exps[idx]} of {name} is above {BOUND}"
+                f" (at position {pos})"
+            )
+
+
+def reference_parse_poly(text: str, ring: Ring) -> Poly:
+    """The former parse_poly, kept verbatim as the reference for the
+    one-pass parser: a token list first, then recursive descent on it."""
+    return _Parser(text, ring).expr()

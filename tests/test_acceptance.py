@@ -5,12 +5,14 @@ captured output) after its assertions succeed.  Time limits are asserted
 with monotonic clocks.
 """
 
+import hashlib
 import itertools
 import json
 import math
 import random
 import textwrap
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,6 +41,7 @@ from wittdeg.witt import negate, orthogonal_sum, witt_equal
 from conftest import (
     canonical_gram,
     counterexample_endo,
+    dense,
     diagonal_bezoutian_identity,
     hilbert,
     make_endo,
@@ -282,12 +285,30 @@ def test_scale_staircase_k40(staircase_k40):
 
 def test_json_k40_streams_by_gram_row(staircase_k40):
     """The --json writer passes the k = 40 Q report (31 MB under schema 1)
-    on in pieces no longer than one indented Gram row, and the pieces
-    parse back to the report."""
+    on in pieces no longer than one indented Gram row, holding less than
+    1 MB at its peak, and the pieces are the bytes of json.dumps of the
+    report with its dense Gram matrix, built here."""
     data = staircase_k40[Q][0].to_json_dict()
-    pieces = []
-    _write_json(data, pieces.append)
-    assert json.loads("".join(pieces)) == data
-    widest = max(data["gram"], key=lambda row: len("".join(row)))
+    digest = hashlib.sha256()
+    widest_piece = 0
+
+    def sink(piece):
+        nonlocal widest_piece
+        digest.update(piece.encode())
+        widest_piece = max(widest_piece, len(piece))
+
+    tracemalloc.start()
+    try:
+        _write_json(data, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    gram = dense(data["gram"], str)
+    expected = hashlib.sha256()
+    for chunk in json.JSONEncoder(indent=2).iterencode({**data, "gram": gram}):
+        expected.update(chunk.encode())
+    assert digest.hexdigest() == expected.hexdigest()
+    widest = max(gram, key=lambda row: len("".join(row)))
     row_text = textwrap.indent(json.dumps(widest, indent=2), "    ")
-    assert max(map(len, pieces)) <= len(row_text)
+    assert widest_piece <= len(row_text)

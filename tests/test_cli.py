@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import pathlib
 import string
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittdeg import cli
+from wittdeg import FieldSpec, cli
 from wittdeg.cli import run
+from wittdeg.witt import WittInvariants
+
+from conftest import canonical_gram, dense
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -535,6 +541,71 @@ def test_write_json_matches_stdlib(value):
     pieces = []
     cli._write_json(value, pieces.append)
     assert "".join(pieces) == json.dumps(value, indent=2)
+
+
+@st.composite
+def _sparse_forms(draw):
+    """A GramForm of size 0 to 12 over Q (Fractions, negative values) or
+    F_10007, with few nonzeros."""
+    field = draw(st.sampled_from((FieldSpec.rationals(), FieldSpec.prime_field(10007))))
+    d = draw(st.integers(0, 12))
+    if field.is_rationals:
+        scalars = st.fractions(-(10**6), 10**6, max_denominator=60)
+    else:
+        scalars = st.integers(0, field.modulus - 1)
+    m = [[0] * d for _ in range(d)]
+    if d:
+        cells = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), scalars)
+        for i, j, x in draw(st.lists(cells, max_size=2 * d)):
+            m[i][j] = m[j][i] = x
+    return canonical_gram(field, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_forms())
+def test_gram_rendered_from_sparse_rows(g):
+    """A Gram form is written as json.dumps writes its dense matrix of entry
+    strings at a report's nesting, and --verbose prints each row of it as
+    "  [" + ", ".join(row) + "]"."""
+    rows = dense(g, str)
+    pieces = []
+    cli._write_json({"schema": 1, "gram": g, "rank": len(rows)}, pieces.append)
+    expected = {"schema": 1, "gram": rows, "rank": len(rows)}
+    assert "".join(pieces) == json.dumps(expected, indent=2)
+    inv = WittInvariants(g.field, len(rows), None, 1)
+    report = SimpleNamespace(labels=(), gram=g, diag="<>", invariants=inv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_degree_verbose(report)
+    lines = out.getvalue().splitlines()
+    start = lines.index("gram matrix:") + 1
+    assert lines[start : start + len(rows)] == [
+        "  [" + ", ".join(row) + "]" for row in rows
+    ]
+    assert lines[start + len(rows)] == "diagonal form: <>"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_degree_json_gram_entry_past_digit_limit(tmp_path, capsys):
+    # c has 4,215 digits and the Gram entry 1/c^2 twice as many; the entry is
+    # made text before the first piece is written, so stdout stays empty
+    c = 2**14000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        job = tmp_path / "wide.job"
+        job.write_text(f"field = Q\nvars = x, y\nmap x = {c}*x\nmap y = {c}*y\n")
+        code, out, err = run_cli(capsys, "--json", "degree", str(job))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert err == (
+        "error: DigitLimitExceeded: a number in the output has more than"
+        " 4300 digits\n"
+    )
+    assert out == ""
 
 
 @pytest.mark.parametrize(

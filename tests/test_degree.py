@@ -48,6 +48,7 @@ from conftest import (
     basis_of,
     canonical_gram,
     counterexample_endo,
+    dense,
     diagonal_bezoutian_identity,
     divided_differences,
     jacobian_det,
@@ -279,13 +280,13 @@ def test_gram_cross_example(Q):
         (0, 0, 1, 0),
         (1, 0, 0, 0),
     )
-    assert g.dense() == [[Fraction(x) for x in row] for row in expected]
+    assert dense(g) == [[Fraction(x) for x in row] for row in expected]
 
 
 def test_gram_identity(Q):
     ring = Ring(("x1",), Q)
     g = degree_of(Endo(ring=ring, images=(ring.var(0),))).gram
-    assert g.dense() == [[Fraction(1)]]
+    assert dense(g) == [[Fraction(1)]]
 
 
 def test_gram_cube_antidiagonal(Q):
@@ -293,7 +294,7 @@ def test_gram_cube_antidiagonal(Q):
     g = rep.gram
     assert rep.labels == ("1", "x1", "x1^2")
     expected = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert g.dense() == [[Fraction(x) for x in row] for row in expected]
+    assert dense(g) == [[Fraction(x) for x in row] for row in expected]
 
 
 def test_degree_counterexample(Q):

@@ -18,6 +18,7 @@ from wittdeg import (
 )
 from wittdeg.fields import (
     FACTOR_BOUND,
+    MR_FOUR_WITNESS_BOUND,
     MR_PROVEN_BOUND,
     _hilbert,
     hasse_places,
@@ -168,6 +169,44 @@ def test_square_classes_small_primes_first(Q):
         square_classes(Q, [mersenne])
     # a composite part within the bound is still trial-divided
     assert square_classes(Q, [1009 * 1013 * 7**2]) == ([1009 * 1013], (1009, 1013))
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """n passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_agrees_with_a_sieve():
+    # below 2 * 10^5 is_prime runs on the witnesses 2, 3, 5 and 7 alone
+    n = 200_000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 25,326,001 fools the bases 2, 3 and 5 and is caught by 7; the least
+    # number that fools 2, 3, 5 and 7 is where the twelve witnesses start
+    assert all(_strong_probable_prime(25326001, a) for a in (2, 3, 5))
+    assert not _strong_probable_prime(25326001, 7)
+    assert MR_FOUR_WITNESS_BOUND == 3215031751 == 151 * 751 * 28351
+    assert all(_strong_probable_prime(MR_FOUR_WITNESS_BOUND, a) for a in (2, 3, 5, 7))
+    assert not is_prime(25326001)
+    assert not is_prime(MR_FOUR_WITNESS_BOUND)
 
 
 def _reference_squarefree_part(n: int) -> int:

@@ -34,6 +34,7 @@ from conftest import (
     jacobian_det,
     random_poly,
     random_unit,
+    reference_parse_poly,
 )
 
 
@@ -203,6 +204,42 @@ def _parses_or_algebra_error(parse, *args):
 def test_parse_poly_raises_only_algebra_errors(text):
     for field in _FIELDS:
         _parses_or_algebra_error(parse_poly, text, Ring(("x", "y"), field))
+
+
+# the fuzz alphabet and well-formed pieces, so that many texts parse
+_DIFF_TOKENS = st.one_of(
+    _POLY_TOKENS,
+    st.sampled_from(
+        ("x^2", "y^3", "2*", "*x", " + ", " - ", "3/4*", "14/7", "7/14",
+         "x^32767", "x^32768", "y*x^16384")
+    ),
+)
+
+
+def _parse_outcome(parse, text, ring):
+    """The Poly of text, or the class, message and position of its error."""
+    try:
+        return parse(text, ring)
+    except AlgebraError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DIFF_TOKENS, max_size=16).map("".join))
+@example("")
+@example("x^2 + 3 @ x1")
+@example("3/0 + é")
+@example("x^" + "9" * 5000 + " + y")
+@example("- x*y^32767*y - 7/7*x")
+def test_parse_poly_matches_reference_parser(text):
+    """The one-pass parser returns the Poly of the former recursive-descent
+    parser, or raises its error: same class, message and position."""
+    rings = [Ring(("x", "y"), f, o) for f in _FIELDS for o in (GREVLEX, LEX)]
+    rings.append(Ring(("x1", "z"), FieldSpec.rationals()))
+    for ring in rings:
+        assert _parse_outcome(parse_poly, text, ring) == _parse_outcome(
+            reference_parse_poly, text, ring
+        )
 
 
 @settings(max_examples=100, deadline=None)

@@ -39,7 +39,7 @@ from wittdeg.witt import (
     witt_equal,
 )
 
-from conftest import canonical_gram, hilbert, make_endo
+from conftest import canonical_gram, dense, hilbert, make_endo
 
 
 def _mat_mul(a, b):
@@ -135,7 +135,7 @@ def _audit_transform(rng, field):
         m = _random_sparse_symmetric(rng, field, n)
         g = canonical_gram(field, m)
         try:
-            ref, repairs, p = _reference_elimination(field, g.dense())
+            ref, repairs, p = _reference_elimination(field, dense(g))
         except DegenerateForm:
             seen["degenerate"] += 1
             with pytest.raises(DegenerateForm):
@@ -145,7 +145,7 @@ def _audit_transform(rng, field):
             continue
         for kind in repairs:
             seen[kind] += 1
-        ptgp = _mat_mul(_transpose(p), _mat_mul(g.dense(), p))
+        ptgp = _mat_mul(_transpose(p), _mat_mul(dense(g), p))
         if not field.is_rationals:
             ptgp = [[x % field.modulus for x in row] for row in ptgp]
         assert all(
@@ -163,7 +163,7 @@ def _dense_eliminate(g):
     sparse kernel; only its input is the dense view of g."""
     field = g.field
     q = field.modulus
-    matrix = g.dense()
+    matrix = dense(g)
     n = len(matrix)
     m = [list(row) for row in matrix]
     pivots = []
@@ -403,7 +403,7 @@ def test_staircase3_repairs(Q):
     texts = ("x*y", "y*z + x^3", "x*z + y^3 + z^3")
     g = degree_of(make_endo(Q, ("x", "y", "z"), texts)).gram
     assert (len(g.rows), sum(map(len, g.rows))) == (15, 20)
-    ref, repairs, _ = _reference_elimination(Q, g.dense())
+    ref, repairs, _ = _reference_elimination(Q, dense(g))
     assert (repairs.count("swap"), repairs.count("add")) == (7, 6)
     assert _eliminate(g) == _dense_eliminate(g) == ref
 
@@ -630,10 +630,10 @@ def test_gram_form_dense_view_round_trips(Q, F7):
         for n in (0, 1, 2, 5, 12):
             m = _random_sparse_symmetric(rng, field, n)
             g = canonical_gram(field, m)
-            assert g.dense() == m
+            assert dense(g) == m
             assert all(all(row.values()) for row in g.rows)
             assert sum(map(len, g.rows)) == sum(1 for row in m for x in row if x)
-            assert g.dense(str) == [[str(x) for x in row] for row in m]
+            assert dense(g, str) == [[str(x) for x in row] for row in m]
 
 
 def test_diag_form_rejects_non_canonical_entries(Q, F7):
