@@ -200,16 +200,29 @@ def _print_json(data: dict) -> None:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+def _ratio_text(v: int, den: int) -> str:
+    """v / den as str(Fraction(v, den)) prints it, for ints v and den > 0."""
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
 class _GramText:
     """The dense matrix of a GramForm as text, kept as its nonzero cells:
     cells[i] holds the (column, text) pairs of row i in column order, and
-    every other entry is "0".  Each nonzero entry is made text here, once;
-    a "0" is never a Python object of its own."""
+    every other entry is "0".  Each nonzero entry v / den is made text
+    here, as str(Fraction(v, den)) prints it: str(v) over den 1, and
+    otherwise by `_ratio_text`, once per distinct entry, since a Gram form
+    has few.  A "0" is never a Python object of its own."""
 
     __slots__ = ("cells",)
 
     def __init__(self, gram: GramForm):
-        self.cells = [sorted((j, str(x)) for j, x in row.items()) for row in gram.rows]
+        den, rows = gram.den, gram.rows
+        text = str
+        if den != 1:
+            values = {v for row in rows for v in row.values()}
+            text = {v: _ratio_text(v, den) for v in values}.__getitem__
+        self.cells = [sorted((j, text(v)) for j, v in row.items()) for row in rows]
 
     def lines(self, head: str, sep: str, tail: str):
         """Each row as head + its d entries joined by sep + tail: the row's
@@ -294,21 +307,23 @@ def _degree_summary(report: DegreeReport) -> str:
     )
 
 
-def _print_degree_verbose(report: DegreeReport) -> None:
-    print(f"standard monomials: {', '.join(report.labels)}")
-    print("gram matrix:")
-    for line in _GramText(report.gram).lines("  [", ", ", "]"):
-        print(line)
-    print(f"diagonal form: {report.diag}")
-    _print_invariants(report.invariants)
+def _degree_verbose_lines(report: DegreeReport) -> list[str]:
+    return [
+        f"standard monomials: {', '.join(report.labels)}",
+        "gram matrix:",
+        *_GramText(report.gram).lines("  [", ", ", "]"),
+        f"diagonal form: {report.diag}",
+        *_invariant_lines(report.invariants),
+    ]
 
 
-def _print_invariants(inv: WittInvariants) -> None:
+def _invariant_lines(inv: WittInvariants) -> list[str]:
     """The rank/signature/discriminant line and, if any, the hasse line."""
     sig = "" if inv.signature is None else f"; signature {inv.signature}"
-    print(f"rank {inv.rank}{sig}; signed discriminant {inv.signed_discriminant}")
+    lines = [f"rank {inv.rank}{sig}; signed discriminant {inv.signed_discriminant}"]
     if inv.hasse:
-        print("hasse: " + ", ".join(f"{v} {s:+d}" for v, s in inv.hasse.items()))
+        lines.append("hasse: " + ", ".join(f"{v} {s:+d}" for v, s in inv.hasse.items()))
+    return lines
 
 
 def _nori_lines(report: DegreeReport) -> list[str]:
@@ -332,10 +347,13 @@ def _cmd_degree(args) -> int:
     report = degree_of(endo)
     if args.json:
         _print_json(report.to_json_dict())
-    else:
-        print(_degree_summary(report))
-        if args.verbose:
-            _print_degree_verbose(report)
+        return 0
+    # every line is made before the first is printed: a number too long to
+    # print raises with stdout empty, as in the --json output
+    lines = [_degree_summary(report)]
+    if args.verbose:
+        lines += _degree_verbose_lines(report)
+    print(*lines, sep="\n")
     return 0
 
 
@@ -372,7 +390,7 @@ def _cmd_witt_invariants(args) -> int:
             }
         )
     else:
-        _print_invariants(inv)
+        print(*_invariant_lines(inv), sep="\n")
     return 0
 
 

@@ -25,9 +25,12 @@ its x- and u-part, in the layout of the quotient's keys, and no key
 changes layout on the way.
 
 Over Q the table entries are ints over a positive denominator, and the
-Gram build keeps that form: the Bezoutian is cleared of denominators, the
-rows are summed as ints over one common denominator, and each Gram entry
-becomes a canonical scalar once, when the `GramForm` rows are built.
+Gram build keeps that form: the Bezoutian is built from the images cleared
+of denominators, the rows are summed as ints over one common denominator,
+and the `GramForm` holds the sums as they are, over that denominator
+reduced by one gcd.  No Gram entry becomes a `Fraction`: the elimination
+reads the ints, and the CLI makes each entry text from its int and the
+denominator.
 
 A `DegreeReport` stores what the four stages computed: the quotient, the
 Gram form, its diagonal form and the invariants.  Everything else is read
@@ -61,7 +64,6 @@ from .poly import (
     Ring,
     _add_shifted,
     _clear,
-    _ratios,
     _rescale,
     _to_lcm,
     det,
@@ -192,7 +194,9 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     nonzeros only, so row i of the form is acc of the i-th standard monomial
     with its keys replaced by their basis indices: no d x d matrix is built.
     Over Q every sum runs on the integer table entries, over a common
-    denominator, and each Gram entry becomes a canonical scalar once, here.
+    denominator, and the form keeps the sums over it.  Delta is linear in
+    each image, so it is built on ints, from the images cleared of
+    denominators, over the product of their denominators.
 
     The doubled ring has the order of the endomorphism's ring.  A shift
     and a mask split each Bezoutian key into the exponent fields of its
@@ -201,10 +205,15 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     distinct part.
     """
     q = endo.field.modulus
-    delta = bezoutian(endo)
+    cleared = [_clear(f.packed) for f in endo.images]
+    den = math.prod(d for _, d in cleared)
+    if den != 1:
+        ring = endo.ring
+        endo = Endo(ring, tuple(Poly._from_packed(ring, f) for f, _ in cleared))
+    delta = bezoutian(endo)  # on ints: Delta = delta / den
     xshift, ushift, mask = delta.ring.packing.halves()
     nf_of = _PartNF(qa)
-    delta, den = _clear(delta.packed)  # Delta = delta / den
+    delta = delta.packed
     # the rows, then the coefficients of NF(Delta), are summed over one
     # common denominator each, raised to the lcm when an entry needs it (1
     # over F_p)
@@ -236,17 +245,23 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
                 dst = acc[m] = {}
             _add_shifted(dst, row, 0, v, q)
     den *= dx * du
+    if den != 1:  # over den / g, g the gcd of den and every entry
+        g = math.gcd(den, *(c for dst in acc.values() for c in dst.values()))
+        if g != 1:
+            den //= g
+            for dst in acc.values():
+                for m2, c in dst.items():
+                    dst[m2] = c // g
     index = {m: k for k, m in enumerate(qa.keys)}
     b = [{} for _ in qa.keys]
-    # each normal-form term x^m u^m' is entry (m, m'); its coefficient is
-    # nonzero and becomes a canonical scalar here, and GramForm checks the
-    # symmetry
+    # each normal-form term x^m u^m' is entry (m, m'), its int coefficient
+    # nonzero, and GramForm checks the symmetry
     try:
         for m, dst in acc.items():
-            b[index[m]] = {index[m2]: c for m2, c in _ratios(dst, den).items()}
+            b[index[m]] = {index[m2]: c for m2, c in dst.items()}
     except KeyError:
         raise InternalError("reduced Bezoutian off the standard basis") from None
-    return GramForm(endo.field, tuple(b))
+    return GramForm(endo.field, tuple(b), den)
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,21 @@ kernels that compute inline keep the same rule where they store a value,
 and no Q division uses ``/`` on two scalars, since ``int / int`` is a float.
 
 The Groebner side (Buchberger, normal forms, the quotient's normal-form
-table and the Gram build) and the elimination of a Gram form store no Q
+table), the Gram build and the elimination of a Gram form store no Q
 scalars while they work: they keep int dicts over positive denominators
-(`poly`, `witt`).  They make a ``Fraction`` only at their boundary, by
-:func:`ratio` (n / d for ints) or by FieldSpec arithmetic: the monic
-reduced basis, a normal form's remainder, the Gram entries, the
-printed entry cofactors of a unit certificate (`umrow`), and the pivots
-of the elimination (`witt._eliminate`).
+(`poly`, `degree`, `witt`).  The degree path never leaves that form: the
+Gram form is int rows over one denominator, each pivot an (n, d) int pair,
+and their square classes are read off the pairs.  Elsewhere a ``Fraction``
+is made only at a boundary, by :func:`ratio` (n / d for ints) or by
+FieldSpec arithmetic: the monic reduced basis, a normal form's remainder
+and the printed entry cofactors of a unit certificate (`umrow`).
 
 Square classes are canonicalized as follows: over Q the representative is a
 signed squarefree integer; over F_p it is 1 for squares and the smallest
 positive non-residue otherwise.  Only
-square_classes factors integers: it classifies many values against one
-shared prime set, and returns the primes that the Hasse symbols need.
+_pair_classes factors integers: it classifies many values against one
+shared prime set, and returns the primes that the Hasse symbols need;
+square_classes canonicalizes scalars and hands their pairs to it.
 """
 
 from __future__ import annotations
@@ -221,20 +223,32 @@ class FieldSpec:
 
 def square_classes(field: FieldSpec, values) -> tuple[list, tuple]:
     """The square classes of values (see square_class), and the ascending
-    primes dividing some class.  Over Q all numerators and denominators are
-    factored in ascending order against one prime set: each is divided by
-    the primes found so far, and only the part left is trial-divided.  Once
-    no prime below SMALL_PRIME_BOUND is left in it, that part is tested
-    once: a prime or a prime square is done at any size, and anything else
-    must not exceed FACTOR_BOUND.  Over F_p there are no primes."""
+    primes dividing some class: the values are canonicalized, and their
+    (numerator, denominator) pairs classified by _pair_classes."""
     values = [field.canon(a) for a in values]
     if not all(values):
         raise ZeroScalar("zero has no square class")
+    return _pair_classes(field, [a.as_integer_ratio() for a in values])
+
+
+def _pair_classes(field: FieldSpec, pairs) -> tuple[list, tuple]:
+    """The square classes of the values n / d, for (n, d) in pairs, and the
+    ascending primes dividing some class; each pair is of ints, n != 0,
+    d > 0 and gcd(n, d) = 1 (over F_p, d prime to p).
+
+    Over Q all numerators and denominators are factored in ascending order
+    against one prime set: each is divided by the primes found so far, and
+    only the part left is trial-divided.  Once no prime below
+    SMALL_PRIME_BOUND is left in it, that part is tested once: a prime or a
+    prime square is done at any size, and anything else must not exceed
+    FACTOR_BOUND.  Over F_p there are no primes, and n / d lies in the
+    class of n d."""
     if not field.is_rationals:
         p, r = field.modulus, field.least_nonresidue()
-        return [1 if pow(a, (p - 1) // 2, p) == 1 else r for a in values], ()
-    shared, part = [], {}  # part: n -> its primes of odd exponent
-    for n in sorted({abs(x) for a in values for x in a.as_integer_ratio()}):
+        h = (p - 1) // 2
+        return [1 if pow(n * d, h, p) == 1 else r for n, d in pairs], ()
+    shared, part, odd = [], {}, set()  # part: n -> its squarefree part
+    for n in sorted({abs(x) for pair in pairs for x in pair}):
         m = n
         for p in shared:  # divide out the primes found so far
             m = _valuation(m, p)[1]
@@ -260,12 +274,13 @@ def square_classes(field: FieldSpec, values) -> tuple[list, tuple]:
                 shared.append(d)
                 m = _valuation(m, d)[1]
             d += 1 if d == 2 else 2
-        part[n] = [p for p in shared if _valuation(n, p)[0] % 2]
+        mine = [p for p in shared if _valuation(n, p)[0] % 2]
+        odd.update(mine)
+        part[n] = math.prod(mine)
     # a/b and ab lie in one class, and a, b are coprime
     return [
-        (1 if n > 0 else -1) * math.prod(part[abs(n)] + part[d])
-        for n, d in (a.as_integer_ratio() for a in values)
-    ], tuple(sorted({p for odd in part.values() for p in odd}))
+        part[n] * part[d] if n > 0 else -part[-n] * part[d] for n, d in pairs
+    ], tuple(sorted(odd))
 
 
 def hasse_places(primes) -> list:

@@ -6,23 +6,25 @@ Conventions (fixed for reproducibility):
   - Hasse symbol at a place v is prod_{i<j} (a_i, a_j)_v;
   - the rank-2m hyperbolic form has Hasse symbol (-1,-1)_v^(m(m-1)/2).
 
-A Gram form is stored as symmetric sparse rows, one {column: entry} dict
-per basis vector with no zero stored: the residue-pairing forms of graded
-and near-monomial maps have about one nonzero per row.  It is diagonalized
-by one symmetric elimination, _eliminate, which works on those rows: swaps
-relabel two positions in the rows of their neighbours only, a heap of
-positions with nonzero diagonal answers "first later nonzero diagonal",
-and each Schur update runs over the support of the pivot row.  Every row
-is an int dict over its own positive denominator (1 over F_p), the
-integer working form of the Groebner side (`poly`); rescaling a row
-changes no zero pattern, so each decision is that of the rational
-elimination, and only a pivot becomes a canonical scalar, once.  This is
-Bareiss's integer-preserving elimination (Math. Comp. 22, 1968) applied
-one row at a time: only the rows in the pivot row's support are touched,
-not the whole trailing block.  The kernel returns the raw pivots and
-nothing else: no caller needs the congruence transform P, so it is never
-built.  The dense matrix is only a derived view for output, which the CLI
-writes from the sparse rows.
+A Gram form is stored as symmetric sparse rows of ints over one positive
+denominator, one {column: numerator} dict per basis vector with no zero
+stored: the residue-pairing forms of graded and near-monomial maps have
+about one nonzero per row.  This is the integer working form of the
+Groebner side (`poly`), and the Gram build makes it directly.  The form is
+diagonalized by one symmetric elimination, _eliminate, which works on
+those rows: swaps relabel two positions in the rows of their neighbours
+only, a heap of positions with nonzero diagonal answers "first later
+nonzero diagonal", and each Schur update runs over the support of the
+pivot row.  Every row is an int dict over its own positive denominator (1
+over F_p); rescaling a row changes no zero pattern, so each decision is
+that of the rational elimination, and a pivot leaves it as a reduced
+(numerator, denominator) int pair, whose square class is read off its two
+ints.  This is Bareiss's integer-preserving elimination (Math. Comp. 22,
+1968) applied one row at a time: only the rows in the pivot row's support
+are touched, not the whole trailing block.  The kernel returns the pivots
+and nothing else: no caller needs the congruence transform P, so it is
+never built.  The dense matrix is only a derived view for output, which
+the CLI writes from the sparse rows.
 
 The Hasse symbol is computed as prod_{j>=2} (a_1 ... a_{j-1}, a_j)_v, with
 the prefix products kept as running square classes: at most r - 1 Hilbert
@@ -55,50 +57,55 @@ from .errors import DegenerateForm, NonCanonicalForm, RingMismatch
 from .fields import (
     FieldSpec,
     _hilbert,
+    _pair_classes,
     hasse_places,
     is_prime,
-    ratio,
     square_class,
     square_class_mul,
     square_classes,
 )
-from .poly import _clear, _lowest, _rescale
+from .poly import _lowest, _rescale
 
 
 @dataclass(frozen=True)
 class GramForm:
-    """A symmetric form over the field, stored sparse.
+    """A symmetric form over the field, stored sparse over one denominator.
 
-    rows[i] maps a column j to the nonzero entry (i, j); a zero is never
-    stored, and the mirror entry rows[j][i] holds the same value.  An entry
-    is an int, or over Q a non-integral Fraction; anything else, such as a
-    float or an integral Fraction, raises DegenerateForm.  The dense d x d
-    matrix is only a derived view for output: the CLI writes it row by row
-    from these rows and never builds it.
+    Entry (i, j) is rows[i][j] / den: rows[i] maps a column j to a nonzero
+    int, a zero is never stored, and the mirror entry rows[j][i] holds the
+    same int.  den is a positive int coprime to the entries taken together,
+    and 1 over F_p, so the pair is the form's one representation.  Anything
+    else, such as a float or a Fraction entry, raises DegenerateForm.  The
+    dense d x d matrix is only a derived view for output: the CLI writes it
+    row by row from these rows and never builds it.
     """
 
     field: FieldSpec
-    rows: tuple[dict[int, object], ...]
+    rows: tuple[dict[int, int], ...]
+    den: int
 
     def __post_init__(self):
-        rows = self.rows
+        rows, den = self.rows, self.den
         d = len(rows)
-        over_q = self.field.is_rationals
+        if type(den) is not int or den < 1:
+            raise DegenerateForm(f"Gram denominator {den!r} is not a positive int")
+        if den != 1 and not self.field.is_rationals:
+            raise DegenerateForm(f"Gram denominator {den} over {self.field}")
+        g = den
         for i, row in enumerate(rows):
             for j, x in row.items():
                 if not 0 <= j < d:
                     raise DegenerateForm(f"Gram column {j} is out of range")
+                if type(x) is not int:
+                    raise DegenerateForm(f"Gram entry {x!r} is not an int")
                 if not x:
                     raise DegenerateForm("Gram form stores an explicit zero")
-                if type(x) is not int and (
-                    not over_q or type(x) is not Fraction or x.denominator == 1
-                ):
-                    raise DegenerateForm(
-                        f"Gram entry {x!r} is not an int or, over Q, a "
-                        "non-integral Fraction"
-                    )
                 if rows[j].get(i) != x:
                     raise DegenerateForm("Gram matrix is not symmetric")
+                if g != 1:
+                    g = gcd(g, x)
+        if g != 1:
+            raise DegenerateForm(f"Gram denominator {den} shares {g} with every entry")
 
 
 @dataclass(frozen=True)
@@ -167,11 +174,13 @@ def diag_form(field: FieldSpec, entries) -> DiagForm:
 
 def diagonalize(g: GramForm) -> DiagForm:
     """Diagonal form congruent to g, entries canonicalized."""
-    return diag_form(g.field, _eliminate(g))
+    classes, primes = _pair_classes(g.field, _eliminate(g))
+    return DiagForm(field=g.field, entries=tuple(classes), primes=primes)
 
 
-def _eliminate(g: GramForm) -> list:
-    """Raw diagonal entries of a form congruent to g.
+def _eliminate(g: GramForm) -> list[tuple[int, int]]:
+    """Diagonal entries of a form congruent to g, each as the reduced int
+    pair (num, den) of num / den, den > 0 (1 over F_p).
 
     Symmetric Gaussian elimination on the sparse rows of g; a zero diagonal
     pivot is repaired by a basis swap or, failing that, by adding another
@@ -179,11 +188,11 @@ def _eliminate(g: GramForm) -> list:
     DegenerateForm if the form is singular.
 
     Row i is kept as an int dict nums_i over its own positive denominator
-    dens[i], so that row i of the matrix is nums_i / dens[i]; each input row
-    is cleared once over the lcm of its denominators, and over F_p every
-    denominator is 1.  The zero pattern is that of the matrix, so every
-    decision below is the one exact rational arithmetic makes, and each
-    pivot becomes a canonical scalar once, by `fields.ratio`.
+    dens[i], so that row i of the matrix is nums_i / dens[i]; every row
+    starts as a copy of g's, over g.den, and over F_p every denominator is
+    1.  The zero pattern is that of the matrix, so every decision below is
+    the one exact rational arithmetic makes, and each pivot a / dens[k]
+    leaves as its pair in lowest terms, by one gcd.
 
     At pivot k the rows of positions >= k hold exactly the nonzeros of the
     trailing block, symmetrically.  A zero pivot swaps e_k with the first
@@ -210,11 +219,8 @@ def _eliminate(g: GramForm) -> list:
     """
     q = g.field.modulus
     n = len(g.rows)
-    rows, dens = [], []
-    for row in g.rows:
-        nums, den = _clear(row) if q is None else (row, 1)
-        rows.append(dict(nums) if den == 1 else nums)
-        dens.append(den)
+    rows = [dict(row) for row in g.rows]
+    dens = [g.den] * n
     nonzero_diag = [k for k in range(n) if k in rows[k]]  # sorted: a heap
     pivots = []
     for k in range(n):
@@ -255,7 +261,11 @@ def _eliminate(g: GramForm) -> list:
                 else:
                     del row_k[s]
             den_k = den
-        pivots.append(a if den_k == 1 else ratio(a, den_k))
+        if den_k == 1:
+            pivots.append((a, 1))
+        else:
+            h = gcd(a, den_k)
+            pivots.append((a // h, den_k // h))
         if not row_k:
             continue
         support = list(row_k)
@@ -293,19 +303,18 @@ def _eliminate(g: GramForm) -> list:
 
 
 def _swap(rows: list, k: int, t: int) -> None:
-    """Relabel positions k and t of the symmetric sparse rows in place."""
+    """Relabel positions k and t of the symmetric sparse rows in place:
+    exchange the keys k and t in rows k and t and in the rows of their
+    neighbours, the only rows that hold either, then the two rows."""
     row_k, row_t = rows[k], rows[t]
-    for j in row_k.keys() | row_t.keys():
-        if j != k and j != t:
-            row = rows[j]
-            x, y = row.pop(k, None), row.pop(t, None)
-            if x is not None:
-                row[t] = x
-            if y is not None:
-                row[k] = y
-    label = {k: t, t: k}
-    rows[k] = {label.get(j, j): v for j, v in row_t.items()}
-    rows[t] = {label.get(j, j): v for j, v in row_k.items()}
+    for j in {k, t, *row_k, *row_t}:
+        row = rows[j]
+        x, y = row.pop(k, None), row.pop(t, None)
+        if x is not None:
+            row[t] = x
+        if y is not None:
+            row[k] = y
+    rows[k], rows[t] = row_t, row_k
 
 
 @dataclass(frozen=True)

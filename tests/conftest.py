@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -169,13 +170,27 @@ def basis_of(polys):
     return GroebnerBasis(generators=tuple(polys), entries=entries)
 
 
+def exact(field, num, den=1):
+    """The canonical scalar num / den: how a test reads an int entry of a
+    GramForm over its den, or a pivot pair (num, den) of witt._eliminate,
+    as the exact value it stands for."""
+    return field.canon(Fraction(num, den))
+
+
+def exact_rows(g):
+    """The sparse rows of the GramForm g with each entry read by exact."""
+    field, den = g.field, g.den
+    return tuple({j: exact(field, v, den) for j, v in row.items()} for row in g.rows)
+
+
 def dense(g, fmt=lambda x: x):
-    """The d x d matrix of the GramForm g, each entry passed through fmt;
-    zero is formatted once and shared by every empty position."""
+    """The d x d matrix of the GramForm g, each entry read by exact and
+    passed through fmt; zero is formatted once and shared by every empty
+    position."""
     d = len(g.rows)
     zero = fmt(g.field.zero)
     out = []
-    for row in g.rows:
+    for row in exact_rows(g):
         line = [zero] * d
         for j, x in row.items():
             line[j] = fmt(x)
@@ -184,16 +199,19 @@ def dense(g, fmt=lambda x: x):
 
 
 def canonical_gram(field, rows):
-    """Sparse GramForm of a dense matrix of ints/Fractions, entries made
-    canonical and zeros left out.  A short row is rejected here, since
-    sparse rows cannot tell it from trailing zeros; a long row reaches
-    GramForm as an out-of-range column."""
+    """Sparse GramForm of a dense matrix of ints/Fractions: the entries made
+    canonical, zeros left out, and the rest written as ints over their
+    least common denominator.  A short row is rejected here, since sparse
+    rows cannot tell it from trailing zeros; a long row reaches GramForm as
+    an out-of-range column."""
     if any(len(row) < len(rows) for row in rows):
         raise DegenerateForm("Gram matrix is not square")
-    sparse = tuple(
+    sparse = [
         {j: c for j, c in enumerate(map(field.canon, row)) if c} for row in rows
-    )
-    return GramForm(field=field, rows=sparse)
+    ]
+    den = math.lcm(1, *(Fraction(c).denominator for row in sparse for c in row.values()))
+    sparse = tuple({j: int(c * den) for j, c in row.items()} for row in sparse)
+    return GramForm(field=field, rows=sparse, den=den)
 
 
 # -- references for removed or rewritten kernels --------------------------------

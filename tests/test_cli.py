@@ -1,9 +1,10 @@
-import contextlib
-import io
 import json
+import math
 import pathlib
+import random
 import string
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittdeg import FieldSpec, cli
 from wittdeg.cli import run
-from wittdeg.witt import WittInvariants
+from wittdeg.witt import GramForm, WittInvariants
 
 from conftest import canonical_gram, dense
 
@@ -574,10 +575,7 @@ def test_gram_rendered_from_sparse_rows(g):
     assert "".join(pieces) == json.dumps(expected, indent=2)
     inv = WittInvariants(g.field, len(rows), None, 1)
     report = SimpleNamespace(labels=(), gram=g, diag="<>", invariants=inv)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._print_degree_verbose(report)
-    lines = out.getvalue().splitlines()
+    lines = cli._degree_verbose_lines(report)
     start = lines.index("gram matrix:") + 1
     assert lines[start : start + len(rows)] == [
         "  [" + ", ".join(row) + "]" for row in rows
@@ -585,19 +583,44 @@ def test_gram_rendered_from_sparse_rows(g):
     assert lines[start + len(rows)] == "diagonal form: <>"
 
 
+def test_gram_text_cell_is_str_of_fraction():
+    """Each cell of _GramText is str(Fraction(v, den)) of its int entry v
+    over the form's den: negative entries, entries past 2^64, and dens that
+    share factors with some entries but not with all."""
+    rng = random.Random(4180)
+    cells = fractional = 0
+    for _ in range(300):
+        den = rng.choice((1, 2, 12, 10**9 + 7, rng.randint(1, 2**70)))
+        values = []
+        for _ in range(rng.randint(0, 6)):
+            g = math.gcd(den, rng.randint(1, 2**72))
+            v = g * rng.choice((rng.randint(1, 10**3), rng.randint(1, 2**80)))
+            values.append(rng.choice((1, -1)) * v)
+        values.append(rng.choice((1, -1)) * rng.randint(1, 2**66) * den + 1)
+        rows = tuple({i: v} for i, v in enumerate(values))
+        text = cli._GramText(GramForm(field=FieldSpec.rationals(), rows=rows, den=den))
+        for i, (v, row) in enumerate(zip(values, text.cells)):
+            assert row == [(i, str(Fraction(v, den)))]
+            cells += 1
+            fractional += "/" in row[0][1]
+    assert cells >= 1000 and fractional >= 300, (cells, fractional)
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
 )
-def test_degree_json_gram_entry_past_digit_limit(tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--json", "--verbose"])
+def test_degree_json_gram_entry_past_digit_limit(tmp_path, capsys, flag):
     # c has 4,215 digits and the Gram entry 1/c^2 twice as many; the entry is
-    # made text before the first piece is written, so stdout stays empty
+    # made text before the first piece or line is written, so stdout stays
+    # empty
     c = 2**14000
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # CPython's default
     try:
         job = tmp_path / "wide.job"
         job.write_text(f"field = Q\nvars = x, y\nmap x = {c}*x\nmap y = {c}*y\n")
-        code, out, err = run_cli(capsys, "--json", "degree", str(job))
+        code, out, err = run_cli(capsys, flag, "degree", str(job))
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 2

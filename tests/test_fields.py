@@ -21,6 +21,7 @@ from wittdeg.fields import (
     MR_FOUR_WITNESS_BOUND,
     MR_PROVEN_BOUND,
     _hilbert,
+    _pair_classes,
     hasse_places,
     is_prime,
 )
@@ -310,6 +311,66 @@ def test_odd_primes_matches_reference(Q):
     classes, found = square_classes(Q, values)
     assert classes == [square_class(Q, x) for x in values]
     assert found == tuple(sorted(ref))
+
+
+def _classify(classify, field, values):
+    """classify(field, values), or the message of its FactorBoundExceeded."""
+    try:
+        return classify(field, values)
+    except FactorBoundExceeded as exc:
+        return str(exc)
+
+
+def test_pair_classes_match_square_classes(Q, F7):
+    """The pair core on reduced (num, den) int pairs against square_classes
+    on the canonical scalars num / den, over seeded batches of signed ints
+    and fractions, primes above 1,000, prime squares, 1/n and parts above
+    FACTOR_BOUND: the same classes and primes, or the same
+    FactorBoundExceeded message."""
+    rng = random.Random(2718)
+    big = [1009, 1013, 10007, 1000003, 10**9 + 7, 2**61 - 1]
+    over = [1000003 * 1000033, 10007 * 1000003, (10**9 + 7) * 1013]
+    assert all(n > FACTOR_BOUND for n in over)
+
+    def number():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return rng.randint(1, 10**6)
+        if kind == 1:
+            return rng.choice(big) * rng.randint(1, 60)
+        if kind == 2:
+            return rng.choice(big) ** 2 * rng.choice((1, 2, 3, 5))
+        if kind == 3:
+            return rng.choice(over) * rng.choice((1, 7, 9))
+        if kind == 4:
+            return rng.choice((2, 3, 5, 7)) ** rng.randint(0, 9)
+        return 1
+
+    seen = {"raised": 0, "classified": 0, "big prime": 0}
+    for field in (Q, F7):
+        for _ in range(300):
+            pairs = []
+            for _ in range(rng.randint(1, 5)):
+                num = rng.choice((1, -1)) * number()
+                den = 1 if rng.random() < 0.3 else number()
+                if rng.random() < 0.15:
+                    num, den = rng.choice((1, -1)), number()  # 1/n
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                if not field.is_rationals:
+                    if num % 7 == 0 or den % 7 == 0:
+                        continue
+                    num %= 7
+                pairs.append((num, den))
+            values = [Fraction(n, d) for n, d in pairs]
+            got = _classify(_pair_classes, field, pairs)
+            assert got == _classify(square_classes, field, values)
+            if isinstance(got, str):
+                seen["raised"] += 1
+            else:
+                seen["classified"] += 1
+                seen["big prime"] += any(p > 1000 for p in got[1])
+    assert min(seen.values()) >= 20, seen
 
 
 def test_square_classes_share_one_prime_set(Q, F7):

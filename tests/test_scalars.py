@@ -1,11 +1,14 @@
 """Every scalar the pipeline stores has the one canonical form of its field
 (conftest.is_canonical_scalar): over Q an integral value is an int, never an
-integer-valued Fraction, and no value is a float.
+integer-valued Fraction, and no value is a float.  Where a stage works on
+the integer form instead, ints over a positive denominator, that form is
+checked: the memoized normal-form table, the Gram rows and the pivots of
+the elimination.
 
 The stages are run one by one, so that each stored value can be read: the
-reduced Groebner basis, the memoized normal-form table, the Gram rows, the
-raw pivots of the elimination, the diagonal, the signed discriminant and
-the certificate of a composed unimodular row.
+reduced Groebner basis, the normal-form table, the Gram form, the pivots,
+the diagonal, the signed discriminant and the certificate of a composed
+unimodular row.
 """
 
 import math
@@ -24,9 +27,9 @@ from wittdeg import (
     Ring,
 )
 from wittdeg.cli import _endo_from_job, _row_from_job, parse_job_file
-from wittdeg.degree import _gram_from_quotient, validate
+from wittdeg.degree import _gram_from_quotient, degree_of, validate
 from wittdeg.umrow import compose_with_endo, is_unimodular
-from wittdeg.witt import DiagForm, _eliminate, diag_form, invariants
+from wittdeg.witt import DiagForm, _eliminate, diagonalize, invariants
 
 from conftest import is_canonical_scalar, random_poly, random_unit
 
@@ -37,30 +40,34 @@ Q = FieldSpec.rationals()
 
 def _stored_scalars(endo):
     """(stage, scalar) for every scalar the degree pipeline stores."""
+    field = endo.field
     qa = validate(endo)
     gram = _gram_from_quotient(endo, qa)  # fills the normal-form table
-    pivots = _eliminate(gram)
-    diag = diag_form(endo.field, pivots)
+    diag = diagonalize(gram)
     for p in qa.gb.basis:
         yield from (("basis", c) for c in p.terms.values())
-    _assert_integer_table(qa)
+    _assert_integer_form(field, qa._nf_table.values())
     for a in map(qa.ring.packing.unpack, qa._nf_table):
         yield from (("normal form", c) for c in qa.monomial_nf(a).values())
-    for row in gram.rows:
-        yield from (("gram", c) for c in row.values())
-    yield from (("pivot", c) for c in pivots)
+    # the Gram form as one int dict over its den, each pivot as one over
+    # its own
+    entries = {(i, j): v for i, row in enumerate(gram.rows) for j, v in row.items()}
+    _assert_integer_form(field, [(entries, gram.den)])
+    _assert_integer_form(field, (({0: a}, b) for a, b in _eliminate(gram)))
     yield from (("diagonal", c) for c in diag.entries)
     yield "signed discriminant", invariants(diag).signed_discriminant
 
 
-def _assert_integer_table(qa):
-    """Each entry of the normal-form table is (nums, den): an int term dict
-    without zeros and an int den > 0 coprime to its content (1 over F_p)."""
-    for nums, den in qa._nf_table.values():
+def _assert_integer_form(field, pairs):
+    """Each (nums, den) of pairs is an int dict without zeros (over F_p in
+    [1, p)) and an int den > 0 coprime to its content (1 over F_p)."""
+    for nums, den in pairs:
         assert type(den) is int and den > 0
         assert all(type(v) is int and v for v in nums.values())
         assert math.gcd(den, *nums.values()) == 1
-        assert qa.ring.field.is_rationals or den == 1
+        assert field.is_rationals or (
+            den == 1 and all(0 < v < field.modulus for v in nums.values())
+        )
 
 
 def _assert_canonical(field, pairs):
@@ -173,15 +180,15 @@ def test_row_compose_certificate_is_canonical():
 
 def test_hand_built_forms_hold_canonical_scalars():
     """DiagForm stores an integral Fraction as its int; GramForm, which
-    stores its nonzeros as given, rejects one."""
+    stores its int entries over den as given, rejects a Fraction."""
     d = DiagForm(field=Q, entries=(Fraction(15), -2, Fraction(-1)))
     assert d.entries == (15, -2, -1) and d.primes == (2, 3, 5)
     _assert_canonical(Q, (("diagonal", e) for e in d.entries))
-    half, two = Fraction(1, 2), Fraction(2)
-    g = GramForm(field=Q, rows=({1: half}, {0: half, 1: 2}))
-    _assert_canonical(Q, (("gram", c) for row in g.rows for c in row.values()))
-    with pytest.raises(DegenerateForm, match="not an int"):
-        GramForm(field=Q, rows=({1: half}, {0: half, 1: two}))
+    g = GramForm(field=Q, rows=({1: 1}, {0: 1, 1: 4}), den=2)
+    _assert_integer_form(Q, [({(0, 1): 1, (1, 0): 1, (1, 1): 4}, g.den)])
+    for x in (Fraction(1, 2), Fraction(2)):
+        with pytest.raises(DegenerateForm, match="not an int"):
+            GramForm(field=Q, rows=({1: x}, {0: x, 1: 2}), den=1)
 
 
 def test_hand_built_forms_reject_floats():
@@ -190,12 +197,36 @@ def test_hand_built_forms_reject_floats():
     storing it or failing with a bare AttributeError."""
     F7 = FieldSpec.prime_field(7)
     with pytest.raises(DegenerateForm, match="0.5 is not an int"):
-        GramForm(field=Q, rows=({0: 0.5},))
+        GramForm(field=Q, rows=({0: 0.5},), den=1)
     with pytest.raises(DegenerateForm, match="2.0 is not an int"):
-        GramForm(field=F7, rows=({0: 2.0},))
+        GramForm(field=F7, rows=({0: 2.0},), den=1)
     with pytest.raises(NonCanonicalForm, match="entry 1.0 "):
         DiagForm(field=F7, entries=(1.0,))
     with pytest.raises(NonCanonicalForm, match="entry 0.5 "):
         DiagForm(field=Q, entries=(0.5,))
     with pytest.raises(NonCanonicalForm, match="entry 3.0 "):
         DiagForm(field=Q, entries=(1, 3.0))
+
+
+@pytest.mark.parametrize("name", ("rational", "staircase3"))
+def test_degree_over_q_makes_no_fraction(name, monkeypatch):
+    """degree_of over Q keeps the integer form from the quotient to the
+    square classes: no call of the Fraction constructor, Gram entries and
+    pivots included.  Parsing rational.job makes its coefficients, so the
+    counter is seen to count."""
+    made = []
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        endo = _job_endo(name)
+        parsed = len(made)
+        report = degree_of(endo)
+    assert made[parsed:] == []
+    assert parsed > 0 if name == "rational" else parsed == 0
+    assert report.gram.den == (3 if name == "rational" else 1)
+    assert report.length == (6 if name == "rational" else 15)

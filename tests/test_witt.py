@@ -39,7 +39,13 @@ from wittdeg.witt import (
     witt_equal,
 )
 
-from conftest import canonical_gram, dense, hilbert, make_endo
+from conftest import canonical_gram, dense, exact, hilbert, make_endo
+
+
+def _pivots(g):
+    """The pivots of witt._eliminate(g), each reduced (num, den) pair read
+    as the exact value it stands for."""
+    return [exact(g.field, num, den) for num, den in _eliminate(g)]
 
 
 def _mat_mul(a, b):
@@ -153,7 +159,7 @@ def _audit_transform(rng, field):
             for i in range(n)
             for j in range(n)
         )
-        assert _eliminate(g) == ref
+        assert _pivots(g) == ref
         assert diagonalize(g) == diag_form(field, ref)
     assert all(seen.values()), seen
 
@@ -308,7 +314,7 @@ def test_sparse_eliminate_matches_dense_reference_at_scale(Q, F7, monkeypatch):
                     with pytest.raises(DegenerateForm):
                         _eliminate(g)
                     continue
-                assert _eliminate(g) == ref
+                assert _pivots(g) == ref
                 regular[shape] += 1
         assert regular.pop(_degenerate_tail) == 0
         assert all(regular.values()), regular
@@ -337,9 +343,9 @@ def _random_fraction_form(rng, field, d):
 
 def test_eliminate_on_non_integral_forms(Q, monkeypatch):
     """Over Q with entries n/m (m from 1 to 35) and d = 1-40, _eliminate
-    returns the dense reference's pivots in value and in canonical type, or
-    both raise DegenerateForm; one call constructs at most one Fraction per
-    pivot.  The forms need swaps and add repairs, and some are singular."""
+    returns the dense reference's pivots as reduced int pairs (num, den),
+    den > 0, or both raise DegenerateForm; one call constructs no Fraction.
+    The forms need swaps and add repairs, and some are singular."""
     swaps = []
     real_swap = witt._swap
     monkeypatch.setattr(
@@ -384,17 +390,18 @@ def test_eliminate_on_non_integral_forms(Q, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(Fraction, "__new__", counted_new)
                 got = _eliminate(g)
-            # the reference keeps integral Fractions: canonical, a pivot is
-            # an int when integral and a Fraction otherwise
-            ref = list(map(Q.canon, ref))
-            assert [(type(x), x) for x in got] == [(type(x), x) for x in ref]
-            assert len(made) - before <= len(got)
+            # each pivot is a pair of ints in lowest terms, den > 0
+            assert all(
+                type(a) is int and type(b) is int and b > 0 and math.gcd(a, b) == 1
+                for a, b in got
+            )
+            assert [Fraction(a, b) for a, b in got] == ref
+            assert len(made) == before
             seen["regular"] += 1
             seen["add"] += shape is _zero_diagonal_blocks
-            seen["fraction"] += any(type(x) is Fraction for x in got)
+            seen["fraction"] += any(b > 1 for _, b in got)
     assert swaps
     assert all(seen.values()), seen
-    assert len(made) >= seen["fraction"]  # the counter sees the pivots made
 
 
 def test_staircase3_repairs(Q):
@@ -405,7 +412,7 @@ def test_staircase3_repairs(Q):
     assert (len(g.rows), sum(map(len, g.rows))) == (15, 20)
     ref, repairs, _ = _reference_elimination(Q, dense(g))
     assert (repairs.count("swap"), repairs.count("add")) == (7, 6)
-    assert _eliminate(g) == _dense_eliminate(g) == ref
+    assert _pivots(g) == _dense_eliminate(g) == ref
 
 
 def test_degenerate_form_rejected(Q):
@@ -620,8 +627,40 @@ def test_gram_form_rejects_bad_sparse_rows(Q, F7):
         }
         for rows in bad.values():
             with pytest.raises(DegenerateForm):
-                GramForm(field=field, rows=rows)
-        GramForm(field=field, rows=({1: two}, {0: two}))
+                GramForm(field=field, rows=rows, den=1)
+        GramForm(field=field, rows=({1: two}, {0: two}), den=1)
+
+
+def test_gram_form_is_int_rows_over_one_reduced_den(Q, F7):
+    """A GramForm holds int entries over one den > 0 (1 over F_p) that
+    shares no factor with all of them: a float, a Fraction, a zero, an
+    asymmetric form, den <= 0, den > 1 over F_p, and a den that shares a
+    factor with every entry each raise DegenerateForm."""
+    bad = [
+        (Q, ({0: 0.5},), 1, "0.5 is not an int"),
+        (F7, ({0: 2.0},), 1, "2.0 is not an int"),
+        (Q, ({0: Fraction(1, 2)},), 1, "is not an int"),
+        (Q, ({0: Fraction(3)},), 1, "is not an int"),
+        (Q, ({0: True},), 1, "True is not an int"),
+        (Q, ({0: 1, 1: 0}, {0: 0}), 1, "explicit zero"),
+        (F7, ({1: 2}, {0: 3}), 1, "not symmetric"),
+        (Q, ({1: 2}, {0: 3}), 5, "not symmetric"),
+        (Q, ({0: 1},), 0, "not a positive int"),
+        (Q, ({0: 1},), -3, "not a positive int"),
+        (Q, ({0: 1},), 2.0, "not a positive int"),
+        (Q, ({0: 1},), Fraction(2), "not a positive int"),
+        (F7, ({0: 1},), 2, "denominator 2 over F7"),
+        (Q, ({0: 2, 1: 4}, {0: 4}), 6, "shares 2 with every entry"),
+        (Q, ({0: 9, 1: -15}, {0: -15, 1: 30}), 12, "shares 3 with every entry"),
+        (Q, (), 4, "shares 4 with every entry"),
+    ]
+    for field, rows, den, message in bad:
+        with pytest.raises(DegenerateForm, match=message):
+            GramForm(field=field, rows=rows, den=den)
+    # a den coprime to the entries taken together, though not to each
+    g = GramForm(field=Q, rows=({0: 2, 1: 3}, {0: 3}), den=6)
+    assert dense(g) == [[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), 0]]
+    assert GramForm(field=Q, rows=(), den=1).rows == ()
 
 
 def test_gram_form_dense_view_round_trips(Q, F7):
