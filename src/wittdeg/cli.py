@@ -2,11 +2,17 @@
 
 Subcommands: degree, nori-check, witt invariants, witt is-zero,
 koszul verify, row check, row compose.  Output is deterministic; --json
-emits the versioned report schema.  Exit codes: 0 success, 1 a check of
-koszul verify failed (in text and --json output alike), 2 parse or
-validation error, or a number too long to print
-(DigitLimitExceeded), 3 mathematical hypothesis failure (NotFiniteLength,
-SupportNotOrigin, NotOriginPreserving, EvenN).
+emits the versioned report schema.
+
+Each subcommand returns its exit status and its output: the JSON document
+under --json, otherwise its list of text lines.  `run` alone writes, and
+every number is made text before the first byte, so an error, a number too
+long to print included, leaves stdout empty.
+
+Exit codes: 0 success, 1 a check of koszul verify failed (in text and
+--json output alike), 2 parse or validation error, or a number too long to
+print (DigitLimitExceeded), 3 mathematical hypothesis failure
+(NotFiniteLength, SupportNotOrigin, NotOriginPreserving, EvenN).
 
 Job files::
 
@@ -189,17 +195,6 @@ def _row_from_job(job: JobFile, path: str) -> UnimodularRow:
 # -- output helpers ---------------------------------------------------------
 
 
-def _print_json(data: dict) -> None:
-    """Write the bytes of print(json.dumps(data, indent=2)) to the current
-    sys.stdout, streamed a line, a list of strings or a Gram row at a time."""
-    write = sys.stdout.write
-    _write_json(data, write)
-    write("\n")
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
 def _ratio_text(v: int, den: int) -> str:
     """v / den as str(Fraction(v, den)) prints it, for ints v and den > 0."""
     g = math.gcd(v, den)
@@ -241,62 +236,31 @@ class _GramText:
             yield "".join(pieces)
 
 
-def _write_json(value, write, level: int = 0) -> None:
-    """Pass json.dumps(value, indent=2) to write in pieces, a GramForm being
-    its dense d x d matrix of entry strings.  Dicts and mixed lists go item
-    by item; a list of strings is one piece, quoted by one join when no entry
-    needs escaping; a Gram matrix goes one row at a time.  Dict keys must be
-    strings."""
-    if isinstance(value, str):
-        write(_encode_str(value))
+def _write_json(data: dict, write) -> None:
+    """Pass json.dumps(data, indent=2) to write, a GramForm under "gram"
+    being its dense d x d matrix of entry strings.  The document around the
+    Gram is one json.dumps, split where "gram" holds null, and the Gram goes
+    one row at a time between the two halves; every number is made text
+    before the first piece."""
+    gram = data.get("gram")
+    if not isinstance(gram, GramForm):
+        write(json.dumps(data, indent=2))
         return
-    if isinstance(value, _GramText):
-        if not value.cells:
-            write("[]")
-            return
-        pad = "\n" + "  " * (level + 1)
-        cell = pad + "  "
-        sep = "[" + pad
-        for line in value.lines("[" + cell + '"', '",' + cell + '"', '"' + pad + "]"):
+    text = _GramText(gram)
+    head, _, tail = json.dumps({**data, "gram": None}, indent=2).partition(
+        '"gram": null'
+    )
+    write(head + '"gram": ')
+    if text.cells:
+        sep = "[\n    "
+        for line in text.lines('[\n      "', '",\n      "', '"\n    ]'):
             write(sep)
             write(line)
-            sep = "," + pad
-        write(pad[:-2] + "]")
-        return
-    if not value or not isinstance(value, (dict, list)):
-        write(json.dumps(value))
-        return
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(value, dict):
-        # a Gram form's entries are made text before the first piece, as the
-        # other numbers of a report already are: a number too long to print
-        # raises before anything is written
-        items = [
-            (key, _GramText(item) if isinstance(item, GramForm) else item)
-            for key, item in value.items()
-        ]
-        sep = "{" + pad
-        for key, item in items:
-            write(sep + _encode_str(key) + ": ")
-            _write_json(item, write, level + 1)
-            sep = "," + pad
-        write(pad[:-2] + "}")
-        return
-    try:
-        flat = "".join(value)
-    except TypeError:
-        sep = "[" + pad
-        for item in value:
-            write(sep)
-            _write_json(item, write, level + 1)
-            sep = "," + pad
+            sep = ",\n    "
+        write("\n  ]")
     else:
-        if len(_encode_str(flat)) == len(flat) + 2:
-            body = '"' + ('",' + pad + '"').join(value) + '"'
-        else:
-            body = ("," + pad).join(map(_encode_str, value))
-        write("[" + pad + body)
-    write(pad[:-2] + "]")
+        write("[]")
+    write(tail)
 
 
 def _degree_summary(report: DegreeReport) -> str:
@@ -341,78 +305,57 @@ def _nori_lines(report: DegreeReport) -> list[str]:
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_degree(args) -> int:
+def _cmd_degree(args) -> tuple[int, dict | list[str]]:
     job = parse_job_file(args.file, by_name(args.order))
-    endo = _endo_from_job(job, args.file)
-    report = degree_of(endo)
+    report = degree_of(_endo_from_job(job, args.file))
     if args.json:
-        _print_json(report.to_json_dict())
-        return 0
-    # every line is made before the first is printed: a number too long to
-    # print raises with stdout empty, as in the --json output
+        return 0, report.to_json_dict()
     lines = [_degree_summary(report)]
     if args.verbose:
         lines += _degree_verbose_lines(report)
-    print(*lines, sep="\n")
-    return 0
+    return 0, lines
 
 
-def _cmd_nori_check(args) -> int:
+def _cmd_nori_check(args) -> tuple[int, dict | list[str]]:
     job = parse_job_file(args.file, by_name(args.order))
-    endo = _endo_from_job(job, args.file)
-    report, verdict = obstruction_report(endo)
+    report, verdict = obstruction_report(_endo_from_job(job, args.file))
     if args.json:
-        data = report.to_json_dict()
-        data["verdict"] = verdict
-        _print_json(data)
-    else:
-        print(_degree_summary(report))
-        for line in _nori_lines(report):
-            print(line)
-        print(f"verdict: {verdict}")
-    return 0
+        return 0, {**report.to_json_dict(), "verdict": verdict}
+    return 0, [_degree_summary(report), *_nori_lines(report), f"verdict: {verdict}"]
 
 
-def _cmd_witt_invariants(args) -> int:
+def _cmd_witt_invariants(args) -> tuple[int, dict | list[str]]:
     field = _parse_field(args.field)
     d = parse_diag(field, args.entries)
     inv = invariants(d)
     if args.json:
-        _print_json(
-            {
-                "schema": 1,
-                "field": str(field),
-                "entries": [str(e) for e in d.entries],
-                "rank": inv.rank,
-                "signature": inv.signature,
-                "signed_discriminant": str(inv.signed_discriminant),
-                "hasse": dict(inv.hasse),
-            }
-        )
-    else:
-        print(*_invariant_lines(inv), sep="\n")
-    return 0
+        return 0, {
+            "schema": 1,
+            "field": str(field),
+            "entries": [str(e) for e in d.entries],
+            "rank": inv.rank,
+            "signature": inv.signature,
+            "signed_discriminant": str(inv.signed_discriminant),
+            "hasse": dict(inv.hasse),
+        }
+    return 0, _invariant_lines(inv)
 
 
-def _cmd_witt_is_zero(args) -> int:
+def _cmd_witt_is_zero(args) -> tuple[int, dict | list[str]]:
     field = _parse_field(args.field)
     d = parse_diag(field, args.entries)
     zero = is_witt_zero(d)
     if args.json:
-        _print_json(
-            {
-                "schema": 1,
-                "field": str(field),
-                "entries": [str(e) for e in d.entries],
-                "is_zero": zero,
-            }
-        )
-    else:
-        print("zero (hyperbolic)" if zero else f"nonzero in W({field})")
-    return 0
+        return 0, {
+            "schema": 1,
+            "field": str(field),
+            "entries": [str(e) for e in d.entries],
+            "is_zero": zero,
+        }
+    return 0, ["zero (hyperbolic)" if zero else f"nonzero in W({field})"]
 
 
-def _cmd_koszul_verify(args) -> int:
+def _cmd_koszul_verify(args) -> tuple[int, dict | list[str]]:
     n = args.n
     if n < 1:
         raise AlgebraError("--n must be at least 1")
@@ -429,47 +372,32 @@ def _cmd_koszul_verify(args) -> int:
     ssign = symmetry_sign(n)
     status = 0 if chain_ok and sym_ok and not unsigned_ok else 1
     if args.json:
-        _print_json(
-            {
-                "schema": 1,
-                "n": n,
-                "dual_differential_sign": dsign,
-                "double_dual_sign": ssign,
-                "squares": {str(i): ok for i, ok in enumerate(squares, 1)},
-                "chain_map": chain_ok,
-                "symmetry": sym_ok,
-                "unsigned_family_chain_map": unsigned_ok,
-            }
-        )
-        return status
-    print(
+        return status, {
+            "schema": 1,
+            "n": n,
+            "dual_differential_sign": dsign,
+            "double_dual_sign": ssign,
+            "squares": {str(i): ok for i, ok in enumerate(squares, 1)},
+            "chain_map": chain_ok,
+            "symmetry": sym_ok,
+            "unsigned_family_chain_map": unsigned_ok,
+        }
+    return status, [
         f"n = {n}; resolved convention: dual differential = "
         f"{dsign:+d} * transpose(d_(n-i+1)); "
-        f"symmetry transpose sign = {ssign:+d}"
-    )
-    for i, ok in enumerate(squares, 1):
-        print(f"square i={i}: {'pass' if ok else 'FAIL'}")
-    print(f"symmetry: {'pass' if sym_ok else 'FAIL'}")
-    print(
+        f"symmetry transpose sign = {ssign:+d}",
+        *(
+            f"square i={i}: {'pass' if ok else 'FAIL'}"
+            for i, ok in enumerate(squares, 1)
+        ),
+        f"symmetry: {'pass' if sym_ok else 'FAIL'}",
         "unsigned family chain map: "
-        + ("unexpectedly passes" if unsigned_ok else "fails (expected)")
-    )
-    return status
+        + ("unexpectedly passes" if unsigned_ok else "fails (expected)"),
+    ]
 
 
-def _describe_row(row: UnimodularRow) -> list[str]:
-    ring = row.algebra.ring
-    lines = [f"row: ({', '.join(str(p) for p in row.entries)})"]
-    if row.algebra.relations:
-        rels = "; ".join(str(r) for r in row.algebra.relations)
-        lines.append(f"relations: {rels}")
-    lines.append(f"ring: {', '.join(ring.variables)} over {ring.field}")
-    return lines
-
-
-def _report_row(row: UnimodularRow, args) -> int:
-    """Print the row and its certificate, every line formatted before the
-    first is printed: an error while formatting leaves stdout empty."""
+def _report_row(row: UnimodularRow, args) -> tuple[int, dict | list[str]]:
+    """The row and its certificate, if it has one."""
     cert = is_unimodular(row)
     if args.json:
         data = {
@@ -481,25 +409,26 @@ def _report_row(row: UnimodularRow, args) -> int:
         }
         if cert is not None:
             data["certificate"] = [str(c) for c in cert]
-        _print_json(data)
-        return 0
-    lines = _describe_row(row)
+        return 0, data
+    ring = row.algebra.ring
+    lines = [f"row: ({', '.join(str(p) for p in row.entries)})"]
+    if row.algebra.relations:
+        lines.append(f"relations: {'; '.join(str(r) for r in row.algebra.relations)}")
+    lines.append(f"ring: {', '.join(ring.variables)} over {ring.field}")
     if cert is None:
         lines.append("unimodular: no")
     else:
         lines.append("unimodular: yes")
         lines.append(f"certificate: ({', '.join(str(c) for c in cert)})")
-    print("\n".join(lines))
-    return 0
+    return 0, lines
 
 
-def _cmd_row_check(args) -> int:
+def _cmd_row_check(args) -> tuple[int, dict | list[str]]:
     job = parse_job_file(args.file, by_name(args.order))
-    row = _row_from_job(job, args.file)
-    return _report_row(row, args)
+    return _report_row(_row_from_job(job, args.file), args)
 
 
-def _cmd_row_compose(args) -> int:
+def _cmd_row_compose(args) -> tuple[int, dict | list[str]]:
     order = by_name(args.order)
     rowjob = parse_job_file(args.rowfile, order)
     row = _row_from_job(rowjob, args.rowfile)
@@ -507,8 +436,7 @@ def _cmd_row_compose(args) -> int:
     endo = _endo_from_job(endojob, args.endofile)
     if endo.field != row.algebra.ring.field:
         raise AlgebraError("row and endomorphism use different fields")
-    composed = compose_with_endo(row, endo)
-    return _report_row(composed, args)
+    return _report_row(compose_with_endo(row, endo), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -579,9 +507,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    """Run one command and write its output; on an error, exit 2 or 3 with
+    stdout empty."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, output = args.func(args)
+        if args.json:
+            write = sys.stdout.write
+            _write_json(output, write)
+            write("\n")
+        else:
+            # print, not one join: --verbose output can run to megabytes
+            print(*output, sep="\n")
+        return status
     except HYPOTHESIS_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -301,14 +301,15 @@ def square_class_mul(field: FieldSpec, a, b):
     """Product of two canonical square-class representatives, canonicalized.
 
     Avoids factoring the product: for squarefree integers a, b the squarefree
-    part of ab is (a/g)(b/g) with g = gcd(|a|, |b|).
+    part of ab is (a/g)(b/g) with g = gcd(|a|, |b|).  Over F_p the classes
+    are 1 and the least non-residue r, and the product is 1 iff a = b.
     """
     if field.is_rationals:
         sign = -1 if (a < 0) != (b < 0) else 1
         aa, bb = abs(a.numerator), abs(b.numerator)
         g = math.gcd(aa, bb)
         return sign * (aa // g) * (bb // g)
-    return square_class(field, field.mul(a, b))
+    return 1 if a == b else field.least_nonresidue()
 
 
 def _valuation(n: int, p: int) -> tuple[int, int]:

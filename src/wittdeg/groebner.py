@@ -40,8 +40,9 @@ reduced basis is kept as its integer entries, and `GroebnerBasis.basis`
 makes them monic on each read; a certificate is replayed on ints and
 kept in that form, `GroebnerBasis.certificate` converts it on each read,
 and umrow.is_unimodular converts only the entry cofactors it prints;
-normal_form converts its remainder; and the Gram build converts the
-quotient table's integer entries (see below).
+and normal_form converts its remainder.  The Gram build sums the
+quotient table's integer entries as they are and makes no `Fraction`
+(see below).
 
 When an element t joins the working basis, its new pairs (i, t) pass the
 Gebauer-Moeller criteria (Gebauer & Moeller, JSC 6, 1988), which refine

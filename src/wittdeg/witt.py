@@ -372,7 +372,7 @@ def invariants(d: DiagForm) -> WittInvariants:
             d.entries, lambda x, y: square_class_mul(field, x, y), initial=field.one
         )
     )
-    sign_factor = field.from_int(-1 if (r * (r - 1) // 2) % 2 else 1)
+    sign_factor = square_class(field, -1) if (r * (r - 1) // 2) % 2 else field.one
     signed_disc = square_class_mul(field, prefixes[-1], sign_factor)
     if not field.is_rationals:
         return WittInvariants(

@@ -392,8 +392,9 @@ def test_square_classes_share_one_prime_set(Q, F7):
 
 
 def test_square_class_idempotent_and_multiplicative(Q, F7):
+    # -1 is a square mod 13 and a non-residue mod 7
     rng = random.Random(7)
-    for field in (Q, F7):
+    for field in (Q, F7, FieldSpec.prime_field(13)):
         for _ in range(100):
             if field.is_rationals:
                 a = Fraction(rng.choice([k for k in range(-60, 61) if k]),
@@ -401,8 +402,8 @@ def test_square_class_idempotent_and_multiplicative(Q, F7):
                 b = Fraction(rng.choice([k for k in range(-60, 61) if k]),
                              rng.randint(1, 40))
             else:
-                a = rng.randint(1, 6)
-                b = rng.randint(1, 6)
+                a = rng.randint(1, field.modulus - 1)
+                b = rng.randint(1, field.modulus - 1)
             ca, cb = square_class(field, a), square_class(field, b)
             assert square_class(field, ca) == ca
             assert square_class(field, field.mul(a, b)) == square_class_mul(
