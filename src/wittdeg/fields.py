@@ -99,7 +99,8 @@ _SCALAR_RE = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?\Z")
 
 
 class FieldSpec:
-    """The coefficient field: the rationals or F_p with p an odd prime.
+    """The coefficient field: the rationals or F_p with p an odd prime
+    below MR_PROVEN_BOUND, where :func:`is_prime` is proven.
 
     A field is its modulus: p over F_p and ``None`` over Q, so inline
     kernels branch on ``modulus is None``.  ``is_rationals`` is that test,
@@ -113,6 +114,13 @@ class FieldSpec:
         if modulus is not None:
             if modulus == 2:
                 raise EvenModulus("characteristic 2 is not supported")
+            # is_prime is proven only below the bound, which is itself a
+            # strong pseudoprime to all twelve witnesses
+            if type(modulus) is int and modulus >= MR_PROVEN_BOUND:
+                raise AlgebraError(
+                    f"modulus {modulus} is not below {MR_PROVEN_BOUND}, "
+                    "the bound of proven primality"
+                )
             if type(modulus) is not int or not is_prime(modulus):
                 raise AlgebraError(f"modulus {modulus!r} is not prime")
         self.modulus = modulus

@@ -11,11 +11,20 @@ be a chain map, then frozen:
 
   - dual differential:  delta_i = (-1)^n * transpose(d_{n-i+1});
   - symmetry:           transpose(P_{n-i}) = (-1)^(n(n+1)/2) * P_i, where
-    P_i is the pairing matrix of level i (the double-dual sign
-    (-1)^(n(n-1)/2) combined with a (-1)^n from the n-fold shift).
+    P_i = transpose(signed_maps[i]) is the pairing matrix of level i (the
+    double-dual sign (-1)^(n(n-1)/2) combined with a (-1)^n from the
+    n-fold shift); verify_symmetry compares signed_maps[n-i] with the
+    signed transpose of signed_maps[i] directly.
 
 resolve_dual_signs recomputes the first family from scratch so tests can
 confirm the frozen convention instead of trusting it.
+
+Every matrix is a dict {(row subset, column subset): entry} of its nonzero
+entries only, and callers must not mutate one.  A column of d_i holds i
+nonzeros out of C(n, i-1), and each duality map is a signed permutation,
+so a dense matrix is almost all zeros: a product runs over the nonzeros
+only and drops the entries that cancel.  A matrix is zero when it is
+empty, and two matrices are equal when their dicts are.
 """
 
 from __future__ import annotations
@@ -56,13 +65,13 @@ class KoszulComplex:
 
     ring: Ring
     sequence: tuple[Poly, ...]
-    differentials: tuple[tuple[tuple[Poly, ...], ...], ...]  # index i-1 -> d_i
+    differentials: tuple[dict, ...]  # index i-1 -> d_i
 
     @property
     def n(self) -> int:
         return len(self.sequence)
 
-    def d(self, i: int):
+    def d(self, i: int) -> dict:
         return self.differentials[i - 1]
 
 
@@ -75,55 +84,43 @@ def build_koszul(sequence: Sequence[Poly]) -> KoszulComplex:
         if a.ring != ring:
             raise RingMismatch("sequence entries in different rings")
     n = len(sequence)
-    diffs = []
-    for i in range(1, n + 1):
-        rows = wedge_basis(n, i - 1)
-        cols = wedge_basis(n, i)
-        row_index = {s: k for k, s in enumerate(rows)}
-        mat = [[ring.zero() for _ in cols] for _ in rows]
-        for c, subset in enumerate(cols):
-            for pos, elem in enumerate(subset):
-                rest = subset[:pos] + subset[pos + 1 :]
-                coeff = sequence[elem - 1]
-                if pos % 2:
-                    coeff = -coeff
-                r = row_index[rest]
-                mat[r][c] = mat[r][c] + coeff
-        diffs.append(tuple(tuple(row) for row in mat))
-    kc = KoszulComplex(ring=ring, sequence=tuple(sequence), differentials=tuple(diffs))
+    # column s of d_i holds (-1)^pos * a_e in the row of s without its
+    # element e at position pos
+    coeff = (tuple(sequence), tuple(-a for a in sequence))
+    diffs = tuple(
+        {
+            (s[:pos] + s[pos + 1 :], s): coeff[pos % 2][e - 1]
+            for s in wedge_basis(n, i)
+            for pos, e in enumerate(s)
+            if not sequence[e - 1].is_zero
+        }
+        for i in range(1, n + 1)
+    )
+    kc = KoszulComplex(ring=ring, sequence=tuple(sequence), differentials=diffs)
     for i in range(2, n + 1):
-        prod = _mat_mul(kc.d(i - 1), kc.d(i), ring)
-        if not _mat_is_zero(prod):
+        if _mat_mul(kc.d(i - 1), kc.d(i)):
             raise InternalError("Koszul differential does not square to zero")
     return kc
 
 
-def _mat_mul(a, b, ring: Ring):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            entry = a[i][k]
-            if entry.is_zero:
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero:
-                    out[i][j] = out[i][j] + entry * b[k][j]
-    return out
+def _mat_mul(a: dict, b: dict) -> dict:
+    """The product a * b, entries that cancel dropped."""
+    b_rows: dict = {}
+    for (k, j), y in b.items():
+        b_rows.setdefault(k, []).append((j, y))
+    out: dict = {}
+    for (i, k), x in a.items():
+        for j, y in b_rows.get(k, ()):
+            out[i, j] = out[i, j] + x * y if (i, j) in out else x * y
+    return {key: v for key, v in out.items() if not v.is_zero}
 
 
-def _mat_transpose(a):
-    return [list(row) for row in zip(*a)]
+def _mat_transpose(a: dict) -> dict:
+    return {(c, r): x for (r, c), x in a.items()}
 
 
-def _mat_scale(a, sign: int):
-    if sign == 1:
-        return [list(row) for row in a]
-    return [[-x for x in row] for row in a]
-
-
-def _mat_is_zero(a) -> bool:
-    return all(x.is_zero for row in a for x in row)
+def _mat_scale(a: dict, sign: int) -> dict:
+    return a if sign == 1 else {key: -x for key, x in a.items()}
 
 
 def rho_sign_exponent(i: int, n: int) -> int:
@@ -154,18 +151,13 @@ def build_duality(kc: KoszulComplex) -> DualityData:
     wedge = []
     signed = []
     for i in range(n + 1):
-        cols = wedge_basis(n, i)
-        rows = wedge_basis(n, n - i)
-        row_index = {s: k for k, s in enumerate(rows)}
-        mat = [[ring.zero() for _ in cols] for _ in rows]
-        full = tuple(range(1, n + 1))
-        for c, s in enumerate(cols):
-            t = tuple(x for x in full if x not in s)
-            sign = _merge_sign(s, t)
-            mat[row_index[t]][c] = ring.constant(sign)
-        wedge.append(tuple(tuple(row) for row in mat))
-        sign = -1 if rho_sign_exponent(i, n) % 2 else 1
-        signed.append(tuple(tuple(row) for row in _mat_scale(mat, sign)))
+        # the i-subset s pairs with its complement t only
+        mat = {}
+        for s in wedge_basis(n, i):
+            t = tuple(x for x in range(1, n + 1) if x not in s)
+            mat[t, s] = ring.constant(_merge_sign(s, t))
+        wedge.append(mat)
+        signed.append(_mat_scale(mat, -1 if rho_sign_exponent(i, n) % 2 else 1))
     return DualityData(
         complex=kc,
         wedge_maps=tuple(wedge),
@@ -180,14 +172,13 @@ def resolve_dual_signs(dd: DualityData, maps=None) -> list[Optional[int]]:
     maps[i]; a consistent sign must relate them entrywise.
     """
     kc = dd.complex
-    ring = kc.ring
     n = kc.n
     if maps is None:
         maps = dd.signed_maps
     out: list[Optional[int]] = []
     for i in range(1, n + 1):
-        lhs = _mat_mul(maps[i - 1], kc.d(i), ring)
-        rhs = _mat_mul(_mat_transpose(kc.d(n - i + 1)), maps[i], ring)
+        lhs = _mat_mul(maps[i - 1], kc.d(i))
+        rhs = _mat_mul(_mat_transpose(kc.d(n - i + 1)), maps[i])
         if lhs == rhs:
             out.append(0)
         elif lhs == _mat_scale(rhs, -1):
@@ -206,23 +197,17 @@ def verify_chain_map(dd: DualityData, maps=None) -> bool:
     )
 
 
-def pairing_matrix(dd: DualityData, i: int, maps=None):
-    """Matrix of the level-i pairing: rows i-subsets, columns (n-i)-subsets."""
+def verify_symmetry(dd: DualityData, maps=None) -> bool:
+    """maps[n-i] = sigma * transpose(maps[i]) at every level i, sigma the
+    frozen uniform sign."""
+    n = dd.n
     if maps is None:
         maps = dd.signed_maps
-    return _mat_transpose(maps[i])
-
-
-def verify_symmetry(dd: DualityData, maps=None) -> bool:
-    """Transpose relation with the frozen uniform sign, all levels."""
-    n = dd.n
     sigma = symmetry_sign(n)
-    for i in range(n + 1):
-        lhs = _mat_transpose(pairing_matrix(dd, n - i, maps))
-        rhs = _mat_scale(pairing_matrix(dd, i, maps), sigma)
-        if lhs != rhs:
-            return False
-    return True
+    return all(
+        maps[n - i] == _mat_scale(_mat_transpose(maps[i]), sigma)
+        for i in range(n + 1)
+    )
 
 
 def generic_duality(field, n: int) -> DualityData:

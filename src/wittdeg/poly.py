@@ -112,26 +112,27 @@ def _entry(terms: dict, tag=None):
     return lead, tail.pop(lead), tail, tag
 
 
-def _divisor(terms: dict, q, tag=None):
-    """The `_entry` of the monic polynomial terms / lc(terms), terms being a
-    nonzero packed int term dict (q: modulus of F_q, None over Q).
+def _divisor(terms: dict, q):
+    """The `_entry`, tag None, of the monic polynomial terms / lc(terms),
+    terms being a nonzero packed int term dict (q: modulus of F_q, None
+    over Q).
 
     Over F_q lc is 1 and the tail is monic.  Over Q the entry is the
     primitive integer multiple of the monic polynomial: lc is a positive
     int and gcd(lc, tail) is 1.  This is the working form of every
     Groebner-side divisor.
     """
-    lead, lc, tail, tag = _entry(terms, tag)  # tail is a new dict
+    lead, lc, tail, _ = _entry(terms)  # tail is a new dict
     if q is not None:
         inv = pow(lc, -1, q)
-        return lead, 1, {e: v * inv % q for e, v in tail.items()}, tag
+        return lead, 1, {e: v * inv % q for e, v in tail.items()}, None
     g = gcd(lc, *tail.values())
     if lc < 0:
         g = -g
     if g != 1:
         lc //= g
         tail = {e: v // g for e, v in tail.items()}
-    return lead, lc, tail, tag
+    return lead, lc, tail, None
 
 
 def _add_shifted(dst: dict, src: dict, shift: int, c, q) -> None:

@@ -152,6 +152,12 @@ def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
         # field and scalar errors are located like every other line error
         ("field = F2\nvars = x\nmap x = x^2\n", 1, "characteristic 2"),
         ("field = F9\nvars = x\nmap x = x^2\n", 1, "modulus 9 is not prime"),
+        # is_prime is proven only below the bound, itself a pseudoprime
+        (
+            "field = F318665857834031151167461\nvars = x\nmap x = x^2\n",
+            1,
+            "modulus 318665857834031151167461 is not below 318665857834031151167461",
+        ),
         ("field = F7\nvars = x\nmap x = 1/7*x^2\n", 3, "denominator divisible by 7"),
         # a GREVLEX ring bounds the total degree of a term where it is parsed
         (
@@ -192,6 +198,7 @@ def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
         "vars-twice",
         "F2",
         "F9",
+        "F-proven-bound",
         "1/7-over-F7",
         "total-degree",
         "no-equals",
@@ -276,6 +283,11 @@ def test_exit_2_whole_file_error_carries_path(
             "AlgebraError: bad field 'F\u0661\u0663' (expected Q or F<p>)",
         ),
         (
+            ["witt", "invariants", "1,399165290221", "--field", "F318665857834031151167461"],
+            "AlgebraError: modulus 318665857834031151167461 is not below 318665857834031151167461, "
+            "the bound of proven primality",
+        ),
+        (
             ["witt", "invariants", "1,\u0661"],
             "ParseError: bad scalar '\u0661' (at position 0)",
         ),
@@ -293,6 +305,7 @@ def test_exit_2_whole_file_error_carries_path(
         "witt-field-F-space-7",
         "witt-field-F07",
         "witt-field-arabic-indic-13",
+        "witt-field-proven-bound",
         "witt-arabic-indic-entry",
         "witt-entry-past-digit-limit",
     ],

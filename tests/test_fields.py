@@ -46,6 +46,12 @@ def test_prime_field_takes_odd_primes_only():
             FieldSpec.prime_field(p)
     with pytest.raises(EvenModulus, match="characteristic 2 is not supported"):
         FieldSpec.prime_field(2)
+    # is_prime is proven only below MR_PROVEN_BOUND: the bound itself is a
+    # composite it passes, and 2^89 - 1 a prime it cannot prove
+    assert MR_PROVEN_BOUND == 399165290221 * 798330580441
+    for p in (MR_PROVEN_BOUND, 2**89 - 1):
+        with pytest.raises(AlgebraError, match=f"is not below {MR_PROVEN_BOUND}"):
+            FieldSpec.prime_field(p)
     for p in (3, 5, 10007):
         field = FieldSpec.prime_field(p)
         assert field.modulus == p and not field.is_rationals

@@ -13,11 +13,10 @@ from wittdeg import (
     verify_symmetry,
 )
 from wittdeg.koszul import (
-    _mat_is_zero,
     _mat_mul,
+    _mat_scale,
     _mat_transpose,
     build_koszul,
-    pairing_matrix,
     rho_sign_exponent,
     wedge_basis,
 )
@@ -28,7 +27,7 @@ from conftest import random_poly
 def negated_level(maps, i):
     """The family with level i negated."""
     out = list(maps)
-    out[i] = tuple(tuple(-x for x in row) for row in maps[i])
+    out[i] = _mat_scale(maps[i], -1)
     return tuple(out)
 
 
@@ -46,23 +45,26 @@ def test_build_koszul_small(Q):
     a, b = ring.gens()
     kc = build_koszul([a, b])
     # d1 = row (a, b); d2 = column (-b, a)
-    assert kc.d(1) == ((a, b),)
-    assert kc.d(2) == ((-b,), (a,))
+    assert kc.d(1) == {((), (1,)): a, ((), (2,)): b}
+    assert kc.d(2) == {((1,), (1, 2)): -b, ((2,), (1, 2)): a}
 
 
 def test_build_koszul_single(Q):
     ring = Ring(("a",), Q)
     kc = build_koszul([ring.var(0)])
-    assert kc.d(1) == ((ring.var(0),),)
+    assert kc.d(1) == {((), (1,)): ring.var(0)}
 
 
 def test_koszul_ranks_and_dd_zero(Q):
     ring = Ring(("x1", "x2", "x3"), Q)
     kc = build_koszul(list(ring.gens()))
-    shapes = [(len(kc.d(i)), len(kc.d(i)[0])) for i in (1, 2, 3)]
+    shapes = [
+        (len({r for r, _ in kc.d(i)}), len({c for _, c in kc.d(i)}))
+        for i in (1, 2, 3)
+    ]
     assert shapes == [(1, 3), (3, 3), (3, 1)]
     for i in (2, 3):
-        assert _mat_is_zero(_mat_mul(kc.d(i - 1), kc.d(i), ring))
+        assert _mat_mul(kc.d(i - 1), kc.d(i)) == {}
 
 
 def test_dd_zero_random_sequences(Q):
@@ -73,7 +75,7 @@ def test_dd_zero_random_sequences(Q):
         seq = [random_poly(rng, ring, max_degree=2) for _ in range(n)]
         kc = build_koszul(seq)
         for i in range(2, n + 1):
-            assert _mat_is_zero(_mat_mul(kc.d(i - 1), kc.d(i), ring))
+            assert _mat_mul(kc.d(i - 1), kc.d(i)) == {}
 
 
 def test_build_koszul_ring_mismatch(Q):
@@ -107,7 +109,7 @@ def test_resolve_dual_signs_all_three_outcomes(Q):
     assert resolve_dual_signs(dd, negated_level(dd.signed_maps, 0)) == [1, 0]
     # a doubled level 1 matches neither sign in either square it enters
     doubled = list(dd.signed_maps)
-    doubled[1] = tuple(tuple(x + x for x in row) for row in doubled[1])
+    doubled[1] = {key: x + x for key, x in doubled[1].items()}
     assert resolve_dual_signs(dd, tuple(doubled)) == [None, None]
 
 
@@ -158,13 +160,53 @@ def test_wedge_antisymmetry(Q):
     for n in range(1, 5):
         dd = generic_duality(Q, n)
         for i in range(n + 1):
-            lhs = _mat_transpose(pairing_matrix(dd, n - i, dd.wedge_maps))
-            rhs = pairing_matrix(dd, i, dd.wedge_maps)
+            lhs = dd.wedge_maps[n - i]
+            rhs = _mat_transpose(dd.wedge_maps[i])
             sign = -1 if (i * (n - i)) % 2 else 1
-            assert lhs == [
-                [x if sign == 1 else -x for x in row] for row in rhs
-            ]
+            assert lhs == {key: x if sign == 1 else -x for key, x in rhs.items()}
 
 
 def test_symmetry_sign_closed_form():
     assert [symmetry_sign(n) for n in (1, 2, 3, 4)] == [-1, -1, 1, 1]
+
+
+def _assert_sparse(dd):
+    """Every stored matrix and product holds nonzero entries only."""
+    n, kc = dd.n, dd.complex
+    matrices = (*kc.differentials, *dd.wedge_maps, *dd.signed_maps)
+    # d_i has i nonzeros per column, each duality map one
+    sizes = [len(m) for m in matrices]
+    assert sizes[:n] == [i * len(wedge_basis(n, i)) for i in range(1, n + 1)]
+    assert sizes[n:] == 2 * [len(wedge_basis(n, i)) for i in range(n + 1)]
+    for m in matrices:
+        assert all(not x.is_zero for x in m.values()), n
+    # a product drops every entry that cancels: d o d is empty
+    for i in range(1, n + 1):
+        lhs = _mat_mul(dd.signed_maps[i - 1], kc.d(i))
+        assert lhs and all(not x.is_zero for x in lhs.values())
+    for i in range(2, n + 1):
+        assert _mat_mul(kc.d(i - 1), kc.d(i)) == {}
+
+
+def test_no_stored_matrix_holds_a_zero(Q):
+    for n in range(1, 5):
+        _assert_sparse(generic_duality(Q, n))
+
+
+def test_conventions_hold_beyond_n4(Q):
+    for n in range(5, 11):
+        dd = generic_duality(Q, n)
+        assert resolve_dual_signs(dd) == [
+            dual_differential_sign(i, n) for i in range(1, n + 1)
+        ], n
+        assert verify_symmetry(dd), n
+        assert not verify_chain_map(dd, dd.wedge_maps), n
+        _assert_sparse(dd)
+
+
+def test_zero_sequence_entry_stores_no_zero(Q):
+    ring = Ring(("a", "b"), Q)
+    a, _ = ring.gens()
+    kc = build_koszul([a, ring.zero()])
+    assert kc.d(1) == {((), (1,)): a}
+    assert kc.d(2) == {((2,), (1, 2)): a}
