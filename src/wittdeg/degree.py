@@ -14,7 +14,7 @@ are pure-x or pure-u, so x^m u^m' is standard exactly when x^m and u^m'
 are, and NF(x^a u^b) = NF(x^a) NF(u^b).  By linearity the normal form of
 Delta = sum c_ab x^a u^b is sum_a NF(x^a) (x) (sum_b c_ab NF(u^b)), and
 both factors come from the memoized monomial table of the quotient that
-validate built, so the x_i-power chain of the support test is reused.
+validate built, so the border entries the support test filled are reused.
 The table divides nothing: each entry is a linear combination of entries
 for smaller monomials, seeded by the reduced basis (see `groebner`).
 
@@ -174,15 +174,15 @@ class _PartNF(dict):
     fields (see `Packing.complete`), memoized: a lookup that hits runs no
     Python code."""
 
-    __slots__ = ("qa",)
+    __slots__ = ("table", "complete")
 
     def __init__(self, qa: QuotientAlgebra):
         super().__init__()
-        self.qa = qa
+        self.table = qa._nf_table
+        self.complete = qa.ring.packing.complete
 
     def __missing__(self, fields: int) -> tuple[dict, int]:
-        qa = self.qa
-        value = self[fields] = qa._nf_table[qa.ring.packing.complete(fields)]
+        value = self[fields] = self.table[self.complete(fields)]
         return value
 
 

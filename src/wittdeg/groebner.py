@@ -103,11 +103,16 @@ NF(x^a) = sum_s c_s NF(x^(s + e_i)) over the terms c_s x^s of
 NF(x^(a - e_i)), summed over the lcm of the entries' denominators.  Every
 x^(s + e_i) is smaller than x^a, so the fill is well founded; it runs on
 an explicit stack.  A normal form is unique, so each entry equals what
-division would give; monomial_nf is its canonical view.  The
-origin-support test walks NF(x_i^k) for k = 0, 1, ..., D through this
-table and stops at the first zero power, since every higher power is then
-zero; only a nonzero D-th power, D the length, makes x_i non-nilpotent.
-The degree pipeline reuses the same integer entries for the Gram matrix.
+division would give; monomial_nf is its canonical view.  One step of the
+fill is a multiplication by x_i in the quotient (`_NFTable.times`): the
+table at x_i * s for the standard s of a normal form is the sparse
+multiplication map M_i.  The origin-support test applies M_i to NF(1) at
+most D times, D the length, and stops at the first zero vector, since
+every later one is then zero; only a nonzero M_i^D NF(1) = NF(x_i^D)
+makes x_i non-nilpotent.  It reads the table at standard and border keys
+only and forms no key of a power x_i^k, which passes the exponent bound
+once k does, however long the quotient is.  The degree pipeline reuses
+the same integer entries for the Gram matrix.
 
 The certificate of a unit ideal is 1 = sum c_i * g_i, the cofactors of
 the unit basis {1} over the generators: buchberger(gens, certify=True)
@@ -452,8 +457,9 @@ class _NFTable(dict):
 
         NF(x^a) = sum_s c_s NF(x^(s + e_i)),
 
-    a linear combination of table entries and no division: over Q the
-    integer entries are summed over the lcm of their denominators.  Each s
+    the product x_i * NF(x^(a - e_i)) in the quotient (`times`): a linear
+    combination of table entries and no division, over Q summed on the
+    integer entries over the lcm of their denominators.  Each s
     is standard and smaller than the non-standard x^(a - e_i), so every
     x^(s + e_i) is smaller than x^a: the fill is well founded, and runs on
     an explicit stack of the entries still missing.  The i taken is the
@@ -464,22 +470,41 @@ class _NFTable(dict):
     predecessors: that raises InternalError.
     """
 
-    __slots__ = ("standard", "q", "packing")
+    __slots__ = ("standard", "q", "packing", "steps")
 
     def __init__(self, seeds: dict, standard: frozenset, q, packing: Packing):
         super().__init__(seeds)
         self.standard = standard
         self.q = q  # the modulus of F_q, None over Q
         self.packing = packing
+        # x_i divides x^m iff (m + step) & guard == target, step = pad - key
+        # of x_i; x^m / x_i has the key m - var[i]
+        self.steps = [(v, packing.pad - packing.one - v) for v in packing.var]
+
+    def times(self, nums: dict, den: int, v: int) -> tuple[dict, int]:
+        """x_i * nums / den for a normal form nums / den in the table's
+        integer form, v the key offset of x_i: sum_s c_s NF(x^(s + e_i))
+        over the terms c_s x^s of nums, summed over the lcm of the entries'
+        denominators (1 over F_p) and returned in the same form.  Each s is
+        standard, so every key looked up is standard or on the border."""
+        q = self.q
+        terms: dict = {}
+        d = 1
+        for s, c in nums.items():
+            tn, td = self[s + v]
+            if td != d:
+                if d % td:
+                    d = _to_lcm(d, td, (terms,))
+                c *= d // td
+            _add_shifted(terms, tn, 0, c, q)
+        den *= d
+        return (terms, 1) if den == 1 else _lowest(terms, den)
 
     def __missing__(self, a: int) -> tuple[dict, int]:
-        standard, q, packing = self.standard, self.q, self.packing
+        standard, packing, steps = self.standard, self.packing, self.steps
         guard, target = packing.guard, packing.target
         if a & guard:
             packing.overflow()
-        # x_i divides x^m iff (m + step) & guard == target, step = pad - key
-        # of x_i; x^m / x_i has the key m - var[i]
-        steps = [packing.pad - packing.one - v for v in packing.var]
         stack = [a]
         while stack:
             m = stack[-1]
@@ -488,7 +513,7 @@ class _NFTable(dict):
                 continue
             # a non-standard predecessor, one already in the table if any
             pred = prev = None
-            for v, step in zip(packing.var, steps):
+            for v, step in steps:
                 if (m + step) & guard == target:
                     b = m - v
                     if b not in standard:
@@ -504,25 +529,12 @@ class _NFTable(dict):
             if prev is None:
                 stack.append(pred)
                 continue
-            nums, den = prev
-            shifted = [s + off for s in nums]
-            missing = [t for t in shifted if t not in self]
+            missing = [s + off for s in prev[0] if s + off not in self]
             if missing:
                 stack.extend(missing)
                 continue
-            # NF(x^m) = terms / (den * d), over the lcm d of the entries'
-            # denominators (1 over F_p)
-            terms: dict = {}
-            d = 1
-            for t, c in zip(shifted, nums.values()):
-                tn, td = self[t]
-                if td != d:
-                    if d % td:
-                        d = _to_lcm(d, td, (terms,))
-                    c *= d // td
-                _add_shifted(terms, tn, 0, c, q)
-            den *= d
-            self[m] = (terms, 1) if den == 1 else _lowest(terms, den)
+            # NF(x^m) = x_i * NF(x^(m - e_i)), every entry it reads present
+            self[m] = self.times(*prev, off)
             stack.pop()
         return self[a]
 
@@ -659,24 +671,28 @@ def _order_ideal(packing, leads: set) -> dict:
 def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
     """True iff every variable is nilpotent in the quotient.
 
-    x_i^D lies in the ideal iff the multiplication operator by x_i is
-    nilpotent (its minimal polynomial has degree at most D), so testing the
-    D-th powers is exact.  The powers are walked one multiplication at a
-    time through the quotient's normal-form table, from x_i^0 = 1, and the
-    walk stops at the first power that is zero: every higher power is then
-    zero too.  Only a variable whose D-th power is nonzero is reported.
-    For D = 0 the ideal is the whole ring and NF(1) = 0 already.
+    x_i^D lies in the ideal iff the multiplication map M_i of x_i on the
+    quotient is nilpotent (its minimal polynomial has degree at most D, the
+    length), so testing the D-th powers is exact.  Since 1 generates the
+    quotient, M_i is nilpotent iff M_i^D NF(1) = NF(x_i^D) is zero.  The
+    vector NF(1) is multiplied by x_i in the quotient (`_NFTable.times`)
+    at most D times, stopping at the first zero vector: every later one is
+    zero too.  Each step reads the table at x_i * s for standard s only, so
+    no key outside the standard set and its border is formed or stored,
+    however large D is: a key of x_i^k would pass the exponent bound once
+    k does.  For D = 0 the ideal is the whole ring and NF(1) = 0 already.
     """
     d = qa.dimension
     table = qa._nf_table
     packing = qa.ring.packing
-    for var in packing.var:
-        key = packing.one
-        for _ in range(d + 1):
-            if not table[key][0]:
+    one = table[packing.one]
+    for v in packing.var:
+        nf = one
+        for _ in range(d):
+            if not nf[0]:
                 break
-            key += var
-        else:
+            nf = table.times(*nf, v)
+        if nf[0]:
             return False
     return True
 

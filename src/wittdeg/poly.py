@@ -309,7 +309,7 @@ class Ring:
         return Poly._from_packed(self, {self.packing.pack(exps): c} if c else {})
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Ring)
             and self.variables == other.variables
             and self.field == other.field
@@ -677,12 +677,25 @@ def _check_square(matrix) -> int:
 def det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant over the polynomial ring, without division.
 
-    Laplace expansion with shared minors: walking the rows from the bottom
-    up, keep the nonzero minors of the last k rows, keyed by their sorted
-    column set, and build each (k+1)-minor by expanding along the next row
-    up.  Each product a_rj * minor is added straight into the new minor's
-    term dict by `_add_shifted`.  Zero entries and zero minors are skipped,
-    so sparse and triangular matrices reach only the minors they can.
+    Laplace expansion with shared minors: walking the rows from the top
+    down, keep the nonzero minors of the first k rows, keyed by their
+    sorted column set, and build each (k+1)-minor by expanding along its
+    new bottom row k, with the cofactor sign (-1)^(i+k) for the column at
+    position i of the minor.  Each product a_kj * minor is added straight
+    into the new minor's term dict by `_add_shifted`.  Zero entries and
+    zero minors are skipped, so sparse and triangular matrices reach only
+    the minors they can.
+
+    The order is top-down because entry (i, j) of a divided-difference
+    matrix vanishes when f_i does not involve x_j: a triangular map (f_i in
+    x_1..x_i) gives a lower-triangular matrix, whose first k rows have one
+    nonzero k-minor, where its last k rows have up to C(n, k).  On the
+    Bezoutians of the first 56 structured-q benchmark jobs of seed 1, this
+    cut the mean term operations of `_add_shifted` per determinant from 292
+    to 113 on staircase maps, from 544 to 340 on realified z^m and from 124
+    to 97 on triangular maps.  On the dense maps of the first 84 generic
+    jobs the two orders are within 2 % (four quadrics: 2,664 against
+    2,702).
 
     Level k holds at most C(n, k) minors, each extended by at most n - k
     entries, so there are at most sum_k C(n, k) (n - k) = n 2^(n-1) entry
@@ -705,8 +718,8 @@ def det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     packing = ring.packing
     one = packing.one
     minors = {(): {one: ring.field.one}}  # the empty minor is 1
-    for row in reversed(matrix):
-        # the entries of this row with both signs, (-1)^i for the i-th
+    for k, row in enumerate(matrix):
+        # the entries of row k with both signs, (-1)^(i+k) for the i-th
         # column of the new minor, and each term's key as an offset
         entries = [
             (
@@ -727,7 +740,7 @@ def det(matrix: Sequence[Sequence[Poly]]) -> Poly:
                 dst = grown.get(key)
                 if dst is None:
                     dst = grown[key] = {}
-                for e, c in minus if i & 1 else plus:
+                for e, c in minus if (i + k) & 1 else plus:
                     _add_shifted(dst, minor, e, c, q)
         minors = {cols: m for cols, m in grown.items() if m}
         for m in minors.values():

@@ -211,11 +211,12 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
     m[r][s] -= c_r * m[k][s], run over r, s in that support, each row
     updated on its own so that the rows share no denominator.  With
     base = dens[k] * |a| and L = lcm(dens[r], base), row r becomes
-    (L / dens[r]) nums_r - sign(a) (L / base) nums_k[r] nums_k over L, and
-    the row and L are then divided by their gcd; over F_p the multiplier
-    is nums_k[r] / a mod p.  Column k is first removed from the rows of its
-    neighbours, so no row keeps an eliminated position, and an entry that
-    cancels is deleted.
+    (L / dens[r]) nums_r - sign(a) (L / base) nums_k[r] nums_k over L.
+    The two multipliers and L are first divided by the gcd of the
+    multipliers, and the row and its denominator then by theirs; over F_p
+    the multiplier is nums_k[r] / a mod p.  Column k is first removed from
+    the rows of its neighbours, so no row keeps an eliminated position, and
+    an entry that cancels is deleted.
     """
     q = g.field.modulus
     n = len(g.rows)
@@ -280,6 +281,10 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
                 d = gcd(den_r, base)
                 fr = base // d
                 c = sign * (den_r // d) * row_k[r]
+                h = gcd(fr, c)
+                if h != 1:
+                    fr //= h
+                    c //= h
                 if fr != 1:
                     _rescale(row_r, fr)
             else:

@@ -943,7 +943,7 @@ def _random_finite_ideal(rng, ring):
 def test_nilpotency_walk_matches_reference(Q, F7):
     rng = random.Random(3141)
     verdicts = {True: 0, False: 0}
-    units = 0
+    units = filled = 0
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
         rings = [Ring(("x", "y"), field, order), Ring(("x", "y", "z"), field, order)]
         systems = [_random_finite_ideal(rng, rng.choice(rings)) for _ in range(40)]
@@ -953,12 +953,26 @@ def test_nilpotency_walk_matches_reference(Q, F7):
         systems.append([x, x + 1, z])
         for gens in systems:
             qa = standard_monomials(buchberger(gens))
+            seeded = set(qa._nf_table)
             got = supported_only_at_origin(qa)
+            # the test multiplies in the quotient: every entry it fills is
+            # x_j * s for a standard s, on the border, never a power x_i^k
+            # past it
+            packing = qa.ring.packing
+            standard = set(qa.keys)
+            for key in set(qa._nf_table) - seeded:
+                filled += 1
+                a = packing.unpack(key)
+                assert any(
+                    a[j] and packing.pack(a[:j] + (a[j] - 1,) + a[j + 1 :]) in standard
+                    for j in range(len(a))
+                )
             assert got == _reference_supported_only_at_origin(qa)
             verdicts[got] += 1
             units += qa.dimension == 0
     assert min(verdicts.values()) >= 20
     assert units >= 4
+    assert filled >= 100
 
 
 def test_monomial_table_matches_direct_normal_form(Q, F7):

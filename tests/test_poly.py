@@ -459,6 +459,25 @@ def test_det_matches_reference(Q, F7):
         ring = Ring(("x", "y"), field)
         for n in range(1, 6):
             cases = [_random_matrix(rng, ring, n) for _ in range(6)]
+            # zero patterns that keep one minor per level in one expansion
+            # order and many in the other: lower and upper triangular, and
+            # two diagonal blocks
+            full = [
+                [random_poly(rng, ring, max_degree=2) for _ in range(n)]
+                for _ in range(n)
+            ]
+            h = n // 2
+            for keep in (
+                lambda i, j: j <= i,
+                lambda i, j: j >= i,
+                lambda i, j: (i < h) == (j < h),
+            ):
+                cases.append(
+                    [
+                        [x if keep(i, j) else ring.zero() for j, x in enumerate(row)]
+                        for i, row in enumerate(full)
+                    ]
+                )
             m = cases[0]
             singular = [m[:-1] + [[ring.zero()] * n]]  # a zero row
             if n > 1:
