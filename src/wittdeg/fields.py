@@ -168,21 +168,8 @@ class FieldSpec:
     def add(self, a, b):
         return _rational(a + b) if self.is_rationals else (a + b) % self.modulus
 
-    def mul(self, a, b):
-        return _rational(a * b) if self.is_rationals else (a * b) % self.modulus
-
     def neg(self, a):
         return _rational(-a) if self.is_rationals else (-a) % self.modulus
-
-    def inv(self, a):
-        if not a:
-            raise ZeroScalar("inverse of zero")
-        if self.is_rationals:
-            return _rational(Fraction(a.denominator, a.numerator))
-        return pow(a, -1, self.modulus)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     # -- text ------------------------------------------------------------
 

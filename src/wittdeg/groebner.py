@@ -15,8 +15,8 @@ leads is a parallel field maximum.  The order of every computation here
 is the ring's.  Generators and polynomials to reduce come in as their
 term maps, and the basis entries, the certificate and normal forms go out
 as term maps on the same keys.  A quotient is its standard monomials'
-keys, and exponent tuples appear only in the views
-`QuotientAlgebra.monomials` and `monomial_nf`, made on each read.  A
+keys, and exponent tuples appear only in the view
+`QuotientAlgebra.monomials`, made on each read.  A
 monomial made on the way that passes the exponent bound (orders.BOUND,
 and under GREVLEX the total degree too) raises ExponentBoundExceeded:
 `_reduce` checks each leading key, the lcm of a pair is checked when the
@@ -38,11 +38,10 @@ the remainders are the same up to a positive factor.  Canonical Q
 scalars, and with them `Fraction`, appear only at the boundary: the
 reduced basis is kept as its integer entries, and `GroebnerBasis.basis`
 makes them monic on each read; a certificate is replayed on ints and
-kept in that form, `GroebnerBasis.certificate` converts it on each read,
-and umrow.is_unimodular converts only the entry cofactors it prints;
-and normal_form converts its remainder.  The Gram build sums the
-quotient table's integer entries as they are and makes no `Fraction`
-(see below).
+kept in that form, and umrow.is_unimodular converts only the entry
+cofactors it prints; and normal_form converts its remainder.  The Gram
+build sums the quotient table's integer entries as they are and makes no
+`Fraction` (see below).
 
 When an element t joins the working basis, its new pairs (i, t) pass the
 Gebauer-Moeller criteria (Gebauer & Moeller, JSC 6, 1988), which refine
@@ -103,16 +102,16 @@ NF(x^a) = sum_s c_s NF(x^(s + e_i)) over the terms c_s x^s of
 NF(x^(a - e_i)), summed over the lcm of the entries' denominators.  Every
 x^(s + e_i) is smaller than x^a, so the fill is well founded; it runs on
 an explicit stack.  A normal form is unique, so each entry equals what
-division would give; monomial_nf is its canonical view.  One step of the
-fill is a multiplication by x_i in the quotient (`_NFTable.times`): the
-table at x_i * s for the standard s of a normal form is the sparse
-multiplication map M_i.  The origin-support test applies M_i to NF(1) at
-most D times, D the length, and stops at the first zero vector, since
-every later one is then zero; only a nonzero M_i^D NF(1) = NF(x_i^D)
-makes x_i non-nilpotent.  It reads the table at standard and border keys
-only and forms no key of a power x_i^k, which passes the exponent bound
-once k does, however long the quotient is.  The degree pipeline reuses
-the same integer entries for the Gram matrix.
+division would give.  One step of the fill is a multiplication by x_i in
+the quotient (`_NFTable.times`): the table at x_i * s for the standard s
+of a normal form is the sparse multiplication map M_i.  The
+origin-support test applies M_i to NF(1) at most D times, D the length,
+and stops at the first zero vector, since every later one is then zero;
+only a nonzero M_i^D NF(1) = NF(x_i^D) makes x_i non-nilpotent.  It
+reads the table at standard and border keys only and forms no key of a
+power x_i^k, which passes the exponent bound once k does, however long
+the quotient is.  The degree pipeline reuses the same integer entries
+for the Gram matrix.
 
 The certificate of a unit ideal is 1 = sum c_i * g_i, the cofactors of
 the unit basis {1} over the generators: buchberger(gens, certify=True)
@@ -207,7 +206,7 @@ class GroebnerBasis:
     vector in the integer working form, (nums, den): nums holds one int term
     dict per generator, over the one positive denominator den (1 over F_p),
     and sum(nums[m] * generators[m]) == den exactly; otherwise it is None.
-    certificate is its view with canonical scalars.
+    umrow.is_unimodular checks it and converts what it prints.
     """
 
     generators: tuple[Poly, ...]
@@ -218,16 +217,6 @@ class GroebnerBasis:
     def ring(self) -> Ring:
         """The ring of the generators, whose order the basis is reduced in."""
         return self.generators[0].ring
-
-    @property
-    def certificate(self) -> Optional[tuple[Poly, ...]]:
-        """The certificate as polynomials with canonical scalars, made on each
-        read, or None."""
-        if self.cofactors is None:
-            return None
-        nums, den = self.cofactors
-        ring = self.ring
-        return tuple(Poly._from_packed(ring, _ratios(c, den)) for c in nums)
 
     @property
     def basis(self) -> tuple[Poly, ...]:
@@ -550,8 +539,7 @@ class QuotientAlgebra:
     _nf_table, holds the normal forms of monomials by their keys, so every
     user of one quotient shares it; it is seeded from the reduced basis and
     filled without division (see the module docstring and _NFTable).  Its
-    entries are in the integer working form, (nums, den); monomial_nf is
-    the canonical view of one entry.
+    entries are in the integer working form, (nums, den).
     """
 
     gb: GroebnerBasis
@@ -584,11 +572,6 @@ class QuotientAlgebra:
         for lead, lc, tail, _ in self.gb.entries:
             seeds[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
         return _NFTable(seeds, frozenset(self.keys), field.modulus, self.ring.packing)
-
-    def monomial_nf(self, a: tuple[int, ...]) -> dict:
-        """Term dict of NF(x^a), on exponent tuples with canonical scalars."""
-        packing = self.ring.packing
-        return packing.unpack_terms(_ratios(*self._nf_table[packing.pack(a)]))
 
 
 def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:

@@ -99,30 +99,21 @@ def _ratios(nums: dict, den: int) -> dict:
     return {e: ratio(v, den) for e, v in nums.items()}
 
 
-def _entry(terms: dict, tag=None):
-    """A divisor as (leading key, leading coefficient, tail, tag).
-
-    terms is a nonzero packed term dict, the tail a new dict of its other
-    terms; tag is an opaque label that `_reduce` logs with every step by
-    this divisor; a certifying Buchberger puts the entry's cofactor
-    recipe there.
-    """
-    lead = max(terms)
-    tail = dict(terms)
-    return lead, tail.pop(lead), tail, tag
-
-
 def _divisor(terms: dict, q):
-    """The `_entry`, tag None, of the monic polynomial terms / lc(terms),
-    terms being a nonzero packed int term dict (q: modulus of F_q, None
-    over Q).
+    """The divisor entry (leading key, leading coefficient, tail, None) of
+    the monic polynomial terms / lc(terms), terms being a nonzero packed int
+    term dict (q: modulus of F_q, None over Q) and the tail a new dict.
 
     Over F_q lc is 1 and the tail is monic.  Over Q the entry is the
     primitive integer multiple of the monic polynomial: lc is a positive
     int and gcd(lc, tail) is 1.  This is the working form of every
-    Groebner-side divisor.
+    Groebner-side divisor.  The fourth slot is the tag that `_reduce` logs
+    with every step by the entry: a certifying Buchberger puts the entry's
+    cofactor recipe there.
     """
-    lead, lc, tail, _ = _entry(terms)  # tail is a new dict
+    lead = max(terms)
+    tail = dict(terms)
+    lc = tail.pop(lead)
     if q is not None:
         inv = pow(lc, -1, q)
         return lead, 1, {e: v * inv % q for e, v in tail.items()}, None
@@ -187,7 +178,7 @@ def _reduce(
     terms and the divisors are packed in packing, whose order is the
     monomial order of the division.  Over Q, terms holds ints and scale is
     a positive int; over F_p scale is 1 and stays 1.  basis is a list of
-    `_entry` tuples.  The first entry in list order whose leading monomial
+    `_divisor` entries.  The first entry in list order whose leading monomial
     divides the current leading term reduces it; a leading term that no
     entry divides moves to the remainder.  The leading terms of the working
     dict strictly decrease, so the remainder is exact and no remainder term
@@ -304,10 +295,6 @@ class Ring:
     def gens(self) -> tuple["Poly", ...]:
         return tuple(self.var(i) for i in range(self.nvars))
 
-    def monomial(self, exps: Sequence[int], c=1) -> "Poly":
-        c = self.field.canon(c)
-        return Poly._from_packed(self, {self.packing.pack(exps): c} if c else {})
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Ring)
@@ -423,16 +410,6 @@ class Poly:
                 base = _product(base, base, packing, q)
             n >>= 1
         return Poly._from_packed(ring, result)
-
-    def scale(self, c):
-        """Multiply by a scalar."""
-        field = self.ring.field
-        c = field.canon(c)
-        if not c:
-            return self.ring.zero()
-        return Poly._from_packed(
-            self.ring, {e: field.mul(v, c) for e, v in self.packed.items()}
-        )
 
     # -- composition ---------------------------------------------------------
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import gcd, lcm
@@ -110,41 +109,33 @@ class GramForm:
 
 @dataclass(frozen=True)
 class DiagForm:
-    """<a_1,...,a_r> with entries canonical square-class representatives.
+    """<a_1,...,a_r> with entries canonical square-class representatives,
+    each an int, as the entries of a GramForm are.
 
-    Over F_p an entry must be the int 1 or the least non-residue; over Q a
-    nonzero squarefree integer, given as an int or an integral Fraction and
-    stored as an int.  Any other scalar, a float included, raises
-    NonCanonicalForm.  After init, primes is always the ascending tuple of
-    primes dividing some entry.  Given primes are checked by integer
-    division only (non-primes, and primes dividing no entry, are dropped);
-    without them the entries are factored once.  diag_form canonicalizes
-    nonzero scalars.
+    Over F_p an entry must be 1 or the least non-residue; over Q a nonzero
+    squarefree int whose primes are among primes.  Any other scalar, a
+    Fraction or a float included, raises NonCanonicalForm.  primes is
+    checked, not found: each given prime is tested with is_prime (a
+    non-prime is dropped), and each distinct entry is checked against them
+    by integer division only.  After init primes is the ascending tuple of
+    the given primes dividing some entry (empty over F_p).  diag_form
+    canonicalizes nonzero scalars and finds their primes.
     """
 
     field: FieldSpec
-    entries: tuple[object, ...]
-    primes: Optional[tuple[int, ...]] = None
+    entries: tuple[int, ...]
+    primes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        field, used, given = self.field, set(), self.primes is not None
+        field, used = self.field, set()
         if field.is_rationals:
-            bad = [
-                e
-                for e in self.entries
-                if type(e) not in (int, Fraction) or not e or e.denominator != 1
-            ]
-            if not bad:  # an integral Fraction is stored as its int
-                entries = tuple(e.numerator for e in self.entries)
-                object.__setattr__(self, "entries", entries)
-            primes = {p for p in self.primes or () if is_prime(p)}
-            if not given and not bad:
-                primes = square_classes(field, self.entries)[1]
+            bad = [e for e in self.entries if type(e) is not int or not e]
+            primes = {p for p in self.primes if is_prime(p)}
             for a in () if bad else set(self.entries):
                 mine = [p for p in primes if a % p == 0]
                 used.update(mine)
                 n = abs(a) // math.prod(mine)  # 1 iff a product of distinct primes
-                if n != 1 and given and all(n % p for p in primes):
+                if n != 1 and all(n % p for p in primes):
                     raise NonCanonicalForm(f"primes {self.primes} do not cover {a}")
                 if n != 1:
                     bad.append(a)
@@ -163,7 +154,13 @@ class DiagForm:
         return len(self.entries)
 
     def __str__(self):
-        return "<" + ",".join(map(str, self.entries)) + ">"
+        return _angled(self.entries)
+
+
+def _angled(entries) -> str:
+    """The text <a_1,...,a_r> of diagonal entries: the str of a form, and a
+    displayed class."""
+    return "<" + ",".join(map(str, entries)) + ">"
 
 
 def diag_form(field: FieldSpec, entries) -> DiagForm:
@@ -332,20 +329,6 @@ class WittInvariants:
     signed_discriminant: object
     hasse: dict = dataclass_field(default_factory=dict)
 
-    def equivalent(self, other: "WittInvariants") -> bool:
-        """Equality with Hasse maps compared over the union of places."""
-        if (
-            self.field != other.field
-            or self.rank != other.rank
-            or self.signature != other.signature
-            or self.signed_discriminant != other.signed_discriminant
-        ):
-            return False
-        places = set(self.hasse) | set(other.hasse)
-        return all(
-            self.hasse.get(v, 1) == other.hasse.get(v, 1) for v in places
-        )
-
     @property
     def is_zero(self) -> bool:
         """True iff the classified form is hyperbolic (zero in W(k)).
@@ -412,31 +395,27 @@ def invariants(d: DiagForm) -> WittInvariants:
     )
 
 
-def _strip_obvious_pairs(d: DiagForm) -> DiagForm:
-    """Remove <a, b> pairs with a ~ -b; preserves the Witt class.
+def _strip_obvious_pairs(d: DiagForm) -> tuple[int, ...]:
+    """The entries of d with <a, b> pairs, a ~ -b, removed; what is left has
+    the Witt class of d.
 
-    One left-to-right pass: each surviving entry cancels against the
-    earliest later surviving entry equal to the class of its negative.
-    Entries are canonical, so class equality is value equality and the
-    later entries of each class wait in an index queue.
+    One pass over the entries: each entry cancels the oldest waiting entry
+    of its negative's class, or it waits.  Entries are canonical, so class
+    equality is value equality, and the waiting entries of each class are
+    a queue of their places in kept.
     """
     field = d.field
     minus_one = square_class(field, field.from_int(-1))
-    entries = d.entries
-    queues: dict = {}
-    for j, e in enumerate(entries):
-        queues.setdefault(e, deque()).append(j)
-    removed = [False] * len(entries)
-    for i, e in enumerate(entries):
-        if removed[i]:
-            continue
-        queue = queues.get(square_class_mul(field, minus_one, e))
-        while queue and (queue[0] <= i or removed[queue[0]]):
-            queue.popleft()
+    kept: list = []
+    waiting: dict = {}
+    for e in d.entries:
+        queue = waiting.get(square_class_mul(field, minus_one, e))
         if queue:
-            removed[i] = removed[queue.popleft()] = True
-    kept = tuple(e for e, gone in zip(entries, removed) if not gone)
-    return DiagForm(field=field, entries=kept, primes=d.primes)
+            kept[queue.popleft()] = None
+        else:
+            waiting.setdefault(e, deque()).append(len(kept))
+            kept.append(e)
+    return tuple(e for e in kept if e is not None)
 
 
 def is_witt_zero(d: DiagForm) -> bool:
@@ -470,10 +449,8 @@ def witt_equal(d1: DiagForm, d2: DiagForm) -> bool:
 
 def witt_class_display(d: DiagForm) -> str:
     """Short representative for reports: obvious hyperbolic pairs stripped."""
-    reduced = _strip_obvious_pairs(d)
-    if reduced.rank == 0:
-        return "0"
-    return str(reduced)
+    kept = _strip_obvious_pairs(d)
+    return _angled(kept) if kept else "0"
 
 
 def parse_diag(field: FieldSpec, text: str) -> DiagForm:

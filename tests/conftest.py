@@ -26,7 +26,7 @@ from wittdeg.degree import bezoutian, dual_ring
 from wittdeg.fields import _hilbert
 from wittdeg.orders import BOUND, GREVLEX
 from wittdeg.groebner import GroebnerBasis
-from wittdeg.poly import _clear, _divisor, format_monomial
+from wittdeg.poly import _clear, _divisor, _ratios, format_monomial
 
 
 @pytest.fixture
@@ -46,6 +46,44 @@ def F7():
 
 def make_ring(field, *names):
     return Ring(tuple(names), field)
+
+
+def monomial(ring, exps, c=1):
+    """The polynomial c * x^exps of ring, zero when c is."""
+    c = ring.field.canon(c)
+    return Poly._from_packed(ring, {ring.packing.pack(exps): c} if c else {})
+
+
+def monomial_nf(qa, a):
+    """NF(x^a) in the QuotientAlgebra qa, on exponent tuples with canonical
+    scalars: the entry of its normal-form table, which fills it if missing,
+    read as exact values."""
+    packing = qa.ring.packing
+    return packing.unpack_terms(_ratios(*qa._nf_table[packing.pack(a)]))
+
+
+def certificate(gb):
+    """The unit certificate of the GroebnerBasis gb as polynomials with
+    canonical scalars (its integer cofactors read as exact values), or
+    None."""
+    if gb.cofactors is None:
+        return None
+    nums, den = gb.cofactors
+    return tuple(Poly._from_packed(gb.ring, _ratios(c, den)) for c in nums)
+
+
+def equivalent(inv1, inv2):
+    """Equality of two WittInvariants, the Hasse maps compared over the union
+    of their places: a place one map lacks counts as +1."""
+    if (
+        inv1.field != inv2.field
+        or inv1.rank != inv2.rank
+        or inv1.signature != inv2.signature
+        or inv1.signed_discriminant != inv2.signed_discriminant
+    ):
+        return False
+    places = set(inv1.hasse) | set(inv2.hasse)
+    return all(inv1.hasse.get(v, 1) == inv2.hasse.get(v, 1) for v in places)
 
 
 def make_endo(field, names, texts):
@@ -76,7 +114,7 @@ def power_endo(field, ms):
     """The separated-variable endomorphism x_i -> x_i^{m_i}."""
     ring = Ring(tuple(f"x{i + 1}" for i in range(len(ms))), field)
     images = tuple(
-        ring.monomial(tuple(m if j == i else 0 for j in range(len(ms))))
+        monomial(ring, tuple(m if j == i else 0 for j in range(len(ms))))
         for i, m in enumerate(ms)
     )
     return Endo(ring=ring, images=images)
@@ -105,7 +143,7 @@ def deriv(p, i):
     field = p.ring.field
     terms = {}
     for e, c in p.terms.items():
-        c = field.mul(c, field.from_int(e[i]))
+        c = field.canon(c * e[i])
         if c:
             terms[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c
     return Poly(p.ring, terms)
@@ -141,7 +179,7 @@ def random_poly(rng, ring, max_degree=3, max_terms=4, coeff_range=3):
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(n)] += 1
         c = rng.randint(-coeff_range, coeff_range)
-        p = p + ring.monomial(exps, c)
+        p = p + monomial(ring, exps, c)
     return p
 
 
@@ -231,13 +269,14 @@ def _reference_add(p, other):
 
 
 def _reference_mul(p, other):
-    """The former Poly.__mul__ loop, kept verbatim."""
+    """The former Poly.__mul__ loop, kept verbatim but for the product of
+    two scalars, which canon makes canonical."""
     field = p.ring.field
     terms: dict = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in other.terms.items():
             e = tuple(a + b for a, b in zip(e1, e2))
-            s = field.add(terms.get(e, field.zero), field.mul(c1, c2))
+            s = field.add(terms.get(e, field.zero), field.canon(c1 * c2))
             if s:
                 terms[e] = s
             else:
@@ -255,7 +294,8 @@ def leading(p):
 
 
 def _reference_exact_div(p, divisor):
-    """The former Poly.exact_div loop, kept verbatim."""
+    """The former Poly.exact_div loop, kept verbatim but for the quotient
+    of two scalars, which canon makes canonical."""
     field = p.ring.field
     de, dc = leading(divisor)
     quot = p.ring.zero()
@@ -265,7 +305,7 @@ def _reference_exact_div(p, divisor):
         qe = tuple(a - b for a, b in zip(re_, de))
         if any(x < 0 for x in qe):
             raise InternalError("inexact polynomial division")
-        q = p.ring.monomial(qe, field.div(rc, dc))
+        q = monomial(p.ring, qe, field.canon(Fraction(rc) / dc))
         quot = _reference_add(quot, q)
         rem = _reference_add(rem, -_reference_mul(q, divisor))
     return quot
@@ -273,8 +313,9 @@ def _reference_exact_div(p, divisor):
 
 def reference_divide(p, divisors):
     """The former public multivariate division, kept verbatim but for the
-    inlined divisibility test.  It runs on Poly arithmetic alone, so it
-    shares no code with the division kernel `poly._reduce`."""
+    inlined divisibility test and the quotient of two scalars, which canon
+    makes canonical.  It runs on Poly arithmetic alone, so it shares no code
+    with the division kernel `poly._reduce`."""
     ring = p.ring
     field = ring.field
     leads = [leading(d) for d in divisors]
@@ -285,14 +326,16 @@ def reference_divide(p, divisors):
         ce, cc = leading(cur)
         for k, (de, dc) in enumerate(leads):
             if all(a <= b for a, b in zip(de, ce)):
-                mono = ring.monomial(
-                    tuple(a - b for a, b in zip(ce, de)), field.div(cc, dc)
+                mono = monomial(
+                    ring,
+                    tuple(a - b for a, b in zip(ce, de)),
+                    field.canon(Fraction(cc) / dc),
                 )
                 quots[k] = quots[k] + mono
                 cur = cur - mono * divisors[k]
                 break
         else:
-            t = ring.monomial(ce, cc)
+            t = monomial(ring, ce, cc)
             rem = rem + t
             cur = cur - t
     return quots, rem

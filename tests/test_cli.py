@@ -342,7 +342,8 @@ def test_order_option_reaches_the_ring(capsys):
     # both orders; the quotient bases, and with them the Gram matrices,
     # differ for some, so the option is not dropped on the way.  A Hasse
     # map lists the places of its diagonal's primes, which depend on the
-    # basis: places missing from one map have the symbol +1 there
+    # basis: places missing from one map have the symbol +1 there, as in
+    # the comparison of conftest.equivalent
     jobs = sorted(p.relative_to(REPO_ROOT) for p in REPO_ROOT.glob("docs/jobs/*.job"))
     keys = ("length", "rank", "signature", "signed_discriminant")
     compared = grams_differ = 0

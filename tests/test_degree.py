@@ -55,6 +55,8 @@ from conftest import (
     jacobian_det,
     leading,
     make_endo,
+    monomial,
+    monomial_nf,
     power_endo,
     random_poly,
     random_unit,
@@ -220,8 +222,8 @@ def test_integer_table_and_gram_match_reference_division(Q):
                 for i in range(n):
                     m = rng.randint(1, 3 if n < 3 else 2)
                     tail = random_poly(rng, ring, max_degree=m - 1, max_terms=3)
-                    f = ring.var(i) ** m + tail.scale(random_unit(rng, Q, bound=6))
-                    images.append(f.scale(random_unit(rng, Q, bound=6)))
+                    f = ring.var(i) ** m + tail * random_unit(rng, Q, bound=6)
+                    images.append(f * random_unit(rng, Q, bound=6))
                 endo = Endo(ring=ring, images=tuple(images))
                 qa = standard_monomials(buchberger(endo.images))
                 gram = _gram_from_quotient(endo, qa)  # fills the table
@@ -232,8 +234,8 @@ def test_integer_table_and_gram_match_reference_division(Q):
                     a = tuple(rng.randint(0, 5) for _ in range(n))
                     qa._nf_table[packing.pack(a)]
                 for a in map(packing.unpack, list(qa._nf_table)):
-                    _, expected = reference_divide(ring.monomial(a), qa.gb.basis)
-                    got = qa.monomial_nf(a)
+                    _, expected = reference_divide(monomial(ring, a), qa.gb.basis)
+                    got = monomial_nf(qa, a)
                     assert got == expected.terms
                     fractions["table"] += any(type(c) is Fraction for c in got.values())
                 delta = bezoutian(endo)
@@ -353,7 +355,7 @@ def test_unit_scaling_law(Q, F5, F7):
             for _ in range(5):
                 alpha = random_unit(rng, field)
                 images = list(ring.gens())
-                images[-1] = images[-1].scale(alpha)
+                images[-1] = images[-1] * alpha
                 rep = degree_of(Endo(ring=ring, images=tuple(images)))
                 assert rep.diag.entries == (square_class(field, alpha),)
 
@@ -444,7 +446,7 @@ def test_degree_multiplicative_under_composition(Q):
     ring3 = Ring(("x1", "x2", "x3"), Q)
     scale5 = Endo(
         ring=ring3,
-        images=(ring3.var(0), ring3.var(1), ring3.var(2).scale(5)),
+        images=(ring3.var(0), ring3.var(1), ring3.var(2) * 5),
     )
     pairs = [
         (counterexample_endo(Q), scale5),
@@ -506,7 +508,7 @@ def _integer_triangular_endo(rng, field):
     for i in range(3):
         exps = [0] * 3
         exps[i] = rng.randint(1, 3)
-        p = ring.monomial(exps, rng.choice((1, -1, 2, -3, 5)))
+        p = monomial(ring, exps, rng.choice((1, -1, 2, -3, 5)))
         for j in range(i):
             tail = random_poly(rng, ring, max_degree=2, max_terms=3, coeff_range=9)
             p = p + ring.var(j) * tail

@@ -24,16 +24,20 @@ from wittdeg import (
 from wittdeg.degree import Endo
 from wittdeg.groebner import QuotientAlgebra, normal_form
 from wittdeg.orders import LEX
-from wittdeg.poly import Poly, _add_shifted, _entry, _reduce
+from wittdeg.poly import Poly, _add_shifted, _reduce
 from wittdeg.umrow import UnimodularRow, compose_with_endo, is_unimodular
 
+import conftest
 from conftest import (
     basis_of,
     box_standard_keys,
+    certificate,
     counterexample_endo,
     in_order,
     is_canonical_scalar,
     leading,
+    monomial,
+    monomial_nf,
     random_poly,
     random_unit,
     reference_divide,
@@ -144,9 +148,9 @@ def _random_monomial_ideal(rng, ring):
         if i != skip:
             exps = [0] * n
             exps[i] = rng.randint(1, 7)
-            gens.append(ring.monomial(exps))
+            gens.append(monomial(ring, exps))
     for _ in range(rng.randint(0, 2 * n)):
-        gens.append(ring.monomial([rng.randint(0, 4) for _ in range(n)]))
+        gens.append(monomial(ring, [rng.randint(0, 4) for _ in range(n)]))
     return gens
 
 
@@ -280,8 +284,8 @@ def _assert_reduced_basis(gb):
         for j in range(i + 1, len(gb.basis)):
             li, lj = leads[i], leads[j]
             lcm = tuple(max(a, b) for a, b in zip(li, lj))
-            mi = ring.monomial(tuple(a - b for a, b in zip(lcm, li)))
-            mj = ring.monomial(tuple(a - b for a, b in zip(lcm, lj)))
+            mi = monomial(ring, tuple(a - b for a, b in zip(lcm, li)))
+            mj = monomial(ring, tuple(a - b for a, b in zip(lcm, lj)))
             s = mi * gb.basis[i] - mj * gb.basis[j]
             assert normal_form(s, gb).is_zero
 
@@ -307,11 +311,11 @@ def test_cofactor_identities_hold(Q):
             continue
         gb = buchberger(gens, certify=True)
         if gb.basis != (ring.one(),):
-            assert gb.certificate is None
+            assert certificate(gb) is None
             continue
         units += 1
         total = ring.zero()
-        for c, g in zip(gb.certificate, gens):
+        for c, g in zip(certificate(gb), gens):
             total = total + c * g
         assert total == ring.one()
     assert units > 0
@@ -342,16 +346,17 @@ def _reference_reduce_tracked(p, cof, work, track):
         for elt in work:
             de, dc = leading(elt.poly)
             if _divides(de, ce):
-                mono = ring.monomial(
+                mono = monomial(
+                    ring,
                     tuple(a - b for a, b in zip(ce, de)),
-                    ring.field.div(cc, dc),
+                    ring.field.canon(Fraction(cc) / dc),
                 )
                 cur = cur - mono * elt.poly
                 if track:
                     cof = [a - mono * b for a, b in zip(cof, elt.cof)]
                 break
         else:
-            t = ring.monomial(ce, cc)
+            t = monomial(ring, ce, cc)
             rem = rem + t
             cur = cur - t
     return rem, cof
@@ -380,8 +385,8 @@ def test_reduce_matches_reference_division(Q, F7):
             p = random_poly(rng, ring, max_degree=5, max_terms=6, coeff_range=5)
             # the same case with every input scaled by a unit: over Q the
             # divisors lead with non-integral rationals
-            scaled = [d.scale(random_unit(units, field)) for d in divisors]
-            sp = p.scale(random_unit(units, field))
+            scaled = [d * random_unit(units, field) for d in divisors]
+            sp = p * random_unit(units, field)
             for x, ds in ((p, divisors), (sp, scaled)):
                 _, expected = reference_divide(x, ds)
                 got = normal_form(x, basis_of(ds))
@@ -408,17 +413,18 @@ def test_reduce_matches_reference_cofactor_tracking(Q, F7):
             # the kernel runs on the term maps of the ring's packing, and
             # consumes the dict it reduces; a logged step is relative to the
             # monic divisor d / lc(d), so each tag is the vector of the
-            # monic divisor
-            entries = [
-                _entry(
-                    d.packed,
-                    [c.scale(field.inv(leading(d)[1])).packed for c in cv],
-                )
-                for d, cv in zip(divisors, cofs)
-            ]
+            # monic divisor; an entry is (lead, lc, tail, tag)
+            entries = []
+            for d, cv in zip(divisors, cofs):
+                tail = dict(d.packed)
+                lead = max(tail)
+                monic = field.canon(1 / Fraction(leading(d)[1]))
+                tag = [(c * monic).packed for c in cv]
+                entries.append((lead, tail.pop(lead), tail, tag))
             log = []
             got, scale = _reduce(dict(p.packed), entries, ring.packing, field, log)
-            assert {e: field.div(v, scale) for e, v in got.items()} == rem.packed
+            exact = {e: field.canon(Fraction(v, scale)) for e, v in got.items()}
+            assert exact == rem.packed
             # the log replays into the cofactors the old in-place loop built;
             # a step's multiplier is two ints, c / den, never a scalar, and
             # its denominator is 1 over F_p
@@ -426,7 +432,7 @@ def test_reduce_matches_reference_cofactor_tracking(Q, F7):
             for vec, shift, c, den in log:
                 assert type(c) is int and type(den) is int and den > 0
                 assert den == 1 or field.is_rationals
-                c = field.div(c, den)
+                c = field.canon(Fraction(c, den))
                 for dst, src in zip(got_cof, vec):
                     _add_shifted(dst, src, shift, c, field.modulus)
             assert got_cof == [c.packed for c in cof]
@@ -462,7 +468,7 @@ def _eager_reduce(terms, basis, packing, field, cof=None):
         else:
             rem[ce] = cc
             continue
-        c = field.div(-cc, dc) if q is None else -cc * pow(dc, -1, q) % q
+        c = field.canon(Fraction(-cc) / dc) if q is None else -cc * pow(dc, -1, q) % q
         shift = packing.pack(tuple(map(sub, exps(ce), de))) - packing.one
         _add_shifted(terms, tail, shift, c, q)
         if cof is not None:
@@ -505,10 +511,10 @@ def _eager_buchberger(gens, track_cofactors=False):
         if sugar is None:
             sugar = max(sum(packing.unpack(e)) for e in rem)
         lead, lc, tail, _ = _eager_entry(rem, packing)
-        inv = field.inv(lc)
-        tail = {e: field.mul(v, inv) for e, v in tail.items()}
+        inv = field.canon(1 / Fraction(lc))
+        tail = {e: field.canon(v * inv) for e, v in tail.items()}
         if cof is not None:
-            cof = [{e: field.mul(v, inv) for e, v in c.items()} for c in cof]
+            cof = [{e: field.canon(v * inv) for e, v in c.items()} for c in cof]
         groups = {}
         for i, w in enumerate(work):
             lcm = tuple(map(max, w[0], lead))
@@ -598,7 +604,7 @@ def _triangular_endo(rng, field, ms):
     for i, m in enumerate(ms):
         exps = [0] * 3
         exps[i] = m
-        p = ring.monomial(exps, c)
+        p = monomial(ring, exps, c)
         for j in range(i):
             tail = random_poly(rng, ring, max_degree=1, max_terms=2)
             p = p + ring.var(j) * tail
@@ -615,7 +621,7 @@ def _chain_ideal(rng, ring):
         exps[i] = rng.randint(1, 3)
         tail = random_poly(rng, ring, max_degree=3, max_terms=3).terms
         tail = {e: c for e, c in tail.items() if not any(e[: i + 1])}
-        gens.append(ring.monomial(exps) + Poly(ring, tail))
+        gens.append(monomial(ring, exps) + Poly(ring, tail))
     return gens
 
 
@@ -628,7 +634,7 @@ def _certified_like_eager(gens):
     assert gb.basis == basis
     _assert_reduced_basis(gb)  # the criteria both share drop no needed pair
     unit = basis == (gens[0].ring.one(),)
-    assert gb.certificate == (cofactors[0] if unit else None)
+    assert certificate(gb) == (cofactors[0] if unit else None)
     return gb
 
 
@@ -639,7 +645,7 @@ def _lazy_equals_eager(gens, units=None):
     gb = _certified_like_eager(gens)
     if units is not None:
         field = gens[0].ring.field
-        scaled = [g.scale(random_unit(units, field)) for g in gens]
+        scaled = [g * random_unit(units, field) for g in gens]
         assert _certified_like_eager(scaled).basis == gb.basis
     return gb
 
@@ -745,7 +751,8 @@ def test_integer_replay_equals_eager_reference(Q, F7, monkeypatch):
 def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
     # over Q the step log and the replay hold ints: the only Fractions a
     # certifying Buchberger makes are the certificate's scalars, made by
-    # _ratios when the certificate is read, at most one per term.
+    # _ratios when the certificate is read (conftest.certificate), at most
+    # one per term.
     # is_unimodular keeps the int form through its reduction and its check:
     # it makes Fractions only for the n entry cofactors it returns, at most
     # one per printed term, and never converts the relation's cofactor
@@ -755,7 +762,7 @@ def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
     cases = []
     for ms in ((1, 1, 2), (1, 2, 2), (2, 1, 2), (1, 2, 1)):
         composed = compose_with_endo(row, _triangular_endo(rng, Q, ms))
-        entries = [g.scale(random_unit(units, Q)) for g in composed.entries]
+        entries = [g * random_unit(units, Q) for g in composed.entries]
         cases.append(entries + list(row.algebra.relations))
     made = 0
     at_boundary = []
@@ -782,12 +789,12 @@ def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
     checked = []
     with monkeypatch.context() as patch:
         patch.setattr(Fraction, "__new__", staticmethod(counted_new))
-        for module in (groebner, umrow):
+        for module in (groebner, umrow, conftest):
             patch.setattr(module, "_ratios", boundary(module))
         for gens in cases:
             made = 0
             del at_boundary[:]
-            cert = buchberger(gens, certify=True).certificate
+            cert = certificate(buchberger(gens, certify=True))
             results.append((gens, cert, made, list(at_boundary)))
             made = 0
             del at_boundary[:], converted[:]
@@ -913,7 +920,7 @@ def _reference_supported_only_at_origin(qa):
     for i in range(ring.nvars):
         exps = [0] * ring.nvars
         exps[i] = d
-        if not normal_form(ring.monomial(exps), qa.gb).is_zero:
+        if not normal_form(monomial(ring, exps), qa.gb).is_zero:
             return False
     return True
 
@@ -936,7 +943,7 @@ def _random_finite_ideal(rng, ring):
                 tail = tail + ring.var(j) * random_poly(rng, ring, max_degree=1)
         else:
             tail = random_poly(rng, ring, max_degree=m - 1, max_terms=3)
-        gens.append(ring.monomial(exps) + tail)
+        gens.append(monomial(ring, exps) + tail)
     return gens
 
 
@@ -996,16 +1003,16 @@ def test_monomial_table_matches_direct_normal_form(Q, F7):
             units += qa.dimension == 0
             exps = [tuple(rng.randint(0, 5) for _ in names) for _ in range(8)]
             for a in exps:
-                expected = normal_form(ring.monomial(a), gb).terms
-                assert qa.monomial_nf(a) == expected
+                expected = normal_form(monomial(ring, a), gb).terms
+                assert monomial_nf(qa, a) == expected
                 # memoized entries are returned unchanged
-                assert qa.monomial_nf(a) == expected
+                assert monomial_nf(qa, a) == expected
             cold = standard_monomials(gb)
             for a in sorted(exps, key=sum, reverse=True):
-                assert cold.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
+                assert monomial_nf(cold, a) == normal_form(monomial(ring, a), gb).terms
             for key in cold._nf_table:
                 a = ring.packing.unpack(key)
-                assert cold.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
+                assert monomial_nf(cold, a) == normal_form(monomial(ring, a), gb).terms
     assert units >= len(cases)
 
 
@@ -1027,7 +1034,7 @@ def test_monomial_table_never_divides(Q, monkeypatch):
         qa = standard_monomials(gb)
         supported_only_at_origin(qa)
         for _ in range(6):
-            qa.monomial_nf(tuple(rng.randint(0, 6) for _ in range(3)))
+            monomial_nf(qa, tuple(rng.randint(0, 6) for _ in range(3)))
         filled += len(qa._nf_table) - qa.dimension - len(gb.basis)
     assert calls == []
     assert filled > 50
@@ -1041,9 +1048,9 @@ def test_monomial_table_deep_chain(Q):
     gb = buchberger([x * x - 1, y**3 - x])
     qa = standard_monomials(gb)
     a = (1000, 1000)
-    assert qa.monomial_nf(a) == normal_form(ring.monomial(a), gb).terms
+    assert monomial_nf(qa, a) == normal_form(monomial(ring, a), gb).terms
     deep = standard_monomials(buchberger([x * x, y * y]))
-    assert deep.monomial_nf((1999, 1)) == {}
+    assert monomial_nf(deep, (1999, 1)) == {}
 
 
 def test_monomial_table_off_standard_basis_is_internal_error(Q):
@@ -1057,7 +1064,7 @@ def test_monomial_table_off_standard_basis_is_internal_error(Q):
     xy = ring.packing.pack((1, 1))
     broken = QuotientAlgebra(gb=gb, keys=tuple(m for m in qa.keys if m != xy))
     with pytest.raises(InternalError, match="off the standard basis"):
-        broken.monomial_nf((1, 1))
+        monomial_nf(broken, (1, 1))
 
 
 def test_buchberger_past_the_bound_raises(Q, F7):

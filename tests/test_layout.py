@@ -2,7 +2,8 @@
 
 The package namespace re-exports a name only if the layers share it, under
 its own name, no module keeps an import it does not use, and every public
-function is reached by a command, a pipeline stage or the benchmark.
+function, and every public member of a class, is reached by a command, a
+pipeline stage or the benchmark.
 """
 
 import ast
@@ -115,3 +116,37 @@ def test_every_public_function_is_reached():
                 defined.append((stem, own))
     unreached = [f"{stem}.{name}" for stem, name in defined if name not in reached]
     assert not unreached, f"public functions that nothing reaches: {unreached}"
+
+
+def _attributes_read(node) -> set:
+    """The name of every attribute read, x.name, in node."""
+    return {
+        child.attr
+        for child in ast.walk(node)
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+    }
+
+
+def test_every_public_member_is_reached():
+    """A public method, property or classmethod of a package class is read
+    as an attribute, x.name, somewhere other than in its own body: by
+    another statement of the package or by the benchmark's scripts.
+    Dunders and _-names are exempt.  A member is known by its name only, so
+    one that shares its name with a member read elsewhere (Ring.zero and
+    FieldSpec.zero) passes.  What only tests read belongs in tests."""
+    reached = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        reached |= _attributes_read(ast.parse(path.read_text()))
+    defined = []
+    for stem, tree in _modules().items():
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.ClassDef):
+                reached |= _attributes_read(stmt)
+                continue
+            for node in stmt.body:
+                own = node.name if isinstance(node, ast.FunctionDef) else None
+                reached |= _attributes_read(node) - {own}
+                if own is not None and not own.startswith("_"):
+                    defined.append((f"{stem}.{stmt.name}", own))
+    unreached = [f"{cls}.{name}" for cls, name in defined if name not in reached]
+    assert not unreached, f"public members that nothing reaches: {unreached}"

@@ -32,6 +32,7 @@ from conftest import (
     format_poly_reference,
     is_canonical_scalar,
     jacobian_det,
+    monomial,
     random_poly,
     random_unit,
     reference_parse_poly,
@@ -50,16 +51,16 @@ def R3(Q):
 
 def test_parse_examples(R2):
     p = parse_poly("x1^2 - x2^2", R2)
-    assert p == R2.monomial((2, 0)) - R2.monomial((0, 2))
+    assert p == monomial(R2, (2, 0)) - monomial(R2, (0, 2))
     assert parse_poly("0", R2).is_zero
-    assert parse_poly("1/2*x1*x2 + x1*x2", R2) == R2.monomial(
-        (1, 1), Fraction(3, 2)
+    assert parse_poly("1/2*x1*x2 + x1*x2", R2) == monomial(
+        R2, (1, 1), Fraction(3, 2)
     )
 
 
 def test_parse_leading_unary_minus(R2):
     assert parse_poly("-x1 + x2", R2) == -R2.var(0) + R2.var(1)
-    assert parse_poly("- 2*x1", R2) == R2.monomial((1, 0), -2)
+    assert parse_poly("- 2*x1", R2) == monomial(R2, (1, 0), -2)
 
 
 def test_parse_whitespace_insensitive(R2):
@@ -98,7 +99,7 @@ def test_parse_reads_only_ascii_digits(R2, text):
 
 
 def test_parse_rejects_exponents_past_the_bound(R2):
-    assert parse_poly("x1^32767", R2) == R2.monomial((32767, 0))
+    assert parse_poly("x1^32767", R2) == monomial(R2, (32767, 0))
     with pytest.raises(ExponentBoundExceeded, match=r"32768 of x1 .*position 4"):
         parse_poly("3 + x1^32768", R2)
     # the factors of one term multiply: the second x1 passes the bound
@@ -118,7 +119,7 @@ def test_products_past_the_bound_raise(R2):
     with pytest.raises(ExponentBoundExceeded):
         x1.substitute([big * x2, x2]).substitute([x1 * x1, x2])
     # a product within the bound is exact, and a sum of such is too
-    assert (x1**16000) * (x1**16767) == R2.monomial((32767, 0))
+    assert (x1**16000) * (x1**16767) == monomial(R2, (32767, 0))
     assert (big * x2 - big * x2).is_zero
 
 
@@ -148,10 +149,10 @@ def test_format_matches_reference_sort(Q, F7):
         for nvars in (1, 2, 3, 4):
             ring = Ring(tuple(f"x{i + 1}" for i in range(nvars)), field, order)
             polys = [ring.zero(), ring.constant(random_unit(units, field))]
-            polys.append(ring.monomial([2] * nvars, random_unit(units, field)))
+            polys.append(monomial(ring, [2] * nvars, random_unit(units, field)))
             for _ in range(40):
                 p = random_poly(rng, ring, max_degree=4, max_terms=8, coeff_range=9)
-                polys.append(p.scale(random_unit(units, field)))
+                polys.append(p * random_unit(units, field))
             for p in polys:
                 text = format_poly(p)
                 assert text == format_poly_reference(p)
@@ -164,7 +165,7 @@ def test_format_matches_reference_sort(Q, F7):
     ring = Ring(("x", "y"), Q)
     assert format_poly(ring.zero()) == "0"
     assert format_poly(ring.constant(Fraction(-3, 4))) == "-3/4"
-    assert format_poly(ring.monomial((0, 2), -1)) == "-y^2"
+    assert format_poly(monomial(ring, (0, 2), -1)) == "-y^2"
 
 
 # -- the parser on arbitrary text ------------------------------------------------
@@ -342,17 +343,17 @@ def test_kernel_arithmetic_matches_reference(Q, F7):
             q = random_poly(rng, ring, max_terms=6)
             # the same pair scaled by units: non-integral over Q, and sums
             # whose rational parts cancel to integers
-            sp = p.scale(random_unit(units, field))
-            sq = q.scale(random_unit(units, field))
+            sp = p * random_unit(units, field)
+            sq = q * random_unit(units, field)
             for a, b in ((p, q), (sp, sq), (sp, q), (p, sq)):
                 _assert_same_poly(a + b, _reference_add(a, b))
                 _assert_same_poly(a - b, _reference_add(a, -b))
                 _assert_same_poly(a - a, ring.zero())
                 _assert_same_poly(a * b, _reference_mul(a, b))
                 _assert_same_poly(a * (b - b), ring.zero())
-            _assert_same_poly(p.scale(half) + p.scale(half), p)
-            _assert_same_poly(sp.scale(half) * q + q * sp.scale(half), sp * q)
-            _assert_same_poly(sp + sp.scale(-1), ring.zero())
+            _assert_same_poly(p * half + p * half, p)
+            _assert_same_poly(sp * half * q + q * sp * half, sp * q)
+            _assert_same_poly(sp + sp * -1, ring.zero())
 
 
 _FIELDS = (FieldSpec.rationals(), FieldSpec.prime_field(7))
@@ -371,7 +372,7 @@ def _poly_pairs(draw):
         terms = draw(st.lists(st.tuples(exps, coeffs), max_size=5))
         p = ring.zero()
         for e, c in terms:
-            p = p + ring.monomial(e, c)
+            p = p + monomial(ring, e, c)
         return p
 
     return poly(), poly()

@@ -31,7 +31,7 @@ from wittdeg.degree import _gram_from_quotient, degree_of, validate
 from wittdeg.umrow import compose_with_endo, is_unimodular
 from wittdeg.witt import DiagForm, _eliminate, diagonalize, invariants
 
-from conftest import is_canonical_scalar, random_poly, random_unit
+from conftest import is_canonical_scalar, monomial_nf, random_poly, random_unit
 
 JOBS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "jobs"
 DEGREE_JOBS = ("counterexample", "identity3", "power123", "rational", "staircase3")
@@ -48,7 +48,7 @@ def _stored_scalars(endo):
         yield from (("basis", c) for c in p.terms.values())
     _assert_integer_form(field, qa._nf_table.values())
     for a in map(qa.ring.packing.unpack, qa._nf_table):
-        yield from (("normal form", c) for c in qa.monomial_nf(a).values())
+        yield from (("normal form", c) for c in monomial_nf(qa, a).values())
     # the Gram form as one int dict over its den, each pivot as one over
     # its own
     entries = {(i, j): v for i, row in enumerate(gram.rows) for j, v in row.items()}
@@ -89,7 +89,7 @@ def _job_endo(name):
 
 
 def _scaled(rng, images):
-    return tuple(f.scale(random_unit(rng, Q, bound=4)) for f in images)
+    return tuple(f * random_unit(rng, Q, bound=4) for f in images)
 
 
 def _staircase(rng, k):
@@ -179,9 +179,9 @@ def test_row_compose_certificate_is_canonical():
 
 
 def test_hand_built_forms_hold_canonical_scalars():
-    """DiagForm stores an integral Fraction as its int; GramForm, which
+    """DiagForm holds the ints and primes it is given; GramForm, which
     stores its int entries over den as given, rejects a Fraction."""
-    d = DiagForm(field=Q, entries=(Fraction(15), -2, Fraction(-1)))
+    d = DiagForm(field=Q, entries=(15, -2, -1), primes=(2, 3, 5))
     assert d.entries == (15, -2, -1) and d.primes == (2, 3, 5)
     _assert_canonical(Q, (("diagonal", e) for e in d.entries))
     g = GramForm(field=Q, rows=({1: 1}, {0: 1, 1: 4}), den=2)
@@ -194,7 +194,8 @@ def test_hand_built_forms_hold_canonical_scalars():
 def test_hand_built_forms_reject_floats():
     """A float is never a scalar of a form: GramForm raises DegenerateForm
     and DiagForm NonCanonicalForm, over Q and over F_p alike, instead of
-    storing it or failing with a bare AttributeError."""
+    storing it or failing with a bare AttributeError.  DiagForm rejects an
+    integral Fraction too: its entries are ints."""
     F7 = FieldSpec.prime_field(7)
     with pytest.raises(DegenerateForm, match="0.5 is not an int"):
         GramForm(field=Q, rows=({0: 0.5},), den=1)
@@ -206,6 +207,9 @@ def test_hand_built_forms_reject_floats():
         DiagForm(field=Q, entries=(0.5,))
     with pytest.raises(NonCanonicalForm, match="entry 3.0 "):
         DiagForm(field=Q, entries=(1, 3.0))
+    for x in (Fraction(15), Fraction(-1)):
+        with pytest.raises(NonCanonicalForm, match=f"entry {x} "):
+            DiagForm(field=Q, entries=(x,), primes=(3, 5))
 
 
 @pytest.mark.parametrize("name", ("rational", "staircase3"))

@@ -23,7 +23,13 @@ from wittdeg import groebner, umrow
 from wittdeg.cli import run
 from wittdeg.groebner import normal_form
 
-from conftest import basis_of, counterexample_endo, make_endo, universal_row
+from conftest import (
+    basis_of,
+    certificate,
+    counterexample_endo,
+    make_endo,
+    universal_row,
+)
 
 
 def _verify_certificate(row, cert):
@@ -192,7 +198,7 @@ def test_check_reduces_cofactors_modulo_the_relations(Q, F7, monkeypatch):
         x1, x2, _, y1, _, y3 = ring.gens()
         scaled = UnimodularRow(
             algebra=row.algebra,
-            entries=tuple(a.scale(Fraction(2, 3)) for a in row.entries),
+            entries=tuple(a * Fraction(2, 3) for a in row.entries),
         )
         expected = is_unimodular(scaled)
         nums, den = certify(list(scaled.entries) + [rel])
@@ -204,7 +210,7 @@ def test_check_reduces_cofactors_modulo_the_relations(Q, F7, monkeypatch):
             (0, -x1 * y1, False),
         ):
             moved = list(nums)
-            b = Poly._from_packed(ring, moved[index]) + move.scale(den)
+            b = Poly._from_packed(ring, moved[index]) + move * den
             moved[index] = b.packed
             monkeypatch.setattr(
                 umrow,
@@ -223,11 +229,11 @@ def test_non_unimodular_rows_replay_nothing(Q, tmp_path, monkeypatch, capsys):
     # a certificate is replayed only for the unit ideal: a row that is not
     # unimodular is answered without building any cofactor vector
     calls = []
-    certificate = groebner._certificate
+    replay = groebner._certificate
 
     def counted(*args):
         calls.append(args)
-        return certificate(*args)
+        return replay(*args)
 
     monkeypatch.setattr(groebner, "_certificate", counted)
     proper = tmp_path / "proper.row"
@@ -241,5 +247,5 @@ def test_non_unimodular_rows_replay_nothing(Q, tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
     ring = Ring(("x", "y"), Q)
     x, y = ring.gens()
-    assert buchberger([x, y * y, x * y], certify=True).certificate is None
+    assert certificate(buchberger([x, y * y, x * y], certify=True)) is None
     assert len(calls) == 1
