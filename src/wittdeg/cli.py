@@ -217,7 +217,9 @@ class _GramText:
         if den != 1:
             values = {v for row in rows for v in row.values()}
             text = {v: _ratio_text(v, den) for v in values}.__getitem__
-        self.cells = [sorted((j, text(v)) for j, v in row.items()) for row in rows]
+        self.cells = [
+            sorted([(j, text(v)) for j, v in row.items()]) for row in rows
+        ]
 
     def lines(self, head: str, sep: str, tail: str):
         """Each row as head + its d entries joined by sep + tail: the row's

@@ -202,7 +202,9 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     and a mask split each Bezoutian key into the exponent fields of its
     x- and u-part (`Packing.halves`), and `_PartNF` completes a part to its
     key in the quotient's packing and looks up its normal form, once per
-    distinct part.
+    distinct part.  When NF(x^a) is one term of coefficient 1, as for a
+    standard x^a, row_a itself becomes that term's entry of acc if acc has
+    none yet.
     """
     q = endo.field.modulus
     cleared = [_clear(f.packed) for f in endo.images]
@@ -242,6 +244,9 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
         for m, v in nums.items():
             dst = acc.get(m)
             if dst is None:
+                if v == 1 and len(nums) == 1:  # as for a standard x^a
+                    acc[m] = row  # row_a itself: no later step reads it
+                    continue
                 dst = acc[m] = {}
             _add_shifted(dst, row, 0, v, q)
     den *= dx * du

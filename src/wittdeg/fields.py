@@ -21,9 +21,10 @@ and the printed entry cofactors of a unit certificate (`umrow`).
 
 Square classes are canonicalized as follows: over Q the representative is a
 signed squarefree integer; over F_p it is 1 for squares and the smallest
-positive non-residue otherwise.  Only
-_pair_classes factors integers: it classifies many values against one
-shared prime set, and returns the primes that the Hasse symbols need;
+positive non-residue otherwise.  Only _pair_classes factors integers: it
+classifies many values against one shared set of primes above
+SMALL_PRIME_BOUND, takes each number's primes below it from one gcd with
+their product, and returns the primes that the Hasse symbols need;
 square_classes canonicalizes scalars and hands their pairs to it.
 """
 
@@ -46,7 +47,8 @@ from .errors import (
 #: prime or a prime square passes at any size.
 FACTOR_BOUND = 10**9
 
-#: square_classes trial-divides every number by the primes below this first.
+#: square_classes takes the primes below this out of every number first,
+#: by one gcd with their product.
 SMALL_PRIME_BOUND = 1000
 
 #: is_prime is proven correct below this (the first twelve primes as
@@ -83,6 +85,10 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+_SMALL_PRIMES = tuple(p for p in range(SMALL_PRIME_BOUND) if is_prime(p))
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 def _rational(x):
@@ -231,27 +237,44 @@ def _pair_classes(field: FieldSpec, pairs) -> tuple[list, tuple]:
     ascending primes dividing some class; each pair is of ints, n != 0,
     d > 0 and gcd(n, d) = 1 (over F_p, d prime to p).
 
-    Over Q all numerators and denominators are factored in ascending order
-    against one prime set: each is divided by the primes found so far, and
-    only the part left is trial-divided.  Once no prime below
-    SMALL_PRIME_BOUND is left in it, that part is tested once: a prime or a
-    prime square is done at any size, and anything else must not exceed
-    FACTOR_BOUND.  Over F_p there are no primes, and n / d lies in the
-    class of n d."""
+    Over Q the distinct numerators and denominators are factored in
+    ascending order, and each number's primes of odd exponent are recorded
+    as they are found.  A number is first divided by the primes above
+    SMALL_PRIME_BOUND that smaller numbers yielded; its primes below the
+    bound are then those of one gcd with their product, and only those are
+    divided out.  The part left has no prime below the bound, so below the
+    square of the bound it is prime; above, it is tested once: a prime or
+    a prime square is done at any size, and anything else must not exceed
+    FACTOR_BOUND, and is trial-divided by the odd numbers above the bound.
+    Over F_p there are no primes, and n / d lies in the class of n d."""
     if not field.is_rationals:
         p, r = field.modulus, field.least_nonresidue()
         h = (p - 1) // 2
         return [1 if pow(n * d, h, p) == 1 else r for n, d in pairs], ()
-    shared, part, odd = [], {}, set()  # part: n -> its squarefree part
+    large, part, odd = [], {}, set()  # large: the primes above the bound
     for n in sorted({abs(x) for pair in pairs for x in pair}):
+        mine = []  # the primes of odd exponent in n
         m = n
-        for p in shared:  # divide out the primes found so far
-            m = _valuation(m, p)[1]
-        d, tested = 2, False
-        while m > 1:  # trial-divide the part left
+        for p in large:  # divide out the large primes found so far
+            if m % p == 0:
+                v, m = _valuation(m, p)
+                if v % 2:
+                    mine.append(p)
+        g = math.gcd(m, _SMALL_PRIMORIAL)
+        if g != 1:  # divide out the small primes of m, those of g
+            for p in _SMALL_PRIMES:
+                if g % p == 0:
+                    v, m = _valuation(m, p)
+                    if v % 2:
+                        mine.append(p)
+                    g //= p
+                    if g == 1:
+                        break
+        d, tested = SMALL_PRIME_BOUND | 1, False
+        while m > 1:  # trial-divide the part left above the bound
             if d * d > m:
                 d = m  # what is left is prime
-            elif d > SMALL_PRIME_BOUND and not tested:
+            elif not tested:
                 # the part left has no prime below the bound: test it once
                 tested, r = True, math.isqrt(m)
                 if m < MR_PROVEN_BOUND and is_prime(m):
@@ -266,10 +289,11 @@ def _pair_classes(field: FieldSpec, pairs) -> tuple[list, tuple]:
                         f" {FACTOR_BOUND}"
                     )
             if m % d == 0:
-                shared.append(d)
-                m = _valuation(m, d)[1]
-            d += 1 if d == 2 else 2
-        mine = [p for p in shared if _valuation(n, p)[0] % 2]
+                large.append(d)
+                v, m = _valuation(m, d)
+                if v % 2:
+                    mine.append(d)
+            d += 2
         odd.update(mine)
         part[n] = math.prod(mine)
     # a/b and ab lie in one class, and a, b are coprime

@@ -105,13 +105,15 @@ an explicit stack.  A normal form is unique, so each entry equals what
 division would give.  One step of the fill is a multiplication by x_i in
 the quotient (`_NFTable.times`): the table at x_i * s for the standard s
 of a normal form is the sparse multiplication map M_i.  The
-origin-support test applies M_i to NF(1) at most D times, D the length,
-and stops at the first zero vector, since every later one is then zero;
-only a nonzero M_i^D NF(1) = NF(x_i^D) makes x_i non-nilpotent.  It
-reads the table at standard and border keys only and forms no key of a
-power x_i^k, which passes the exponent bound once k does, however long
-the quotient is.  The degree pipeline reuses the same integer entries
-for the Gram matrix.
+origin-support test starts at the seed NF(x_i^b) of the least pure-power
+lead x_i^b, since every lower power of x_i is standard and its own
+normal form.  It applies M_i to that seed at most D - b times, D the
+length, and stops at the first zero vector, since every later one is
+then zero; only a nonzero M_i^(D-b) NF(x_i^b) = NF(x_i^D) makes x_i
+non-nilpotent.  It reads the table at standard and border keys only and
+forms no key of a power x_i^k past x_i^b, which passes the exponent bound
+once k does, however long the quotient is.  The degree pipeline reuses
+the same integer entries for the Gram matrix.
 
 The certificate of a unit ideal is 1 = sum c_i * g_i, the cofactors of
 the unit basis {1} over the generators: buchberger(gens, certify=True)
@@ -656,22 +658,30 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
 
     x_i^D lies in the ideal iff the multiplication map M_i of x_i on the
     quotient is nilpotent (its minimal polynomial has degree at most D, the
-    length), so testing the D-th powers is exact.  Since 1 generates the
-    quotient, M_i is nilpotent iff M_i^D NF(1) = NF(x_i^D) is zero.  The
-    vector NF(1) is multiplied by x_i in the quotient (`_NFTable.times`)
-    at most D times, stopping at the first zero vector: every later one is
-    zero too.  Each step reads the table at x_i * s for standard s only, so
-    no key outside the standard set and its border is formed or stored,
-    however large D is: a key of x_i^k would pass the exponent bound once
-    k does.  For D = 0 the ideal is the whole ring and NF(1) = 0 already.
+    length), so testing the D-th powers is exact.  Let x_i^b be the least
+    pure power of x_i among the leads: every lower power is standard, so b
+    is at most D, and its normal form is the table's seed.  So NF(x_i^D) =
+    M_i^(D-b) NF(x_i^b): the seed is multiplied by x_i in the quotient
+    (`_NFTable.times`) at most D - b times, stopping at the first zero
+    vector, since every later one is zero too.  Each step reads the table
+    at x_i * s for standard s only, so no key outside the standard set and
+    its border is formed or stored, however large D is: a key of x_i^k
+    would pass the exponent bound once k does.  For D = 0 the ideal is the
+    whole ring.
     """
     d = qa.dimension
+    if not d:
+        return True
     table = qa._nf_table
+    standard = table.standard
     packing = qa.ring.packing
-    one = table[packing.one]
     for v in packing.var:
-        nf = one
-        for _ in range(d):
+        b, key = 1, packing.one + v
+        while key in standard:  # the powers of x_i below the least lead
+            b += 1
+            key += v
+        nf = table[key]
+        for _ in range(d - b):
             if not nf[0]:
                 break
             nf = table.times(*nf, v)

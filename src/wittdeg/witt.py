@@ -26,13 +26,19 @@ and nothing else: no caller needs the congruence transform P, so it is
 never built.  The dense matrix is only a derived view for output, which
 the CLI writes from the sparse rows.
 
-The Hasse symbol is computed as prod_{j>=2} (a_1 ... a_{j-1}, a_j)_v, with
-the prefix products kept as running square classes: at most r - 1 Hilbert
-symbols per place instead of r(r-1)/2, one per distinct (prefix, entry)
-pair that occurs an odd number of times.  Both products agree because the
-Hilbert symbol is bimultiplicative, (xy, z)_v = (x, z)_v (y, z)_v, so that
-(a_1 ... a_{j-1}, a_j)_v = prod_{i<j} (a_i, a_j)_v; and it depends only on
-square classes, so the prefix may be replaced by its class.
+The invariants are read off the distinct entries and their counts: a
+Gram form of rank r has few distinct diagonal classes.  The signature and
+the discriminant are sums and products over the counts, and the Hasse
+symbol prod_{i<j} (a_i, a_j)_v is built group by group.  With the
+distinct entries in order, a group of k copies of a after the prefix
+class P (the class of the product of all earlier entries) contributes
+(P, a)_v^k (a, -1)_v^(k(k-1)/2): the Hilbert symbol is bimultiplicative,
+(xy, z)_v = (x, z)_v (y, z)_v, it depends only on square classes, so the
+prefix may be replaced by its class, and (a, a)_v = (a, -1)_v.  A symbol
+is +-1, so only odd exponents count: at most two Hilbert symbols per
+distinct entry, where the definition takes r(r-1)/2.  At an odd place p
+a symbol of two squarefree integers that p does not divide is 1, so only
+the symbols with an argument divisible by p are evaluated there.
 
 Over Q a form is hyperbolic iff rank is even, signature is zero, the signed
 discriminant is trivial and the Hasse symbols match the hyperbolic reference
@@ -48,7 +54,6 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field as dataclass_field
 from heapq import heappop, heappush
-from itertools import accumulate
 from math import gcd, lcm
 from typing import Optional
 
@@ -299,7 +304,7 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
                     row_r[s] = w
                 else:
                     del row_r[s]
-            if q is None:
+            if q is None and den_r * fr != 1:
                 rows[r], dens[r] = _lowest(row_r, den_r * fr)
     return pivots
 
@@ -354,14 +359,13 @@ class WittInvariants:
 def invariants(d: DiagForm) -> WittInvariants:
     field = d.field
     r = d.rank
-    # prefixes[j] is the square class of a_1 * ... * a_j
-    prefixes = list(
-        accumulate(
-            d.entries, lambda x, y: square_class_mul(field, x, y), initial=field.one
-        )
-    )
+    counts = Counter(d.entries)  # entry -> its count, in first-seen order
+    disc = field.one  # the class of a_1 ... a_r: an even count drops out
+    for a, k in counts.items():
+        if k % 2:
+            disc = square_class_mul(field, disc, a)
     sign_factor = square_class(field, -1) if (r * (r - 1) // 2) % 2 else field.one
-    signed_disc = square_class_mul(field, prefixes[-1], sign_factor)
+    signed_disc = square_class_mul(field, disc, sign_factor)
     if not field.is_rationals:
         return WittInvariants(
             field=field,
@@ -370,22 +374,30 @@ def invariants(d: DiagForm) -> WittInvariants:
             signed_discriminant=signed_disc,
             hasse={},
         )
-    signature = sum(1 if e > 0 else -1 for e in d.entries)
-    # prod_{i<j} (a_i, a_j)_v as prod_{j>=2} (a_1...a_{j-1}, a_j)_v: see
-    # above.  A symbol is +-1, so a pair that occurs an even number of times
-    # drops out and one that occurs an odd number counts once.  Classes and
-    # entries are squarefree integers, and the places come from the primes
-    # that DiagForm checked, so the kernel runs as is
-    pairs = Counter(
-        (x.numerator, a.numerator) for x, a in zip(prefixes[1:-1], d.entries[1:])
-    )
-    odd = [pair for pair, k in pairs.items() if k % 2]
+    signature = sum(k if a > 0 else -k for a, k in counts.items())
+    # prod_{i<j} (a_i, a_j)_v group by group, as the Hilbert symbols
+    # (prefix, a)_v^k (a, -1)_v^(k(k-1)/2) (see above); a symbol is +-1, so
+    # only odd exponents count, and a symbol with an argument 1 is 1.
+    # Classes and entries are squarefree integers, and the places come from
+    # the primes that DiagForm checked, so the kernel runs as is
+    symbols = []
+    prefix = 1
+    for a, k in counts.items():
+        if a == 1:
+            continue
+        if k % 2:
+            if prefix != 1:
+                symbols.append((prefix, a))
+            prefix = square_class_mul(field, prefix, a)
+        if k * (k - 1) // 2 % 2:
+            symbols.append((a, -1))
     hasse = {}
     for v in hasse_places(d.primes):
-        s = 1
-        for prefix, a in odd:
-            s *= _hilbert(prefix, a, v)
-        hasse[str(v)] = s
+        if v in ("inf", 2):
+            pairs = symbols
+        else:  # both arguments are units at v unless v divides one
+            pairs = [(x, a) for x, a in symbols if not (x % v and a % v)]
+        hasse[str(v)] = math.prod(_hilbert(x, a, v) for x, a in pairs)
     return WittInvariants(
         field=field,
         rank=r,

@@ -10,6 +10,7 @@ from wittdeg import (
     DegenerateForm,
     Endo,
     ExponentBoundExceeded,
+    FactorBoundExceeded,
     FieldSpec,
     GramForm,
     InternalError,
@@ -23,7 +24,14 @@ from wittdeg import (
     parse_poly,
 )
 from wittdeg.degree import bezoutian, dual_ring
-from wittdeg.fields import _hilbert
+from wittdeg.fields import (
+    FACTOR_BOUND,
+    MR_PROVEN_BOUND,
+    SMALL_PRIME_BOUND,
+    _hilbert,
+    _valuation,
+    is_prime,
+)
 from wittdeg.orders import BOUND, GREVLEX
 from wittdeg.groebner import GroebnerBasis
 from wittdeg.poly import _clear, _divisor, _ratios, format_monomial
@@ -168,6 +176,51 @@ def hilbert(a, b, place):
     fields._hilbert on a * den(a)^2 and b * den(b)^2, their integer square
     classes."""
     return _hilbert(a.numerator * a.denominator, b.numerator * b.denominator, place)
+
+
+def reference_pair_classes(field, pairs):
+    """The oracle of `fields._pair_classes`: its trial-division version,
+    which divides every number by the primes found so far and then by
+    every odd number up to SMALL_PRIME_BOUND, and finds each number's
+    primes of odd exponent by dividing it again by every prime found."""
+    if not field.is_rationals:
+        p, r = field.modulus, field.least_nonresidue()
+        h = (p - 1) // 2
+        return [1 if pow(n * d, h, p) == 1 else r for n, d in pairs], ()
+    shared, part, odd = [], {}, set()  # part: n -> its squarefree part
+    for n in sorted({abs(x) for pair in pairs for x in pair}):
+        m = n
+        for p in shared:  # divide out the primes found so far
+            m = _valuation(m, p)[1]
+        d, tested = 2, False
+        while m > 1:  # trial-divide the part left
+            if d * d > m:
+                d = m  # what is left is prime
+            elif d > SMALL_PRIME_BOUND and not tested:
+                # the part left has no prime below the bound: test it once
+                tested, r = True, math.isqrt(m)
+                if m < MR_PROVEN_BOUND and is_prime(m):
+                    d = m
+                elif r * r == m and r < MR_PROVEN_BOUND and is_prime(r):
+                    d = r
+                elif m > FACTOR_BOUND:
+                    raise FactorBoundExceeded(
+                        f"{m}, the part of {n} left after the primes below"
+                        f" {SMALL_PRIME_BOUND}, is no proven prime or prime"
+                        f" square and exceeds the trial-division bound"
+                        f" {FACTOR_BOUND}"
+                    )
+            if m % d == 0:
+                shared.append(d)
+                m = _valuation(m, d)[1]
+            d += 1 if d == 2 else 2
+        mine = [p for p in shared if _valuation(n, p)[0] % 2]
+        odd.update(mine)
+        part[n] = math.prod(mine)
+    # a/b and ab lie in one class, and a, b are coprime
+    return [
+        part[n] * part[d] if n > 0 else -part[-n] * part[d] for n, d in pairs
+    ], tuple(sorted(odd))
 
 
 def random_poly(rng, ring, max_degree=3, max_terms=4, coeff_range=3):

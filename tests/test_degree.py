@@ -12,6 +12,7 @@ from wittdeg import (
     FieldSpec,
     GREVLEX,
     DegreeReport,
+    FactorBoundExceeded,
     GramForm,
     InternalError,
     NotFiniteLength,
@@ -526,8 +527,15 @@ def test_q_gram_reduces_to_its_f_p_twin(Q):
     jobs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "jobs"
     for path in sorted(jobs.glob("*.job")):
         job = parse_job_file(str(path))
-        if job.ring.field == Q:
-            endos.append(_endo_from_job(job, str(path)))
+        if job.ring.field != Q:
+            continue
+        endo = _endo_from_job(job, str(path))
+        if path.name == "scaling21.job":
+            # the job exits 2: no class over Q to compare
+            with pytest.raises(FactorBoundExceeded):
+                degree_of(endo)
+            continue
+        endos.append(endo)
     rng = random.Random(10007)
     endos += [_integer_triangular_endo(rng, Q) for _ in range(8)]
     compared = 0

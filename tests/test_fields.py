@@ -26,7 +26,7 @@ from wittdeg.fields import (
     is_prime,
 )
 
-from conftest import hilbert, is_canonical_scalar
+from conftest import hilbert, is_canonical_scalar, reference_pair_classes
 
 
 def test_fieldspec_rejects_char_2():
@@ -366,6 +366,64 @@ def test_pair_classes_match_square_classes(Q, F7):
             else:
                 seen["classified"] += 1
                 seen["big prime"] += any(p > 1000 for p in got[1])
+    assert min(seen.values()) >= 20, seen
+
+
+def test_pair_classes_match_trial_division_reference(Q, F7):
+    """_pair_classes against its trial-division version in conftest, over
+    seeded batches: the same classes and primes, or the same
+    FactorBoundExceeded message.  The batches hold primes above 1,000
+    shared between numbers, prime squares, 991, 997 and high powers of 2,
+    parts left above FACTOR_BOUND, and parts left in bound that trial
+    division above 1,000 splits."""
+    rng = random.Random(3301)
+    big = [1009, 1013, 1019, 10007, 1000003, 1000033, 10**9 + 7, 2**61 - 1]
+    over = [1000003 * 1000033, 10007 * 1000003, (10**9 + 7) * 1013]
+    trial = [1013 * 1019, 1009 * 10007, 1021 * 1031]
+    assert all(n > FACTOR_BOUND for n in over)
+    assert all(1001**2 <= n <= FACTOR_BOUND for n in trial)
+
+    def number(kind):
+        if kind == "shared":
+            return rng.choice(big[:4]) * rng.randint(1, 2000)
+        if kind == "square":
+            return rng.choice(big) ** 2 * rng.choice((1, 2, 3, 1009))
+        if kind == "edge":
+            return rng.choice((991, 997, 991 * 997, 2 ** rng.randint(30, 90)))
+        if kind == "over":
+            return rng.choice(over) * rng.choice((1, 7, 1013))
+        if kind == "trial":
+            return rng.choice(trial) * rng.choice((1, 2, 991))
+        return rng.randint(1, 10**6)
+
+    kinds = ("shared", "square", "edge", "over", "trial", "small")
+    seen = {kind: 0 for kind in kinds}
+    seen["raised"] = 0
+    for field in (Q, F7):
+        for _ in range(400):
+            drawn = rng.sample(kinds, rng.randint(1, 3))
+            pairs = []
+            for kind in drawn:
+                for _ in range(rng.randint(1, 3)):
+                    num, den = rng.choice((1, -1)) * number(kind), 1
+                    if rng.random() < 0.4:
+                        den = number(rng.choice(kinds))
+                    g = math.gcd(num, den)
+                    num, den = num // g, den // g
+                    if not field.is_rationals:
+                        if num % 7 == 0 or den % 7 == 0:
+                            continue
+                        num %= 7
+                    pairs.append((num, den))
+            if not pairs:
+                continue
+            got = _classify(_pair_classes, field, pairs)
+            assert got == _classify(reference_pair_classes, field, pairs)
+            if isinstance(got, str):
+                seen["raised"] += 1
+            elif field.is_rationals:
+                for kind in drawn:
+                    seen[kind] += 1
     assert min(seen.values()) >= 20, seen
 
 

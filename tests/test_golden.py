@@ -1,7 +1,8 @@
 """Every documented example under docs/golden runs as a golden test.
 
 A .cmd file holds one CLI invocation (optionally prefixed with exit=N);
-the matching .out file is the expected stdout, byte for byte.
+the matching .out file is the expected stdout, byte for byte, and the
+matching .err file, where one exists, the expected stderr.
 """
 
 import contextlib
@@ -27,12 +28,15 @@ def test_golden(cmd_file, monkeypatch):
         expected_exit = int(parts[0][5:])
         parts = parts[1:]
     expected_out = cmd_file.with_suffix(".out").read_text()
-    buf = io.StringIO()
+    err_file = cmd_file.with_suffix(".err")
+    buf, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(buf):
-        with contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stderr(err):
             code = run(parts)
     assert code == expected_exit
     assert buf.getvalue() == expected_out
+    if err_file.exists():
+        assert err.getvalue() == err_file.read_text()
 
 
 def test_golden_corpus_nonempty():

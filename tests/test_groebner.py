@@ -1,3 +1,4 @@
+import collections
 import functools
 import heapq
 import itertools
@@ -980,6 +981,64 @@ def test_nilpotency_walk_matches_reference(Q, F7):
     assert min(verdicts.values()) >= 20
     assert units >= 4
     assert filled >= 100
+
+
+def test_nilpotency_walk_starts_at_the_least_pure_power(Q, F7, monkeypatch):
+    """For each variable x_i the walk multiplies NF(x_i^b), b the least
+    pure power of x_i among the leads, by x_i in the quotient at most
+    D - b times, D the length.  A fill of a border entry calls
+    `_NFTable.times` too, from inside another call: the walk's steps are
+    the calls that no other call makes."""
+    rng = random.Random(2719)
+    steps = collections.Counter()
+    depth = 0
+    times = groebner._NFTable.times
+
+    def counted(table, nums, den, v):
+        nonlocal depth
+        if not depth:
+            steps[v] += 1
+        depth += 1
+        try:
+            return times(table, nums, den, v)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(groebner._NFTable, "times", counted)
+    walked = 0
+    verdicts = {True: 0, False: 0}
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        ring = Ring(("x", "y", "z"), field, order)
+        packing = ring.packing
+        for _ in range(8):
+            # x_i^m_i plus x_j * (linear) for j > i, below x_i^m_i in both
+            # orders: the leads are the pure powers, the origin is the only
+            # zero, and NF(x_i^m_i) is rarely zero.  With -x_i added, the
+            # roots of unity are zeros too
+            gens = []
+            for i in range(ring.nvars):
+                exps = [0] * ring.nvars
+                exps[i] = rng.randint(3, 5)
+                tail = -ring.var(i) if rng.random() < 0.1 else ring.zero()
+                for j in range(i + 1, ring.nvars):
+                    tail = tail + ring.var(j) * random_poly(rng, ring, max_degree=1)
+                gens.append(monomial(ring, exps) + tail)
+            qa = standard_monomials(buchberger(gens))
+            steps.clear()
+            got = supported_only_at_origin(qa)
+            assert got == _reference_supported_only_at_origin(qa)
+            verdicts[got] += 1
+            for i, v in enumerate(packing.var):
+                b = min(
+                    a[i]
+                    for a in map(packing.unpack, (e[0] for e in qa.gb.entries))
+                    if a[i] == sum(a)
+                )
+                assert b >= 3
+                assert steps[v] <= qa.dimension - b
+            walked += sum(steps.values())
+    assert min(verdicts.values()) >= 4, verdicts
+    assert walked >= 100
 
 
 def test_monomial_table_matches_direct_normal_form(Q, F7):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -459,7 +460,7 @@ def _pairwise_hasse(d, primes):
     return hasse
 
 
-def test_invariants_match_pairwise_hasse_definition(Q):
+def test_invariants_match_pairwise_hasse_definition(Q, F7):
     rng = random.Random(2024)
     # 1000003 * 1009 exceeds the trial-division bound
     primes = [2, 3, 5, 7, 11, 13, 1009, 1000003]
@@ -489,6 +490,36 @@ def test_invariants_match_pairwise_hasse_definition(Q):
         d = diag_form(Q, entries)
         assert invariants(d).hasse == _pairwise_hasse(d, known)
     assert 0 < raised < 300
+    # up to 40 entries drawn from at most 5 values that share odd primes:
+    # values repeat an odd and an even number of times, and k copies of a
+    # value pair off k(k-1)/2 times, each pair contributing (a, a)_v
+    values = [-1, 2, -3, 5, 6, -7, 10, -15, 21, -35, 1009, -2018, 3027]
+    groups = {"odd": 0, "even": 0, "twisted": 0}
+    for _ in range(120):
+        pool = rng.sample(values, rng.randint(1, 5))
+        entries = [rng.choice(pool) for _ in range(rng.randint(0, 40))]
+        d = diag_form(Q, entries)
+        inv = invariants(d)
+        r = len(entries)
+        prod = (-1) ** (r * (r - 1) // 2) * math.prod(entries)
+        disc = math.prod(p for p in d.primes if fields._valuation(prod, p)[0] % 2)
+        assert inv.rank == r
+        assert inv.signature == sum(1 if a > 0 else -1 for a in entries)
+        assert inv.signed_discriminant == (disc if prod > 0 else -disc)
+        assert inv.hasse == _pairwise_hasse(d, d.primes)
+        assert list(inv.hasse) == [str(v) for v in hasse_places(d.primes)]
+        for k in collections.Counter(entries).values():
+            groups["odd" if k % 2 else "even"] += 1
+            groups["twisted"] += k * (k - 1) // 2 % 2
+    assert min(groups.values()) >= 50, groups
+    # over F_p the signed discriminant is the class of (-1)^(r(r-1)/2) prod a_i
+    for _ in range(200):
+        entries = [rng.randint(1, 6) for _ in range(rng.randint(0, 40))]
+        inv = invariants(diag_form(F7, entries))
+        r = len(entries)
+        prod = (-1) ** (r * (r - 1) // 2) * math.prod(entries)
+        assert inv.signed_discriminant == square_class(F7, prod)
+        assert (inv.rank, inv.signature, inv.hasse) == (r, None, {})
 
 
 def _reference_strip(d):
