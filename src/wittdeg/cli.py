@@ -441,7 +441,10 @@ def _cmd_row_compose(args) -> tuple[int, dict | list[str]]:
     return _report_row(compose_with_endo(row, endo), args)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `run` call and reused by later ones;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wittdeg",
         description=(
@@ -499,13 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_row_compose)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `run` call and reused by later ones;
-    parsing leaves it unchanged."""
-    return build_parser()
 
 
 def run(argv) -> int:

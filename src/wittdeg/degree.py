@@ -164,7 +164,7 @@ def bezoutian(endo: Endo) -> Poly:
                 key += sum(map(mul, e[j + 1 :], xs[j + 1 :]))
                 for k in range(e[j]):
                     terms[key + k * x_j + (e[j] - 1 - k) * u_j] = c
-            row.append(Poly._from_packed(ring2, terms))
+            row.append(Poly(ring2, terms))
         rows.append(row)
     return det(rows)
 
@@ -211,7 +211,7 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     den = math.prod(d for _, d in cleared)
     if den != 1:
         ring = endo.ring
-        endo = Endo(ring, tuple(Poly._from_packed(ring, f) for f, _ in cleared))
+        endo = Endo(ring, tuple(Poly(ring, f) for f, _ in cleared))
     delta = bezoutian(endo)  # on ints: Delta = delta / den
     xshift, ushift, mask = delta.ring.packing.halves()
     nf_of = _PartNF(qa)

@@ -325,7 +325,7 @@ def square_class_mul(field: FieldSpec, a, b):
     """
     if field.is_rationals:
         sign = -1 if (a < 0) != (b < 0) else 1
-        aa, bb = abs(a.numerator), abs(b.numerator)
+        aa, bb = abs(a), abs(b)
         g = math.gcd(aa, bb)
         return sign * (aa // g) * (bb // g)
     return 1 if a == b else field.least_nonresidue()

@@ -227,7 +227,7 @@ class GroebnerBasis:
         ring = self.ring
         one = ring.field.one
         return tuple(
-            Poly._from_packed(ring, {lead: one, **_ratios(tail, lc)})
+            Poly(ring, {lead: one, **_ratios(tail, lc)})
             for lead, lc, tail, _ in self.entries
         )
 
@@ -433,7 +433,7 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     terms, den = _clear(p.packed)
     ring = p.ring
     rem, den = _reduce(dict(terms), gb.entries, ring.packing, ring.field, scale=den)
-    return Poly._from_packed(ring, _ratios(rem, den))
+    return Poly(ring, _ratios(rem, den))
 
 
 class _NFTable(dict):

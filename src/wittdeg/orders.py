@@ -99,10 +99,12 @@ def _fields(count: int, value: int) -> int:
 class Packing:
     """Keys of the monomials in n variables under one order (see above).
 
-    pack and unpack convert between exponent tuples and keys, for the text
-    boundary and for code that reads exponents; var[i] is the offset of
-    x_i.  The attributes one, guard, pad and target are read directly by
-    the kernel loops.
+    pack and unpack convert one monomial between its exponent tuple and its
+    key, for the text boundary and for code that reads exponents (a term
+    map is converted key by key, as `Poly.terms` does); pack raises
+    ExponentBoundExceeded past the bound.  var[i] is the offset of x_i.
+    The attributes one, guard, pad and target are read directly by the
+    kernel loops.
     """
 
     __slots__ = (
@@ -153,16 +155,6 @@ class Packing:
             fields = self._format.unpack_from(key.to_bytes(self._width, "little"))
             return tuple(map(BOUND.__sub__, fields))
         return self._format.unpack(key.to_bytes(self._width, "big"))
-
-    def pack_terms(self, terms: dict) -> dict:
-        """{key: c} for a term dict {exponent tuple: c}, in its order."""
-        pack = self.pack
-        return {pack(e): c for e, c in terms.items()}
-
-    def unpack_terms(self, keys: dict) -> dict:
-        """{exponent tuple: c} for a dict {key: c}, in its order."""
-        unpack = self.unpack
-        return {unpack(k): c for k, c in keys.items()}
 
     def degree(self, key: int) -> int:
         """The total degree of the monomial of key: under GREVLEX its top

@@ -279,18 +279,18 @@ class Ring:
         return len(self.variables)
 
     def zero(self) -> "Poly":
-        return Poly._from_packed(self, {})
+        return Poly(self, {})
 
     def one(self) -> "Poly":
         return self.constant(self.field.one)
 
     def constant(self, c) -> "Poly":
         c = self.field.canon(c)
-        return Poly._from_packed(self, {self.packing.one: c} if c else {})
+        return Poly(self, {self.packing.one: c} if c else {})
 
     def var(self, i: int) -> "Poly":
         key = self.packing.one + self.packing.var[i]
-        return Poly._from_packed(self, {key: self.field.one})
+        return Poly(self, {key: self.field.one})
 
     def gens(self) -> tuple["Poly", ...]:
         return tuple(self.var(i) for i in range(self.nvars))
@@ -313,29 +313,24 @@ class Ring:
 class Poly:
     """Immutable sparse polynomial; equality is term-map equality.
 
-    packed is its one term map, {key in ring.packing: nonzero scalar};
-    callers must not mutate it.  terms is the same map on exponent tuples,
-    made on each read, for output and for code that reads exponents.
+    Poly(ring, packed) is the one constructor: packed is the term map,
+    {key in ring.packing: nonzero canonical scalar}, taken as it is, not
+    copied or checked, and callers must not mutate it afterwards.  terms is
+    the same map on exponent tuples, made on each read, for output and for
+    code that reads exponents.
     """
 
     __slots__ = ("ring", "packed")
 
-    def __init__(self, ring: Ring, terms: dict):
-        """The polynomial with terms {exponent tuple: nonzero scalar}."""
+    def __init__(self, ring: Ring, packed: dict):
         self.ring = ring
-        self.packed = ring.packing.pack_terms(terms)
-
-    @classmethod
-    def _from_packed(cls, ring: Ring, packed: dict) -> "Poly":
-        p = cls.__new__(cls)
-        p.ring = ring
-        p.packed = packed
-        return p
+        self.packed = packed
 
     @property
     def terms(self) -> dict:
         """{exponent tuple: nonzero scalar}, a new dict in term-map order."""
-        return self.ring.packing.unpack_terms(self.packed)
+        unpack = self.ring.packing.unpack
+        return {unpack(k): c for k, c in self.packed.items()}
 
     # -- basic queries -----------------------------------------------------
 
@@ -365,7 +360,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.packed)
         _add_shifted(terms, other.packed, 0, c, self.ring.field.modulus)
-        return Poly._from_packed(self.ring, terms)
+        return Poly(self.ring, terms)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -374,9 +369,7 @@ class Poly:
 
     def __neg__(self):
         neg = self.ring.field.neg
-        return Poly._from_packed(
-            self.ring, {e: neg(c) for e, c in self.packed.items()}
-        )
+        return Poly(self.ring, {e: neg(c) for e, c in self.packed.items()})
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -389,9 +382,8 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
-        return Poly._from_packed(
-            ring,
-            _product(self.packed, other.packed, ring.packing, ring.field.modulus),
+        return Poly(
+            ring, _product(self.packed, other.packed, ring.packing, ring.field.modulus)
         )
 
     __rmul__ = __mul__
@@ -409,7 +401,7 @@ class Poly:
             if n > 1:
                 base = _product(base, base, packing, q)
             n >>= 1
-        return Poly._from_packed(ring, result)
+        return Poly(ring, result)
 
     # -- composition ---------------------------------------------------------
 
@@ -448,7 +440,7 @@ class Poly:
                 if k:
                     term = _product(term, power(i, k), packing, q)
             _add_shifted(result, term, 0, 1, q)
-        return Poly._from_packed(target, result)
+        return Poly(target, result)
 
     # -- value semantics -----------------------------------------------------
 
@@ -581,7 +573,7 @@ def parse_poly(text: str, ring: Ring) -> Poly:
                 negate = op == "-"
                 i += 1
             elif i == end:
-                return Poly._from_packed(ring, terms)
+                return Poly(ring, terms)
             else:
                 raise _expected("'+' or '-'", text, tokens, i)
     except AlgebraError:
@@ -722,5 +714,5 @@ def det(matrix: Sequence[Sequence[Poly]]) -> Poly:
         minors = {cols: m for cols, m in grown.items() if m}
         for m in minors.values():
             packing.check(m)  # the next row shifts only keys within the bound
-    return Poly._from_packed(ring, minors.get(tuple(range(n)), {}))
+    return Poly(ring, minors.get(tuple(range(n)), {}))
 

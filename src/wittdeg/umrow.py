@@ -108,7 +108,7 @@ def is_unimodular(row: UnimodularRow) -> Optional[tuple[Poly, ...]]:
         check, _ = _reduce(check, relbasis, packing, field)
     if check:
         raise InternalError("certificate failed re-verification")
-    return tuple(Poly._from_packed(ring, _ratios(b, bd)) for b, bd in cofs)
+    return tuple(Poly(ring, _ratios(b, bd)) for b, bd in cofs)
 
 
 def compose_with_endo(row: UnimodularRow, endo: Endo) -> UnimodularRow:

@@ -5,36 +5,39 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import (
-    AlgebraPresentation,
+from wittdeg.degree import Endo, bezoutian, dual_ring
+from wittdeg.errors import (
     DegenerateForm,
-    Endo,
     ExponentBoundExceeded,
     FactorBoundExceeded,
-    FieldSpec,
-    GramForm,
     InternalError,
     NotFiniteLength,
     ParseError,
-    Poly,
-    Ring,
-    UnimodularRow,
     UnknownVariable,
-    det,
-    parse_poly,
 )
-from wittdeg.degree import bezoutian, dual_ring
 from wittdeg.fields import (
     FACTOR_BOUND,
+    FieldSpec,
     MR_PROVEN_BOUND,
     SMALL_PRIME_BOUND,
     _hilbert,
     _valuation,
     is_prime,
 )
-from wittdeg.orders import BOUND, GREVLEX
 from wittdeg.groebner import GroebnerBasis
-from wittdeg.poly import _clear, _divisor, _ratios, format_monomial
+from wittdeg.orders import BOUND, GREVLEX
+from wittdeg.poly import (
+    Poly,
+    Ring,
+    _clear,
+    _divisor,
+    _ratios,
+    det,
+    format_monomial,
+    parse_poly,
+)
+from wittdeg.umrow import AlgebraPresentation, UnimodularRow
+from wittdeg.witt import GramForm
 
 
 @pytest.fixture
@@ -56,18 +59,25 @@ def make_ring(field, *names):
     return Ring(tuple(names), field)
 
 
+def poly(ring, terms):
+    """The polynomial of ring with terms {exponent tuple: nonzero scalar},
+    each tuple packed, so that an exponent past the bound raises
+    ExponentBoundExceeded."""
+    pack = ring.packing.pack
+    return Poly(ring, {pack(e): c for e, c in terms.items()})
+
+
 def monomial(ring, exps, c=1):
     """The polynomial c * x^exps of ring, zero when c is."""
     c = ring.field.canon(c)
-    return Poly._from_packed(ring, {ring.packing.pack(exps): c} if c else {})
+    return Poly(ring, {ring.packing.pack(exps): c} if c else {})
 
 
 def monomial_nf(qa, a):
     """NF(x^a) in the QuotientAlgebra qa, on exponent tuples with canonical
     scalars: the entry of its normal-form table, which fills it if missing,
     read as exact values."""
-    packing = qa.ring.packing
-    return packing.unpack_terms(_ratios(*qa._nf_table[packing.pack(a)]))
+    return Poly(qa.ring, _ratios(*qa._nf_table[qa.ring.packing.pack(a)])).terms
 
 
 def certificate(gb):
@@ -77,7 +87,7 @@ def certificate(gb):
     if gb.cofactors is None:
         return None
     nums, den = gb.cofactors
-    return tuple(Poly._from_packed(gb.ring, _ratios(c, den)) for c in nums)
+    return tuple(Poly(gb.ring, _ratios(c, den)) for c in nums)
 
 
 def equivalent(inv1, inv2):
@@ -104,7 +114,7 @@ def in_order(polys, order):
     given monomial order."""
     ring = polys[0].ring
     ring = Ring(ring.variables, ring.field, order)
-    return [Poly(ring, p.terms) for p in polys]
+    return [poly(ring, p.terms) for p in polys]
 
 
 def reordered(endo, order):
@@ -154,7 +164,7 @@ def deriv(p, i):
         c = field.canon(c * e[i])
         if c:
             terms[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c
-    return Poly(p.ring, terms)
+    return poly(p.ring, terms)
 
 
 def jacobian_det(images):
@@ -318,7 +328,7 @@ def _reference_add(p, other):
             terms[e] = s
         else:
             terms.pop(e, None)
-    return Poly(p.ring, terms)
+    return poly(p.ring, terms)
 
 
 def _reference_mul(p, other):
@@ -334,7 +344,7 @@ def _reference_mul(p, other):
                 terms[e] = s
             else:
                 terms.pop(e, None)
-    return Poly(p.ring, terms)
+    return poly(p.ring, terms)
 
 
 def leading(p):
@@ -542,7 +552,7 @@ class _Parser:
                 self.advance()
                 negate = val == "-"
             elif kind == "end":
-                return Poly._from_packed(self.ring, terms)
+                return Poly(self.ring, terms)
             else:
                 raise ParseError(f"expected '+' or '-', got {val!r}", pos)
 

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
 import random
+import re
 import sys
+import tempfile
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittdeg import FieldSpec, cli
+from wittdeg import cli
 from wittdeg.cli import run
+from wittdeg.fields import FieldSpec
 from wittdeg.witt import GramForm, WittInvariants
 
 from conftest import canonical_gram, dense
@@ -644,3 +649,55 @@ def test_json_output_is_stdlib_indent2(capsys, argv):
     code, out, _ = run_cli(capsys, "--json", *argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@st.composite
+def _valid_jobs(draw):
+    """The text of a job file that parses: a map in 1 to 3 variables over
+    Q, F5 or F7, each image a sum of terms with exponents at most 3 and
+    small coefficients, some of them p/q, and now and then a constant term."""
+    n = draw(st.integers(1, 3))
+    names = [f"x{i}" for i in range(1, n + 1)]
+    scalars = st.one_of(
+        st.integers(1, 4).map(str),
+        st.builds("{}/{}".format, st.integers(1, 4), st.integers(2, 4)),
+    )
+    exponents = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    term = st.tuples(st.sampled_from("+-"), scalars, exponents)
+    terms = st.lists(term, min_size=1, max_size=3)
+    field = draw(st.sampled_from(("Q", "F5", "F7")))
+    # the variable whose image has a constant term, mostly none
+    constant = draw(st.sampled_from((None,) * 6 + tuple(names)))
+    lines = [f"field = {field}", f"vars = {', '.join(names)}"]
+    for name in names:
+        text = ""
+        for sign, c, exps in draw(terms):
+            factors = (v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
+            text += f" {sign} " + "*".join([c, *factors])
+        if name == constant:
+            text += f" + {draw(scalars)}"
+        lines.append(f"map {name} ={text.removeprefix(' +')}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_jobs())
+def test_exit_codes_on_random_valid_maps(text):
+    """Each command on a valid job file exits 0, 2 or 3 and raises nothing:
+    on a nonzero exit stdout is empty and stderr one error line, and a
+    --json document has one Gram row per element of the quotient basis."""
+    with tempfile.TemporaryDirectory() as tmp:
+        job = pathlib.Path(tmp, "random.job")
+        job.write_text(text)
+        commands = (["--json", "degree"], ["nori-check"], ["--order", "lex", "degree"])
+        for flags in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([*flags, str(job)])
+            assert code in (0, 2, 3), (flags, text)
+            if code:
+                assert out.getvalue() == ""
+                assert re.fullmatch(r"error: \w+: [^\n]*\n", err.getvalue())
+            elif flags[0] == "--json":
+                doc = json.loads(out.getvalue())
+                assert doc["length"] == len(doc["gram"])

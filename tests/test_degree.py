@@ -7,43 +7,36 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import (
-    Endo,
-    FieldSpec,
-    GREVLEX,
-    DegreeReport,
-    FactorBoundExceeded,
-    GramForm,
-    InternalError,
-    NotFiniteLength,
-    NotOriginPreserving,
-    Poly,
-    Ring,
-    SupportNotOrigin,
-    buchberger,
-    degree_of,
-    det,
-    diag_form,
-    is_witt_zero,
-    parse_poly,
-    square_class,
-    standard_monomials,
-    tensor,
-)
-
 from wittdeg import degree
+from wittdeg.cli import HYPOTHESIS_ERRORS, _endo_from_job, parse_job_file, run
 from wittdeg.degree import (
+    DegreeReport,
+    Endo,
     _gram_from_quotient,
     bezoutian,
+    degree_of,
     dual_ring,
     univariate_power_form,
     univariate_tensor_oracle,
     validate,
 )
-from wittdeg.groebner import QuotientAlgebra, normal_form
-from wittdeg.cli import HYPOTHESIS_ERRORS, _endo_from_job, parse_job_file, run
-from wittdeg.orders import LEX
-from wittdeg.witt import witt_equal
+from wittdeg.errors import (
+    FactorBoundExceeded,
+    InternalError,
+    NotFiniteLength,
+    NotOriginPreserving,
+    SupportNotOrigin,
+)
+from wittdeg.fields import FieldSpec, square_class
+from wittdeg.groebner import (
+    QuotientAlgebra,
+    buchberger,
+    normal_form,
+    standard_monomials,
+)
+from wittdeg.orders import GREVLEX, LEX
+from wittdeg.poly import Ring, det, parse_poly
+from wittdeg.witt import GramForm, diag_form, is_witt_zero, tensor, witt_equal
 
 from conftest import (
     basis_of,
@@ -58,6 +51,7 @@ from conftest import (
     make_endo,
     monomial,
     monomial_nf,
+    poly,
     power_endo,
     random_poly,
     random_unit,
@@ -147,7 +141,7 @@ def _reference_lift(p, ring2, offset):
     terms = {
         (0,) * offset + e + (0,) * pad: c for e, c in p.terms.items()
     }
-    return Poly(ring2, terms)
+    return poly(ring2, terms)
 
 
 def _reference_combined_basis(qa, ring2):
@@ -497,7 +491,7 @@ def _twin(endo, field):
     images = []
     for f in endo.images:
         terms = {e: field.canon(c) for e, c in f.terms.items()}
-        images.append(Poly(ring, {e: c for e, c in terms.items() if c}))
+        images.append(poly(ring, {e: c for e, c in terms.items() if c}))
     return Endo(ring=ring, images=tuple(images))
 
 

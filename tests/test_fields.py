@@ -4,27 +4,27 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import (
+from wittdeg.errors import (
     AlgebraError,
     EvenModulus,
     FactorBoundExceeded,
-    FieldSpec,
     ParseError,
-    Ring,
     ZeroScalar,
-    square_class,
-    square_class_mul,
-    square_classes,
 )
 from wittdeg.fields import (
     FACTOR_BOUND,
+    FieldSpec,
     MR_FOUR_WITNESS_BOUND,
     MR_PROVEN_BOUND,
     _hilbert,
     _pair_classes,
     hasse_places,
     is_prime,
+    square_class,
+    square_class_mul,
+    square_classes,
 )
+from wittdeg.poly import Ring
 
 from conftest import hilbert, is_canonical_scalar, reference_pair_classes
 
@@ -92,6 +92,9 @@ def test_integral_rationals_are_ints(Q):
     for x in (Q.zero, Q.one, Q.from_int(-3), square_class(Q, Fraction(9, 8))):
         assert type(x) is int
     assert type(square_class_mul(Q, 2, -6)) is int
+    # the classes are ints: a Fraction is refused, not read by its numerator
+    with pytest.raises(TypeError):
+        square_class_mul(Q, Fraction(1, 2), 2)
 
 
 def test_canon_rejects_non_scalars(Q, F7):

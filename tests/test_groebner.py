@@ -8,24 +8,19 @@ from operator import add, sub
 
 import pytest
 
-from wittdeg import (
-    GREVLEX,
-    ExponentBoundExceeded,
-    InternalError,
-    NotFiniteLength,
-    Ring,
+from wittdeg import groebner, umrow
+from wittdeg.degree import Endo
+from wittdeg.errors import ExponentBoundExceeded, InternalError, NotFiniteLength
+from wittdeg.groebner import (
+    QuotientAlgebra,
     buchberger,
     contains_one_with_certificate,
-    parse_poly,
+    normal_form,
     standard_monomials,
     supported_only_at_origin,
-    groebner,
-    umrow,
 )
-from wittdeg.degree import Endo
-from wittdeg.groebner import QuotientAlgebra, normal_form
-from wittdeg.orders import LEX
-from wittdeg.poly import Poly, _add_shifted, _reduce
+from wittdeg.orders import GREVLEX, LEX
+from wittdeg.poly import Poly, Ring, _add_shifted, _reduce, parse_poly
 from wittdeg.umrow import UnimodularRow, compose_with_endo, is_unimodular
 
 import conftest
@@ -39,6 +34,7 @@ from conftest import (
     leading,
     monomial,
     monomial_nf,
+    poly,
     random_poly,
     random_unit,
     reference_divide,
@@ -243,7 +239,7 @@ def test_contains_one_with_relation(Q):
     assert den > 0 and all(type(v) is int for c in nums for v in c.values())
     total = ring.zero()
     for c, g in zip(nums, gens):
-        total = total + Poly._from_packed(ring, c) * g
+        total = total + Poly(ring, c) * g
     assert total == ring.constant(den)
 
 
@@ -585,11 +581,11 @@ def _eager_reduce_basis(gens, work, packing, track):
                 changed = True
     kept.sort(key=lambda w: order.key(w[0]))
     basis = tuple(
-        Poly._from_packed(ring, {packing.pack(lead): lc, **tail})
+        Poly(ring, {packing.pack(lead): lc, **tail})
         for lead, lc, tail, _ in kept
     )
     cofactors = (
-        tuple(tuple(Poly._from_packed(ring, c) for c in w[3]) for w in kept)
+        tuple(tuple(Poly(ring, c) for c in w[3]) for w in kept)
         if track
         else None
     )
@@ -622,7 +618,7 @@ def _chain_ideal(rng, ring):
         exps[i] = rng.randint(1, 3)
         tail = random_poly(rng, ring, max_degree=3, max_terms=3).terms
         tail = {e: c for e, c in tail.items() if not any(e[: i + 1])}
-        gens.append(monomial(ring, exps) + Poly(ring, tail))
+        gens.append(monomial(ring, exps) + poly(ring, tail))
     return gens
 
 

@@ -2,24 +2,22 @@ import random
 
 import pytest
 
-from wittdeg import (
-    Ring,
-    RingMismatch,
-    dual_differential_sign,
-    generic_duality,
-    resolve_dual_signs,
-    symmetry_sign,
-    verify_chain_map,
-    verify_symmetry,
-)
+from wittdeg.errors import RingMismatch
 from wittdeg.koszul import (
     _mat_mul,
     _mat_scale,
     _mat_transpose,
     build_koszul,
+    dual_differential_sign,
+    generic_duality,
+    resolve_dual_signs,
     rho_sign_exponent,
+    symmetry_sign,
+    verify_chain_map,
+    verify_symmetry,
     wedge_basis,
 )
+from wittdeg.poly import Ring
 
 from conftest import random_poly
 

@@ -1,9 +1,9 @@
 """Static checks on the package layout, read with ``ast`` only.
 
-The package namespace re-exports a name only if the layers share it, under
-its own name, no module keeps an import it does not use, and every public
-function, and every public member of a class, is reached by a command, a
-pipeline stage or the benchmark.
+The package namespace binds no names, so each name is imported from the
+module that defines it; no module keeps an import it does not use; and
+every public function, and every public member of a class, is reached by a
+command, a pipeline stage or the benchmark.
 """
 
 import ast
@@ -33,34 +33,16 @@ def _imported(tree) -> list:
     return out
 
 
-def test_reexports_are_shared_between_modules():
-    modules = _modules()
-    shared = {
-        name
-        for stem, tree in modules.items()
-        if stem != "__init__"
-        for _, name, _ in _imported(tree)
-    }
-    unshared = [
-        name for _, name, _ in _imported(modules["__init__"]) if name not in shared
-    ]
-    assert not unshared, f"re-exported but imported by no module: {unshared}"
-
-
-def test_reexports_keep_their_names():
-    renamed = [
-        f"{name} as {bound}"
-        for bound, name, _ in _imported(_modules()["__init__"])
-        if bound != name
-    ]
-    assert not renamed, f"re-exported under another name: {renamed}"
+def test_package_namespace_is_its_docstring_alone():
+    tree = _modules()["__init__"]
+    assert ast.get_docstring(tree) and len(tree.body) == 1, (
+        "wittdeg/__init__.py binds names: import each from its defining module"
+    )
 
 
 def test_no_module_imports_an_unused_name():
     unused = []
     for stem, tree in _modules().items():
-        if stem == "__init__":
-            continue  # its imports are the re-exports
         loaded = {
             node.id
             for node in ast.walk(tree)
@@ -99,7 +81,7 @@ def _console_script_targets() -> set:
 def test_every_public_function_is_reached():
     """A public module-level function of the package is named somewhere
     other than in its own body: by another statement of the package (not an
-    import, so a re-export alone does not count), by the benchmark's
+    import, so being imported alone does not count), by the benchmark's
     scripts, or as a console-script entry point.  What only tests call
     belongs in tests."""
     reached = _console_script_targets()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittdeg import ExponentBoundExceeded
+from wittdeg.errors import ExponentBoundExceeded
 from wittdeg.orders import BOUND, GREVLEX, LEX
 
 # exponents near 0, near the bound, and anywhere in between

@@ -4,23 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wittdeg import (
+from wittdeg.cli import HYPOTHESIS_ERRORS, parse_job_file
+from wittdeg.degree import Endo
+from wittdeg.errors import (
     AlgebraError,
     ExponentBoundExceeded,
     NotSquareSystem,
     ParseError,
-    Ring,
     RingMismatch,
     UnknownVariable,
-    FieldSpec,
-    Poly,
-    det,
-    parse_poly,
 )
-from wittdeg.degree import Endo
-from wittdeg.cli import HYPOTHESIS_ERRORS, parse_job_file
+from wittdeg.fields import FieldSpec
 from wittdeg.orders import GREVLEX, LEX
-from wittdeg.poly import format_poly
+from wittdeg.poly import Poly, Ring, det, format_poly, parse_poly
 
 from conftest import (
     _reference_add,

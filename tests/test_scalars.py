@@ -18,18 +18,13 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import (
-    DegenerateForm,
-    Endo,
-    FieldSpec,
-    GramForm,
-    NonCanonicalForm,
-    Ring,
-)
 from wittdeg.cli import _endo_from_job, _row_from_job, parse_job_file
-from wittdeg.degree import _gram_from_quotient, degree_of, validate
+from wittdeg.degree import Endo, _gram_from_quotient, degree_of, validate
+from wittdeg.errors import DegenerateForm, NonCanonicalForm
+from wittdeg.fields import FieldSpec
+from wittdeg.poly import Ring
 from wittdeg.umrow import compose_with_endo, is_unimodular
-from wittdeg.witt import DiagForm, _eliminate, diagonalize, invariants
+from wittdeg.witt import DiagForm, GramForm, _eliminate, diagonalize, invariants
 
 from conftest import is_canonical_scalar, monomial_nf, random_poly, random_unit
 

@@ -4,24 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import (
+from wittdeg import groebner, umrow
+from wittdeg.cli import run
+from wittdeg.degree import Endo
+from wittdeg.errors import ArityMismatch, EvenN, InternalError
+from wittdeg.groebner import buchberger, normal_form
+from wittdeg.poly import Poly, Ring, parse_poly
+from wittdeg.umrow import (
     AlgebraPresentation,
-    ArityMismatch,
-    Endo,
-    EvenN,
-    InternalError,
-    Poly,
-    Ring,
     UnimodularRow,
-    buchberger,
     compose_with_endo,
     is_unimodular,
     obstruction_report,
-    parse_poly,
 )
-from wittdeg import groebner, umrow
-from wittdeg.cli import run
-from wittdeg.groebner import normal_form
 
 from conftest import (
     basis_of,
@@ -210,7 +205,7 @@ def test_check_reduces_cofactors_modulo_the_relations(Q, F7, monkeypatch):
             (0, -x1 * y1, False),
         ):
             moved = list(nums)
-            b = Poly._from_packed(ring, moved[index]) + move * den
+            b = Poly(ring, moved[index]) + move * den
             moved[index] = b.packed
             monkeypatch.setattr(
                 umrow,

@@ -6,37 +6,37 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import (
+from wittdeg import fields, witt
+from wittdeg.degree import degree_of
+from wittdeg.errors import (
     AlgebraError,
     DegenerateForm,
-    DiagForm,
     FactorBoundExceeded,
-    FieldSpec,
     NonCanonicalForm,
-    degree_of,
-    diag_form,
-    diagonalize,
-    invariants,
-    is_witt_zero,
-    parse_diag,
-    tensor,
-    witt_class_display,
 )
 from wittdeg.fields import (
     FACTOR_BOUND,
+    FieldSpec,
     _hilbert,
     hasse_places,
     is_prime,
     square_class,
     square_class_mul,
 )
-from wittdeg import fields, witt
 from wittdeg.witt import (
+    DiagForm,
     GramForm,
     _eliminate,
     _strip_obvious_pairs,
+    diag_form,
+    diagonalize,
+    invariants,
+    is_witt_zero,
     negate,
     orthogonal_sum,
+    parse_diag,
+    tensor,
+    witt_class_display,
     witt_equal,
 )
 
