@@ -167,8 +167,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Optional, Sequence
 
 from .errors import InternalError, NotFiniteLength, RingMismatch
@@ -579,10 +580,14 @@ class QuotientAlgebra:
 def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
     """Monomial basis of the quotient; errors if it is infinite.
 
-    Finiteness test: every variable must have a pure power among the leading
-    monomials.  Standard monomials then live in the box bounded by those
-    pure powers, and they are grown from 1 (`_order_ideal`), not found in
-    the box.
+    A monomial is standard iff no leading monomial divides it (Cox, Little
+    & O'Shea, ch. 2 section 7 and ch. 5 section 3).  Each lead is unpacked
+    once and filed under the variable of its last nonzero exponent, so a
+    pure power of x_i is filed under x_i.  Finiteness test: every variable
+    must have a pure power among the leading monomials.  Standard monomials
+    then live in the box bounded by the least of those pure powers; its
+    corner is checked against the exponent bound, and `_staircase` reads
+    the standard set off the filed leads column by column.
     """
     ring = gb.ring
     n = ring.nvars
@@ -591,14 +596,15 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
     if packing.one in leads:
         # the ideal is the whole ring; the quotient is the zero ring
         return QuotientAlgebra(gb, ())
-    box = [None] * n
+    tops = [[] for _ in range(n)]
     for e in map(packing.unpack, leads):
-        nz = [i for i, x in enumerate(e) if x]
-        if len(nz) == 1:
-            i = nz[0]
-            if box[i] is None or e[i] < box[i]:
-                box[i] = e[i]
-    missing = [ring.variables[i] for i in range(n) if box[i] is None]
+        j = max(compress(range(n), e))
+        tops[j].append((e[j], e))
+    box = []
+    for j, top in enumerate(tops):
+        top.sort()
+        box.append(next((b for b, e in top if not any(e[:j])), None))
+    missing = [x for x, b in zip(ring.variables, box) if b is None]
     if missing:
         raise NotFiniteLength(
             "no pure power of "
@@ -608,49 +614,32 @@ def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
     # the corner of the box, the largest standard monomial that can be, is
     # checked against the exponent bound first
     packing.pack([b - 1 for b in box])
-    seen = _order_ideal(packing, set(leads))
-    return QuotientAlgebra(gb, tuple(sorted(k for k, std in seen.items() if std)))
+    return QuotientAlgebra(gb, _staircase(tops, packing))
 
 
-def _order_ideal(packing, leads: set) -> dict:
-    """{key: whether it is standard} for every key the growth examines.
+def _staircase(tops: list, packing: Packing) -> tuple[int, ...]:
+    """The ascending keys of the standard monomials, from the leads filed
+    by their last variable: tops[j] holds (e[j], e) for each lead e whose
+    last nonzero exponent is e[j], lowest first.
 
-    The standard monomials form an order ideal, grown here degree by
-    degree from 1: a product m * x_i of a standard m is examined once, and
-    it is standard iff it is no lead and every quotient of it by a variable
-    dividing it is standard.  (A lead that divides it properly divides one
-    of those quotients.)  So the keys examined are the standard monomials
-    and some of their border, the non-standard products m * x_i.  x_j
-    divides the key c iff c - var[j] has no guard bit set, and then
-    c - var[j] is the key of c / x_j.  The caller has checked the corner
-    of the box against the exponent bound, so a product of a standard key
-    with a variable still names its monomial.
+    The standard set is grown one variable at a time, as the prefixes p of
+    the first j exponents that are standard monomials in x_0..x_(j-1).
+    x^p * x_j^k is standard iff k is below the height of p's column: the
+    least e[j] of a lead e under x_j whose earlier exponents are all at
+    most p's, the first such entry of tops[j].  Only x_j's leads bound the
+    column, since a lead whose last variable comes earlier would divide
+    x^p, and the pure power of x_j, filed there, always qualifies.  Each
+    key is built as its prefix grows; the box corner has passed the
+    exponent bound, so every key names its monomial.
     """
-    one, var, guard = packing.one, packing.var, packing.guard
-    # each offset with the others: c / x_i for the x_i that c came by is m
-    others = [(v, [u for u in var if u != v]) for v in var]
-    seen = {one: True}
-    get = seen.get
-    layer = [one]
-    while layer:
+    cols = [((), packing.one)]
+    for top, v in zip(tops, packing.var):
         grown = []
-        for m in layer:
-            for v, rest in others:
-                c = m + v
-                if c in seen:
-                    continue
-                std = c not in leads
-                if std:
-                    for u in rest:
-                        d = c - u
-                        if not get(d) and not d & guard:
-                            std = False
-                            break
-                seen[c] = std
-                if std:
-                    grown.append(c)
-        layer = grown
-    return seen
+        for p, key in cols:
+            height = next(b for b, e in top if all(map(le, e, p)))
+            grown.extend((p + (k,), key + k * v) for k in range(height))
+        cols = grown
+    return tuple(sorted(key for _, key in cols))
 
 
 def supported_only_at_origin(qa: QuotientAlgebra) -> bool:

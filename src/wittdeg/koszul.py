@@ -197,12 +197,11 @@ def verify_chain_map(dd: DualityData, maps=None) -> bool:
     )
 
 
-def verify_symmetry(dd: DualityData, maps=None) -> bool:
-    """maps[n-i] = sigma * transpose(maps[i]) at every level i, sigma the
-    frozen uniform sign."""
+def verify_symmetry(dd: DualityData) -> bool:
+    """signed_maps[n-i] = sigma * transpose(signed_maps[i]) at every level
+    i, sigma the frozen uniform sign."""
     n = dd.n
-    if maps is None:
-        maps = dd.signed_maps
+    maps = dd.signed_maps
     sigma = symmetry_sign(n)
     return all(
         maps[n - i] == _mat_scale(_mat_transpose(maps[i]), sigma)

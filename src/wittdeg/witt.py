@@ -366,38 +366,31 @@ def invariants(d: DiagForm) -> WittInvariants:
             disc = square_class_mul(field, disc, a)
     sign_factor = square_class(field, -1) if (r * (r - 1) // 2) % 2 else field.one
     signed_disc = square_class_mul(field, disc, sign_factor)
-    if not field.is_rationals:
-        return WittInvariants(
-            field=field,
-            rank=r,
-            signature=None,
-            signed_discriminant=signed_disc,
-            hasse={},
-        )
-    signature = sum(k if a > 0 else -k for a, k in counts.items())
-    # prod_{i<j} (a_i, a_j)_v group by group, as the Hilbert symbols
-    # (prefix, a)_v^k (a, -1)_v^(k(k-1)/2) (see above); a symbol is +-1, so
-    # only odd exponents count, and a symbol with an argument 1 is 1.
-    # Classes and entries are squarefree integers, and the places come from
-    # the primes that DiagForm checked, so the kernel runs as is
-    symbols = []
-    prefix = 1
-    for a, k in counts.items():
-        if a == 1:
-            continue
-        if k % 2:
-            if prefix != 1:
-                symbols.append((prefix, a))
-            prefix = square_class_mul(field, prefix, a)
-        if k * (k - 1) // 2 % 2:
-            symbols.append((a, -1))
-    hasse = {}
-    for v in hasse_places(d.primes):
-        if v in ("inf", 2):
-            pairs = symbols
-        else:  # both arguments are units at v unless v divides one
-            pairs = [(x, a) for x, a in symbols if not (x % v and a % v)]
-        hasse[str(v)] = math.prod(_hilbert(x, a, v) for x, a in pairs)
+    signature, hasse = None, {}
+    if field.is_rationals:
+        signature = sum(k if a > 0 else -k for a, k in counts.items())
+        # prod_{i<j} (a_i, a_j)_v group by group, as the Hilbert symbols
+        # (prefix, a)_v^k (a, -1)_v^(k(k-1)/2) (see above); a symbol is +-1,
+        # so only odd exponents count, and a symbol with an argument 1 is 1.
+        # Classes and entries are squarefree integers, and the places come
+        # from the primes that DiagForm checked, so the kernel runs as is
+        symbols = []
+        prefix = 1
+        for a, k in counts.items():
+            if a == 1:
+                continue
+            if k % 2:
+                if prefix != 1:
+                    symbols.append((prefix, a))
+                prefix = square_class_mul(field, prefix, a)
+            if k * (k - 1) // 2 % 2:
+                symbols.append((a, -1))
+        for v in hasse_places(d.primes):
+            if v in ("inf", 2):
+                pairs = symbols
+            else:  # both arguments are units at v unless v divides one
+                pairs = [(x, a) for x, a in symbols if not (x % v and a % v)]
+            hasse[str(v)] = math.prod(_hilbert(x, a, v) for x, a in pairs)
     return WittInvariants(
         field=field,
         rank=r,

@@ -300,6 +300,7 @@ def test_exit_2_whole_file_error_carries_path(
             ["witt", "invariants", "1," + "3" * 5000],
             "ParseError: number of 5000 digits (at position 0)",
         ),
+        (["witt", "invariants", "1/0"], "ParseError: zero denominator (at position 0)"),
     ],
     ids=[
         "compose-F7-row-with-Q-map",
@@ -313,6 +314,7 @@ def test_exit_2_whole_file_error_carries_path(
         "witt-field-proven-bound",
         "witt-arabic-indic-entry",
         "witt-entry-past-digit-limit",
+        "witt-zero-denominator",
     ],
 )
 def test_exit_2_argument_errors(tmp_path, capsys, argv, message):
@@ -510,6 +512,22 @@ def test_row_compose_number_past_digit_limit(tmp_path, capsys, flags):
         " 4300 digits\n"
     )
     assert out == ""
+
+
+def test_other_value_errors_keep_their_traceback(monkeypatch):
+    """Only CPython's digit limit becomes exit 2; any other ValueError is a
+    fault of the program and is raised."""
+
+    def boom(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_witt_invariants", boom)
+    cli._parser.cache_clear()  # the parser holds the command it was built with
+    try:
+        with pytest.raises(ValueError, match="^boom$"):
+            run(["witt", "invariants", "1"])
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_reused_parser_matches_fresh_calls(capsys):

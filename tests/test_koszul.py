@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -140,9 +141,11 @@ def test_symmetry_signed_family(Q):
 
 def test_symmetry_fails_with_one_level_negated(Q):
     dd3 = generic_duality(Q, 3)
-    assert not verify_symmetry(dd3, negated_level(dd3.signed_maps, 1))
+    signed_maps = negated_level(dd3.signed_maps, 1)
+    assert not verify_symmetry(replace(dd3, signed_maps=signed_maps))
     dd2 = generic_duality(Q, 2)
-    assert not verify_symmetry(dd2, negated_level(dd2.signed_maps, 0))
+    signed_maps = negated_level(dd2.signed_maps, 0)
+    assert not verify_symmetry(replace(dd2, signed_maps=signed_maps))
 
 
 def test_negating_everything_stays_symmetric(Q):
@@ -151,7 +154,7 @@ def test_negating_everything_stays_symmetric(Q):
     maps = dd.signed_maps
     for i in range(4):
         maps = negated_level(maps, i)
-    assert verify_symmetry(dd, maps)
+    assert verify_symmetry(replace(dd, signed_maps=maps))
 
 
 def test_wedge_antisymmetry(Q):
