@@ -38,8 +38,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .degree import DegreeReport, Endo, degree_of
 from .errors import (
@@ -52,14 +50,6 @@ from .errors import (
     SupportNotOrigin,
 )
 from .fields import FieldSpec
-from .koszul import (
-    dual_differential_sign,
-    generic_duality,
-    resolve_dual_signs,
-    symmetry_sign,
-    verify_chain_map,
-    verify_symmetry,
-)
 from .orders import GREVLEX, MonomialOrder, by_name
 from .poly import Poly, Ring, parse_poly
 from .umrow import (
@@ -81,14 +71,20 @@ from .witt import (
 HYPOTHESIS_ERRORS = (NotFiniteLength, SupportNotOrigin, NotOriginPreserving, EvenN)
 
 
-@dataclass
 class JobFile:
     """Parsed job or row file."""
 
+    __slots__ = ("ring", "maps", "relations", "row")
     ring: Ring
     maps: dict[str, Poly]
     relations: tuple[Poly, ...]
-    row: Optional[tuple[Poly, ...]]
+    row: tuple[Poly, ...] | None
+
+    def __init__(self, ring, maps, relations, row):
+        self.ring = ring
+        self.maps = maps
+        self.relations = relations
+        self.row = row
 
 
 _FIELD_RE = re.compile(r"F([1-9][0-9]*)")
@@ -358,6 +354,16 @@ def _cmd_witt_is_zero(args) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_koszul_verify(args) -> tuple[int, dict | list[str]]:
+    # the one command that reads koszul, so no other run pays its import
+    from .koszul import (
+        dual_differential_sign,
+        generic_duality,
+        resolve_dual_signs,
+        symmetry_sign,
+        verify_chain_map,
+        verify_symmetry,
+    )
+
     n = args.n
     if n < 1:
         raise AlgebraError("--n must be at least 1")

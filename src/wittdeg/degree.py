@@ -41,12 +41,12 @@ included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import mul
-from typing import Sequence
 
 from .errors import (
     ArityMismatch,
+    Frozen,
     InternalError,
     NotOriginPreserving,
     RingMismatch,
@@ -79,21 +79,21 @@ from .witt import (
     tensor,
 )
 
-@dataclass(frozen=True)
-class Endo:
+class Endo(Frozen):
     """An endomorphism of the polynomial ring: variable i maps to images[i]."""
 
+    __slots__ = ("ring", "images")
     ring: Ring
     images: tuple[Poly, ...]
 
-    def __post_init__(self):
-        if len(self.images) != self.ring.nvars:
-            raise ArityMismatch(
-                f"{len(self.images)} images for {self.ring.nvars} variables"
-            )
-        for p in self.images:
-            if p.ring != self.ring:
+    def __init__(self, ring, images):
+        if len(images) != ring.nvars:
+            raise ArityMismatch(f"{len(images)} images for {ring.nvars} variables")
+        for p in images:
+            if p.ring != ring:
                 raise RingMismatch("image in a different ring")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -269,17 +269,23 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     return GramForm(endo.field, tuple(b), den)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(Frozen):
     """deg(g) in the Witt group, as the four stages computed it: the
     quotient, the Gram form of its residue pairing, a diagonal form and its
     invariants.  The field, n, the length, the verdicts and the basis
     labels are read off them."""
 
+    __slots__ = ("quotient", "gram", "diag", "invariants")
     quotient: QuotientAlgebra
     gram: GramForm
     diag: DiagForm
     invariants: WittInvariants
+
+    def __init__(self, quotient, gram, diag, invariants):
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "invariants", invariants)
 
     @property
     def field(self) -> FieldSpec:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its
+read-only records."""
 
 
 class AlgebraError(Exception):
@@ -85,3 +86,17 @@ class ExponentBoundExceeded(AlgebraError):
 class DigitLimitExceeded(AlgebraError):
     """A number to print has more digits than the interpreter converts to
     text (CPython's int-to-str limit, ``sys.get_int_max_str_digits()``)."""
+
+
+class Frozen:
+    """Base of the read-only records: assigning or deleting an attribute
+    raises AttributeError.  Each record's __init__ sets its fields once,
+    with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")

@@ -87,7 +87,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_SMALL_PRIMES = tuple(p for p in range(SMALL_PRIME_BOUND) if is_prime(p))
+def _sieve(bound: int) -> tuple[int, ...]:
+    """The primes below bound, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * bound
+    flags[:2] = bytes(2)
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(flags[p * p :: p]))
+    return tuple(n for n, flag in enumerate(flags) if flag)
+
+
+_SMALL_PRIMES = _sieve(SMALL_PRIME_BOUND)
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 

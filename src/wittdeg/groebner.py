@@ -165,14 +165,12 @@ same choices, in the same sequence, as a kernel on exponent tuples would.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Sequence
 from itertools import compress
 from math import gcd, lcm
 from operator import itemgetter, le
-from typing import Optional, Sequence
 
-from .errors import InternalError, NotFiniteLength, RingMismatch
+from .errors import Frozen, InternalError, NotFiniteLength, RingMismatch
 from .orders import BITS, Packing
 from .poly import (
     Poly,
@@ -197,8 +195,7 @@ def _common_ring(polys: Sequence[Poly]) -> Ring:
     return ring
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Frozen):
     """A reduced Groebner basis, with the unit certificate when one was asked
     for.
 
@@ -212,9 +209,15 @@ class GroebnerBasis:
     umrow.is_unimodular checks it and converts what it prints.
     """
 
+    __slots__ = ("generators", "entries", "cofactors")
     generators: tuple[Poly, ...]
     entries: tuple[tuple, ...]
-    cofactors: Optional[tuple[tuple[dict, ...], int]] = None
+    cofactors: tuple[tuple[dict, ...], int] | None
+
+    def __init__(self, generators, entries, cofactors=None):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "cofactors", cofactors)
 
     @property
     def ring(self) -> Ring:
@@ -531,22 +534,28 @@ class _NFTable(dict):
         return self[a]
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
+class QuotientAlgebra(Frozen):
     """k[x]/I with a finite standard-monomial basis.
 
     keys are the standard monomials, those outside the leading-term ideal,
     as ascending keys in the ring's packing; the rest is read off them:
     dimension is their count (the length of the quotient), and monomials
-    their exponent tuples, unpacked on each read.  One memoized table,
-    _nf_table, holds the normal forms of monomials by their keys, so every
-    user of one quotient shares it; it is seeded from the reduced basis and
-    filled without division (see the module docstring and _NFTable).  Its
-    entries are in the integer working form, (nums, den).
+    their exponent tuples, unpacked on each read.  One table, _nf_table,
+    built on first read and kept in the _nf slot, holds the normal forms of
+    monomials by their keys, so every user of one quotient shares it; it is
+    seeded from the reduced basis and filled without division (see the
+    module docstring and _NFTable).  Its entries are in the integer working
+    form, (nums, den).
     """
 
+    __slots__ = ("gb", "keys", "_nf")
     gb: GroebnerBasis
     keys: tuple[int, ...]
+
+    def __init__(self, gb, keys):
+        object.__setattr__(self, "gb", gb)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "_nf", None)
 
     @property
     def ring(self) -> Ring:
@@ -560,21 +569,26 @@ class QuotientAlgebra:
     def monomials(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(self.ring.packing.unpack, self.keys))
 
-    @cached_property
+    @property
     def _nf_table(self) -> _NFTable:
         """The normal-form table, seeded with the standard monomials and the
-        leads.
+        leads on first read and kept.
 
         A standard monomial is its own normal form.  The basis is reduced:
         each divisor entry is lc * x^lead + tail with a standard tail, so
         the normal form of its leading monomial is -tail / lc (for the unit
         ideal, NF(1) is 0).
         """
-        field = self.ring.field
-        seeds = {m: ({m: 1}, 1) for m in self.keys}
-        for lead, lc, tail, _ in self.gb.entries:
-            seeds[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
-        return _NFTable(seeds, frozenset(self.keys), field.modulus, self.ring.packing)
+        table = self._nf
+        if table is None:
+            field = self.ring.field
+            seeds = {m: ({m: 1}, 1) for m in self.keys}
+            for lead, lc, tail, _ in self.gb.entries:
+                seeds[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
+            standard = frozenset(self.keys)
+            table = _NFTable(seeds, standard, field.modulus, self.ring.packing)
+            object.__setattr__(self, "_nf", table)
+        return table
 
 
 def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:

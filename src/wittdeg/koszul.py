@@ -30,10 +30,9 @@ empty, and two matrices are equal when their dicts are.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from .errors import InternalError, RingMismatch
+from .errors import Frozen, InternalError, RingMismatch
 from .poly import Poly, Ring
 
 
@@ -59,13 +58,18 @@ def _merge_sign(s: Sequence[int], t: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True)
-class KoszulComplex:
+class KoszulComplex(Frozen):
     """Differentials d_i : Lambda^i -> Lambda^{i-1} in the wedge basis."""
 
+    __slots__ = ("ring", "sequence", "differentials")
     ring: Ring
     sequence: tuple[Poly, ...]
     differentials: tuple[dict, ...]  # index i-1 -> d_i
+
+    def __init__(self, ring, sequence, differentials):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "differentials", differentials)
 
     @property
     def n(self) -> int:
@@ -127,8 +131,7 @@ def rho_sign_exponent(i: int, n: int) -> int:
     return i * n + i * (i - 1) // 2 + n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class DualityData:
+class DualityData(Frozen):
     """Wedge pairings and their sign-corrected versions for one complex.
 
     wedge_maps[i] and signed_maps[i] are matrices Lambda^i -> the dual of
@@ -136,9 +139,15 @@ class DualityData:
     entries are constants of the ring.
     """
 
+    __slots__ = ("complex", "wedge_maps", "signed_maps")
     complex: KoszulComplex
     wedge_maps: tuple
     signed_maps: tuple
+
+    def __init__(self, complex, wedge_maps, signed_maps):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "wedge_maps", wedge_maps)
+        object.__setattr__(self, "signed_maps", signed_maps)
 
     @property
     def n(self) -> int:
@@ -165,7 +174,7 @@ def build_duality(kc: KoszulComplex) -> DualityData:
     )
 
 
-def resolve_dual_signs(dd: DualityData, maps=None) -> list[Optional[int]]:
+def resolve_dual_signs(dd: DualityData, maps=None) -> list[int | None]:
     """Per-square exponent making maps a chain map, or None if impossible.
 
     Square i compares maps[i-1] o d_i against transpose(d_{n-i+1}) o
@@ -175,7 +184,7 @@ def resolve_dual_signs(dd: DualityData, maps=None) -> list[Optional[int]]:
     n = kc.n
     if maps is None:
         maps = dd.signed_maps
-    out: list[Optional[int]] = []
+    out: list[int | None] = []
     for i in range(1, n + 1):
         lhs = _mat_mul(maps[i - 1], kc.d(i))
         rhs = _mat_mul(_mat_transpose(kc.d(n - i + 1)), maps[i])

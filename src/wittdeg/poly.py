@@ -57,11 +57,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Sequence
 from itertools import islice
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Sequence
 
 from .errors import (
     AlgebraError,

@@ -22,48 +22,50 @@ injective), and the verdict strings keep that asymmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Optional
 
 from .degree import DegreeReport, Endo, degree_of
-from .errors import ArityMismatch, EvenN, InternalError, RingMismatch
+from .errors import ArityMismatch, EvenN, Frozen, InternalError, RingMismatch
 from .groebner import buchberger, contains_one_with_certificate
 from .poly import Poly, Ring, _add_shifted, _clear, _ratios, _reduce
 from .witt import witt_class_display
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Frozen):
     """k[variables] / (relations); relations may be empty."""
 
+    __slots__ = ("ring", "relations")
     ring: Ring
-    relations: tuple[Poly, ...] = ()
+    relations: tuple[Poly, ...]
 
-    def __post_init__(self):
-        for r in self.relations:
-            if r.ring != self.ring:
+    def __init__(self, ring, relations=()):
+        for r in relations:
+            if r.ring != ring:
                 raise RingMismatch("relation outside the declared ring")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "relations", relations)
 
 
-@dataclass(frozen=True)
-class UnimodularRow:
+class UnimodularRow(Frozen):
     """A row of polynomial lifts over a presented algebra."""
 
+    __slots__ = ("algebra", "entries")
     algebra: AlgebraPresentation
     entries: tuple[Poly, ...]
 
-    def __post_init__(self):
-        for e in self.entries:
-            if e.ring != self.algebra.ring:
+    def __init__(self, algebra, entries):
+        for e in entries:
+            if e.ring != algebra.ring:
                 raise RingMismatch("row entry outside the algebra's ring")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
-def is_unimodular(row: UnimodularRow) -> Optional[tuple[Poly, ...]]:
+def is_unimodular(row: UnimodularRow) -> tuple[Poly, ...] | None:
     """Certificate (b_1,...,b_n) with sum(b_i * a_i) == 1 mod relations.
 
     Returns None when 1 is not in the ideal.  The entry cofactors of

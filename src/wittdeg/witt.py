@@ -52,12 +52,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field as dataclass_field
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Optional
 
-from .errors import DegenerateForm, NonCanonicalForm, RingMismatch
+from .errors import DegenerateForm, Frozen, NonCanonicalForm, RingMismatch
 from .fields import (
     FieldSpec,
     _hilbert,
@@ -71,8 +69,7 @@ from .fields import (
 from .poly import _lowest, _rescale
 
 
-@dataclass(frozen=True)
-class GramForm:
+class GramForm(Frozen):
     """A symmetric form over the field, stored sparse over one denominator.
 
     Entry (i, j) is rows[i][j] / den: rows[i] maps a column j to a nonzero
@@ -84,17 +81,17 @@ class GramForm:
     row by row from these rows and never builds it.
     """
 
+    __slots__ = ("field", "rows", "den")
     field: FieldSpec
     rows: tuple[dict[int, int], ...]
     den: int
 
-    def __post_init__(self):
-        rows, den = self.rows, self.den
+    def __init__(self, field, rows, den):
         d = len(rows)
         if type(den) is not int or den < 1:
             raise DegenerateForm(f"Gram denominator {den!r} is not a positive int")
-        if den != 1 and not self.field.is_rationals:
-            raise DegenerateForm(f"Gram denominator {den} over {self.field}")
+        if den != 1 and not field.is_rationals:
+            raise DegenerateForm(f"Gram denominator {den} over {field}")
         g = den
         for i, row in enumerate(rows):
             for j, x in row.items():
@@ -110,10 +107,17 @@ class GramForm:
                     g = gcd(g, x)
         if g != 1:
             raise DegenerateForm(f"Gram denominator {den} shares {g} with every entry")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.rows, self.den) == (other.field, other.rows, other.den)
 
 
-@dataclass(frozen=True)
-class DiagForm:
+class DiagForm(Frozen):
     """<a_1,...,a_r> with entries canonical square-class representatives,
     each an int, as the entries of a GramForm are.
 
@@ -127,32 +131,44 @@ class DiagForm:
     canonicalizes nonzero scalars and finds their primes.
     """
 
+    __slots__ = ("field", "entries", "primes")
     field: FieldSpec
     entries: tuple[int, ...]
-    primes: tuple[int, ...] = ()
+    primes: tuple[int, ...]
 
-    def __post_init__(self):
-        field, used = self.field, set()
+    def __init__(self, field, entries, primes=()):
+        used = set()
         if field.is_rationals:
-            bad = [e for e in self.entries if type(e) is not int or not e]
-            primes = {p for p in self.primes if is_prime(p)}
-            for a in () if bad else set(self.entries):
-                mine = [p for p in primes if a % p == 0]
+            bad = [e for e in entries if type(e) is not int or not e]
+            given = {p for p in primes if is_prime(p)}
+            for a in () if bad else set(entries):
+                mine = [p for p in given if a % p == 0]
                 used.update(mine)
                 n = abs(a) // math.prod(mine)  # 1 iff a product of distinct primes
-                if n != 1 and all(n % p for p in primes):
-                    raise NonCanonicalForm(f"primes {self.primes} do not cover {a}")
+                if n != 1 and all(n % p for p in given):
+                    raise NonCanonicalForm(f"primes {primes} do not cover {a}")
                 if n != 1:
                     bad.append(a)
         else:
             canonical = (1, field.least_nonresidue())
-            bad = [e for e in self.entries if type(e) is not int or e not in canonical]
+            bad = [e for e in entries if type(e) is not int or e not in canonical]
         if bad:
             raise NonCanonicalForm(
                 f"entry {bad[0]} is not a canonical "
                 "square-class representative (diag_form canonicalizes)"
             )
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "primes", tuple(sorted(used)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.field == other.field
+            and self.entries == other.entries
+            and self.primes == other.primes
+        )
 
     @property
     def rank(self) -> int:
@@ -324,15 +340,36 @@ def _swap(rows: list, k: int, t: int) -> None:
     rows[k], rows[t] = row_t, row_k
 
 
-@dataclass(frozen=True)
-class WittInvariants:
-    """Classification data deciding identity in the Witt group."""
+class WittInvariants(Frozen):
+    """Classification data deciding identity in the Witt group.
 
+    hasse maps each place to its Hasse symbol; left out, it is a fresh
+    empty dict."""
+
+    __slots__ = ("field", "rank", "signature", "signed_discriminant", "hasse")
     field: FieldSpec
     rank: int
-    signature: Optional[int]
+    signature: int | None
     signed_discriminant: object
-    hasse: dict = dataclass_field(default_factory=dict)
+    hasse: dict
+
+    def __init__(self, field, rank, signature, signed_discriminant, hasse=None):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "signed_discriminant", signed_discriminant)
+        object.__setattr__(self, "hasse", {} if hasse is None else hasse)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.field == other.field
+            and self.rank == other.rank
+            and self.signature == other.signature
+            and self.signed_discriminant == other.signed_discriminant
+            and self.hasse == other.hasse
+        )
 
     @property
     def is_zero(self) -> bool:

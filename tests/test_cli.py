@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittdeg import cli
+from wittdeg import cli, koszul
 from wittdeg.cli import run
 from wittdeg.fields import FieldSpec
 from wittdeg.witt import GramForm, WittInvariants
@@ -428,7 +428,7 @@ def test_koszul_verify(capsys):
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_koszul_verify_failed_check_exits_1(capsys, monkeypatch, flags):
-    monkeypatch.setattr(cli, "verify_symmetry", lambda dd: False)
+    monkeypatch.setattr(koszul, "verify_symmetry", lambda dd: False)
     code, out, _ = run_cli(capsys, *flags, "koszul", "verify", "--n", "2")
     assert code == 1
     if flags:

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import itertools
 import math
 import pathlib
@@ -309,22 +309,42 @@ def test_report_is_its_four_stage_results(Q, F7):
     # read; the report keeps the quotient, so its table still serves after
     # the degree: NF of the Jacobian determinant there is the length times
     # the socle monomial x2^2 (Eisenbud-Levine; Scheja-Storch)
-    assert [f.name for f in dataclasses.fields(QuotientAlgebra)] == ["gb", "keys"]
-    assert [f.name for f in dataclasses.fields(GramForm)] == ["field", "rows", "den"]
-    assert [f.name for f in dataclasses.fields(DegreeReport)] == [
-        "quotient",
-        "gram",
-        "diag",
-        "invariants",
-    ]
+    def fields(cls):
+        return list(inspect.signature(cls).parameters)
+
+    def stored(qa):
+        gb = qa.gb
+        return gb.generators, gb.entries, gb.cofactors, qa.keys
+
+    assert fields(QuotientAlgebra) == ["gb", "keys"]
+    assert fields(GramForm) == ["field", "rows", "den"]
+    assert fields(DegreeReport) == ["quotient", "gram", "diag", "invariants"]
     for field in (Q, F7):
         endo = counterexample_endo(field)
         rep = degree_of(endo)
-        assert rep.quotient == validate(endo)
+        assert stored(rep.quotient) == stored(validate(endo))
         assert (rep.field, rep.n, rep.length, len(rep.gram.rows)) == (field, 3, 4, 4)
         assert rep.labels == ("1", "x2", "x1", "x2^2")
         jac = normal_form(jacobian_det(list(endo.images)), rep.quotient.gb)
         assert jac == parse_poly("4*x2^2", endo.ring)
+
+
+def test_records_are_read_only(Q):
+    # a record's fields are set once, by its constructor; the quotient's
+    # normal-form table is built on its first read and kept
+    endo = counterexample_endo(Q)
+    rep = degree_of(endo)
+    gram = rep.gram
+    for record, name in ((rep, "gram"), (gram, "den"), (endo, "images")):
+        value = getattr(record, name)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError):
+        rep.extra = 1  # no field of that name, and no instance dict
+    assert rep.gram is gram and rep.quotient._nf_table is rep.quotient._nf_table
 
 
 def test_degree_identity(Q):

@@ -16,6 +16,9 @@ from wittdeg.fields import (
     FieldSpec,
     MR_FOUR_WITNESS_BOUND,
     MR_PROVEN_BOUND,
+    SMALL_PRIME_BOUND,
+    _SMALL_PRIMES,
+    _SMALL_PRIMORIAL,
     _hilbert,
     _pair_classes,
     hasse_places,
@@ -196,6 +199,14 @@ def test_is_prime_agrees_with_a_sieve():
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
     assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+def test_small_primes_are_the_primes_below_their_bound():
+    # sieved at import; square_classes divides them out by one gcd with
+    # their product
+    expected = [p for p in range(SMALL_PRIME_BOUND) if is_prime(p)]
+    assert list(_SMALL_PRIMES) == expected
+    assert _SMALL_PRIMORIAL == math.prod(expected)
 
 
 def test_is_prime_rejects_strong_pseudoprimes():

@@ -1,13 +1,18 @@
-"""Static checks on the package layout, read with ``ast`` only.
+"""Checks on the package layout, read with ``ast``, and on what importing
+the CLI loads.
 
 The package namespace binds no names, so each name is imported from the
-module that defines it; no module keeps an import it does not use; and
-every public function, and every public member of a class, is reached by a
-command, a pipeline stage or the benchmark.
+module that defines it; no module keeps an import it does not use; every
+public function, and every public member of a class, is reached by a
+command, a pipeline stage or the benchmark; and the CLI's start-up loads
+neither a code generator nor a module that only one command reads.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,3 +137,58 @@ def test_every_public_member_is_reached():
                     defined.append((f"{stem}.{stmt.name}", own))
     unreached = [f"{cls}.{name}" for cls, name in defined if name not in reached]
     assert not unreached, f"public members that nothing reaches: {unreached}"
+
+
+def _imports_with_scope(tree) -> list:
+    """(module, line, inside a function) for every import in the module,
+    ``from __future__`` aside; a relative import's module is named without
+    its dots, and ``from . import x`` names x."""
+    nested = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        out.extend((name, node.lineno, id(node) in nested) for name in names)
+    return out
+
+
+def test_start_up_imports_stay_light():
+    """No module imports dataclasses or typing: records are plain classes,
+    and every annotation is a string under ``from __future__ import
+    annotations``.  Only cli imports koszul, inside the one command that
+    reads it, so no other run pays for that import."""
+    bad = []
+    for stem, tree in _modules().items():
+        for name, line, in_function in _imports_with_scope(tree):
+            heavy = name.split(".")[0] in ("dataclasses", "typing")
+            koszul = name.split(".")[-1] == "koszul"
+            if heavy or koszul and not (stem == "cli" and in_function):
+                bad.append(f"{stem}.py:{line}: {name}")
+    assert not bad, bad
+
+
+def test_cli_import_loads_no_heavy_module():
+    # -S keeps site out: on some interpreters it loads typing or inspect
+    # itself
+    code = "import sys, wittdeg.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "wittdeg.cli" in loaded
+    heavy = {"dataclasses", "inspect", "typing", "wittdeg.koszul"}
+    assert not heavy & loaded, sorted(heavy & loaded)

@@ -1,4 +1,3 @@
-import dataclasses
 import pathlib
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ from wittdeg import groebner, umrow
 from wittdeg.cli import run
 from wittdeg.degree import Endo
 from wittdeg.errors import ArityMismatch, EvenN, InternalError
-from wittdeg.groebner import buchberger, normal_form
+from wittdeg.groebner import GroebnerBasis, buchberger, normal_form
 from wittdeg.poly import Poly, Ring, parse_poly
 from wittdeg.umrow import (
     AlgebraPresentation,
@@ -154,8 +153,10 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     # fails
     row = universal_row(Q, 1)
     ring = row.algebra.ring
-    wrong = dataclasses.replace(
-        basis_of([ring.one()]),
+    unit = basis_of([ring.one()])
+    wrong = GroebnerBasis(
+        unit.generators,
+        unit.entries,
         cofactors=(((ring.var(1) + ring.one()).packed, {}), 1),
     )
     with monkeypatch.context() as m:

@@ -26,6 +26,7 @@ from wittdeg.fields import (
 from wittdeg.witt import (
     DiagForm,
     GramForm,
+    WittInvariants,
     _eliminate,
     _strip_obvious_pairs,
     diag_form,
@@ -706,6 +707,36 @@ def test_gram_form_dense_view_round_trips(Q, F7):
             assert all(all(row.values()) for row in g.rows)
             assert sum(map(len, g.rows)) == sum(1 for row in m for x in row if x)
             assert dense(g, str) == [[str(x) for x in row] for row in m]
+
+
+def test_forms_and_invariants_compare_field_wise(Q, F7):
+    assert GramForm(Q, ({0: 1},), 2) == GramForm(Q, ({0: 1},), 2)
+    assert GramForm(Q, ({0: 1},), 2) != GramForm(Q, ({0: 1},), 3)
+    # the primes a form keeps are those of its entries, sorted
+    d = DiagForm(Q, (2, 3, 6), (3, 2, 5))
+    assert d == DiagForm(Q, (2, 3, 6), (2, 3)) and d.primes == (2, 3)
+    assert d != DiagForm(Q, (6, 3, 2), (2, 3))
+    assert d != (Q, (2, 3, 6), (2, 3))
+    assert DiagForm(F7, (1, 3)) != DiagForm(Q, (1, 3), (3,))
+    inv = invariants(d)
+    assert inv == invariants(DiagForm(Q, (2, 3, 6), (2, 3)))
+    fields = [inv.field, inv.rank, inv.signature, inv.signed_discriminant]
+    assert WittInvariants(*fields, dict(inv.hasse)) == inv
+    assert WittInvariants(F7, *fields[1:], inv.hasse) != inv
+    for i in (1, 2, 3):
+        changed = fields.copy()
+        changed[i] += 1
+        assert WittInvariants(*changed, inv.hasse) != inv
+    flipped = {**inv.hasse, "2": -inv.hasse["2"]}
+    assert WittInvariants(*fields, flipped) != inv
+    assert invariants(DiagForm(F7, (1, 3))) != invariants(DiagForm(F7, (1, 1)))
+
+
+def test_invariants_without_hasse_get_a_fresh_dict(F7):
+    first = WittInvariants(F7, 0, None, F7.one)
+    second = WittInvariants(F7, 0, None, F7.one)
+    assert first.hasse == {} and first.hasse is not second.hasse
+    assert first == second
 
 
 def test_diag_form_rejects_non_canonical_entries(Q, F7):
