@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -236,22 +235,53 @@ class _GramText:
 
 def _write_json(data: dict, write) -> None:
     """Pass json.dumps(data, indent=2) to write, a GramForm under "gram"
-    being its dense d x d matrix of entry strings.  The document around the
-    Gram is one json.dumps, split where "gram" holds null, and the Gram goes
-    one row at a time between the two halves; every number is made text
-    before the first piece."""
+    being its dense d x d matrix of entry strings.
+
+    The document is schema 1: str, int, bool, None, list and dict with str
+    keys.  It is written here, byte for byte as json.dumps(indent=2) writes
+    it, with the C string encoder that json.dumps runs only without indent;
+    an int past CPython's digit limit raises json.dumps's ValueError.  The
+    document around the Gram is written whole, split where "gram" holds
+    null, and the Gram goes one row at a time between the two halves; every
+    number is made text before the first piece."""
+    from json.encoder import encode_basestring_ascii as string
+
+    def text(value, nl: str) -> str:
+        """value as json.dumps(indent=2) writes it where nl, a line break
+        and the indent, starts each line."""
+        if isinstance(value, str):
+            return string(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = nl + "  "
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = [f"{string(k)}: {text(v, inner)}" for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if isinstance(value, list):
+            if not value:
+                return "[]"
+            items = [text(v, inner) for v in value]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        raise TypeError(f"{type(value).__name__} is not in JSON schema 1")
+
     gram = data.get("gram")
     if not isinstance(gram, GramForm):
-        write(json.dumps(data, indent=2))
+        write(text(data, "\n"))
         return
-    text = _GramText(gram)
-    head, _, tail = json.dumps({**data, "gram": None}, indent=2).partition(
-        '"gram": null'
-    )
+    rows = _GramText(gram)
+    head, _, tail = text({**data, "gram": None}, "\n").partition('"gram": null')
     write(head + '"gram": ')
-    if text.cells:
+    if rows.cells:
         sep = "[\n    "
-        for line in text.lines('[\n      "', '",\n      "', '"\n    ]'):
+        for line in rows.lines('[\n      "', '",\n      "', '"\n    ]'):
             write(sep)
             write(line)
             sep = ",\n    "

@@ -251,10 +251,12 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
     q = field.modulus
     packing = ring.packing
     one, pad, guard, target = packing.one, packing.pad, packing.guard, packing.target
-    lcm, degree = packing.lcm, packing.degree
+    lcms, degree = packing.lcms, packing.degree
     # working basis as _divisor entries, in order of discovery; the fourth
     # slot is the entry's cofactor recipe, or None when not certifying
     work: list[tuple] = []
+    # the leading key of each working entry
+    leads: list[int] = []
     # the sugar of each working entry less the degree of its lead
     excess: list[int] = []
     # heap of pending pairs (sugar, key of their lcm, i, j): least sugar
@@ -278,9 +280,9 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
         # any member has coprime leading monomials, whose lcm is their
         # product (F and the product criterion)
         groups: dict = {}
-        for i, w in enumerate(work):
-            m = lcm(w[0], lead)
-            coprime = m == w[0] + lead - one
+        offset = lead - one
+        for i, (w, m) in enumerate(zip(leads, lcms(leads, lead))):
+            coprime = m == w + offset
             group = groups.get(m)
             if group is None:
                 groups[m] = [i, coprime]
@@ -290,7 +292,10 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
         minimal: list = []
         for m in sorted(groups):
             s = m + pad
-            if not any((s - d) & guard == target for d in minimal):
+            for d in minimal:
+                if (s - d) & guard == target:
+                    break
+            else:
                 minimal.append(m)
                 i, coprime = groups[m]
                 if not coprime:
@@ -309,6 +314,7 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
                 inv = (scale, c) if c > 0 else (-scale, -c)
             recipe = (t, origin, log, inv)
         work.append((lead, lc, tail, recipe))
+        leads.append(lead)
         excess.append(ex)
         if lead == one:
             pairs.clear()  # 1 is in the ideal: every pending pair reduces to 0

@@ -9,9 +9,11 @@ monomial of the ring is one int from the parser to the text output: its
 key in the order's `Packing` for the ring's variable count, laid out so
 that comparing two ints compares the two monomials (Bachmann &
 Schoenemann, "Monomial representations for Groebner bases computations",
-ISSAC 1998; Monagan & Pearce, JSC 46, 2011).  The int is a row of
-BITS-bit fields, most significant first, and the top bit of each field is
-a guard bit, so a field holds at most BOUND = 2^15 - 1:
+ISSAC 1998; Monagan & Pearce, JSC 46, 2011).  The text boundary works on
+the key's fields too: the parser adds each factor's offset to the key,
+and the printer reads the exponents off the fields of a GREVLEX key.  The
+int is a row of BITS-bit fields, most significant first, and the top bit
+of each field is a guard bit, so a field holds at most BOUND = 2^15 - 1:
 
     LEX      [e_1 | ... | e_n]
     GREVLEX  [e_1 + ... + e_n | C - e_n | ... | C - e_1]    (C = BOUND)
@@ -24,7 +26,10 @@ mask of the guard bits:
   the offset s - one to a key;
 - with s = b + pad - a, x^a divides x^b exactly when s & guard == target,
   and x^b / x^a then has the offset s - pad.  GREVLEX has pad = one and
-  target = 0; LEX has pad = target = guard.
+  target = 0; LEX has pad = target = guard;
+- the lcm of two monomials is a few operations on all fields at once, and
+  `Packing.lcms` takes it of one key with a whole list of keys, as the
+  pair criteria of Buchberger's algorithm need it.
 
 Every exponent is at most BOUND, and under GREVLEX so is the total degree.
 A product or quotient of two keys within the bound has fields below
@@ -100,11 +105,11 @@ class Packing:
     """Keys of the monomials in n variables under one order (see above).
 
     pack and unpack convert one monomial between its exponent tuple and its
-    key, for the text boundary and for code that reads exponents (a term
-    map is converted key by key, as `Poly.terms` does); pack raises
+    key, for code that reads exponents one monomial at a time (a term map
+    is converted key by key, as `Poly.terms` does); pack raises
     ExponentBoundExceeded past the bound.  var[i] is the offset of x_i.
     The attributes one, guard, pad and target are read directly by the
-    kernel loops.
+    kernel loops, and by the parser and the printer.
     """
 
     __slots__ = (
@@ -169,24 +174,37 @@ class Packing:
         if any(map(self.guard.__and__, keys)):
             self.overflow()
 
-    def lcm(self, a: int, b: int) -> int:
-        """The key of lcm(x^a, x^b), field by field in parallel: with the
-        guard bits set on a, a field of (a | guard) - b keeps its guard bit
-        exactly where a's field is at least b's, and no field borrows.
+    def lcms(self, leads, lead: int) -> list:
+        """The keys of lcm(x^b, x^a) for each key b of leads and the key a of
+        lead, in one pass, each field by field in parallel: with the guard
+        bits set on a, a field of (a | guard) - b keeps its guard bit exactly
+        where a's field is at least b's, and no field borrows.
 
-        Under GREVLEX the total degree of the lcm can pass the bound; its
+        Under GREVLEX the total degree of an lcm can pass the bound; its
         field then holds it with the guard bit set, and the key still
         compares and names the lcm correctly.  A caller that shifts by it
         checks the guard bits first."""
-        low = self._low
+        low, values = self._low, self._values
         guard = self.guard & low
-        la, lb = a & low, b & low
-        ge = ((la | guard) - lb) & guard
-        ge -= ge >> BITS - 1  # the value bits of the fields where a >= b
+        la = lead & low
+        high = la | guard
+        out = []
         if not self.order._grevlex:
-            return la & ge | lb & (self._values ^ ge)
-        # the fields are C - e: the larger exponent is the smaller field
-        return self.complete(lb & ge | la & (self._values ^ ge))
+            for b in leads:
+                ge = (high - b) & guard
+                ge -= ge >> BITS - 1  # the value bits of the fields where a >= b
+                out.append(la & ge | b & (values ^ ge))
+            return out
+        # the fields are C - e: the larger exponent is the smaller field, and
+        # the degree goes on top as `complete` puts it
+        one, top, mod = self.one, BITS * self.n, (1 << BITS) - 1
+        for b in leads:
+            lb = b & low
+            ge = (high - lb) & guard
+            ge -= ge >> BITS - 1
+            fields = lb & ge | la & (values ^ ge)
+            out.append((one - fields) % mod << top | fields)
+        return out
 
     def complete(self, fields: int) -> int:
         """The key whose n exponent fields are fields: under GREVLEX with its

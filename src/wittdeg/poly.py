@@ -14,26 +14,30 @@ The text grammar (whitespace-insensitive)::
 int, posint and nat are ASCII digits 0-9; any other digit is a ParseError.
 Unary minus is allowed on the leading term only.  `parse_poly` is one loop
 over the tokens that one `re.findall` returns as plain tuples: it builds
-each term's exponents and coefficient directly and adds it, as its key, to
-one packed term dict for the whole text.  An error's position is found
-only when the error is raised, by scanning the text again with the same
-regex.  A character outside the grammar is reported first, wherever it
-stands; otherwise the error is that of the first token the grammar
-rejects.  An exponent above orders.BOUND (32767) is rejected with
-ExponentBoundExceeded, naming the variable and its position, and so is a
-term of total degree above it in a GREVLEX ring.  A number with more
-digits than the interpreter converts to an int (4,300 since CPython 3.11)
-is a ParseError.
+each term's key and coefficient directly, the key as one plus exponent
+times the offset of each factor's variable, and adds the term to one
+packed term dict for the whole text.  An error's position is found only
+when the error is raised, by scanning the text again with the same regex.
+A character outside the grammar is reported first, wherever it stands;
+otherwise the error is that of the first token the grammar rejects.  An
+exponent above orders.BOUND (32767) is rejected with ExponentBoundExceeded,
+naming the variable and its position, as soon as its field sets its guard
+bit, and so is a term of total degree above it in a GREVLEX ring, read off
+the key's degree field at the end of the term.  A number with more digits
+than the interpreter converts to an int (4,300 since CPython 3.11) is a
+ParseError.
 
 A ring carries its monomial order, and a monomial of the ring is one key
 in the order's packing (see `orders`): an int whose comparison is the
 monomial order, whose product with x^s adds the offset of x^s, and whose
 divisibility is one mask test.  A `Poly` holds one term map on those keys,
 `Poly.packed`, from the parser through arithmetic, Groebner bases and
-normal forms to the formatter; `Poly.terms` unpacks it to exponent tuples
-on each read.  A product checks its keys against the exponent bound
-before they are used again (see `orders`), so a monomial past the bound
-raises ExponentBoundExceeded instead of wrapping into another.
+normal forms to the formatter, which reads each printed monomial's
+exponents off the fields of its GREVLEX key; `Poly.terms` unpacks it to
+exponent tuples on each read, and `Poly.substitute` unpacks each key once.
+A product checks its keys against the exponent bound before they are used
+again (see `orders`), so a monomial past the bound raises
+ExponentBoundExceeded instead of wrapping into another.
 
 Term dicts are combined by one in-place kernel, `_add_shifted` (dst +=
 c * x^shift * src, shift an offset added to each key), and divided by one
@@ -61,7 +65,7 @@ from collections.abc import Sequence
 from itertools import islice
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .errors import (
     AlgebraError,
@@ -72,7 +76,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import FieldSpec, ratio
-from .orders import BOUND, GREVLEX, MonomialOrder, Packing
+from .orders import BITS, BOUND, GREVLEX, MonomialOrder, Packing
 
 
 # -- the term-dict kernel --------------------------------------------------
@@ -430,16 +434,19 @@ class Poly:
             return cache[k]
 
         canon = target.field.canon
+        unpack = self.ring.packing.unpack
         result: dict = {}
-        for e, c in self.terms.items():
+        for key, c in self.packed.items():
             c = canon(c)
             if not c:
                 continue
-            term = {packing.one: c}
-            for i, k in enumerate(e):
+            # the product of the powers of the images, then c times it
+            term = one
+            for i, k in enumerate(unpack(key)):
                 if k:
-                    term = _product(term, power(i, k), packing, q)
-            _add_shifted(result, term, 0, 1, q)
+                    x = power(i, k)
+                    term = x if term is one else _product(term, x, packing, q)
+            _add_shifted(result, term, 0, c, q)
         return Poly(target, result)
 
     # -- value semantics -----------------------------------------------------
@@ -499,9 +506,12 @@ def parse_poly(text: str, ring: Ring) -> Poly:
     of the term dict.
     """
     field = ring.field
-    pack = ring.packing.pack
+    packing = ring.packing
+    one, var = packing.one, packing.var
+    top = BITS * ring.nvars
+    low = (1 << top) - 1  # the exponent fields, below a GREVLEX degree
+    guard = packing.guard & low
     index = ring._index
-    nvars = ring.nvars
     tokens = _TOKEN_RE.findall(text)
     end = len(tokens)
     tokens.append(_END)
@@ -510,7 +520,7 @@ def parse_poly(text: str, ring: Ring) -> Poly:
         negate = tokens[0][2] == "-"
         i = 1 if negate else 0
         while True:
-            exps = [0] * nvars
+            key = one
             num, name, _, _ = tokens[i]
             if num:  # coeff ("*" factor)*
                 c = _int(num, text, i)
@@ -547,11 +557,14 @@ def parse_poly(text: str, ring: Ring) -> Poly:
                     exp = tokens[i][0]
                     if not exp:
                         raise _expected("exponent", text, tokens, i)
-                    exp = exps[k] + _int(exp, text, i)
+                    exp = _int(exp, text, i)
                 else:
-                    exp = exps[k] + 1
-                exps[k] = exp
-                if exp > BOUND:
+                    exp = 1
+                key += exp * var[k]
+                # a sum of two exponents within the bound that passes it sets
+                # its field's guard bit; a larger exponent can carry further
+                if exp > BOUND or key & guard:
+                    exp += packing.unpack(key - exp * var[k] & low)[k]
                     raise ExponentBoundExceeded(
                         f"exponent {exp} of {name} is above {BOUND}"
                         f" (at position {_position(text, at)})"
@@ -559,7 +572,9 @@ def parse_poly(text: str, ring: Ring) -> Poly:
                 i += 1
                 more = tokens[i][2] == "*"
                 i += more
-            key = pack(exps)
+            # the GREVLEX degree field; a LEX key has no field above top
+            if key >> top > BOUND:
+                packing.overflow()
             if negate:
                 c = field.neg(c)
             old = terms.get(key)
@@ -598,31 +613,48 @@ def format_poly(p: Poly) -> str:
     """Canonical text form, terms in descending GREVLEX order whatever the
     ring's order; round-trips through parse_poly.
 
-    In a GREVLEX ring the descending keys are that order, so only the
-    printed monomials are unpacked; in another ring each key is unpacked
-    for the GREVLEX sort key.
+    The terms are printed from their GREVLEX keys, which sort in that
+    order: in another ring each key is unpacked once and re-keyed.  The
+    exponent fields of a GREVLEX key, C - e_i with x_1 lowest, are read as
+    one int by one subtraction, (one - key) & low, whose fields are the
+    e_i; each variable's exponent is its lowest field, shifted down in
+    turn.  The degree field is the top one and has no bound, so a LEX
+    monomial past the GREVLEX degree bound re-keys and prints alike.
     """
     if p.is_zero:
         return "0"
     ring = p.ring
     names = ring.variables
     packing = ring.packing
-    unpack = packing.unpack
-    key = None if packing.order is GREVLEX else lambda k: GREVLEX.key(unpack(k))
-    packed = p.packed
+    terms = p.packed
+    if packing.order is not GREVLEX:
+        unpack = packing.unpack
+        packing = GREVLEX.packing(packing.n)
+        terms = {
+            sum(map(mul, unpack(k), packing.var), packing.one): c
+            for k, c in terms.items()
+        }
+    one = packing.one
+    low = (1 << BITS * packing.n) - 1
+    mask = (1 << BITS) - 1
     pieces = []
-    for k in sorted(packed, key=key, reverse=True):
+    for k in sorted(terms, reverse=True):
         # the sign is read off the text of the scalar, so no Fraction is
         # compared or negated (over F_p a scalar lies in [0, p): never "-")
-        c = str(packed[k])
+        c = str(terms[k])
         if c[0] == "-":
             pieces.append(" - ")
             c = c[1:]
         else:
             pieces.append(" + ")
-        mono = "*".join(
-            [v if e == 1 else f"{v}^{e}" for v, e in zip(names, unpack(k)) if e]
-        )
+        exps = (one - k) & low
+        parts = []
+        for v in names:
+            e = exps & mask
+            if e:
+                parts.append(v if e == 1 else f"{v}^{e}")
+            exps >>= BITS
+        mono = "*".join(parts)
         if not mono:
             pieces.append(c)
         elif c == "1":

@@ -2,11 +2,13 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from wittdeg.degree import Endo, bezoutian, dual_ring
 from wittdeg.errors import (
+    AlgebraError,
     DegenerateForm,
     ExponentBoundExceeded,
     FactorBoundExceeded,
@@ -33,7 +35,6 @@ from wittdeg.poly import (
     _divisor,
     _ratios,
     det,
-    format_monomial,
     parse_poly,
 )
 from wittdeg.umrow import AlgebraPresentation, UnimodularRow
@@ -462,82 +463,134 @@ def box_standard_keys(gb):
 
 
 def format_poly_reference(p):
-    """The former format_poly, kept verbatim: every term sorted by the
-    GREVLEX key of its exponent tuple, whatever the ring's order."""
+    """The former format_poly, kept verbatim as the reference for the
+    printer on GREVLEX key fields: each printed key unpacked to its
+    exponent tuple, and in a ring of another order each key unpacked for
+    the GREVLEX sort key too."""
     if p.is_zero:
         return "0"
-    items = sorted(p.terms.items(), key=lambda kv: GREVLEX.key(kv[0]), reverse=True)
+    ring = p.ring
+    names = ring.variables
+    packing = ring.packing
+    unpack = packing.unpack
+    key = None if packing.order is GREVLEX else lambda k: GREVLEX.key(unpack(k))
+    packed = p.packed
     pieces = []
-    for e, c in items:
-        mono = format_monomial(p.ring, e)
-        negative = c < 0  # over F_p never: a scalar there lies in [0, p)
-        mag = -c if negative else c
-        if mono == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = mono
+    for k in sorted(packed, key=key, reverse=True):
+        # the sign is read off the text of the scalar, so no Fraction is
+        # compared or negated (over F_p a scalar lies in [0, p): never "-")
+        c = str(packed[k])
+        if c[0] == "-":
+            pieces.append(" - ")
+            c = c[1:]
         else:
-            body = f"{mag}*{mono}"
-        pieces.append(("-" if negative else "+", body))
-    sign, body = pieces[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+            pieces.append(" + ")
+        mono = "*".join(
+            [v if e == 1 else f"{v}^{e}" for v, e in zip(names, unpack(k)) if e]
+        )
+        if not mono:
+            pieces.append(c)
+        elif c == "1":
+            pieces.append(mono)
+        else:
+            pieces.append(f"{c}*{mono}")
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 _TOKEN_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^])|(\S)")
 
-
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        pos = m.start()
-        if m.group(1):
-            tokens.append(("int", m.group(1), pos))
-        elif m.group(2):
-            tokens.append(("ident", m.group(2), pos))
-        elif m.group(3):
-            tokens.append(("op", m.group(3), pos))
-        else:
-            raise ParseError(f"unexpected character {m.group(4)!r}", pos)
-    tokens.append(("end", "", len(text)))
-    return tokens
+# the token after the last: every group empty
+_END = ("", "", "", "")
 
 
-def _int(text: str, pos: int) -> int:
+def _position(text: str, i: int) -> int:
+    """Where the i-th token of text starts; len(text) for the end."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    return len(text) if m is None else m.start()
+
+
+def _int(digits: str, text: str, i: int) -> int:
+    """The int of the digits of token i of text."""
     try:
-        return int(text)
+        return int(digits)
     except ValueError:  # more digits than the interpreter converts
-        raise ParseError(f"number of {len(text)} digits", pos) from None
+        raise ParseError(
+            f"number of {len(digits)} digits", _position(text, i)
+        ) from None
 
 
-class _Parser:
-    def __init__(self, text: str, ring: Ring):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.ring = ring
+def _expected(what: str, text: str, tokens: list, i: int) -> ParseError:
+    """The error for token i of text where the grammar wants what."""
+    got = "".join(tokens[i])
+    return ParseError(f"expected {what}, got {got!r}", _position(text, i))
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expr(self) -> Poly:
-        """The whole text as one packed term dict: each term is added as it
-        is read, and a sum that cancels drops out."""
-        field = self.ring.field
-        pack = self.ring.packing.pack
-        terms: dict = {}
-        kind, val, _ = self.peek()
-        negate = kind == "op" and val == "-"
-        if negate:
-            self.advance()
+def reference_parse_poly(text: str, ring: Ring) -> Poly:
+    """The former parse_poly, kept verbatim as the reference for the parser
+    on packed keys: each term's exponents built as a list and packed at the
+    term's end, where pack checks the GREVLEX total degree."""
+    field = ring.field
+    pack = ring.packing.pack
+    index = ring._index
+    nvars = ring.nvars
+    tokens = _TOKEN_RE.findall(text)
+    end = len(tokens)
+    tokens.append(_END)
+    terms: dict = {}
+    try:
+        negate = tokens[0][2] == "-"
+        i = 1 if negate else 0
         while True:
-            exps, c = self.term()
+            exps = [0] * nvars
+            num, name, _, _ = tokens[i]
+            if num:  # coeff ("*" factor)*
+                c = _int(num, text, i)
+                i += 1
+                if tokens[i][2] == "/":
+                    i += 1
+                    den = tokens[i][0]
+                    if not den:
+                        raise _expected("denominator", text, tokens, i)
+                    den = _int(den, text, i)
+                    if not den:
+                        raise ParseError("zero denominator", _position(text, i))
+                    c = field.canon(Fraction(c, den))
+                    i += 1
+                else:
+                    c = field.from_int(c)
+                more = tokens[i][2] == "*"
+                i += more
+            elif name:  # factor ("*" factor)*
+                c = field.one
+                more = True
+            else:
+                raise _expected("coefficient or variable", text, tokens, i)
+            while more:  # factor := var ("^" nat)?
+                name = tokens[i][1]
+                if not name:
+                    raise _expected("variable", text, tokens, i)
+                k = index.get(name)
+                if k is None:
+                    raise UnknownVariable(name, _position(text, i))
+                at = i
+                if tokens[i + 1][2] == "^":
+                    i += 2
+                    exp = tokens[i][0]
+                    if not exp:
+                        raise _expected("exponent", text, tokens, i)
+                    exp = exps[k] + _int(exp, text, i)
+                else:
+                    exp = exps[k] + 1
+                exps[k] = exp
+                if exp > BOUND:
+                    raise ExponentBoundExceeded(
+                        f"exponent {exp} of {name} is above {BOUND}"
+                        f" (at position {_position(text, at)})"
+                    )
+                i += 1
+                more = tokens[i][2] == "*"
+                i += more
             key = pack(exps)
             if negate:
                 c = field.neg(c)
@@ -547,75 +600,18 @@ class _Parser:
                 terms[key] = c
             elif old is not None:
                 del terms[key]
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                negate = val == "-"
-            elif kind == "end":
-                return Poly(self.ring, terms)
+            op = tokens[i][2]
+            if op == "+" or op == "-":
+                negate = op == "-"
+                i += 1
+            elif i == end:
+                return Poly(ring, terms)
             else:
-                raise ParseError(f"expected '+' or '-', got {val!r}", pos)
-
-    def term(self) -> tuple[tuple[int, ...], object]:
-        """(exponents, coefficient) of one term; the coefficient may be 0."""
-        exps = [0] * self.ring.nvars
-        kind, val, pos = self.peek()
-        if kind == "int":
-            c = self.coeff()
-        elif kind == "ident":
-            c = self.ring.field.one
-            self.factor(exps)
-        else:
-            raise ParseError(f"expected coefficient or variable, got {val!r}", pos)
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                self.factor(exps)
-            else:
-                return tuple(exps), c
-
-    def coeff(self):
-        kind, val, pos = self.advance()
-        num = _int(val, pos)
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "/":
-            self.advance()
-            kind, val, pos2 = self.advance()
-            if kind != "int":
-                raise ParseError(f"expected denominator, got {val!r}", pos2)
-            den = _int(val, pos2)
-            if den == 0:
-                raise ParseError("zero denominator", pos2)
-            return self.ring.field.canon(Fraction(num, den))
-        return self.ring.field.from_int(num)
-
-    def factor(self, exps: list) -> None:
-        """Multiply exps by one factor var^nat."""
-        kind, val, pos = self.advance()
-        if kind != "ident":
-            raise ParseError(f"expected variable, got {val!r}", pos)
-        idx = self.ring._index.get(val)
-        if idx is None:
-            raise UnknownVariable(val, pos)
-        name = val
-        exp = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            kind, val, pos2 = self.advance()
-            if kind != "int":
-                raise ParseError(f"expected exponent, got {val!r}", pos2)
-            exp = _int(val, pos2)
-        exps[idx] += exp
-        if exps[idx] > BOUND:
-            raise ExponentBoundExceeded(
-                f"exponent {exps[idx]} of {name} is above {BOUND}"
-                f" (at position {pos})"
-            )
-
-
-def reference_parse_poly(text: str, ring: Ring) -> Poly:
-    """The former parse_poly, kept verbatim as the reference for the
-    one-pass parser: a token list first, then recursive descent on it."""
-    return _Parser(text, ring).expr()
+                raise _expected("'+' or '-'", text, tokens, i)
+    except AlgebraError:
+        for m in _TOKEN_RE.finditer(text):
+            if m.group(4):
+                raise ParseError(
+                    f"unexpected character {m.group(4)!r}", m.start()
+                ) from None
+        raise

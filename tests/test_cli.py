@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -669,6 +671,74 @@ def test_json_output_is_stdlib_indent2(capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+# JSON text that tests an encoder: non-ASCII, control characters, quotes,
+# backslashes and lone surrogates
+_JSON_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.text(
+        st.sampled_from(
+            ("a", '"', "\\", "/", "\x00", "\x1f", "\x7f", "\n")
+            + ("\u00e9", "\u2028", "\ud800", "\U0001f600")
+        ),
+        max_size=6,
+    ),
+)
+_SMALL_INTS = st.integers(-(2**70), 2**70)
+# small ints, and one draw in three an int of 4,291 to 4,300 digits, the
+# most CPython converts
+_JSON_INTS = st.one_of(
+    _SMALL_INTS,
+    _SMALL_INTS,
+    st.sampled_from((10**4299, -(10**4300 - 1), 7 * 10**4290 + 3)),
+)
+_JSON_KEYS = st.one_of(_JSON_STRINGS, st.integers(-99, 10**6).map(str))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _JSON_INTS, _JSON_STRINGS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_JSON_KEYS, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=5))
+def test_json_writer_is_json_dumps_indent2(doc):
+    """The schema-1 writer prints a document as json.dumps(indent=2) does."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        pieces = []
+        cli._write_json(doc, pieces.append)
+        assert "".join(pieces) == json.dumps(doc, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_json_writer_raises_the_digit_limit_error():
+    """An int of 4,301 digits raises the ValueError of json.dumps, which
+    `run` maps to exit 2, and nothing is written."""
+    doc = {"schema": 1, "rows": [["1", -(10**4300)]]}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        with pytest.raises(ValueError) as expected:
+            json.dumps(doc, indent=2)
+        pieces = []
+        with pytest.raises(ValueError) as raised:
+            cli._write_json(doc, pieces.append)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(raised.value) == str(expected.value)
+    assert "integer string conversion" in str(raised.value)
+    assert pieces == []
+
 @st.composite
 def _valid_jobs(draw):
     """The text of a job file that parses: a map in 1 to 3 variables over
@@ -719,3 +789,32 @@ def test_exit_codes_on_random_valid_maps(text):
             elif flags[0] == "--json":
                 doc = json.loads(out.getvalue())
                 assert doc["length"] == len(doc["gram"])
+
+
+# The SHA-256 of every exit code, stdout and stderr that `run` gives on the
+# first 84 jobs of each benchmark workload at seed 1, each job run as the
+# stream gives it and again with --order lex.  It pins the bytes of the
+# paths the benchmark times.  Re-pin it only for an intended change of
+# output, or when a change to bench/workloads.py changes the streams.
+STREAM_DIGEST = "64607dc4c4345c9fc7926dc953171d65a8174bb0f13e5ca7eab89dc71b5d8cbc"
+
+
+def test_benchmark_streams_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    import workloads
+
+    digest = hashlib.sha256()
+    for workload in workloads.WORKLOADS:
+        for job in itertools.islice(workloads.jobs(workload, 1), 84):
+            paths = {}
+            for key, text in job.files.items():
+                path = tmp_path / f"{workload}-{job.index}-{key}"
+                path.write_text(text)
+                paths[key] = str(path)
+            argv = [arg.format(**paths) for arg in job.argv]
+            for flags in ((), ("--order", "lex")):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run([*flags, *argv])
+                digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+    assert digest.hexdigest() == STREAM_DIGEST

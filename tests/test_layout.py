@@ -5,7 +5,8 @@ The package namespace binds no names, so each name is imported from the
 module that defines it; no module keeps an import it does not use; every
 public function, and every public member of a class, is reached by a
 command, a pipeline stage or the benchmark; and the CLI's start-up loads
-neither a code generator nor a module that only one command reads.
+neither a code generator nor a module that only one command or the JSON
+writer reads.
 """
 
 import ast
@@ -177,6 +178,8 @@ def test_start_up_imports_stay_light():
 
 
 def test_cli_import_loads_no_heavy_module():
+    """Importing the CLI loads neither a code generator, nor koszul, nor
+    json, which only the JSON writer reads, inside the call that writes."""
     # -S keeps site out: on some interpreters it loads typing or inspect
     # itself
     code = "import sys, wittdeg.cli; print(*sys.modules)"
@@ -190,5 +193,5 @@ def test_cli_import_loads_no_heavy_module():
     )
     loaded = set(done.stdout.split())
     assert "wittdeg.cli" in loaded
-    heavy = {"dataclasses", "inspect", "typing", "wittdeg.koszul"}
+    heavy = {"dataclasses", "inspect", "json", "typing", "wittdeg.koszul"}
     assert not heavy & loaded, sorted(heavy & loaded)

@@ -15,7 +15,7 @@ from wittdeg.errors import (
     UnknownVariable,
 )
 from wittdeg.fields import FieldSpec
-from wittdeg.orders import GREVLEX, LEX
+from wittdeg.orders import BOUND, GREVLEX, LEX
 from wittdeg.poly import Poly, Ring, det, format_poly, parse_poly
 
 from conftest import (
@@ -136,8 +136,8 @@ def test_format_round_trip_random(Q, F7):
 
 
 def test_format_matches_reference_sort(Q, F7):
-    # a GREVLEX ring prints in descending key order, any other ring sorts
-    # by the GREVLEX key of the exponents: both give the former bytes
+    # a GREVLEX ring prints in descending key order, a LEX ring re-keys its
+    # terms in GREVLEX first: both give the former bytes
     rng = random.Random(5150)
     units = random.Random(5151)  # its own stream: rng draws the same cases
     seen = {"negative": 0, "fraction": 0}
@@ -229,8 +229,9 @@ def _parse_outcome(parse, text, ring):
 @example("x^" + "9" * 5000 + " + y")
 @example("- x*y^32767*y - 7/7*x")
 def test_parse_poly_matches_reference_parser(text):
-    """The one-pass parser returns the Poly of the former recursive-descent
-    parser, or raises its error: same class, message and position."""
+    """The parser on packed keys returns the Poly of the former parser on
+    exponent lists, or raises its error: same class, message and
+    position."""
     rings = [Ring(("x", "y"), f, o) for f in _FIELDS for o in (GREVLEX, LEX)]
     rings.append(Ring(("x1", "z"), FieldSpec.rationals()))
     for ring in rings:
@@ -238,6 +239,121 @@ def test_parse_poly_matches_reference_parser(text):
             reference_parse_poly, text, ring
         )
 
+
+# each bad text with the class and message of the error it raises in a ring
+# of x, y, z over Q under GREVLEX; under LEX it raises the same, but for a
+# total degree past the bound, which LEX does not bound
+_BAD_TEXTS = [
+    pytest.param(
+        "x^32767*x",
+        "ExponentBoundExceeded",
+        "exponent 32768 of x is above 32767 (at position 8)",
+        id="repeated variable past the bound",
+    ),
+    pytest.param(
+        "x^30000*y^30000*z^30000*x^30000",
+        "ExponentBoundExceeded",
+        "exponent 60000 of x is above 32767 (at position 24)",
+        id="repeated variable past a total degree of 2^16",
+    ),
+    pytest.param(
+        "y*x^32768",
+        "ExponentBoundExceeded",
+        "exponent 32768 of x is above 32767 (at position 2)",
+        id="exponent past the bound",
+    ),
+    pytest.param(
+        "1 + x^16384*y^16384",
+        "ExponentBoundExceeded",
+        "a total degree above 32767 in 3 variables under grevlex",
+        id="total degree past the bound",
+    ),
+    pytest.param(
+        "x^2 + 3 @ y",
+        "ParseError",
+        "unexpected character '@' (at position 8)",
+        id="stray character",
+    ),
+    pytest.param(
+        "x^ + 1",
+        "ParseError",
+        "expected exponent, got '+' (at position 3)",
+        id="missing exponent",
+    ),
+    pytest.param(
+        "2*x^" + "9" * 5000,
+        "ParseError",
+        "number of 5000 digits (at position 4)",
+        id="exponent past the digit limit",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, error, message", _BAD_TEXTS)
+def test_parse_errors_keep_their_text_and_position(text, error, message):
+    """The parser on packed keys raises the reference parser's error, whose
+    class and message (with its position) are pinned here."""
+    for order in (GREVLEX, LEX):
+        ring = Ring(("x", "y", "z"), FieldSpec.rationals(), order)
+        outcome = _parse_outcome(parse_poly, text, ring)
+        assert outcome == _parse_outcome(reference_parse_poly, text, ring)
+        if order is LEX and message.startswith("a total degree"):
+            assert isinstance(outcome, Poly)
+        else:
+            assert (outcome[0].__name__, outcome[1]) == (error, message)
+
+
+# exponents near 0, near the bound, and anywhere in between
+_EXPONENTS = st.one_of(
+    st.integers(0, 3), st.integers(BOUND - 3, BOUND), st.integers(0, BOUND)
+)
+
+
+@st.composite
+def _bounded_polys(draw):
+    """A polynomial of up to 8 terms in 1 to 8 variables under either
+    order, with exponents up to the bound, and under GREVLEX now and then a
+    term whose total degree is the bound.  Over Q its scalars are units,
+    ints of either sign and Fractions; over F_7 or F_10007 residues."""
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    n = draw(st.integers(1, 8))
+    names = draw(st.permutations(("x", "y", "z1", "_a", "B_2", "w", "v0", "u")))[:n]
+    field = draw(
+        st.sampled_from(
+            (FieldSpec.rationals(), FieldSpec.prime_field(7), FieldSpec.prime_field(10007))
+        )
+    )
+    if field.is_rationals:
+        scalars = st.one_of(
+            st.sampled_from((1, -1)),
+            st.integers(-(10**25), 10**25),
+            st.fractions(-(10**9), 10**9, max_denominator=10**6),
+        )
+    else:
+        scalars = st.integers(0, field.modulus - 1)
+    ring = Ring(names, field, order)
+    terms: dict = {}
+    for _ in range(draw(st.integers(0, 8))):
+        exps = draw(st.lists(_EXPONENTS, min_size=n, max_size=n))
+        total = sum(exps)
+        if order is GREVLEX and total > BOUND:
+            exps = [e * BOUND // total for e in exps]
+        if order is GREVLEX and draw(st.booleans()):
+            exps[draw(st.integers(0, n - 1))] += BOUND - sum(exps)
+        key = ring.packing.pack(exps)
+        terms[key] = field.add(terms.get(key, 0), field.canon(draw(scalars)))
+    return Poly(ring, {k: c for k, c in terms.items() if c})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bounded_polys())
+def test_printer_and_parser_match_their_references(p):
+    """The printer on key fields prints the text of the former printer, and
+    the parser on keys reads it back to p, as the former parser does."""
+    text = format_poly(p)
+    assert text == format_poly_reference(p)
+    assert parse_poly(text, p.ring) == p
+    assert reference_parse_poly(text, p.ring) == p
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_JOB_TOKENS, max_size=30).map("".join))
