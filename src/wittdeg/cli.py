@@ -4,10 +4,20 @@ Subcommands: degree, nori-check, witt invariants, witt is-zero,
 koszul verify, row check, row compose.  Output is deterministic; --json
 emits the versioned report schema.
 
-Each subcommand returns its exit status and its output: the JSON document
-under --json, otherwise its list of text lines.  `run` alone writes, and
-every number is made text before the first byte, so an error, a number too
-long to print included, leaves stdout empty.
+This module makes every byte of output; the pipeline modules return values
+only.  Each subcommand returns its exit status and its output: the JSON
+document under --json, otherwise its list of text lines.  `run` alone
+writes, and every number is made text before the first byte, so an error,
+a number too long to print included, leaves stdout empty.
+
+nori-check ties a validated endomorphism to the completability of the
+induced row over S_n = k[x_1..x_n, y_1..y_n]/(sum x_i y_i - 1): a nonzero
+degree class means the row (f_1,...,f_n) is not completable there.  A
+zero class decides nothing (the obstruction is not known to be
+injective), and the verdicts keep that asymmetry.  Even n is refused
+before any algebra, since the row-level symbol does not factor through
+SL_n for even n; for n = 1 the class is reported without a row-level
+claim.
 
 Exit codes: 0 success, 1 a check of koszul verify failed (in text and
 --json output alike), 2 parse or validation error, or a number too long to
@@ -49,14 +59,13 @@ from .errors import (
     SupportNotOrigin,
 )
 from .fields import FieldSpec
-from .orders import GREVLEX, MonomialOrder, by_name
+from .orders import MonomialOrder, by_name
 from .poly import Poly, Ring, parse_poly
 from .umrow import (
     AlgebraPresentation,
     UnimodularRow,
     compose_with_endo,
     is_unimodular,
-    obstruction_report,
 )
 from .witt import (
     GramForm,
@@ -103,7 +112,7 @@ def _parse_field(text: str) -> FieldSpec:
     raise AlgebraError(f"bad field {text!r} (expected Q or F<p>)")
 
 
-def parse_job_file(path: str, order: MonomialOrder = GREVLEX) -> JobFile:
+def parse_job_file(path: str, order: MonomialOrder) -> JobFile:
     """The job or row file at path, its ring in the given monomial order."""
     field = None
     ring = None
@@ -291,8 +300,32 @@ def _write_json(data: dict, write) -> None:
     write(tail)
 
 
-def _degree_summary(report: DegreeReport) -> str:
-    cls = witt_class_display(report.diag)
+def _degree_json(report: DegreeReport) -> dict:
+    """The report in JSON schema 1, every value but "gram" ready for
+    `_write_json`, which prints the sparse GramForm under "gram" as the
+    dense d x d matrix of entry strings that schema 1 holds, one row at a
+    time, so that matrix is never built."""
+    inv = report.invariants
+    nm1, nf = _factorials(report.n)
+    return {
+        "schema": 1,
+        "field": str(report.field),
+        "n": report.n,
+        "length": report.length,
+        "gram": report.gram,
+        "diagonal": [str(e) for e in report.diag.entries],
+        "rank": inv.rank,
+        "signature": inv.signature,
+        "signed_discriminant": str(inv.signed_discriminant),
+        "hasse": dict(inv.hasse),
+        "is_zero": report.is_zero,
+        "nori_n_factorial": report.length % nf == 0,
+        "nori_nminus1_factorial": report.length % nm1 == 0,
+    }
+
+
+def _degree_summary(report: DegreeReport, cls: str) -> str:
+    """The one-line answer, cls the class text."""
     status = "zero" if report.is_zero else "nonzero"
     return (
         f"length {report.length}; degree = {cls}; {status} in W({report.field})"
@@ -300,8 +333,10 @@ def _degree_summary(report: DegreeReport) -> str:
 
 
 def _degree_verbose_lines(report: DegreeReport) -> list[str]:
+    ring = report.quotient.ring
+    labels = ", ".join(str(Poly(ring, {m: 1})) for m in report.quotient.keys)
     return [
-        f"standard monomials: {', '.join(report.labels)}",
+        f"standard monomials: {labels}",
         "gram matrix:",
         *_GramText(report.gram).lines("  [", ", ", "]"),
         f"diagonal form: {report.diag}",
@@ -318,16 +353,37 @@ def _invariant_lines(inv: WittInvariants) -> list[str]:
     return lines
 
 
+def _factorials(n: int) -> tuple[int, int]:
+    """(n-1)! and n!, the divisors of the length that Nori's question asks
+    about; (n-1)! is read as 1 for n = 1."""
+    return math.factorial(max(n - 1, 1)), math.factorial(n)
+
+
 def _nori_lines(report: DegreeReport) -> list[str]:
-    n = report.n
-    nm1 = math.factorial(max(n - 1, 1))
-    nf = math.factorial(n)
+    nm1, nf = _factorials(report.n)
+    length = report.length
     return [
-        f"(n-1)! = {nm1} divides length: "
-        + ("yes" if report.divisible_by_nminus1_factorial else "no"),
-        f"n! = {nf} divides length: "
-        + ("yes" if report.divisible_by_n_factorial else "no"),
+        f"(n-1)! = {nm1} divides length: " + ("no" if length % nm1 else "yes"),
+        f"n! = {nf} divides length: " + ("no" if length % nf else "yes"),
     ]
+
+
+def _verdict(report: DegreeReport, images, cls: str) -> str:
+    """The completability verdict for the row of the images over S_n (see
+    the module docstring), cls the class text."""
+    n, field = report.n, report.field
+    if n == 1:
+        return f"degree class {cls} in W({field}); no row-level claim for n = 1"
+    row = ", ".join(str(p) for p in images)
+    if not report.is_zero:
+        return (
+            f"obstruction {cls} != 0 in W({field}): "
+            f"row ({row}) over S_{n} is not completable"
+        )
+    return (
+        f"obstruction vanishes in W({field}): completability of "
+        f"row ({row}) over S_{n} is not decided by this invariant"
+    )
 
 
 # -- subcommands -------------------------------------------------------------
@@ -337,8 +393,8 @@ def _cmd_degree(args) -> tuple[int, dict | list[str]]:
     job = parse_job_file(args.file, by_name(args.order))
     report = degree_of(_endo_from_job(job, args.file))
     if args.json:
-        return 0, report.to_json_dict()
-    lines = [_degree_summary(report)]
+        return 0, _degree_json(report)
+    lines = [_degree_summary(report, witt_class_display(report.diag))]
     if args.verbose:
         lines += _degree_verbose_lines(report)
     return 0, lines
@@ -346,10 +402,16 @@ def _cmd_degree(args) -> tuple[int, dict | list[str]]:
 
 def _cmd_nori_check(args) -> tuple[int, dict | list[str]]:
     job = parse_job_file(args.file, by_name(args.order))
-    report, verdict = obstruction_report(_endo_from_job(job, args.file))
+    endo = _endo_from_job(job, args.file)
+    if endo.n % 2 == 0:
+        raise EvenN("the row-level obstruction needs odd arity")
+    report = degree_of(endo)
+    cls = witt_class_display(report.diag)
+    verdict = _verdict(report, endo.images, cls)
     if args.json:
-        return 0, {**report.to_json_dict(), "verdict": verdict}
-    return 0, [_degree_summary(report), *_nori_lines(report), f"verdict: {verdict}"]
+        return 0, {**_degree_json(report), "verdict": verdict}
+    summary = _degree_summary(report, cls)
+    return 0, [summary, *_nori_lines(report), f"verdict: {verdict}"]
 
 
 def _cmd_witt_invariants(args) -> tuple[int, dict | list[str]]:
@@ -399,14 +461,12 @@ def _cmd_koszul_verify(args) -> tuple[int, dict | list[str]]:
         raise AlgebraError("--n must be at least 1")
     dd = generic_duality(FieldSpec.rationals(), n)
     # square i passes when its resolved sign is the frozen one
-    squares = [
-        s == dual_differential_sign(i, n)
-        for i, s in enumerate(resolve_dual_signs(dd), 1)
-    ]
+    sign = dual_differential_sign(n)
+    squares = [s == sign for s in resolve_dual_signs(dd)]
     chain_ok = all(squares)
     sym_ok = verify_symmetry(dd)
     unsigned_ok = verify_chain_map(dd, dd.wedge_maps)
-    dsign = -1 if dual_differential_sign(1, n) else 1
+    dsign = -1 if sign else 1
     ssign = symmetry_sign(n)
     status = 0 if chain_ok and sym_ok and not unsigned_ok else 1
     if args.json:

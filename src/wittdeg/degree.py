@@ -33,9 +33,10 @@ reads the ints, and the CLI makes each entry text from its int and the
 denominator.
 
 A `DegreeReport` stores what the four stages computed: the quotient, the
-Gram form, its diagonal form and the invariants.  Everything else is read
-off them when asked for, the basis labels that only `--verbose` prints
-included.
+Gram form, its diagonal form and the invariants, and reads the field, n,
+the length and whether the class is zero off them.  It is a value only:
+the CLI makes its text and its JSON document, the factorial-divisibility
+verdicts of nori-check included.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .poly import (
     _rescale,
     _to_lcm,
     det,
-    format_monomial,
 )
 from .witt import (
     DiagForm,
@@ -272,8 +272,7 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
 class DegreeReport(Frozen):
     """deg(g) in the Witt group, as the four stages computed it: the
     quotient, the Gram form of its residue pairing, a diagonal form and its
-    invariants.  The field, n, the length, the verdicts and the basis
-    labels are read off them."""
+    invariants.  The field, n, the length and is_zero are read off them."""
 
     __slots__ = ("quotient", "gram", "diag", "invariants")
     quotient: QuotientAlgebra
@@ -302,42 +301,6 @@ class DegreeReport(Frozen):
     @property
     def is_zero(self) -> bool:
         return self.invariants.is_zero
-
-    @property
-    def divisible_by_n_factorial(self) -> bool:
-        return self.length % math.factorial(self.n) == 0
-
-    @property
-    def divisible_by_nminus1_factorial(self) -> bool:
-        return self.length % math.factorial(max(self.n - 1, 1)) == 0
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """The standard monomials as text, in basis order."""
-        ring = self.quotient.ring
-        return tuple(format_monomial(ring, m) for m in self.quotient.monomials)
-
-    def to_json_dict(self) -> dict:
-        """The report in JSON schema 1, every value but "gram" ready for
-        json.dumps.  "gram" is the sparse GramForm itself: the CLI's JSON
-        writer prints it as the dense d x d matrix of entry strings that
-        schema 1 holds, one row at a time, so that matrix is never built."""
-        inv = self.invariants
-        return {
-            "schema": 1,
-            "field": str(self.field),
-            "n": self.n,
-            "length": self.length,
-            "gram": self.gram,
-            "diagonal": [str(e) for e in self.diag.entries],
-            "rank": inv.rank,
-            "signature": inv.signature,
-            "signed_discriminant": str(inv.signed_discriminant),
-            "hasse": dict(inv.hasse),
-            "is_zero": self.is_zero,
-            "nori_n_factorial": self.divisible_by_n_factorial,
-            "nori_nminus1_factorial": self.divisible_by_nminus1_factorial,
-        }
 
 
 def degree_of(endo: Endo) -> DegreeReport:

@@ -15,14 +15,12 @@ leads is a parallel field maximum.  The order of every computation here
 is the ring's.  Generators and polynomials to reduce come in as their
 term maps, and the basis entries, the certificate and normal forms go out
 as term maps on the same keys.  A quotient is its standard monomials'
-keys, and exponent tuples appear only in the view
-`QuotientAlgebra.monomials`, made on each read.  A
-monomial made on the way that passes the exponent bound (orders.BOUND,
-and under GREVLEX the total degree too) raises ExponentBoundExceeded:
-`_reduce` checks each leading key, the lcm of a pair is checked when the
-pair is queued, and a cofactor vector of the certificate before it is
-shifted again.  (The lcm of a coprime pair, which is never queued, may
-pass the GREVLEX degree bound.)
+keys.  A monomial made on the way that passes the exponent bound
+(orders.BOUND, and under GREVLEX the total degree too) raises
+ExponentBoundExceeded: `_reduce` checks each leading key, the lcm of a
+pair is checked when the pair is queued, and a cofactor vector of the
+certificate before it is shifted again.  (The lcm of a coprime pair,
+which is never queued, may pass the GREVLEX degree bound.)
 
 Over Q the Groebner side runs on ints: primitive pseudo-reduction, as in
 Buchberger's algorithm over Z (Gebauer & Moeller, JSC 6, 1988; Cox,
@@ -214,7 +212,7 @@ class GroebnerBasis(Frozen):
     entries: tuple[tuple, ...]
     cofactors: tuple[tuple[dict, ...], int] | None
 
-    def __init__(self, generators, entries, cofactors=None):
+    def __init__(self, generators, entries, cofactors):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "cofactors", cofactors)
@@ -544,13 +542,12 @@ class QuotientAlgebra(Frozen):
     """k[x]/I with a finite standard-monomial basis.
 
     keys are the standard monomials, those outside the leading-term ideal,
-    as ascending keys in the ring's packing; the rest is read off them:
-    dimension is their count (the length of the quotient), and monomials
-    their exponent tuples, unpacked on each read.  One table, _nf_table,
-    built on first read and kept in the _nf slot, holds the normal forms of
-    monomials by their keys, so every user of one quotient shares it; it is
-    seeded from the reduced basis and filled without division (see the
-    module docstring and _NFTable).  Its entries are in the integer working
+    as ascending keys in the ring's packing, and dimension, their count,
+    is the length of the quotient.  One table, _nf_table, built on first
+    read and kept in the _nf slot, holds the normal forms of monomials by
+    their keys, so every user of one quotient shares it; it is seeded from
+    the reduced basis and filled without division (see the module
+    docstring and _NFTable).  Its entries are in the integer working
     form, (nums, den).
     """
 
@@ -570,10 +567,6 @@ class QuotientAlgebra(Frozen):
     @property
     def dimension(self) -> int:
         return len(self.keys)
-
-    @property
-    def monomials(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(self.ring.packing.unpack, self.keys))
 
     @property
     def _nf_table(self) -> _NFTable:

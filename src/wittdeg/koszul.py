@@ -36,8 +36,9 @@ from .errors import Frozen, InternalError, RingMismatch
 from .poly import Poly, Ring
 
 
-def dual_differential_sign(i: int, n: int) -> int:
-    """Frozen exponent family s(i, n) for the shifted-dual differentials."""
+def dual_differential_sign(n: int) -> int:
+    """Frozen exponent s(n) of the shifted-dual differentials, the same at
+    every square."""
     return n % 2
 
 
@@ -197,13 +198,10 @@ def resolve_dual_signs(dd: DualityData, maps=None) -> list[int | None]:
     return out
 
 
-def verify_chain_map(dd: DualityData, maps=None) -> bool:
+def verify_chain_map(dd: DualityData, maps) -> bool:
     """Chain-map test against the frozen dual-differential convention."""
-    n = dd.n
-    resolved = resolve_dual_signs(dd, maps)
-    return all(
-        s == dual_differential_sign(i + 1, n) for i, s in enumerate(resolved)
-    )
+    sign = dual_differential_sign(dd.n)
+    return all(s == sign for s in resolve_dual_signs(dd, maps))
 
 
 def verify_symmetry(dd: DualityData) -> bool:

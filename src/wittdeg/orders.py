@@ -1,8 +1,7 @@
 """Monomial orders on exponent tuples, and the packed form of a monomial.
 
-Variable precedence is declaration order (earlier variables are larger).
-A key function maps an exponent tuple to a sort key; larger key = larger
-monomial, and the constant monomial is minimal (well-foundedness).
+Variable precedence is declaration order (earlier variables are larger),
+and the constant monomial is minimal (well-foundedness).
 
 A ring is declared with its order (`poly.Ring`, as in Singular), and a
 monomial of the ring is one int from the parser to the text output: its
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import struct
 from functools import cache
-from operator import mul, neg
+from operator import mul
 
 from .errors import AlgebraError, ExponentBoundExceeded
 
@@ -55,11 +54,10 @@ BOUND = (1 << BITS - 1) - 1  # the largest exponent: C = 2^15 - 1
 class MonomialOrder:
     """A named total, multiplicative, well-founded order on monomials."""
 
-    __slots__ = ("name", "key", "_grevlex")
+    __slots__ = ("name", "_grevlex")
 
-    def __init__(self, name, key, grevlex):
+    def __init__(self, name, grevlex):
         self.name = name
-        self.key = key
         self._grevlex = grevlex
 
     @cache
@@ -77,14 +75,8 @@ class MonomialOrder:
         return self.name
 
 
-def _grevlex_key(exps):
-    # total degree, ties broken by the reversed negated tuple: the monomial
-    # whose rightmost differing exponent is smaller wins
-    return (sum(exps), tuple(map(neg, reversed(exps))))
-
-
-GREVLEX = MonomialOrder("grevlex", _grevlex_key, True)
-LEX = MonomialOrder("lex", tuple, False)
+GREVLEX = MonomialOrder("grevlex", True)
+LEX = MonomialOrder("lex", False)
 
 _BY_NAME = {"grevlex": GREVLEX, "lex": LEX}
 

@@ -600,15 +600,6 @@ def parse_poly(text: str, ring: Ring) -> Poly:
         raise
 
 
-def format_monomial(ring: Ring, exps) -> str:
-    parts = [
-        v if e == 1 else f"{v}^{e}"
-        for v, e in zip(ring.variables, exps)
-        if e
-    ]
-    return "*".join(parts) if parts else "1"
-
-
 def format_poly(p: Poly) -> str:
     """Canonical text form, terms in descending GREVLEX order whatever the
     ring's order; round-trips through parse_poly.

@@ -13,22 +13,18 @@ relations' cofactors are never converted.  On the 84 rows-benchmark jobs
 of seed 1 (CPython 3.11, x86-64) this cut the Fractions made inside
 is_unimodular from 5,112 to 1,021.
 
-The obstruction report ties a validated endomorphism to the completability
-of the induced row over S_n = k[x_1..x_n, y_1..y_n]/(sum x_i y_i - 1): a
-nonzero degree class means the row (f_1,...,f_n) is not completable there.
-Vanishing of the class decides nothing (the obstruction is not known to be
-injective), and the verdict strings keep that asymmetry.
+Its functions return values only: the CLI makes their text, and the
+nori-check verdict on the row an endomorphism induces (see `cli`).
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .degree import DegreeReport, Endo, degree_of
-from .errors import ArityMismatch, EvenN, Frozen, InternalError, RingMismatch
+from .degree import Endo
+from .errors import ArityMismatch, Frozen, InternalError, RingMismatch
 from .groebner import buchberger, contains_one_with_certificate
 from .poly import Poly, Ring, _add_shifted, _clear, _ratios, _reduce
-from .witt import witt_class_display
 
 
 class AlgebraPresentation(Frozen):
@@ -38,7 +34,7 @@ class AlgebraPresentation(Frozen):
     ring: Ring
     relations: tuple[Poly, ...]
 
-    def __init__(self, ring, relations=()):
+    def __init__(self, ring, relations):
         for r in relations:
             if r.ring != ring:
                 raise RingMismatch("relation outside the declared ring")
@@ -121,35 +117,3 @@ def compose_with_endo(row: UnimodularRow, endo: Endo) -> UnimodularRow:
         )
     entries = tuple(img.substitute(list(row.entries)) for img in endo.images)
     return UnimodularRow(algebra=row.algebra, entries=entries)
-
-
-def obstruction_report(endo: Endo) -> tuple[DegreeReport, str]:
-    """Degree report plus a completability verdict for the induced row.
-
-    Only defined for odd arity (the row-level symbol does not factor
-    through SL_n for even n).  The non-completability claim covers the row
-    (f_1,...,f_n) over S_n; nothing is claimed when the class vanishes, and
-    for n = 1 the class is reported without a row-level claim.
-    """
-    n = endo.n
-    if n % 2 == 0:
-        raise EvenN("the row-level obstruction needs odd arity")
-    report = degree_of(endo)
-    cls = witt_class_display(report.diag)
-    row_str = ", ".join(str(p) for p in endo.images)
-    field = report.field
-    if n == 1:
-        verdict = (
-            f"degree class {cls} in W({field}); no row-level claim for n = 1"
-        )
-    elif not report.is_zero:
-        verdict = (
-            f"obstruction {cls} != 0 in W({field}): "
-            f"row ({row_str}) over S_{n} is not completable"
-        )
-    else:
-        verdict = (
-            f"obstruction vanishes in W({field}): completability of "
-            f"row ({row_str}) over S_{n} is not decided by this invariant"
-        )
-    return report, verdict

@@ -136,7 +136,7 @@ class DiagForm(Frozen):
     entries: tuple[int, ...]
     primes: tuple[int, ...]
 
-    def __init__(self, field, entries, primes=()):
+    def __init__(self, field, entries, primes):
         used = set()
         if field.is_rationals:
             bad = [e for e in entries if type(e) is not int or not e]
@@ -343,8 +343,7 @@ def _swap(rows: list, k: int, t: int) -> None:
 class WittInvariants(Frozen):
     """Classification data deciding identity in the Witt group.
 
-    hasse maps each place to its Hasse symbol; left out, it is a fresh
-    empty dict."""
+    hasse maps each place to its Hasse symbol."""
 
     __slots__ = ("field", "rank", "signature", "signed_discriminant", "hasse")
     field: FieldSpec
@@ -353,12 +352,12 @@ class WittInvariants(Frozen):
     signed_discriminant: object
     hasse: dict
 
-    def __init__(self, field, rank, signature, signed_discriminant, hasse=None):
+    def __init__(self, field, rank, signature, signed_discriminant, hasse):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "signed_discriminant", signed_discriminant)
-        object.__setattr__(self, "hasse", {} if hasse is None else hasse)
+        object.__setattr__(self, "hasse", hasse)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

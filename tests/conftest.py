@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import islice
+from operator import neg
 
 import pytest
 
@@ -269,7 +270,7 @@ def basis_of(polys):
     a Groebner basis."""
     q = polys[0].ring.field.modulus
     entries = tuple(_divisor(_clear(p.packed)[0], q) for p in polys)
-    return GroebnerBasis(generators=tuple(polys), entries=entries)
+    return GroebnerBasis(generators=tuple(polys), entries=entries, cofactors=None)
 
 
 def exact(field, num, den=1):
@@ -348,12 +349,25 @@ def _reference_mul(p, other):
     return poly(p.ring, terms)
 
 
+def _grevlex_key(exps):
+    # total degree, ties broken by the reversed negated tuple: the monomial
+    # whose rightmost differing exponent is smaller wins
+    return (sum(exps), tuple(map(neg, reversed(exps))))
+
+
+def order_key(order):
+    """The sort key of an exponent tuple under order: larger key = larger
+    monomial.  It works on tuples, independent of the packed comparison
+    it checks."""
+    return _grevlex_key if order is GREVLEX else tuple
+
+
 def leading(p):
     """(exponents, coefficient) of the largest term of p in its ring's order,
     found on exponent tuples with the order's key: independent of the
     packed comparison."""
     terms = p.terms
-    e = max(terms, key=p.ring.order.key)
+    e = max(terms, key=order_key(p.ring.order))
     return e, terms[e]
 
 
@@ -473,7 +487,7 @@ def format_poly_reference(p):
     names = ring.variables
     packing = ring.packing
     unpack = packing.unpack
-    key = None if packing.order is GREVLEX else lambda k: GREVLEX.key(unpack(k))
+    key = None if packing.order is GREVLEX else lambda k: _grevlex_key(unpack(k))
     packed = p.packed
     pieces = []
     for k in sorted(packed, key=key, reverse=True):

@@ -594,8 +594,9 @@ def test_gram_rendered_from_sparse_rows(g):
     )
     expected = {"schema": 1, "gram": rows, "rank": len(rows), "note": note}
     assert "".join(pieces) == json.dumps(expected, indent=2)
-    inv = WittInvariants(g.field, len(rows), None, 1)
-    report = SimpleNamespace(labels=(), gram=g, diag="<>", invariants=inv)
+    inv = WittInvariants(g.field, len(rows), None, 1, {})
+    quotient = SimpleNamespace(ring=None, keys=())
+    report = SimpleNamespace(quotient=quotient, gram=g, diag="<>", invariants=inv)
     lines = cli._degree_verbose_lines(report)
     start = lines.index("gram matrix:") + 1
     assert lines[start : start + len(rows)] == [
@@ -791,30 +792,65 @@ def test_exit_codes_on_random_valid_maps(text):
                 assert doc["length"] == len(doc["gram"])
 
 
+def _as_streamed(job):
+    """The job's argv, as the stream gives it and again with --order lex."""
+    return [job.argv, ("--order", "lex", *job.argv)]
+
+
+def _as_text(job):
+    """The job's map through the text paths and the nori-check document."""
+    commands = (
+        ("degree",), ("--verbose", "degree"), ("nori-check",), ("--json", "nori-check")
+    )
+    return [(*c, "{job}") for c in commands]
+
+
 # The SHA-256 of every exit code, stdout and stderr that `run` gives on the
-# first 84 jobs of each benchmark workload at seed 1, each job run as the
-# stream gives it and again with --order lex.  It pins the bytes of the
-# paths the benchmark times.  Re-pin it only for an intended change of
-# output, or when a change to bench/workloads.py changes the streams.
-STREAM_DIGEST = "64607dc4c4345c9fc7926dc953171d65a8174bb0f13e5ca7eab89dc71b5d8cbc"
+# first jobs of benchmark workloads at seed 1, f"{rc}\n{stdout}\n{stderr}\n"
+# per run, the runs of each job in the order the argv function lists them.
+# The first pins the bytes of the paths the benchmark times, on 84 jobs of
+# each workload.  The second pins the text output, the --verbose labels and
+# the nori-check verdicts on 28 jobs of each degree workload: 16 vanishing
+# and 12 nonzero verdicts, 26 EvenN and 2 FactorBoundExceeded exits.
+# Re-pin a digest only for an intended change of output, or when a change
+# to bench/workloads.py changes the streams.
+STREAMS = [
+    pytest.param(
+        ("structured-q", "generic", "rows"),
+        84,
+        _as_streamed,
+        "64607dc4c4345c9fc7926dc953171d65a8174bb0f13e5ca7eab89dc71b5d8cbc",
+        id="bench",
+    ),
+    pytest.param(
+        ("structured-q", "generic"),
+        28,
+        _as_text,
+        "53ef400357cc37df17a10d2ed774f009b92ad9f0a3065ce0330f542322c1053a",
+        id="text",
+    ),
+]
 
 
-def test_benchmark_streams_are_byte_identical(tmp_path, monkeypatch):
+@pytest.mark.parametrize("names, count, argvs, expected", STREAMS)
+def test_benchmark_streams_are_byte_identical(
+    tmp_path, monkeypatch, names, count, argvs, expected
+):
     monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
     import workloads
 
     digest = hashlib.sha256()
-    for workload in workloads.WORKLOADS:
-        for job in itertools.islice(workloads.jobs(workload, 1), 84):
+    for workload in names:
+        for job in itertools.islice(workloads.jobs(workload, 1), count):
             paths = {}
             for key, text in job.files.items():
                 path = tmp_path / f"{workload}-{job.index}-{key}"
                 path.write_text(text)
                 paths[key] = str(path)
-            argv = [arg.format(**paths) for arg in job.argv]
-            for flags in ((), ("--order", "lex")):
+            for template in argvs(job):
+                argv = [arg.format(**paths) for arg in template]
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = run([*flags, *argv])
+                    code = run(argv)
                 digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
-    assert digest.hexdigest() == STREAM_DIGEST
+    assert digest.hexdigest() == expected

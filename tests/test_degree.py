@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg import degree
+from wittdeg import cli, degree
 from wittdeg.cli import HYPOTHESIS_ERRORS, _endo_from_job, parse_job_file, run
 from wittdeg.degree import (
     DegreeReport,
@@ -51,6 +51,7 @@ from conftest import (
     make_endo,
     monomial,
     monomial_nf,
+    order_key,
     poly,
     power_endo,
     random_poly,
@@ -149,7 +150,8 @@ def _reference_combined_basis(qa, ring2):
     n = qa.ring.nvars
     gx = [_reference_lift(g, ring2, 0) for g in qa.gb.basis]
     gu = [_reference_lift(g, ring2, n) for g in qa.gb.basis]
-    combined = sorted(gx + gu, key=lambda g: ring2.order.key(leading(g)[0]))
+    key = order_key(ring2.order)
+    combined = sorted(gx + gu, key=lambda g: key(leading(g)[0]))
     return basis_of(combined)
 
 
@@ -161,7 +163,7 @@ def _reference_gram(endo, qa):
     delta = bezoutian(endo)
     ring2 = delta.ring
     nf = normal_form(delta, _reference_combined_basis(qa, ring2))
-    index = {m: k for k, m in enumerate(qa.monomials)}
+    index = {m: k for k, m in enumerate(map(qa.ring.packing.unpack, qa.keys))}
     d = qa.dimension
     zero = field.zero
     b = [[zero] * d for _ in range(d)]
@@ -236,8 +238,8 @@ def test_integer_table_and_gram_match_reference_division(Q):
                 delta = bezoutian(endo)
                 combined = _reference_combined_basis(qa, delta.ring).basis
                 _, nf = reference_divide(delta, combined)
-                index = {m: k for k, m in enumerate(qa.monomials)}
-                rows = [{} for _ in qa.monomials]
+                index = {m: k for k, m in enumerate(map(packing.unpack, qa.keys))}
+                rows = [{} for _ in qa.keys]
                 for e, c in nf.terms.items():
                     rows[index[e[:n]]][index[e[n:]]] = c
                 assert list(exact_rows(gram)) == rows
@@ -267,11 +269,17 @@ def test_gram_off_standard_basis_is_internal_error(Q, monkeypatch, capsys):
     assert "off the standard basis" in capsys.readouterr().err
 
 
+def _labels(rep):
+    """The standard monomials as --verbose prints them, in basis order."""
+    line = cli._degree_verbose_lines(rep)[0]
+    return tuple(line.removeprefix("standard monomials: ").split(", "))
+
+
 def test_gram_cross_example(Q):
     endo = make_endo(Q, ("x1", "x2"), ("x1^2 - x2^2", "x1*x2"))
     rep = degree_of(endo)
     g = rep.gram
-    assert rep.labels == ("1", "x2", "x1", "x2^2")
+    assert _labels(rep) == ("1", "x2", "x1", "x2^2")
     expected = (
         (0, 0, 0, 1),
         (0, 1, 0, 0),
@@ -290,7 +298,7 @@ def test_gram_identity(Q):
 def test_gram_cube_antidiagonal(Q):
     rep = degree_of(power_endo(Q, (3,)))
     g = rep.gram
-    assert rep.labels == ("1", "x1", "x1^2")
+    assert _labels(rep) == ("1", "x1", "x1^2")
     expected = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert dense(g) == [[Fraction(x) for x in row] for row in expected]
 
@@ -300,8 +308,9 @@ def test_degree_counterexample(Q):
     assert rep.length == 4
     assert witt_equal(rep.diag, diag_form(Q, [1, 1]))
     assert not rep.is_zero
-    assert rep.divisible_by_nminus1_factorial  # 2 | 4
-    assert not rep.divisible_by_n_factorial  # 6 does not divide 4
+    data = cli._degree_json(rep)
+    assert data["nori_nminus1_factorial"]  # 2 | 4
+    assert not data["nori_n_factorial"]  # 6 does not divide 4
 
 
 def test_report_is_its_four_stage_results(Q, F7):
@@ -324,7 +333,7 @@ def test_report_is_its_four_stage_results(Q, F7):
         rep = degree_of(endo)
         assert stored(rep.quotient) == stored(validate(endo))
         assert (rep.field, rep.n, rep.length, len(rep.gram.rows)) == (field, 3, 4, 4)
-        assert rep.labels == ("1", "x2", "x1", "x2^2")
+        assert _labels(rep) == ("1", "x2", "x1", "x2^2")
         jac = normal_form(jacobian_det(list(endo.images)), rep.quotient.gb)
         assert jac == parse_poly("4*x2^2", endo.ring)
 
@@ -491,7 +500,7 @@ def test_realified_sixth_power(Q):
 
 
 def test_report_json_shape(Q):
-    data = degree_of(counterexample_endo(Q)).to_json_dict()
+    data = cli._degree_json(degree_of(counterexample_endo(Q)))
     assert data["schema"] == 1
     assert data["field"] == "Q"
     assert data["length"] == 4
@@ -540,7 +549,7 @@ def test_q_gram_reduces_to_its_f_p_twin(Q):
     endos = []
     jobs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "jobs"
     for path in sorted(jobs.glob("*.job")):
-        job = parse_job_file(str(path))
+        job = parse_job_file(str(path), GREVLEX)
         if job.ring.field != Q:
             continue
         endo = _endo_from_job(job, str(path))

@@ -34,6 +34,7 @@ from conftest import (
     leading,
     monomial,
     monomial_nf,
+    order_key,
     poly,
     random_poly,
     random_unit,
@@ -118,14 +119,15 @@ def test_normal_form_properties_random(Q, F7):
 def test_standard_monomials_example(R2, cross_gb):
     qa = standard_monomials(cross_gb)
     assert qa.dimension == 4
-    assert qa.monomials == ((0, 0), (0, 1), (1, 0), (0, 2))
+    exps = tuple(map(R2.packing.unpack, qa.keys))
+    assert exps == ((0, 0), (0, 1), (1, 0), (0, 2))
 
 
 def test_standard_monomials_point(Q):
     ring = Ring(("x1", "x2", "x3"), Q)
     qa = standard_monomials(buchberger(list(ring.gens())))
     assert qa.dimension == 1
-    assert qa.monomials == ((0, 0, 0),)
+    assert tuple(map(ring.packing.unpack, qa.keys)) == ((0, 0, 0),)
 
 
 def test_standard_monomials_infinite(R2):
@@ -244,23 +246,24 @@ def test_contains_one_with_relation(Q):
 def test_monomial_order_axioms():
     rng = random.Random(140)
     for order in (GREVLEX, LEX):
+        key = order_key(order)
         # well-founded: the constant monomial is minimal
         samples = [
             tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(50)
         ]
-        assert all(order.key((0, 0, 0)) <= order.key(m) for m in samples)
+        assert all(key((0, 0, 0)) <= key(m) for m in samples)
         for _ in range(200):
             a, b, c = (
                 tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(3)
             )
             # totality: keys of distinct monomials differ
             if a != b:
-                assert order.key(a) != order.key(b)
+                assert key(a) != key(b)
             # multiplicativity: a < b implies a+c < b+c
-            if order.key(a) < order.key(b):
+            if key(a) < key(b):
                 ac = tuple(x + y for x, y in zip(a, c))
                 bc = tuple(x + y for x, y in zip(b, c))
-                assert order.key(ac) < order.key(bc)
+                assert key(ac) < key(bc)
 
 
 def _assert_reduced_basis(gb):
@@ -440,7 +443,8 @@ def _eager_entry(terms, packing, tag=None):
     """A monic-basis entry (lead, lc, tail, tag): the lead on exponents, the
     tail packed for the kernel."""
     exps = packing.unpack
-    lead = max(terms, key=lambda k: packing.order.key(exps(k)))
+    key = order_key(packing.order)
+    lead = max(terms, key=lambda k: key(exps(k)))
     tail = dict(terms)
     return exps(lead), tail.pop(lead), tail, tag
 
@@ -452,7 +456,8 @@ def _eager_reduce(terms, basis, packing, field, cof=None):
     exponent tuples."""
     q = field.modulus
     exps = functools.cache(packing.unpack)  # local: each call's terms once
-    key = functools.cache(lambda k: packing.order.key(exps(k)))
+    tuple_key = order_key(packing.order)
+    key = functools.cache(lambda k: tuple_key(exps(k)))
     rem = {}
     while terms:
         ce = max(terms, key=key)
@@ -486,7 +491,7 @@ def _eager_buchberger(gens, track_cofactors=False):
     field = ring.field
     q = field.modulus
     minus_one = field.from_int(-1)
-    order = ring.order
+    key = order_key(ring.order)
     packing = ring.packing
     m = len(gens)
     # monic working basis as _eager_entry tuples, in order of discovery
@@ -520,7 +525,7 @@ def _eager_buchberger(gens, track_cofactors=False):
                 continue
             # x^(lcm - lead_i) * f_i against x^(lcm - lead) * f
             sug = sum(lcm) + max(sugars[i] - sum(work[i][0]), sugar - sum(lead))
-            heapq.heappush(pairs, (sug, order.key(lcm), i, len(work)))
+            heapq.heappush(pairs, (sug, key(lcm), i, len(work)))
         work.append((lead, field.one, tail, cof))
         sugars.append(sugar)
 
@@ -557,9 +562,9 @@ def _eager_buchberger(gens, track_cofactors=False):
 
 def _eager_reduce_basis(gens, work, packing, track):
     ring = gens[0].ring
-    order = packing.order
+    key = order_key(packing.order)
     # minimal basis: drop elements whose leading monomial another divides
-    work = sorted(work, key=lambda w: order.key(w[0]))
+    work = sorted(work, key=lambda w: key(w[0]))
     kept = []
     for w in work:
         if not any(_divides(k[0], w[0]) for k in kept):
@@ -577,7 +582,7 @@ def _eager_reduce_basis(gens, work, packing, track):
             if rem != terms:
                 kept[idx] = _eager_entry(rem, packing, cof)
                 changed = True
-    kept.sort(key=lambda w: order.key(w[0]))
+    kept.sort(key=lambda w: key(w[0]))
     basis = tuple(
         Poly(ring, {packing.pack(lead): lc, **tail})
         for lead, lc, tail, _ in kept
@@ -1113,7 +1118,7 @@ def test_monomial_table_off_standard_basis_is_internal_error(Q):
     x, y = ring.gens()
     gb = buchberger([x * x, y * y])
     qa = standard_monomials(gb)
-    assert (1, 1) in qa.monomials
+    assert (1, 1) in map(ring.packing.unpack, qa.keys)
     xy = ring.packing.pack((1, 1))
     broken = QuotientAlgebra(gb=gb, keys=tuple(m for m in qa.keys if m != xy))
     with pytest.raises(InternalError, match="off the standard basis"):

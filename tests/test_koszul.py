@@ -98,7 +98,7 @@ def test_resolved_convention_is_frozen_family(Q):
     for n in range(1, 5):
         dd = generic_duality(Q, n)
         resolved = resolve_dual_signs(dd)
-        assert resolved == [dual_differential_sign(i, n) for i in range(1, n + 1)]
+        assert resolved == [dual_differential_sign(n)] * n
         assert all(s == n % 2 for s in resolved)
 
 
@@ -115,7 +115,7 @@ def test_resolve_dual_signs_all_three_outcomes(Q):
 def test_chain_map_signed_family(Q):
     for n in range(1, 5):
         dd = generic_duality(Q, n)
-        assert verify_chain_map(dd)
+        assert verify_chain_map(dd, dd.signed_maps)
 
 
 def test_chain_map_fails_for_unsigned_family(Q):
@@ -197,9 +197,7 @@ def test_no_stored_matrix_holds_a_zero(Q):
 def test_conventions_hold_beyond_n4(Q):
     for n in range(5, 11):
         dd = generic_duality(Q, n)
-        assert resolve_dual_signs(dd) == [
-            dual_differential_sign(i, n) for i in range(1, n + 1)
-        ], n
+        assert resolve_dual_signs(dd) == [dual_differential_sign(n)] * n, n
         assert verify_symmetry(dd), n
         assert not verify_chain_map(dd, dd.wedge_maps), n
         _assert_sparse(dd)

@@ -3,10 +3,10 @@ the CLI loads.
 
 The package namespace binds no names, so each name is imported from the
 module that defines it; no module keeps an import it does not use; every
-public function, and every public member of a class, is reached by a
-command, a pipeline stage or the benchmark; and the CLI's start-up loads
-neither a code generator nor a module that only one command or the JSON
-writer reads.
+public function, every public member of a class and every public slot
+field is reached by a command, a pipeline stage or the benchmark; and the
+CLI's start-up loads neither a code generator nor a module that only one
+command or the JSON writer reads.
 """
 
 import ast
@@ -115,6 +115,14 @@ def _attributes_read(node) -> set:
     }
 
 
+def _bench_attributes_read() -> set:
+    """The name of every attribute the benchmark's scripts read."""
+    reached = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        reached |= _attributes_read(ast.parse(path.read_text()))
+    return reached
+
+
 def test_every_public_member_is_reached():
     """A public method, property or classmethod of a package class is read
     as an attribute, x.name, somewhere other than in its own body: by
@@ -122,9 +130,7 @@ def test_every_public_member_is_reached():
     Dunders and _-names are exempt.  A member is known by its name only, so
     one that shares its name with a member read elsewhere (Ring.zero and
     FieldSpec.zero) passes.  What only tests read belongs in tests."""
-    reached = set()
-    for path in (ROOT / "bench").glob("*.py"):
-        reached |= _attributes_read(ast.parse(path.read_text()))
+    reached = _bench_attributes_read()
     defined = []
     for stem, tree in _modules().items():
         for stmt in tree.body:
@@ -138,6 +144,36 @@ def test_every_public_member_is_reached():
                     defined.append((f"{stem}.{stmt.name}", own))
     unreached = [f"{cls}.{name}" for cls, name in defined if name not in reached]
     assert not unreached, f"public members that nothing reaches: {unreached}"
+
+
+def _slots(cls) -> tuple:
+    """The names in the class's ``__slots__`` assignment, if it has one."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def test_every_public_slot_is_read():
+    """A public field in the ``__slots__`` of a package class is read as an
+    attribute, x.name, by the package or by the benchmark's scripts; _-names
+    are exempt.  As for members, a field is known by its name only.  A field
+    that only tests read belongs in tests."""
+    reached = _bench_attributes_read()
+    defined = []
+    for stem, tree in _modules().items():
+        reached |= _attributes_read(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defined.extend(
+                    f"{stem}.{cls.name}.{name}"
+                    for name in _slots(cls)
+                    if not name.startswith("_")
+                )
+    unread = [field for field in defined if field.rsplit(".", 1)[1] not in reached]
+    assert not unread, f"public slots that nothing reads: {unread}"
 
 
 def _imports_with_scope(tree) -> list:

@@ -22,6 +22,7 @@ from wittdeg.cli import _endo_from_job, _row_from_job, parse_job_file
 from wittdeg.degree import Endo, _gram_from_quotient, degree_of, validate
 from wittdeg.errors import DegenerateForm, NonCanonicalForm
 from wittdeg.fields import FieldSpec
+from wittdeg.orders import GREVLEX
 from wittdeg.poly import Ring
 from wittdeg.umrow import compose_with_endo, is_unimodular
 from wittdeg.witt import DiagForm, GramForm, _eliminate, diagonalize, invariants
@@ -73,7 +74,7 @@ def _assert_canonical(field, pairs):
 
 def _job_endo(name):
     path = str(JOBS / f"{name}.job")
-    return _endo_from_job(parse_job_file(path), path)
+    return _endo_from_job(parse_job_file(path, GREVLEX), path)
 
 
 # -- small seeded maps of the structured families --------------------------
@@ -160,7 +161,7 @@ def test_seeded_structured_maps_store_canonical_scalars(seed):
 
 def test_row_compose_certificate_is_canonical():
     path = str(JOBS / "taut3.row")
-    row = _row_from_job(parse_job_file(path), path)
+    row = _row_from_job(parse_job_file(path, GREVLEX), path)
     for name in ("counterexample", "power123"):
         endo = _job_endo(name)
         # also with the images scaled by rational units, so that their
@@ -197,11 +198,11 @@ def test_hand_built_forms_reject_floats():
     with pytest.raises(DegenerateForm, match="2.0 is not an int"):
         GramForm(field=F7, rows=({0: 2.0},), den=1)
     with pytest.raises(NonCanonicalForm, match="entry 1.0 "):
-        DiagForm(field=F7, entries=(1.0,))
+        DiagForm(field=F7, entries=(1.0,), primes=())
     with pytest.raises(NonCanonicalForm, match="entry 0.5 "):
-        DiagForm(field=Q, entries=(0.5,))
+        DiagForm(field=Q, entries=(0.5,), primes=())
     with pytest.raises(NonCanonicalForm, match="entry 3.0 "):
-        DiagForm(field=Q, entries=(1, 3.0))
+        DiagForm(field=Q, entries=(1, 3.0), primes=())
     for x in (Fraction(15), Fraction(-1)):
         with pytest.raises(NonCanonicalForm, match=f"entry {x} "):
             DiagForm(field=Q, entries=(x,), primes=(3, 5))

@@ -1,11 +1,12 @@
 import pathlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from wittdeg import groebner, umrow
+from wittdeg import cli, groebner, umrow
 from wittdeg.cli import run
-from wittdeg.degree import Endo
+from wittdeg.degree import Endo, degree_of
 from wittdeg.errors import ArityMismatch, EvenN, InternalError
 from wittdeg.groebner import GroebnerBasis, buchberger, normal_form
 from wittdeg.poly import Poly, Ring, parse_poly
@@ -14,8 +15,8 @@ from wittdeg.umrow import (
     UnimodularRow,
     compose_with_endo,
     is_unimodular,
-    obstruction_report,
 )
+from wittdeg.witt import witt_class_display
 
 from conftest import (
     basis_of,
@@ -40,7 +41,7 @@ def _verify_certificate(row, cert):
 
 def test_is_unimodular_affine_line(Q):
     ring = Ring(("x",), Q)
-    alg = AlgebraPresentation(ring=ring)
+    alg = AlgebraPresentation(ring=ring, relations=())
     row = UnimodularRow(algebra=alg, entries=(ring.var(0), ring.one() - ring.var(0)))
     cert = is_unimodular(row)
     assert cert == (ring.one(), ring.one())
@@ -49,7 +50,7 @@ def test_is_unimodular_affine_line(Q):
 
 def test_is_unimodular_proper_ideal(Q):
     ring = Ring(("x1", "x2", "x3"), Q)
-    alg = AlgebraPresentation(ring=ring)
+    alg = AlgebraPresentation(ring=ring, relations=())
     row = UnimodularRow(algebra=alg, entries=ring.gens())
     assert is_unimodular(row) is None
 
@@ -113,8 +114,15 @@ def test_composed_rows_stay_certifiable(Q):
         _verify_certificate(comp, cert)
 
 
+def _nori_check(endo):
+    """The degree report of endo and the verdict nori-check prints for it."""
+    report = degree_of(endo)
+    cls = witt_class_display(report.diag)
+    return report, cli._verdict(report, endo.images, cls)
+
+
 def test_obstruction_report_counterexample(Q):
-    report, verdict = obstruction_report(counterexample_endo(Q))
+    report, verdict = _nori_check(counterexample_endo(Q))
     assert not report.is_zero
     assert verdict == (
         "obstruction <1,1> != 0 in W(Q): row (x1^2 - x2^2, x1*x2, x3) "
@@ -124,14 +132,14 @@ def test_obstruction_report_counterexample(Q):
 
 def test_obstruction_report_identity(Q):
     ring = Ring(("x1", "x2", "x3"), Q)
-    report, verdict = obstruction_report(Endo(ring=ring, images=ring.gens()))
+    report, verdict = _nori_check(Endo(ring=ring, images=ring.gens()))
     assert not report.is_zero
     assert "<1> != 0" in verdict and "not completable" in verdict
 
 
 def test_obstruction_report_vanishing(F5):
     # -1 canonicalizes to 4 in F5, so the image formats as x1^2 + 4*x2^2
-    report, verdict = obstruction_report(counterexample_endo(F5))
+    report, verdict = _nori_check(counterexample_endo(F5))
     assert report.is_zero
     assert verdict == (
         "obstruction vanishes in W(F5): completability of row "
@@ -139,10 +147,14 @@ def test_obstruction_report_vanishing(F5):
     )
 
 
-def test_obstruction_report_requires_odd_arity(Q):
-    endo = make_endo(Q, ("x1", "x2"), ("x1", "x2"))
+def test_obstruction_report_requires_odd_arity(tmp_path, monkeypatch):
+    # nori-check refuses even n before any algebra: degree_of is never called
+    job = tmp_path / "identity2.job"
+    job.write_text("field = Q\nvars = x1, x2\nmap x1 = x1\nmap x2 = x2\n")
+    monkeypatch.setattr(cli, "degree_of", None)
+    args = SimpleNamespace(file=str(job), order="grevlex", json=False)
     with pytest.raises(EvenN):
-        obstruction_report(endo)
+        cli._cmd_nori_check(args)
 
 
 def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
@@ -172,7 +184,8 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     ring = Ring(("x",), Q)
     x = ring.var(0)
     row = UnimodularRow(
-        algebra=AlgebraPresentation(ring=ring), entries=(x, ring.one() - x)
+        algebra=AlgebraPresentation(ring=ring, relations=()),
+        entries=(x, ring.one() - x),
     )
     with pytest.raises(InternalError):
         is_unimodular(row)

@@ -717,7 +717,7 @@ def test_forms_and_invariants_compare_field_wise(Q, F7):
     assert d == DiagForm(Q, (2, 3, 6), (2, 3)) and d.primes == (2, 3)
     assert d != DiagForm(Q, (6, 3, 2), (2, 3))
     assert d != (Q, (2, 3, 6), (2, 3))
-    assert DiagForm(F7, (1, 3)) != DiagForm(Q, (1, 3), (3,))
+    assert DiagForm(F7, (1, 3), ()) != DiagForm(Q, (1, 3), (3,))
     inv = invariants(d)
     assert inv == invariants(DiagForm(Q, (2, 3, 6), (2, 3)))
     fields = [inv.field, inv.rank, inv.signature, inv.signed_discriminant]
@@ -729,14 +729,9 @@ def test_forms_and_invariants_compare_field_wise(Q, F7):
         assert WittInvariants(*changed, inv.hasse) != inv
     flipped = {**inv.hasse, "2": -inv.hasse["2"]}
     assert WittInvariants(*fields, flipped) != inv
-    assert invariants(DiagForm(F7, (1, 3))) != invariants(DiagForm(F7, (1, 1)))
-
-
-def test_invariants_without_hasse_get_a_fresh_dict(F7):
-    first = WittInvariants(F7, 0, None, F7.one)
-    second = WittInvariants(F7, 0, None, F7.one)
-    assert first.hasse == {} and first.hasse is not second.hasse
-    assert first == second
+    assert invariants(DiagForm(F7, (1, 3), ())) != invariants(
+        DiagForm(F7, (1, 1), ())
+    )
 
 
 def test_diag_form_rejects_non_canonical_entries(Q, F7):
@@ -768,10 +763,10 @@ def test_diag_form_rejects_non_canonical_entries(Q, F7):
         with pytest.raises(NonCanonicalForm, match="not a canonical"):
             DiagForm(field=Q, entries=entries, primes=primes)
     # over F_7 the canonical classes are 1 and the least non-residue 3
-    assert DiagForm(field=F7, entries=(1, 3, 3)).rank == 3
+    assert DiagForm(field=F7, entries=(1, 3, 3), primes=()).rank == 3
     for entries in ((2,), (1, 0), (6,)):
         with pytest.raises(NonCanonicalForm):
-            DiagForm(field=F7, entries=entries)
+            DiagForm(field=F7, entries=entries, primes=())
 
 
 def test_witt_equal_examples(Q):
