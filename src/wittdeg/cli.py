@@ -147,9 +147,12 @@ def parse_job_file(path: str, order: MonomialOrder) -> JobFile:
                     names = [v.strip() for v in value.split(",")]
                     if "" in names:
                         raise JobFileError("empty variable name in 'vars'")
-                    dup = next((v for i, v in enumerate(names) if v in names[:i]), None)
-                    if dup is not None:
-                        raise JobFileError(f"duplicate variable {dup!r} in 'vars'")
+                    for i, v in enumerate(names):
+                        # the name token of poly's grammar, [A-Za-z_][A-Za-z0-9_]*
+                        if not (v.isascii() and v.isidentifier()):
+                            raise JobFileError(f"bad variable name {v!r} in 'vars'")
+                        if v in names[:i]:
+                            raise JobFileError(f"duplicate variable {v!r} in 'vars'")
                     ring = Ring(tuple(names), field, order)
                 elif key.startswith("map "):
                     if ring is None:

@@ -13,10 +13,11 @@ union of the two block bases is a Groebner basis whose leading monomials
 are pure-x or pure-u, so x^m u^m' is standard exactly when x^m and u^m'
 are, and NF(x^a u^b) = NF(x^a) NF(u^b).  By linearity the normal form of
 Delta = sum c_ab x^a u^b is sum_a NF(x^a) (x) (sum_b c_ab NF(u^b)), and
-both factors come from the memoized monomial table of the quotient that
-validate built, so the border entries the support test filled are reused.
-The table divides nothing: each entry is a linear combination of entries
-for smaller monomials, seeded by the reduced basis (see `groebner`).
+both factors are read off the quotient that validate built: a
+`QuotientAlgebra` is the memoized table of its monomials' normal forms,
+so the border entries the support test filled are reused.  The table
+divides nothing: each entry is a linear combination of entries for
+smaller monomials, seeded by the reduced basis (see `groebner`).
 
 The monomial order is the endomorphism's ring's: the quotient's basis is
 reduced in it, and the doubled ring of the Bezoutian keeps it, so each
@@ -170,15 +171,15 @@ def bezoutian(endo: Endo) -> Poly:
 
 
 class _PartNF(dict):
-    """The quotient's normal-form table entry of a monomial, by its exponent
-    fields (see `Packing.complete`), memoized: a lookup that hits runs no
-    Python code."""
+    """The normal form of a monomial by its exponent fields (see
+    `Packing.complete`), read off the quotient, which is its normal-form
+    table by key, and memoized: a lookup that hits runs no Python code."""
 
     __slots__ = ("table", "complete")
 
     def __init__(self, qa: QuotientAlgebra):
         super().__init__()
-        self.table = qa._nf_table
+        self.table = qa
         self.complete = qa.ring.packing.complete
 
     def __missing__(self, fields: int) -> tuple[dict, int]:
@@ -192,7 +193,8 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
 
     acc maps each standard x-monomial to {standard u-monomial: coefficient},
     nonzeros only, so row i of the form is acc of the i-th standard monomial
-    with its keys replaced by their basis indices: no d x d matrix is built.
+    with its keys replaced by their basis indices (`QuotientAlgebra.index`):
+    no d x d matrix is built.
     Over Q every sum runs on the integer table entries, over a common
     denominator, and the form keeps the sums over it.  Delta is linear in
     each image, so it is built on ints, from the images cleared of
@@ -257,7 +259,7 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
             for dst in acc.values():
                 for m2, c in dst.items():
                     dst[m2] = c // g
-    index = {m: k for k, m in enumerate(qa.keys)}
+    index = qa.index
     b = [{} for _ in qa.keys]
     # each normal-form term x^m u^m' is entry (m, m'), its int coefficient
     # nonzero, and GramForm checks the symmetry

@@ -14,8 +14,8 @@ shift adds an offset, divisibility is one mask test and the lcm of two
 leads is a parallel field maximum.  The order of every computation here
 is the ring's.  Generators and polynomials to reduce come in as their
 term maps, and the basis entries, the certificate and normal forms go out
-as term maps on the same keys.  A quotient is its standard monomials'
-keys.  A monomial made on the way that passes the exponent bound
+as term maps on the same keys.  A quotient's basis is its standard
+monomials' keys.  A monomial made on the way that passes the exponent bound
 (orders.BOUND, and under GREVLEX the total degree too) raises
 ExponentBoundExceeded: `_reduce` checks each leading key, the lcm of a
 pair is checked when the pair is queued, and a cofactor vector of the
@@ -87,22 +87,22 @@ and 2 kept their output bytes and their `_add_shifted` counts; under
 counts fell from 195,443 to 113,780 (structured-q) and from 325,983 to
 122,016 (generic).  So only row certificates changed.
 
-Each QuotientAlgebra keeps one memoized table of monomial normal forms,
+A QuotientAlgebra is the memoized table of its monomials' normal forms,
 built from the reduced basis by linear combination alone, with no
 division, as in the multiplication tables of FGLM (Faugere, Gianni,
 Lazard & Mora, JSC 16, 1993).  Each entry is an int term dict over one
 positive denominator coprime to its content (over F_p the denominator is
-1).  It is seeded with the standard monomials, each its own normal form,
-and with the leading monomial of each basis element c * x^lead + tail,
-whose normal form is -tail / c: the tails of a reduced basis are
-standard.  A missing x^a has a non-standard x^(a - e_i), and
+1).  Its constructor seeds it with the standard monomials, each its own
+normal form, and with the leading monomial of each basis element
+c * x^lead + tail, whose normal form is -tail / c: the tails of a reduced
+basis are standard.  A missing x^a has a non-standard x^(a - e_i), and
 NF(x^a) = sum_s c_s NF(x^(s + e_i)) over the terms c_s x^s of
 NF(x^(a - e_i)), summed over the lcm of the entries' denominators.  Every
 x^(s + e_i) is smaller than x^a, so the fill is well founded; it runs on
 an explicit stack.  A normal form is unique, so each entry equals what
 division would give.  One step of the fill is a multiplication by x_i in
-the quotient (`_NFTable.times`): the table at x_i * s for the standard s
-of a normal form is the sparse multiplication map M_i.  The
+the quotient, `QuotientAlgebra.times`: the table at x_i * s for the
+standard s of a normal form is the sparse multiplication map M_i.  The
 origin-support test starts at the seed NF(x_i^b) of the least pure-power
 lead x_i^b, since every lower power of x_i is standard and its own
 normal form.  It applies M_i to that seed at most D - b times, D the
@@ -444,49 +444,78 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     return Poly(ring, _ratios(rem, den))
 
 
-class _NFTable(dict):
-    """NF(x^a) by the key of a as (nums, den), NF(x^a) = nums / den: nums a
-    packed int term dict, den a positive int coprime to the content of nums
-    (over F_p, 1).  Looking up a missing key fills it; callers must not
-    mutate an entry.
+class QuotientAlgebra(Frozen, dict):
+    """k[x]/I with a finite standard-monomial basis, as the table of its
+    monomials' normal forms.
 
-    A missing x^a is neither standard nor a leading monomial of the basis,
+    keys are the standard monomials, those outside the leading-term ideal,
+    as ascending keys in the ring's packing, index maps each to its
+    position in that basis, and dimension, their count, is the length of
+    the quotient.  The quotient maps the key of a monomial x^a to NF(x^a)
+    as (nums, den), NF(x^a) = nums / den: nums a packed int term dict, den
+    a positive int coprime to the content of nums (over F_p, 1).  Every
+    user of one quotient shares the table.  Looking up a missing key fills
+    it; callers must not mutate an entry.
+
+    The table is seeded with the standard monomials, each its own normal
+    form, and with the leads: the basis is reduced, so each divisor entry
+    is lc * x^lead + tail with a standard tail, and the normal form of its
+    leading monomial is -tail / lc (for the unit ideal, NF(1) is 0).  A
+    missing x^a is neither standard nor a leading monomial of the basis,
     so it is a proper multiple of some lead: some x^(a - e_i) is
     non-standard.  With NF(x^(a - e_i)) = sum_s c_s x^s,
 
         NF(x^a) = sum_s c_s NF(x^(s + e_i)),
 
-    the product x_i * NF(x^(a - e_i)) in the quotient (`times`): a linear
-    combination of table entries and no division, over Q summed on the
-    integer entries over the lcm of their denominators.  Each s
-    is standard and smaller than the non-standard x^(a - e_i), so every
-    x^(s + e_i) is smaller than x^a: the fill is well founded, and runs on
-    an explicit stack of the entries still missing.  The i taken is the
-    first whose x^(a - e_i) is non-standard and already in the table, if
-    there is one, else the first non-standard one.  A normal form is unique,
-    so every entry equals the direct normal form of x^a.  If the standard
-    set is not the standard basis, a missing x^a can have only standard
-    predecessors: that raises InternalError.
+    the product x_i * NF(x^(a - e_i)) in the quotient (`times`, the
+    multiplication map M_i of x_i): a linear combination of table entries
+    and no division, over Q summed on the integer entries over the lcm of
+    their denominators.  Each s is standard and smaller than the
+    non-standard x^(a - e_i), so every x^(s + e_i) is smaller than x^a:
+    the fill is well founded, and runs on an explicit stack of the entries
+    still missing.  The i taken is the first whose x^(a - e_i) is
+    non-standard and already in the table, if there is one, else the first
+    non-standard one.  A normal form is unique, so every entry equals the
+    direct normal form of x^a.  If keys is not the standard basis, a
+    missing x^a can have only standard predecessors: that raises
+    InternalError.
     """
 
-    __slots__ = ("standard", "q", "packing", "steps")
+    __slots__ = ("gb", "keys", "index", "_q", "_packing", "_steps")
+    gb: GroebnerBasis
+    keys: tuple[int, ...]
+    index: dict[int, int]
 
-    def __init__(self, seeds: dict, standard: frozenset, q, packing: Packing):
-        super().__init__(seeds)
-        self.standard = standard
-        self.q = q  # the modulus of F_q, None over Q
-        self.packing = packing
+    def __init__(self, gb, keys):
+        field, packing = gb.ring.field, gb.ring.packing
+        super().__init__((m, ({m: 1}, 1)) for m in keys)
+        for lead, lc, tail, _ in gb.entries:
+            self[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
+        object.__setattr__(self, "gb", gb)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "index", {m: k for k, m in enumerate(keys)})
+        object.__setattr__(self, "_q", field.modulus)  # None over Q
+        object.__setattr__(self, "_packing", packing)
         # x_i divides x^m iff (m + step) & guard == target, step = pad - key
         # of x_i; x^m / x_i has the key m - var[i]
-        self.steps = [(v, packing.pad - packing.one - v) for v in packing.var]
+        steps = [(v, packing.pad - packing.one - v) for v in packing.var]
+        object.__setattr__(self, "_steps", steps)
+
+    @property
+    def ring(self) -> Ring:
+        return self.gb.ring
+
+    @property
+    def dimension(self) -> int:
+        return len(self.keys)
 
     def times(self, nums: dict, den: int, v: int) -> tuple[dict, int]:
-        """x_i * nums / den for a normal form nums / den in the table's
+        """M_i: x_i * nums / den for a normal form nums / den in the table's
         integer form, v the key offset of x_i: sum_s c_s NF(x^(s + e_i))
         over the terms c_s x^s of nums, summed over the lcm of the entries'
         denominators (1 over F_p) and returned in the same form.  Each s is
         standard, so every key looked up is standard or on the border."""
-        q = self.q
+        q = self._q
         terms: dict = {}
         d = 1
         for s, c in nums.items():
@@ -500,7 +529,7 @@ class _NFTable(dict):
         return (terms, 1) if den == 1 else _lowest(terms, den)
 
     def __missing__(self, a: int) -> tuple[dict, int]:
-        standard, packing, steps = self.standard, self.packing, self.steps
+        index, packing, steps = self.index, self._packing, self._steps
         guard, target = packing.guard, packing.target
         if a & guard:
             packing.overflow()
@@ -515,7 +544,7 @@ class _NFTable(dict):
             for v, step in steps:
                 if (m + step) & guard == target:
                     b = m - v
-                    if b not in standard:
+                    if b not in index:
                         off, pred, prev = v, b, self.get(b)
                         if prev is not None:
                             break
@@ -536,58 +565,6 @@ class _NFTable(dict):
             self[m] = self.times(*prev, off)
             stack.pop()
         return self[a]
-
-
-class QuotientAlgebra(Frozen):
-    """k[x]/I with a finite standard-monomial basis.
-
-    keys are the standard monomials, those outside the leading-term ideal,
-    as ascending keys in the ring's packing, and dimension, their count,
-    is the length of the quotient.  One table, _nf_table, built on first
-    read and kept in the _nf slot, holds the normal forms of monomials by
-    their keys, so every user of one quotient shares it; it is seeded from
-    the reduced basis and filled without division (see the module
-    docstring and _NFTable).  Its entries are in the integer working
-    form, (nums, den).
-    """
-
-    __slots__ = ("gb", "keys", "_nf")
-    gb: GroebnerBasis
-    keys: tuple[int, ...]
-
-    def __init__(self, gb, keys):
-        object.__setattr__(self, "gb", gb)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "_nf", None)
-
-    @property
-    def ring(self) -> Ring:
-        return self.gb.ring
-
-    @property
-    def dimension(self) -> int:
-        return len(self.keys)
-
-    @property
-    def _nf_table(self) -> _NFTable:
-        """The normal-form table, seeded with the standard monomials and the
-        leads on first read and kept.
-
-        A standard monomial is its own normal form.  The basis is reduced:
-        each divisor entry is lc * x^lead + tail with a standard tail, so
-        the normal form of its leading monomial is -tail / lc (for the unit
-        ideal, NF(1) is 0).
-        """
-        table = self._nf
-        if table is None:
-            field = self.ring.field
-            seeds = {m: ({m: 1}, 1) for m in self.keys}
-            for lead, lc, tail, _ in self.gb.entries:
-                seeds[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
-            standard = frozenset(self.keys)
-            table = _NFTable(seeds, standard, field.modulus, self.ring.packing)
-            object.__setattr__(self, "_nf", table)
-        return table
 
 
 def standard_monomials(gb: GroebnerBasis) -> QuotientAlgebra:
@@ -664,7 +641,7 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
     pure power of x_i among the leads: every lower power is standard, so b
     is at most D, and its normal form is the table's seed.  So NF(x_i^D) =
     M_i^(D-b) NF(x_i^b): the seed is multiplied by x_i in the quotient
-    (`_NFTable.times`) at most D - b times, stopping at the first zero
+    (`QuotientAlgebra.times`) at most D - b times, stopping at the first zero
     vector, since every later one is zero too.  Each step reads the table
     at x_i * s for standard s only, so no key outside the standard set and
     its border is formed or stored, however large D is: a key of x_i^k
@@ -674,19 +651,18 @@ def supported_only_at_origin(qa: QuotientAlgebra) -> bool:
     d = qa.dimension
     if not d:
         return True
-    table = qa._nf_table
-    standard = table.standard
+    index = qa.index
     packing = qa.ring.packing
     for v in packing.var:
         b, key = 1, packing.one + v
-        while key in standard:  # the powers of x_i below the least lead
+        while key in index:  # the powers of x_i below the least lead
             b += 1
             key += v
-        nf = table[key]
+        nf = qa[key]
         for _ in range(d - b):
             if not nf[0]:
                 break
-            nf = table.times(*nf, v)
+            nf = qa.times(*nf, v)
         if nf[0]:
             return False
     return True

@@ -79,7 +79,7 @@ def monomial_nf(qa, a):
     """NF(x^a) in the QuotientAlgebra qa, on exponent tuples with canonical
     scalars: the entry of its normal-form table, which fills it if missing,
     read as exact values."""
-    return Poly(qa.ring, _ratios(*qa._nf_table[qa.ring.packing.pack(a)])).terms
+    return Poly(qa.ring, _ratios(*qa[qa.ring.packing.pack(a)])).terms
 
 
 def certificate(gb):

@@ -199,6 +199,21 @@ def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
             3,
             "unexpected character '\u0661' (at position 2)",
         ),
+        # a variable is a name token of the polynomial grammar,
+        # [A-Za-z_][A-Za-z0-9_]*: any other name could never be read back
+        (
+            "field = Q\nvars = x, 2y, a b\nrow = x\n",
+            2,
+            "bad variable name '2y' in 'vars'",
+        ),
+        ("field = Q\nvars = x, a b\nrow = x\n", 2, "bad variable name 'a b' in 'vars'"),
+        (
+            "field = Q\nvars = x, y^2\nmap x = x\nmap y^2 = x\n",
+            2,
+            "bad variable name 'y^2' in 'vars'",
+        ),
+        ("field = Q\nvars = x, \u00e9\n", 2, "bad variable name '\u00e9' in 'vars'"),
+        ("field = Q\nvars = x\u0661\n", 2, "bad variable name 'x\u0661' in 'vars'"),
     ],
     ids=[
         "field-twice",
@@ -224,6 +239,11 @@ def test_degree_exit_2_duplicate_variable_name(tmp_path, capsys):
         "F07",
         "F-arabic-indic-13",
         "arabic-indic-exponent",
+        "digit-first-name",
+        "spaced-name",
+        "power-name",
+        "non-ascii-letter-name",
+        "arabic-indic-digit-name",
     ],
 )
 def test_degree_exit_2_line_error_carries_location(

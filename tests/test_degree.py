@@ -229,8 +229,8 @@ def test_integer_table_and_gram_match_reference_division(Q):
                 packing = qa.ring.packing
                 for _ in range(4):
                     a = tuple(rng.randint(0, 5) for _ in range(n))
-                    qa._nf_table[packing.pack(a)]
-                for a in map(packing.unpack, list(qa._nf_table)):
+                    qa[packing.pack(a)]
+                for a in map(packing.unpack, list(qa)):
                     _, expected = reference_divide(monomial(ring, a), qa.gb.basis)
                     got = monomial_nf(qa, a)
                     assert got == expected.terms
@@ -339,8 +339,8 @@ def test_report_is_its_four_stage_results(Q, F7):
 
 
 def test_records_are_read_only(Q):
-    # a record's fields are set once, by its constructor; the quotient's
-    # normal-form table is built on its first read and kept
+    # a record's fields are set once, by its constructor; the quotient is
+    # its normal-form table, seeded by its constructor and filled on lookup
     endo = counterexample_endo(Q)
     rep = degree_of(endo)
     gram = rep.gram
@@ -353,7 +353,21 @@ def test_records_are_read_only(Q):
         assert getattr(record, name) is value
     with pytest.raises(AttributeError):
         rep.extra = 1  # no field of that name, and no instance dict
-    assert rep.gram is gram and rep.quotient._nf_table is rep.quotient._nf_table
+    assert rep.gram is gram
+    qa = rep.quotient
+    for name in ("gb", "index"):
+        value = getattr(qa, name)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(qa, name, None)
+        assert getattr(qa, name) is value
+    # a border entry x_i * s, s standard, that a fresh quotient's seeds
+    # miss: one lookup fills it, and the next returns the same object
+    qa = standard_monomials(buchberger(endo.images))
+    var = qa.ring.packing.var
+    border = next(s + v for s in qa.keys for v in var if s + v not in qa)
+    assert border not in qa.index
+    entry = qa[border]
+    assert border in qa and qa[border] is entry
 
 
 def test_degree_identity(Q):

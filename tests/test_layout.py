@@ -176,6 +176,32 @@ def test_every_public_slot_is_read():
     assert not unread, f"public slots that nothing reads: {unread}"
 
 
+def test_records_set_their_fields_in_init_alone():
+    """A read-only record (``errors.Frozen``) sets each field once, in its
+    constructor: every ``object.__setattr__`` call of the package sits
+    inside an ``__init__``, so no record changes after its constructor has
+    returned."""
+    outside = []
+    for stem, tree in _modules().items():
+        inside = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "__init__"
+            for node in ast.walk(func)
+        }
+        outside.extend(
+            f"{stem}.py:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+            and id(node) not in inside
+        )
+    assert not outside, f"object.__setattr__ outside an __init__: {outside}"
+
+
 def _imports_with_scope(tree) -> list:
     """(module, line, inside a function) for every import in the module,
     ``from __future__`` aside; a relative import's module is named without

@@ -42,8 +42,8 @@ def _stored_scalars(endo):
     diag = diagonalize(gram)
     for p in qa.gb.basis:
         yield from (("basis", c) for c in p.terms.values())
-    _assert_integer_form(field, qa._nf_table.values())
-    for a in map(qa.ring.packing.unpack, qa._nf_table):
+    _assert_integer_form(field, qa.values())
+    for a in map(qa.ring.packing.unpack, qa):
         yield from (("normal form", c) for c in monomial_nf(qa, a).values())
     # the Gram form as one int dict over its den, each pivot as one over
     # its own
