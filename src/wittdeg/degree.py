@@ -20,10 +20,13 @@ divides nothing: each entry is a linear combination of entries for
 smaller monomials, seeded by the reduced basis (see `groebner`).
 
 The monomial order is the endomorphism's ring's: the quotient's basis is
-reduced in it, and the doubled ring of the Bezoutian keeps it, so each
-Bezoutian key splits by a shift and a mask into the exponent fields of
-its x- and u-part, in the layout of the quotient's keys, and no key
-changes layout on the way.
+reduced in it, and the doubled ring of the Bezoutian has the block order
+of two copies of it (`orders`, as Singular's (dp(n), dp(n))), whose key
+of x^a u^b is the pair key(x^a) << W | key(u^b) of two keys of the
+quotient's packing.  So a shift and a mask split each Bezoutian key into
+the quotient keys of its x- and u-half, and no key changes layout on the
+way: a standard half is its own normal form and adds its term at its
+basis position, and any other half is looked up in the table as it is.
 
 Over Q the table entries are ints over a positive denominator, and the
 Gram build keeps that form: the Bezoutian is built from the images cleared
@@ -125,16 +128,18 @@ def validate(endo: Endo) -> QuotientAlgebra:
 
 def dual_ring(ring: Ring) -> Ring:
     """Ring with dual variables u1..un (renamed on a clash) appended, over
-    the same field and in the same order."""
+    the same field, in the block order of two copies of the ring's order
+    (`MonomialOrder.pairs`): the key of x^a u^b is the pair of the keys of
+    x^a and u^b in the ring's packing."""
     base = "u"
     while any(f"{base}{i + 1}" in ring.variables for i in range(ring.nvars)):
         base += "_"
     names = ring.variables + tuple(f"{base}{i + 1}" for i in range(ring.nvars))
-    return Ring(names, ring.field, ring.order)
+    return Ring(names, ring.field, ring.order.pairs)
 
 
 def bezoutian(endo: Endo) -> Poly:
-    """Determinant of the divided-difference matrix, in doubled variables.
+    """Determinant of the divided-difference matrix, in the dual ring.
 
     Entry (i, j) is (f_i(u_1..u_{j-1}, x_j..x_n) - f_i(u_1..u_j,
     x_{j+1}..x_n)) / (x_j - u_j).  It is filled in closed form: a term
@@ -145,8 +150,9 @@ def bezoutian(endo: Endo) -> Poly:
 
     and every (x, u) exponent produced is distinct (it determines e and k),
     so no coefficients combine.  The identity holds in every characteristic.
-    Each term is made as its packed key in the doubled ring, 1 plus the
-    offsets of its variables.
+    Each term is made as its packed key in the dual ring, 1 plus the
+    offsets of its variables: the offset of the u-prefix and the x-suffix
+    is made once per term and column, by one step from the last column's.
     """
     n = endo.n
     ring2 = dual_ring(endo.ring)
@@ -154,59 +160,60 @@ def bezoutian(endo: Endo) -> Poly:
     xs, us = var[:n], var[n:]
     rows = []
     for f in endo.images:
-        items = f.terms.items()  # on exponent tuples, unpacked once
+        # each term c * x^e with the key of u_1^e_1 ... u_{j-1}^e_{j-1} *
+        # x_{j+1}^e_{j+1} ... x_n^e_n for each column j
+        terms = []
+        for e, c in f.terms.items():  # on exponent tuples, unpacked once
+            key = sum(map(mul, e, xs), one)
+            keys = []
+            for e_j, x_j, u_j in zip(e, xs, us):
+                key -= e_j * x_j
+                keys.append(key)
+                key += e_j * u_j
+            terms.append((e, c, keys))
         row = []
         for j in range(n):
-            x_j, u_j = xs[j], us[j]
-            terms = {}
-            for e, c in items:
-                # u_1^e_1 ... u_{j-1}^e_{j-1} * x_{j+1}^e_{j+1} ... x_n^e_n
-                key = sum(map(mul, e[:j], us), one)
-                key += sum(map(mul, e[j + 1 :], xs[j + 1 :]))
-                for k in range(e[j]):
-                    terms[key + k * x_j + (e[j] - 1 - k) * u_j] = c
-            row.append(Poly(ring2, terms))
+            step = xs[j] - us[j]
+            entry = {}
+            for e, c, keys in terms:
+                # x_j^k u_j^(e_j-1-k) for k = 0, 1, ..., e_j - 1
+                key = keys[j] + (e[j] - 1) * us[j]
+                for _ in range(e[j]):
+                    entry[key] = c
+                    key += step
+            row.append(Poly(ring2, entry))
         rows.append(row)
     return det(rows)
 
 
-class _PartNF(dict):
-    """The normal form of a monomial by its exponent fields (see
-    `Packing.complete`), read off the quotient, which is its normal-form
-    table by key, and memoized: a lookup that hits runs no Python code."""
-
-    __slots__ = ("table", "complete")
-
-    def __init__(self, qa: QuotientAlgebra):
-        super().__init__()
-        self.table = qa
-        self.complete = qa.ring.packing.complete
-
-    def __missing__(self, fields: int) -> tuple[dict, int]:
-        value = self[fields] = self.table[self.complete(fields)]
-        return value
+def _on_positions(nums: dict, index: dict) -> dict:
+    """The normal form nums, on standard keys, on their basis positions."""
+    try:
+        return {index[m]: v for m, v in nums.items()}
+    except KeyError:
+        raise InternalError("reduced Bezoutian off the standard basis") from None
 
 
 def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     """Sparse Gram rows from NF(Delta) = sum_a NF(x^a) (x) row_a, where
     row_a = sum_b c_ab NF(u^b) (see the module docstring).
 
-    acc maps each standard x-monomial to {standard u-monomial: coefficient},
-    nonzeros only, so row i of the form is acc of the i-th standard monomial
-    with its keys replaced by their basis indices (`QuotientAlgebra.index`):
-    no d x d matrix is built.
+    Each Bezoutian key is the pair of the keys of its x- and u-half in the
+    quotient's packing (`dual_ring`), so e >> W and e & mask, W the width
+    of one key, are the halves, and no half is completed or re-keyed.  The
+    rows and acc are keyed by basis position (`QuotientAlgebra.index`)
+    from the start: a standard half is its own normal form and adds its
+    term straight at its position, and any other half's normal form is
+    read off the table by its key, which fills the border as for any
+    lookup, and put on positions once per distinct u-half.  acc maps the
+    position of each standard x-monomial to {position: coefficient},
+    nonzeros only, so acc is the sparse Gram form: no d x d matrix is
+    built.  A row_a of a standard x^a becomes acc's entry itself if acc has
+    none yet.
     Over Q every sum runs on the integer table entries, over a common
     denominator, and the form keeps the sums over it.  Delta is linear in
     each image, so it is built on ints, from the images cleared of
     denominators, over the product of their denominators.
-
-    The doubled ring has the order of the endomorphism's ring.  A shift
-    and a mask split each Bezoutian key into the exponent fields of its
-    x- and u-part (`Packing.halves`), and `_PartNF` completes a part to its
-    key in the quotient's packing and looks up its normal form, once per
-    distinct part.  When NF(x^a) is one term of coefficient 1, as for a
-    standard x^a, row_a itself becomes that term's entry of acc if acc has
-    none yet.
     """
     q = endo.field.modulus
     cleared = [_clear(f.packed) for f in endo.images]
@@ -215,41 +222,69 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
         ring = endo.ring
         endo = Endo(ring, tuple(Poly(ring, f) for f, _ in cleared))
     delta = bezoutian(endo)  # on ints: Delta = delta / den
-    xshift, ushift, mask = delta.ring.packing.halves()
-    nf_of = _PartNF(qa)
-    delta = delta.packed
+    w = qa.ring.packing.width
+    mask = (1 << w) - 1
+    index = qa.index
     # the rows, then the coefficients of NF(Delta), are summed over one
     # common denominator each, raised to the lcm when an entry needs it (1
     # over F_p)
-    rows: dict = {}  # the fields of an x-monomial a -> du * row_a
+    rows: dict = {}  # x-half a -> du * row_a
+    part: dict = {}  # a non-standard u-half b -> NF(u^b) on positions
     du = 1
-    for e, c in delta.items():
-        a = e >> xshift & mask
+    for e, c in delta.packed.items():
+        a = e >> w
         row = rows.get(a)
         if row is None:
             row = rows[a] = {}
-        nums, d = nf_of[e >> ushift & mask]
+        b = e & mask
+        j = index.get(b)
+        if j is not None:  # NF(u^b) = u^b: c * du at position j
+            c *= du
+            v = row.get(j)
+            if v is None:
+                row[j] = c
+                continue
+            v += c
+            if q is not None:
+                v %= q
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+            continue
+        nf = part.get(b)
+        if nf is None:
+            nums, d = qa[b]
+            nf = part[b] = (_on_positions(nums, index), d)
+        nums, d = nf
         if d != du:
             if du % d:
                 du = _to_lcm(du, d, rows.values())
             c *= du // d
         _add_shifted(row, nums, 0, c, q)
     del delta  # the rows hold what the rest needs: keep the peak memory low
-    acc: dict = {}  # standard x-monomial m -> dx * du * den * NF(Delta)_m
+    acc: dict = {}  # position of x^m -> dx * du * den * NF(Delta)_m
     dx = 1
     for a, row in rows.items():
-        nums, d = nf_of[a]
+        i = index.get(a)
+        if i is not None:  # NF(x^a) = x^a
+            if dx != 1:
+                _rescale(row, dx)
+            dst = acc.get(i)
+            if dst is None:
+                acc[i] = row  # row_a itself: no later step reads it
+            else:
+                _add_shifted(dst, row, 0, 1, q)
+            continue
+        nums, d = qa[a]
         if d != dx:
             if dx % d:
                 dx = _to_lcm(dx, d, acc.values())
             _rescale(row, dx // d)
-        for m, v in nums.items():
-            dst = acc.get(m)
+        for i, v in _on_positions(nums, index).items():
+            dst = acc.get(i)
             if dst is None:
-                if v == 1 and len(nums) == 1:  # as for a standard x^a
-                    acc[m] = row  # row_a itself: no later step reads it
-                    continue
-                dst = acc[m] = {}
+                dst = acc[i] = {}
             _add_shifted(dst, row, 0, v, q)
     den *= dx * du
     if den != 1:  # over den / g, g the gcd of den and every entry
@@ -257,18 +292,12 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
         if g != 1:
             den //= g
             for dst in acc.values():
-                for m2, c in dst.items():
-                    dst[m2] = c // g
-    index = qa.index
-    b = [{} for _ in qa.keys]
+                for j, c in dst.items():
+                    dst[j] = c // g
     # each normal-form term x^m u^m' is entry (m, m'), its int coefficient
     # nonzero, and GramForm checks the symmetry
-    try:
-        for m, dst in acc.items():
-            b[index[m]] = {index[m2]: c for m2, c in dst.items()}
-    except KeyError:
-        raise InternalError("reduced Bezoutian off the standard basis") from None
-    return GramForm(endo.field, tuple(b), den)
+    gram = tuple(acc.get(i) or {} for i in range(qa.dimension))
+    return GramForm(endo.field, gram, den)
 
 
 class DegreeReport(Frozen):

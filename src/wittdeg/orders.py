@@ -37,13 +37,32 @@ first field that runs below zero does) and the key still names its
 monomial uniquely.  The kernel checks the keys it makes at the points
 where they are reused, and `overflow` raises ExponentBoundExceeded instead
 of letting a key wrap into another monomial.
+
+The doubled ring k[x, u] of the Bezoutian, x and u in n variables each,
+has the block order `MonomialOrder.pairs` of two copies of its ring's
+order, as Singular's (dp(n), dp(n)): x^a u^b is compared by x^a first,
+then by u^b.  Its key is a pair of keys of the ring's own packing, with W
+the width of one of them (BITS * (n + 1) under GREVLEX, BITS * n under
+LEX):
+
+    key(x^a u^b) = key(x^a) << W | key(u^b)
+
+so a shift and a mask split it into the two quotient keys.  one and guard
+are the pairs (one, one) and (guard, guard), x_i has the offset var[i] << W
+and u_i the offset var[i].  Products still add keys, and each half keeps
+its own guard bits: a half past the bound sets a guard bit of that half,
+and a borrow in the u-half never reaches the x-half, as the degree field
+on top of the u-half, at least 1 when an exponent field runs below zero,
+absorbs it.  Lex on x, then lex on u, is lex on (x, u), and the
+pair layout of two LEX keys is the LEX key in 2n variables bit for bit, so
+`LEX.pairs` is LEX itself; only GREVLEX pairs into an order of its own.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import cache
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import AlgebraError, ExponentBoundExceeded
 
@@ -52,18 +71,27 @@ BOUND = (1 << BITS - 1) - 1  # the largest exponent: C = 2^15 - 1
 
 
 class MonomialOrder:
-    """A named total, multiplicative, well-founded order on monomials."""
+    """A named total, multiplicative, well-founded order on monomials.
 
-    __slots__ = ("name", "_grevlex")
+    pairs is the block order of two copies of this one, the order of the
+    doubled ring (see the module docstring); a block order keeps the order
+    of its blocks in _block."""
 
-    def __init__(self, name, grevlex):
+    __slots__ = ("name", "_grevlex", "_block", "pairs")
+
+    def __init__(self, name, grevlex, block=None):
         self.name = name
         self._grevlex = grevlex
+        self._block = block
 
     @cache
-    def packing(self, n: int) -> "Packing":
+    def packing(self, n: int) -> "Packing | PairPacking":
         """The packed layout of monomials in n variables under this order."""
-        return Packing(self, n)
+        if self._block is None:
+            return Packing(self, n)
+        if n % 2:
+            raise AlgebraError(f"{self} pairs two blocks, not {n} variables")
+        return PairPacking(self, self._block.packing(n // 2))
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.name == other.name
@@ -77,6 +105,8 @@ class MonomialOrder:
 
 GREVLEX = MonomialOrder("grevlex", True)
 LEX = MonomialOrder("lex", False)
+GREVLEX.pairs = MonomialOrder("(grevlex, grevlex)", True, GREVLEX)
+LEX.pairs = LEX
 
 _BY_NAME = {"grevlex": GREVLEX, "lex": LEX}
 
@@ -99,14 +129,15 @@ class Packing:
     pack and unpack convert one monomial between its exponent tuple and its
     key, for code that reads exponents one monomial at a time (a term map
     is converted key by key, as `Poly.terms` does); pack raises
-    ExponentBoundExceeded past the bound.  var[i] is the offset of x_i.
-    The attributes one, guard, pad and target are read directly by the
-    kernel loops, and by the parser and the printer.
+    ExponentBoundExceeded past the bound.  var[i] is the offset of x_i,
+    and width the bit length of a key within the bound.  The attributes
+    one, guard, pad and target are read directly by the kernel loops, and
+    by the parser and the printer.
     """
 
     __slots__ = (
-        "order", "n", "one", "guard", "pad", "target", "var",
-        "_low", "_values", "_format", "_width",
+        "order", "n", "one", "guard", "pad", "target", "var", "width",
+        "_low", "_values", "_format",
     )
 
     def __init__(self, order: MonomialOrder, n: int):
@@ -124,14 +155,14 @@ class Packing:
             # x_i raises the degree field and lowers the field C - e_i
             self.var = tuple((1 << top) - (1 << BITS * i) for i in range(n))
             self._format = struct.Struct(f"<{n}H")
-            self._width = 2 * (n + 1)
+            self.width = top + BITS
         else:
             self.one = 0
             self.guard = _fields(n, 1 << BITS - 1)
             self.pad = self.target = self.guard
             self.var = tuple(1 << BITS * (n - 1 - i) for i in range(n))
             self._format = struct.Struct(f">{n}H")
-            self._width = 2 * n
+            self.width = top
 
     def overflow(self):
         bound = "a total degree" if self.order._grevlex else "an exponent"
@@ -149,9 +180,9 @@ class Packing:
 
     def unpack(self, key: int) -> tuple:
         if self.order._grevlex:
-            fields = self._format.unpack_from(key.to_bytes(self._width, "little"))
-            return tuple(map(BOUND.__sub__, fields))
-        return self._format.unpack(key.to_bytes(self._width, "big"))
+            data = key.to_bytes(self.width >> 3, "little")
+            return tuple(map(BOUND.__sub__, self._format.unpack_from(data)))
+        return self._format.unpack(key.to_bytes(self.width >> 3, "big"))
 
     def degree(self, key: int) -> int:
         """The total degree of the monomial of key: under GREVLEX its top
@@ -187,8 +218,10 @@ class Packing:
                 ge -= ge >> BITS - 1  # the value bits of the fields where a >= b
                 out.append(la & ge | b & (values ^ ge))
             return out
-        # the fields are C - e: the larger exponent is the smaller field, and
-        # the degree goes on top as `complete` puts it
+        # the fields are C - e: the larger exponent is the smaller field.
+        # The degree, the sum of the exponents, goes on top: it is below
+        # 2^16 - 1 (at most 2C), and a sum of fields is that number modulo
+        # 2^16 - 1
         one, top, mod = self.one, BITS * self.n, (1 << BITS) - 1
         for b in leads:
             lb = b & low
@@ -198,23 +231,49 @@ class Packing:
             out.append((one - fields) % mod << top | fields)
         return out
 
-    def complete(self, fields: int) -> int:
-        """The key whose n exponent fields are fields: under GREVLEX with its
-        degree field put on top.  The fields are C - e; the degree, the sum
-        of the exponents, is below 2^16 - 1 (at most 2C, as in an lcm), and
-        a sum of fields is that number modulo 2^16 - 1."""
-        if not self.order._grevlex:
-            return fields
-        degree = (self.one - fields) % ((1 << BITS) - 1)
-        return degree << BITS * self.n | fields
 
-    def halves(self) -> tuple[int, int, int]:
-        """(xshift, ushift, mask) for keys in n = 2m variables: (key >>
-        xshift) & mask are the exponent fields of its first m variables,
-        and (key >> ushift) & mask those of the others, each as `complete`
-        in the packing of m variables takes them."""
-        m = self.n // 2
-        width = BITS * m
-        if self.order._grevlex:  # the fields of x_1 are the lowest
-            return 0, width, (1 << width) - 1
-        return width, 0, (1 << width) - 1
+class PairPacking:
+    """Keys of the monomials x^a u^b of the doubled ring under the block
+    order GREVLEX.pairs: the pair half.pack(a) << W | half.pack(b), half the
+    GREVLEX packing of one block and W its width (see the module
+    docstring).
+
+    It has the attributes and the checks of a `Packing` that the kernel,
+    `det` and `Poly` read, so a polynomial of the doubled ring multiplies,
+    reduces and prints as any other.  unpack reads the exponent fields of
+    both halves by one struct call, u's first, as the key's little-endian
+    bytes hold them.  The parser refuses its rings: the degree field of a
+    u-half is not checked until the end of a term, and could carry into
+    the x-half before it is.
+    """
+
+    __slots__ = (
+        "order", "n", "one", "guard", "pad", "target", "var",
+        "_half", "_format", "_swap",
+    )
+
+    def __init__(self, order: MonomialOrder, half: Packing):
+        m, w = half.n, half.width
+        self.order = order
+        self.n = 2 * m
+        self.one = half.one << w | half.one
+        self.guard = half.guard << w | half.guard
+        self.pad = half.pad << w | half.pad
+        self.target = half.target << w | half.target
+        self.var = tuple(v << w for v in half.var) + half.var
+        self._half = half
+        # C - e of u_1..u_m, u's degree field skipped, C - e of x_1..x_m
+        self._format = struct.Struct(f"<{m}H2x{m}H")
+        self._swap = itemgetter(*range(m, 2 * m), *range(m))
+
+    overflow = Packing.overflow
+    check = Packing.check
+
+    def pack(self, exps) -> int:
+        half = self._half
+        m = half.n
+        return half.pack(exps[:m]) << half.width | half.pack(exps[m:])
+
+    def unpack(self, key: int) -> tuple:
+        data = key.to_bytes(self._half.width >> 2, "little")
+        return tuple(map(BOUND.__sub__, self._swap(self._format.unpack_from(data))))

@@ -76,7 +76,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import FieldSpec, ratio
-from .orders import BITS, BOUND, GREVLEX, MonomialOrder, Packing
+from .orders import BITS, BOUND, GREVLEX, MonomialOrder, Packing, PairPacking
 
 
 # -- the term-dict kernel --------------------------------------------------
@@ -503,10 +503,14 @@ def parse_poly(text: str, ring: Ring) -> Poly:
 
     Each token is the tuple of the four groups of _TOKEN_RE (digits, name,
     operator, other), one of them nonempty; a sum that cancels drops out
-    of the term dict.
+    of the term dict.  A ring of two GREVLEX blocks (`orders.PairPacking`)
+    raises RingMismatch: the bound checks below read one layout of one
+    block.
     """
     field = ring.field
     packing = ring.packing
+    if type(packing) is PairPacking:
+        raise RingMismatch(f"no text is parsed in {ring}: its keys pair two blocks")
     one, var = packing.one, packing.var
     top = BITS * ring.nvars
     low = (1 << top) - 1  # the exponent fields, below a GREVLEX degree

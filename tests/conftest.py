@@ -358,7 +358,13 @@ def _grevlex_key(exps):
 def order_key(order):
     """The sort key of an exponent tuple under order: larger key = larger
     monomial.  It works on tuples, independent of the packed comparison
-    it checks."""
+    it checks.  Under the block order GREVLEX.pairs of a dual ring the
+    first half of the tuple is compared first, each half by GREVLEX."""
+    if order is GREVLEX.pairs:
+        return lambda e: (
+            _grevlex_key(e[: len(e) // 2]),
+            _grevlex_key(e[len(e) // 2 :]),
+        )
     return _grevlex_key if order is GREVLEX else tuple
 
 

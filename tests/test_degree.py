@@ -25,6 +25,7 @@ from wittdeg.errors import (
     InternalError,
     NotFiniteLength,
     NotOriginPreserving,
+    RingMismatch,
     SupportNotOrigin,
 )
 from wittdeg.fields import FieldSpec, square_class
@@ -89,7 +90,10 @@ def test_bezoutian_cross_example(Q):
     delta = bezoutian(endo)
     ring2 = delta.ring
     assert ring2.variables == ("x1", "x2", "u1", "u2")
-    expected = parse_poly("x1*u1 + u1^2 + x2^2 + x2*u2", ring2)
+    # x1*u1 + u1^2 + x2^2 + x2*u2
+    expected = poly(
+        ring2, {(1, 0, 1, 0): 1, (0, 0, 2, 0): 1, (0, 2, 0, 0): 1, (0, 1, 0, 1): 1}
+    )
     assert delta == expected
 
 
@@ -104,13 +108,27 @@ def test_bezoutian_univariate_cube(Q):
     endo = power_endo(Q, (3,))
     delta = bezoutian(endo)
     ring2 = delta.ring
-    assert delta == parse_poly("x1^2 + x1*u1 + u1^2", ring2)
+    # x1^2 + x1*u1 + u1^2
+    assert delta == poly(ring2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
 
 
 def test_dual_ring_keeps_the_field_and_order(F7):
+    # the dual ring has the block order of two copies of the ring's order:
+    # under LEX that is LEX itself
+    assert GREVLEX.pairs != GREVLEX and LEX.pairs is LEX
     for order in (GREVLEX, LEX):
         ring2 = dual_ring(Ring(("x", "u1"), F7, order))
-        assert ring2 == Ring(("x", "u1", "u_1", "u_2"), F7, order)
+        assert ring2 == Ring(("x", "u1", "u_1", "u_2"), F7, order.pairs)
+
+
+def test_parse_refuses_the_grevlex_dual_ring(Q):
+    # its keys pair two GREVLEX keys, each with its own degree field, which
+    # the parser's bound checks do not read; the LEX dual ring is LEX
+    endo = make_endo(Q, ("x1", "x2"), ("x1^2 - x2^2", "x1*x2"))
+    with pytest.raises(RingMismatch, match="pair two blocks"):
+        parse_poly("x1*u1", bezoutian(endo).ring)
+    delta = bezoutian(reordered(endo, LEX))
+    assert delta == parse_poly("x1*u1 + u1^2 + x2^2 + x2*u2", delta.ring)
 
 
 def _reference_bezoutian(endo):
@@ -175,31 +193,51 @@ def _reference_gram(endo, qa):
     return canonical_gram(field, b)
 
 
+def _powers_plus_lower(rng, field, order, n, top):
+    """x_i -> x_i^m_i plus up to three terms of lower degree, m_i drawn from
+    1..top."""
+    ring = Ring(tuple(f"x{i + 1}" for i in range(n)), field, order)
+    images = []
+    for i in range(n):
+        m = rng.randint(1, top)
+        images.append(
+            ring.var(i) ** m + random_poly(rng, ring, max_degree=m - 1, max_terms=3)
+        )
+    return Endo(ring=ring, images=tuple(images))
+
+
 def test_gram_matches_doubled_ring_reference(Q, F7):
     # images x_i^m_i plus lower-degree terms: finite quotients, often with
     # zeros away from the origin; (x1, x1 + 1) is the unit ideal
     rng = random.Random(1414)
-    sizes = set()
+    endos = []
     for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
         unit = reordered(make_endo(field, ("x1", "x2"), ("x1", "x1 + 1")), order)
-        endos = [unit]
+        endos.append(unit)
         for n in (1, 2, 3):
-            ring = Ring(tuple(f"x{i + 1}" for i in range(n)), field, order)
             for _ in range(12 if n < 3 else 6):
-                images = []
-                for i in range(n):
-                    m = rng.randint(1, 4 if n < 3 else 2)
-                    images.append(
-                        ring.var(i) ** m
-                        + random_poly(rng, ring, max_degree=m - 1, max_terms=3)
-                    )
-                endos.append(Endo(ring=ring, images=tuple(images)))
-        for endo in endos:
-            qa = standard_monomials(buchberger(endo.images))
-            got = _gram_from_quotient(endo, qa)
-            assert got == _reference_gram(endo, qa)
-            sizes.add(qa.dimension)
+                endos.append(
+                    _powers_plus_lower(rng, field, order, n, 4 if n < 3 else 2)
+                )
+    # F_3, where the characteristic divides exponents (the derivative of
+    # x^3 is 0), and n = 4, whose GREVLEX pair keys have 160 bits
+    F3 = FieldSpec.prime_field(3)
+    for order in (GREVLEX, LEX):
+        for n in (1, 2, 3):
+            for _ in range(6 if n < 3 else 3):
+                endos.append(_powers_plus_lower(rng, F3, order, n, 4 if n < 3 else 3))
+        for field in (Q, F3):
+            for _ in range(3):
+                endos.append(_powers_plus_lower(rng, field, order, 4, 2))
+    sizes, bits = set(), set()
+    for endo in endos:
+        qa = standard_monomials(buchberger(endo.images))
+        got = _gram_from_quotient(endo, qa)
+        assert got == _reference_gram(endo, qa)
+        sizes.add(qa.dimension)
+        bits.add(max(bezoutian(endo).packed, default=0).bit_length())
     assert 0 in sizes and max(sizes) >= 8
+    assert max(bits) > 144  # an x-degree field of a 4-variable GREVLEX pair
 
 
 def test_integer_table_and_gram_match_reference_division(Q):
@@ -267,6 +305,42 @@ def test_gram_off_standard_basis_is_internal_error(Q, monkeypatch, capsys):
     monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
     assert run(["degree", "docs/jobs/counterexample.job"]) == 2
     assert "off the standard basis" in capsys.readouterr().err
+
+
+def test_a_standard_half_never_touches_the_table(Q, monkeypatch):
+    # each half of a Bezoutian key is a key of the quotient's packing: a
+    # standard half is its own normal form and is never looked up, and a
+    # non-standard one grows the table by at most its own entry
+    jobs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "jobs"
+    calls = []
+    missing = QuotientAlgebra.__missing__
+
+    def counted(self, key):
+        calls.append(key)
+        return missing(self, key)
+
+    monkeypatch.setattr(QuotientAlgebra, "__missing__", counted)
+    for order in (GREVLEX, LEX):
+        endos = [
+            _endo_from_job(parse_job_file(str(jobs / name), order), name)
+            for name in ("power123.job", "identity3.job", "staircase3.job")
+        ]
+        endos.insert(2, reordered(power_endo(Q, (4, 5, 3)), order))
+        grown = []
+        for endo in endos:
+            qa = validate(endo)
+            size = len(qa)
+            calls.clear()
+            _gram_from_quotient(endo, qa)
+            w = qa.ring.packing.width
+            keys = bezoutian(endo).packed
+            halves = {e >> w for e in keys} | {e & (1 << w) - 1 for e in keys}
+            nonstandard = halves - qa.index.keys()
+            grown.append((len(calls), len(qa) - size, len(nonstandard)))
+        *powers, staircase = grown
+        assert all(entry[:2] == (0, 0) for entry in powers), (order, grown)
+        calls_made, growth, bound = staircase
+        assert 0 < calls_made <= growth <= bound, (order, grown)
 
 
 def _labels(rep):

@@ -1,5 +1,7 @@
 """The packed monomial layout of `orders` against exponent-tuple arithmetic."""
 
+from operator import add
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -86,13 +88,62 @@ def test_layout_matches_tuple_arithmetic(case):
         assert order is GREVLEX and key & guard
     assert packing.degree(ka) == sum(a)
     assert packing.degree(key) == sum(lcm)
-    # the key of x^a u^b in 2n variables splits into the fields of a and b,
-    # which complete to their keys in n variables
-    if _within(order, a + b):
-        xshift, ushift, mask = order.packing(2 * len(a)).halves()
-        kab = order.packing(2 * len(a)).pack(a + b)
-        assert packing.complete(kab >> xshift & mask) == ka
-        assert packing.complete(kab >> ushift & mask) == kb
+
+
+@st.composite
+def _pairs(draw):
+    """(order, a, b, c, d): four exponent tuples within the order's bound,
+    in 1 to 4 variables: the monomials x^a u^b and x^c u^d of a dual
+    ring."""
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    n = draw(st.integers(1, 4))
+    return (order, *(_monomial(draw, order, n) for _ in range(4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs())
+@example((GREVLEX, (0, 0), (BOUND, 0), (0, 0), (1, 0)))  # a u-borrow
+@example((GREVLEX, (1, 1), (0, 1), (BOUND - 1, 0), (0, 0)))  # an x-degree
+@example((LEX, (0,), (BOUND,), (0,), (1,)))
+def test_paired_layout_is_two_keys_of_the_ring(case):
+    """The dual ring's key of x^a u^b is pack(a) << W | pack(b), in the
+    ring's own packing of width W; unpack inverts it, a product adds keys,
+    and each half keeps its own guard bits."""
+    order, a, b, c, d = case
+    n = len(a)
+    base, pairs = order.packing(n), order.pairs.packing(2 * n)
+    w = base.width
+    mask = (1 << w) - 1
+    assert base.width == BITS * (n + 1 if order is GREVLEX else n)
+    assert pairs.n == 2 * n
+    key, other = pairs.pack(a + b), pairs.pack(c + d)
+    assert key == base.pack(a) << w | base.pack(b)
+    assert pairs.unpack(key) == a + b and pairs.unpack(other) == c + d
+    assert pairs.one == base.one << w | base.one
+    assert pairs.guard == base.guard << w | base.guard
+    assert pairs.var == tuple(v << w for v in base.var) + base.var
+    if order is LEX:  # bit for bit the LEX key in 2n variables
+        assert key == LEX.packing(2 * n).pack(a + b)
+    # a product adds keys; a half past the bound sets a guard bit of its
+    # own and leaves the other half as it is
+    product = key + other - pairs.one
+    x, u = tuple(map(add, a, c)), tuple(map(add, b, d))
+    x_ok, u_ok = _within(order, x), _within(order, u)
+    if x_ok and u_ok:
+        assert product == pairs.pack(x + u) and not product & pairs.guard
+        pairs.check([product])
+        return
+    assert product & pairs.guard
+    if x_ok:  # a borrow in the u-half stops at its degree field
+        assert product >> w == base.pack(x)
+        assert product & mask & base.guard
+    if u_ok:
+        assert product & mask == base.pack(u)
+        assert not product & mask & base.guard
+    with pytest.raises(ExponentBoundExceeded):
+        pairs.check([product])
+    with pytest.raises(ExponentBoundExceeded):
+        pairs.pack(x + u)
 
 
 @settings(max_examples=120, deadline=None)
