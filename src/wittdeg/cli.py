@@ -308,7 +308,6 @@ def _degree_json(report: DegreeReport) -> dict:
     `_write_json`, which prints the sparse GramForm under "gram" as the
     dense d x d matrix of entry strings that schema 1 holds, one row at a
     time, so that matrix is never built."""
-    inv = report.invariants
     nm1, nf = _factorials(report.n)
     return {
         "schema": 1,
@@ -317,13 +316,20 @@ def _degree_json(report: DegreeReport) -> dict:
         "length": report.length,
         "gram": report.gram,
         "diagonal": [str(e) for e in report.diag.entries],
+        **_invariants_json(report.invariants),
+        "is_zero": report.is_zero,
+        "nori_n_factorial": report.length % nf == 0,
+        "nori_nminus1_factorial": report.length % nm1 == 0,
+    }
+
+
+def _invariants_json(inv: WittInvariants) -> dict:
+    """The four invariant keys of schema 1, in their order."""
+    return {
         "rank": inv.rank,
         "signature": inv.signature,
         "signed_discriminant": str(inv.signed_discriminant),
         "hasse": dict(inv.hasse),
-        "is_zero": report.is_zero,
-        "nori_n_factorial": report.length % nf == 0,
-        "nori_nminus1_factorial": report.length % nm1 == 0,
     }
 
 
@@ -426,10 +432,7 @@ def _cmd_witt_invariants(args) -> tuple[int, dict | list[str]]:
             "schema": 1,
             "field": str(field),
             "entries": [str(e) for e in d.entries],
-            "rank": inv.rank,
-            "signature": inv.signature,
-            "signed_discriminant": str(inv.signed_discriminant),
-            "hasse": dict(inv.hasse),
+            **_invariants_json(inv),
         }
     return 0, _invariant_lines(inv)
 

@@ -15,18 +15,22 @@ are, and NF(x^a u^b) = NF(x^a) NF(u^b).  By linearity the normal form of
 Delta = sum c_ab x^a u^b is sum_a NF(x^a) (x) (sum_b c_ab NF(u^b)), and
 both factors are read off the quotient that validate built: a
 `QuotientAlgebra` is the memoized table of its monomials' normal forms,
-so the border entries the support test filled are reused.  The table
-divides nothing: each entry is a linear combination of entries for
-smaller monomials, seeded by the reduced basis (see `groebner`).
+each the coordinate vector of its normal form on the basis positions, so
+the border entries the support test filled are reused and every sum is
+already on the positions of the Gram form.  The table divides nothing:
+each entry is a linear combination of entries for smaller monomials,
+seeded by the reduced basis (see `groebner`).
 
 The monomial order is the endomorphism's ring's: the quotient's basis is
 reduced in it, and the doubled ring of the Bezoutian has the block order
 of two copies of it (`orders`, as Singular's (dp(n), dp(n))), whose key
 of x^a u^b is the pair key(x^a) << W | key(u^b) of two keys of the
 quotient's packing.  So a shift and a mask split each Bezoutian key into
-the quotient keys of its x- and u-half, and no key changes layout on the
-way: a standard half is its own normal form and adds its term at its
-basis position, and any other half is looked up in the table as it is.
+the quotient keys of its x- and u-half, and one pass over the Bezoutian
+reads both halves straight off the table: every u-half's normal form is
+its entry, and a standard x-half is its own normal form, so its terms go
+straight into the Gram row at its position.  The terms of any other
+x-half are gathered into one row and spread by its normal form once.
 
 Over Q the table entries are ints over a positive denominator, and the
 Gram build keeps that form: the Bezoutian is built from the images cleared
@@ -52,7 +56,6 @@ from operator import mul
 from .errors import (
     ArityMismatch,
     Frozen,
-    InternalError,
     NotOriginPreserving,
     RingMismatch,
     SupportNotOrigin,
@@ -69,7 +72,6 @@ from .poly import (
     Ring,
     _add_shifted,
     _clear,
-    _rescale,
     _to_lcm,
     det,
 )
@@ -186,30 +188,21 @@ def bezoutian(endo: Endo) -> Poly:
     return det(rows)
 
 
-def _on_positions(nums: dict, index: dict) -> dict:
-    """The normal form nums, on standard keys, on their basis positions."""
-    try:
-        return {index[m]: v for m, v in nums.items()}
-    except KeyError:
-        raise InternalError("reduced Bezoutian off the standard basis") from None
-
-
 def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     """Sparse Gram rows from NF(Delta) = sum_a NF(x^a) (x) row_a, where
     row_a = sum_b c_ab NF(u^b) (see the module docstring).
 
-    Each Bezoutian key is the pair of the keys of its x- and u-half in the
-    quotient's packing (`dual_ring`), so e >> W and e & mask, W the width
-    of one key, are the halves, and no half is completed or re-keyed.  The
-    rows and acc are keyed by basis position (`QuotientAlgebra.index`)
-    from the start: a standard half is its own normal form and adds its
-    term straight at its position, and any other half's normal form is
-    read off the table by its key, which fills the border as for any
-    lookup, and put on positions once per distinct u-half.  acc maps the
-    position of each standard x-monomial to {position: coefficient},
-    nonzeros only, so acc is the sparse Gram form: no d x d matrix is
-    built.  A row_a of a standard x^a becomes acc's entry itself if acc has
-    none yet.
+    One pass over the Bezoutian's terms: each key is the pair of the keys
+    of its x- and u-half in the quotient's packing (`dual_ring`), so
+    a = e >> W and b = e & mask, W the width of one key, are the halves.
+    Every u-half is read off the table as qa[b], on basis positions: a
+    standard one is a seed, and any other fills the border as for any
+    lookup.  A standard x^a is its own normal form, so its terms go
+    straight into acc at its position; the terms of any other x-half are
+    gathered in rows[a], and each gathered row is spread once, by the
+    coordinates of NF(x^a).  acc maps the position of each standard
+    x-monomial to {position: coefficient}, nonzeros only, so acc is the
+    sparse Gram form: no d x d matrix is built.
     Over Q every sum runs on the integer table entries, over a common
     denominator, and the form keeps the sums over it.  Delta is linear in
     each image, so it is built on ints, from the images cleared of
@@ -225,67 +218,36 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
     w = qa.ring.packing.width
     mask = (1 << w) - 1
     index = qa.index
-    # the rows, then the coefficients of NF(Delta), are summed over one
-    # common denominator each, raised to the lcm when an entry needs it (1
-    # over F_p)
-    rows: dict = {}  # x-half a -> du * row_a
-    part: dict = {}  # a non-standard u-half b -> NF(u^b) on positions
+    # the pass sums over one common denominator du, the spread over dx,
+    # each raised to the lcm when an entry needs it (1 over F_p)
+    acc: dict = {}  # position of x^m -> dx * du * den * NF(Delta)_m
+    rows: dict = {}  # non-standard x-half a -> du * row_a
     du = 1
     for e, c in delta.packed.items():
         a = e >> w
-        row = rows.get(a)
+        i = index.get(a)
+        dst, key = (rows, a) if i is None else (acc, i)
+        row = dst.get(key)
         if row is None:
-            row = rows[a] = {}
-        b = e & mask
-        j = index.get(b)
-        if j is not None:  # NF(u^b) = u^b: c * du at position j
-            c *= du
-            v = row.get(j)
-            if v is None:
-                row[j] = c
-                continue
-            v += c
-            if q is not None:
-                v %= q
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-            continue
-        nf = part.get(b)
-        if nf is None:
-            nums, d = qa[b]
-            nf = part[b] = (_on_positions(nums, index), d)
-        nums, d = nf
+            row = dst[key] = {}
+        nums, d = qa[e & mask]
         if d != du:
             if du % d:
-                du = _to_lcm(du, d, rows.values())
+                du = _to_lcm(du, d, (*acc.values(), *rows.values()))
             c *= du // d
         _add_shifted(row, nums, 0, c, q)
     del delta  # the rows hold what the rest needs: keep the peak memory low
-    acc: dict = {}  # position of x^m -> dx * du * den * NF(Delta)_m
     dx = 1
     for a, row in rows.items():
-        i = index.get(a)
-        if i is not None:  # NF(x^a) = x^a
-            if dx != 1:
-                _rescale(row, dx)
-            dst = acc.get(i)
-            if dst is None:
-                acc[i] = row  # row_a itself: no later step reads it
-            else:
-                _add_shifted(dst, row, 0, 1, q)
-            continue
         nums, d = qa[a]
-        if d != dx:
-            if dx % d:
-                dx = _to_lcm(dx, d, acc.values())
-            _rescale(row, dx // d)
-        for i, v in _on_positions(nums, index).items():
+        if dx % d:
+            dx = _to_lcm(dx, d, acc.values())
+        c = dx // d
+        for i, v in nums.items():
             dst = acc.get(i)
             if dst is None:
                 dst = acc[i] = {}
-            _add_shifted(dst, row, 0, v, q)
+            _add_shifted(dst, row, 0, c * v, q)
     den *= dx * du
     if den != 1:  # over den / g, g the gcd of den and every entry
         g = math.gcd(den, *(c for dst in acc.values() for c in dst.values()))

@@ -90,12 +90,15 @@ counts fell from 195,443 to 113,780 (structured-q) and from 325,983 to
 A QuotientAlgebra is the memoized table of its monomials' normal forms,
 built from the reduced basis by linear combination alone, with no
 division, as in the multiplication tables of FGLM (Faugere, Gianni,
-Lazard & Mora, JSC 16, 1993).  Each entry is an int term dict over one
-positive denominator coprime to its content (over F_p the denominator is
-1).  Its constructor seeds it with the standard monomials, each its own
+Lazard & Mora, JSC 16, 1993).  The table is keyed by monomial, and each
+entry is the coordinate vector of its normal form over the standard
+basis: an int dict from basis position to coefficient over one positive
+denominator coprime to its content (over F_p the denominator is 1).
+Its constructor seeds it with the standard monomials, each its own
 normal form, and with the leading monomial of each basis element
 c * x^lead + tail, whose normal form is -tail / c: the tails of a reduced
-basis are standard.  A missing x^a has a non-standard x^(a - e_i), and
+basis are standard, and a tail off the basis raises InternalError there.
+A missing x^a has a non-standard x^(a - e_i), and
 NF(x^a) = sum_s c_s NF(x^(s + e_i)) over the terms c_s x^s of
 NF(x^(a - e_i)), summed over the lcm of the entries' denominators.  Every
 x^(s + e_i) is smaller than x^a, so the fill is well founded; it runs on
@@ -452,15 +455,18 @@ class QuotientAlgebra(Frozen, dict):
     as ascending keys in the ring's packing, index maps each to its
     position in that basis, and dimension, their count, is the length of
     the quotient.  The quotient maps the key of a monomial x^a to NF(x^a)
-    as (nums, den), NF(x^a) = nums / den: nums a packed int term dict, den
-    a positive int coprime to the content of nums (over F_p, 1).  Every
-    user of one quotient shares the table.  Looking up a missing key fills
-    it; callers must not mutate an entry.
+    as (nums, den), NF(x^a) = sum_k nums[k] x^keys[k] / den: nums maps
+    basis positions to nonzero ints, and den is a positive int coprime to
+    the content of nums (over F_p, 1).  Every user of one quotient shares
+    the table.  Looking up a missing key fills it; callers must not mutate
+    an entry.
 
-    The table is seeded with the standard monomials, each its own normal
-    form, and with the leads: the basis is reduced, so each divisor entry
-    is lc * x^lead + tail with a standard tail, and the normal form of its
-    leading monomial is -tail / lc (for the unit ideal, NF(1) is 0).  A
+    The table is seeded with the standard monomials, the one at position
+    k as ({k: 1}, 1), and with the leads: the basis is reduced, so each
+    divisor entry is lc * x^lead + tail with a standard tail, and the
+    normal form of its leading monomial is -tail / lc, on the positions of
+    the tail's keys (for the unit ideal, NF(1) is 0).  A tail key outside
+    index raises InternalError: keys is not the standard basis.  A
     missing x^a is neither standard nor a leading monomial of the basis,
     so it is a proper multiple of some lead: some x^(a - e_i) is
     non-standard.  With NF(x^(a - e_i)) = sum_s c_s x^s,
@@ -488,12 +494,19 @@ class QuotientAlgebra(Frozen, dict):
 
     def __init__(self, gb, keys):
         field, packing = gb.ring.field, gb.ring.packing
-        super().__init__((m, ({m: 1}, 1)) for m in keys)
+        index = {m: k for k, m in enumerate(keys)}
+        super().__init__((m, ({k: 1}, 1)) for k, m in enumerate(keys))
         for lead, lc, tail, _ in gb.entries:
-            self[lead] = ({e: field.neg(v) for e, v in tail.items()}, lc)
+            try:
+                self[lead] = ({index[e]: field.neg(v) for e, v in tail.items()}, lc)
+            except KeyError as exc:
+                raise InternalError(
+                    f"monomial {packing.unpack(exc.args[0])} of a basis tail"
+                    " is off the standard basis"
+                ) from None
         object.__setattr__(self, "gb", gb)
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "index", {m: k for k, m in enumerate(keys)})
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "_q", field.modulus)  # None over Q
         object.__setattr__(self, "_packing", packing)
         # x_i divides x^m iff (m + step) & guard == target, step = pad - key
@@ -512,14 +525,16 @@ class QuotientAlgebra(Frozen, dict):
     def times(self, nums: dict, den: int, v: int) -> tuple[dict, int]:
         """M_i: x_i * nums / den for a normal form nums / den in the table's
         integer form, v the key offset of x_i: sum_s c_s NF(x^(s + e_i))
-        over the terms c_s x^s of nums, summed over the lcm of the entries'
-        denominators (1 over F_p) and returned in the same form.  Each s is
-        standard, so every key looked up is standard or on the border."""
-        q = self._q
+        over the terms c_s x^s of nums, x^s the standard monomial at its
+        position in nums, summed over the lcm of the entries' denominators
+        (1 over F_p) and returned in the same form, on basis positions.
+        Each s is standard, so every key looked up is standard or on the
+        border."""
+        q, keys = self._q, self.keys
         terms: dict = {}
         d = 1
         for s, c in nums.items():
-            tn, td = self[s + v]
+            tn, td = self[keys[s] + v]
             if td != d:
                 if d % td:
                     d = _to_lcm(d, td, (terms,))
@@ -529,7 +544,8 @@ class QuotientAlgebra(Frozen, dict):
         return (terms, 1) if den == 1 else _lowest(terms, den)
 
     def __missing__(self, a: int) -> tuple[dict, int]:
-        index, packing, steps = self.index, self._packing, self._steps
+        keys, index = self.keys, self.index
+        packing, steps = self._packing, self._steps
         guard, target = packing.guard, packing.target
         if a & guard:
             packing.overflow()
@@ -557,7 +573,7 @@ class QuotientAlgebra(Frozen, dict):
             if prev is None:
                 stack.append(pred)
                 continue
-            missing = [s + off for s in prev[0] if s + off not in self]
+            missing = [keys[s] + off for s in prev[0] if keys[s] + off not in self]
             if missing:
                 stack.extend(missing)
                 continue

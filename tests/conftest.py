@@ -78,8 +78,10 @@ def monomial(ring, exps, c=1):
 def monomial_nf(qa, a):
     """NF(x^a) in the QuotientAlgebra qa, on exponent tuples with canonical
     scalars: the entry of its normal-form table, which fills it if missing,
-    read as exact values."""
-    return Poly(qa.ring, _ratios(*qa[qa.ring.packing.pack(a)])).terms
+    its basis positions mapped back to their keys, read as exact values."""
+    nums, den = qa[qa.ring.packing.pack(a)]
+    nums = {qa.keys[k]: v for k, v in nums.items()}
+    return Poly(qa.ring, _ratios(nums, den)).terms
 
 
 def certificate(gb):

@@ -288,13 +288,46 @@ def test_integer_table_and_gram_match_reference_division(Q):
     assert max(sizes) >= 8
 
 
+def test_every_table_entry_is_on_basis_positions():
+    # after the Gram build of every documented job that validates, under
+    # both orders, each normal-form entry maps basis positions to ints over
+    # a positive denominator coprime to them, 1 over F_p
+    jobs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "jobs"
+    entries, fractions = 0, 0
+    for path, order in itertools.product(sorted(jobs.glob("*.job")), (GREVLEX, LEX)):
+        endo = _endo_from_job(parse_job_file(str(path), order), str(path))
+        try:
+            qa = validate(endo)
+        except (NotFiniteLength, SupportNotOrigin):
+            continue
+        _gram_from_quotient(endo, qa)
+        d = qa.dimension
+        for nums, den in qa.values():
+            assert all(k in range(d) for k in nums), (path, order)
+            assert den > 0 and math.gcd(den, *nums.values()) == 1, (path, order)
+            assert den == 1 or endo.field.is_rationals, (path, order)
+            entries += 1
+            fractions += den > 1
+    assert entries >= 8_000 and fractions >= 10
+
+
+def test_quotient_with_a_tail_off_its_basis_is_internal_error(Q):
+    # the counterexample's last standard monomial is in a basis tail, so a
+    # quotient that drops it cannot seed that lead's entry: InternalError
+    # at construction, never a bare KeyError
+    gb = validate(counterexample_endo(Q)).gb
+    keys = standard_monomials(gb).keys
+    with pytest.raises(InternalError, match="off the standard basis"):
+        QuotientAlgebra(gb, keys[:-1])
+
+
 def test_gram_off_standard_basis_is_internal_error(Q, monkeypatch, capsys):
-    # a quotient that misses a standard monomial leaves a normal-form term
-    # outside the index: InternalError (exit 2), never a bare KeyError
+    # a quotient that misses a standard monomial has a basis tail outside
+    # the index: InternalError (exit 2), never a bare KeyError
     endo = counterexample_endo(Q)
     qa = validate(endo)
-    broken = QuotientAlgebra(gb=qa.gb, keys=qa.keys[:-1])
     with pytest.raises(InternalError, match="off the standard basis"):
+        broken = QuotientAlgebra(gb=qa.gb, keys=qa.keys[:-1])
         _gram_from_quotient(endo, broken)
 
     def drop_last(gb):
