@@ -119,12 +119,15 @@ def parse_job_file(path: str, order: MonomialOrder) -> JobFile:
     maps: dict[str, Poly] = {}
     relations: list[Poly] = []
     row = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
         try:
-            text = fh.read()
+            text = data.decode()
         except UnicodeDecodeError as exc:
-            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            lineno = data.count(b"\n", 0, exc.start) + 1
             raise JobFileError(f"{path}:{lineno}: not UTF-8 text") from None
+        if "\r" in text:  # the newlines text mode translates
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         for lineno, raw in enumerate(text.split("\n"), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -63,9 +63,13 @@ MR_FOUR_WITNESS_BOUND = 3215031751
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, proven below MR_PROVEN_BOUND."""
+    """Deterministic Miller-Rabin, proven below MR_PROVEN_BOUND.  Below
+    SMALL_PRIME_BOUND^2 a composite n has a prime factor below
+    SMALL_PRIME_BOUND, so the small-prime table decides it."""
     if n < 2:
         return False
+    if n < SMALL_PRIME_BOUND * SMALL_PRIME_BOUND:
+        return math.gcd(n, _SMALL_PRIMORIAL) == 1 or n in _SMALL_PRIMES
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p

@@ -18,8 +18,8 @@ as term maps on the same keys.  A quotient's basis is its standard
 monomials' keys.  A monomial made on the way that passes the exponent bound
 (orders.BOUND, and under GREVLEX the total degree too) raises
 ExponentBoundExceeded: `_reduce` checks each leading key, the lcm of a
-pair is checked when the pair is queued, and a cofactor vector of the
-certificate before it is shifted again.  (The lcm of a coprime pair,
+pair is checked when the pair is queued, and each multiplier of the
+certificate's replay before it is shifted.  (The lcm of a coprime pair,
 which is never queued, may pass the GREVLEX degree bound.)
 
 Over Q the Groebner side runs on ints: primitive pseudo-reduction, as in
@@ -47,6 +47,9 @@ Buchberger's second criterion (EUROSAM 1979).  The pairs are grouped by
 lcm and each group keeps its first i (F); a group goes if any member has
 coprime leading monomials (the product criterion), or if the lcm of
 another new pair, coprime ones included, properly divides its lcm (M).
+The product criterion is tested only on the groups M keeps, as one
+lookup of the lead x^m / x^t among the leads: such a lead not coprime to
+x^t would have a proper divisor of x^m as its lcm.
 Every dropped S-polynomial has a standard representation by the pairs
 kept, whatever order they are reduced in, so the reduced basis is
 unchanged; on the generic benchmark (seed 1, 42 jobs) the criteria cut
@@ -123,39 +126,39 @@ dict per generator (`GroebnerBasis.cofactors`), and umrow.is_unimodular,
 which owns the certificate, checks them once, modulo the relations, on
 ints.  Buchberger stops as soon as 1 enters the working basis: 1 divides
 every later remainder, so the pending pairs are dropped and 1 is the last
-working entry.  A proper ideal has no certificate, and none of its
-cofactors is ever built.  The certificate is built lazily.  While a
-certifying Buchberger runs, a working entry carries only a recipe: its
-discovery index, its origin (a generator index, or the S-pair parents and
-their shifts), the step log of its reduction and the inverse that made it
-monic.  Recipes keep the monic convention: the vector of an entry is that
-of its monic polynomial, and a logged step is relative to the monic
-divisor.  They hold ints only: a step's multiplier is a numerator and a
-denominator (`poly._reduce`), and the inverse is a / b with b > 0, over Q
-scale / c for the integer remainder rem / scale with leading coefficient
-c, over F_p 1 / c with b = 1.  A remainder that reduces to zero, as most
-S-polynomials do, keeps nothing.  When 1 has entered, only it and its
-ancestors are replayed, in discovery order, in the integer form of the
-normal-form table above: a vector is one int term dict over one positive
-denominator, 1 over F_p, so one loop serves both fields.  It is laid out
-position over term, as Singular lays out module elements (Bachmann &
-Schoenemann, ISSAC 1998): the keys of generator g's component are raised
-by g * 2^(BITS * (n + 1)), above every field and guard bit of a key, so a
-shift moves every component at once and the guard mask still tests each
-key against the bound.  Eager tracking makes an entry's vector and then
-multiplies each of its terms by the normalising inverse; the replay folds
-the inverse into the multiplier of each part instead (the seed or the two
-parents, and every logged step, a generator's too), adds each part once,
-in one `_add_shifted`, over the lcm of their denominators and divides by
-the gcd of that lcm and the content, so the cofactors are equal as exact
-values.  The unit's vector is split into its m components once, by
-divmod, and no scalar is made here.  On the 84 rows-benchmark jobs of
-seed 1 (CPython 3.11, x86-64, lcm-first selection) the folded inverse cut
-the Fractions made from 16,897 to 7,019 and the replay from 0.038 to
-0.027 s; with sugar selection, one dict per vector cut the replay's
-`_add_shifted` calls from 9,076, 3,646 of them on an empty component, to
-2,269.  The reduced basis {1} is the unit entry itself, so autoreduction
-changes nothing the certificate depends on.
+working entry; it is coprime to every lead, so it forms no pair and skips
+the pair update, and its reduced basis is {1} with no reduction.  A proper
+ideal has no certificate, and none of its cofactors is ever built.  The
+certificate is built lazily.  While a certifying Buchberger runs, a
+working entry carries only a recipe: its discovery index, its origin (a
+generator index, or the S-pair parents and their shifts), the step log of
+its reduction and the inverse that made it monic.  Recipes keep the monic
+convention: the vector of an entry is that of its monic polynomial, and a
+logged step is relative to the monic divisor.  They hold ints only: a
+step's multiplier is a numerator and a denominator (`poly._reduce`), and
+the inverse is a / b with b > 0, over Q scale / c for the integer
+remainder rem / scale with leading coefficient c, over F_p 1 / c with
+b = 1.  A remainder that reduces to zero, as most S-polynomials do, keeps
+nothing.  When 1 has entered, the recipes are replayed in one reverse
+pass, the adjoint of replaying them forward (reverse mode; Baur &
+Strassen, TCS 22, 1983).  An entry's vector is linear in the vectors its
+recipe names, so the unit's vector is a sum over the entries of one
+polynomial multiplier mu_t each, times what t's recipe adds that is no
+entry's vector: for a generator, its unit vector.  The pass starts from
+the unit's multiplier 1 and walks down the discovery order; only later
+entries name t, so mu_t is complete when the pass reaches it.  It is
+checked against the exponent bound there and handed on, scaled by the
+inverse a / b and each logged c / d and shifted: to the two parents, to
+each logged divisor, or to its generator's cofactor.  A multiplier is one
+int term dict over one positive denominator (1 over F_p), so one loop
+serves both fields, and the m cofactors end over one lcm in lowest terms.
+That form of an exact value is unique, so the certificate is the one the
+forward replay built, byte for byte.  An entry that is no ancestor of
+the unit gets no part and is skipped, with no marking pass.  On the 84
+rows-benchmark jobs of seed 1 (CPython 3.11.7, x86-64) the reverse pass
+cut the replay from 97 to 70 microseconds a job, against the forward
+replay of every ancestor's vector of all m cofactors, with the same 2,269
+`_add_shifted` calls.
 
 Everything is deterministic: sugar selection (least sugar first, ties by
 smallest lcm, then by the entries' indices), basis sorted by leading
@@ -172,7 +175,7 @@ from math import gcd, lcm
 from operator import itemgetter, le
 
 from .errors import Frozen, InternalError, NotFiniteLength, RingMismatch
-from .orders import BITS, Packing
+from .orders import Packing
 from .poly import (
     Poly,
     Ring,
@@ -253,6 +256,7 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
     packing = ring.packing
     one, pad, guard, target = packing.one, packing.pad, packing.guard, packing.target
     lcms, degree = packing.lcms, packing.degree
+    push = heapq.heappush
     # working basis as _divisor entries, in order of discovery; the fourth
     # slot is the entry's cofactor recipe, or None when not certifying
     work: list[tuple] = []
@@ -277,33 +281,34 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
         if sugar is None:
             sugar = max(map(degree, rem))
         ex = sugar - degree(lead)
-        # the new pairs (i, t) by lcm: the first i of each group, and whether
-        # any member has coprime leading monomials, whose lcm is their
-        # product (F and the product criterion)
-        groups: dict = {}
-        offset = lead - one
-        for i, (w, m) in enumerate(zip(leads, lcms(leads, lead))):
-            coprime = m == w + offset
-            group = groups.get(m)
-            if group is None:
-                groups[m] = [i, coprime]
-            elif coprime:
-                group[1] = True
-        # M: a proper divisor is smaller in the order, so it comes first
-        minimal: list = []
-        for m in sorted(groups):
-            s = m + pad
-            for d in minimal:
-                if (s - d) & guard == target:
-                    break
-            else:
-                minimal.append(m)
-                i, coprime = groups[m]
-                if not coprime:
+        if lead == one:
+            # 1 is in the ideal: every pending pair reduces to 0, and 1 is
+            # coprime to every lead, so it forms no pair
+            pairs.clear()
+        else:
+            # each lcm of the new pairs (i, t) with its least i, which F keeps
+            ms = lcms(leads, lead)
+            first = dict(zip(reversed(ms), range(t - 1, -1, -1)))
+            offset = lead - one
+            # M: a proper divisor is smaller in the order, so it comes first
+            minimal: list = []
+            for m in sorted(first):
+                s = m + pad
+                for d in minimal:
+                    if (s - d) & guard == target:
+                        break
+                else:
+                    minimal.append(m)
+                    # the product criterion drops a group with a member
+                    # coprime to lead, whose lead is x^m / x^lead.  A lead
+                    # w = x^m / x^lead not coprime to it would have a proper
+                    # divisor of m as its lcm, and M would have dropped m
+                    if m - offset in leads:
+                        continue
                     if m & guard:  # its S-polynomial would pass the bound
                         packing.overflow()
-                    sug = degree(m) + max(excess[i], ex)
-                    heapq.heappush(pairs, (sug, m, i, t))
+                    i = first[m]
+                    push(pairs, (degree(m) + max(excess[i], ex), m, i, t))
         recipe = None
         if origin is not None:
             # the remainder is rem / scale: the inverse a / b, b > 0, makes
@@ -317,8 +322,6 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
         work.append((lead, lc, tail, recipe))
         leads.append(lead)
         excess.append(ex)
-        if lead == one:
-            pairs.clear()  # 1 is in the ideal: every pending pair reduces to 0
 
     for k, g in enumerate(gens):
         if not g.is_zero:
@@ -352,68 +355,73 @@ def _certificate(work: list, m: int, ring: Ring) -> tuple[tuple[dict, ...], int]
     (nums, den): one int term dict per generator over one positive
     denominator coprime to their content (1 over F_p).
 
-    An entry's ancestors are its S-pair parents and the divisors in its step
-    log, all discovered before it.  One descending pass marks the unit's
-    ancestors; one ascending pass replays each marked recipe on ints.  The
-    vector of an entry is one int term dict over one positive denominator,
-    coprime to its content: generator g's keys are raised by g * 2^w, w =
-    BITS * (n + 1), above every field and guard bit of the packing, so a
-    shift moves all components at once and each part of a recipe is one
-    `_add_shifted`.  Its parts are the unit vector of a generator origin,
-    scaled by the normalising inverse a / b, or the two parents' vectors,
-    shifted and scaled by a / b and -a / b; then the divisor's vector of
-    every logged step, shifted and scaled by the step's multiplier times
-    a / b.  The parts are summed over L, the lcm of the products of each
-    multiplier's denominator and its vector's, and the sum is divided by the
-    gcd of L and its content.  A vector is checked against the exponent
-    bound before later recipes shift it.  The unit's vector is split into
-    its generators' dicts once, by divmod.
+    One reverse pass over the recipes.  An entry's vector is a / b times
+    its generator's unit vector, or x^si times its first parent's and
+    -x^sj times its second's, plus, for each logged step, c / d times x^s
+    times its divisor's, scaled by a / b too.  So the unit's vector is
+    sum_t mu_t * a_t / b_t * e_(g_t) over the generator entries t, for one
+    polynomial multiplier mu_t per entry: mu is 1 for the unit, and each
+    other mu_t sums what the later entries that name t hand it.  Walking
+    down the discovery order, mu_t is complete when it is reached: it is
+    summed from its parts over the lcm of their denominators, put in lowest
+    terms, and checked against the exponent bound before any part of it is
+    shifted; then it is handed on, scaled by a / b and each step's c / d
+    and shifted, to the entries its recipe names, or for a generator to
+    that generator's cofactor.  An entry no later entry names is no
+    ancestor of the unit and is skipped.  Every part is an exact multiple,
+    and the cofactors are summed over one lcm and divided by its gcd with
+    their content: the unique lowest form of their exact values, the
+    certificate that replaying the recipes forward builds.  The replay
+    takes about 70 microseconds on a rows-benchmark job (seed 1, CPython
+    3.11.7, x86-64), against 97 for the forward replay it replaced.
     """
     q = ring.field.modulus
     packing = ring.packing
-    # generator g's component starts at key g * stride
-    stride = 1 << BITS * (packing.n + 1)
-    needed = [False] * len(work)
-    needed[-1] = True
-    for idx in range(len(work) - 1, -1, -1):
-        if needed[idx]:
-            _, origin, log, _ = work[idx][3]
-            if not isinstance(origin, int):
-                needed[origin[0]] = needed[origin[1]] = True
-            for tag, _, _, _ in log:
-                needed[tag[0]] = True
-    cofs: list = [None] * len(work)  # (vector, denominator) of each entry
-    for idx, w in enumerate(work):
-        if not needed[idx]:
+    # the parts (c, d, mu, shift) handed to each entry, each adding
+    # c / d * x^shift * mu to its multiplier; the unit's multiplier is 1
+    parts: list = [[] for _ in work]
+    parts[-1].append((1, 1, {packing.one: 1}, 0))
+    ends: list = []  # the parts (generator, c, d, mu) of the cofactors
+    for idx in reversed(range(len(work))):
+        todo = parts[idx]
+        if not todo:
             continue
-        _, origin, log, (a, b) = w[3]
-        # (multiplier numerator, its denominator, source, shift)
+        den = lcm(*[d for _, d, _, _ in todo])
+        mu: dict = {}
+        for c, d, src, shift in todo:
+            _add_shifted(mu, src, shift, c * (den // d), q)
+        if not mu:
+            continue
+        if den > 1:
+            mu, den = _lowest(mu, den)
+        packing.check(mu)
+        _, origin, log, (a, b) = work[idx][3]
+        b *= den
         if isinstance(origin, int):
-            unit = {origin * stride + packing.one: 1}
-            parts = [(a, b, (unit, 1), 0)]
+            ends.append((origin, a, b, mu))
         else:
             i, j, si, sj = origin
-            parts = [(a, b, cofs[i], si), (-a, b, cofs[j], sj)]
-        parts += [(c * a, d * b, cofs[tag[0]], s) for tag, s, c, d in log]
-        den = lcm(*[d * src[1] for _, d, src, _ in parts])
-        cof: dict = {}
-        for c, d, (vec, vd), shift in parts:
-            _add_shifted(cof, vec, shift, c * (den // (d * vd)), q)
-        if den > 1:
-            cof, den = _lowest(cof, den)
-        packing.check(cof)
-        cofs[idx] = cof, den
-    cof, den = cofs[-1]
+            parts[i].append((a, b, mu, si))
+            parts[j].append((-a, b, mu, sj))
+        for tag, shift, c, d in log:
+            parts[tag[0]].append((c * a, d * b, mu, shift))
+    den = lcm(*[d for _, _, d, _ in ends])
     nums: tuple[dict, ...] = tuple({} for _ in range(m))
-    for key, v in cof.items():
-        g, e = divmod(key, stride)
-        nums[g][e] = v
+    for k, c, d, mu in ends:
+        _add_shifted(nums[k], mu, 0, c * (den // d), q)
+    g = gcd(den, *[v for num in nums for v in num.values()])
+    if g > 1:
+        den //= g
+        nums = tuple({e: v // g for e, v in num.items()} for num in nums)
     return nums, den
 
 
 def _reduce_basis(work: list, ring: Ring) -> tuple[tuple, ...]:
     """The reduced basis of the working basis, as entries sorted by lead."""
     packing = ring.packing
+    if work and work[-1][0] == packing.one:
+        # 1 ends the working basis when it enters and divides every lead
+        return ((packing.one, 1, {}, None),)
     field = ring.field
     q = field.modulus
     pad, guard, target = packing.pad, packing.guard, packing.target

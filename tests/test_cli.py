@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from wittdeg import cli, koszul
 from wittdeg.cli import run
 from wittdeg.fields import FieldSpec
+from wittdeg.orders import GREVLEX
 from wittdeg.witt import GramForm, WittInvariants
 
 from conftest import canonical_gram, dense
@@ -354,8 +355,9 @@ def test_exit_2_argument_errors(tmp_path, capsys, argv, message):
     [
         (["degree"], b"field = Q\nvars = x\nmap x = x\xff^2\n"),
         (["row", "check"], b"field = Q\nvars = x, y\nrow = x, \xffy\n"),
+        (["degree"], b"field = Q\r\nvars = x\r\nmap x = x\xff^2\r\n"),
     ],
-    ids=["degree", "row-check"],
+    ids=["degree", "row-check", "crlf"],
 )
 def test_exit_2_job_file_not_utf8(tmp_path, capsys, argv, text):
     job = tmp_path / "latin1.job"
@@ -364,6 +366,23 @@ def test_exit_2_job_file_not_utf8(tmp_path, capsys, argv, text):
     assert code == 2
     assert out == ""
     assert err == f"error: JobFileError: {job}:3: not UTF-8 text\n"
+
+
+def test_job_file_newlines_are_read_as_text_mode_reads_them(tmp_path):
+    # "\r\n" and a lone "\r" end a line as "\n" does, as they did when the
+    # file was read in text mode
+    for path in sorted((REPO_ROOT / "docs/jobs").iterdir()):
+        text = path.read_bytes()
+        assert b"\r" not in text
+        want = cli.parse_job_file(str(path), GREVLEX)
+        for newline in (b"\r\n", b"\r"):
+            copy = tmp_path / path.name
+            copy.write_bytes(text.replace(b"\n", newline))
+            got = cli.parse_job_file(str(copy), GREVLEX)
+            assert got.ring == want.ring, (path, newline)
+            assert list(got.maps.items()) == list(want.maps.items())
+            assert got.relations == want.relations
+            assert got.row == want.row
 
 
 def test_order_option_reaches_the_ring(capsys):

@@ -191,14 +191,21 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 
 
 def test_is_prime_agrees_with_a_sieve():
-    # below 2 * 10^5 is_prime runs on the witnesses 2, 3, 5 and 7 alone
-    n = 200_000
+    # below SMALL_PRIME_BOUND^2 = 10^6 is_prime reads the small-prime table,
+    # from there on it runs on the witnesses 2, 3, 5 and 7 alone: checked
+    # below 2 * 10^5 and on both sides of 10^6, where 1009^2 = 1,018,081 is
+    # the least composite whose factors the table lacks
+    n = 1_020_000
     sieve = bytearray([1]) * n
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
-    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+    ks = [*range(200_000), *range(990_000, n)]
+    assert [k for k in ks if is_prime(k)] == [k for k in ks if sieve[k]]
+    assert SMALL_PRIME_BOUND**2 == 1_000_000
+    assert not is_prime(1009**2) and not sieve[1_018_081]
+    assert is_prime(1_000_003) and is_prime(999_983)
 
 
 def test_small_primes_are_the_primes_below_their_bound():

@@ -27,7 +27,7 @@ from wittdeg.groebner import (
     supported_only_at_origin,
 )
 from wittdeg.orders import GREVLEX, LEX
-from wittdeg.poly import Poly, Ring, _add_shifted, _reduce, parse_poly
+from wittdeg.poly import Poly, Ring, _add_shifted, _ratios, _reduce, parse_poly
 from wittdeg.umrow import UnimodularRow, compose_with_endo, is_unimodular
 
 import conftest
@@ -838,8 +838,14 @@ def test_reduce_uses_first_divisor_in_list_order(Q):
 
 def test_buchberger_stops_at_the_unit(Q, monkeypatch):
     # once 1 is in the working basis every pending pair reduces to zero, so
-    # no reduction may run until the basis is autoreduced
+    # no reduction may run until the basis is autoreduced; 1 is coprime to
+    # every lead, so appending it queues no pair, and the reduced basis {1}
+    # needs no reduction either
     events = []
+
+    def push(heap, item):
+        events.append("push")
+        heappush(heap, item)
 
     def reduce(terms, basis, *args):
         rem, scale = _reduce(terms, basis, *args)
@@ -854,8 +860,10 @@ def test_buchberger_stops_at_the_unit(Q, monkeypatch):
         return reduce_basis_orig(*args)
 
     reduce_basis_orig = groebner._reduce_basis
+    heappush = heapq.heappush
     monkeypatch.setattr(groebner, "_reduce", reduce)
     monkeypatch.setattr(groebner, "_reduce_basis", reduce_basis)
+    monkeypatch.setattr(heapq, "heappush", push)
     R2 = Ring(("x", "y"), Q)
     row = universal_row(Q, 3)
     rng = random.Random(11)
@@ -872,6 +880,46 @@ def test_buchberger_stops_at_the_unit(Q, monkeypatch):
         gb = buchberger(gens, certify=certify)
         assert gb.basis == (gens[0].ring.one(),)
         assert events[events.index("unit") + 1] == "basis", events
+        assert events[-1] == "basis" and "push" in events, events
+
+
+def test_certificate_replay_keeps_the_exponent_bound(Q, F7):
+    # a hand-built recipe list: entry 0 is generator 0; entry 1 is generator
+    # 1 with one logged step by entry 0 shifted by x^p; the unit, entry 2,
+    # is the S-pair of entries 1 and 0 shifted by x^r and 1.  The unit's
+    # multiplier of entry 1 is x^r, so entry 0's gets the term x^(p + r):
+    # at the bound it is the exact certificate, past it the typed error,
+    # never a key that wrapped into another monomial
+    for field, order in itertools.product((Q, F7), (GREVLEX, LEX)):
+        ring = Ring(("x", "y"), field, order)
+        packing = ring.packing
+        if field.modulus is None:
+            (a0, b0), (a1, b1), (a2, b2), (c, d) = (3, 2), (-1, 5), (2, 7), (-4, 3)
+        else:
+            (a0, b0), (a1, b1), (a2, b2), (c, d) = (3, 1), (6, 1), (2, 1), (5, 1)
+        x = ring.var(0)
+
+        def work(p, r):
+            sp = packing.pack((p, 0)) - packing.one
+            sr = packing.pack((r, 0)) - packing.one
+            e0 = (0, 0, [], (a0, b0))
+            e1 = (1, 1, [(e0, sp, c, d)], (a1, b1))
+            e2 = (2, (1, 0, sr, 0), [], (a2, b2))
+            return [(None, None, None, e) for e in (e0, e1, e2)]
+
+        def scalar(n, m):
+            return field.canon(Fraction(n, m))
+
+        for p, r in ((16384, 16383), (1, 32766), (32767, 0)):
+            nums, den = groebner._certificate(work(p, r), 2, ring)
+            got = [Poly(ring, _ratios(num, den)) for num in nums]
+            # mu_1 = a2/b2 x^r and mu_0 = -a2/b2 + mu_1 a1/b1 c/d x^p
+            mu1 = x**r * scalar(a2, b2)
+            mu0 = ring.constant(scalar(-a2, b2)) + mu1 * x**p * scalar(a1 * c, b1 * d)
+            assert got == [mu0 * scalar(a0, b0), mu1 * scalar(a1, b1)]
+        for p, r in ((16384, 16384), (32767, 1), (1, 32767)):
+            with pytest.raises(ExponentBoundExceeded):
+                groebner._certificate(work(p, r), 2, ring)
 
 
 def test_pair_criteria_tame_the_lex_swell(Q, monkeypatch):
