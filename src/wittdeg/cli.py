@@ -124,7 +124,9 @@ def parse_job_file(path: str, order: MonomialOrder) -> JobFile:
         try:
             text = data.decode()
         except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
+            # the line ends before the bad byte, as text mode splits them
+            head = data[: exc.start]
+            lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
             raise JobFileError(f"{path}:{lineno}: not UTF-8 text") from None
         if "\r" in text:  # the newlines text mode translates
             text = text.replace("\r\n", "\n").replace("\r", "\n")

@@ -56,6 +56,7 @@ from operator import mul
 from .errors import (
     ArityMismatch,
     Frozen,
+    InternalError,
     NotOriginPreserving,
     RingMismatch,
     SupportNotOrigin,
@@ -64,6 +65,7 @@ from .fields import FieldSpec
 from .groebner import (
     QuotientAlgebra,
     buchberger,
+    form_degrees,
     standard_monomials,
     supported_only_at_origin,
 )
@@ -115,6 +117,15 @@ def validate(endo: Endo) -> QuotientAlgebra:
     order of the endomorphism's ring.
 
     Raises NotOriginPreserving, NotFiniteLength or SupportNotOrigin.
+
+    When every image is a nonzero form (the counterexample and every
+    generic benchmark map are), the zero set V(f) over the algebraic
+    closure is a cone: with a point p it holds t * p for every t.  A
+    finite-length quotient has a finite zero set, so the cone is the
+    origin, and the support test is skipped.  The n forms then are a
+    regular sequence, and the length is the product of their degrees
+    (Bezout); a quotient of another length raises InternalError, at the
+    cost of one product.
     """
     for name, p in zip(endo.ring.variables, endo.images):
         if p.constant_term:
@@ -123,8 +134,15 @@ def validate(endo: Endo) -> QuotientAlgebra:
             )
     gb = buchberger(endo.images)
     qa = standard_monomials(gb)
-    if not supported_only_at_origin(qa):
-        raise SupportNotOrigin("the zero set contains a point besides the origin")
+    degrees = form_degrees(endo.images)
+    if degrees is None:
+        if not supported_only_at_origin(qa):
+            raise SupportNotOrigin("the zero set contains a point besides the origin")
+    elif qa.dimension != math.prod(degrees):
+        raise InternalError(
+            f"length {qa.dimension} of the quotient by forms of degrees"
+            f" {degrees} is not their product"
+        )
     return qa
 
 

@@ -356,8 +356,9 @@ def test_exit_2_argument_errors(tmp_path, capsys, argv, message):
         (["degree"], b"field = Q\nvars = x\nmap x = x\xff^2\n"),
         (["row", "check"], b"field = Q\nvars = x, y\nrow = x, \xffy\n"),
         (["degree"], b"field = Q\r\nvars = x\r\nmap x = x\xff^2\r\n"),
+        (["degree"], b"field = Q\rvars = x\rmap x = x\xff^2\r"),
     ],
-    ids=["degree", "row-check", "crlf"],
+    ids=["degree", "row-check", "crlf", "cr"],
 )
 def test_exit_2_job_file_not_utf8(tmp_path, capsys, argv, text):
     job = tmp_path / "latin1.job"

@@ -340,6 +340,24 @@ def test_gram_off_standard_basis_is_internal_error(Q, monkeypatch, capsys):
     assert "off the standard basis" in capsys.readouterr().err
 
 
+def test_homogeneous_length_off_bezout_is_internal_error(Q, monkeypatch):
+    # a homogeneous map skips the support test, and its length must be the
+    # product of the degrees: the counterexample (degrees 2, 2, 1, length
+    # 4) without its standard monomial x1, which no basis tail names, builds
+    # a quotient of length 3, and validate refuses it
+    endo = counterexample_endo(Q)
+    x1 = endo.ring.packing.pack((1, 0, 0))
+
+    def drop_x1(gb):
+        qa = standard_monomials(gb)
+        assert all(x1 not in tail for _, _, tail, _ in gb.entries)
+        return QuotientAlgebra(gb, tuple(k for k in qa.keys if k != x1))
+
+    monkeypatch.setattr(degree, "standard_monomials", drop_x1)
+    with pytest.raises(InternalError, match=r"degrees \[2, 2, 1\] is not their"):
+        validate(endo)
+
+
 def test_a_standard_half_never_touches_the_table(Q, monkeypatch):
     # each half of a Bezoutian key is a key of the quotient's packing: a
     # standard half is its own normal form and is never looked up, and a

@@ -1,7 +1,9 @@
 import collections
+import contextlib
 import functools
 import heapq
 import itertools
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -9,15 +11,17 @@ from operator import add, sub
 
 import pytest
 
-from wittdeg import groebner, umrow
+from wittdeg import degree, groebner, umrow
 from wittdeg.cli import _endo_from_job, parse_job_file
 from wittdeg.degree import Endo, validate
 from wittdeg.errors import (
+    AlgebraError,
     ExponentBoundExceeded,
     InternalError,
     NotFiniteLength,
     SupportNotOrigin,
 )
+from wittdeg.fields import FieldSpec
 from wittdeg.groebner import (
     QuotientAlgebra,
     buchberger,
@@ -1223,3 +1227,148 @@ def test_buchberger_past_the_bound_raises(Q, F7):
         assert gb.basis == (ly * ly, lx)
         big = [x**20000, y**20000]
         assert buchberger(big, certify=True).basis == tuple(big[::-1])
+
+
+def _random_forms(rng, ring, degrees, density=0.6):
+    """One random nonzero form of each degree, dense at about density, with
+    coefficients in [-3, 3]."""
+    forms = []
+    for d in degrees:
+        monos = [
+            e
+            for e in itertools.product(range(d + 1), repeat=ring.nvars)
+            if sum(e) == d
+        ]
+        p = ring.zero()
+        while p.is_zero:
+            for e in monos:
+                if rng.random() < density:
+                    p = p + monomial(ring, e, rng.randint(-3, 3))
+        forms.append(p)
+    return forms
+
+
+def _random_homogeneous_maps(seed):
+    """Homogeneous generator lists of n forms in n variables over Q, F_7 and
+    F_10007 under GREVLEX and LEX, mixed degrees, about one in four with the
+    common factor x1 (not finite)."""
+    rng = random.Random(seed)
+    for name, order in itertools.product(("Q", "F7", "F10007"), (GREVLEX, LEX)):
+        field = (
+            FieldSpec.rationals()
+            if name == "Q"
+            else FieldSpec.prime_field(int(name[1:]))
+        )
+        for _ in range(20):
+            n = rng.choice((2, 3)) if name == "Q" else rng.choice((2, 3, 4))
+            top = 2 if n == 4 else 3
+            ring = Ring(tuple(f"x{i + 1}" for i in range(n)), field, order)
+            degrees = [rng.randint(1, top) for _ in range(n)]
+            forms = _random_forms(rng, ring, degrees)
+            if rng.random() < 0.25:
+                forms = [ring.var(0) * f for f in forms]
+            yield forms
+
+
+def _groebner_outcome(gens):
+    """The entries of the reduced basis and the standard monomials, or the
+    type and message of what either raised."""
+    try:
+        gb = buchberger(gens)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+    try:
+        return gb.entries, standard_monomials(gb).keys
+    except AlgebraError as exc:
+        return gb.entries, type(exc), str(exc)
+
+
+def test_hilbert_criterion_agrees_with_the_plain_pair_loop(monkeypatch):
+    # the criterion drops pairs whose S-polynomials reduce to zero, so the
+    # working basis, and with it every entry, is that of the plain loop;
+    # with the criterion off (no series) the run is the plain loop
+    zeros = [0]
+    real = groebner._reduce
+
+    def counting(*args, **kwargs):
+        rem, scale = real(*args, **kwargs)
+        zeros[0] += not rem
+        return rem, scale
+
+    def run(gens):
+        zeros[0] = 0
+        return _groebner_outcome(gens), zeros[0]
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    maps = list(_random_homogeneous_maps(4343))
+    fast = [run(gens) for gens in maps]
+    monkeypatch.setattr(groebner, "_complete_intersection", lambda degrees: ())
+    plain = [run(gens) for gens in maps]
+    assert [out for out, _ in fast] == [out for out, _ in plain]
+    finite = [len(out) == 2 for out, _ in plain]
+    assert 20 <= sum(finite) <= len(maps) - 20
+    assert all(z <= p for (_, z), (_, p) in zip(fast, plain))
+    # on the finite maps most zero reductions go; the others keep theirs
+    saved = [(z, p) for (_, z), (_, p), f in zip(fast, plain, finite) if f]
+    assert 2 * sum(z for z, _ in saved) < sum(p for _, p in saved)
+
+
+def test_a_finite_homogeneous_quotient_is_supported_at_the_origin():
+    # the theorem that lets validate skip the support test: the zero set of
+    # forms is a cone, so a finite one is the origin; and its length is the
+    # product of the degrees (Bezout)
+    finite = 0
+    for gens in _random_homogeneous_maps(4344):
+        try:
+            qa = standard_monomials(buchberger(gens))
+        except NotFiniteLength:
+            continue
+        finite += 1
+        assert supported_only_at_origin(qa)
+        assert qa.dimension == math.prod(groebner.form_degrees(gens))
+    assert finite >= 20
+
+
+QUADRICS4 = """field = F10007
+vars = x1, x2, x3, x4
+map x1 = -5*x1^2 + 3*x1*x2 - 3*x1*x3 + 4*x1*x4 - 2*x2^2 + 4*x2*x3 - 3*x2*x4 + x3^2 - x3*x4 - 2*x4^2
+map x2 = 2*x1^2 + x1*x2 - 5*x1*x3 - 4*x1*x4 - x2^2 + 2*x2*x4 + x3^2 + 5*x3*x4 - 3*x4^2
+map x3 = 2*x1^2 + 4*x1*x3 - 5*x1*x4 - 4*x2^2 + 4*x2*x3 + 3*x2*x4 + 4*x3^2 + x3*x4 - 3*x4^2
+map x4 = -2*x1^2 + x1*x2 + x1*x3 + 4*x1*x4 - 4*x2^2 + 5*x2*x3 - 3*x2*x4 - 2*x3^2 + 2*x3*x4 - 2*x4^2
+"""
+
+
+def test_four_quadrics_reduce_to_zero_once(tmp_path, monkeypatch):
+    # after the first zero reduction the leads of each degree are counted,
+    # and every later pair of a degree whose count meets the complete
+    # intersection's is dropped; the support test of a homogeneous map is
+    # skipped, and an inhomogeneous map still runs it
+    zeros = []
+    real = groebner._reduce
+
+    def counting(*args, **kwargs):
+        rem, scale = real(*args, **kwargs)
+        zeros.append(not rem)
+        return rem, scale
+
+    support = []
+
+    def spy(qa):
+        support.append(qa)
+        return supported_only_at_origin(qa)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    monkeypatch.setattr(degree, "supported_only_at_origin", spy)
+    job = tmp_path / "quadrics4.job"
+    job.write_text(QUADRICS4)
+    qa = validate(_endo_from_job(parse_job_file(str(job), GREVLEX), str(job)))
+    assert qa.dimension == 16
+    assert sum(zeros) <= 1 and len(zeros) >= 10
+    assert not support
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    for name, error in (("staircase3", None), ("support-not-origin", SupportNotOrigin)):
+        path = str(repo / f"docs/jobs/{name}.job")
+        endo = _endo_from_job(parse_job_file(path, GREVLEX), path)
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            validate(endo)
+    assert len(support) == 2
