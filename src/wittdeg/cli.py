@@ -53,6 +53,7 @@ from .errors import (
     AlgebraError,
     DigitLimitExceeded,
     EvenN,
+    Frozen,
     JobFileError,
     NotFiniteLength,
     NotOriginPreserving,
@@ -79,7 +80,7 @@ from .witt import (
 HYPOTHESIS_ERRORS = (NotFiniteLength, SupportNotOrigin, NotOriginPreserving, EvenN)
 
 
-class JobFile:
+class JobFile(Frozen):
     """Parsed job or row file."""
 
     __slots__ = ("ring", "maps", "relations", "row")
@@ -87,12 +88,6 @@ class JobFile:
     maps: dict[str, Poly]
     relations: tuple[Poly, ...]
     row: tuple[Poly, ...] | None
-
-    def __init__(self, ring, maps, relations, row):
-        self.ring = ring
-        self.maps = maps
-        self.relations = relations
-        self.row = row
 
 
 _FIELD_RE = re.compile(r"F([1-9][0-9]*)")
@@ -186,7 +181,7 @@ def parse_job_file(path: str, order: MonomialOrder) -> JobFile:
                 raise JobFileError(f"{path}:{lineno}: {exc}") from None
     if field is None or ring is None:
         raise JobFileError(f"{path}: missing 'field' or 'vars'")
-    return JobFile(ring=ring, maps=maps, relations=tuple(relations), row=row)
+    return JobFile(ring, maps, tuple(relations), row)
 
 
 def _endo_from_job(job: JobFile, path: str) -> Endo:

@@ -65,7 +65,6 @@ from .fields import FieldSpec
 from .groebner import (
     QuotientAlgebra,
     buchberger,
-    form_degrees,
     standard_monomials,
     supported_only_at_origin,
 )
@@ -74,6 +73,7 @@ from .poly import (
     Ring,
     _add_shifted,
     _clear,
+    _lowest_all,
     _to_lcm,
     det,
 )
@@ -100,8 +100,7 @@ class Endo(Frozen):
         for p in images:
             if p.ring != ring:
                 raise RingMismatch("image in a different ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "images", images)
+        super().__init__(ring, images)
 
     @property
     def n(self) -> int:
@@ -119,7 +118,8 @@ def validate(endo: Endo) -> QuotientAlgebra:
     Raises NotOriginPreserving, NotFiniteLength or SupportNotOrigin.
 
     When every image is a nonzero form (the counterexample and every
-    generic benchmark map are), the zero set V(f) over the algebraic
+    generic benchmark map are; buchberger reads their degrees once, as
+    `GroebnerBasis.degrees`), the zero set V(f) over the algebraic
     closure is a cone: with a point p it holds t * p for every t.  A
     finite-length quotient has a finite zero set, so the cone is the
     origin, and the support test is skipped.  The n forms then are a
@@ -134,7 +134,7 @@ def validate(endo: Endo) -> QuotientAlgebra:
             )
     gb = buchberger(endo.images)
     qa = standard_monomials(gb)
-    degrees = form_degrees(endo.images)
+    degrees = gb.degrees
     if degrees is None:
         if not supported_only_at_origin(qa):
             raise SupportNotOrigin("the zero set contains a point besides the origin")
@@ -266,14 +266,8 @@ def _gram_from_quotient(endo: Endo, qa: QuotientAlgebra) -> GramForm:
             if dst is None:
                 dst = acc[i] = {}
             _add_shifted(dst, row, 0, c * v, q)
-    den *= dx * du
-    if den != 1:  # over den / g, g the gcd of den and every entry
-        g = math.gcd(den, *(c for dst in acc.values() for c in dst.values()))
-        if g != 1:
-            den //= g
-            for dst in acc.values():
-                for j, c in dst.items():
-                    dst[j] = c // g
+    # over den / g, g the gcd of den and every entry
+    den = _lowest_all(acc.values(), den * dx * du)
     # each normal-form term x^m u^m' is entry (m, m'), its int coefficient
     # nonzero, and GramForm checks the symmetry
     gram = tuple(acc.get(i) or {} for i in range(qa.dimension))
@@ -290,12 +284,6 @@ class DegreeReport(Frozen):
     gram: GramForm
     diag: DiagForm
     invariants: WittInvariants
-
-    def __init__(self, quotient, gram, diag, invariants):
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "invariants", invariants)
 
     @property
     def field(self) -> FieldSpec:

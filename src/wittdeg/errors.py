@@ -89,11 +89,38 @@ class DigitLimitExceeded(AlgebraError):
 
 
 class Frozen:
-    """Base of the read-only records: assigning or deleting an attribute
-    raises AttributeError.  Each record's __init__ sets its fields once,
-    with object.__setattr__."""
+    """Base of the read-only records, whose fields are their ``__slots__``.
+
+    This is the one constructor of every record: it takes the fields in
+    slot order, by position or by name, raises TypeError for a field that
+    is missing, given twice or unknown, and sets each once with
+    object.__setattr__.  A record that checks its fields does so in its own
+    __init__, which ends by calling this one.  Assigning or deleting an
+    attribute raises AttributeError.  A record compares by identity; a
+    value record sets ``__eq__ = Frozen._same_fields`` and compares field
+    by field, which also makes it unhashable."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named:
+            # the fields after the positional ones, in slot order: one that
+            # is missing leaves values short, and what is left in named is
+            # unknown or given by position too
+            values += tuple([named.pop(n) for n in names[len(values) :] if n in named])
+            if named:
+                cls = type(self).__name__
+                raise TypeError(f"{cls}: unknown or repeated fields {[*named]}")
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _same_fields(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")

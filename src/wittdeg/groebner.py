@@ -91,7 +91,8 @@ counts fell from 195,443 to 113,780 (structured-q) and from 325,983 to
 122,016 (generic).  So only row certificates changed.
 
 A run on n nonzero forms f_1..f_n in n variables, of degrees d_1..d_n
-(`form_degrees`, read off the packed keys' degrees), drops the pairs a
+(`form_degrees`, read off the packed keys' degrees once, at the start of
+the run, and kept as `GroebnerBasis.degrees`), drops the pairs a
 Hilbert function proves redundant (Traverso, "Hilbert functions and the
 Buchberger algorithm", JSC 22, 1996).  Let h_k be the coefficients of
 prod (1 + t + ... + t^(d_i - 1)), the Hilbert series of a complete
@@ -114,9 +115,10 @@ I_k and has no term in LT(I)_k, is 0.  Such a pair is dropped when it is
 popped: the plain loop would reduce it to 0 and add nothing, so the
 working basis, and with it every output byte, is the plain loop's.  The
 test is exact, and past the top degree of h, where h_k = 0, every pair
-goes.  The counting starts at the run's first zero reduction: every pair
-reduced before it added an entry, so none of them could have been
-dropped, and a run that reduces nothing to 0 keeps no count.  From the
+goes.  The counting starts at the run's first zero reduction that
+leaves a pair queued: every pair reduced before it added an entry, so
+none of them could have been dropped, and a run that reduces nothing to
+0 before its last pair keeps no count and forms no h.  From the
 constant monomial, the standard monomials of degree k + 1 are the x_v * s
 for standard s of degree k that are no lead and whose every
 x_w-predecessor is standard (`_grow`), and an entry of degree k removes
@@ -222,6 +224,7 @@ from .poly import (
     _clear,
     _divisor,
     _lowest,
+    _lowest_all,
     _ratios,
     _reduce,
     _to_lcm,
@@ -249,18 +252,17 @@ class GroebnerBasis(Frozen):
     vector in the integer working form, (nums, den): nums holds one int term
     dict per generator, over the one positive denominator den (1 over F_p),
     and sum(nums[m] * generators[m]) == den exactly; otherwise it is None.
-    umrow.is_unimodular checks it and converts what it prints.
+    umrow.is_unimodular checks it and converts what it prints.  degrees is
+    the grading buchberger read once: the degree of each generator when a
+    run that does not certify has n nonzero forms in n variables, else
+    None.
     """
 
-    __slots__ = ("generators", "entries", "cofactors")
+    __slots__ = ("generators", "entries", "cofactors", "degrees")
     generators: tuple[Poly, ...]
     entries: tuple[tuple, ...]
     cofactors: tuple[tuple[dict, ...], int] | None
-
-    def __init__(self, generators, entries, cofactors):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "cofactors", cofactors)
+    degrees: list[int] | None
 
     @property
     def ring(self) -> Ring:
@@ -306,11 +308,13 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
     # heap of pending pairs (sugar, key of their lcm, i, j): least sugar
     # first, then smallest lcm
     pairs: list[tuple] = []
-    # the Hilbert-driven criterion (see above): h, the complete
-    # intersection's series, is set at the first zero reduction, or () where
-    # the criterion does not apply, as in a certifying run; std then maps
+    # the Hilbert-driven criterion (see above): the degrees of n forms in n
+    # variables, read once, or None, as in a certifying run; h, the complete
+    # intersection's series, is set at the first zero reduction that leaves
+    # a pair queued, or () where the criterion does not apply; std then maps
     # each standard monomial of degree k to its support
-    h = () if certify else None
+    degrees = None if certify or len(gens) != ring.nvars else form_degrees(gens)
+    h = None if degrees else ()
     std: dict = {one: ()}
     k = 0
 
@@ -398,15 +402,14 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
         _add_shifted(s, tail_j, sj, -(ci // g), q)
         t = len(work)
         append(s, (i, j, si, sj) if certify else None, ci // g * cj, sugar)
-        if h is None and len(work) == t:
-            degrees = form_degrees(gens) if len(gens) == ring.nvars else None
-            h = _complete_intersection(degrees) if degrees else ()
+        if h is None and len(work) == t and pairs:
+            h = _complete_intersection(degrees)
 
     cofactors = None
     # 1 ends the working basis when it enters: no pair is left to add more
     if certify and work and work[-1][0] == one:
         cofactors = _certificate(work, len(gens), ring)
-    return GroebnerBasis(tuple(gens), _reduce_basis(work, ring), cofactors)
+    return GroebnerBasis(tuple(gens), _reduce_basis(work, ring), cofactors, degrees)
 
 
 def form_degrees(polys: Sequence[Poly]) -> list[int] | None:
@@ -503,11 +506,7 @@ def _certificate(work: list, m: int, ring: Ring) -> tuple[tuple[dict, ...], int]
     nums: tuple[dict, ...] = tuple({} for _ in range(m))
     for k, c, d, mu in ends:
         _add_shifted(nums[k], mu, 0, c * (den // d), q)
-    g = gcd(den, *[v for num in nums for v in num.values()])
-    if g > 1:
-        den //= g
-        nums = tuple({e: v // g for e, v in num.items()} for num in nums)
-    return nums, den
+    return nums, _lowest_all(nums, den)
 
 
 def _reduce_basis(work: list, ring: Ring) -> tuple[tuple, ...]:
@@ -597,7 +596,7 @@ class QuotientAlgebra(Frozen, dict):
     def __init__(self, gb, keys):
         field, packing = gb.ring.field, gb.ring.packing
         index = {m: k for k, m in enumerate(keys)}
-        super().__init__((m, ({k: 1}, 1)) for k, m in enumerate(keys))
+        dict.__init__(self, ((m, ({k: 1}, 1)) for k, m in enumerate(keys)))
         for lead, lc, tail, _ in gb.entries:
             try:
                 self[lead] = ({index[e]: field.neg(v) for e, v in tail.items()}, lc)
@@ -606,15 +605,12 @@ class QuotientAlgebra(Frozen, dict):
                     f"monomial {packing.unpack(exc.args[0])} of a basis tail"
                     " is off the standard basis"
                 ) from None
-        object.__setattr__(self, "gb", gb)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_q", field.modulus)  # None over Q
-        object.__setattr__(self, "_packing", packing)
         # x_i divides x^m iff (m + step) & guard == target, step = pad - key
         # of x_i; x^m / x_i has the key m - var[i]
         steps = [(v, packing.pad - packing.one - v) for v in packing.var]
-        object.__setattr__(self, "_steps", steps)
+        # _q is the modulus, None over Q; both bases are called by name, as
+        # super() would reach Frozen.__init__ before dict.__init__
+        Frozen.__init__(self, gb, keys, index, field.modulus, packing, steps)
 
     @property
     def ring(self) -> Ring:

@@ -67,11 +67,6 @@ class KoszulComplex(Frozen):
     sequence: tuple[Poly, ...]
     differentials: tuple[dict, ...]  # index i-1 -> d_i
 
-    def __init__(self, ring, sequence, differentials):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "sequence", sequence)
-        object.__setattr__(self, "differentials", differentials)
-
     @property
     def n(self) -> int:
         return len(self.sequence)
@@ -144,11 +139,6 @@ class DualityData(Frozen):
     complex: KoszulComplex
     wedge_maps: tuple
     signed_maps: tuple
-
-    def __init__(self, complex, wedge_maps, signed_maps):
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "wedge_maps", wedge_maps)
-        object.__setattr__(self, "signed_maps", signed_maps)
 
     @property
     def n(self) -> int:

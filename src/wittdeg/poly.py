@@ -173,6 +173,20 @@ def _lowest(nums: dict, den: int) -> tuple[dict, int]:
     return {e: v // g for e, v in nums.items()}, den // g
 
 
+def _lowest_all(family, den: int) -> int:
+    """The int term dicts of family, all over den, and den divided in place
+    by their one gcd, so that den is coprime to their content taken
+    together: returns the new den."""
+    if den == 1:
+        return den
+    g = gcd(den, *[v for nums in family for v in nums.values()])
+    if g != 1:
+        for nums in family:
+            for e, v in nums.items():
+                nums[e] = v // g
+    return den // g
+
+
 def _reduce(
     terms: dict, basis, packing: Packing, field, log=None, scale=1
 ) -> tuple[dict, int]:

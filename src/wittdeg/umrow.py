@@ -38,8 +38,7 @@ class AlgebraPresentation(Frozen):
         for r in relations:
             if r.ring != ring:
                 raise RingMismatch("relation outside the declared ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "relations", relations)
+        super().__init__(ring, relations)
 
 
 class UnimodularRow(Frozen):
@@ -53,8 +52,7 @@ class UnimodularRow(Frozen):
         for e in entries:
             if e.ring != algebra.ring:
                 raise RingMismatch("row entry outside the algebra's ring")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(algebra, entries)
 
     @property
     def n(self) -> int:

@@ -107,14 +107,9 @@ class GramForm(Frozen):
                     g = gcd(g, x)
         if g != 1:
             raise DegenerateForm(f"Gram denominator {den} shares {g} with every entry")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "den", den)
+        super().__init__(field, rows, den)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.rows, self.den) == (other.field, other.rows, other.den)
+    __eq__ = Frozen._same_fields
 
 
 class DiagForm(Frozen):
@@ -157,18 +152,9 @@ class DiagForm(Frozen):
                 f"entry {bad[0]} is not a canonical "
                 "square-class representative (diag_form canonicalizes)"
             )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "primes", tuple(sorted(used)))
+        super().__init__(field, entries, tuple(sorted(used)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.entries == other.entries
-            and self.primes == other.primes
-        )
+    __eq__ = Frozen._same_fields
 
     @property
     def rank(self) -> int:
@@ -352,23 +338,7 @@ class WittInvariants(Frozen):
     signed_discriminant: object
     hasse: dict
 
-    def __init__(self, field, rank, signature, signed_discriminant, hasse):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "signed_discriminant", signed_discriminant)
-        object.__setattr__(self, "hasse", hasse)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.rank == other.rank
-            and self.signature == other.signature
-            and self.signed_discriminant == other.signed_discriminant
-            and self.hasse == other.hasse
-        )
+    __eq__ = Frozen._same_fields
 
     @property
     def is_zero(self) -> bool:
@@ -427,13 +397,7 @@ def invariants(d: DiagForm) -> WittInvariants:
             else:  # both arguments are units at v unless v divides one
                 pairs = [(x, a) for x, a in symbols if not (x % v and a % v)]
             hasse[str(v)] = math.prod(_hilbert(x, a, v) for x, a in pairs)
-    return WittInvariants(
-        field=field,
-        rank=r,
-        signature=signature,
-        signed_discriminant=signed_disc,
-        hasse=hasse,
-    )
+    return WittInvariants(field, r, signature, signed_disc, hasse)
 
 
 def _strip_obvious_pairs(d: DiagForm) -> tuple[int, ...]:

@@ -269,10 +269,12 @@ def is_canonical_scalar(field, x) -> bool:
 def basis_of(polys):
     """A GroebnerBasis whose entries are the given nonzero polynomials, in
     list order: an arbitrary divisor list for normal_form, not necessarily
-    a Groebner basis."""
+    a Groebner basis, and with no grading (degrees None)."""
     q = polys[0].ring.field.modulus
     entries = tuple(_divisor(_clear(p.packed)[0], q) for p in polys)
-    return GroebnerBasis(generators=tuple(polys), entries=entries, cofactors=None)
+    return GroebnerBasis(
+        generators=tuple(polys), entries=entries, cofactors=None, degrees=None
+    )
 
 
 def exact(field, num, den=1):

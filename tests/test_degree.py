@@ -442,7 +442,9 @@ def test_report_is_its_four_stage_results(Q, F7):
     # each result stores what its stage computed and derives the rest on
     # read; the report keeps the quotient, so its table still serves after
     # the degree: NF of the Jacobian determinant there is the length times
-    # the socle monomial x2^2 (Eisenbud-Levine; Scheja-Storch)
+    # the socle monomial x2^2 (Eisenbud-Levine; Scheja-Storch).  A record
+    # with its own __init__ takes the fields of its signature; DegreeReport
+    # has none, and errors.Frozen builds it from its __slots__
     def fields(cls):
         return list(inspect.signature(cls).parameters)
 
@@ -452,7 +454,7 @@ def test_report_is_its_four_stage_results(Q, F7):
 
     assert fields(QuotientAlgebra) == ["gb", "keys"]
     assert fields(GramForm) == ["field", "rows", "den"]
-    assert fields(DegreeReport) == ["quotient", "gram", "diag", "invariants"]
+    assert DegreeReport.__slots__ == ("quotient", "gram", "diag", "invariants")
     for field in (Q, F7):
         endo = counterexample_endo(field)
         rep = degree_of(endo)

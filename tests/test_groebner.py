@@ -1372,3 +1372,42 @@ def test_four_quadrics_reduce_to_zero_once(tmp_path, monkeypatch):
         with pytest.raises(error) if error else contextlib.nullcontext():
             validate(endo)
     assert len(support) == 2
+
+
+def test_the_grading_is_read_once(Q, monkeypatch):
+    # buchberger reads the degrees of n forms once and keeps them on the
+    # basis, where validate reads them; the series h is formed only at a
+    # zero reduction that leaves a pair queued, which none of these
+    # realified maps (Re c*z^m, Im c*z^m, t^j) reaches.  A certifying run
+    # reads no grading
+    calls = collections.Counter()
+
+    def spy(name):
+        real = getattr(groebner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("form_degrees", "_complete_intersection"):
+        wrapped = spy(name)
+        monkeypatch.setattr(groebner, name, wrapped)
+        monkeypatch.setattr(degree, name, wrapped, raising=False)
+    ring = Ring(("x", "y", "t"), Q)
+    cube = ("x^3 + 3*x^2*y - 3*x*y^2 - y^3", "-x^3 + 3*x^2*y + 3*x*y^2 - y^3")
+    for texts, degrees in (
+        (("x^2 - y^2", "2*x*y", "t"), [2, 2, 1]),
+        (("x^3 - 3*x*y^2", "3*x^2*y - y^3", "t^2"), [3, 3, 2]),
+        ((*cube, "t^3"), [3, 3, 3]),
+        (("x^2 + y^3", "y^2", "t"), None),  # no form: the support test runs
+    ):
+        calls.clear()
+        qa = validate(Endo(ring, tuple(parse_poly(s, ring) for s in texts)))
+        assert qa.gb.degrees == degrees
+        assert degrees is None or qa.dimension == math.prod(degrees)
+        assert calls == {"form_degrees": 1}
+    calls.clear()
+    assert buchberger(list(ring.gens()), certify=True).degrees is None
+    assert not calls

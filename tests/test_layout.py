@@ -177,29 +177,32 @@ def test_every_public_slot_is_read():
 
 
 def test_records_set_their_fields_in_init_alone():
-    """A read-only record (``errors.Frozen``) sets each field once, in its
-    constructor: every ``object.__setattr__`` call of the package sits
-    inside an ``__init__``, so no record changes after its constructor has
-    returned."""
-    outside = []
+    """A read-only record (``errors.Frozen``) sets each field once, in the
+    one constructor of every record: the package's only
+    ``object.__setattr__`` call sits in ``errors.Frozen.__init__``, so no
+    record changes after its constructor has returned, and a record that
+    checks its fields hands them to that constructor."""
+    calls = []
     for stem, tree in _modules().items():
-        inside = {
-            id(node)
-            for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef) and func.name == "__init__"
-            for node in ast.walk(func)
-        }
-        outside.extend(
-            f"{stem}.py:{node.lineno}"
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for func in cls.body:
+                    if isinstance(func, ast.FunctionDef):
+                        owner.update(
+                            (id(node), f"{stem}.{cls.name}.{func.name}")
+                            for node in ast.walk(func)
+                        )
+        calls.extend(
+            owner.get(id(node), f"{stem}.py:{node.lineno}")
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "__setattr__"
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "object"
-            and id(node) not in inside
         )
-    assert not outside, f"object.__setattr__ outside an __init__: {outside}"
+    assert calls == ["errors.Frozen.__init__"], calls
 
 
 def _imports_with_scope(tree) -> list:
@@ -225,9 +228,9 @@ def _imports_with_scope(tree) -> list:
 
 
 def test_start_up_imports_stay_light():
-    """No module imports dataclasses or typing: records are plain classes,
-    and every annotation is a string under ``from __future__ import
-    annotations``.  Only cli imports koszul, inside the one command that
+    """No module imports dataclasses or typing: records are ``errors.Frozen``
+    classes, and every annotation is a string under ``from __future__
+    import annotations``.  Only cli imports koszul, inside the one command that
     reads it, so no other run pays for that import."""
     bad = []
     for stem, tree in _modules().items():

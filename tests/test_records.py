@@ -1,0 +1,161 @@
+"""The read-only records and their one constructor, errors.Frozen.__init__.
+
+Every record of the package is built here from a real run: the degree
+pipeline's stages, a row and its algebra, a Koszul complex with its
+duality data, and a parsed job file.  A record without its own __init__
+takes the fields of its ``__slots__``; one with its own __init__ (which
+checks the fields, then calls Frozen's) takes the fields of its signature.
+"""
+
+import inspect
+import pathlib
+
+import pytest
+
+from wittdeg.cli import JobFile, parse_job_file
+from wittdeg.degree import DegreeReport, Endo, degree_of
+from wittdeg.errors import Frozen
+from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
+from wittdeg.koszul import DualityData, KoszulComplex, generic_duality
+from wittdeg.orders import GREVLEX
+from wittdeg.umrow import AlgebraPresentation, UnimodularRow
+from wittdeg.witt import DiagForm, GramForm, WittInvariants
+
+from conftest import counterexample_endo, universal_row
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+VALUES = (GramForm, DiagForm, WittInvariants)
+
+
+def _records(field):
+    """One record of each class, each made by the package."""
+    rep = degree_of(counterexample_endo(field))
+    qa = rep.quotient
+    row = universal_row(field, 2)
+    dd = generic_duality(field, 2)
+    job = parse_job_file(str(ROOT / "docs/jobs/taut3.row"), GREVLEX)
+    return (
+        counterexample_endo(field),
+        qa.gb,
+        qa,
+        rep.gram,
+        rep.diag,
+        rep.invariants,
+        rep,
+        row.algebra,
+        row,
+        dd.complex,
+        dd,
+        job,
+    )
+
+
+def _fields(cls) -> tuple:
+    """The names a record's constructor takes."""
+    if cls.__init__ is Frozen.__init__:
+        return cls.__slots__
+    return tuple(inspect.signature(cls).parameters)
+
+
+def test_every_record_class_is_sampled(Q):
+    classes = {type(r) for r in _records(Q)}
+    assert classes == {
+        Endo,
+        GroebnerBasis,
+        QuotientAlgebra,
+        GramForm,
+        DiagForm,
+        WittInvariants,
+        DegreeReport,
+        AlgebraPresentation,
+        UnimodularRow,
+        KoszulComplex,
+        DualityData,
+        JobFile,
+    }
+    assert all(issubclass(cls, Frozen) for cls in classes)
+    # only the records that check their fields keep an __init__
+    own = {cls for cls in classes if cls.__init__ is not Frozen.__init__}
+    assert own == {
+        Endo,
+        QuotientAlgebra,
+        GramForm,
+        DiagForm,
+        AlgebraPresentation,
+        UnimodularRow,
+    }
+
+
+def test_a_record_builds_the_same_by_position_and_by_name(Q, F7):
+    for field in (Q, F7):
+        for record in _records(field):
+            cls = type(record)
+            names = _fields(cls)
+            values = [getattr(record, n) for n in names]
+            by_position = cls(*values)
+            by_name = cls(**dict(zip(names, values)))
+            mixed = cls(*values[:1], **dict(zip(names[1:], values[1:])))
+            for built in (by_position, by_name, mixed):
+                for slot in cls.__slots__:
+                    assert getattr(built, slot) == getattr(record, slot), (cls, slot)
+
+
+def test_a_missing_extra_repeated_or_unknown_field_is_a_type_error(Q):
+    for record in _records(Q):
+        cls = type(record)
+        names = _fields(cls)
+        values = [getattr(record, n) for n in names]
+        named = dict(zip(names, values))
+        bad = (
+            lambda: cls(*values[:-1]),  # missing, by position
+            lambda: cls(**dict(list(named.items())[1:])),  # missing, by name
+            lambda: cls(*values, None),  # extra
+            lambda: cls(*values, bogus=None),  # unknown
+            lambda: cls(*values, **{names[0]: values[0]}),  # given twice
+        )
+        for build in bad:
+            with pytest.raises(TypeError):
+                build()
+
+
+def test_no_field_is_assigned_or_deleted(Q):
+    for record in _records(Q):
+        for slot in type(record).__slots__:
+            value = getattr(record, slot)
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(record, slot, None)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(record, slot)
+            assert getattr(record, slot) is value
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+def test_value_records_compare_by_field_and_the_rest_by_identity(Q, F7):
+    records, others = _records(Q), _records(F7)
+    for record, other in zip(records, others):
+        cls = type(record)
+        names = _fields(cls)
+        copy = cls(*[getattr(record, n) for n in names])
+        if cls in VALUES:
+            # equal fields make equal values, another field another value;
+            # a value is no key
+            assert copy == record and not copy != record
+            assert record != other
+            assert record.__eq__(object()) is NotImplemented
+            with pytest.raises(TypeError):
+                hash(record)
+        elif cls is QuotientAlgebra:
+            # a dict: it compares as its table, which a lookup fills, and
+            # is no key
+            fresh = cls(*[getattr(record, n) for n in names])
+            assert copy == fresh and copy is not fresh
+            var = copy.ring.packing.var
+            copy[next(s + v for s in copy.keys for v in var if s + v not in copy)]
+            assert copy != fresh
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert record == record and copy != record
+            assert hash(record) == hash(record) != hash(copy)
+            assert {record: 1, copy: 2}[record] == 1

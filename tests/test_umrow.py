@@ -170,6 +170,7 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
         unit.generators,
         unit.entries,
         cofactors=(((ring.var(1) + ring.one()).packed, {}), 1),
+        degrees=None,
     )
     with monkeypatch.context() as m:
         m.setattr(groebner, "buchberger", lambda *a, **k: wrong)
