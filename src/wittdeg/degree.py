@@ -141,7 +141,7 @@ def validate(endo: Endo) -> QuotientAlgebra:
     elif qa.dimension != math.prod(degrees):
         raise InternalError(
             f"length {qa.dimension} of the quotient by forms of degrees"
-            f" {degrees} is not their product"
+            f" {list(degrees)} is not their product"
         )
     return qa
 

@@ -5,9 +5,11 @@ Scalars are plain Python values, never floats.  Over Q a scalar is an
 > 1 otherwise; over F_p it is an int reduced to ``[0, p)``.  Integral data
 dominate in practice, and int arithmetic is many times cheaper than
 Fraction arithmetic.  A :class:`FieldSpec` carries the arithmetic so that
-polynomials and matrices stay agnostic of the coefficient representation;
-kernels that compute inline keep the same rule where they store a value,
-and no Q division uses ``/`` on two scalars, since ``int / int`` is a float.
+polynomials and matrices stay agnostic of the coefficient representation.
+The term-dict kernel of `poly` computes inline and stores exact sums of
+int and field values, an integral ``Fraction`` among them; a `Poly` makes
+its scalars canonical once, where it is made.  No Q division uses ``/``
+on two scalars, since ``int / int`` is a float.
 
 The Groebner side (Buchberger, normal forms, the quotient's normal-form
 table), the Gram build and the elimination of a Gram form store no Q
@@ -65,14 +67,15 @@ MR_FOUR_WITNESS_BOUND = 3215031751
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, proven below MR_PROVEN_BOUND.  Below
     SMALL_PRIME_BOUND^2 a composite n has a prime factor below
-    SMALL_PRIME_BOUND, so the small-prime table decides it."""
+    SMALL_PRIME_BOUND, so the small-prime table decides it; above, a prime
+    factor below SMALL_PRIME_BOUND proves n composite before any witness
+    runs."""
     if n < 2:
         return False
     if n < SMALL_PRIME_BOUND * SMALL_PRIME_BOUND:
         return math.gcd(n, _SMALL_PRIMORIAL) == 1 or n in _SMALL_PRIMES
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return False  # a prime factor below SMALL_PRIME_BOUND < n
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -253,16 +253,16 @@ class GroebnerBasis(Frozen):
     dict per generator, over the one positive denominator den (1 over F_p),
     and sum(nums[m] * generators[m]) == den exactly; otherwise it is None.
     umrow.is_unimodular checks it and converts what it prints.  degrees is
-    the grading buchberger read once: the degree of each generator when a
-    run that does not certify has n nonzero forms in n variables, else
-    None.
+    the grading buchberger read once: the tuple of the generators' degrees
+    when a run that does not certify has n nonzero forms in n variables,
+    else None.
     """
 
     __slots__ = ("generators", "entries", "cofactors", "degrees")
     generators: tuple[Poly, ...]
     entries: tuple[tuple, ...]
     cofactors: tuple[tuple[dict, ...], int] | None
-    degrees: list[int] | None
+    degrees: tuple[int, ...] | None
 
     @property
     def ring(self) -> Ring:
@@ -412,15 +412,15 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
     return GroebnerBasis(tuple(gens), _reduce_basis(work, ring), cofactors, degrees)
 
 
-def form_degrees(polys: Sequence[Poly]) -> list[int] | None:
+def form_degrees(polys: Sequence[Poly]) -> tuple[int, ...] | None:
     """The degree of each polynomial when every one is a nonzero form, else
     None; read off the degrees of the packed keys."""
     degree = polys[0].ring.packing.degree
     sets = [set(map(degree, p.packed)) for p in polys]
-    return [d for (d,) in sets] if all(len(s) == 1 for s in sets) else None
+    return tuple([d for (d,) in sets]) if all(len(s) == 1 for s in sets) else None
 
 
-def _complete_intersection(degrees: list[int]) -> list[int]:
+def _complete_intersection(degrees: tuple[int, ...]) -> list[int]:
     """The coefficients h_k of prod (1 + t + ... + t^(d - 1)) over the d in
     degrees: the Hilbert series of a complete intersection of forms of these
     degrees, h_k = dim (k[x]/I)_k, the least that forms of these degrees
@@ -607,7 +607,7 @@ class QuotientAlgebra(Frozen, dict):
                 ) from None
         # x_i divides x^m iff (m + step) & guard == target, step = pad - key
         # of x_i; x^m / x_i has the key m - var[i]
-        steps = [(v, packing.pad - packing.one - v) for v in packing.var]
+        steps = tuple([(v, packing.pad - packing.one - v) for v in packing.var])
         # _q is the modulus, None over Q; both bases are called by name, as
         # super() would reach Frozen.__init__ before dict.__init__
         Frozen.__init__(self, gb, keys, index, field.modulus, packing, steps)

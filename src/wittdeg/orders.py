@@ -83,6 +83,12 @@ class MonomialOrder:
         self.name = name
         self._grevlex = grevlex
         self._block = block
+        # LEX pairs into itself, a GREVLEX order into a block order of two
+        # copies of it, which is not paired again (see above)
+        if not grevlex:
+            self.pairs = self
+        elif block is None:
+            self.pairs = MonomialOrder(f"({name}, {name})", True, self)
 
     @cache
     def packing(self, n: int) -> "Packing | PairPacking":
@@ -105,8 +111,6 @@ class MonomialOrder:
 
 GREVLEX = MonomialOrder("grevlex", True)
 LEX = MonomialOrder("lex", False)
-GREVLEX.pairs = MonomialOrder("(grevlex, grevlex)", True, GREVLEX)
-LEX.pairs = LEX
 
 _BY_NAME = {"grevlex": GREVLEX, "lex": LEX}
 

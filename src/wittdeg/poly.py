@@ -44,7 +44,16 @@ c * x^shift * src, shift an offset added to each key), and divided by one
 loop, `_reduce`, whose leading term is `max(terms)`: sums, differences and
 products of polynomials and determinants run through the first, and every
 Groebner reduction in `groebner` through both, on the keys of the ring's
-packing.
+packing; the Gram build in `degree` and the elimination of a Gram form in
+`witt` add their sparse int rows with the first.  The kernel's contract is
+an exact sum: it stores what c * v and w + c * v give on int and field
+values, reduced mod p over F_p, and drops a zero, but makes no value
+canonical.  Canonical Q scalars are made where a `Poly` is made: `+`, `-`,
+`*`, `**`, `substitute` and `det`, the operations that can meet a
+`Fraction`, pass the new term dict once through `_canonical`, which makes
+each integral `Fraction` an int.  `_product` returns the kernel's form,
+so the intermediate products of `**` and `substitute` are not
+canonicalized.
 
 A `Poly` holds canonical scalars (see `fields`).  The Groebner side works
 on an integer form instead: over Q, `_clear` writes a term dict as an int
@@ -141,12 +150,21 @@ def _add_shifted(dst: dict, src: dict, shift: int, c, q) -> None:
         w = c * v if w is None else w + c * v
         if q is not None:
             w %= q
-        elif type(w) is Fraction and w.denominator == 1:
-            w = w.numerator  # canonical over Q: an integral value is an int
         if w:
             dst[e] = w
         else:
             del dst[e]
+
+
+def _canonical(terms: dict, q) -> dict:
+    """terms, the term dict of a new `Poly`, with each integral Fraction
+    made an int in place (q: modulus of F_q, None over Q); over F_q terms
+    holds ints and is returned as it is."""
+    if q is None:
+        for e, v in terms.items():
+            if type(v) is Fraction and v.denominator == 1:
+                terms[e] = v.numerator
+    return terms
 
 
 def _rescale(terms: dict, m: int) -> None:
@@ -258,7 +276,8 @@ def _reduce(
 
 def _product(a: dict, b: dict, packing: Packing, q) -> dict:
     """The packed term dict a * b (keys a + b - one), checked against the
-    exponent bound."""
+    exponent bound, in the kernel's form: over Q a value may be an integral
+    `Fraction` (see `_canonical`)."""
     one = packing.one
     terms: dict = {}
     for e, c in b.items():
@@ -376,9 +395,10 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        q = self.ring.field.modulus
         terms = dict(self.packed)
-        _add_shifted(terms, other.packed, 0, c, self.ring.field.modulus)
-        return Poly(self.ring, terms)
+        _add_shifted(terms, other.packed, 0, c, q)
+        return Poly(self.ring, _canonical(terms, q))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -399,10 +419,9 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ring = self.ring
-        return Poly(
-            ring, _product(self.packed, other.packed, ring.packing, ring.field.modulus)
-        )
+        ring, q = self.ring, self.ring.field.modulus
+        terms = _product(self.packed, other.packed, ring.packing, q)
+        return Poly(ring, _canonical(terms, q))
 
     __rmul__ = __mul__
 
@@ -419,7 +438,7 @@ class Poly:
             if n > 1:
                 base = _product(base, base, packing, q)
             n >>= 1
-        return Poly(ring, result)
+        return Poly(ring, _canonical(result, q))
 
     # -- composition ---------------------------------------------------------
 
@@ -461,7 +480,7 @@ class Poly:
                     x = power(i, k)
                     term = x if term is one else _product(term, x, packing, q)
             _add_shifted(result, term, 0, c, q)
-        return Poly(target, result)
+        return Poly(target, _canonical(result, q))
 
     # -- value semantics -----------------------------------------------------
 
@@ -755,5 +774,5 @@ def det(matrix: Sequence[Sequence[Poly]]) -> Poly:
         minors = {cols: m for cols, m in grown.items() if m}
         for m in minors.values():
             packing.check(m)  # the next row shifts only keys within the bound
-    return Poly(ring, minors.get(tuple(range(n)), {}))
+    return Poly(ring, _canonical(minors.get(tuple(range(n)), {}), q))
 

@@ -14,14 +14,16 @@ Groebner side (`poly`), and the Gram build makes it directly.  The form is
 diagonalized by one symmetric elimination, _eliminate, which works on
 those rows: swaps relabel two positions in the rows of their neighbours
 only, a heap of positions with nonzero diagonal answers "first later
-nonzero diagonal", and each Schur update runs over the support of the
-pivot row.  Every row is an int dict over its own positive denominator (1
-over F_p); rescaling a row changes no zero pattern, so each decision is
-that of the rational elimination, and a pivot leaves it as a reduced
+nonzero diagonal", and each Schur update, like the repair of a zero
+pivot, adds one row into another with `poly._add_shifted`, the package's
+one kernel for sparse int rows, over the support of the added row.
+Every row is an int dict over its own positive denominator (1 over F_p);
+rescaling a row changes no zero pattern, so each decision is that of the
+rational elimination, and a pivot leaves it as a reduced
 (numerator, denominator) int pair, whose square class is read off its two
 ints.  This is Bareiss's integer-preserving elimination (Math. Comp. 22,
 1968) applied one row at a time: only the rows in the pivot row's support
-are touched, not the whole trailing block.  The kernel returns the pivots
+are touched, not the whole trailing block.  _eliminate returns the pivots
 and nothing else: no caller needs the congruence transform P, so it is
 never built.  The dense matrix is only a derived view for output, which
 the CLI writes from the sparse rows.
@@ -53,7 +55,8 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import gcd
+from types import MappingProxyType
 
 from .errors import DegenerateForm, Frozen, NonCanonicalForm, RingMismatch
 from .fields import (
@@ -66,7 +69,7 @@ from .fields import (
     square_class_mul,
     square_classes,
 )
-from .poly import _lowest, _rescale
+from .poly import _add_shifted, _lowest, _rescale, _to_lcm
 
 
 class GramForm(Frozen):
@@ -202,25 +205,28 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
     trailing block, symmetrically.  A zero pivot swaps e_k with the first
     later e_t of nonzero diagonal: a heap holds the positions whose
     diagonal is (or was) nonzero, and entries gone stale are dropped when
-    they reach the top.  The swap relabels k and t in their own rows and in
-    the rows of their neighbours, the only rows that hold column k or t,
-    and exchanges their denominators.  With no such t, e_k += e_t for the
-    first column t of row k: rows k and t are added over the lcm of their
-    denominators; the diagonals of k and t are zero, so the new pivot is
-    2 m[k][t], and only row k is rewritten, since column k is never read
-    again.
+    they reach the top; a diagonal entry that a Schur update creates is
+    pushed before the update runs.  The swap relabels k and t in their own
+    rows and in the rows of their neighbours, the only rows that hold
+    column k or t, and exchanges their denominators.  With no such t,
+    e_k += e_t for the first column t of row k: row k is rescaled to the
+    lcm of the two denominators (`poly._to_lcm`) and row t added into it by
+    `poly._add_shifted`; the diagonals of k and t are zero, so the new
+    pivot is 2 m[k][t], and only row k is rewritten, since column k is
+    never read again.
 
     Pivot k, a / dens[k], subtracts c_r = m[k][r] / m[k][k] times row k
     from each later row r in the support of row k: the Schur complement
     m[r][s] -= c_r * m[k][s], run over r, s in that support, each row
     updated on its own so that the rows share no denominator.  With
     base = dens[k] * |a| and L = lcm(dens[r], base), row r becomes
-    (L / dens[r]) nums_r - sign(a) (L / base) nums_k[r] nums_k over L.
-    The two multipliers and L are first divided by the gcd of the
-    multipliers, and the row and its denominator then by theirs; over F_p
-    the multiplier is nums_k[r] / a mod p.  Column k is first removed from
-    the rows of its neighbours, so no row keeps an eliminated position, and
-    an entry that cancels is deleted.
+    (L / dens[r]) nums_r + c nums_k over L, c = -sign(a) (L / base)
+    nums_k[r].  The two multipliers and L are first divided by the gcd of
+    the multipliers, and the row and its denominator then by theirs; over
+    F_p c is -nums_k[r] / a mod p.  The sum is one call of the kernel,
+    `_add_shifted(row_r, row_k, 0, c, q)`, which deletes an entry that
+    cancels.  Column k is first removed from the rows of its neighbours, so
+    no row keeps an eliminated position.
     """
     q = g.field.modulus
     n = len(g.rows)
@@ -252,20 +258,9 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
             t = min(row_k)
             # e_k += e_t over the lcm of the denominators (row t no longer
             # holds column k), and the zero diagonals give pivot 2 m[k][t]
-            den = lcm(den_k, dens[t])
-            fk, ft = den // den_k, den // dens[t]
-            if fk != 1:
-                _rescale(row_k, fk)
+            den_k = _to_lcm(den_k, dens[t], (row_k,))
             a = 2 * row_k[t] if q is None else 2 * row_k[t] % q
-            for s, v in rows[t].items():
-                w = row_k.get(s, 0) + v * ft
-                if q is not None:
-                    w %= q
-                if w:
-                    row_k[s] = w
-                else:
-                    del row_k[s]
-            den_k = den
+            _add_shifted(row_k, rows[t], 0, den_k // dens[t], q)
         if den_k == 1:
             pivots.append((a, 1))
         else:
@@ -273,12 +268,11 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
             pivots.append((a // h, den_k // h))
         if not row_k:
             continue
-        support = list(row_k)
         if q is None:
-            sign, base = (1, den_k * a) if a > 0 else (-1, -den_k * a)
+            sign, base = (-1, den_k * a) if a > 0 else (1, -den_k * a)  # -sign(a)
         else:
-            inv = pow(a, -1, q)
-        for r in support:
+            inv = pow(-a, -1, q)
+        for r in row_k:
             row_r = rows[r]
             if q is None:
                 den_r = dens[r]
@@ -293,19 +287,9 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
                     _rescale(row_r, fr)
             else:
                 c = row_k[r] * inv % q
-            for s in support:
-                w = row_r.get(s)
-                v = c * row_k[s]
-                if w is None:
-                    row_r[s] = -v if q is None else -v % q
-                    if r == s:
-                        heappush(nonzero_diag, r)
-                    continue
-                w = w - v if q is None else (w - v) % q
-                if w:
-                    row_r[s] = w
-                else:
-                    del row_r[s]
+            if r not in row_r:  # the update makes the diagonal m[r][r] nonzero
+                heappush(nonzero_diag, r)
+            _add_shifted(row_r, row_k, 0, c, q)
             if q is None and den_r * fr != 1:
                 rows[r], dens[r] = _lowest(row_r, den_r * fr)
     return pivots
@@ -329,14 +313,15 @@ def _swap(rows: list, k: int, t: int) -> None:
 class WittInvariants(Frozen):
     """Classification data deciding identity in the Witt group.
 
-    hasse maps each place to its Hasse symbol."""
+    hasse maps each place to its Hasse symbol, read-only (a
+    `types.MappingProxyType` when `invariants` makes it)."""
 
     __slots__ = ("field", "rank", "signature", "signed_discriminant", "hasse")
     field: FieldSpec
     rank: int
     signature: int | None
     signed_discriminant: object
-    hasse: dict
+    hasse: MappingProxyType
 
     __eq__ = Frozen._same_fields
 
@@ -397,7 +382,7 @@ def invariants(d: DiagForm) -> WittInvariants:
             else:  # both arguments are units at v unless v divides one
                 pairs = [(x, a) for x, a in symbols if not (x % v and a % v)]
             hasse[str(v)] = math.prod(_hilbert(x, a, v) for x, a in pairs)
-    return WittInvariants(field, r, signature, signed_disc, hasse)
+    return WittInvariants(field, r, signature, signed_disc, MappingProxyType(hasse))
 
 
 def _strip_obvious_pairs(d: DiagForm) -> tuple[int, ...]:

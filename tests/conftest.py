@@ -1,12 +1,17 @@
+import contextlib
+import io
 import math
 import random
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from operator import neg
+from pathlib import Path
 
 import pytest
 
+from wittdeg import degree
+from wittdeg.cli import run
 from wittdeg.degree import Endo, bezoutian, dual_ring
 from wittdeg.errors import (
     AlgebraError,
@@ -55,6 +60,45 @@ def F5():
 @pytest.fixture
 def F7():
     return FieldSpec.prime_field(7)
+
+
+@pytest.fixture(scope="session")
+def documented_degree_runs():
+    """Every documented job run once under each order by the CLI, for the
+    tests that read its output and those that read its quotient:
+    {(job, order name): (exit code, stdout, stderr, quotient)}.
+
+    job is the file's path from the repository root, where the runs start,
+    and each run is `run(["--json", "degree", job])` for grevlex, the
+    default, and `run(["--order", "lex", "--json", "degree", job])` for
+    lex.  quotient is the QuotientAlgebra whose Gram form the run built,
+    with the normal-form table as that build left it, or None when no Gram
+    form was built.  quadrics7 takes about 2 s under each order, so each
+    test that reads these runs would otherwise pay for four.
+    """
+    root = Path(__file__).resolve().parent.parent
+    gram_from_quotient = degree._gram_from_quotient
+    built = []
+
+    def recorded(endo, qa):
+        built.append(qa)
+        return gram_from_quotient(endo, qa)
+
+    runs = {}
+    jobs = sorted(str(p.relative_to(root)) for p in root.glob("docs/jobs/*.job"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        patch.setattr(degree, "_gram_from_quotient", recorded)
+        for job, order in product(jobs, ("grevlex", "lex")):
+            argv = ["--json", "degree", job]
+            if order == "lex":
+                argv[:0] = ["--order", "lex"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            qa = built.pop() if built else None
+            runs[job, order] = (code, out.getvalue(), err.getvalue(), qa)
+    return runs
 
 
 def make_ring(field, *names):

@@ -386,21 +386,23 @@ def test_job_file_newlines_are_read_as_text_mode_reads_them(tmp_path):
             assert got.row == want.row
 
 
-def test_order_option_reaches_the_ring(capsys):
+def test_order_option_reaches_the_ring(documented_degree_runs):
     # every documented job that has a degree has the same invariants under
-    # both orders; the quotient bases, and with them the Gram matrices,
-    # differ for some, so the option is not dropped on the way.  A Hasse
-    # map lists the places of its diagonal's primes, which depend on the
-    # basis: places missing from one map have the symbol +1 there, as in
-    # the comparison of conftest.equivalent
-    jobs = sorted(p.relative_to(REPO_ROOT) for p in REPO_ROOT.glob("docs/jobs/*.job"))
+    # both orders, run as `degree` and as `--order lex degree`; the
+    # quotient bases, and with them the Gram matrices, differ for some, so
+    # the option is not dropped on the way.  A Hasse map lists the places
+    # of its diagonal's primes, which depend on the basis: places missing
+    # from one map have the symbol +1 there, as in the comparison of
+    # conftest.equivalent
+    jobs = sorted({job for job, _ in documented_degree_runs})
+    assert len(jobs) == len(list(REPO_ROOT.glob("docs/jobs/*.job")))
     keys = ("length", "rank", "signature", "signed_discriminant")
     compared = grams_differ = 0
-    for job in map(str, jobs):
-        code, out, _ = run_cli(capsys, "--json", "degree", job)
+    for job in jobs:
+        code, out, _, _ = documented_degree_runs[job, "grevlex"]
         if code != 0:
             continue
-        code, lex_out, _ = run_cli(capsys, "--order", "lex", "--json", "degree", job)
+        code, lex_out, _, _ = documented_degree_runs[job, "lex"]
         assert code == 0, job
         default, lex = json.loads(out), json.loads(lex_out)
         assert {k: default[k] for k in keys} == {k: lex[k] for k in keys}, job

@@ -1398,9 +1398,9 @@ def test_the_grading_is_read_once(Q, monkeypatch):
     ring = Ring(("x", "y", "t"), Q)
     cube = ("x^3 + 3*x^2*y - 3*x*y^2 - y^3", "-x^3 + 3*x^2*y + 3*x*y^2 - y^3")
     for texts, degrees in (
-        (("x^2 - y^2", "2*x*y", "t"), [2, 2, 1]),
-        (("x^3 - 3*x*y^2", "3*x^2*y - y^3", "t^2"), [3, 3, 2]),
-        ((*cube, "t^3"), [3, 3, 3]),
+        (("x^2 - y^2", "2*x*y", "t"), (2, 2, 1)),
+        (("x^3 - 3*x*y^2", "3*x^2*y - y^3", "t^2"), (3, 3, 2)),
+        ((*cube, "t^3"), (3, 3, 3)),
         (("x^2 + y^3", "y^2", "t"), None),  # no form: the support test runs
     ):
         calls.clear()

@@ -4,9 +4,10 @@ the CLI loads.
 The package namespace binds no names, so each name is imported from the
 module that defines it; no module keeps an import it does not use; every
 public function, every public member of a class and every public slot
-field is reached by a command, a pipeline stage or the benchmark; and the
-CLI's start-up loads neither a code generator nor a module that only one
-command or the JSON writer reads.
+field is reached by a command, a pipeline stage or the benchmark; only
+`fields` and `poly` import ``fractions``; and the CLI's start-up loads
+neither a code generator nor a module that only one command or the JSON
+writer reads.
 """
 
 import ast
@@ -225,6 +226,19 @@ def _imports_with_scope(tree) -> list:
             continue
         out.extend((name, node.lineno, id(node) in nested) for name in names)
     return out
+
+
+def test_only_fields_and_poly_import_fractions():
+    """A Q scalar is made canonical in two places: FieldSpec arithmetic
+    (`fields`) and the making of a `Poly` (`poly`); every other module
+    works on ints and on the scalars those two make."""
+    importers = sorted(
+        stem
+        for stem, tree in _modules().items()
+        for name, _, _ in _imports_with_scope(tree)
+        if name == "fractions"
+    )
+    assert importers == ["fields", "poly"], importers
 
 
 def test_start_up_imports_stay_light():

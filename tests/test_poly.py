@@ -466,6 +466,17 @@ def test_kernel_arithmetic_matches_reference(Q, F7):
             _assert_same_poly(p * half + p * half, p)
             _assert_same_poly(sp * half * q + q * sp * half, sp * q)
             _assert_same_poly(sp + sp * -1, ring.zero())
+            _assert_same_poly(sp**2, _reference_mul(sp, sp))
+        # Fraction coefficients whose products are integral: the kernel
+        # leaves such a value an integral Fraction, and each of **,
+        # substitute and det makes it an int where its Poly is made
+        x, y, z = ring.gens()
+        a = x + y * half
+        _assert_same_poly(a**2, _reference_mul(a, a))  # x*y: 2 * (1/2)
+        _assert_same_poly(a**3, _reference_mul(_reference_mul(a, a), a))
+        _assert_same_poly((x * y).substitute([x * 2, y * half, z]), x * y)
+        _assert_same_poly((x**2 * z).substitute([x * half, y, z * 4]), x**2 * z)
+        _assert_same_poly(det([[x * half, y], [ring.one(), ring.constant(2)]]), x - y)
 
 
 _FIELDS = (FieldSpec.rationals(), FieldSpec.prime_field(7))

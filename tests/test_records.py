@@ -17,7 +17,7 @@ from wittdeg.degree import DegreeReport, Endo, degree_of
 from wittdeg.errors import Frozen
 from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
 from wittdeg.koszul import DualityData, KoszulComplex, generic_duality
-from wittdeg.orders import GREVLEX
+from wittdeg.orders import GREVLEX, LEX, MonomialOrder
 from wittdeg.umrow import AlgebraPresentation, UnimodularRow
 from wittdeg.witt import DiagForm, GramForm, WittInvariants
 
@@ -129,6 +129,34 @@ def test_no_field_is_assigned_or_deleted(Q):
             assert getattr(record, slot) is value
         with pytest.raises(AttributeError):
             record.extra = None
+
+
+def test_no_container_field_changes_in_place(Q):
+    # the fields that hold containers are read-only too: the grading that
+    # buchberger read, the quotient's divisibility steps and the Hasse map
+    rep = degree_of(counterexample_endo(Q))
+    degrees, steps = rep.quotient.gb.degrees, rep.quotient._steps
+    assert degrees == (2, 2, 1) and len(steps) == 3
+    for fixed in (degrees, steps):
+        with pytest.raises(TypeError):
+            fixed[0] = fixed[0]
+        with pytest.raises(TypeError):
+            del fixed[0]
+        with pytest.raises(AttributeError):
+            fixed.append(fixed[0])
+    hasse = rep.invariants.hasse
+    assert hasse == {"inf": 1, "2": 1} and dict(hasse) == hasse
+    with pytest.raises(TypeError):
+        hasse["2"] = -1
+    with pytest.raises(TypeError):
+        del hasse["2"]
+    with pytest.raises(AttributeError):
+        hasse.update({"3": -1})
+    assert hasse == {"inf": 1, "2": 1}
+    # an order's pairing is made with it: LEX pairs into itself, GREVLEX
+    # into a block order of two copies of it
+    assert LEX.pairs is LEX and GREVLEX.pairs._block is GREVLEX
+    assert MonomialOrder("grevlex", True).pairs == GREVLEX.pairs
 
 
 def test_value_records_compare_by_field_and_the_rest_by_identity(Q, F7):
