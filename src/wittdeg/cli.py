@@ -8,7 +8,9 @@ This module makes every byte of output; the pipeline modules return values
 only.  Each subcommand returns its exit status and its output: the JSON
 document under --json, otherwise its list of text lines.  `run` alone
 writes, and every number is made text before the first byte, so an error,
-a number too long to print included, leaves stdout empty.
+a number too long to print included, leaves stdout empty.  A JSON document
+is json.dumps(indent=2)'s text; only a degree report's Gram matrix has a
+writer of its own, which prints it row by row from the sparse form.
 
 nori-check ties a validated endomorphism to the completability of the
 induced row over S_n = k[x_1..x_n, y_1..y_n]/(sum x_i y_i - 1): a nonzero
@@ -59,7 +61,7 @@ from .errors import (
     NotOriginPreserving,
     SupportNotOrigin,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, ratio
 from .orders import MonomialOrder, by_name
 from .poly import Poly, Ring, parse_poly
 from .umrow import (
@@ -202,19 +204,13 @@ def _row_from_job(job: JobFile, path: str) -> UnimodularRow:
 # -- output helpers ---------------------------------------------------------
 
 
-def _ratio_text(v: int, den: int) -> str:
-    """v / den as str(Fraction(v, den)) prints it, for ints v and den > 0."""
-    g = math.gcd(v, den)
-    return str(v // g) if g == den else f"{v // g}/{den // g}"
-
-
 class _GramText:
     """The dense matrix of a GramForm as text, kept as its nonzero cells:
     cells[i] holds the (column, text) pairs of row i in column order, and
     every other entry is "0".  Each nonzero entry v / den is made text
-    here, as str(Fraction(v, den)) prints it: str(v) over den 1, and
-    otherwise by `_ratio_text`, once per distinct entry, since a Gram form
-    has few.  A "0" is never a Python object of its own."""
+    here as str(ratio(v, den)): str(v) over den 1, and otherwise once per
+    distinct entry, since a Gram form has few.  A "0" is never a Python
+    object of its own."""
 
     __slots__ = ("cells",)
 
@@ -223,7 +219,7 @@ class _GramText:
         text = str
         if den != 1:
             values = {v for row in rows for v in row.values()}
-            text = {v: _ratio_text(v, den) for v in values}.__getitem__
+            text = {v: str(ratio(v, den)) for v in values}.__getitem__
         self.cells = [
             sorted([(j, text(v)) for j, v in row.items()]) for row in rows
         ]
@@ -250,46 +246,21 @@ def _write_json(data: dict, write) -> None:
     being its dense d x d matrix of entry strings.
 
     The document is schema 1: str, int, bool, None, list and dict with str
-    keys.  It is written here, byte for byte as json.dumps(indent=2) writes
-    it, with the C string encoder that json.dumps runs only without indent;
-    an int past CPython's digit limit raises json.dumps's ValueError.  The
-    document around the Gram is written whole, split where "gram" holds
-    null, and the Gram goes one row at a time between the two halves; every
-    number is made text before the first piece."""
-    from json.encoder import encode_basestring_ascii as string
-
-    def text(value, nl: str) -> str:
-        """value as json.dumps(indent=2) writes it where nl, a line break
-        and the indent, starts each line."""
-        if isinstance(value, str):
-            return string(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        inner = nl + "  "
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            items = [f"{string(k)}: {text(v, inner)}" for k, v in value.items()]
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
-        if isinstance(value, list):
-            if not value:
-                return "[]"
-            items = [text(v, inner) for v in value]
-            return "[" + inner + ("," + inner).join(items) + nl + "]"
-        raise TypeError(f"{type(value).__name__} is not in JSON schema 1")
+    keys.  Every byte around the Gram is json.dumps(indent=2)'s: the
+    document with null under "gram" is dumped whole and split there, and
+    `_GramText` writes the Gram one row at a time between the two halves,
+    so the dense matrix is never built.  Every number is made text before
+    the first piece, so json.dumps's ValueError for an int past CPython's
+    digit limit leaves nothing written."""
+    import json
 
     gram = data.get("gram")
     if not isinstance(gram, GramForm):
-        write(text(data, "\n"))
+        write(json.dumps(data, indent=2))
         return
     rows = _GramText(gram)
-    head, _, tail = text({**data, "gram": None}, "\n").partition('"gram": null')
+    doc = json.dumps({**data, "gram": None}, indent=2)
+    head, _, tail = doc.partition('"gram": null')
     write(head + '"gram": ')
     if rows.cells:
         sep = "[\n    "

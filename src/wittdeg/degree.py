@@ -58,7 +58,6 @@ from .errors import (
     Frozen,
     InternalError,
     NotOriginPreserving,
-    RingMismatch,
     SupportNotOrigin,
 )
 from .fields import FieldSpec
@@ -76,6 +75,7 @@ from .poly import (
     _lowest_all,
     _to_lcm,
     det,
+    in_ring,
 )
 from .witt import (
     DiagForm,
@@ -97,9 +97,7 @@ class Endo(Frozen):
     def __init__(self, ring, images):
         if len(images) != ring.nvars:
             raise ArityMismatch(f"{len(images)} images for {ring.nvars} variables")
-        for p in images:
-            if p.ring != ring:
-                raise RingMismatch("image in a different ring")
+        in_ring(images, ring)
         super().__init__(ring, images)
 
     @property

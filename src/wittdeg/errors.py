@@ -94,8 +94,9 @@ class Frozen:
     This is the one constructor of every record: it takes the fields in
     slot order, by position or by name, raises TypeError for a field that
     is missing, given twice or unknown, and sets each once with
-    object.__setattr__.  A record that checks its fields does so in its own
-    __init__, which ends by calling this one.  Assigning or deleting an
+    object.__setattr__.  A record that checks its fields, or works them
+    out from its arguments, does so in its own __init__, which ends by
+    calling this one.  Assigning or deleting an
     attribute raises AttributeError.  A record compares by identity; a
     value record sets ``__eq__ = Frozen._same_fields`` and compares field
     by field, which also makes it unhashable."""

@@ -228,17 +228,10 @@ from .poly import (
     _ratios,
     _reduce,
     _to_lcm,
+    in_ring,
 )
 
 _lead = itemgetter(0)
-
-
-def _common_ring(polys: Sequence[Poly]) -> Ring:
-    ring = polys[0].ring
-    for p in polys:
-        if p.ring != ring:
-            raise RingMismatch("generators live in different rings")
-    return ring
 
 
 class GroebnerBasis(Frozen):
@@ -291,7 +284,7 @@ def buchberger(gens: Sequence[Poly], certify: bool = False) -> GroebnerBasis:
     """
     if not gens:
         raise RingMismatch("need at least one generator")
-    ring = _common_ring(gens)
+    ring = in_ring(gens, gens[0].ring)
     field = ring.field
     q = field.modulus
     packing = ring.packing

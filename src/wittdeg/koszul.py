@@ -33,7 +33,7 @@ import itertools
 from collections.abc import Sequence
 
 from .errors import Frozen, InternalError, RingMismatch
-from .poly import Poly, Ring
+from .poly import Poly, Ring, in_ring
 
 
 def dual_differential_sign(n: int) -> int:
@@ -79,10 +79,7 @@ def build_koszul(sequence: Sequence[Poly]) -> KoszulComplex:
     """Standard Koszul differentials; d o d = 0 is verified on the spot."""
     if not sequence:
         raise RingMismatch("empty sequence")
-    ring = sequence[0].ring
-    for a in sequence:
-        if a.ring != ring:
-            raise RingMismatch("sequence entries in different rings")
+    ring = in_ring(sequence, sequence[0].ring)
     n = len(sequence)
     # column s of d_i holds (-1)^pos * a_e in the row of s without its
     # element e at position pos

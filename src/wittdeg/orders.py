@@ -62,33 +62,33 @@ from __future__ import annotations
 
 import struct
 from functools import cache
-from operator import itemgetter, mul
+from operator import mul
 
-from .errors import AlgebraError, ExponentBoundExceeded
+from .errors import AlgebraError, ExponentBoundExceeded, Frozen
 
 BITS = 16  # the width of one field, guard bit included
 BOUND = (1 << BITS - 1) - 1  # the largest exponent: C = 2^15 - 1
 
 
-class MonomialOrder:
-    """A named total, multiplicative, well-founded order on monomials.
+class MonomialOrder(Frozen):
+    """A named total, multiplicative, well-founded order on monomials; two
+    orders of one name are equal.
 
     pairs is the block order of two copies of this one, the order of the
-    doubled ring (see the module docstring); a block order keeps the order
-    of its blocks in _block."""
+    doubled ring (see the module docstring).  A block order is made only
+    as the pairs of its GREVLEX block, which it keeps in _block, and its
+    own pairs is None."""
 
-    __slots__ = ("name", "_grevlex", "_block", "pairs")
+    __slots__ = ("name", "grevlex", "_block", "pairs")
 
-    def __init__(self, name, grevlex, block=None):
-        self.name = name
-        self._grevlex = grevlex
-        self._block = block
+    def __init__(self, name, grevlex):
         # LEX pairs into itself, a GREVLEX order into a block order of two
         # copies of it, which is not paired again (see above)
-        if not grevlex:
-            self.pairs = self
-        elif block is None:
-            self.pairs = MonomialOrder(f"({name}, {name})", True, self)
+        pairs = self
+        if grevlex:
+            pairs = object.__new__(MonomialOrder)
+            Frozen.__init__(pairs, f"({name}, {name})", True, self, None)
+        super().__init__(name, grevlex, None, pairs)
 
     @cache
     def packing(self, n: int) -> "Packing | PairPacking":
@@ -122,12 +122,16 @@ def by_name(name: str) -> MonomialOrder:
         raise AlgebraError(f"unknown monomial order {name!r}") from None
 
 
+# one Struct per layout, shared by the packings that use it
+_struct = cache(struct.Struct)
+
+
 def _fields(count: int, value: int) -> int:
     """value repeated in each of the count lowest fields."""
     return sum(value << BITS * i for i in range(count))
 
 
-class Packing:
+class Packing(Frozen):
     """Keys of the monomials in n variables under one order (see above).
 
     pack and unpack convert one monomial between its exponent tuple and its
@@ -145,37 +149,33 @@ class Packing:
     )
 
     def __init__(self, order: MonomialOrder, n: int):
-        self.order = order
-        self.n = n
-        grevlex = order._grevlex
         top = BITS * n
-        # the fields below the GREVLEX degree field, or all LEX fields
-        self._low = (1 << top) - 1
-        self._values = _fields(n, BOUND)
-        if grevlex:
-            self.one = self._values
-            self.guard = _fields(n + 1, 1 << BITS - 1)
-            self.pad, self.target = self.one, 0
+        values = _fields(n, BOUND)
+        if order.grevlex:
+            one = pad = values
+            guard, target = _fields(n + 1, 1 << BITS - 1), 0
             # x_i raises the degree field and lowers the field C - e_i
-            self.var = tuple((1 << top) - (1 << BITS * i) for i in range(n))
-            self._format = struct.Struct(f"<{n}H")
-            self.width = top + BITS
+            var = tuple((1 << top) - (1 << BITS * i) for i in range(n))
+            form, width = _struct(f"<{n}H"), top + BITS
         else:
-            self.one = 0
-            self.guard = _fields(n, 1 << BITS - 1)
-            self.pad = self.target = self.guard
-            self.var = tuple(1 << BITS * (n - 1 - i) for i in range(n))
-            self._format = struct.Struct(f">{n}H")
-            self.width = top
+            one = 0
+            guard = pad = target = _fields(n, 1 << BITS - 1)
+            var = tuple(1 << BITS * (n - 1 - i) for i in range(n))
+            form, width = _struct(f">{n}H"), top
+        super().__init__(
+            order, n, one, guard, pad, target, var, width,
+            # the fields below the GREVLEX degree field, or all LEX fields
+            _low=(1 << top) - 1, _values=values, _format=form,
+        )
 
     def overflow(self):
-        bound = "a total degree" if self.order._grevlex else "an exponent"
+        bound = "a total degree" if self.order.grevlex else "an exponent"
         raise ExponentBoundExceeded(
             f"{bound} above {BOUND} in {self.n} variables under {self.order}"
         )
 
     def pack(self, exps) -> int:
-        if self.order._grevlex:
+        if self.order.grevlex:
             if sum(exps) > BOUND:
                 self.overflow()
         elif exps and max(exps) > BOUND:
@@ -183,7 +183,7 @@ class Packing:
         return sum(map(mul, exps, self.var), self.one)
 
     def unpack(self, key: int) -> tuple:
-        if self.order._grevlex:
+        if self.order.grevlex:
             data = key.to_bytes(self.width >> 3, "little")
             return tuple(map(BOUND.__sub__, self._format.unpack_from(data)))
         return self._format.unpack(key.to_bytes(self.width >> 3, "big"))
@@ -192,7 +192,7 @@ class Packing:
         """The total degree of the monomial of key: under GREVLEX its top
         field, read by one shift (an lcm's degree up to 2C included), under
         LEX the sum of its exponents."""
-        if self.order._grevlex:
+        if self.order.grevlex:
             return key >> BITS * self.n
         return sum(self.unpack(key))
 
@@ -216,7 +216,7 @@ class Packing:
         la = lead & low
         high = la | guard
         out = []
-        if not self.order._grevlex:
+        if not self.order.grevlex:
             for b in leads:
                 ge = (high - b) & guard
                 ge -= ge >> BITS - 1  # the value bits of the fields where a >= b
@@ -236,7 +236,7 @@ class Packing:
         return out
 
 
-class PairPacking:
+class PairPacking(Frozen):
     """Keys of the monomials x^a u^b of the doubled ring under the block
     order GREVLEX.pairs: the pair half.pack(a) << W | half.pack(b), half the
     GREVLEX packing of one block and W its width (see the module
@@ -252,32 +252,34 @@ class PairPacking:
     """
 
     __slots__ = (
-        "order", "n", "one", "guard", "pad", "target", "var",
-        "_half", "_format", "_swap",
+        "order", "n", "one", "guard", "pad", "target", "var", "half", "_format",
     )
 
     def __init__(self, order: MonomialOrder, half: Packing):
         m, w = half.n, half.width
-        self.order = order
-        self.n = 2 * m
-        self.one = half.one << w | half.one
-        self.guard = half.guard << w | half.guard
-        self.pad = half.pad << w | half.pad
-        self.target = half.target << w | half.target
-        self.var = tuple(v << w for v in half.var) + half.var
-        self._half = half
-        # C - e of u_1..u_m, u's degree field skipped, C - e of x_1..x_m
-        self._format = struct.Struct(f"<{m}H2x{m}H")
-        self._swap = itemgetter(*range(m, 2 * m), *range(m))
+        super().__init__(
+            order,
+            2 * m,
+            half.one << w | half.one,
+            half.guard << w | half.guard,
+            half.pad << w | half.pad,
+            half.target << w | half.target,
+            tuple(v << w for v in half.var) + half.var,
+            half,
+            # C - e of u_1..u_m, u's degree field skipped, C - e of x_1..x_m
+            _struct(f"<{m}H2x{m}H"),
+        )
 
     overflow = Packing.overflow
     check = Packing.check
 
     def pack(self, exps) -> int:
-        half = self._half
+        half = self.half
         m = half.n
         return half.pack(exps[:m]) << half.width | half.pack(exps[m:])
 
     def unpack(self, key: int) -> tuple:
-        data = key.to_bytes(self._half.width >> 2, "little")
-        return tuple(map(BOUND.__sub__, self._swap(self._format.unpack_from(data))))
+        half = self.half
+        data = key.to_bytes(half.width >> 2, "little")
+        fields, m = self._format.unpack_from(data), half.n
+        return tuple(map(BOUND.__sub__, fields[m:] + fields[:m]))

@@ -347,6 +347,14 @@ class Ring:
         return f"Ring({', '.join(self.variables)}; {self.field}; {self.order})"
 
 
+def in_ring(polys, ring: Ring) -> Ring:
+    """ring, once every polynomial of polys lies in it; else RingMismatch."""
+    for p in polys:
+        if p.ring != ring:
+            raise RingMismatch(f"{p.ring} != {ring}")
+    return ring
+
+
 class Poly:
     """Immutable sparse polynomial; equality is term-map equality.
 
@@ -452,10 +460,7 @@ class Poly:
             raise RingMismatch(
                 f"expected {self.ring.nvars} images, got {len(images)}"
             )
-        target = images[0].ring
-        for p in images:
-            if p.ring != target:
-                raise RingMismatch("images live in different rings")
+        target = in_ring(images, images[0].ring)
         packing, q = target.packing, target.field.modulus
         one = target.one().packed
         powers: list[list[dict]] = [[one, p.packed] for p in images]
@@ -738,11 +743,7 @@ def det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     n = _check_square(matrix)
     if n == 0:
         raise NotSquareSystem("empty matrix has no ring to live in")
-    ring = matrix[0][0].ring
-    for row in matrix:
-        for x in row:
-            if x.ring != ring:
-                raise RingMismatch("matrix entries in different rings")
+    ring = in_ring((x for row in matrix for x in row), matrix[0][0].ring)
     q = ring.field.modulus
     packing = ring.packing
     one = packing.one

@@ -22,9 +22,9 @@ from __future__ import annotations
 from math import lcm
 
 from .degree import Endo
-from .errors import ArityMismatch, Frozen, InternalError, RingMismatch
+from .errors import ArityMismatch, Frozen, InternalError
 from .groebner import buchberger, contains_one_with_certificate
-from .poly import Poly, Ring, _add_shifted, _clear, _ratios, _reduce
+from .poly import Poly, Ring, _add_shifted, _clear, _ratios, _reduce, in_ring
 
 
 class AlgebraPresentation(Frozen):
@@ -35,9 +35,7 @@ class AlgebraPresentation(Frozen):
     relations: tuple[Poly, ...]
 
     def __init__(self, ring, relations):
-        for r in relations:
-            if r.ring != ring:
-                raise RingMismatch("relation outside the declared ring")
+        in_ring(relations, ring)
         super().__init__(ring, relations)
 
 
@@ -49,9 +47,7 @@ class UnimodularRow(Frozen):
     entries: tuple[Poly, ...]
 
     def __init__(self, algebra, entries):
-        for e in entries:
-            if e.ring != algebra.ring:
-                raise RingMismatch("row entry outside the algebra's ring")
+        in_ring(entries, algebra.ring)
         super().__init__(algebra, entries)
 
     @property

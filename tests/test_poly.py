@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,11 @@ from wittdeg.errors import (
     UnknownVariable,
 )
 from wittdeg.fields import FieldSpec
+from wittdeg.groebner import buchberger
+from wittdeg.koszul import build_koszul
 from wittdeg.orders import BOUND, GREVLEX, LEX
-from wittdeg.poly import Poly, Ring, det, format_poly, parse_poly
+from wittdeg.poly import Poly, Ring, det, format_poly, in_ring, parse_poly
+from wittdeg.umrow import AlgebraPresentation, UnimodularRow
 
 from conftest import (
     _reference_add,
@@ -384,6 +388,31 @@ def test_ring_mismatch(R2, R3, Q):
         lex.var(0) + Ring(("x",), Q).var(0)
     assert lex != Ring(("x",), Q) and lex == Ring(("x",), Q, LEX)
     assert hash(lex) == hash(Ring(("x",), Q, LEX))
+
+
+# the seven entry points that take polynomials of one ring, each given a
+# polynomial of ring followed by one of other
+_ONE_RING = {
+    "Endo": lambda ring, f, g: Endo(ring=ring, images=(f, g)),
+    "buchberger": lambda ring, f, g: buchberger([f, g]),
+    "det": lambda ring, f, g: det([[f, f], [g, f]]),
+    "substitute": lambda ring, f, g: f.substitute([f, g]),
+    "build_koszul": lambda ring, f, g: build_koszul([f, g]),
+    "AlgebraPresentation": lambda ring, f, g: AlgebraPresentation(ring, (f, g)),
+    "UnimodularRow": lambda ring, f, g: UnimodularRow(
+        AlgebraPresentation(ring, ()), (f, g)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ONE_RING))
+def test_every_entry_point_refuses_another_ring(R2, Q, entry):
+    # the same variables under LEX make another ring
+    other = Ring(R2.variables, Q, LEX)
+    f, g = R2.var(0), other.var(1)
+    with pytest.raises(RingMismatch, match=re.escape(f"{other} != {R2}")):
+        _ONE_RING[entry](R2, f, g)
+    assert in_ring((f, f + 1), R2) is R2
 
 
 def test_char_p_derivative(F5):

@@ -1,10 +1,12 @@
 """The read-only records and their one constructor, errors.Frozen.__init__.
 
 Every record of the package is built here from a real run: the degree
-pipeline's stages, a row and its algebra, a Koszul complex with its
-duality data, and a parsed job file.  A record without its own __init__
+pipeline's stages, the monomial order of its ring and the packings of that
+ring and of its doubled ring, a row and its algebra, a Koszul complex with
+its duality data, and a parsed job file.  A record without its own __init__
 takes the fields of its ``__slots__``; one with its own __init__ (which
-checks the fields, then calls Frozen's) takes the fields of its signature.
+checks the fields or works them out, then calls Frozen's) takes the
+fields of its signature.
 """
 
 import inspect
@@ -13,11 +15,11 @@ import pathlib
 import pytest
 
 from wittdeg.cli import JobFile, parse_job_file
-from wittdeg.degree import DegreeReport, Endo, degree_of
+from wittdeg.degree import DegreeReport, Endo, degree_of, dual_ring
 from wittdeg.errors import Frozen
 from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
 from wittdeg.koszul import DualityData, KoszulComplex, generic_duality
-from wittdeg.orders import GREVLEX, LEX, MonomialOrder
+from wittdeg.orders import GREVLEX, LEX, MonomialOrder, Packing, PairPacking
 from wittdeg.umrow import AlgebraPresentation, UnimodularRow
 from wittdeg.witt import DiagForm, GramForm, WittInvariants
 
@@ -34,7 +36,11 @@ def _records(field):
     row = universal_row(field, 2)
     dd = generic_duality(field, 2)
     job = parse_job_file(str(ROOT / "docs/jobs/taut3.row"), GREVLEX)
+    ring = qa.ring
     return (
+        ring.order,
+        ring.packing,
+        dual_ring(ring).packing,
         counterexample_endo(field),
         qa.gb,
         qa,
@@ -60,6 +66,9 @@ def _fields(cls) -> tuple:
 def test_every_record_class_is_sampled(Q):
     classes = {type(r) for r in _records(Q)}
     assert classes == {
+        MonomialOrder,
+        Packing,
+        PairPacking,
         Endo,
         GroebnerBasis,
         QuotientAlgebra,
@@ -74,9 +83,13 @@ def test_every_record_class_is_sampled(Q):
         JobFile,
     }
     assert all(issubclass(cls, Frozen) for cls in classes)
-    # only the records that check their fields keep an __init__
+    # only the records that check their fields or work them out keep an
+    # __init__
     own = {cls for cls in classes if cls.__init__ is not Frozen.__init__}
     assert own == {
+        MonomialOrder,
+        Packing,
+        PairPacking,
         Endo,
         QuotientAlgebra,
         GramForm,
@@ -183,6 +196,12 @@ def test_value_records_compare_by_field_and_the_rest_by_identity(Q, F7):
             assert copy != fresh
             with pytest.raises(TypeError):
                 hash(record)
+        elif cls is MonomialOrder:
+            # an order is its name, and a key; the block order it pairs
+            # into is another, which is not paired again
+            assert copy == record and hash(copy) == hash(record)
+            assert {copy: 1}[record] == 1
+            assert record.pairs != record and record.pairs.pairs is None
         else:
             assert record == record and copy != record
             assert hash(record) == hash(record) != hash(copy)
