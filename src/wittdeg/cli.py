@@ -64,12 +64,7 @@ from .errors import (
 from .fields import FieldSpec, ratio
 from .orders import MonomialOrder, by_name
 from .poly import Poly, Ring, parse_poly
-from .umrow import (
-    AlgebraPresentation,
-    UnimodularRow,
-    compose_with_endo,
-    is_unimodular,
-)
+from .umrow import UnimodularRow, compose_with_endo, is_unimodular
 from .witt import (
     GramForm,
     WittInvariants,
@@ -197,8 +192,7 @@ def _endo_from_job(job: JobFile, path: str) -> Endo:
 def _row_from_job(job: JobFile, path: str) -> UnimodularRow:
     if job.row is None:
         raise JobFileError(f"{path}: missing 'row' line")
-    alg = AlgebraPresentation(ring=job.ring, relations=job.relations)
-    return UnimodularRow(algebra=alg, entries=job.row)
+    return UnimodularRow(job.ring, job.relations, job.row)
 
 
 # -- output helpers ---------------------------------------------------------
@@ -477,18 +471,18 @@ def _report_row(row: UnimodularRow, args) -> tuple[int, dict | list[str]]:
     if args.json:
         data = {
             "schema": 1,
-            "field": str(row.algebra.ring.field),
+            "field": str(row.ring.field),
             "row": [str(p) for p in row.entries],
-            "relations": [str(r) for r in row.algebra.relations],
+            "relations": [str(r) for r in row.relations],
             "unimodular": cert is not None,
         }
         if cert is not None:
             data["certificate"] = [str(c) for c in cert]
         return 0, data
-    ring = row.algebra.ring
+    ring = row.ring
     lines = [f"row: ({', '.join(str(p) for p in row.entries)})"]
-    if row.algebra.relations:
-        lines.append(f"relations: {'; '.join(str(r) for r in row.algebra.relations)}")
+    if row.relations:
+        lines.append(f"relations: {'; '.join(str(r) for r in row.relations)}")
     lines.append(f"ring: {', '.join(ring.variables)} over {ring.field}")
     if cert is None:
         lines.append("unimodular: no")
@@ -509,7 +503,7 @@ def _cmd_row_compose(args) -> tuple[int, dict | list[str]]:
     row = _row_from_job(rowjob, args.rowfile)
     endojob = parse_job_file(args.endofile, order)
     endo = _endo_from_job(endojob, args.endofile)
-    if endo.field != row.algebra.ring.field:
+    if endo.field != row.ring.field:
         raise AlgebraError("row and endomorphism use different fields")
     return _report_row(compose_with_endo(row, endo), args)
 

@@ -96,10 +96,13 @@ class Frozen:
     is missing, given twice or unknown, and sets each once with
     object.__setattr__.  A record that checks its fields, or works them
     out from its arguments, does so in its own __init__, which ends by
-    calling this one.  Assigning or deleting an
-    attribute raises AttributeError.  A record compares by identity; a
-    value record sets ``__eq__ = Frozen._same_fields`` and compares field
-    by field, which also makes it unhashable."""
+    calling this one: `fields.FieldSpec` fixes its non-residue there, and
+    `poly.Ring` its packing.  Assigning or deleting an attribute raises
+    AttributeError.  A record compares by identity; a value record sets
+    ``__eq__ = Frozen._same_fields`` and compares field by field, which
+    also makes it unhashable; a key record (`orders.MonomialOrder`,
+    `fields.FieldSpec`, `poly.Ring`) defines ``__eq__`` and ``__hash__`` on
+    the fields it is built from."""
 
     __slots__ = ()
 

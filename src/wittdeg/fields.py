@@ -5,7 +5,10 @@ Scalars are plain Python values, never floats.  Over Q a scalar is an
 > 1 otherwise; over F_p it is an int reduced to ``[0, p)``.  Integral data
 dominate in practice, and int arithmetic is many times cheaper than
 Fraction arithmetic.  A :class:`FieldSpec` carries the arithmetic so that
-polynomials and matrices stay agnostic of the coefficient representation.
+polynomials and matrices stay agnostic of the coefficient representation;
+it is a read-only record (`errors.Frozen`), shared by every polynomial,
+basis and form of a job, that fixes its modulus and least non-residue
+when it is made.
 The term-dict kernel of `poly` computes inline and stores exact sums of
 int and field values, an integral ``Fraction`` among them; a `Poly` makes
 its scalars canonical once, where it is made.  No Q division uses ``/``
@@ -23,11 +26,12 @@ and the printed entry cofactors of a unit certificate (`umrow`).
 
 Square classes are canonicalized as follows: over Q the representative is a
 signed squarefree integer; over F_p it is 1 for squares and the smallest
-positive non-residue otherwise.  Only _pair_classes factors integers: it
-classifies many values against one shared set of primes above
-SMALL_PRIME_BOUND, takes each number's primes below it from one gcd with
-their product, and returns the primes that the Hasse symbols need;
-square_classes canonicalizes scalars and hands their pairs to it.
+positive non-residue, ``FieldSpec.nonresidue``, otherwise.  Only
+_pair_classes factors integers: it classifies many values against one
+shared set of primes above SMALL_PRIME_BOUND, takes each number's primes
+below it from one gcd with their product, and returns the primes that the
+Hasse symbols need; square_classes canonicalizes scalars and hands their
+pairs to it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .errors import (
     AlgebraError,
     EvenModulus,
     FactorBoundExceeded,
+    Frozen,
     ParseError,
     ZeroScalar,
 )
@@ -121,19 +126,21 @@ def ratio(n: int, d: int):
 _SCALAR_RE = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?\Z")
 
 
-class FieldSpec:
+class FieldSpec(Frozen):
     """The coefficient field: the rationals or F_p with p an odd prime
     below MR_PROVEN_BOUND, where :func:`is_prime` is proven.
 
     A field is its modulus: p over F_p and ``None`` over Q, so inline
     kernels branch on ``modulus is None``.  ``is_rationals`` is that test,
-    made once here.  Build a field with :meth:`rationals` or
-    :meth:`prime_field`.
+    and ``nonresidue`` the least positive quadratic non-residue mod p
+    (``None`` over Q), both worked out once here.  Build a field with
+    :meth:`rationals` or :meth:`prime_field`.
     """
 
-    __slots__ = ("modulus", "is_rationals", "_nonresidue")
+    __slots__ = ("modulus", "is_rationals", "nonresidue")
 
-    def __init__(self, modulus: int | None = None):
+    def __init__(self, modulus: int | None):
+        nonresidue = None
         if modulus is not None:
             if modulus == 2:
                 raise EvenModulus("characteristic 2 is not supported")
@@ -146,13 +153,14 @@ class FieldSpec:
                 )
             if type(modulus) is not int or not is_prime(modulus):
                 raise AlgebraError(f"modulus {modulus!r} is not prime")
-        self.modulus = modulus
-        self.is_rationals = modulus is None
-        self._nonresidue = None
+            nonresidue = 2
+            while pow(nonresidue, (modulus - 1) // 2, modulus) == 1:
+                nonresidue += 1
+        super().__init__(modulus, modulus is None, nonresidue)
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
-        return cls()
+        return cls(None)
 
     @classmethod
     def prime_field(cls, p: int) -> "FieldSpec":
@@ -216,16 +224,6 @@ class FieldSpec:
             raise ParseError("zero denominator", 0)
         return self.canon(Fraction(num, den))
 
-    def least_nonresidue(self) -> int:
-        """Smallest positive quadratic non-residue mod p (cached)."""
-        if self._nonresidue is None:
-            p = self.modulus
-            a = 2
-            while pow(a, (p - 1) // 2, p) == 1:
-                a += 1
-            self._nonresidue = a
-        return self._nonresidue
-
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.modulus == other.modulus
 
@@ -265,7 +263,7 @@ def _pair_classes(field: FieldSpec, pairs) -> tuple[list, tuple]:
     FACTOR_BOUND, and is trial-divided by the odd numbers above the bound.
     Over F_p there are no primes, and n / d lies in the class of n d."""
     if not field.is_rationals:
-        p, r = field.modulus, field.least_nonresidue()
+        p, r = field.modulus, field.nonresidue
         h = (p - 1) // 2
         return [1 if pow(n * d, h, p) == 1 else r for n, d in pairs], ()
     large, part, odd = [], {}, set()  # large: the primes above the bound
@@ -345,7 +343,7 @@ def square_class_mul(field: FieldSpec, a, b):
         aa, bb = abs(a), abs(b)
         g = math.gcd(aa, bb)
         return sign * (aa // g) * (bb // g)
-    return 1 if a == b else field.least_nonresidue()
+    return 1 if a == b else field.nonresidue
 
 
 def _valuation(n: int, p: int) -> tuple[int, int]:

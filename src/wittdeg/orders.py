@@ -72,7 +72,8 @@ BOUND = (1 << BITS - 1) - 1  # the largest exponent: C = 2^15 - 1
 
 class MonomialOrder(Frozen):
     """A named total, multiplicative, well-founded order on monomials; two
-    orders of one name are equal.
+    orders of one name and one layout (the grevlex flag) are equal, and
+    share their packings.
 
     pairs is the block order of two copies of this one, the order of the
     doubled ring (see the module docstring).  A block order is made only
@@ -100,10 +101,11 @@ class MonomialOrder(Frozen):
         return PairPacking(self, self._block.packing(n // 2))
 
     def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.name == other.name
+        same = isinstance(other, MonomialOrder)
+        return same and (self.name, self.grevlex) == (other.name, other.grevlex)
 
     def __hash__(self):
-        return hash(self.name)
+        return hash((self.name, self.grevlex))
 
     def __repr__(self):
         return self.name

@@ -79,6 +79,7 @@ from operator import attrgetter, mul
 from .errors import (
     AlgebraError,
     ExponentBoundExceeded,
+    Frozen,
     NotSquareSystem,
     ParseError,
     RingMismatch,
@@ -286,13 +287,15 @@ def _product(a: dict, b: dict, packing: Packing, q) -> dict:
     return terms
 
 
-class Ring:
+class Ring(Frozen):
     """A polynomial ring: ordered variable names over a FieldSpec, with a
     monomial order.
 
     packing is the order's layout of its monomials: every `Poly` of the
     ring, and every Groebner computation on its polynomials, keys terms by
-    it.  Two rings are equal when their variables, fields and orders are.
+    it; _index maps each variable name to its position.  Both are worked
+    out once here.  Two rings are equal when their variables, fields and
+    orders are.
     """
 
     __slots__ = ("variables", "field", "order", "packing", "_index")
@@ -303,13 +306,11 @@ class Ring:
         field: FieldSpec,
         order: MonomialOrder = GREVLEX,
     ):
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
+        variables = tuple(variables)
+        index = {v: i for i, v in enumerate(variables)}
+        if len(index) != len(variables):
             raise RingMismatch("duplicate variable names")
-        self.field = field
-        self.order = order
-        self.packing = order.packing(len(self.variables))
-        self._index = {v: i for i, v in enumerate(self.variables)}
+        super().__init__(variables, field, order, order.packing(len(variables)), index)
 
     @property
     def nvars(self) -> int:

@@ -1,7 +1,9 @@
 """Unimodular rows over finitely presented algebras.
 
-A row is unimodular when its entries generate the unit ideal modulo the
-presentation relations.  A certificate (cofactors b_i with sum b_i * a_i
+A `UnimodularRow` holds its ring, the relations that present the algebra
+k[variables] / (relations) over it, and its entries, all in that ring.  A
+row is unimodular when its entries generate the unit ideal modulo the
+relations.  A certificate (cofactors b_i with sum b_i * a_i
 == 1) is the certificate of a certifying Buchberger, which groebner builds
 only for the unit ideal and returns unchecked, in the integer working form
 of `poly` (int term dicts over one positive denominator).  is_unimodular
@@ -27,28 +29,19 @@ from .groebner import buchberger, contains_one_with_certificate
 from .poly import Poly, Ring, _add_shifted, _clear, _ratios, _reduce, in_ring
 
 
-class AlgebraPresentation(Frozen):
-    """k[variables] / (relations); relations may be empty."""
+class UnimodularRow(Frozen):
+    """A row of polynomial lifts over k[variables] / (relations), the ring
+    being k[variables]; relations may be empty."""
 
-    __slots__ = ("ring", "relations")
+    __slots__ = ("ring", "relations", "entries")
     ring: Ring
     relations: tuple[Poly, ...]
-
-    def __init__(self, ring, relations):
-        in_ring(relations, ring)
-        super().__init__(ring, relations)
-
-
-class UnimodularRow(Frozen):
-    """A row of polynomial lifts over a presented algebra."""
-
-    __slots__ = ("algebra", "entries")
-    algebra: AlgebraPresentation
     entries: tuple[Poly, ...]
 
-    def __init__(self, algebra, entries):
-        in_ring(entries, algebra.ring)
-        super().__init__(algebra, entries)
+    def __init__(self, ring, relations, entries):
+        in_ring(relations, ring)
+        in_ring(entries, ring)
+        super().__init__(ring, relations, entries)
 
     @property
     def n(self) -> int:
@@ -67,15 +60,14 @@ def is_unimodular(row: UnimodularRow) -> tuple[Poly, ...] | None:
     once, for the n reduced entry cofactors returned; the relations'
     cofactors are never converted.
     """
-    gens = list(row.entries) + list(row.algebra.relations)
+    gens = list(row.entries) + list(row.relations)
     cert = contains_one_with_certificate(gens)
     if cert is None:
         return None
     nums, den = cert
-    ring = row.algebra.ring
+    ring, relations = row.ring, row.relations
     field, packing = ring.field, ring.packing
     q, one = field.modulus, packing.one
-    relations = row.algebra.relations
     # each entry cofactor b_i as (int dict, denominator), reduced modulo the
     # relations
     cofs = [(c, den) for c in nums[: row.n]]
@@ -110,4 +102,4 @@ def compose_with_endo(row: UnimodularRow, endo: Endo) -> UnimodularRow:
             f"endomorphism arity {endo.n} != row length {row.n}"
         )
     entries = tuple(img.substitute(list(row.entries)) for img in endo.images)
-    return UnimodularRow(algebra=row.algebra, entries=entries)
+    return UnimodularRow(row.ring, row.relations, entries)

@@ -148,7 +148,7 @@ class DiagForm(Frozen):
                 if n != 1:
                     bad.append(a)
         else:
-            canonical = (1, field.least_nonresidue())
+            canonical = (1, field.nonresidue)
             bad = [e for e in entries if type(e) is not int or e not in canonical]
         if bad:
             raise NonCanonicalForm(

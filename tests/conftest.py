@@ -43,7 +43,7 @@ from wittdeg.poly import (
     det,
     parse_poly,
 )
-from wittdeg.umrow import AlgebraPresentation, UnimodularRow
+from wittdeg.umrow import UnimodularRow
 from wittdeg.witt import GramForm
 
 
@@ -200,8 +200,7 @@ def universal_row(field, n):
     for x, y in zip(xs, ys):
         rel = rel + x * y
     rel = rel - ring.one()
-    alg = AlgebraPresentation(ring=ring, relations=(rel,))
-    return UnimodularRow(algebra=alg, entries=tuple(xs))
+    return UnimodularRow(ring=ring, relations=(rel,), entries=tuple(xs))
 
 
 def deriv(p, i):
@@ -242,7 +241,7 @@ def reference_pair_classes(field, pairs):
     every odd number up to SMALL_PRIME_BOUND, and finds each number's
     primes of odd exponent by dividing it again by every prime found."""
     if not field.is_rationals:
-        p, r = field.modulus, field.least_nonresidue()
+        p, r = field.modulus, field.nonresidue
         h = (p - 1) // 2
         return [1 if pow(n * d, h, p) == 1 else r for n, d in pairs], ()
     shared, part, odd = [], {}, set()  # part: n -> its squarefree part

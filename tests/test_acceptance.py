@@ -231,17 +231,17 @@ def test_criterion_8_signature_topology_bridge():
 def test_criterion_9_row_certificates():
     row = universal_row(Q, 3)
     cert = is_unimodular(row)
-    ys = row.algebra.ring.gens()[3:]
+    ys = row.ring.gens()[3:]
     assert cert == tuple(ys)
 
     composed = compose_with_endo(row, counterexample_endo(Q))
     cert2 = is_unimodular(composed)
     assert cert2 is not None
-    ring = row.algebra.ring
+    ring = row.ring
     total = ring.zero()
     for b, a in zip(cert2, composed.entries):
         total = total + b * a
-    relgb = buchberger(list(row.algebra.relations))
+    relgb = buchberger(list(row.relations))
     assert normal_form(total - ring.one(), relgb).is_zero
     _passed(
         9,

@@ -531,9 +531,16 @@ def test_hilbert_product_formula(Q):
         assert prod == 1
 
 
-def test_least_nonresidue(F5, F7):
-    assert F5.least_nonresidue() == 2
-    assert F7.least_nonresidue() == 3
+def test_nonresidue(Q, F5, F7):
+    # the least positive non-residue, fixed when the field is made, against
+    # a search of the squares mod p, for every odd prime below 1,000
+    assert (F5.nonresidue, F7.nonresidue) == (2, 3)
+    assert Q.nonresidue is None
+    for p in range(3, 1000, 2):
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            squares = {a * a % p for a in range(1, p)}
+            least = min(a for a in range(2, p) if a not in squares)
+            assert FieldSpec.prime_field(p).nonresidue == least, p
 
 
 def test_parse_and_format_scalar(Q, F5):

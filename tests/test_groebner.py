@@ -696,7 +696,7 @@ def test_buchberger_cofactors_match_eager_reference(Q, F7):
         row = universal_row(field, 3)
         for ms in 3 * ((1, 1, 2), (1, 2, 2), (2, 1, 2), (1, 2, 1)):
             composed = compose_with_endo(row, _triangular_endo(rng, field, ms))
-            gens = list(composed.entries) + list(row.algebra.relations)
+            gens = list(composed.entries) + list(row.relations)
             gens = in_order(gens, order)
             gb = _lazy_equals_eager(gens, units)
             assert gb.basis == (gens[0].ring.one(),)
@@ -774,7 +774,7 @@ def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
     for ms in ((1, 1, 2), (1, 2, 2), (2, 1, 2), (1, 2, 1)):
         composed = compose_with_endo(row, _triangular_endo(rng, Q, ms))
         entries = [g * random_unit(units, Q) for g in composed.entries]
-        cases.append(entries + list(row.algebra.relations))
+        cases.append(entries + list(row.relations))
     made = 0
     at_boundary = []
     converted = []  # the module of each _ratios call
@@ -809,7 +809,7 @@ def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
             results.append((gens, cert, made, list(at_boundary)))
             made = 0
             del at_boundary[:], converted[:]
-            composed = UnimodularRow(algebra=row.algebra, entries=tuple(gens[:3]))
+            composed = UnimodularRow(row.ring, row.relations, tuple(gens[:3]))
             cert = is_unimodular(composed)
             checked.append((composed, cert, made, list(at_boundary), list(converted)))
     for gens, cert, made, at_boundary in results:
@@ -826,10 +826,10 @@ def test_certificate_makes_fractions_only_at_the_boundary(Q, monkeypatch):
         # the entries are scaled by random units, so some cofactor term is
         # not integral
         assert 0 < made <= sum(len(b.packed) for b in cert)
-        residue = composed.algebra.ring.zero() - 1
+        residue = composed.ring.zero() - 1
         for b, a in zip(cert, composed.entries):
             residue = residue + b * a
-        relgb = buchberger(list(composed.algebra.relations))
+        relgb = buchberger(list(composed.relations))
         assert normal_form(residue, relgb).is_zero
 
 
@@ -872,7 +872,7 @@ def test_buchberger_stops_at_the_unit(Q, monkeypatch):
     row = universal_row(Q, 3)
     rng = random.Random(11)
     cases = [[parse_poly(s, R2) for s in ("x^2", "x*y + 1", "y^2")]] + [
-        list(compose_with_endo(row, endo).entries) + list(row.algebra.relations)
+        list(compose_with_endo(row, endo).entries) + list(row.relations)
         for endo in (
             counterexample_endo(Q),
             _triangular_endo(rng, Q, (1, 2, 2)),

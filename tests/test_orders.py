@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wittdeg.errors import ExponentBoundExceeded
-from wittdeg.orders import BITS, BOUND, GREVLEX, LEX
+from wittdeg.orders import BITS, BOUND, GREVLEX, LEX, MonomialOrder
 
 from conftest import order_key
 
@@ -179,6 +179,23 @@ def test_variable_offsets_and_one():
         for i, offset in enumerate(packing.var):
             exps = tuple(int(j == i) for j in range(3))
             assert packing.pack(exps) == packing.one + offset
+
+
+def test_orders_are_equal_only_when_their_layouts_are():
+    # packing is cached on the order, so an order equal to GREVLEX would
+    # get GREVLEX's layout: a LEX layout under the name "grevlex" is
+    # another order, with a packing of its own
+    GREVLEX.packing(3)
+    lex_layout = MonomialOrder("grevlex", False)
+    assert lex_layout != GREVLEX and hash(lex_layout) != hash(GREVLEX)
+    packing = lex_layout.packing(3)
+    assert packing.order is lex_layout and packing != GREVLEX.packing(3)
+    assert (packing.one, packing.guard) == (LEX.packing(3).one, LEX.packing(3).guard)
+    assert lex_layout.pairs is lex_layout
+    # the same name and layout make an equal order, which pairs the same
+    same = MonomialOrder("grevlex", True)
+    assert same == GREVLEX and hash(same) == hash(GREVLEX)
+    assert same.pairs == GREVLEX.pairs and same.pairs.pairs is None
 
 
 def test_pack_rejects_exponents_past_the_bound():

@@ -20,7 +20,7 @@ from wittdeg.groebner import buchberger
 from wittdeg.koszul import build_koszul
 from wittdeg.orders import BOUND, GREVLEX, LEX
 from wittdeg.poly import Poly, Ring, det, format_poly, in_ring, parse_poly
-from wittdeg.umrow import AlgebraPresentation, UnimodularRow
+from wittdeg.umrow import UnimodularRow
 
 from conftest import (
     _reference_add,
@@ -390,18 +390,17 @@ def test_ring_mismatch(R2, R3, Q):
     assert hash(lex) == hash(Ring(("x",), Q, LEX))
 
 
-# the seven entry points that take polynomials of one ring, each given a
-# polynomial of ring followed by one of other
+# the entry points that take polynomials of one ring, a row's relations and
+# its entries apart, each given a polynomial of ring followed by one of
+# other
 _ONE_RING = {
     "Endo": lambda ring, f, g: Endo(ring=ring, images=(f, g)),
     "buchberger": lambda ring, f, g: buchberger([f, g]),
     "det": lambda ring, f, g: det([[f, f], [g, f]]),
     "substitute": lambda ring, f, g: f.substitute([f, g]),
     "build_koszul": lambda ring, f, g: build_koszul([f, g]),
-    "AlgebraPresentation": lambda ring, f, g: AlgebraPresentation(ring, (f, g)),
-    "UnimodularRow": lambda ring, f, g: UnimodularRow(
-        AlgebraPresentation(ring, ()), (f, g)
-    ),
+    "UnimodularRow": lambda ring, f, g: UnimodularRow(ring, (), (f, g)),
+    "UnimodularRow.relations": lambda ring, f, g: UnimodularRow(ring, (f, g), ()),
 }
 
 

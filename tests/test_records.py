@@ -1,32 +1,40 @@
 """The read-only records and their one constructor, errors.Frozen.__init__.
 
 Every record of the package is built here from a real run: the degree
-pipeline's stages, the monomial order of its ring and the packings of that
-ring and of its doubled ring, a row and its algebra, a Koszul complex with
-its duality data, and a parsed job file.  A record without its own __init__
-takes the fields of its ``__slots__``; one with its own __init__ (which
-checks the fields or works them out, then calls Frozen's) takes the
-fields of its signature.
+pipeline's stages, the field, ring and monomial order they work over and
+the packings of that ring and of its doubled ring, a row, a Koszul complex
+with its duality data, and a parsed job file.  A record without its own
+__init__ takes the fields of its ``__slots__``; one with its own __init__
+(which checks the fields or works them out, then calls Frozen's) takes the
+fields of its signature.  The records sampled are checked against every
+``Frozen`` subclass that a module of the package defines.
 """
 
+import importlib
 import inspect
 import pathlib
+import pkgutil
 
 import pytest
 
-from wittdeg.cli import JobFile, parse_job_file
-from wittdeg.degree import DegreeReport, Endo, degree_of, dual_ring
+import wittdeg
+from wittdeg.cli import parse_job_file
+from wittdeg.degree import Endo, degree_of, dual_ring
 from wittdeg.errors import Frozen
-from wittdeg.groebner import GroebnerBasis, QuotientAlgebra
-from wittdeg.koszul import DualityData, KoszulComplex, generic_duality
+from wittdeg.fields import FieldSpec
+from wittdeg.groebner import QuotientAlgebra
+from wittdeg.koszul import generic_duality
 from wittdeg.orders import GREVLEX, LEX, MonomialOrder, Packing, PairPacking
-from wittdeg.umrow import AlgebraPresentation, UnimodularRow
+from wittdeg.poly import Ring
+from wittdeg.umrow import UnimodularRow
 from wittdeg.witt import DiagForm, GramForm, WittInvariants
 
 from conftest import counterexample_endo, universal_row
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 VALUES = (GramForm, DiagForm, WittInvariants)
+# the records that are dict keys: equal fields make an equal key
+KEYS = (MonomialOrder, FieldSpec, Ring)
 
 
 def _records(field):
@@ -38,6 +46,8 @@ def _records(field):
     job = parse_job_file(str(ROOT / "docs/jobs/taut3.row"), GREVLEX)
     ring = qa.ring
     return (
+        ring.field,
+        ring,
         ring.order,
         ring.packing,
         dual_ring(ring).packing,
@@ -48,7 +58,6 @@ def _records(field):
         rep.diag,
         rep.invariants,
         rep,
-        row.algebra,
         row,
         dd.complex,
         dd,
@@ -63,30 +72,37 @@ def _fields(cls) -> tuple:
     return tuple(inspect.signature(cls).parameters)
 
 
+def _required(cls) -> int:
+    """How many of those fields have no default (a ring's order has one)."""
+    if cls.__init__ is Frozen.__init__:
+        return len(cls.__slots__)
+    params = inspect.signature(cls).parameters.values()
+    return sum(p.default is p.empty for p in params)
+
+
+def _package_records() -> set:
+    """Every Frozen subclass that a module of the package defines, found
+    once every module is imported."""
+    for module in pkgutil.iter_modules(wittdeg.__path__):
+        importlib.import_module(f"wittdeg.{module.name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("wittdeg."):
+                found.add(cls)
+    return found
+
+
 def test_every_record_class_is_sampled(Q):
     classes = {type(r) for r in _records(Q)}
-    assert classes == {
-        MonomialOrder,
-        Packing,
-        PairPacking,
-        Endo,
-        GroebnerBasis,
-        QuotientAlgebra,
-        GramForm,
-        DiagForm,
-        WittInvariants,
-        DegreeReport,
-        AlgebraPresentation,
-        UnimodularRow,
-        KoszulComplex,
-        DualityData,
-        JobFile,
-    }
-    assert all(issubclass(cls, Frozen) for cls in classes)
+    assert classes == _package_records()
     # only the records that check their fields or work them out keep an
     # __init__
     own = {cls for cls in classes if cls.__init__ is not Frozen.__init__}
     assert own == {
+        FieldSpec,
+        Ring,
         MonomialOrder,
         Packing,
         PairPacking,
@@ -94,7 +110,6 @@ def test_every_record_class_is_sampled(Q):
         QuotientAlgebra,
         GramForm,
         DiagForm,
-        AlgebraPresentation,
         UnimodularRow,
     }
 
@@ -120,7 +135,7 @@ def test_a_missing_extra_repeated_or_unknown_field_is_a_type_error(Q):
         values = [getattr(record, n) for n in names]
         named = dict(zip(names, values))
         bad = (
-            lambda: cls(*values[:-1]),  # missing, by position
+            lambda: cls(*values[: _required(cls) - 1]),  # missing, by position
             lambda: cls(**dict(list(named.items())[1:])),  # missing, by name
             lambda: cls(*values, None),  # extra
             lambda: cls(*values, bogus=None),  # unknown
@@ -196,12 +211,18 @@ def test_value_records_compare_by_field_and_the_rest_by_identity(Q, F7):
             assert copy != fresh
             with pytest.raises(TypeError):
                 hash(record)
-        elif cls is MonomialOrder:
-            # an order is its name, and a key; the block order it pairs
-            # into is another, which is not paired again
-            assert copy == record and hash(copy) == hash(record)
+        elif cls in KEYS:
+            # a field, a ring or an order is a key: a copy is equal, hashes
+            # the same and finds the same entry
+            assert copy == record and not copy != record
+            assert hash(copy) == hash(record)
             assert {copy: 1}[record] == 1
-            assert record.pairs != record and record.pairs.pairs is None
+            if cls is MonomialOrder:
+                # the block order an order pairs into is another, which is
+                # not paired again
+                assert record.pairs != record and record.pairs.pairs is None
+            else:
+                assert record != other
         else:
             assert record == record and copy != record
             assert hash(record) == hash(record) != hash(copy)

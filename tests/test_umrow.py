@@ -10,12 +10,7 @@ from wittdeg.degree import Endo, degree_of
 from wittdeg.errors import ArityMismatch, EvenN, InternalError
 from wittdeg.groebner import GroebnerBasis, buchberger, normal_form
 from wittdeg.poly import Poly, Ring, parse_poly
-from wittdeg.umrow import (
-    AlgebraPresentation,
-    UnimodularRow,
-    compose_with_endo,
-    is_unimodular,
-)
+from wittdeg.umrow import UnimodularRow, compose_with_endo, is_unimodular
 from wittdeg.witt import witt_class_display
 
 from conftest import (
@@ -28,21 +23,21 @@ from conftest import (
 
 
 def _verify_certificate(row, cert):
-    ring = row.algebra.ring
+    ring = row.ring
     total = ring.zero()
     for b, a in zip(cert, row.entries):
         total = total + b * a
     residue = total - ring.one()
-    if row.algebra.relations:
-        relgb = buchberger(list(row.algebra.relations))
+    if row.relations:
+        relgb = buchberger(list(row.relations))
         residue = normal_form(residue, relgb)
     assert residue.is_zero
 
 
 def test_is_unimodular_affine_line(Q):
     ring = Ring(("x",), Q)
-    alg = AlgebraPresentation(ring=ring, relations=())
-    row = UnimodularRow(algebra=alg, entries=(ring.var(0), ring.one() - ring.var(0)))
+    x = ring.var(0)
+    row = UnimodularRow(ring=ring, relations=(), entries=(x, ring.one() - x))
     cert = is_unimodular(row)
     assert cert == (ring.one(), ring.one())
     _verify_certificate(row, cert)
@@ -50,15 +45,14 @@ def test_is_unimodular_affine_line(Q):
 
 def test_is_unimodular_proper_ideal(Q):
     ring = Ring(("x1", "x2", "x3"), Q)
-    alg = AlgebraPresentation(ring=ring, relations=())
-    row = UnimodularRow(algebra=alg, entries=ring.gens())
+    row = UnimodularRow(ring=ring, relations=(), entries=ring.gens())
     assert is_unimodular(row) is None
 
 
 def test_tautological_row_certificate(Q):
     row = universal_row(Q, 3)
     cert = is_unimodular(row)
-    ys = row.algebra.ring.gens()[3:]
+    ys = row.ring.gens()[3:]
     assert cert == tuple(ys)
     _verify_certificate(row, cert)
 
@@ -67,7 +61,7 @@ def test_apply_elementary_preserves_certificate(Q):
     # the elementary column move x3 -> x3 + x1 * x1
     row = universal_row(Q, 3)
     x1, x2, x3 = row.entries
-    moved = UnimodularRow(algebra=row.algebra, entries=(x1, x2, x3 + x1 * x1))
+    moved = UnimodularRow(row.ring, row.relations, entries=(x1, x2, x3 + x1 * x1))
     cert = is_unimodular(moved)
     assert cert is not None
     _verify_certificate(moved, cert)
@@ -76,7 +70,7 @@ def test_apply_elementary_preserves_certificate(Q):
 def test_compose_with_endo_counterexample(Q):
     row = universal_row(Q, 3)
     comp = compose_with_endo(row, counterexample_endo(Q))
-    ring = row.algebra.ring
+    ring = row.ring
     assert comp.entries == (
         parse_poly("x1^2 - x2^2", ring),
         parse_poly("x1*x2", ring),
@@ -164,7 +158,7 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     # the certificate unchecked, and the one check, modulo the relation,
     # fails
     row = universal_row(Q, 1)
-    ring = row.algebra.ring
+    ring = row.ring
     unit = basis_of([ring.one()])
     wrong = GroebnerBasis(
         unit.generators,
@@ -185,7 +179,8 @@ def test_failed_reverification_is_internal_error(Q, monkeypatch, capsys):
     ring = Ring(("x",), Q)
     x = ring.var(0)
     row = UnimodularRow(
-        algebra=AlgebraPresentation(ring=ring, relations=()),
+        ring=ring,
+        relations=(),
         entries=(x, ring.one() - x),
     )
     with pytest.raises(InternalError):
@@ -203,11 +198,12 @@ def test_check_reduces_cofactors_modulo_the_relations(Q, F7, monkeypatch):
     certify = groebner.contains_one_with_certificate
     for field in (Q, F7):
         row = universal_row(field, 3)
-        ring = row.algebra.ring
-        (rel,) = row.algebra.relations
+        ring = row.ring
+        (rel,) = row.relations
         x1, x2, _, y1, _, y3 = ring.gens()
         scaled = UnimodularRow(
-            algebra=row.algebra,
+            ring=row.ring,
+            relations=row.relations,
             entries=tuple(a * Fraction(2, 3) for a in row.entries),
         )
         expected = is_unimodular(scaled)

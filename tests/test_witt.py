@@ -853,7 +853,7 @@ def test_witt_equal_is_equivalence_and_compatible(Q):
 
 def test_four_witt_classes_over_prime_fields(F5, F7):
     for field in (F5, F7):
-        ns = field.least_nonresidue()
+        ns = field.nonresidue
         forms = []
         for r in range(1, 5):
             for entries in itertools.product((1, ns), repeat=r):
