@@ -36,10 +36,12 @@ Job files::
 
 Row files use the same header plus optional ``rel = <poly>`` lines and one
 ``row = <poly>, <poly>, ...`` line.  ``field``, ``vars`` and ``row`` may each
-appear once.  Every error in a line, including a bad field or scalar, is
+appear once.  `read_endo` and `read_row` read the two kinds of file, each
+in one call.  Every error in a line, including a bad field or scalar, is
 reported as a JobFileError carrying ``path:line``; so is a file that is not
-UTF-8 text.  ``--order`` is the monomial order each file's ring is declared
-in, and with it the order of every Groebner computation.
+UTF-8 text, and a missing header, map or row line carries ``path``.
+``--order`` is the monomial order each file's ring is declared in, and with
+it the order of every Groebner computation.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .errors import (
     AlgebraError,
     DigitLimitExceeded,
     EvenN,
-    Frozen,
     JobFileError,
     NotFiniteLength,
     NotOriginPreserving,
@@ -77,16 +78,6 @@ from .witt import (
 HYPOTHESIS_ERRORS = (NotFiniteLength, SupportNotOrigin, NotOriginPreserving, EvenN)
 
 
-class JobFile(Frozen):
-    """Parsed job or row file."""
-
-    __slots__ = ("ring", "maps", "relations", "row")
-    ring: Ring
-    maps: dict[str, Poly]
-    relations: tuple[Poly, ...]
-    row: tuple[Poly, ...] | None
-
-
 _FIELD_RE = re.compile(r"F([1-9][0-9]*)")
 
 
@@ -104,8 +95,10 @@ def _parse_field(text: str) -> FieldSpec:
     raise AlgebraError(f"bad field {text!r} (expected Q or F<p>)")
 
 
-def parse_job_file(path: str, order: MonomialOrder) -> JobFile:
-    """The job or row file at path, its ring in the given monomial order."""
+def parse_job_file(path: str, order: MonomialOrder):
+    """(ring, maps, relations, row) of the job or row file at path, its ring
+    in the given monomial order: maps the {variable: image} of its map
+    lines, relations a tuple, and row a tuple or None."""
     field = None
     ring = None
     maps: dict[str, Poly] = {}
@@ -178,21 +171,24 @@ def parse_job_file(path: str, order: MonomialOrder) -> JobFile:
                 raise JobFileError(f"{path}:{lineno}: {exc}") from None
     if field is None or ring is None:
         raise JobFileError(f"{path}: missing 'field' or 'vars'")
-    return JobFile(ring, maps, tuple(relations), row)
+    return ring, maps, tuple(relations), row
 
 
-def _endo_from_job(job: JobFile, path: str) -> Endo:
-    missing = [v for v in job.ring.variables if v not in job.maps]
+def read_endo(path: str, order: MonomialOrder) -> Endo:
+    """The endomorphism of the job file at path, one map line per variable."""
+    ring, maps, _, _ = parse_job_file(path, order)
+    missing = [v for v in ring.variables if v not in maps]
     if missing:
         raise JobFileError(f"{path}: missing map for {', '.join(missing)}")
-    images = tuple(job.maps[v] for v in job.ring.variables)
-    return Endo(ring=job.ring, images=images)
+    return Endo(ring, tuple(maps[v] for v in ring.variables))
 
 
-def _row_from_job(job: JobFile, path: str) -> UnimodularRow:
-    if job.row is None:
+def read_row(path: str, order: MonomialOrder) -> UnimodularRow:
+    """The row of the row file at path over its ring modulo its relations."""
+    ring, _, relations, row = parse_job_file(path, order)
+    if row is None:
         raise JobFileError(f"{path}: missing 'row' line")
-    return UnimodularRow(job.ring, job.relations, job.row)
+    return UnimodularRow(ring, relations, row)
 
 
 # -- output helpers ---------------------------------------------------------
@@ -364,8 +360,7 @@ def _verdict(report: DegreeReport, images, cls: str) -> str:
 
 
 def _cmd_degree(args) -> tuple[int, dict | list[str]]:
-    job = parse_job_file(args.file, by_name(args.order))
-    report = degree_of(_endo_from_job(job, args.file))
+    report = degree_of(read_endo(args.file, by_name(args.order)))
     if args.json:
         return 0, _degree_json(report)
     lines = [_degree_summary(report, witt_class_display(report.diag))]
@@ -375,8 +370,7 @@ def _cmd_degree(args) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_nori_check(args) -> tuple[int, dict | list[str]]:
-    job = parse_job_file(args.file, by_name(args.order))
-    endo = _endo_from_job(job, args.file)
+    endo = read_endo(args.file, by_name(args.order))
     if endo.n % 2 == 0:
         raise EvenN("the row-level obstruction needs odd arity")
     report = degree_of(endo)
@@ -493,16 +487,13 @@ def _report_row(row: UnimodularRow, args) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_row_check(args) -> tuple[int, dict | list[str]]:
-    job = parse_job_file(args.file, by_name(args.order))
-    return _report_row(_row_from_job(job, args.file), args)
+    return _report_row(read_row(args.file, by_name(args.order)), args)
 
 
 def _cmd_row_compose(args) -> tuple[int, dict | list[str]]:
     order = by_name(args.order)
-    rowjob = parse_job_file(args.rowfile, order)
-    row = _row_from_job(rowjob, args.rowfile)
-    endojob = parse_job_file(args.endofile, order)
-    endo = _endo_from_job(endojob, args.endofile)
+    row = read_row(args.rowfile, order)
+    endo = read_endo(args.endofile, order)
     if endo.field != row.ring.field:
         raise AlgebraError("row and endomorphism use different fields")
     return _report_row(compose_with_endo(row, endo), args)
@@ -572,8 +563,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Run one command and write its output; on an error, exit 2 or 3 with
-    stdout empty."""
+    """Run one command and write its output; on an error, write the one
+    line ``error: NAME: message`` to stderr and exit 2 or 3 with stdout
+    empty."""
     args = _parser().parse_args(argv)
     try:
         status, output = args.func(args)
@@ -585,22 +577,18 @@ def run(argv) -> int:
             # print, not one join: --verbose output can run to megabytes
             print(*output, sep="\n")
         return status
-    except HYPOTHESIS_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         # CPython's limit on converting a long int to text; any other
         # ValueError is a fault of the program and keeps its traceback
         if "integer string conversion" not in str(exc):
             raise
         limit = sys.get_int_max_str_digits()
-        exc = DigitLimitExceeded(f"a number in the output has more than {limit} digits")
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        err = DigitLimitExceeded(f"a number in the output has more than {limit} digits")
     except (AlgebraError, OSError) as exc:
-        name = type(exc).__name__ if isinstance(exc, AlgebraError) else "IOError"
-        print(f"error: {name}: {exc}", file=sys.stderr)
-        return 2
+        err = exc
+    name = type(err).__name__ if isinstance(err, AlgebraError) else "IOError"
+    print(f"error: {name}: {err}", file=sys.stderr)
+    return 3 if isinstance(err, HYPOTHESIS_ERRORS) else 2
 
 
 def main() -> None:

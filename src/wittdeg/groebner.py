@@ -533,10 +533,8 @@ def _reduce_basis(work: list, ring: Ring) -> tuple[tuple, ...]:
 
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of p modulo the basis; supported on standard monomials."""
-    if p.ring != gb.ring:
-        raise RingMismatch("polynomial not in the basis ring")
+    ring = in_ring((p,), gb.ring)
     terms, den = _clear(p.packed)
-    ring = p.ring
     rem, den = _reduce(dict(terms), gb.entries, ring.packing, ring.field, scale=den)
     return Poly(ring, _ratios(rem, den))
 

@@ -293,12 +293,12 @@ class Ring(Frozen):
 
     packing is the order's layout of its monomials: every `Poly` of the
     ring, and every Groebner computation on its polynomials, keys terms by
-    it; _index maps each variable name to its position.  Both are worked
-    out once here.  Two rings are equal when their variables, fields and
+    it; it is worked out once here.  A variable's position is its index in
+    variables.  Two rings are equal when their variables, fields and
     orders are.
     """
 
-    __slots__ = ("variables", "field", "order", "packing", "_index")
+    __slots__ = ("variables", "field", "order", "packing")
 
     def __init__(
         self,
@@ -307,10 +307,9 @@ class Ring(Frozen):
         order: MonomialOrder = GREVLEX,
     ):
         variables = tuple(variables)
-        index = {v: i for i, v in enumerate(variables)}
-        if len(index) != len(variables):
+        if len(set(variables)) != len(variables):
             raise RingMismatch("duplicate variable names")
-        super().__init__(variables, field, order, order.packing(len(variables)), index)
+        super().__init__(variables, field, order, order.packing(len(variables)))
 
     @property
     def nvars(self) -> int:
@@ -392,8 +391,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.ring != self.ring:
-                raise RingMismatch(f"{other.ring} != {self.ring}")
+            in_ring((other,), self.ring)
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.constant(other)
@@ -554,7 +552,7 @@ def parse_poly(text: str, ring: Ring) -> Poly:
     top = BITS * ring.nvars
     low = (1 << top) - 1  # the exponent fields, below a GREVLEX degree
     guard = packing.guard & low
-    index = ring._index
+    index = ring.variables.index
     tokens = _TOKEN_RE.findall(text)
     end = len(tokens)
     tokens.append(_END)
@@ -591,9 +589,10 @@ def parse_poly(text: str, ring: Ring) -> Poly:
                 name = tokens[i][1]
                 if not name:
                     raise _expected("variable", text, tokens, i)
-                k = index.get(name)
-                if k is None:
-                    raise UnknownVariable(name, _position(text, i))
+                try:
+                    k = index(name)
+                except ValueError:
+                    raise UnknownVariable(name, _position(text, i)) from None
                 at = i
                 if tokens[i + 1][2] == "^":
                     i += 2

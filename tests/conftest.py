@@ -599,7 +599,7 @@ def reference_parse_poly(text: str, ring: Ring) -> Poly:
     term's end, where pack checks the GREVLEX total degree."""
     field = ring.field
     pack = ring.packing.pack
-    index = ring._index
+    index = {v: i for i, v in enumerate(ring.variables)}
     nvars = ring.nvars
     tokens = _TOKEN_RE.findall(text)
     end = len(tokens)

@@ -264,8 +264,9 @@ def test_degree_exit_2_line_error_carries_location(
     [
         (["degree"], "field = Q\n", "missing 'field' or 'vars'"),
         (["row", "check"], "field = Q\nvars = x\n", "missing 'row' line"),
+        (["degree"], "field = Q\nvars = x, y\nrow = x, y\n", "missing map for x, y"),
     ],
-    ids=["no-vars", "no-row"],
+    ids=["no-vars", "no-row", "row-file"],
 )
 def test_exit_2_whole_file_error_carries_path(
     tmp_path, capsys, argv, text, message
@@ -380,10 +381,9 @@ def test_job_file_newlines_are_read_as_text_mode_reads_them(tmp_path):
             copy = tmp_path / path.name
             copy.write_bytes(text.replace(b"\n", newline))
             got = cli.parse_job_file(str(copy), GREVLEX)
-            assert got.ring == want.ring, (path, newline)
-            assert list(got.maps.items()) == list(want.maps.items())
-            assert got.relations == want.relations
-            assert got.row == want.row
+            assert got[0] == want[0], (path, newline)
+            assert list(got[1].items()) == list(want[1].items())
+            assert got[2:] == want[2:]
 
 
 def test_order_option_reaches_the_ring(documented_degree_runs):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wittdeg import cli, degree
-from wittdeg.cli import HYPOTHESIS_ERRORS, _endo_from_job, parse_job_file, run
+from wittdeg.cli import HYPOTHESIS_ERRORS, read_endo, run
 from wittdeg.degree import (
     DegreeReport,
     Endo,
@@ -373,7 +373,7 @@ def test_a_standard_half_never_touches_the_table(Q, monkeypatch):
     monkeypatch.setattr(QuotientAlgebra, "__missing__", counted)
     for order in (GREVLEX, LEX):
         endos = [
-            _endo_from_job(parse_job_file(str(jobs / name), order), name)
+            read_endo(str(jobs / name), order)
             for name in ("power123.job", "identity3.job", "staircase3.job")
         ]
         endos.insert(2, reordered(power_endo(Q, (4, 5, 3)), order))
@@ -690,10 +690,9 @@ def test_q_gram_reduces_to_its_f_p_twin(Q):
     endos = []
     jobs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "jobs"
     for path in sorted(jobs.glob("*.job")):
-        job = parse_job_file(str(path), GREVLEX)
-        if job.ring.field != Q:
+        endo = read_endo(str(path), GREVLEX)
+        if endo.field != Q:
             continue
-        endo = _endo_from_job(job, str(path))
         if path.name == "scaling21.job":
             # the job exits 2: no class over Q to compare
             with pytest.raises(FactorBoundExceeded):

@@ -1,8 +1,9 @@
 """Every documented example under docs/golden runs as a golden test.
 
 A .cmd file holds one CLI invocation (optionally prefixed with exit=N);
-the matching .out file is the expected stdout, byte for byte, and the
-matching .err file, where one exists, the expected stderr.
+the matching .out file is the expected stdout, byte for byte.  A golden
+with a nonzero exit has a matching .err file, the expected stderr; every
+other golden writes nothing to stderr.
 """
 
 import contextlib
@@ -35,8 +36,7 @@ def test_golden(cmd_file, monkeypatch):
             code = run(parts)
     assert code == expected_exit
     assert buf.getvalue() == expected_out
-    if err_file.exists():
-        assert err.getvalue() == err_file.read_text()
+    assert err.getvalue() == (err_file.read_text() if expected_exit else "")
 
 
 def test_golden_corpus_nonempty():

@@ -12,7 +12,7 @@ from operator import add, sub
 import pytest
 
 from wittdeg import degree, groebner, umrow
-from wittdeg.cli import _endo_from_job, parse_job_file
+from wittdeg.cli import read_endo
 from wittdeg.degree import Endo, validate
 from wittdeg.errors import (
     AlgebraError,
@@ -1194,7 +1194,7 @@ def test_multiplication_maps_commute():
     checks = 0
     for path, order in itertools.product(map(str, jobs), (GREVLEX, LEX)):
         try:
-            qa = validate(_endo_from_job(parse_job_file(path, order), path))
+            qa = validate(read_endo(path, order))
         except (NotFiniteLength, SupportNotOrigin):
             continue
         times = qa.times
@@ -1361,14 +1361,14 @@ def test_four_quadrics_reduce_to_zero_once(tmp_path, monkeypatch):
     monkeypatch.setattr(degree, "supported_only_at_origin", spy)
     job = tmp_path / "quadrics4.job"
     job.write_text(QUADRICS4)
-    qa = validate(_endo_from_job(parse_job_file(str(job), GREVLEX), str(job)))
+    qa = validate(read_endo(str(job), GREVLEX))
     assert qa.dimension == 16
     assert sum(zeros) <= 1 and len(zeros) >= 10
     assert not support
     repo = pathlib.Path(__file__).resolve().parent.parent
     for name, error in (("staircase3", None), ("support-not-origin", SupportNotOrigin)):
         path = str(repo / f"docs/jobs/{name}.job")
-        endo = _endo_from_job(parse_job_file(path, GREVLEX), path)
+        endo = read_endo(path, GREVLEX)
         with pytest.raises(error) if error else contextlib.nullcontext():
             validate(endo)
     assert len(support) == 2

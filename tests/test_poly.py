@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wittdeg.cli import HYPOTHESIS_ERRORS, parse_job_file
+from wittdeg.cli import HYPOTHESIS_ERRORS, parse_job_file, read_endo, read_row
 from wittdeg.degree import Endo
 from wittdeg.errors import (
     AlgebraError,
@@ -16,7 +16,7 @@ from wittdeg.errors import (
     UnknownVariable,
 )
 from wittdeg.fields import FieldSpec
-from wittdeg.groebner import buchberger
+from wittdeg.groebner import buchberger, normal_form
 from wittdeg.koszul import build_koszul
 from wittdeg.orders import BOUND, GREVLEX, LEX
 from wittdeg.poly import Poly, Ring, det, format_poly, in_ring, parse_poly
@@ -367,7 +367,8 @@ def test_parse_job_file_raises_only_algebra_errors(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.job"
     path.write_text(text, encoding="utf-8")
     for order in (GREVLEX, LEX):
-        _parses_or_algebra_error(parse_job_file, str(path), order)
+        for read in (parse_job_file, read_endo, read_row):
+            _parses_or_algebra_error(read, str(path), order)
 
 
 def test_arithmetic_and_equality(R2):
@@ -394,6 +395,9 @@ def test_ring_mismatch(R2, R3, Q):
 # its entries apart, each given a polynomial of ring followed by one of
 # other
 _ONE_RING = {
+    "Poly.__add__": lambda ring, f, g: f + g,
+    "Poly.__mul__": lambda ring, f, g: f * g,
+    "normal_form": lambda ring, f, g: normal_form(g, buchberger([f])),
     "Endo": lambda ring, f, g: Endo(ring=ring, images=(f, g)),
     "buchberger": lambda ring, f, g: buchberger([f, g]),
     "det": lambda ring, f, g: det([[f, f], [g, f]]),

@@ -2,8 +2,8 @@
 
 Every record of the package is built here from a real run: the degree
 pipeline's stages, the field, ring and monomial order they work over and
-the packings of that ring and of its doubled ring, a row, a Koszul complex
-with its duality data, and a parsed job file.  A record without its own
+the packings of that ring and of its doubled ring, a row, and a Koszul
+complex with its duality data.  A record without its own
 __init__ takes the fields of its ``__slots__``; one with its own __init__
 (which checks the fields or works them out, then calls Frozen's) takes the
 fields of its signature.  The records sampled are checked against every
@@ -12,13 +12,11 @@ fields of its signature.  The records sampled are checked against every
 
 import importlib
 import inspect
-import pathlib
 import pkgutil
 
 import pytest
 
 import wittdeg
-from wittdeg.cli import parse_job_file
 from wittdeg.degree import Endo, degree_of, dual_ring
 from wittdeg.errors import Frozen
 from wittdeg.fields import FieldSpec
@@ -31,7 +29,6 @@ from wittdeg.witt import DiagForm, GramForm, WittInvariants
 
 from conftest import counterexample_endo, universal_row
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 VALUES = (GramForm, DiagForm, WittInvariants)
 # the records that are dict keys: equal fields make an equal key
 KEYS = (MonomialOrder, FieldSpec, Ring)
@@ -43,7 +40,6 @@ def _records(field):
     qa = rep.quotient
     row = universal_row(field, 2)
     dd = generic_duality(field, 2)
-    job = parse_job_file(str(ROOT / "docs/jobs/taut3.row"), GREVLEX)
     ring = qa.ring
     return (
         ring.field,
@@ -61,7 +57,6 @@ def _records(field):
         row,
         dd.complex,
         dd,
-        job,
     )
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittdeg.cli import _endo_from_job, _row_from_job, parse_job_file
+from wittdeg.cli import read_endo, read_row
 from wittdeg.degree import Endo, _gram_from_quotient, degree_of, validate
 from wittdeg.errors import DegenerateForm, NonCanonicalForm
 from wittdeg.fields import FieldSpec
@@ -73,8 +73,7 @@ def _assert_canonical(field, pairs):
 
 
 def _job_endo(name):
-    path = str(JOBS / f"{name}.job")
-    return _endo_from_job(parse_job_file(path, GREVLEX), path)
+    return read_endo(str(JOBS / f"{name}.job"), GREVLEX)
 
 
 # -- small seeded maps of the structured families --------------------------
@@ -160,8 +159,7 @@ def test_seeded_structured_maps_store_canonical_scalars(seed):
 
 
 def test_row_compose_certificate_is_canonical():
-    path = str(JOBS / "taut3.row")
-    row = _row_from_job(parse_job_file(path, GREVLEX), path)
+    row = read_row(str(JOBS / "taut3.row"), GREVLEX)
     for name in ("counterexample", "power123"):
         endo = _job_endo(name)
         # also with the images scaled by rational units, so that their
