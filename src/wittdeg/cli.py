@@ -424,13 +424,13 @@ def _cmd_koszul_verify(args) -> tuple[int, dict | list[str]]:
     n = args.n
     if n < 1:
         raise AlgebraError("--n must be at least 1")
-    dd = generic_duality(FieldSpec.rationals(), n)
+    diffs, wedge, signed = generic_duality(FieldSpec.rationals(), n)
     # square i passes when its resolved sign is the frozen one
     sign = dual_differential_sign(n)
-    squares = [s == sign for s in resolve_dual_signs(dd)]
+    squares = [s == sign for s in resolve_dual_signs(diffs, signed)]
     chain_ok = all(squares)
-    sym_ok = verify_symmetry(dd)
-    unsigned_ok = verify_chain_map(dd, dd.wedge_maps)
+    sym_ok = verify_symmetry(signed)
+    unsigned_ok = verify_chain_map(diffs, wedge)
     dsign = -1 if sign else 1
     ssign = symmetry_sign(n)
     status = 0 if chain_ok and sym_ok and not unsigned_ok else 1

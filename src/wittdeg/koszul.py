@@ -1,23 +1,28 @@
 """Koszul complexes and machine-checked duality sign conventions.
 
 For a sequence (a_1,...,a_n) the complex has Lambda^i in degree i over the
-sorted wedge basis, with the contraction differential.  The duality maps
+sorted wedge basis, with the contraction differential; build_koszul
+returns the tuple of differentials, d_i at index i - 1.  The duality maps
+form two families, tuples indexed by the level i = 0..n:
 
-    wedge_maps[i]  : Lambda^i -> Hom(Lambda^{n-i}, Lambda^n),  p |-> p ^ -
-    signed_maps[i] = (-1)^(i*n + i(i-1)/2 + n(n-1)/2) * wedge_maps[i]
+    wedge[i]  : Lambda^i -> Hom(Lambda^{n-i}, Lambda^n),  p |-> p ^ -
+    signed[i] = (-1)^(i*n + i(i-1)/2 + n(n-1)/2) * wedge[i]
 
-The ambient conventions are resolved once by requiring the signed family to
-be a chain map, then frozen:
+Each map is a matrix with rows indexed by (n-i)-subsets and columns by
+i-subsets, its entries constants of the ring.  The ambient conventions are
+resolved once by requiring the signed family to be a chain map, then
+frozen:
 
   - dual differential:  delta_i = (-1)^n * transpose(d_{n-i+1});
   - symmetry:           transpose(P_{n-i}) = (-1)^(n(n+1)/2) * P_i, where
-    P_i = transpose(signed_maps[i]) is the pairing matrix of level i (the
+    P_i = transpose(signed[i]) is the pairing matrix of level i (the
     double-dual sign (-1)^(n(n-1)/2) combined with a (-1)^n from the
-    n-fold shift); verify_symmetry compares signed_maps[n-i] with the
-    signed transpose of signed_maps[i] directly.
+    n-fold shift); verify_symmetry compares signed[n-i] with the signed
+    transpose of signed[i] directly.
 
-resolve_dual_signs recomputes the first family from scratch so tests can
-confirm the frozen convention instead of trusting it.
+resolve_dual_signs recomputes the signs of a family from scratch so tests
+can confirm the frozen convention instead of trusting it; each family is
+checked on its own.
 
 Every matrix is a dict {(row subset, column subset): entry} of its nonzero
 entries only, and callers must not mutate one.  A column of d_i holds i
@@ -32,7 +37,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-from .errors import Frozen, InternalError, RingMismatch
+from .errors import InternalError, RingMismatch
 from .poly import Poly, Ring, in_ring
 
 
@@ -59,27 +64,12 @@ def _merge_sign(s: Sequence[int], t: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-class KoszulComplex(Frozen):
-    """Differentials d_i : Lambda^i -> Lambda^{i-1} in the wedge basis."""
-
-    __slots__ = ("ring", "sequence", "differentials")
-    ring: Ring
-    sequence: tuple[Poly, ...]
-    differentials: tuple[dict, ...]  # index i-1 -> d_i
-
-    @property
-    def n(self) -> int:
-        return len(self.sequence)
-
-    def d(self, i: int) -> dict:
-        return self.differentials[i - 1]
-
-
-def build_koszul(sequence: Sequence[Poly]) -> KoszulComplex:
-    """Standard Koszul differentials; d o d = 0 is verified on the spot."""
+def build_koszul(sequence: Sequence[Poly]) -> tuple[dict, ...]:
+    """Standard Koszul differentials d_1..d_n, d_i at index i - 1;
+    d o d = 0 is verified on the spot."""
     if not sequence:
         raise RingMismatch("empty sequence")
-    ring = in_ring(sequence, sequence[0].ring)
+    in_ring(sequence, sequence[0].ring)
     n = len(sequence)
     # column s of d_i holds (-1)^pos * a_e in the row of s without its
     # element e at position pos
@@ -93,11 +83,10 @@ def build_koszul(sequence: Sequence[Poly]) -> KoszulComplex:
         }
         for i in range(1, n + 1)
     )
-    kc = KoszulComplex(ring=ring, sequence=tuple(sequence), differentials=diffs)
-    for i in range(2, n + 1):
-        if _mat_mul(kc.d(i - 1), kc.d(i)):
+    for i in range(1, n):
+        if _mat_mul(diffs[i - 1], diffs[i]):
             raise InternalError("Koszul differential does not square to zero")
-    return kc
+    return diffs
 
 
 def _mat_mul(a: dict, b: dict) -> dict:
@@ -124,58 +113,17 @@ def rho_sign_exponent(i: int, n: int) -> int:
     return i * n + i * (i - 1) // 2 + n * (n - 1) // 2
 
 
-class DualityData(Frozen):
-    """Wedge pairings and their sign-corrected versions for one complex.
-
-    wedge_maps[i] and signed_maps[i] are matrices Lambda^i -> the dual of
-    Lambda^{n-i} (rows indexed by (n-i)-subsets, columns by i-subsets);
-    entries are constants of the ring.
-    """
-
-    __slots__ = ("complex", "wedge_maps", "signed_maps")
-    complex: KoszulComplex
-    wedge_maps: tuple
-    signed_maps: tuple
-
-    @property
-    def n(self) -> int:
-        return self.complex.n
-
-
-def build_duality(kc: KoszulComplex) -> DualityData:
-    ring = kc.ring
-    n = kc.n
-    wedge = []
-    signed = []
-    for i in range(n + 1):
-        # the i-subset s pairs with its complement t only
-        mat = {}
-        for s in wedge_basis(n, i):
-            t = tuple(x for x in range(1, n + 1) if x not in s)
-            mat[t, s] = ring.constant(_merge_sign(s, t))
-        wedge.append(mat)
-        signed.append(_mat_scale(mat, -1 if rho_sign_exponent(i, n) % 2 else 1))
-    return DualityData(
-        complex=kc,
-        wedge_maps=tuple(wedge),
-        signed_maps=tuple(signed),
-    )
-
-
-def resolve_dual_signs(dd: DualityData, maps=None) -> list[int | None]:
+def resolve_dual_signs(diffs: Sequence[dict], maps: Sequence[dict]) -> list[int | None]:
     """Per-square exponent making maps a chain map, or None if impossible.
 
     Square i compares maps[i-1] o d_i against transpose(d_{n-i+1}) o
     maps[i]; a consistent sign must relate them entrywise.
     """
-    kc = dd.complex
-    n = kc.n
-    if maps is None:
-        maps = dd.signed_maps
+    n = len(diffs)
     out: list[int | None] = []
     for i in range(1, n + 1):
-        lhs = _mat_mul(maps[i - 1], kc.d(i))
-        rhs = _mat_mul(_mat_transpose(kc.d(n - i + 1)), maps[i])
+        lhs = _mat_mul(maps[i - 1], diffs[i - 1])
+        rhs = _mat_mul(_mat_transpose(diffs[n - i]), maps[i])
         if lhs == rhs:
             out.append(0)
         elif lhs == _mat_scale(rhs, -1):
@@ -185,25 +133,35 @@ def resolve_dual_signs(dd: DualityData, maps=None) -> list[int | None]:
     return out
 
 
-def verify_chain_map(dd: DualityData, maps) -> bool:
+def verify_chain_map(diffs: Sequence[dict], maps: Sequence[dict]) -> bool:
     """Chain-map test against the frozen dual-differential convention."""
-    sign = dual_differential_sign(dd.n)
-    return all(s == sign for s in resolve_dual_signs(dd, maps))
+    sign = dual_differential_sign(len(diffs))
+    return all(s == sign for s in resolve_dual_signs(diffs, maps))
 
 
-def verify_symmetry(dd: DualityData) -> bool:
-    """signed_maps[n-i] = sigma * transpose(signed_maps[i]) at every level
-    i, sigma the frozen uniform sign."""
-    n = dd.n
-    maps = dd.signed_maps
+def verify_symmetry(signed: Sequence[dict]) -> bool:
+    """signed[n-i] = sigma * transpose(signed[i]) at every level i, sigma
+    the frozen uniform sign."""
+    n = len(signed) - 1
     sigma = symmetry_sign(n)
     return all(
-        maps[n - i] == _mat_scale(_mat_transpose(maps[i]), sigma)
+        signed[n - i] == _mat_scale(_mat_transpose(signed[i]), sigma)
         for i in range(n + 1)
     )
 
 
-def generic_duality(field, n: int) -> DualityData:
-    """Duality data for the fully symbolic sequence (a_1,...,a_n)."""
+def generic_duality(field, n: int) -> tuple[tuple, tuple, tuple]:
+    """(diffs, wedge, signed) for the fully symbolic sequence
+    (a_1,...,a_n): its differentials and its two duality families."""
     ring = Ring(tuple(f"a{i + 1}" for i in range(n)), field)
-    return build_duality(build_koszul(ring.gens()))
+    diffs = build_koszul(ring.gens())
+    wedge, signed = [], []
+    for i in range(n + 1):
+        # the i-subset s pairs with its complement t only
+        mat = {}
+        for s in wedge_basis(n, i):
+            t = tuple(x for x in range(1, n + 1) if x not in s)
+            mat[t, s] = ring.constant(_merge_sign(s, t))
+        wedge.append(mat)
+        signed.append(_mat_scale(mat, -1 if rho_sign_exponent(i, n) % 2 else 1))
+    return diffs, tuple(wedge), tuple(signed)

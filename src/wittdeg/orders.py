@@ -246,7 +246,8 @@ class PairPacking(Frozen):
 
     It has the attributes and the checks of a `Packing` that the kernel,
     `det` and `Poly` read, so a polynomial of the doubled ring multiplies,
-    reduces and prints as any other.  unpack reads the exponent fields of
+    reduces and prints as any other; it has no pack, since the Bezoutian
+    builds its keys by offsets.  unpack reads the exponent fields of
     both halves by one struct call, u's first, as the key's little-endian
     bytes hold them.  The parser refuses its rings: the degree field of a
     u-half is not checked until the end of a term, and could carry into
@@ -274,11 +275,6 @@ class PairPacking(Frozen):
 
     overflow = Packing.overflow
     check = Packing.check
-
-    def pack(self, exps) -> int:
-        half = self.half
-        m = half.n
-        return half.pack(exps[:m]) << half.width | half.pack(exps[m:])
 
     def unpack(self, key: int) -> tuple:
         half = self.half

@@ -33,7 +33,7 @@ from wittdeg.fields import (
     is_prime,
 )
 from wittdeg.groebner import GroebnerBasis
-from wittdeg.orders import BOUND, GREVLEX
+from wittdeg.orders import BOUND, GREVLEX, PairPacking
 from wittdeg.poly import (
     Poly,
     Ring,
@@ -105,18 +105,27 @@ def make_ring(field, *names):
     return Ring(tuple(names), field)
 
 
+def monomial_key(packing, exps):
+    """The key of x^exps in packing.  The package never packs a monomial of
+    a doubled ring from its exponents, so its key x^a u^b is made here from
+    the halves, half.pack(a) << W | half.pack(b) (orders.PairPacking)."""
+    if type(packing) is PairPacking:
+        half, m = packing.half, packing.half.n
+        return half.pack(exps[:m]) << half.width | half.pack(exps[m:])
+    return packing.pack(exps)
+
+
 def poly(ring, terms):
     """The polynomial of ring with terms {exponent tuple: nonzero scalar},
     each tuple packed, so that an exponent past the bound raises
     ExponentBoundExceeded."""
-    pack = ring.packing.pack
-    return Poly(ring, {pack(e): c for e, c in terms.items()})
+    return Poly(ring, {monomial_key(ring.packing, e): c for e, c in terms.items()})
 
 
 def monomial(ring, exps, c=1):
     """The polynomial c * x^exps of ring, zero when c is."""
     c = ring.field.canon(c)
-    return Poly(ring, {ring.packing.pack(exps): c} if c else {})
+    return Poly(ring, {monomial_key(ring.packing, exps): c} if c else {})
 
 
 def monomial_nf(qa, a):

@@ -130,17 +130,13 @@ def test_criterion_4_suslin_consistency():
 def test_criterion_5_koszul_signs():
     from wittdeg.koszul import generic_duality, verify_chain_map, verify_symmetry
 
+    unsigned_failures = []
     for n in range(1, 5):
-        dd = generic_duality(Q, n)
-        assert verify_chain_map(dd, dd.signed_maps), n
-        assert verify_symmetry(dd), n
-    unsigned_failures = [
-        n
-        for n in range(1, 5)
-        if not verify_chain_map(
-            generic_duality(Q, n), generic_duality(Q, n).wedge_maps
-        )
-    ]
+        diffs, wedge, signed = generic_duality(Q, n)
+        assert verify_chain_map(diffs, signed), n
+        assert verify_symmetry(signed), n
+        if not verify_chain_map(diffs, wedge):
+            unsigned_failures.append(n)
     assert unsigned_failures
     _passed(
         5,

@@ -470,6 +470,24 @@ def test_koszul_verify(capsys):
         assert "fails (expected)" in out
 
 
+# The SHA-256 of f"{rc}\n{stdout}\n" of `koszul verify --n k` and then of
+# `--json koszul verify --n k`, for k = 1..10: every byte of the command
+# below the n = 12 pins of CI.  Re-pin only for an intended change of output.
+KOSZUL_VERIFY = "6bff9b0993a415e084b0638e52ca8a4f3999511cb22597b742856e120fcea761"
+
+
+def test_koszul_verify_is_byte_identical_for_small_n():
+    digest = hashlib.sha256()
+    for k in range(1, 11):
+        for flags in ((), ("--json",)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([*flags, "koszul", "verify", "--n", str(k)])
+            assert err.getvalue() == ""
+            digest.update(f"{code}\n{out.getvalue()}\n".encode())
+    assert digest.hexdigest() == KOSZUL_VERIFY
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_koszul_verify_failed_check_exits_1(capsys, monkeypatch, flags):
     monkeypatch.setattr(koszul, "verify_symmetry", lambda dd: False)
@@ -832,6 +850,42 @@ def test_exit_codes_on_random_valid_maps(text):
             elif flags[0] == "--json":
                 doc = json.loads(out.getvalue())
                 assert doc["length"] == len(doc["gram"])
+
+
+# entries of a diagonal form: digits and a few primes joined by the
+# separators and signs the parser meets, and a few that it refuses
+_ENTRY_TEXT = st.lists(
+    st.sampled_from([*"0123456789", ",", "/", "+", "-", " ", "1009", "999983"]),
+    max_size=12,
+).map("".join)
+_FIELDS = st.sampled_from(("Q", "F3", "F7", "F10007", "F2", "F9", "F1", "F0"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ENTRY_TEXT, _FIELDS, st.integers(-2, 6))
+def test_exit_codes_of_witt_and_koszul_commands(entries, field, n):
+    """witt invariants, witt is-zero and koszul verify, in text and --json,
+    exit 0 or 2 and raise nothing: on exit 2 stdout is empty and stderr one
+    error line.  The entries follow --, so a leading - is no option, and
+    koszul verify passes for every n from 1 on."""
+    commands = [
+        [*flags, "witt", command, "--field", field, "--", entries]
+        for flags in ((), ("--json",))
+        for command in ("invariants", "is-zero")
+    ]
+    commands += [[*flags, "koszul", "verify", "--n", str(n)] for flags in ((), ("--json",))]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 2), argv
+        if "koszul" in argv:
+            assert code == (0 if n >= 1 else 2), argv
+        if code:
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"error: \w+: [^\n]*\n", err.getvalue()), argv
+        else:
+            assert out.getvalue() and err.getvalue() == "", argv
 
 
 def _as_streamed(job):

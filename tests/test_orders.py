@@ -116,21 +116,24 @@ def test_paired_layout_is_two_keys_of_the_ring(case):
     mask = (1 << w) - 1
     assert base.width == BITS * (n + 1 if order is GREVLEX else n)
     assert pairs.n == 2 * n
-    key, other = pairs.pack(a + b), pairs.pack(c + d)
-    assert key == base.pack(a) << w | base.pack(b)
+
+    def pair(x, u):
+        return base.pack(x) << w | base.pack(u)
+
+    key, other = pair(a, b), pair(c, d)
     assert pairs.unpack(key) == a + b and pairs.unpack(other) == c + d
     assert pairs.one == base.one << w | base.one
     assert pairs.guard == base.guard << w | base.guard
     assert pairs.var == tuple(v << w for v in base.var) + base.var
     if order is LEX:  # bit for bit the LEX key in 2n variables
-        assert key == LEX.packing(2 * n).pack(a + b)
+        assert key == pairs.pack(a + b) == LEX.packing(2 * n).pack(a + b)
     # a product adds keys; a half past the bound sets a guard bit of its
     # own and leaves the other half as it is
     product = key + other - pairs.one
     x, u = tuple(map(add, a, c)), tuple(map(add, b, d))
     x_ok, u_ok = _within(order, x), _within(order, u)
     if x_ok and u_ok:
-        assert product == pairs.pack(x + u) and not product & pairs.guard
+        assert product == pair(x, u) and not product & pairs.guard
         pairs.check([product])
         return
     assert product & pairs.guard
@@ -143,7 +146,7 @@ def test_paired_layout_is_two_keys_of_the_ring(case):
     with pytest.raises(ExponentBoundExceeded):
         pairs.check([product])
     with pytest.raises(ExponentBoundExceeded):
-        pairs.pack(x + u)
+        pair(x, u)
 
 
 @settings(max_examples=120, deadline=None)

@@ -2,12 +2,12 @@
 
 Every record of the package is built here from a real run: the degree
 pipeline's stages, the field, ring and monomial order they work over and
-the packings of that ring and of its doubled ring, a row, and a Koszul
-complex with its duality data.  A record without its own
-__init__ takes the fields of its ``__slots__``; one with its own __init__
-(which checks the fields or works them out, then calls Frozen's) takes the
-fields of its signature.  The records sampled are checked against every
-``Frozen`` subclass that a module of the package defines.
+the packings of that ring and of its doubled ring, and a row.  A record
+without its own __init__ takes the fields of its ``__slots__``; one with
+its own __init__ (which checks the fields or works them out, then calls
+Frozen's) takes the fields of its signature.  The records sampled are
+checked against every ``Frozen`` subclass that a module of the package
+defines.
 """
 
 import importlib
@@ -21,7 +21,6 @@ from wittdeg.degree import Endo, degree_of, dual_ring
 from wittdeg.errors import Frozen
 from wittdeg.fields import FieldSpec
 from wittdeg.groebner import QuotientAlgebra
-from wittdeg.koszul import generic_duality
 from wittdeg.orders import GREVLEX, LEX, MonomialOrder, Packing, PairPacking
 from wittdeg.poly import Ring
 from wittdeg.umrow import UnimodularRow
@@ -39,7 +38,6 @@ def _records(field):
     rep = degree_of(counterexample_endo(field))
     qa = rep.quotient
     row = universal_row(field, 2)
-    dd = generic_duality(field, 2)
     ring = qa.ring
     return (
         ring.field,
@@ -55,8 +53,6 @@ def _records(field):
         rep.invariants,
         rep,
         row,
-        dd.complex,
-        dd,
     )
 
 
