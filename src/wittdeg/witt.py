@@ -12,11 +12,13 @@ stored: the residue-pairing forms of graded and near-monomial maps have
 about one nonzero per row.  This is the integer working form of the
 Groebner side (`poly`), and the Gram build makes it directly.  The form is
 diagonalized by one symmetric elimination, _eliminate, which works on
-those rows: swaps relabel two positions in the rows of their neighbours
-only, a heap of positions with nonzero diagonal answers "first later
-nonzero diagonal", and each Schur update, like the repair of a zero
-pivot, adds one row into another with `poly._add_shifted`, the package's
-one kernel for sparse int rows, over the support of the added row.
+those rows: each basis vector keeps its label, its position in the form,
+for the whole run, a zero pivot only exchanges the steps at which two
+vectors are eliminated, a heap of steps whose vectors have a nonzero
+diagonal answers "first later nonzero diagonal", and each Schur update,
+like the repair of a zero pivot, adds one row into another with
+`poly._add_shifted`, the package's one kernel for sparse int rows, over
+the support of the added row.
 Every row is an int dict over its own positive denominator (1 over F_p);
 rescaling a row changes no zero pattern, so each decision is that of the
 rational elimination, and a pivot leaves it as a reduced
@@ -190,9 +192,9 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
     pair (num, den) of num / den, den > 0 (1 over F_p).
 
     Symmetric Gaussian elimination on the sparse rows of g; a zero diagonal
-    pivot is repaired by a basis swap or, failing that, by adding another
-    basis vector (2a != 0 since the characteristic is not 2).  Raises
-    DegenerateForm if the form is singular.
+    pivot is repaired by eliminating a later basis vector first or, failing
+    that, by adding another basis vector (2a != 0 since the characteristic
+    is not 2).  Raises DegenerateForm if the form is singular.
 
     Row i is kept as an int dict nums_i over its own positive denominator
     dens[i], so that row i of the matrix is nums_i / dens[i]; every row
@@ -201,19 +203,24 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
     the one exact rational arithmetic makes, and each pivot a / dens[k]
     leaves as its pair in lowest terms, by one gcd.
 
-    At pivot k the rows of positions >= k hold exactly the nonzeros of the
-    trailing block, symmetrically.  A zero pivot swaps e_k with the first
-    later e_t of nonzero diagonal: a heap holds the positions whose
-    diagonal is (or was) nonzero, and entries gone stale are dropped when
-    they reach the top; a diagonal entry that a Schur update creates is
-    pushed before the update runs.  The swap relabels k and t in their own
-    rows and in the rows of their neighbours, the only rows that hold
-    column k or t, and exchanges their denominators.  With no such t,
-    e_k += e_t for the first column t of row k: row k is rescaled to the
-    lcm of the two denominators (`poly._to_lcm`) and row t added into it by
+    Rows, columns and denominators keep g's labels throughout; only the
+    order of elimination moves.  Step j eliminates the vector labelled
+    at[j], and step[v] is the step of label v; both start as the identity.
+    At step j the rows of the labels not yet eliminated hold exactly the
+    nonzeros of the trailing block, symmetrically.  A zero pivot e_k takes
+    the step of the first later e_t of nonzero diagonal and e_t takes its
+    own: a heap holds the steps whose vector's diagonal is (or was)
+    nonzero, and entries gone stale, at a step already taken or a diagonal
+    now zero, are dropped when they reach the top; a diagonal entry that a
+    Schur update creates pushes its step before the update runs.  No row
+    is rewritten by the exchange.  With no such t, e_k += e_t for the
+    column t of row k of least step: row k is rescaled to the lcm of the
+    two denominators (`poly._to_lcm`) and row t added into it by
     `poly._add_shifted`; the diagonals of k and t are zero, so the new
     pivot is 2 m[k][t], and only row k is rewritten, since column k is
-    never read again.
+    never read again.  Every choice orders by step, never by label or by
+    dict order, so the pivots are those of the elimination that renames
+    the labels to their steps.
 
     Pivot k, a / dens[k], subtracts c_r = m[k][r] / m[k][k] times row k
     from each later row r in the support of row k: the Schur complement
@@ -226,23 +233,26 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
     F_p c is -nums_k[r] / a mod p.  The sum is one call of the kernel,
     `_add_shifted(row_r, row_k, 0, c, q)`, which deletes an entry that
     cancels.  Column k is first removed from the rows of its neighbours, so
-    no row keeps an eliminated position.
+    no row keeps an eliminated label.
     """
     q = g.field.modulus
     n = len(g.rows)
     rows = [dict(row) for row in g.rows]
     dens = [g.den] * n
-    nonzero_diag = [k for k in range(n) if k in rows[k]]  # sorted: a heap
+    at = list(range(n))  # at[j]: the label eliminated at step j
+    step = list(range(n))  # step[v]: the step of label v
+    nonzero_diag = [v for v in range(n) if v in rows[v]]  # steps, sorted: a heap
     pivots = []
-    for k in range(n):
+    for j in range(n):
+        k = at[j]
         row_k = rows[k]
         if k not in row_k:
             while nonzero_diag:
-                t = nonzero_diag[0]
-                if t > k and t in rows[t]:
-                    _swap(rows, k, t)
-                    dens[k], dens[t] = dens[t], dens[k]
-                    row_k = rows[k]
+                s = nonzero_diag[0]
+                t = at[s]
+                if s > j and t in rows[t]:
+                    at[j], at[s], step[t], step[k] = t, k, j, s
+                    k, row_k = t, rows[t]
                     break
                 heappop(nonzero_diag)
         rows[k] = None
@@ -255,7 +265,7 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
                 raise DegenerateForm(
                     "form is degenerate (zero block of positive size)"
                 )
-            t = min(row_k)
+            t = min(row_k, key=step.__getitem__)
             # e_k += e_t over the lcm of the denominators (row t no longer
             # holds column k), and the zero diagonals give pivot 2 m[k][t]
             den_k = _to_lcm(den_k, dens[t], (row_k,))
@@ -288,26 +298,11 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
             else:
                 c = row_k[r] * inv % q
             if r not in row_r:  # the update makes the diagonal m[r][r] nonzero
-                heappush(nonzero_diag, r)
+                heappush(nonzero_diag, step[r])
             _add_shifted(row_r, row_k, 0, c, q)
             if q is None and den_r * fr != 1:
                 rows[r], dens[r] = _lowest(row_r, den_r * fr)
     return pivots
-
-
-def _swap(rows: list, k: int, t: int) -> None:
-    """Relabel positions k and t of the symmetric sparse rows in place:
-    exchange the keys k and t in rows k and t and in the rows of their
-    neighbours, the only rows that hold either, then the two rows."""
-    row_k, row_t = rows[k], rows[t]
-    for j in {k, t, *row_k, *row_t}:
-        row = rows[j]
-        x, y = row.pop(k, None), row.pop(t, None)
-        if x is not None:
-            row[t] = x
-        if y is not None:
-            row[k] = y
-    rows[k], rows[t] = row_t, row_k
 
 
 class WittInvariants(Frozen):

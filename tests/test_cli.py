@@ -888,6 +888,80 @@ def test_exit_codes_of_witt_and_koszul_commands(entries, field, n):
             assert out.getvalue() and err.getvalue() == "", argv
 
 
+def _random_poly(draw, names):
+    """The text of a sum of 1 to 3 terms in names, each a small int or n/m
+    times a product of at most two of the names."""
+    scalars = st.one_of(
+        st.integers(1, 5).map(str),
+        st.builds("{}/{}".format, st.integers(1, 5), st.integers(1, 4)),
+    )
+    monomials = st.lists(st.sampled_from(names), max_size=2)
+    term = st.tuples(st.sampled_from("+-"), scalars, monomials)
+    text = ""
+    for sign, c, factors in draw(st.lists(term, min_size=1, max_size=3)):
+        text += f" {sign} " + "*".join([c, *factors])
+    return text.removeprefix(" +").strip()
+
+
+@st.composite
+def _row_jobs(draw):
+    """A row file's text, an endomorphism file's text and the arity of
+    each.  The row has one entry per variable x_i (1 or 2 of them), each a
+    random sum or now and then x_i itself, in a ring that sometimes has
+    partners y_i and at most one relation: the tautological
+    sum x_i*y_i - 1 or a random one.  The endomorphism's variables are
+    x_1 to x_m, m mostly the row's length."""
+    field = draw(st.sampled_from(("Q", "F3", "F7", "F10007")))
+    n = draw(st.integers(1, 2))
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    ys = [f"y{i}" for i in range(1, n + 1)] if draw(st.booleans()) else []
+    names = xs + ys
+    lines = [f"field = {field}", f"vars = {', '.join(names)}"]
+    relation = draw(st.sampled_from((None, None, "tautological", "random")))
+    if relation == "tautological" and ys:
+        lines.append(f"rel = {' + '.join(f'{x}*{y}' for x, y in zip(xs, ys))} - 1")
+    elif relation == "random":
+        lines.append(f"rel = {_random_poly(draw, names)}")
+    entries = [
+        x if draw(st.integers(0, 3)) == 0 else _random_poly(draw, names) for x in xs
+    ]
+    lines.append(f"row = {', '.join(entries)}")
+    m = draw(st.sampled_from((n, n, n, n + 1, 3 - n)))
+    zs = [f"x{i}" for i in range(1, m + 1)]
+    endo = [f"field = {field}", f"vars = {', '.join(zs)}"]
+    endo += [f"map {z} = {_random_poly(draw, zs)}" for z in zs]
+    return "\n".join(lines) + "\n", "\n".join(endo) + "\n", n, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_row_jobs())
+def test_exit_codes_of_row_commands(job):
+    """row check and row compose on random row files, in text and --json
+    under both orders, exit 0 or 2 and raise nothing: on exit 2 stdout is
+    empty and stderr one error line.  An endomorphism whose arity is not
+    the row's length exits 2."""
+    row_text, endo_text, n, m = job
+    with tempfile.TemporaryDirectory() as tmp:
+        row, endo = pathlib.Path(tmp, "random.row"), pathlib.Path(tmp, "random.job")
+        row.write_text(row_text)
+        endo.write_text(endo_text)
+        lex = ("--order", "lex")
+        for flags in ((), ("--json",), lex, ("--json", *lex)):
+            for command in (["check", str(row)], ["compose", str(row), str(endo)]):
+                argv = [*flags, "row", *command]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run(argv)
+                assert code in (0, 2), (argv, row_text, endo_text)
+                if "compose" in argv and m != n:
+                    assert code == 2, (argv, row_text, endo_text)
+                if code:
+                    assert out.getvalue() == ""
+                    assert re.fullmatch(r"error: \w+: [^\n]*\n", err.getvalue()), argv
+                else:
+                    assert out.getvalue() and err.getvalue() == "", argv
+
+
 def _as_streamed(job):
     """The job's argv, as the stream gives it and again with --order lex."""
     return [job.argv, ("--order", "lex", *job.argv)]

@@ -166,9 +166,10 @@ def _audit_transform(rng, field):
     assert all(seen.values()), seen
 
 
-def _dense_eliminate(g):
+def _dense_eliminate(g, swaps=None):
     """The former dense elimination, kept verbatim as the reference for the
-    sparse kernel; only its input is the dense view of g."""
+    sparse kernel; only its input is the dense view of g, and it appends
+    the step of each swap to swaps, if given."""
     field = g.field
     q = field.modulus
     matrix = dense(g)
@@ -180,6 +181,8 @@ def _dense_eliminate(g):
             t = next((t for t in range(k + 1, n) if m[t][t]), None)
             if t is not None:
                 # swap e_k and e_t
+                if swaps is not None:
+                    swaps.append(k)
                 m[k], m[t] = m[t], m[k]
                 for row in m:
                     row[k], row[t] = row[t], row[k]
@@ -284,17 +287,13 @@ def _degenerate_tail(rng, field, d, entry=_nonzero):
     return m
 
 
-def test_sparse_eliminate_matches_dense_reference_at_scale(Q, F7, monkeypatch):
+def test_sparse_eliminate_matches_dense_reference_at_scale(Q, F7):
     """witt._eliminate returns exactly the pivots of the dense reference, or
     raises DegenerateForm alike, on d = 30-200 forms with mostly zero
     diagonals: staircase-like and antidiagonal shapes, zero-diagonal blocks
     that force add repairs, and degenerate tails.  The audit sees swaps,
     regular forms and degenerate ones."""
     swaps = []
-    real_swap = witt._swap
-    monkeypatch.setattr(
-        witt, "_swap", lambda rows, k, t: swaps.append(k) or real_swap(rows, k, t)
-    )
     rng = random.Random(909)
     shapes = (
         _involution_form,
@@ -311,7 +310,7 @@ def test_sparse_eliminate_matches_dense_reference_at_scale(Q, F7, monkeypatch):
                     # no nonzero diagonal to swap in: pivot 0 is an add repair
                     assert not any(k in row for k, row in enumerate(g.rows))
                 try:
-                    ref = _dense_eliminate(g)
+                    ref = _dense_eliminate(g, swaps)
                 except DegenerateForm:
                     with pytest.raises(DegenerateForm):
                         _eliminate(g)
@@ -349,10 +348,6 @@ def test_eliminate_on_non_integral_forms(Q, monkeypatch):
     den > 0, or both raise DegenerateForm; one call constructs no Fraction.
     The forms need swaps and add repairs, and some are singular."""
     swaps = []
-    real_swap = witt._swap
-    monkeypatch.setattr(
-        witt, "_swap", lambda rows, k, t: swaps.append(k) or real_swap(rows, k, t)
-    )
     made = []
     real_new = Fraction.__new__
 
@@ -382,7 +377,7 @@ def test_eliminate_on_non_integral_forms(Q, monkeypatch):
                 # no nonzero diagonal to swap in: pivot 0 is an add repair
                 assert not any(k in row for k, row in enumerate(g.rows))
             try:
-                ref = _dense_eliminate(g)
+                ref = _dense_eliminate(g, swaps)
             except DegenerateForm:
                 with pytest.raises(DegenerateForm):
                     _eliminate(g)
