@@ -68,6 +68,7 @@ from .errors import AlgebraError, ExponentBoundExceeded, Frozen
 
 BITS = 16  # the width of one field, guard bit included
 BOUND = (1 << BITS - 1) - 1  # the largest exponent: C = 2^15 - 1
+MASK = (1 << BITS) - 1  # one field
 
 
 class MonomialOrder(Frozen):
@@ -189,6 +190,13 @@ class Packing(Frozen):
             data = key.to_bytes(self.width >> 3, "little")
             return tuple(map(BOUND.__sub__, self._format.unpack_from(data)))
         return self._format.unpack(key.to_bytes(self.width >> 3, "big"))
+
+    def exponent(self, key: int, i: int) -> int:
+        """The exponent of x_i in the monomial of key, read off its field
+        by one shift and mask (a GREVLEX field holds C - e_i)."""
+        if self.order.grevlex:
+            return BOUND - (key >> BITS * i & MASK)
+        return key >> BITS * (self.n - 1 - i) & MASK
 
     def degree(self, key: int) -> int:
         """The total degree of the monomial of key: under GREVLEX its top

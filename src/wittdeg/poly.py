@@ -45,7 +45,10 @@ loop, `_reduce`, whose leading term is `max(terms)`: sums, differences and
 products of polynomials and determinants run through the first, and every
 Groebner reduction in `groebner` through both, on the keys of the ring's
 packing; the Gram build in `degree` and the elimination of a Gram form in
-`witt` add their sparse int rows with the first.  The kernel's contract is
+`witt` add their sparse int rows with the first.  Over Q the row update of
+an exact elimination, a row over its own denominator plus a multiple of
+another, is `_add_scaled`, which `witt._eliminate` and the inverse of a
+graded block in `degree` both call.  The kernel's contract is
 an exact sum: it stores what c * v and w + c * v give on int and field
 values, reduced mod p over F_p, and drops a zero, but makes no value
 canonical.  Canonical Q scalars are made where a `Poly` is made: `+`, `-`,
@@ -190,6 +193,29 @@ def _lowest(nums: dict, den: int) -> tuple[dict, int]:
     if g == 1:
         return nums, den
     return {e: v // g for e, v in nums.items()}, den // g
+
+
+def _add_scaled(nums: dict, den: int, src: dict, c: int, base: int) -> tuple[dict, int]:
+    """nums / den + (c / base) * src over Q, for int term dicts nums and src
+    and ints c and base > 0, as (nums', den') with den' coprime to the
+    content of nums': the one row update of an exact elimination on int
+    rows over their own denominators.  Over L = lcm(den, base) nums is
+    scaled by L / den and src by c L / base; the two multipliers and L are
+    first divided by the gcd of the multipliers, so that the one `_lowest`
+    after the `_add_shifted` divides less.  nums is updated in place, and
+    returned unless `_lowest` makes a new dict."""
+    g = gcd(den, base)
+    fr = base // g
+    c *= den // g
+    h = gcd(fr, c)
+    if h != 1:
+        fr //= h
+        c //= h
+    if fr != 1:
+        _rescale(nums, fr)
+    _add_shifted(nums, src, 0, c, None)
+    den *= fr
+    return (nums, den) if den == 1 else _lowest(nums, den)
 
 
 def _lowest_all(family, den: int) -> int:

@@ -71,7 +71,7 @@ from .fields import (
     square_class_mul,
     square_classes,
 )
-from .poly import _add_shifted, _lowest, _rescale, _to_lcm
+from .poly import _add_scaled, _add_shifted, _to_lcm
 
 
 class GramForm(Frozen):
@@ -218,7 +218,9 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
     two denominators (`poly._to_lcm`) and row t added into it by
     `poly._add_shifted`; the diagonals of k and t are zero, so the new
     pivot is 2 m[k][t], and only row k is rewritten, since column k is
-    never read again.  Every choice orders by step, never by label or by
+    never read again.  A row t that held only column k (the other half of
+    a hyperbolic pair) adds nothing, so neither step runs: the pivot is
+    the same number.  Every choice orders by step, never by label or by
     dict order, so the pivots are those of the elimination that renames
     the labels to their steps.
 
@@ -226,12 +228,13 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
     from each later row r in the support of row k: the Schur complement
     m[r][s] -= c_r * m[k][s], run over r, s in that support, each row
     updated on its own so that the rows share no denominator.  With
-    base = dens[k] * |a| and L = lcm(dens[r], base), row r becomes
-    (L / dens[r]) nums_r + c nums_k over L, c = -sign(a) (L / base)
-    nums_k[r].  The two multipliers and L are first divided by the gcd of
-    the multipliers, and the row and its denominator then by theirs; over
-    F_p c is -nums_k[r] / a mod p.  The sum is one call of the kernel,
-    `_add_shifted(row_r, row_k, 0, c, q)`, which deletes an entry that
+    base = dens[k] * |a|, row r becomes nums_r / dens[r] + (c / base)
+    nums_k, c = -sign(a) nums_k[r]: one call of `poly._add_scaled`, the
+    row update that the inverse of a graded block in `degree` calls too,
+    which sums over the lcm of the two denominators with the kernel and
+    leaves the row in lowest terms.  Over F_p row r gains c nums_k,
+    c = -nums_k[r] / a mod p, by one call of the kernel,
+    `_add_shifted(row_r, row_k, 0, c, q)`.  Either deletes an entry that
     cancels.  Column k is first removed from the rows of its neighbours, so
     no row keeps an eliminated label.
     """
@@ -266,11 +269,14 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
                     "form is degenerate (zero block of positive size)"
                 )
             t = min(row_k, key=step.__getitem__)
-            # e_k += e_t over the lcm of the denominators (row t no longer
-            # holds column k), and the zero diagonals give pivot 2 m[k][t]
-            den_k = _to_lcm(den_k, dens[t], (row_k,))
+            row_t = rows[t]
+            if row_t:
+                # e_k += e_t over the lcm of the denominators (row t no
+                # longer holds column k, nor t); an empty row t adds nothing
+                den_k = _to_lcm(den_k, dens[t], (row_k,))
+                _add_shifted(row_k, row_t, 0, den_k // dens[t], q)
+            # the zero diagonals give pivot 2 m[k][t]
             a = 2 * row_k[t] if q is None else 2 * row_k[t] % q
-            _add_shifted(row_k, rows[t], 0, den_k // dens[t], q)
         if den_k == 1:
             pivots.append((a, 1))
         else:
@@ -284,24 +290,14 @@ def _eliminate(g: GramForm) -> list[tuple[int, int]]:
             inv = pow(-a, -1, q)
         for r in row_k:
             row_r = rows[r]
-            if q is None:
-                den_r = dens[r]
-                d = gcd(den_r, base)
-                fr = base // d
-                c = sign * (den_r // d) * row_k[r]
-                h = gcd(fr, c)
-                if h != 1:
-                    fr //= h
-                    c //= h
-                if fr != 1:
-                    _rescale(row_r, fr)
-            else:
-                c = row_k[r] * inv % q
             if r not in row_r:  # the update makes the diagonal m[r][r] nonzero
                 heappush(nonzero_diag, step[r])
-            _add_shifted(row_r, row_k, 0, c, q)
-            if q is None and den_r * fr != 1:
-                rows[r], dens[r] = _lowest(row_r, den_r * fr)
+            if q is None:
+                rows[r], dens[r] = _add_scaled(
+                    row_r, dens[r], row_k, sign * row_k[r], base
+                )
+            else:
+                _add_shifted(row_r, row_k, 0, row_k[r] * inv % q, q)
     return pivots
 
 

@@ -6,16 +6,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wittdeg import cli, degree
 from wittdeg.cli import HYPOTHESIS_ERRORS, read_endo, run
 from wittdeg.degree import (
     DegreeReport,
     Endo,
+    _by_blocks,
+    _gram_from_bezoutian,
+    _gram_from_blocks,
     _gram_from_quotient,
     bezoutian,
     degree_of,
     dual_ring,
+    jacobian_det,
     univariate_power_form,
     univariate_tensor_oracle,
     validate,
@@ -47,7 +52,6 @@ from conftest import (
     diagonal_bezoutian_identity,
     divided_differences,
     exact_rows,
-    jacobian_det,
     leading,
     make_endo,
     monomial,
@@ -725,3 +729,125 @@ def test_q_gram_reduces_to_its_f_p_twin(Q):
         assert square_class(fp, disc) == twin_rep.invariants.signed_discriminant
         compared += 1
     assert compared >= 5
+
+
+_FORM_FIELDS = (
+    FieldSpec.rationals(),
+    FieldSpec.prime_field(5),
+    FieldSpec.prime_field(7),
+    FieldSpec.prime_field(10007),
+)
+
+
+def _random_forms(rng, field, order, n):
+    """n random forms in n variables, of degrees 1-3 (1-2 for n = 4), each
+    with at least half of the monomials of its degree; over Q a third of
+    the coefficients are not integers."""
+    ring = Ring(tuple(f"x{i + 1}" for i in range(n)), field, order)
+    images = []
+    for _ in range(n):
+        d = rng.randint(1, 2 if n == 4 else 3)
+        monos = list(itertools.combinations_with_replacement(range(n), d))
+        terms = {}
+        for m in rng.sample(monos, rng.randint((len(monos) + 1) // 2, len(monos))):
+            c = rng.choice([k for k in range(-4, 5) if k])
+            if field.is_rationals and rng.random() < 1 / 3:
+                c = Fraction(c, rng.randint(2, 6))
+            c = field.canon(c)
+            if c:
+                terms[tuple(m.count(i) for i in range(n))] = c
+        assume(terms)
+        images.append(poly(ring, terms))
+    return Endo(ring=ring, images=tuple(images))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_FORM_FIELDS),
+    st.sampled_from((GREVLEX, LEX)),
+    st.integers(2, 4),
+)
+def test_block_gram_is_the_bezoutian_gram(seed, field, order, n):
+    """On random maps of forms, over Q (non-integral coefficients included)
+    and over F_5, F_7 and F_10007, under both orders, the inverse of the
+    graded blocks of the Scheja-Storch form is the Bezoutian's Gram form,
+    each builder called directly."""
+    endo = _random_forms(random.Random(seed), field, order, n)
+    try:
+        qa = validate(endo)
+    except NotFiniteLength:
+        assume(False)
+    q = field.modulus
+    assume(q is None or qa.dimension % q)
+    blocks = _gram_from_blocks(endo, qa)
+    assert blocks == _gram_from_bezoutian(endo, validate(endo))
+
+
+def test_route_of_the_gram_build(Q):
+    """The blocks are taken where they have fewer entries than the
+    Bezoutian has terms, and never where the characteristic divides the
+    length: separated powers, whose Bezoutian has d terms, and the product
+    Nori map with n = 5 go to the Bezoutian, dense quadrics to blocks."""
+    jobs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "jobs"
+
+    def by_blocks(endo):
+        return _by_blocks(endo, validate(endo))
+
+    F3 = FieldSpec.prime_field(3)
+    for order in (GREVLEX, LEX):
+        for ms in ((4, 5, 3), (9, 9), (2, 3)):
+            assert not by_blocks(reordered(power_endo(Q, ms), order))
+        assert not by_blocks(reordered(power_endo(F3, (3,)), order))  # 3 | d
+        # dense forms of length 3 over F_3, whose blocks are cheaper: 3 | d
+        # leaves lambda unfixed, so the Bezoutian builds the Gram
+        cubic = make_endo(F3, ("x", "y"), ("x^3 + x^2*y + y^3", "x + y"))
+        cubic = reordered(cubic, order)
+        assert not by_blocks(cubic)
+        assert degree_of(cubic).gram == _gram_from_bezoutian(cubic, validate(cubic))
+        for name, blocks in (
+            ("nori5.job", False),
+            ("nori5-mixed.job", True),
+            ("quadrics5.job", True),
+        ):
+            assert by_blocks(read_endo(str(jobs / name), order)) is blocks
+        dense = make_endo(
+            Q,
+            ("x", "y", "z"),
+            (
+                "x^2 + 2*x*y - y^2 + x*z + 3*z^2",
+                "x^2 - x*y + 2*y^2 - y*z + z^2",
+                "2*x^2 + x*y + y^2 + 3*x*z - z^2",
+            ),
+        )
+        assert by_blocks(reordered(dense, order))
+
+
+def _nori_product(field, m, e):
+    """Nori's map in n = 2m + 1 variables: (a, b) -> (a^2 - b^2, ab) on m
+    disjoint pairs of variables, and x_n -> x_n^e."""
+    n = 2 * m + 1
+    texts = []
+    for i in range(1, n - 1, 2):
+        texts += [f"x{i}^2 - x{i + 1}^2", f"x{i}*x{i + 1}"]
+    texts.append(f"x{n}^{e}")
+    return make_endo(field, tuple(f"x{i + 1}" for i in range(n)), texts)
+
+
+def test_nori_family_has_its_closed_form_class(Q):
+    """The product map with m blocks has class 2^m<1> (each block <1,1>,
+    x -> x^e with e odd <1>), and its mixed twin, the job composed with
+    A of determinant -1 on the block variables, <det A> (x) 4<1>."""
+    jobs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "jobs"
+    mixed = read_endo(str(jobs / "nori5-mixed.job"), GREVLEX)
+    product = read_endo(str(jobs / "nori5.job"), GREVLEX)
+    assert product.images == _nori_product(Q, 2, 3).images
+    for field in (Q, FieldSpec.prime_field(10007)):
+        four = diag_form(field, [1] * 4)
+        for m in (1, 2):
+            rep = degree_of(_nori_product(field, m, 3))
+            assert rep.length == 4**m * 3
+            assert witt_equal(rep.diag, diag_form(field, [1] * 2**m))
+        rep = degree_of(_twin(mixed, field))
+        assert rep.length == 48
+        assert witt_equal(rep.diag, tensor(diag_form(field, [-1]), four))

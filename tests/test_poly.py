@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wittdeg.cli import HYPOTHESIS_ERRORS, parse_job_file, read_endo, read_row
-from wittdeg.degree import Endo
+from wittdeg.degree import Endo, deriv, jacobian_det
 from wittdeg.errors import (
     AlgebraError,
     ExponentBoundExceeded,
@@ -26,12 +26,10 @@ from conftest import (
     _reference_add,
     _reference_exact_div,
     _reference_mul,
-    deriv,
     diagonal_bezoutian_identity,
     divided_differences,
     format_poly_reference,
     is_canonical_scalar,
-    jacobian_det,
     monomial,
     random_poly,
     random_unit,
